@@ -43,7 +43,7 @@ def _load_json(path):
         raise UsageError(f"cannot read JSON from {path}: {exc}")
 
 
-def _validate_function_dict(d) -> None:
+def _function(d) -> VectorialFunction:
     if not isinstance(d, dict):
         raise UsageError("function file must hold a JSON object")
     for key in ("space", "codomain", "table"):
@@ -54,26 +54,24 @@ def _validate_function_dict(d) -> None:
         raise UsageError("codomain must be {'p': int, 's': int}")
     if not isinstance(d["table"], list):
         raise UsageError("table must be a list of integers")
+    return VectorialFunction.from_dict(d)
 
 
-def _load_function(path) -> VectorialFunction:
+def _load(path) -> dict:
+    """A function file, or a construct bundle, validated in full.  Returns
+    the 'function', and for a bundle its 'dual' and its 'sigma' and
+    'epsilons' claims with integer keys and values."""
     d = _load_json(path)
-    if isinstance(d, dict) and "function" in d:  # accept construct bundles
-        d = d["function"]
-    _validate_function_dict(d)
+    if not (isinstance(d, dict) and "function" in d):
+        d = {"function": d}
     try:
-        return VectorialFunction.from_dict(d)
-    except (ValueError, KeyError) as exc:
+        out = {key: _function(d[key]) for key in ("function", "dual") if key in d}
+        out["sigma"] = {int(c): int(v) for c, v in (d.get("sigma") or {}).items()}
+        eps = d.get("epsilons")
+        out["epsilons"] = None if eps is None else {int(c): int(e) for c, e in eps.items()}
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise UsageError(f"malformed function file: {exc}")
-
-
-def _load_bundle(path) -> dict:
-    d = _load_json(path)
-    if not isinstance(d, dict) or "function" not in d or "dual" not in d:
-        raise UsageError("certify needs a construct bundle with 'function' and 'dual'")
-    for key in ("function", "dual"):
-        _validate_function_dict(d[key])
-    return d
+    return out
 
 
 def _bundle_dict(pair: constructions.ConstructedPair) -> dict:
@@ -140,7 +138,7 @@ def _ints(csv: str):
 
 
 def _cmd_walsh(args) -> int:
-    F = _load_function(args.file)
+    F = _load(args.file)["function"]
     if F.s != 1:
         raise UsageError("walsh operates on p-ary (s = 1) functions")
     spectrum = spectral.walsh_full(F.as_p_ary())
@@ -151,7 +149,7 @@ def _cmd_walsh(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    F = _load_function(args.file)
+    F = _load(args.file)["function"]
     if F.s != 1:
         raise UsageError("classify operates on p-ary (s = 1) functions")
     cl = spectral.classify_bent(F.as_p_ary())
@@ -168,18 +166,17 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    bundle = _load_bundle(args.file)
-    F = VectorialFunction.from_dict(bundle["function"])
-    Fstar = VectorialFunction.from_dict(bundle["dual"])
-    cert = spectral.dual_bent_certificate(F, Fstar)
+    bundle = _load(args.file)
+    if "dual" not in bundle:
+        raise UsageError("certify needs a construct bundle with 'function' and 'dual'")
+    cert = spectral.dual_bent_certificate(bundle["function"], bundle["dual"])
     if cert is None:
         _emit({"certified": False})
         return VERIFY_ERROR
-    sigma_claim = {int(c): int(d) for c, d in bundle.get("sigma", {}).items()}
-    eps_claim = bundle.get("epsilons")
+    sigma_claim, eps_claim = bundle["sigma"], bundle["epsilons"]
     sigma_ok = sigma_claim == cert.sigma if sigma_claim else None
     if eps_claim is not None:
-        eps_ok = all(cert.epsilons[int(c)] == int(e) for c, e in eps_claim.items())
+        eps_ok = all(cert.epsilons.get(c) == e for c, e in eps_claim.items())
     else:
         eps_ok = None
     out = {
@@ -212,7 +209,7 @@ def _extract_set(F: VectorialFunction, args) -> pds.PreimageSet:
 
 
 def _cmd_pds_extract(args) -> int:
-    F = _load_function(args.file)
+    F = _load(args.file)["function"]
     D = _extract_set(F, args)
     out = {
         "group": F.domain.to_list(),
@@ -245,7 +242,7 @@ def _cmd_pds_params(args) -> int:
 
 
 def _cmd_pds_verify(args) -> int:
-    F = _load_function(args.file)
+    F = _load(args.file)["function"]
     D = _extract_set(F, args)
     expect = None
     if args.expect:
@@ -436,7 +433,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         _emit({"error": "usage", "message": str(exc)})
         return USAGE_ERROR
     except BentError as exc:

@@ -49,9 +49,20 @@ def _epsilon_sign(p: int, dim: int, minus_one_exp: int, eps_exp: int, eta: int) 
     return 1 if exp_i == 0 else -1
 
 
-def _sub_add_table(sub: Field) -> np.ndarray:
-    q = sub.size
-    return np.array([[sub.add(u, v) for v in range(q)] for u in range(q)], dtype=np.int64)
+def _mm_block(F: Field, s: int, a: int, perm, perm_inv) -> tuple[np.ndarray, np.ndarray]:
+    """Tr_s^m(a x pi(y)) and its dual Tr_s^m(-pi^{-1}(a^{-1} x) y) on
+    GF(p^m) x GF(p^m), as (q, q) arrays indexed [y, x]."""
+    x = np.arange(F.size)
+    y = x[:, None]
+    table = F.trace(s, F.mul(F.mul(a, perm[y]), x))
+    dual = F.trace(s, F.mul(F.neg(perm_inv[F.mul(F.inv(a), x)]), y))
+    return table, dual
+
+
+def _quad_block(F: Field, s: int, c: int) -> np.ndarray:
+    """Tr_s^n(c x^2) over every x in GF(p^n)."""
+    x = np.arange(F.size)
+    return F.trace(s, F.mul(c, F.mul(x, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -74,26 +85,15 @@ def mm_power(p: int, m: int, s: int, a: int, e: int) -> ConstructedPair:
         raise BadExponent(f"gcd({e}, {q - 1}) != 1")
     u = pow(e, -1, q - 1)
     sub = canonical_field(p, s)
-    tr = F._trace_table(s)
     dom = Space([F, F])
-    table = np.empty(q * q, dtype=np.int64)
-    for y in range(q):
-        v = F.mul(a, F.pow(y, e))
-        base = q * y
-        for x in range(q):
-            table[base + x] = tr[F.mul(v, x)]
-    coef = F.neg(F.pow(a, -u))
-    dual = np.empty(q * q, dtype=np.int64)
-    for y in range(q):
-        base = q * y
-        for x in range(q):
-            dual[base + x] = tr[F.mul(F.mul(coef, F.pow(x, u)), y)]
+    y = np.arange(q)
+    table, dual = _mm_block(F, s, a, F.pow(y, e), F.pow(y, u))
     sigma = {c: sub.pow(c, -u) for c in range(1, sub.size)}
     eps = {c: 1 for c in range(1, sub.size)}
     return ConstructedPair(
         "mm-power",
-        VectorialFunction(dom, sub, table),
-        VectorialFunction(dom, sub, dual),
+        VectorialFunction(dom, sub, table.ravel()),
+        VectorialFunction(dom, sub, dual.ravel()),
         sigma,
         eps,
         {"p": p, "m": m, "s": s, "a": a, "e": e},
@@ -121,16 +121,15 @@ class QPolynomial:
             power = F.pow(power, q)
         return acc
 
-    def table(self) -> list[int]:
-        return [self.evaluate(y) for y in range(self.field.size)]
+    def table(self) -> np.ndarray:
+        return self.evaluate(np.arange(self.field.size))
 
-    def inverse_table(self) -> list[int]:
+    def inverse_table(self) -> np.ndarray:
         tab = self.table()
-        if len(set(tab)) != self.field.size:
+        if np.unique(tab).size != self.field.size:
             raise NotPermutation("q-polynomial does not permute the field")
-        inv = [0] * self.field.size
-        for y, v in enumerate(tab):
-            inv[v] = y
+        inv = np.empty_like(tab)
+        inv[tab] = np.arange(tab.size)
         return inv
 
 
@@ -143,30 +142,15 @@ def mm_qpoly(p: int, m: int, s: int, a: int, l_coeffs) -> ConstructedPair:
     if a == 0:
         raise ZeroArgument("coefficient a must be nonzero")
     L = QPolynomial(F, s, tuple(int(c) for c in l_coeffs))
-    ltab = L.table()
-    linv = L.inverse_table()
     sub = canonical_field(p, s)
-    tr = F._trace_table(s)
-    q = F.size
     dom = Space([F, F])
-    table = np.empty(q * q, dtype=np.int64)
-    for y in range(q):
-        v = F.mul(a, ltab[y])
-        base = q * y
-        for x in range(q):
-            table[base + x] = tr[F.mul(v, x)]
-    inv_a = F.inv(a)
-    dual = np.empty(q * q, dtype=np.int64)
-    for y in range(q):
-        base = q * y
-        for x in range(q):
-            dual[base + x] = tr[F.mul(F.neg(linv[F.mul(inv_a, x)]), y)]
+    table, dual = _mm_block(F, s, a, L.table(), L.inverse_table())
     sigma = {c: sub.inv(c) for c in range(1, sub.size)}
     eps = {c: 1 for c in range(1, sub.size)}
     return ConstructedPair(
         "mm-qpoly",
-        VectorialFunction(dom, sub, table),
-        VectorialFunction(dom, sub, dual),
+        VectorialFunction(dom, sub, table.ravel()),
+        VectorialFunction(dom, sub, dual.ravel()),
         sigma,
         eps,
         {"p": p, "m": m, "s": s, "a": a, "l_coeffs": list(L.coeffs)},
@@ -189,17 +173,9 @@ def quad_trace(p: int, n: int, s: int, a: int) -> ConstructedPair:
     if a == 0:
         raise ZeroArgument("coefficient a must be nonzero")
     sub = canonical_field(p, s)
-    tr = F._trace_table(s)
     dom = Space([F])
-    table = np.fromiter(
-        (tr[F.mul(a, F.mul(x, x))] for x in range(F.size)), dtype=np.int64, count=F.size
-    )
-    minus_inv4a = F.neg(F.inv(F.mul(4 % p, a)))
-    dual = np.fromiter(
-        (tr[F.mul(minus_inv4a, F.mul(x, x))] for x in range(F.size)),
-        dtype=np.int64,
-        count=F.size,
-    )
+    table = _quad_block(F, s, a)
+    dual = _quad_block(F, s, F.neg(F.inv(F.mul(4 % p, a))))
     sigma = {c: sub.inv(c) for c in range(1, sub.size)}
     _, embed, _ = F.subfield(s)
     eps = {
@@ -230,16 +206,12 @@ def diag_quad(p: int, s: int, m: int, coeffs) -> ConstructedPair:
         raise ZeroCoefficient("diagonal coefficients must be nonzero")
     q = sub.size
     dom = Space([sub] * m)
-    add_tab = _sub_add_table(sub)
-    sq = [sub.mul(x, x) for x in range(q)]
     ranks = np.arange(dom.size, dtype=np.int64)
 
     def assemble(cs):
-        acc = np.zeros(dom.size, dtype=np.int64)
+        acc = 0
         for i, ci in enumerate(cs):
-            vals = np.array([sub.mul(ci, sq[x]) for x in range(q)], dtype=np.int64)
-            xi = (ranks // (q ** i)) % q
-            acc = add_tab[acc, vals[xi]]
+            acc = sub.add(acc, _quad_block(sub, s, ci)[ranks // q ** i % q])
         return acc
 
     table = assemble(coeffs)
@@ -296,14 +268,12 @@ def regular_spread(p: int, m: int) -> SpreadSystem:
     F = canonical_field(p, m)
     q = F.size
     dom = Space([F, F])
-    lines = [tuple(dom.join((0, y)) for y in range(q))]
-    for a in range(q):
-        lines.append(tuple(dom.join((x, F.mul(a, x))) for x in range(q)))
+    x = np.arange(q)
+    lines = [tuple((q * x).tolist())]
+    lines += [tuple((x + q * F.mul(a, x)).tolist()) for a in range(q)]
     # orthogonal complement under Tr(z1 x1 + z2 x2): the infinity line and
     # the a = 0 line swap; {(x, ax)} pairs with {(x, -a^{-1} x)}
-    perp = [1, 0]
-    for a in range(1, q):
-        perp.append(1 + F.neg(F.inv(a)))
+    perp = [1, 0] + (1 + F.neg(F.inv(x[1:]))).tolist()
     return SpreadSystem(dom, lines, perp)
 
 
@@ -324,24 +294,20 @@ def spread_bent(p: int, m: int, s: int, labeling=None, gamma0: int = 0) -> Const
     labeling = [int(v) for v in labeling]
     if len(labeling) != q:
         raise UnbalancedLabeling(f"labeling must assign all {q} lines")
+    labels = np.array([int(gamma0)] + labeling)
+    if not ((0 <= labels) & (labels < sub.size)).all():
+        raise ValueError(f"labels must lie in [0, {sub.size})")
     per_value = q // sub.size
-    counts = [0] * sub.size
-    for v in labeling:
-        counts[v] += 1
-    if counts != [per_value] * sub.size:
+    if (np.bincount(labeling, minlength=sub.size) != per_value).any():
         raise UnbalancedLabeling(f"labeling must hit every value exactly {per_value} times")
-    labels = [int(gamma0)] + labeling
     dom = system.space
-    table = np.empty(dom.size, dtype=np.int64)
-    dual = np.empty(dom.size, dtype=np.int64)
-    for i, line in enumerate(system.lines):
-        val = labels[i]
-        val_perp = labels[system.perp[i]]
-        for z in line:
-            if z != 0:
-                table[z] = val
-                dual[z] = val_perp
-    table[0] = labels[0]
+    # the line through each point: {0} x F for x = 0, else {(x, a x)} with
+    # a = y x^{q-2} = y / x
+    F = dom.factors[0]
+    y, x = np.divmod(np.arange(dom.size), q)
+    line = np.where(x == 0, 0, 1 + F.mul(y, F.pow(x, q - 2)))
+    table = labels[line]
+    dual = labels[np.array(system.perp)[line]]
     dual[0] = labels[0]
     sigma = {c: c for c in range(1, sub.size)}
     eps = {c: 1 for c in range(1, sub.size)}
@@ -393,65 +359,24 @@ def branched_quad_mm(
     Fn = canonical_field(p, n)
     Fm = canonical_field(p, m)
     sub = canonical_field(p, s)
-    qn, qm, qs = Fn.size, Fm.size, sub.size
+    qs = sub.size
     L = QPolynomial(Fm, s, tuple(int(c) for c in l_coeffs))
-    ltab = L.table()
     linv = L.inverse_table()
-    trn = Fn._trace_table(s)
-    trm = Fm._trace_table(s)
-    add_tab = _sub_add_table(sub)
-    squares = sub.squares()
-
-    def branch(i: int) -> int:
-        if i == 0:
-            return 0
-        return 1 if i in squares else 2
-
-    def x_block(coeff: int) -> np.ndarray:
-        return np.fromiter(
-            (trn[Fn.mul(coeff, Fn.mul(x, x))] for x in range(qn)), dtype=np.int64, count=qn
-        )
-
+    # branch index per y2: 0 / 1 / 2 for Tr_s^m(gamma y2^2) zero / square / non-square
+    sel = _quad_block(Fm, s, gamma)
+    sel = np.where(sel == 0, 0, np.where(np.isin(sel, list(sub.squares())), 1, 2))
     alphas = (alpha1, alpha2, alpha3)
-    xb = np.stack([x_block(a) for a in alphas])
-    sel_y2 = np.fromiter(
-        (branch(trm[Fm.mul(gamma, Fm.mul(y, y))]) for y in range(qm)),
-        dtype=np.int64,
-        count=qm,
-    )
-    # g[y1, y2] = Tr_s^m(beta y1 L(y2))
-    g = np.empty((qm, qm), dtype=np.int64)
-    for y2 in range(qm):
-        v = Fm.mul(beta, ltab[y2])
-        for y1 in range(qm):
-            g[y1, y2] = trm[Fm.mul(v, y1)]
-    dom = Space([Fn, Fm, Fm])
-    table = np.empty(dom.size, dtype=np.int64)
-    blk = qn * qm
-    for y2 in range(qm):
-        rows = add_tab[g[:, y2][:, None], xb[sel_y2[y2]][None, :]]  # (qm, qn)
-        table[y2 * blk : (y2 + 1) * blk] = rows.reshape(-1)
-
-    # dual: branch on w = L^{-1}(beta^{-1} y1), cross term -Tr(w y2)
-    inv_beta = Fm.inv(beta)
-    w_of_y1 = [linv[Fm.mul(inv_beta, y1)] for y1 in range(qm)]
-    sel_y1 = np.fromiter(
-        (branch(trm[Fm.mul(gamma, Fm.mul(w, w))]) for w in w_of_y1),
-        dtype=np.int64,
-        count=qm,
-    )
     dual_alphas = [Fn.neg(Fn.inv(Fn.mul(4 % p, a))) for a in alphas]
-    xb_star = np.stack([x_block(a) for a in dual_alphas])
-    r_rows = xb_star[sel_y1]  # (qm, qn)
-    gstar = np.empty((qm, qm), dtype=np.int64)
-    for y1 in range(qm):
-        w = w_of_y1[y1]
-        for y2 in range(qm):
-            gstar[y1, y2] = trm[Fm.neg(Fm.mul(w, y2))]
-    dual = np.empty(dom.size, dtype=np.int64)
-    for y2 in range(qm):
-        rows = add_tab[gstar[:, y2][:, None], r_rows]
-        dual[y2 * blk : (y2 + 1) * blk] = rows.reshape(-1)
+    xb = np.stack([_quad_block(Fn, s, a) for a in alphas])
+    xb_star = np.stack([_quad_block(Fn, s, a) for a in dual_alphas])
+    # g[y2, y1] = Tr_s^m(beta y1 L(y2)), gstar[y2, y1] = -Tr_s^m(w y2) with
+    # w = L^{-1}(beta^{-1} y1), the point whose branch the dual takes
+    g, gstar = _mm_block(Fm, s, beta, L.table(), linv)
+    sel_star = sel[linv[Fm.mul(Fm.inv(beta), np.arange(Fm.size))]]
+    dom = Space([Fn, Fm, Fm])
+    # point ranks run x fastest, then y1, then y2
+    table = sub.add(g[:, :, None], xb[sel][:, None, :])
+    dual = sub.add(gstar[:, :, None], xb_star[sel_star][None, :, :])
 
     sigma = {c: sub.inv(c) for c in range(1, qs)}
     chars = {Fn.quadratic_character(a) for a in alphas}
@@ -471,8 +396,8 @@ def branched_quad_mm(
         eps = None  # mixed branch characters: components are bent but not weakly regular
     return ConstructedPair(
         "branched-quad-mm",
-        VectorialFunction(dom, sub, table),
-        VectorialFunction(dom, sub, dual),
+        VectorialFunction(dom, sub, table.ravel()),
+        VectorialFunction(dom, sub, dual.ravel()),
         sigma,
         eps,
         {

@@ -103,10 +103,6 @@ class HypothesisViolation(BentError):
     pass
 
 
-class NonSquareDelta(BentError):
-    pass
-
-
 class NotSymmetric(BentError):
     pass
 

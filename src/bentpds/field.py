@@ -4,8 +4,9 @@ Elements are integer ranks in [0, p^m): the base-p digits of a rank are the
 coefficients of the polynomial-basis representation, least-significant digit
 first (rank 0 is the additive, rank 1 the multiplicative identity).
 
-Multiplication runs through exp/log tables built from the least-rank
-primitive element, so every operation is table-driven and exact.
+Addition runs digitwise on a table of those coefficients; multiplication
+runs through exp/log tables built from the least-rank primitive element.
+Every operation is table-driven, exact, and elementwise on rank arrays.
 """
 from __future__ import annotations
 
@@ -13,6 +14,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import (
     InverseOfZero,
@@ -84,7 +87,9 @@ def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
 
 
 class Field:
-    """GF(p^m) with explicit exp/log tables; immutable after construction."""
+    """GF(p^m) with its digit and exp/log tables held as numpy arrays;
+    immutable after construction.  Arithmetic works elementwise on rank
+    arrays; int arguments give int results."""
 
     def __init__(self, p: int, m: int, modulus=None):
         if not is_prime(p) or p == 2:
@@ -104,122 +109,83 @@ class Field:
         self.m = m
         self.modulus = modulus
         self.size = p ** m
-        self._coeffs = self._build_coeffs()
-        self._exp, self._log = self._build_tables()
+        self._powers = p ** np.arange(m, dtype=np.int64)
+        # digits[r] = polynomial-basis coefficients of rank r; the dtype is
+        # the narrowest that holds the sum of two digits
+        ranks = np.arange(self.size, dtype=np.int64)
+        self._digits = (ranks[:, None] // self._powers % p).astype(np.min_scalar_type(2 * p - 2))
+        # exp[i] = g^i for the least-rank g of order p^m - 1; log inverts it.
+        # Row 0 of the matrix of y -> g^k y holds the digits of g^k.
+        q1 = self.size - 1
+        self._generator = next(
+            g for g in range(2, self.size)
+            if all((_mat_pow(self._mul_matrix(g), q1 // f, p)[0] != self._digits[1]).any()
+                   for f in _prime_factors(q1))
+        )
+        self._exp = self._powers_of(self._generator)
+        self._log = np.zeros(self.size, dtype=np.int64)
+        self._log[self._exp] = np.arange(q1)
 
     # -- construction internals ------------------------------------------
 
-    def _build_coeffs(self):
+    def _mul_matrix(self, c: int) -> np.ndarray:
+        """M with digits(c y) = digits(y) @ M mod p."""
         p, m = self.p, self.m
-        out = []
-        for r in range(self.size):
-            c, v = [], r
-            for _ in range(m):
-                v, d = divmod(v, p)
-                c.append(d)
-            out.append(tuple(c))
+        shift = np.eye(m, k=1, dtype=np.int64)  # y -> x y, with x^m reduced below
+        shift[-1] = [-c0 % p for c0 in self.modulus[:m]]
+        out, x_pow = np.zeros((m, m), dtype=np.int64), np.eye(m, dtype=np.int64)
+        for d in self._digits[c]:
+            out = (out + int(d) * x_pow) % p
+            x_pow = x_pow @ shift % p
         return out
 
-    def _rank(self, coeffs) -> int:
-        r = 0
-        for c in reversed(coeffs):
-            r = r * self.p + c
-        return r
+    def _powers_of(self, g: int) -> np.ndarray:
+        """Ranks of g^0, ..., g^{q-2} by doubling: the block g^{k..2k-1} is the
+        block g^{0..k-1} times g^k, a linear map on digit rows."""
+        p, q1 = self.p, self.size - 1
+        digits = np.zeros((q1, self.m), dtype=np.int64)
+        digits[0, 0] = 1
+        step, k = self._mul_matrix(g), 1
+        while k < q1:
+            n = min(k, q1 - k)
+            digits[k : k + n] = digits[:n] @ step % p
+            step, k = step @ step % p, k + n
+        return digits @ self._powers
 
-    def _poly_mul(self, a, b) -> int:
-        p, m = self.p, self.m
-        ca, cb = self._coeffs[a], self._coeffs[b]
-        prod = [0] * (2 * m - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    prod[i + j] += x * y
-        # reduce by the modulus: x^m = -(modulus minus leading term)
-        for k in range(2 * m - 2, m - 1, -1):
-            c = prod[k] % p
-            if c:
-                for j in range(m):
-                    prod[k - m + j] -= c * self.modulus[j]
-            prod[k] = 0
-        return self._rank([v % p for v in prod[:m]])
-
-    def _build_tables(self):
-        q = self.size
-        # least-rank generator of the multiplicative group
-        factors = _prime_factors(q - 1)
-        gen = None
-        for r in range(2, q):
-            if all(self._raw_pow(r, (q - 1) // f) != 1 for f in factors):
-                gen = r
-                break
-        if gen is None:  # q == 3: the only generator is 2, caught above
-            gen = q - 1
-        exp = [1] * (q - 1)
-        log = [0] * q
-        cur = 1
-        for i in range(q - 1):
-            exp[i] = cur
-            log[cur] = i
-            cur = self._poly_mul(cur, gen)
-        self._generator = gen
-        return exp, log
-
-    def _raw_pow(self, a: int, e: int) -> int:
-        r, base = 1, a
-        while e:
-            if e & 1:
-                r = self._poly_mul(r, base)
-            base = self._poly_mul(base, base)
-            e >>= 1
-        return r
+    def _rank(self, digits):
+        return _ranks_out(digits @ self._powers)
 
     # -- arithmetic --------------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        p = self.p
-        return self._rank([(x + y) % p for x, y in zip(self._coeffs[a], self._coeffs[b])])
+    def add(self, a, b):
+        return self._rank((self._digits[a] + self._digits[b]) % self.p)
 
-    def sub(self, a: int, b: int) -> int:
-        p = self.p
-        return self._rank([(x - y) % p for x, y in zip(self._coeffs[a], self._coeffs[b])])
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
 
-    def neg(self, a: int) -> int:
-        p = self.p
-        return self._rank([(-x) % p for x in self._coeffs[a]])
+    def neg(self, a):
+        return self._rank((self.p - self._digits[a]) % self.p)
 
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
+    def mul(self, a, b):
+        prod = self._exp[(self._log[a] + self._log[b]) % (self.size - 1)]
+        return _ranks_out(prod * ((a != 0) & (b != 0)))
+
+    def inv(self, a):
+        return self.pow(a, -1)
+
+    def pow(self, a, e: int):
+        if e < 0 and (np.asarray(a) == 0).any():
+            raise InverseOfZero("0 has no inverse")
         q1 = self.size - 1
-        return self._exp[(self._log[a] + self._log[b]) % q1]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise InverseOfZero("inverse of 0 requested")
-        q1 = self.size - 1
-        return self._exp[(-self._log[a]) % q1]
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e > 0:
-                return 0
-            if e == 0:
-                return 1
-            raise InverseOfZero("0 raised to a negative power")
-        q1 = self.size - 1
-        return self._exp[(self._log[a] * e) % q1]
-
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        return self._coeffs[a]
-
-    def from_coeffs(self, coeffs) -> int:
-        return self._rank([c % self.p for c in coeffs])
+        # log * e < (p^m)^2 fits int64 for every field whose tables fit in memory
+        r = self._exp[self._log[a] * (e % q1) % q1]
+        return _ranks_out(r * (a != 0) if e > 0 else r)
 
     def multiplicative_order(self, a: int) -> int:
         if a == 0:
             raise ZeroArgument("0 has no multiplicative order")
         q1 = self.size - 1
-        return q1 // math.gcd(self._log[a], q1)
+        return q1 // math.gcd(int(self._log[a]), q1)
 
     @property
     def primitive_element(self) -> int:
@@ -228,27 +194,25 @@ class Field:
 
     # -- structure ---------------------------------------------------------
 
-    def trace(self, k: int, a: int) -> int:
+    def trace(self, k: int, a):
         """Tr_k^m(a) = sum of a^{p^{k i}}, returned as a rank of the
         canonical GF(p^k); requires k | m."""
         if self.m % k != 0:
             raise NotADivisor(f"{k} does not divide {self.m}")
-        table = self._trace_table(k)
-        return table[a]
+        return _ranks_out(self._trace_table(k)[a])
 
     @lru_cache(maxsize=None)
-    def _trace_table(self, k: int):
-        sub, _, proj = self.subfield(k)
-        steps = self.m // k
-        frob_exp = self.p ** k
-        out = []
-        for a in range(self.size):
-            t, x = 0, a
-            for _ in range(steps):
-                t = self.add(t, x)
-                x = self.pow(x, frob_exp)
-            out.append(proj[t])
-        return out
+    def _trace_table(self, k: int) -> np.ndarray:
+        sub, embed, _ = self.subfield(k)
+        ranks = np.arange(self.size, dtype=np.int64)
+        frob = self.pow(ranks, self.p ** k)  # x -> x^{p^k} as a permutation
+        total = conj = ranks
+        for _ in range(self.m // k - 1):
+            conj = frob[conj]
+            total = self.add(total, conj)
+        proj = np.zeros(self.size, dtype=np.int64)
+        proj[embed] = np.arange(sub.size)
+        return proj[total]
 
     def quadratic_character(self, a: int) -> int:
         """+1 iff a is a nonzero square (a^{(q-1)/2} = 1), -1 otherwise."""
@@ -260,7 +224,7 @@ class Field:
         return self.subgroup_coset(2, 1).members
 
     def nonsquares(self) -> frozenset[int]:
-        return frozenset(a for a in range(1, self.size)) - self.squares()
+        return frozenset(range(1, self.size)) - self.squares()
 
     def subgroup_coset(self, exponent: int, beta: int) -> "CosetSet":
         """beta * H_l where H_l = { x^l : x in GF(p^m)^* }."""
@@ -268,7 +232,8 @@ class Field:
             raise ZeroBeta("coset representative must be nonzero")
         if exponent < 1:
             raise ValueError("exponent must be >= 1")
-        members = frozenset(self.mul(beta, self.pow(x, exponent)) for x in range(1, self.size))
+        units = np.arange(1, self.size)
+        members = frozenset(self.mul(beta, self.pow(units, exponent)).tolist())
         return CosetSet(self, exponent, beta, members)
 
     @lru_cache(maxsize=None)
@@ -287,34 +252,25 @@ class Field:
         if s == self.m:
             # a field is its own canonical degree-m subfield copy
             embed = list(range(self.size))
-            proj = {r: r for r in range(self.size)}
-            return self, embed, proj
+            return self, embed, embed
         sub = canonical_field(self.p, s)
         g = sub.primitive_element
-        minpoly = _minimal_polynomial(sub, g)
-        root = min(r for r in range(self.size) if _eval_in(self, minpoly, r) == 0)
-        # coordinates of each subfield element in the power basis {g^j}
-        basis_sub = [sub.pow(g, j) for j in range(s)]
-        coords = {}
-        for tup in itertools.product(range(self.p), repeat=s):
-            v = 0
-            for c, b in zip(tup, basis_sub):
-                v = sub.add(v, sub.mul(c, b))
-            coords.setdefault(v, tup)
-        basis_big = [self.pow(root, j) for j in range(s)]
-        embed = [0] * sub.size
-        for r in range(sub.size):
-            v = 0
-            for c, b in zip(coords[r], basis_big):
-                v = self.add(v, self.mul(c, b))
-            embed[r] = v
+        values = 0  # the minimal polynomial at every rank, by Horner
+        for c in reversed(_minimal_polynomial(sub, g)):
+            values = self.add(self.mul(values, np.arange(self.size)), c)
+        root = int(np.flatnonzero(values == 0)[0])
+        # each subfield element from its coordinates in the power basis {g^j}
+        # (prime-field constants have the same rank in both fields)
+        image_sub = image_big = 0
+        for j in range(s):
+            c = sub._digits[:, j]
+            image_sub = sub.add(image_sub, sub.mul(c, sub.pow(g, j)))
+            image_big = self.add(image_big, self.mul(c, self.pow(root, j)))
+        embed = np.empty(sub.size, dtype=np.int64)
+        embed[image_sub] = image_big
+        embed = embed.tolist()
         proj = {img: r for r, img in enumerate(embed)}
         return sub, embed, proj
-
-    def embed_from(self, s: int, a: int) -> int:
-        """Image of the canonical GF(p^s) rank a inside this field."""
-        _, embed, _ = self.subfield(s)
-        return embed[a]
 
     # -- plumbing -----------------------------------------------------------
 
@@ -353,6 +309,21 @@ def _prime_factors(n: int):
     return out
 
 
+def _mat_pow(mat: np.ndarray, k: int, p: int) -> np.ndarray:
+    out = np.eye(len(mat), dtype=np.int64)
+    while k:
+        if k & 1:
+            out = out @ mat % p
+        mat = mat @ mat % p
+        k >>= 1
+    return out
+
+
+def _ranks_out(r):
+    """Rank arrays pass through; a single rank comes back as an int."""
+    return r if isinstance(r, np.ndarray) and r.ndim else int(r)
+
+
 def _minimal_polynomial(sub: Field, g: int):
     """Coefficients over GF(p) of prod_i (y - g^{p^i}) computed in `sub`."""
     conjugates = []
@@ -371,13 +342,6 @@ def _minimal_polynomial(sub: Field, g: int):
         if coeff >= sub.p:
             raise AssertionError("minimal polynomial has non-prime-field coefficient")
     return poly
-
-
-def _eval_in(field: Field, poly, x: int) -> int:
-    v = 0
-    for c in reversed(poly):
-        v = field.add(field.mul(v, x), c)  # constants embed as constants
-    return v
 
 
 @dataclass(frozen=True)

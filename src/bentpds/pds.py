@@ -30,7 +30,7 @@ from .errors import (
     NotSymmetric,
     SizeGuard,
 )
-from .field import Field, canonical_field
+from .field import Field, canonical_field, is_prime
 from .limits import pair_cap
 from .space import Space
 from .spectral import (
@@ -121,8 +121,7 @@ def preimage(F: VectorialFunction, values, exclude_zero_point: bool = True,
              descriptor: str | None = None) -> PreimageSet:
     """{ x : F(x) in values }, minus the zero point when requested."""
     values = set(int(v) for v in values)
-    hits = np.nonzero(np.isin(F.table, list(values)))[0] if values else np.array([], dtype=int)
-    members = set(int(x) for x in hits)
+    members = set(np.flatnonzero(np.isin(F.table, list(values))).tolist())
     if exclude_zero_point:
         members.discard(0)
     if descriptor is None:
@@ -210,8 +209,7 @@ def preimage_sizes(F: VectorialFunction, cert: DualBentCertificate) -> dict[int,
         raise HypothesisViolation("n must be even")
     if int(F.table[0]) != 0:
         raise HypothesisViolation("F(0) must be 0")
-    neg_perm = np.fromiter((sp.negate(x) for x in range(sp.size)), dtype=np.int64, count=sp.size)
-    if not np.array_equal(F.table[neg_perm], F.table):
+    if not np.array_equal(F.table[sp.neg], F.table):
         raise HypothesisViolation("F(-x) = F(x) must hold")
     eps_values = set(cert.epsilons.values())
     if len(eps_values) != 1 or None in eps_values:
@@ -285,7 +283,7 @@ def sigma_predicates(codomain: Field, sigma: dict[int, int], l: int) -> SigmaRep
             break
 
     w = codomain.primitive_element
-    t_exp = (-codomain._log[sigma[w]]) % (q - 1)
+    t_exp = -int(codomain._log[sigma[w]]) % (q - 1)
     if all(sigma[c] == codomain.pow(c, -t_exp) for c in range(1, q)):
         power_exponent = t_exp
         r = pow(t_exp, -1, q - 1)
@@ -311,6 +309,8 @@ def params_subset(
     """The identity-sigma parameter blocks for D_A, split on 0 in A."""
     if n % 2 != 0:
         raise HypothesisViolation("n must be even")
+    if not 0 <= size_a <= p ** s:
+        raise ValueError(f"size_a = {size_a} must lie in [0, p^s = {p ** s}]")
     v = p ** n
     half = Fraction(p ** (n // 2), p ** s)       # p^{n/2 - s}
     base = Fraction(p ** n, p ** s)              # p^{n - s}
@@ -379,8 +379,12 @@ def semiprimitive_check(p: int, s: int, t: int) -> SemiprimitiveInfo | None:
 
 def gaussian_period(p: int, s: int, t: int, a: int) -> CyclotomicInt:
     """eta_a = sum over the subgroup H_t of zeta^{Tr_1^s(a x)}, brute force."""
+    if not is_prime(p) or p == 2:
+        raise ValueError(f"p must be an odd prime, got {p}")
+    if not 0 <= a < p ** s:
+        raise ValueError(f"a = {a} must lie in [0, p^s = {p ** s})")
     sub = canonical_field(p, s)
-    if (sub.size - 1) % t != 0:
+    if t < 1 or (sub.size - 1) % t != 0:
         raise NonDivisor(f"t = {t} must divide p^s - 1 = {sub.size - 1}")
     tr1 = sub._trace_table(1)
     counts = [0] * p
@@ -430,11 +434,12 @@ def gaussian_period_semiprimitive(p: int, s: int, t: int, a: int) -> CyclotomicI
 # ---------------------------------------------------------------------------
 
 def _candidacy(space: Space, members) -> np.ndarray:
-    D = np.array(sorted(int(x) for x in members), dtype=np.int64)
+    D = np.sort(np.fromiter(members, dtype=np.int64, count=len(members)))
+    if D.size and (D[0] < 0 or D[-1] >= space.size):
+        raise ValueError(f"members must be ranks in [0, {space.size})")
     if D.size and D[0] == 0:
         raise ContainsZero("0 must not belong to a regular PDS candidate")
-    neg = set(space.negate(int(x)) for x in D)
-    if neg != set(int(x) for x in D):
+    if not np.array_equal(np.unique(space.neg[D]), np.unique(D)):
         raise NotSymmetric("-D = D must hold")
     return D
 
@@ -517,7 +522,8 @@ def verify_pds_characters(space: Space, D, candidate: PdsParams) -> bool:
         return False
     root = math.isqrt(delta)
     if root * root != delta:
-        # NonSquareDelta: integer form inapplicable, decide by brute force
+        # Delta is not a square: the integer form does not apply, so
+        # decide by difference counting
         observed = verify_pds_bruteforce(space, members)
         return observed is not None and params_match(candidate, observed)
     if (candidate.beta + root) % 2 != 0:

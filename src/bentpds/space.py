@@ -7,11 +7,16 @@ double as the GF(p)-coordinates of the point, which is what the radix-p
 transform relies on.
 
 The inner product follows the usual convention: plain product on GF(p)
-factors, Tr_1^m(a b) on extension factors, summed mod p.
+factors, Tr_1^m(a b) on extension factors, summed mod p.  The whole-space
+maps x -> -x, x -> c x and a -> dual(a) are built once per space as rank
+arrays; the scalar rank methods (split, join, digits, inner_product) stay
+per point for the oracles.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 from .field import Field, canonical_field
 
@@ -35,7 +40,7 @@ class Space:
         for f in factors:
             self._shifts.append(acc)
             acc *= f.size
-        self._dual_blocks = [self._make_dual_block(f) for f in factors]
+        self._scaled = {}
 
     # -- rank <-> coordinates ------------------------------------------------
 
@@ -65,26 +70,52 @@ class Space:
             rank = rank * self.p + d
         return rank
 
-    def points(self):
-        return range(self.size)
-
     # -- group and scalar structure -------------------------------------------
 
     def add(self, a: int, b: int) -> int:
         p = self.p
         return self.from_digits([(x + y) % p for x, y in zip(self.digits(a), self.digits(b))])
 
-    def sub(self, a: int, b: int) -> int:
-        p = self.p
-        return self.from_digits([(x - y) % p for x, y in zip(self.digits(a), self.digits(b))])
-
-    def scalar_mul(self, c: int, x: int) -> int:
+    def scaled(self, c: int) -> np.ndarray:
+        """The permutation x -> c x of the whole space, as a rank array."""
         p = self.p
         c %= p
-        return self.from_digits([(c * d) % p for d in self.digits(x)])
+        if c not in self._scaled:
+            ranks = np.arange(self.size, dtype=np.int64)
+            perm = np.zeros_like(ranks)
+            for k in range(self.dim):
+                digit = ranks // p ** k % p
+                perm += c * digit % p * p ** k
+            self._scaled[c] = perm
+        return self._scaled[c]
+
+    @property
+    def neg(self) -> np.ndarray:
+        """The permutation x -> -x of the whole space, as a rank array."""
+        return self.scaled(self.p - 1)
+
+    @cached_property
+    def dual(self) -> np.ndarray:
+        """dual[a] = the rank u with <a, x> = sum_k u_k x_k (digitwise mod p)
+        for all x.  On an extension factor, u packs the digits
+        (Tr_1^m(a x^j))_j."""
+        ranks = np.arange(self.size, dtype=np.int64)
+        perm = np.zeros_like(ranks)
+        for f, shift in zip(self.factors, self._shifts):
+            r = np.arange(f.size, dtype=np.int64)
+            block = sum(f.trace(1, f.mul(r, f.p ** j)) * f.p ** j for j in range(f.m))
+            perm += block[ranks // shift % f.size] * shift
+        return perm
+
+    def scalar_mul(self, c: int, x: int) -> int:
+        return int(self.scaled(c)[x])
 
     def negate(self, x: int) -> int:
-        return self.scalar_mul(self.p - 1, x)
+        return int(self.neg[x])
+
+    def dual_rank(self, a: int) -> int:
+        """Rank u with <a, x> = sum_k u_k x_k for all x (digitwise mod p)."""
+        return int(self.dual[a])
 
     # -- inner product ---------------------------------------------------------
 
@@ -96,29 +127,6 @@ class Space:
             else:
                 total += f.trace(1, f.mul(ra, rb))
         return total % self.p
-
-    def _make_dual_block(self, f: Field):
-        """For factor rank r, the packed digits (Tr_1^m(r e_j))_j, so that
-        <a, x> = sum_k dual(a)_k x_k over global digits."""
-        if f.m == 1:
-            return list(range(f.size))
-        basis = [f.p ** j for j in range(f.m)]  # ranks of 1, x, x^2, ...
-        tr = f._trace_table(1)
-        out = []
-        for r in range(f.size):
-            packed = 0
-            for j in reversed(range(f.m)):
-                packed = packed * f.p + tr[f.mul(r, basis[j])]
-            out.append(packed)
-        return out
-
-    def dual_rank(self, a: int) -> int:
-        """Rank u with <a, x> = sum_k u_k x_k for all x (digitwise mod p)."""
-        parts = [blk[r] for blk, r in zip(self._dual_blocks, self.split(a))]
-        rank = 0
-        for part, shift in zip(parts, self._shifts):
-            rank += part * shift
-        return rank
 
     # -- plumbing ----------------------------------------------------------------
 

@@ -3,9 +3,11 @@ vectorial dual-bent certificates.
 
 The full transform W_f(a) = sum_x zeta^{f(x) - <a,x>} is computed by a
 radix-p fast transform: n rounds of exact p-point DFTs over Z[zeta_p], one
-per GF(p)-coordinate, on an integer coefficient matrix.  Coefficients stay
-below p^n <= 2^32, so int64 accumulation is exact.  The naive quadratic sum
-is kept alongside as a cross-check oracle.
+per GF(p)-coordinate, on an integer coefficient matrix.  Transform
+coefficients stay below p^n, but the products of _conj_products (norms and
+Parseval) reach about (p-1)^2 p^{2n}; char_weight_transform refuses spaces
+where that bound reaches 2^63, so int64 accumulation is exact wherever it
+runs.  The naive quadratic sum is kept alongside as a cross-check oracle.
 
 Bentness and regularity are decided by exact candidate matching: a bent
 value must equal one of the 2p ring elements +-u zeta^j, where u = p^{n/2}
@@ -141,10 +143,7 @@ def component(F: VectorialFunction, c: int) -> PAryFunction:
     if c == 0:
         raise ZeroComponent("component index must be nonzero")
     cod = F.codomain
-    tr1 = cod._trace_table(1)
-    comp_map = np.fromiter(
-        (tr1[cod.mul(c, v)] for v in range(cod.size)), dtype=np.int64, count=cod.size
-    )
+    comp_map = cod.trace(1, cod.mul(c, np.arange(cod.size)))
     return PAryFunction(F.domain, comp_map[F.table])
 
 
@@ -169,21 +168,6 @@ def _mult_matrices(p: int):
             m[i] = CyclotomicInt.zeta_pow(p, i + j).coeffs
         mats.append(m)
     return tuple(mats)
-
-
-_DUAL_PERMS: dict[Space, np.ndarray] = {}
-
-
-def _dual_perm(space: Space) -> np.ndarray:
-    perm = _DUAL_PERMS.get(space)
-    if perm is None:
-        perm = np.fromiter(
-            (space.dual_rank(a) for a in range(space.size)),
-            dtype=np.int64,
-            count=space.size,
-        )
-        _DUAL_PERMS[space] = perm
-    return perm
 
 
 def _digit_transform(A: np.ndarray, p: int, dim: int) -> np.ndarray:
@@ -261,8 +245,10 @@ def char_weight_transform(space: Space, weight_rows: np.ndarray) -> WalshSpectru
     """T(a) = sum_x w(x) zeta^{-<a,x>} for per-point ring weights."""
     if space.size > walsh_cap():
         raise SizeGuard(f"p^n = {space.size} exceeds the transform cap")
+    if (space.p - 1) ** 2 * space.size ** 2 >= 2 ** 63:
+        raise SizeGuard(f"p^n = {space.size}: (p-1)^2 p^(2n) overflows int64 norms")
     G = _digit_transform(weight_rows.astype(np.int64, copy=True), space.p, space.dim)
-    return WalshSpectrum(space, G[_dual_perm(space)])
+    return WalshSpectrum(space, G[space.dual])
 
 
 def walsh_full(f: PAryFunction) -> WalshSpectrum:
@@ -305,18 +291,20 @@ class BentClassification:
 
 @lru_cache(maxsize=None)
 def _candidate_map(p: int, n: int):
-    """coeff tuple -> (sign, j) over the 2p values +-u zeta^j a bent Walsh
-    value can take."""
+    """(coefficient rows, signs, exponents j) of the 2p values +-u zeta^j a
+    bent Walsh value can take."""
     if n % 2 == 0:
         u = CyclotomicInt.from_int(p, p ** (n // 2))
     else:
         u = p ** ((n - 1) // 2) * gauss_sum(p)
-    cmap = {}
+    rows, signs, js = [], [], []
     for j in range(p):
         v = u * CyclotomicInt.zeta_pow(p, j)
-        cmap[v.coeffs] = (1, j)
-        cmap[(-v).coeffs] = (-1, j)
-    return cmap
+        for sign in (1, -1):
+            rows.append((sign * v).coeffs)
+            signs.append(sign)
+            js.append(j)
+    return np.array(rows, dtype=np.int64), np.array(signs), np.array(js)
 
 
 def classify_bent(f: PAryFunction) -> BentClassification:
@@ -329,14 +317,14 @@ def classify_bent(f: PAryFunction) -> BentClassification:
     bent = bool(is_int.all()) and bool((norms == pn).all())
     if not bent:
         return BentClassification(False, False, False, None, None, spectrum)
-    cmap = _candidate_map(p, n)
-    dual = np.empty(f.domain.size, dtype=np.int64)
-    signs = np.empty(f.domain.size, dtype=np.int64)
-    for a, row in enumerate(spectrum.coeff_rows):
-        hit = cmap.get(tuple(int(v) for v in row))
-        if hit is None:
-            raise MatchFailure(f"bent value at a={a} matches no candidate")
-        signs[a], dual[a] = hit
+    cand_rows, cand_signs, cand_js = _candidate_map(p, n)
+    hits = (spectrum.coeff_rows[:, None, :] == cand_rows[None]).all(axis=2)
+    matched = hits.any(axis=1)
+    if not matched.all():
+        a = int(np.argmin(matched))
+        raise MatchFailure(f"bent value at a={a} matches no candidate")
+    which = hits.argmax(axis=1)
+    signs, dual = cand_signs[which], cand_js[which]
     weakly = bool((signs == signs[0]).all())
     eps = int(signs[0]) if weakly else None
     return BentClassification(
@@ -431,12 +419,8 @@ def anf(f: PAryFunction) -> dict[tuple[int, ...], int]:
     cube = f.table.reshape((p,) * n, order="F")
     for axis in range(n):
         cube = np.moveaxis(np.tensordot(vinv, cube, axes=([1], [axis])), 0, axis) % p
-    out = {}
-    it = np.nditer(cube, flags=["multi_index"])
-    for val in it:
-        if int(val):
-            out[it.multi_index] = int(val)
-    return out
+    nonzero = np.argwhere(cube)
+    return dict(zip(map(tuple, nonzero.tolist()), cube[tuple(nonzero.T)].tolist()))
 
 
 def evaluate_anf(p: int, coeffs: dict[tuple[int, ...], int], digits) -> int:
@@ -458,15 +442,10 @@ def lform_exponents(f: PAryFunction) -> set[int]:
     """All l in [1, p-1] with f(a x) = a^l f(x) for every scalar a != 0."""
     sp, p = f.domain, f.p
     table = f.table
-    perms = {}
-    for a in range(2, p):
-        perms[a] = np.fromiter(
-            (sp.scalar_mul(a, x) for x in range(sp.size)), dtype=np.int64, count=sp.size
-        )
     out = set()
     for l in range(1, p):
         if all(
-            np.array_equal(table[perms[a]], (pow(a, l, p) * table) % p)
+            np.array_equal(table[sp.scaled(a)], (pow(a, l, p) * table) % p)
             for a in range(2, p)
         ):
             out.add(l)

@@ -121,6 +121,31 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                     "--method", "characters")
     assert code == 2
 
+    def assert_one_usage_record(*argv):
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert len(out.splitlines()) == 1 and json.loads(out)["error"] == "usage"
+
+    # certify on damaged bundles: an out-of-range table entry, an even
+    # characteristic in the space, a non-integer sigma claim
+    good = json.loads(bundle.read_text())
+    damaged = json.loads(bundle.read_text())
+    damaged["function"]["table"][1] = 7
+    damaged_p = json.loads(bundle.read_text())
+    damaged_p["function"]["space"][0]["p"] = 4
+    damaged_sigma = dict(good, sigma={"1": "x", "2": 2})
+    for i, d in enumerate([damaged, damaged_p, damaged_sigma]):
+        path = tmp_path / f"damaged{i}.json"
+        path.write_text(json.dumps(d))
+        assert_one_usage_record("certify", "--file", str(path))
+    # out-of-range arguments at the library boundary
+    assert_one_usage_record("gaussian-period", "--p", "3", "--s", "2", "--t", "2", "--a", "99")
+    assert_one_usage_record("gaussian-period", "--p", "4", "--s", "2", "--t", "3", "--a", "1")
+    assert_one_usage_record("construct", "--family", "spread", "--p", "3", "--m", "2",
+                            "--s", "1", "--labels", "0,0,0,1,1,1,2,2,9")
+    assert_one_usage_record("pds-params", "--theorem", "subset", "--p", "3", "--s", "1",
+                            "--n", "4", "--size-a", "9", "--eps", "1")
+
 
 def test_domain_errors_exit_1(capsys):
     code, out = run(capsys, "construct", "--family", "mm-power", "--p", "3",

@@ -163,6 +163,15 @@ def test_spread_labeling_must_balance():
         spread_bent(3, 2, 1, labeling=[0, 1, 2])
 
 
+def test_spread_rejects_out_of_range_labels():
+    with pytest.raises(ValueError):
+        spread_bent(3, 2, 1, labeling=[0, 0, 0, 1, 1, 1, 2, 2, 9])
+    with pytest.raises(ValueError):
+        spread_bent(3, 2, 1, labeling=[0, 0, 0, 1, 1, 1, -1, -1, -1])
+    with pytest.raises(ValueError):
+        spread_bent(3, 2, 1, gamma0=3)
+
+
 @pytest.mark.parametrize("p,m,s", [(3, 1, 1), (3, 2, 1), (3, 2, 2), (5, 1, 1), (3, 3, 1)])
 def test_spread_certifies_with_identity_sigma(p, m, s):
     pair = spread_bent(p, m, s)

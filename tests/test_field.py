@@ -87,6 +87,25 @@ def test_trace_is_subfield_linear(field, k):
             assert field.trace(k, field.mul(c, a)) == sub.mul(c_sub, field.trace(k, a))
 
 
+@pytest.mark.parametrize(
+    "field",
+    [canonical_field(3, 6), canonical_field(5, 2), canonical_field(7, 2), canonical_field(3, 10)],
+)
+def test_trace_table_matches_defining_sum(field):
+    step = 1 if field.size < 10_000 else 37
+    for k in range(1, field.m + 1):
+        if field.m % k:
+            continue
+        _, _, proj = field.subfield(k)
+        table = field._trace_table(k)
+        for a in range(0, field.size, step):
+            total, conj = 0, a
+            for _ in range(field.m // k):
+                total = field.add(total, conj)
+                conj = field.pow(conj, field.p ** k)
+            assert table[a] == proj[total]
+
+
 def test_quadratic_character_examples():
     assert F3.quadratic_character(1) == 1
     assert F3.quadratic_character(2) == -1

@@ -1,0 +1,78 @@
+"""Golden digests of CLI stdout.
+
+Each row is a `construct` invocation, the sha256 of its stdout, and the
+sha256 of `certify` run on that bundle (None above 3^8 points, where
+certification takes seconds).  The digests pin the byte-exact output: table order, JSON
+layout, and the plain-int types of `sigma`, `epsilons` and `params`.
+"""
+import hashlib
+
+import pytest
+
+from bentpds.cli import main
+
+GOLDEN = [
+    ("mm-power", "--p 3 --m 1 --s 1 --a 1 --e 1", "678d344a8be2201cf7d7836ede376586470189bbbc8c3ec288dfcdae8faa9a08",
+     "527d1be395ced8c11e8e4c0999de644409ad1161dc5c242fa00d5c6094515c1f"),
+    ("mm-power", "--p 3 --m 2 --s 2 --a 1 --e 3", "2438c23cd1c4031d793b2abb9d6ac2dac95496d64dec0acb53cd135f4252cfc7",
+     "0ab2700f385dd884ae2ce49e453977bc8ce03460c30ebde32aa74a2aa9033e8a"),
+    ("mm-power", "--p 3 --m 4 --s 2 --a 1 --e 7", "890a57889c046f374309e060d9fa70a5af4083247d6030f36c2f1aafa316ce4e",
+     "0af0664ae6a67283b16f3ce0e44670ac5b786cbe0b90a6acabb18d0a2aad7b8e"),
+    ("mm-qpoly", "--p 3 --m 2 --s 1 --a 1 --coeffs 0,1", "733009c5e5a1c45aa03bffc537092efb6c4249a382db22c817cf42071a62e11f",
+     "527d1be395ced8c11e8e4c0999de644409ad1161dc5c242fa00d5c6094515c1f"),
+    ("mm-qpoly", "--p 3 --m 2 --s 2 --a 1 --coeffs 1", "50985cca3d46dfc067b57e9c7aceb136d651b9351097614ec10867cd5609168a",
+     "6a22c84abdb9d81dd83e2cffa36a77ece249ba7ea72f9510d214af6fc5cbde21"),
+    ("mm-qpoly", "--p 3 --m 4 --s 2 --a 1 --coeffs 0,1", "fbde50e1c0657463b414fdd589bb689c096774c7b43b37921f23141b9924307d",
+     "6a22c84abdb9d81dd83e2cffa36a77ece249ba7ea72f9510d214af6fc5cbde21"),
+    ("quad-trace", "--p 3 --n 2 --s 1 --a 1", "5daae1f17971890a60bfc0e988c12f38831c592d5b6c189ff9b30d3eaf5d0010",
+     "527d1be395ced8c11e8e4c0999de644409ad1161dc5c242fa00d5c6094515c1f"),
+    ("quad-trace", "--p 3 --n 2 --s 1 --a 4", "b357c9cd9cb9ae989f93be251b484324437ae1ea96f8b118cbaa5265d8f6c9a0",
+     "ab607264fd220ed35f32d5aa96e798a147e91b0ed3982220b6db3d72904ddcd5"),
+    ("quad-trace", "--p 3 --n 4 --s 2 --a 1", "8c8ca0a1ec1e18642918459b38849684dd623d6bbf9dc388bf200558f001dd76",
+     "a966b9e1a87fb094049d721c49bf5bad731e8e42cab63cd0bf76e2c9815bef54"),
+    ("quad-trace", "--p 3 --n 8 --s 4 --a 1", "ad317aca526dfeef14950240e1ade8108743dc6f1d5696689ff95f684781d8eb",
+     "e2091311d82951694eaaa478da06eaf957bbe20a6e1fb3d43d4ebb5f54596dd9"),
+    ("diag-quad", "--p 3 --s 1 --m 2 --coeffs 1,1", "0dec5a9265a10eacc7c96eeda9862d54e4896a7b0b0cc309c9a2b0e4ebcde838",
+     "ab607264fd220ed35f32d5aa96e798a147e91b0ed3982220b6db3d72904ddcd5"),
+    ("diag-quad", "--p 3 --s 2 --m 2 --coeffs 1,4", "39c5956057c5b57da89e8e52e1873d3f91f8d16d27f1766233565f558bbb8961",
+     "a966b9e1a87fb094049d721c49bf5bad731e8e42cab63cd0bf76e2c9815bef54"),
+    ("diag-quad", "--p 3 --s 1 --m 4 --coeffs 1,2,1,1", "25d3c48244809f58737eb860140ac2bf2a365b696ae50577f3c94f3d6adcd458",
+     "ab607264fd220ed35f32d5aa96e798a147e91b0ed3982220b6db3d72904ddcd5"),
+    ("diag-quad", "--p 3 --s 2 --m 4 --coeffs 1,1,1,1", "3d1663e1378fccd5e7d71a538b3448646fe9244e698d396589a5807bda94ddc8",
+     "6a22c84abdb9d81dd83e2cffa36a77ece249ba7ea72f9510d214af6fc5cbde21"),
+    ("spread", "--p 3 --m 1 --s 1", "331cb719258e3021f4b2639e53cd4e002f6d31cdc9268c4b6e89ee5a9e7ddd75",
+     "527d1be395ced8c11e8e4c0999de644409ad1161dc5c242fa00d5c6094515c1f"),
+    ("spread", "--p 3 --m 2 --s 2", "0eaedc11ff0c6edf2466ded5251014c2e51a7487203a5ba04c368b5433cb61a7",
+     "0af0664ae6a67283b16f3ce0e44670ac5b786cbe0b90a6acabb18d0a2aad7b8e"),
+    ("spread", "--p 3 --m 4 --s 2", "009be085b5b6a639d55c5379244ba46abe166900c13904496030c49fdd1edb6c",
+     "0af0664ae6a67283b16f3ce0e44670ac5b786cbe0b90a6acabb18d0a2aad7b8e"),
+    ("branched-quad-mm", "--p 3 --n 2 --m 1 --s 1", "9daeddb445a60d724f4e08ccbe5b531d18e0e69e9ce52ee3fd866e05be93716c",
+     "527d1be395ced8c11e8e4c0999de644409ad1161dc5c242fa00d5c6094515c1f"),
+    ("branched-quad-mm", "--p 3 --n 2 --m 2 --s 1 --alpha2 2 --alpha3 2 --gamma 4", "e9c03b20408bf42720050795baa9d550bf53b9e764ffaac1bb3fc2e029bd8701",
+     "527d1be395ced8c11e8e4c0999de644409ad1161dc5c242fa00d5c6094515c1f"),
+    ("branched-quad-mm", "--p 3 --n 4 --m 2 --s 2", "dbad44c91f053208676fee155353469cdc017c2a4c9d9c74f8452e61f04f1765",
+     "a966b9e1a87fb094049d721c49bf5bad731e8e42cab63cd0bf76e2c9815bef54"),
+    ("quad-trace", "--p 5 --n 6 --s 1", "7455413881404bb812d4c1efa6f259199faeb8a24f03b2fcad554f2179ba83a9", None),
+    ("mm-power", "--p 7 --m 3 --s 1", "de505eb371e3ad1b6b49ceb31de7e5f8984b3684bee26cd45fdb3342fa2fb382", None),
+    ("mm-power", "--p 3 --m 6 --s 2", "09e46b0dfda7713d3155e0d5ce55d098c9c23bb1dc91f6fbdccc33734ba38cf7", None),
+]
+
+
+def _digest(capsys, argv):
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0, out
+    return out, hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "family,args,construct_sha,certify_sha", GOLDEN, ids=[f"{f} {a}" for f, a, _, _ in GOLDEN]
+)
+def test_cli_output_matches_golden_digest(tmp_path, capsys, family, args, construct_sha,
+                                          certify_sha):
+    bundle, digest = _digest(capsys, ["construct", "--family", family] + args.split())
+    assert digest == construct_sha
+    if certify_sha is not None:
+        path = tmp_path / "bundle.json"
+        path.write_text(bundle)
+        assert _digest(capsys, ["certify", "--file", str(path)])[1] == certify_sha

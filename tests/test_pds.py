@@ -181,6 +181,22 @@ def test_gaussian_period_brute_force_examples():
         gaussian_period(3, 2, 3, 1)
 
 
+def test_gaussian_period_rejects_out_of_range_arguments():
+    with pytest.raises(ValueError):
+        gaussian_period(3, 2, 2, 99)  # a must be a rank of GF(9)
+    with pytest.raises(ValueError):
+        gaussian_period(3, 2, 2, -1)
+    with pytest.raises(ValueError):
+        gaussian_period(4, 2, 3, 1)  # p must be an odd prime
+
+
+def test_params_subset_rejects_oversized_subset():
+    with pytest.raises(ValueError):
+        params_subset(3, 4, 1, 9, False, 1)  # |A| = 9 > p^s = 3 would give k = 216 > v = 81
+    with pytest.raises(ValueError):
+        params_subset(3, 4, 1, -1, False, 1)
+
+
 def test_gaussian_period_closed_form_examples():
     F9 = canonical_field(3, 2)
     assert gaussian_period_semiprimitive(3, 2, 2, 1) == 1

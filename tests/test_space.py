@@ -99,6 +99,32 @@ def test_dual_rank_realizes_inner_product():
                 assert sp.inner_product(a, x) == sum(u * v for u, v in zip(du, dx)) % sp.p
 
 
+@pytest.mark.parametrize(
+    "sp",
+    [
+        Space([F9, F3]),
+        Space([F3, F27]),
+        Space([canonical_field(5, 2), canonical_field(5, 1)]),
+        Space([canonical_field(7, 1), canonical_field(7, 2)]),
+    ],
+)
+def test_whole_space_permutations(sp):
+    p = sp.p
+    for x in range(sp.size):
+        digits = sp.digits(x)
+        for c in range(p):
+            expected = sum((c * d % p) * p ** k for k, d in enumerate(digits))
+            assert sp.scaled(c)[x] == expected
+        assert sp.neg[x] == sum((-d % p) * p ** k for k, d in enumerate(digits))
+    assert sorted(sp.dual) == list(range(sp.size))
+    step = max(1, sp.size // 29)
+    for a in range(sp.size):
+        du = sp.digits(int(sp.dual[a]))
+        for x in range(0, sp.size, step):
+            dx = sp.digits(x)
+            assert sp.inner_product(a, x) == sum(u * v for u, v in zip(du, dx)) % p
+
+
 def test_mixed_characteristics_rejected():
     with pytest.raises(ValueError):
         Space([F3, canonical_field(5, 1)])

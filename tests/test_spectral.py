@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bentpds.cyclo import automorphism, conj_norm
 from bentpds.errors import PreconditionF0, SizeGuard, ZeroComponent
@@ -111,6 +112,32 @@ def test_fast_transform_equals_naive(sp):
         for a in range(sp.size):
             assert fast[a] == naive[a]
         assert fast.parseval_ok()
+
+
+# mixed prime and extension factors, up to 3^4, 5^2 and 7^2 points
+PROPERTY_SPACES = [
+    Space([F3, F9]),
+    Space([F9, F3]),
+    Space([F3, F9, F3]),
+    Space([F3, canonical_field(3, 3)]),
+    Space([canonical_field(3, 4)]),
+    Space([canonical_field(5, 1), canonical_field(5, 1)]),
+    Space([canonical_field(5, 2)]),
+    Space([canonical_field(7, 1), canonical_field(7, 1)]),
+    Space([canonical_field(7, 2)]),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_fast_transform_equals_naive_on_random_tables(data):
+    sp = data.draw(st.sampled_from(PROPERTY_SPACES), label="space")
+    table = data.draw(
+        st.lists(st.integers(0, sp.p - 1), min_size=sp.size, max_size=sp.size), label="table"
+    )
+    f = PAryFunction(sp, table)
+    fast, naive = walsh_full(f), walsh_naive(f)
+    assert all(fast[a] == naive[a] for a in range(sp.size))
 
 
 def test_fast_transform_equals_naive_at_3_pow_6():

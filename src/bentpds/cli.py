@@ -3,7 +3,8 @@
 Subcommands tie constructions, classification, certification, and PDS
 verification into reproducible runs.  All I/O is JSON; identical inputs
 produce byte-identical output.  Exit codes: 0 success, 1 verification
-failure, 2 usage error.
+failure, 2 usage error.  Every run, errors included, writes one JSON record
+to stdout and, with --out, the same record to that file.
 """
 from __future__ import annotations
 
@@ -22,17 +23,6 @@ VERIFY_ERROR = 1
 
 class UsageError(Exception):
     pass
-
-
-def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
-
-
-def _write_out(obj, path) -> None:
-    if path:
-        with open(path, "w") as fh:
-            json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
 
 
 def _load_json(path):
@@ -97,7 +87,7 @@ def _need(args, *names) -> None:
             raise UsageError(f"--{name.replace('_', '-')} is required for this invocation")
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> tuple[dict, int]:
     fam = args.family
     if fam == "mm-power":
         _need(args, "m")
@@ -124,10 +114,7 @@ def _cmd_construct(args) -> int:
         )
     else:
         raise UsageError(f"unknown family {fam}")
-    out = _bundle_dict(pair)
-    _emit(out)
-    _write_out(out, args.out)
-    return 0
+    return _bundle_dict(pair), 0
 
 
 def _ints(csv: str):
@@ -137,48 +124,40 @@ def _ints(csv: str):
         raise UsageError(f"expected a comma-separated integer list, got {csv!r}")
 
 
-def _cmd_walsh(args) -> int:
+def _p_ary(args) -> spectral.PAryFunction:
     F = _load(args.file)["function"]
     if F.s != 1:
-        raise UsageError("walsh operates on p-ary (s = 1) functions")
-    spectrum = spectral.walsh_full(F.as_p_ary())
-    out = {"p": F.p, "spectrum": spectrum.to_json()}
-    _emit(out)
-    _write_out(out, args.out)
-    return 0
+        raise UsageError(f"{args.command} operates on p-ary (s = 1) functions")
+    return F.as_p_ary()
 
 
-def _cmd_classify(args) -> int:
-    F = _load(args.file)["function"]
-    if F.s != 1:
-        raise UsageError("classify operates on p-ary (s = 1) functions")
-    cl = spectral.classify_bent(F.as_p_ary())
-    out = {
+def _cmd_walsh(args) -> tuple[dict, int]:
+    f = _p_ary(args)
+    return {"p": f.p, "spectrum": spectral.walsh_full(f).to_json()}, 0
+
+
+def _cmd_classify(args) -> tuple[dict, int]:
+    cl = spectral.classify_bent(_p_ary(args))
+    return {
         "is_bent": cl.is_bent,
         "weakly_regular": cl.weakly_regular,
         "regular": cl.regular,
         "epsilon": cl.epsilon,
         "dual_table": cl.dual.table.tolist() if cl.dual is not None else None,
-    }
-    _emit(out)
-    _write_out(out, args.out)
-    return 0
+    }, 0
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args) -> tuple[dict, int]:
     bundle = _load(args.file)
     if "dual" not in bundle:
         raise UsageError("certify needs a construct bundle with 'function' and 'dual'")
     cert = spectral.dual_bent_certificate(bundle["function"], bundle["dual"])
     if cert is None:
-        _emit({"certified": False})
-        return VERIFY_ERROR
+        return {"certified": False}, VERIFY_ERROR
     sigma_claim, eps_claim = bundle["sigma"], bundle["epsilons"]
     sigma_ok = sigma_claim == cert.sigma if sigma_claim else None
-    if eps_claim is not None:
-        eps_ok = all(cert.epsilons.get(c) == e for c, e in eps_claim.items())
-    else:
-        eps_ok = None
+    eps_ok = None if eps_claim is None else all(
+        cert.epsilons.get(c) == e for c, e in eps_claim.items())
     out = {
         "certified": True,
         "sigma": {str(c): d for c, d in sorted(cert.sigma.items())},
@@ -186,9 +165,7 @@ def _cmd_certify(args) -> int:
         "sigma_matches_claim": sigma_ok,
         "epsilon_matches_claim": eps_ok,
     }
-    _emit(out)
-    _write_out(out, args.out)
-    return 0 if sigma_ok in (True, None) and eps_ok in (True, None) else VERIFY_ERROR
+    return out, 0 if sigma_ok in (True, None) and eps_ok in (True, None) else VERIFY_ERROR
 
 
 def _extract_set(F: VectorialFunction, args) -> pds.PreimageSet:
@@ -208,21 +185,18 @@ def _extract_set(F: VectorialFunction, args) -> pds.PreimageSet:
     raise UsageError(f"unknown set kind {kind}")
 
 
-def _cmd_pds_extract(args) -> int:
+def _cmd_pds_extract(args) -> tuple[dict, int]:
     F = _load(args.file)["function"]
     D = _extract_set(F, args)
-    out = {
+    return {
         "group": F.domain.to_list(),
         "descriptor": D.descriptor,
         "members": sorted(D.members),
         "size": len(D),
-    }
-    _emit(out)
-    _write_out(out, args.out)
-    return 0
+    }, 0
 
 
-def _cmd_pds_params(args) -> int:
+def _cmd_pds_params(args) -> tuple[dict, int]:
     if args.theorem == "subset":
         _need(args, "n", "size_a")
         params = pds.params_subset(
@@ -235,13 +209,10 @@ def _cmd_pds_params(args) -> int:
         )
     else:
         raise UsageError(f"unknown theorem {args.theorem}")
-    out = params.to_dict()
-    _emit(out)
-    _write_out(out, args.out)
-    return 0
+    return params.to_dict(), 0
 
 
-def _cmd_pds_verify(args) -> int:
+def _cmd_pds_verify(args) -> tuple[dict, int]:
     F = _load(args.file)["function"]
     D = _extract_set(F, args)
     expect = None
@@ -257,8 +228,7 @@ def _cmd_pds_verify(args) -> int:
         observed = pds.verify_pds_bruteforce(F.domain, D)
         if observed is None:
             report.update({"verified": False, "reason": "difference counts not two-valued"})
-            _emit(report)
-            return VERIFY_ERROR
+            return report, VERIFY_ERROR
         report.update(observed.to_dict())
         verified = expect is None or pds.params_match(expect, observed)
         if method == "both":
@@ -270,12 +240,10 @@ def _cmd_pds_verify(args) -> int:
         report.update(expect.to_dict())
         verified = pds.verify_pds_characters(F.domain, D, expect)
     report["verified"] = bool(verified)
-    _emit(report)
-    _write_out(report, args.out)
-    return 0 if verified else VERIFY_ERROR
+    return report, 0 if verified else VERIFY_ERROR
 
 
-def _cmd_gaussian_period(args) -> int:
+def _cmd_gaussian_period(args) -> tuple[dict, int]:
     brute = pds.gaussian_period(args.p, args.s, args.t, args.a)
     info = pds.semiprimitive_check(args.p, args.s, args.t)
     closed = None
@@ -293,9 +261,7 @@ def _cmd_gaussian_period(args) -> int:
         "semiprimitive": info is not None,
         "match": match,
     }
-    _emit(out)
-    _write_out(out, args.out)
-    return 0 if match in (True, None) else VERIFY_ERROR
+    return out, 0 if match in (True, None) else VERIFY_ERROR
 
 
 # reference parameter quadruples, kept verbatim as fixtures; the groups
@@ -322,7 +288,7 @@ REFERENCE_PARAM_SETS = [
 ]
 
 
-def _cmd_reproduce_examples(args) -> int:
+def _cmd_reproduce_examples(args) -> tuple[dict, int]:
     rows = []
     all_ok = True
     for label, (p, nt, s, h, m1, m0, eps), expected in REFERENCE_PARAM_SETS:
@@ -332,18 +298,23 @@ def _cmd_reproduce_examples(args) -> int:
         rows.append(
             {"name": label, "computed": list(got), "expected": list(expected), "match": ok}
         )
-    out = {"results": rows, "all_match": all_ok}
-    _emit(out)
-    _write_out(out, args.out)
-    return 0 if all_ok else VERIFY_ERROR
+    return {"results": rows, "all_match": all_ok}, 0 if all_ok else VERIFY_ERROR
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad arguments as a UsageError (one JSON record, exit 2)
+    instead of printing to stderr and exiting; -h still prints help."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="bentpds", description=__doc__)
+    ap = _Parser(prog="bentpds", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="emit a construction bundle as JSON")
@@ -428,17 +399,33 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _json_line(record) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    """Run one subcommand.  Its record, or the error record, is written to
+    stdout as one JSON line and, with --out, to that file as well."""
+    out_path = None
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        out_path = args.out
+        record, code = args.func(args)
+        text = _json_line(record)  # ValueError past Python's int-to-str digit limit
     except (UsageError, ValueError) as exc:
-        _emit({"error": "usage", "message": str(exc)})
-        return USAGE_ERROR
+        text, code = _json_line({"error": "usage", "message": str(exc)}), USAGE_ERROR
     except BentError as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)})
-        return VERIFY_ERROR
+        text = _json_line({"error": type(exc).__name__, "message": str(exc)})
+        code = VERIFY_ERROR
+    if out_path:
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            code = USAGE_ERROR
+            text = _json_line({"error": "usage", "message": f"cannot write {out_path}: {exc}"})
+    sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

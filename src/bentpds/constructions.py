@@ -17,11 +17,13 @@ from .errors import (
     BadExponent,
     NotADivisor,
     NotPermutation,
+    SizeGuard,
     UnbalancedLabeling,
     ZeroArgument,
     ZeroCoefficient,
 )
 from .field import Field, canonical_field
+from .limits import exceeds, table_cap
 from .space import Space
 from .spectral import VectorialFunction
 
@@ -34,6 +36,16 @@ class ConstructedPair:
     sigma: dict[int, int]
     epsilons: dict[int, int] | None
     params: dict = dc_field(default_factory=dict)
+
+
+def _check_shape(p: int, s: int, *degrees: int) -> None:
+    """Reject the codomain degree s and the domain factor degrees before any
+    table is built; the domain has p^(sum of degrees) points.  The fields
+    built next reject a p that is not an odd prime."""
+    if min(s, *degrees) < 1:
+        raise ValueError("extension degrees must be >= 1")
+    if p > 1 and exceeds(p, sum(degrees), table_cap()):
+        raise SizeGuard(f"p^{sum(degrees)} points exceed the table cap {table_cap()}")
 
 
 def _epsilon_sign(p: int, dim: int, minus_one_exp: int, eps_exp: int, eta: int) -> int:
@@ -75,10 +87,11 @@ def mm_power(p: int, m: int, s: int, a: int, e: int) -> ConstructedPair:
     Dual Tr_s^m(-a^{-u} x^u y) with e u = 1 mod p^m - 1; sigma(c) = c^{-u};
     every component is regular.
     """
+    _check_shape(p, s, m, m)
     F = canonical_field(p, m)
     if m % s != 0:
         raise NotADivisor(f"{s} does not divide {m}")
-    if a == 0:
+    if F.check_rank(a, "a") == 0:
         raise ZeroArgument("coefficient a must be nonzero")
     q = F.size
     if math.gcd(e, q - 1) != 1:
@@ -112,6 +125,8 @@ class QPolynomial:
     def __post_init__(self):
         if self.field.m % self.s != 0:
             raise NotADivisor(f"{self.s} does not divide {self.field.m}")
+        for c in self.coeffs:
+            self.field.check_rank(c, "q-polynomial coefficient")
 
     def evaluate(self, y: int) -> int:
         F, q = self.field, self.field.p ** self.s
@@ -138,8 +153,9 @@ def mm_qpoly(p: int, m: int, s: int, a: int, l_coeffs) -> ConstructedPair:
 
     Dual Tr_s^m(-L^{-1}(a^{-1} x) y); sigma(c) = c^{-1}; components regular.
     """
+    _check_shape(p, s, m, m)
     F = canonical_field(p, m)
-    if a == 0:
+    if F.check_rank(a, "a") == 0:
         raise ZeroArgument("coefficient a must be nonzero")
     L = QPolynomial(F, s, tuple(int(c) for c in l_coeffs))
     sub = canonical_field(p, s)
@@ -167,10 +183,11 @@ def quad_trace(p: int, n: int, s: int, a: int) -> ConstructedPair:
     Dual Tr_s^n(-x^2 / (4a)); sigma(c) = c^{-1}; component sign
     (-1)^{n-1} eps^n eta_n(a c).
     """
+    _check_shape(p, s, n)
     F = canonical_field(p, n)
     if n % s != 0:
         raise NotADivisor(f"{s} does not divide {n}")
-    if a == 0:
+    if F.check_rank(a, "a") == 0:
         raise ZeroArgument("coefficient a must be nonzero")
     sub = canonical_field(p, s)
     dom = Space([F])
@@ -198,8 +215,9 @@ def diag_quad(p: int, s: int, m: int, coeffs) -> ConstructedPair:
     Dual -x_1^2/(4a_1) - ... - x_m^2/(4a_m); sigma(c) = c^{-1}; component
     sign (-1)^{(s-1)m} eps^{sm} eta_s(c^m a_1 ... a_m).
     """
+    _check_shape(p, s, s * m)
     sub = canonical_field(p, s)
-    coeffs = [int(c) for c in coeffs]
+    coeffs = [sub.check_rank(int(c), "coefficient") for c in coeffs]
     if len(coeffs) != m:
         raise ValueError(f"need {m} coefficients")
     if any(c == 0 for c in coeffs):
@@ -284,6 +302,7 @@ def spread_bent(p: int, m: int, s: int, labeling=None, gamma0: int = 0) -> Const
     The dual carries the same labels moved to the orthogonal-complement
     lines; sigma is the identity and every component is regular.
     """
+    _check_shape(p, s, m, m)
     if s > m:
         raise ValueError("s must not exceed m")
     sub = canonical_field(p, s)
@@ -291,12 +310,10 @@ def spread_bent(p: int, m: int, s: int, labeling=None, gamma0: int = 0) -> Const
     q = p ** m
     if labeling is None:
         labeling = [r % sub.size for r in range(q)]
-    labeling = [int(v) for v in labeling]
+    labeling = [sub.check_rank(int(v), "label") for v in labeling]
     if len(labeling) != q:
         raise UnbalancedLabeling(f"labeling must assign all {q} lines")
-    labels = np.array([int(gamma0)] + labeling)
-    if not ((0 <= labels) & (labels < sub.size)).all():
-        raise ValueError(f"labels must lie in [0, {sub.size})")
+    labels = np.array([sub.check_rank(int(gamma0), "gamma0")] + labeling)
     per_value = q // sub.size
     if (np.bincount(labeling, minlength=sub.size) != per_value).any():
         raise UnbalancedLabeling(f"labeling must hit every value exactly {per_value} times")
@@ -349,15 +366,16 @@ def branched_quad_mm(
     gamma is accepted anywhere in GF(p^m)^*; the square/non-square branch is
     taken on the selector value inside GF(p^s).
     """
+    _check_shape(p, s, n, m, m)
     if n % s != 0 or m % s != 0:
         raise NotADivisor(f"{s} must divide both {n} and {m}")
-    for name, v in (("alpha1", alpha1), ("alpha2", alpha2), ("alpha3", alpha3)):
-        if v == 0:
-            raise ZeroArgument(f"{name} must be nonzero")
-    if beta == 0 or gamma == 0:
-        raise ZeroArgument("beta and gamma must be nonzero")
     Fn = canonical_field(p, n)
     Fm = canonical_field(p, m)
+    for name, v in (("alpha1", alpha1), ("alpha2", alpha2), ("alpha3", alpha3)):
+        if Fn.check_rank(v, name) == 0:
+            raise ZeroArgument(f"{name} must be nonzero")
+    if Fm.check_rank(beta, "beta") == 0 or Fm.check_rank(gamma, "gamma") == 0:
+        raise ZeroArgument("beta and gamma must be nonzero")
     sub = canonical_field(p, s)
     qs = sub.size
     L = QPolynomial(Fm, s, tuple(int(c) for c in l_coeffs))

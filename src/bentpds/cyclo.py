@@ -32,12 +32,9 @@ class CyclotomicInt:
 
     @classmethod
     def zeta_pow(cls, p: int, j: int) -> "CyclotomicInt":
-        j %= p
-        if j == p - 1:
-            return cls(p, (-1,) * (p - 1))
-        c = [0] * (p - 1)
-        c[j] = 1
-        return cls(p, c)
+        counts = [0] * p
+        counts[j % p] = 1
+        return cls.from_exponent_counts(p, counts)
 
     @classmethod
     def from_exponent_counts(cls, p: int, counts) -> "CyclotomicInt":

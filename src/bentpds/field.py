@@ -25,7 +25,7 @@ from .errors import (
     ZeroArgument,
     ZeroBeta,
 )
-from .limits import FIELD_CAP
+from .limits import exceeds, table_cap
 
 
 def is_prime(n: int) -> bool:
@@ -92,12 +92,13 @@ class Field:
     arrays; int arguments give int results."""
 
     def __init__(self, p: int, m: int, modulus=None):
-        if not is_prime(p) or p == 2:
-            raise ValueError(f"characteristic must be an odd prime, got {p}")
         if m < 1:
             raise ValueError(f"extension degree must be >= 1, got {m}")
-        if p ** m > FIELD_CAP:
-            raise SizeGuard(f"p^m = {p**m} exceeds the explicit-table cap {FIELD_CAP}")
+        # the size test comes first, so that outsized input costs no work
+        if p > 1 and exceeds(p, m, table_cap()):
+            raise SizeGuard(f"GF({p}^{m}) exceeds the explicit-table cap {table_cap()}")
+        if not is_prime(p) or p == 2:
+            raise ValueError(f"characteristic must be an odd prime, got {p}")
         if modulus is None:
             modulus = smallest_irreducible(p, m)
         modulus = tuple(int(c) % p for c in modulus)
@@ -187,6 +188,13 @@ class Field:
         q1 = self.size - 1
         return q1 // math.gcd(int(self._log[a]), q1)
 
+    def check_rank(self, a: int, what: str = "element") -> int:
+        """a, after checking that it is a rank of this field.  For ranks that
+        enter from outside; the arithmetic itself never checks."""
+        if not 0 <= a < self.size:
+            raise ValueError(f"{what} = {a} must be a rank in [0, {self.size})")
+        return a
+
     @property
     def primitive_element(self) -> int:
         """Least-rank element of multiplicative order p^m - 1."""
@@ -228,7 +236,7 @@ class Field:
 
     def subgroup_coset(self, exponent: int, beta: int) -> "CosetSet":
         """beta * H_l where H_l = { x^l : x in GF(p^m)^* }."""
-        if beta == 0:
+        if self.check_rank(beta, "beta") == 0:
             raise ZeroBeta("coset representative must be nonzero")
         if exponent < 1:
             raise ValueError("exponent must be >= 1")

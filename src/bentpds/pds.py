@@ -184,14 +184,9 @@ def char_sum_preimage(
     if u == 0:
         # the c = 0 term of the character expansion, before the p^{-s} division
         total = total + CyclotomicInt.from_int(p, p ** sp.dim)
-    ps = cod.size
-    divided = []
-    for coeff in total.coeffs:
-        q, r = divmod(coeff, ps)
-        if r:
-            raise FormulaMismatch("p^{-s} division is not exact")
-        divided.append(q)
-    formula = CyclotomicInt(p, divided)
+    if any(c % cod.size for c in total.coeffs):
+        raise FormulaMismatch("p^{-s} division is not exact")
+    formula = CyclotomicInt(p, [c // cod.size for c in total.coeffs])
     if formula != direct:
         raise FormulaMismatch(
             f"character-sum formula disagrees with the direct sum at u={u}, i={i}"
@@ -303,10 +298,19 @@ def sigma_predicates(codomain: Field, sigma: dict[int, int], l: int) -> SigmaRep
 # closed-form parameters
 # ---------------------------------------------------------------------------
 
+def _check_prime_power(p: int, s: int, n: int = 0) -> None:
+    """Reject p^s unless p is an odd prime and s >= 1, and a negative n."""
+    if not is_prime(p) or p == 2:
+        raise ValueError(f"p must be an odd prime, got {p}")
+    if s < 1 or n < 0:
+        raise ValueError(f"need s >= 1 and n >= 0, got s = {s}, n = {n}")
+
+
 def params_subset(
     p: int, n: int, s: int, size_a: int, contains_zero: bool, epsilon: int
 ) -> PdsParams:
     """The identity-sigma parameter blocks for D_A, split on 0 in A."""
+    _check_prime_power(p, s, n)
     if n % 2 != 0:
         raise HypothesisViolation("n must be even")
     if not 0 <= size_a <= p ** s:
@@ -334,6 +338,7 @@ def params_coset_union(
     """Parameters of a union of m1 distinct H-cosets preimages (|H| = h_size)
     and, when m0 = 1, the zero preimage.  m1 = 1, m0 = 0 is the single-coset
     block shared by the coset-stability and semiprimitive theorems."""
+    _check_prime_power(p, s, n_total)
     if n_total % 2 != 0:
         raise HypothesisViolation("total dimension must be even")
     ps = p ** s
@@ -379,11 +384,9 @@ def semiprimitive_check(p: int, s: int, t: int) -> SemiprimitiveInfo | None:
 
 def gaussian_period(p: int, s: int, t: int, a: int) -> CyclotomicInt:
     """eta_a = sum over the subgroup H_t of zeta^{Tr_1^s(a x)}, brute force."""
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p must be an odd prime, got {p}")
-    if not 0 <= a < p ** s:
-        raise ValueError(f"a = {a} must lie in [0, p^s = {p ** s})")
+    _check_prime_power(p, s)
     sub = canonical_field(p, s)
+    sub.check_rank(a, "a")
     if t < 1 or (sub.size - 1) % t != 0:
         raise NonDivisor(f"t = {t} must divide p^s - 1 = {sub.size - 1}")
     tr1 = sub._trace_table(1)
@@ -530,9 +533,9 @@ def verify_pds_characters(space: Space, D, candidate: PdsParams) -> bool:
         return False
     r1 = (candidate.beta + root) // 2
     r2 = (candidate.beta - root) // 2
-    rows = np.zeros((space.size, space.p - 1), dtype=np.int64)
-    rows[Dv, 0] = 1
-    T = char_weight_transform(space, rows)
+    counts = np.zeros((space.p, space.size), dtype=np.int64)
+    counts[0, Dv] = 1
+    T = char_weight_transform(space, counts)
     A = T.coeff_rows[1:]  # chi_u(D) over u != 0, up to the u -> -u relabeling
     scalar = (A[:, 1:] == 0).all(axis=1)
     allowed = (A[:, 0] == r1) | (A[:, 0] == r2)

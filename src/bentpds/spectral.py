@@ -3,8 +3,12 @@ vectorial dual-bent certificates.
 
 The full transform W_f(a) = sum_x zeta^{f(x) - <a,x>} is computed by a
 radix-p fast transform: n rounds of exact p-point DFTs over Z[zeta_p], one
-per GF(p)-coordinate, on an integer coefficient matrix.  Transform
-coefficients stay below p^n, but the products of _conj_products (norms and
+per GF(p)-coordinate.  Ring arrays in the transform are exponent counts,
+C[j, x] = the coefficient of zeta^j at x, so multiplying by zeta^r shifts
+the exponent axis by r.  The result is reduced to the basis
+{1, zeta, ..., zeta^{p-2}} once, by the CyclotomicInt.from_exponent_counts
+rule, and its rows form WalshSpectrum.coeff_rows.  Transform counts and
+coefficients stay within p^n, but the products of _conj_products (norms and
 Parseval) reach about (p-1)^2 p^{2n}; char_weight_transform refuses spaces
 where that bound reaches 2^63, so int64 accumulation is exact wherever it
 runs.  The naive quadratic sum is kept alongside as a cross-check oracle.
@@ -157,35 +161,30 @@ def flatten_domain(f: PAryFunction) -> PAryFunction:
 # the radix-p transform
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _mult_matrices(p: int):
-    """mats[j][i] = coefficients of zeta^{i+j}; row-vector @ mats[j]
-    multiplies a coefficient vector by zeta^j."""
-    mats = []
-    for j in range(p):
-        m = np.zeros((p - 1, p - 1), dtype=np.int64)
-        for i in range(p - 1):
-            m[i] = CyclotomicInt.zeta_pow(p, i + j).coeffs
-        mats.append(m)
-    return tuple(mats)
-
-
-def _digit_transform(A: np.ndarray, p: int, dim: int) -> np.ndarray:
-    """Replace A (rows = coefficient vectors indexed by rank) with
-    G[u] = sum_x A[x] zeta^{-sum_k u_k x_k}, one p-point pass per digit."""
-    mats = _mult_matrices(p)
-    n_rows = A.shape[0]
+def _digit_transform(C: np.ndarray, p: int, dim: int) -> np.ndarray:
+    """Turn exponent counts C[j, x] (the weight at x is sum_j C[j, x] zeta^j)
+    into the counts of G(u) = sum_x weight(x) zeta^{-sum_k u_k x_k}, one
+    p-point pass per digit.  Multiplying by zeta^r shifts the exponent axis
+    by r.  Two buffers swap roles between passes, C being one of them;
+    returns the one holding the result."""
+    out = np.empty_like(C)
     for k in range(dim):
         stride = p ** k
-        V = A.reshape(n_rows // (p * stride), p, stride, p - 1)
-        out = np.empty_like(V)
-        for u in range(p):
-            acc = V[:, 0] @ mats[0]
+        V = C.reshape(p, -1, p, stride)
+        W = out.reshape(V.shape)
+        np.add.reduce(V, axis=2, out=W[:, :, 0])
+        for u in range(1, p):
+            w = W[:, :, u]
+            np.copyto(w, V[:, :, 0])
             for t in range(1, p):
-                acc += V[:, t] @ mats[(-u * t) % p]
-            out[:, u] = acc
-        A = out.reshape(n_rows, p - 1)
-    return A
+                r = -u * t % p
+                v = V[:, :, t]
+                # named views: `w[r:] += ...` would also write the view back
+                hi, lo = w[r:], w[:r]
+                hi += v[: p - r]
+                lo += v[p - r :]
+        C, out = out, C
+    return C
 
 
 @dataclass
@@ -202,64 +201,50 @@ class WalshSpectrum:
     def __getitem__(self, a: int) -> CyclotomicInt:
         return CyclotomicInt(self.p, self.coeff_rows[a])
 
-    def values(self) -> list[CyclotomicInt]:
-        return [self[a] for a in range(self.space.size)]
-
-    def norms(self) -> np.ndarray:
-        norms, ok = _row_norms(self.coeff_rows, self.p)
-        return np.where(ok, norms, -1)
-
     def parseval_ok(self) -> bool:
         # individual |W(a)|^2 may be irrational; only the sum must equal p^{2n}
-        total = _conj_products(self.coeff_rows, self.p).sum(axis=0)
-        if (total[1:] != 0).any():
-            return False
-        return int(total[0]) == self.p ** (2 * self.space.dim)
+        total = _conj_products(self.coeff_rows, self.p).sum(axis=0).tolist()
+        return total == [self.p ** (2 * self.space.dim)] + [0] * (self.p - 2)
 
     def to_json(self) -> list:
-        return [self[a].to_dict() for a in range(self.space.size)]
+        return [{"p": self.p, "coeffs": row} for row in self.coeff_rows.tolist()]
 
 
 def _conj_products(A: np.ndarray, p: int) -> np.ndarray:
-    """Row-wise a * conj(a) as coefficient vectors."""
-    mats = _mult_matrices(p)
-    conj_mat = np.zeros((p - 1, p - 1), dtype=np.int64)
-    for i in range(p - 1):
-        conj_mat[i] = CyclotomicInt.zeta_pow(p, (-i) % p).coeffs
-    conj_rows = A @ conj_mat
-    prod = np.zeros_like(A)
-    for i in range(p - 1):
-        prod += A[:, i : i + 1] * (conj_rows @ mats[i])
-    return prod
+    """Row-wise a * conj(a) as coefficient rows.  Its exponent counts are the
+    cyclic autocorrelation c[d] = sum_i a_i a_{i-d} of (a_0, ..., a_{p-2}, 0);
+    c[p-d] = c[d], so c[p-1] = c[1] is the count the reduction subtracts."""
+    c = []
+    for d in range((p + 1) // 2):
+        acc = np.zeros(A.shape[0], dtype=np.int64)
+        for i in range(p - 1):
+            if (i - d) % p < p - 1:
+                acc += A[:, i] * A[:, (i - d) % p]
+        c.append(acc)
+    prod = np.empty((p - 1, A.shape[0]), dtype=np.int64)
+    for d in range(p - 1):
+        np.subtract(c[min(d, p - d)], c[1], out=prod[d])
+    return prod.T
 
 
-def _row_norms(A: np.ndarray, p: int):
-    """(constant terms of a * conj(a), mask of rows where that product is a
-    rational integer)."""
-    prod = _conj_products(A, p)
-    is_int = (prod[:, 1:] == 0).all(axis=1)
-    return prod[:, 0].copy(), is_int
-
-
-def char_weight_transform(space: Space, weight_rows: np.ndarray) -> WalshSpectrum:
-    """T(a) = sum_x w(x) zeta^{-<a,x>} for per-point ring weights."""
+def char_weight_transform(space: Space, counts: np.ndarray) -> WalshSpectrum:
+    """T(a) = sum_x w(x) zeta^{-<a,x>} for per-point ring weights given as
+    exponent counts counts[j, x]; counts is used as scratch."""
     if space.size > walsh_cap():
         raise SizeGuard(f"p^n = {space.size} exceeds the transform cap")
     if (space.p - 1) ** 2 * space.size ** 2 >= 2 ** 63:
         raise SizeGuard(f"p^n = {space.size}: (p-1)^2 p^(2n) overflows int64 norms")
-    G = _digit_transform(weight_rows.astype(np.int64, copy=True), space.p, space.dim)
-    return WalshSpectrum(space, G[space.dual])
+    G = _digit_transform(counts, space.p, space.dim)
+    G[:-1] -= G[-1]  # zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2})
+    return WalshSpectrum(space, G[:-1, space.dual].T)
 
 
 def walsh_full(f: PAryFunction) -> WalshSpectrum:
     """Exact W_f by the fast transform."""
-    p, N = f.p, f.domain.size
-    A = np.zeros((N, p - 1), dtype=np.int64)
-    t = f.table
-    low = t < p - 1
-    A[np.nonzero(low)[0], t[low]] = 1
-    A[~low] = -1
-    return char_weight_transform(f.domain, A)
+    N = f.domain.size
+    C = np.zeros((f.p, N), dtype=np.int64)
+    C[f.table, np.arange(N)] = 1
+    return char_weight_transform(f.domain, C)
 
 
 def walsh_naive(f: PAryFunction) -> list[CyclotomicInt]:
@@ -297,14 +282,9 @@ def _candidate_map(p: int, n: int):
         u = CyclotomicInt.from_int(p, p ** (n // 2))
     else:
         u = p ** ((n - 1) // 2) * gauss_sum(p)
-    rows, signs, js = [], [], []
-    for j in range(p):
-        v = u * CyclotomicInt.zeta_pow(p, j)
-        for sign in (1, -1):
-            rows.append((sign * v).coeffs)
-            signs.append(sign)
-            js.append(j)
-    return np.array(rows, dtype=np.int64), np.array(signs), np.array(js)
+    signs, js = np.tile([1, -1], p), np.repeat(np.arange(p), 2)
+    rows = [(int(sign) * u * CyclotomicInt.zeta_pow(p, j)).coeffs for sign, j in zip(signs, js)]
+    return np.array(rows, dtype=np.int64), signs, js
 
 
 def classify_bent(f: PAryFunction) -> BentClassification:
@@ -312,9 +292,9 @@ def classify_bent(f: PAryFunction) -> BentClassification:
     exact matching of every spectrum value against the 2p candidates."""
     spectrum = walsh_full(f)
     p, n = f.p, f.domain.dim
-    norms, is_int = _row_norms(spectrum.coeff_rows, p)
-    pn = p ** n
-    bent = bool(is_int.all()) and bool((norms == pn).all())
+    norms = _conj_products(spectrum.coeff_rows, p)
+    bent = bool((norms[:, 0] == p ** n).all()) and not norms[:, 1:].any()
+    del norms  # freed before the candidate arrays: it would set the peak
     if not bent:
         return BentClassification(False, False, False, None, None, spectrum)
     cand_rows, cand_signs, cand_js = _candidate_map(p, n)
@@ -339,13 +319,7 @@ def classify_bent(f: PAryFunction) -> BentClassification:
 
 def is_vectorial_bent(F: VectorialFunction) -> bool:
     """True iff every nonzero component function is bent."""
-    pn = F.p ** F.domain.dim
-    for c in range(1, F.codomain.size):
-        spectrum = walsh_full(component(F, c))
-        norms, is_int = _row_norms(spectrum.coeff_rows, F.p)
-        if not (is_int.all() and (norms == pn).all()):
-            return False
-    return True
+    return all(classify_bent(component(F, c)).is_bent for c in range(1, F.codomain.size))
 
 
 @dataclass
@@ -370,7 +344,9 @@ def dual_bent_certificate(
     if F.domain != Fstar.domain or F.codomain != Fstar.codomain:
         raise ValueError("F and Fstar must share domain and codomain")
     q = F.codomain.size
-    star_tables = {d: component(Fstar, d).table for d in range(1, q)}
+    # held for the whole loop, so in the narrowest dtype that holds [0, p)
+    narrow = np.min_scalar_type(F.p - 1)
+    star_tables = {d: component(Fstar, d).table.astype(narrow) for d in range(1, q)}
     sigma: dict[int, int] = {}
     epsilons: dict[int, int | None] = {}
     for c in range(1, q):

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
 
-from bentpds.cli import main
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from bentpds.cli import _bundle_dict, main
+from bentpds.constructions import mm_power
 from bentpds.space import prime_space
 from bentpds.spectral import PAryFunction, as_vectorial
 
@@ -145,6 +150,28 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                             "--s", "1", "--labels", "0,0,0,1,1,1,2,2,9")
     assert_one_usage_record("pds-params", "--theorem", "subset", "--p", "3", "--s", "1",
                             "--n", "4", "--size-a", "9", "--eps", "1")
+    # ranks outside their field, s = 0, and pds-params outside odd p
+    for argv in (
+        ["--family", "mm-power", "--p", "3", "--m", "2", "--s", "1", "--a", "99"],
+        ["--family", "quad-trace", "--p", "3", "--n", "2", "--s", "1", "--a", "99"],
+        ["--family", "diag-quad", "--p", "3", "--s", "1", "--m", "2", "--coeffs", "1,7"],
+        ["--family", "mm-qpoly", "--p", "3", "--m", "2", "--s", "1", "--coeffs", "1,99"],
+        ["--family", "branched-quad-mm", "--p", "3", "--n", "2", "--m", "1", "--s", "1",
+         "--alpha1", "99"],
+        ["--family", "mm-power", "--p", "3", "--m", "2", "--s", "0"],
+    ):
+        assert_one_usage_record("construct", *argv)
+    assert_one_usage_record("pds-verify", "--file", str(bundle), "--set", "coset", "--l", "2",
+                            "--beta", "99")
+    assert_one_usage_record("pds-extract", "--file", str(bundle), "--set", "coset", "--l", "2",
+                            "--beta", "-1")
+    assert_one_usage_record("pds-params", "--theorem", "subset", "--p", "4", "--s", "1",
+                            "--n", "4", "--size-a", "1", "--eps", "1")
+    assert_one_usage_record("pds-params", "--theorem", "subset", "--p", "3", "--s", "0",
+                            "--n", "4", "--size-a", "1", "--eps", "1")
+    # parameters too long for Python's int-to-str conversion
+    assert_one_usage_record("pds-params", "--theorem", "subset", "--p", "3", "--s", "1",
+                            "--n", "10000", "--size-a", "1", "--eps", "1")
 
 
 def test_domain_errors_exit_1(capsys):
@@ -160,3 +187,146 @@ def test_construct_output_is_deterministic(capsys):
     code1, out1 = run(capsys, *args)
     code2, out2 = run(capsys, *args)
     assert code1 == code2 == 0 and out1 == out2
+
+
+def test_parser_errors_give_one_usage_record(capsys):
+    code, out = run(capsys, "construct", "--family", "mm-power", "--p", "x", "--s", "1")
+    assert code == 2
+    assert len(out.splitlines()) == 1 and json.loads(out)["error"] == "usage"
+
+
+def test_out_file_gets_the_record_on_every_path(tmp_path, capsys):
+    bundle = tmp_path / "mm.json"
+    run(capsys, "construct", "--family", "mm-power", "--p", "3", "--m", "1",
+        "--s", "1", "--a", "1", "--e", "1", "--out", str(bundle))
+    d = json.loads(bundle.read_text())
+    d["dual"]["table"] = [0] * len(d["dual"]["table"])
+    bundle.write_text(json.dumps(d))
+    out_file = tmp_path / "o.json"
+    out_file.write_text("old contents\n")
+    code, out = run(capsys, "certify", "--file", str(bundle), "--out", str(out_file))
+    assert code == 1 and json.loads(out) == {"certified": False}
+    assert out_file.read_text() == out
+    code, out = run(capsys, "construct", "--family", "quad-trace", "--p", "3", "--s", "1",
+                    "--out", str(out_file))
+    assert code == 2 and out_file.read_text() == out
+
+
+# ---------------------------------------------------------------------------
+# contract fuzzing: any argv, any damaged bundle -> exit 0/1/2, one JSON line.
+# -h is never drawn (it prints help and exits); --out has its own test above.
+# ---------------------------------------------------------------------------
+
+PRIMES = st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 9]).map(str)
+DEGREES = st.integers(-1, 3).map(str)
+JUNK = st.sampled_from(["", "x", ",", "1,", "1,2,x", "nan", "1e3", "[]", "0x10", " 3"])
+ELEMENTS = st.integers(-2, 30)
+LISTS = st.lists(ELEMENTS, min_size=1, max_size=6).map(lambda v: ",".join(map(str, v)))
+VALUES = st.one_of(ELEMENTS.map(str), ELEMENTS.map(str), ELEMENTS.map(str), LISTS, JUNK)
+FLAG_VALUES = {
+    "--coeffs": st.one_of(LISTS, JUNK),
+    "--labels": st.one_of(LISTS, JUNK),
+    "--expect": st.one_of(LISTS, JUNK),
+    "--family": st.sampled_from(["mm-power", "mm-qpoly", "quad-trace", "diag-quad", "spread",
+                                 "branched-quad-mm", "x"]),
+    "--theorem": st.sampled_from(["subset", "coset-union", "x"]),
+    "--set": st.sampled_from(["zero", "squares", "nonsquares", "coset", "x"]),
+    "--method": st.sampled_from(["both", "bruteforce", "characters", "x"]),
+    "--eps": st.sampled_from(["1", "-1", "0", "x"]),
+    "--p": PRIMES,
+    "--m": DEGREES,
+    "--n": DEGREES,
+    "--s": DEGREES,
+    "--ntotal": DEGREES,
+}
+SWITCHES = {"--include-zero", "--contains-zero"}
+SET_FLAGS = ["--file", "--set", "--l", "--beta", "--include-zero"]
+COMMAND_FLAGS = {
+    "construct": (["--family", "--p", "--s", "--m", "--n"],
+                  ["--a", "--e", "--alpha1", "--alpha2", "--alpha3", "--beta",
+                   "--gamma", "--gamma0", "--coeffs", "--labels"]),
+    "walsh": (["--file"], []),
+    "classify": (["--file"], []),
+    "certify": (["--file"], []),
+    "pds-extract": (["--file", "--set"], SET_FLAGS[2:]),
+    "pds-verify": (["--file", "--set"], SET_FLAGS[2:] + ["--method", "--expect"]),
+    "pds-params": (["--theorem", "--p", "--s", "--eps"],
+                   ["--n", "--ntotal", "--size-a", "--contains-zero", "--hsize", "--m1",
+                    "--m0"]),
+    "gaussian-period": (["--p", "--s", "--t", "--a"], []),
+    "reproduce-examples": ([], []),
+    "x": ([], []),
+}
+ALL_FLAGS = sorted({f for req, opt in COMMAND_FLAGS.values() for f in req + opt})
+SCALARS = st.sampled_from([None, True, False, -2, 0, 1, 2, 3, 4, 9, 30, 1.5, "x", [], {}])
+BASE_BUNDLE = json.loads(json.dumps(_bundle_dict(mm_power(3, 1, 1, 1, 1))))
+
+
+def _paths(node, prefix=()):
+    """The key path of every value inside a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)) and child:
+            yield from _paths(child, prefix + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _mutated_bundle(data) -> dict:
+    doc = json.loads(json.dumps(BASE_BUNDLE))
+    for _ in range(data.draw(st.integers(0, 3), label="mutations")):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        path = data.draw(st.sampled_from(paths), label="path")
+        parent = _at(doc, path[:-1])
+        kind = data.draw(st.sampled_from(["delete", "scalar", "p"]), label="kind")
+        if kind == "delete":
+            del parent[path[-1]]
+        elif kind == "scalar":
+            parent[path[-1]] = data.draw(SCALARS, label="scalar")
+        else:
+            p = int(data.draw(PRIMES, label="p"))
+            for node in [_at(doc, q) for q in paths]:
+                if isinstance(node, dict) and "p" in node:
+                    node["p"] = p
+    return doc
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_cli_contract_holds_for_any_input(monkeypatch, tmp_path_factory, data):
+    monkeypatch.setenv("BENT_SIZE_CAP", "729")
+    command = data.draw(st.sampled_from(sorted(COMMAND_FLAGS)), label="command")
+    required, optional = COMMAND_FLAGS[command]
+    flags = list(required)
+    if flags and data.draw(st.integers(0, 9), label="drop") == 0:
+        flags.remove(data.draw(st.sampled_from(required), label="dropped flag"))
+    flags += data.draw(st.lists(st.sampled_from(optional or ALL_FLAGS), unique=True,
+                                max_size=4), label="optional")
+    if data.draw(st.integers(0, 9), label="stray") == 0:
+        flags.append(data.draw(st.sampled_from(ALL_FLAGS), label="stray flag"))
+    argv = [command]
+    for flag in flags:
+        argv.append(flag)
+        if flag in SWITCHES:
+            continue
+        if flag == "--file":
+            path = tmp_path_factory.mktemp("fuzz") / "bundle.json"
+            path.write_text(json.dumps(_mutated_bundle(data)))
+            argv.append(str(path))
+        else:
+            argv.append(data.draw(FLAG_VALUES.get(flag, VALUES), label=flag))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    out = buf.getvalue()
+    assert code in (0, 1, 2), (argv, out)
+    assert out.count("\n") == 1 and out.endswith("\n"), (argv, out)
+    json.loads(out)

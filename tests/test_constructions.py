@@ -14,6 +14,7 @@ from bentpds.constructions import (
 from bentpds.errors import (
     BadExponent,
     NotPermutation,
+    SizeGuard,
     UnbalancedLabeling,
     ZeroArgument,
     ZeroCoefficient,
@@ -283,3 +284,19 @@ def test_branched_quad_mm_large_instance_spot_checks():
         assert pair.function(int(r)) == _branched_reference(
             p, n, m, s, alphas, 1, 1, (1,), point
         )
+
+
+def test_constructors_refuse_tables_over_the_cap(monkeypatch):
+    monkeypatch.setenv("BENT_SIZE_CAP", "81")
+    with pytest.raises(SizeGuard):
+        mm_power(3, 3, 1, 1, 1)
+    with pytest.raises(SizeGuard):
+        mm_qpoly(3, 3, 1, 1, (1,))
+    with pytest.raises(SizeGuard):
+        quad_trace(3, 6, 1, 1)
+    with pytest.raises(SizeGuard):
+        diag_quad(3, 1, 6, (1,) * 6)
+    with pytest.raises(SizeGuard):
+        spread_bent(3, 3, 1)
+    with pytest.raises(SizeGuard):
+        branched_quad_mm(3, 2, 2, 1, 1, 1, 1, 1, 1)

@@ -1,15 +1,22 @@
 """Golden digests of CLI stdout.
 
-Each row is a `construct` invocation, the sha256 of its stdout, and the
+Each GOLDEN row is a `construct` invocation, the sha256 of its stdout, and the
 sha256 of `certify` run on that bundle (None above 3^8 points, where
 certification takes seconds).  The digests pin the byte-exact output: table order, JSON
 layout, and the plain-int types of `sigma`, `epsilons` and `params`.
+
+SPECTRAL_GOLDEN and PDS_GOLDEN pin `walsh`, `classify` and `pds-verify` the
+same way, on construct bundles and on an even non-bent function.
 """
 import hashlib
+import json
 
+import numpy as np
 import pytest
 
 from bentpds.cli import main
+from bentpds.space import prime_space
+from bentpds.spectral import PAryFunction, as_vectorial
 
 GOLDEN = [
     ("mm-power", "--p 3 --m 1 --s 1 --a 1 --e 1", "678d344a8be2201cf7d7836ede376586470189bbbc8c3ec288dfcdae8faa9a08",
@@ -58,10 +65,10 @@ GOLDEN = [
 ]
 
 
-def _digest(capsys, argv):
+def _digest(capsys, argv, expect_code=0):
     code = main(argv)
     out = capsys.readouterr().out
-    assert code == 0, out
+    assert code == expect_code, out
     return out, hashlib.sha256(out.encode()).hexdigest()
 
 
@@ -76,3 +83,95 @@ def test_cli_output_matches_golden_digest(tmp_path, capsys, family, args, constr
         path = tmp_path / "bundle.json"
         path.write_text(bundle)
         assert _digest(capsys, ["certify", "--file", str(path)])[1] == certify_sha
+
+
+# (source, sha256 of `walsh`, sha256 of `classify`).  A source is construct
+# arguments, or "nonbent p n" for _nonbent(p, n).
+SPECTRAL_GOLDEN = [
+    ("quad-trace --p 3 --n 3 --s 1",
+     "a386c7baa686d25f45bffe8ca04d41df66e432397d1e36fd2951f2c9a001710f",
+     "9a6abaef7b3b66a43e40b298fc7670ec98025fdc788afd98d315b9eda30e9f8a"),
+    ("mm-power --p 3 --m 2 --s 1",
+     "ea5e5d63b252305fd3124b16b944ab035676cfa68fbf9e566396e3130819156c",
+     "de96c4ecf7562906a77146eb55dfac24f3c2dde7b66f4d2c9fbe46798639f0ca"),
+    ("branched-quad-mm --p 3 --n 1 --m 1 --s 1 --alpha2 2",
+     "abdbdbead19b1ccc29ac98bd4639cce0b3e8a93d09bfec35bda575ca9ab09d87",
+     "94007ed2155086f4b7fe779e57f1ced248094e3217e51253a48287a5b05ff321"),
+    ("quad-trace --p 5 --n 2 --s 1",
+     "746ae419b7d9f5910582b68348852939c3b7a313f0a0e29f2e77b3850cc1b4e0",
+     "8aa39883361e91f299aaf2909cbed9f8949ccea1ee956a0c4fb938ac6b6d9979"),
+    ("quad-trace --p 5 --n 3 --s 1",
+     "696abaea07c62ac01d8a85307772a6be068d9cdda8d4ea9ad2fcdd489ba1c162",
+     "40ef542573db29199dda2afa0db79a4e780066255fd9d8880b890993d845930e"),
+    ("mm-power --p 7 --m 1 --s 1",
+     "93eaaf78375443036cdc0890b07899b7fb39c9277588fdb0c271104a913b3fae",
+     "4c26e0c1298a1c601702c82a550654c4c82d03eba47df0d397a2b9b4e91adb42"),
+    ("quad-trace --p 7 --n 3 --s 1",
+     "e3c8a53e7f383554b1ceff933c8368c7193b4d32a7e5d883a1124581cee1c450",
+     "997bef69722124fdec06b0427f35a69c6a1bac283ddfd78062db48966332b479"),
+    ("nonbent 3 3",
+     "c8af615cc758b7faa0f74cb334a8669cf2b8e858305276970cc1c416ba7e9b8d",
+     "9de70eb5fc57105e69a2a545ac6aeba2be9046ec97109bdfac809c26e6dfd1c3"),
+    ("nonbent 5 2",
+     "d71c5e95186544449a0c21728c6b6979779a86c75eacdf0f244500051eab8d6e",
+     "9de70eb5fc57105e69a2a545ac6aeba2be9046ec97109bdfac809c26e6dfd1c3"),
+    ("nonbent 7 1",
+     "08c404d909b494765d43f20bf2815e337fbc8a83bd72720e440314a89c848bc8",
+     "9de70eb5fc57105e69a2a545ac6aeba2be9046ec97109bdfac809c26e6dfd1c3"),
+]
+
+# (source, pds-verify arguments, exit code, sha256 of stdout)
+PDS_GOLDEN = [
+    ("mm-power --p 3 --m 2 --s 1", "--set zero --method both", 0,
+     "4bdebe6957c309e0a55d12fde571472640d185462838658c1b8f078d965d486c"),
+    ("mm-power --p 3 --m 2 --s 1", "--set squares --method characters --expect 81,24,9,6", 0,
+     "2444dc62a0d470fd5b137243afb09cff76d88334c8949bbbf4e93147c6c79bd1"),
+    ("mm-power --p 3 --m 2 --s 1", "--set zero --method characters --expect 81,32,13,8", 1,
+     "e1873ee8b62e6a8602526763def38b31c1709b92c18b4249a2eaba6fdb0c29c7"),
+    ("mm-power --p 7 --m 1 --s 1", "--set squares --method both", 0,
+     "4847f9ed640d2aab6f0866258adc014f15171a4a066dba237d821f9d24efdc6d"),
+    ("quad-trace --p 5 --n 2 --s 1", "--set nonsquares --method characters --expect 25,12,5,6", 0,
+     "8196309f08c0fabce6ba387fe964aa1b8d001813dd4891a77437725894fa6c08"),
+    ("quad-trace --p 5 --n 3 --s 1", "--set zero --method both", 1,
+     "d32f0606e039079c5503705400ecaed9702ca41986084cc29a59fd403daf9f93"),
+    ("nonbent 3 4", "--set zero --method both", 1,
+     "d32f0606e039079c5503705400ecaed9702ca41986084cc29a59fd403daf9f93"),
+    ("nonbent 3 4", "--set zero --method characters --expect 81,26,16,10", 1,
+     "8b1de4614191e1eb7816fe90737fda57a49037ded92bd0752c1840e882cd112f"),
+]
+
+
+def _nonbent(p, n) -> str:
+    """An even function GF(p)^n -> GF(p) that is not bent and whose zero
+    preimage is not a PDS: x -> 7 min(x, -x) + 1 on ranks, 0 at x = 0."""
+    sp = prime_space(p, n)
+    table = (7 * np.minimum(np.arange(sp.size), sp.neg) + 1) % p
+    table[0] = 0
+    return json.dumps(as_vectorial(PAryFunction(sp, table)).to_dict())
+
+
+def _source_file(tmp_path, capsys, source) -> str:
+    kind, *rest = source.split()
+    if kind == "nonbent":
+        text = _nonbent(*map(int, rest))
+    else:
+        text = _digest(capsys, ["construct", "--family", kind] + rest)[0]
+    path = tmp_path / "function.json"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("source,walsh_sha,classify_sha", SPECTRAL_GOLDEN,
+                         ids=[row[0] for row in SPECTRAL_GOLDEN])
+def test_spectral_output_matches_golden_digest(tmp_path, capsys, source, walsh_sha,
+                                               classify_sha):
+    path = _source_file(tmp_path, capsys, source)
+    assert _digest(capsys, ["walsh", "--file", path])[1] == walsh_sha
+    assert _digest(capsys, ["classify", "--file", path])[1] == classify_sha
+
+
+@pytest.mark.parametrize("source,args,code,sha", PDS_GOLDEN,
+                         ids=[f"{row[0]} {row[1]}" for row in PDS_GOLDEN])
+def test_pds_verify_output_matches_golden_digest(tmp_path, capsys, source, args, code, sha):
+    path = _source_file(tmp_path, capsys, source)
+    assert _digest(capsys, ["pds-verify", "--file", path] + args.split(), code)[1] == sha

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bentpds.constructions import mm_power, quad_trace
 from bentpds.cyclo import CyclotomicInt
@@ -33,7 +34,7 @@ from bentpds.pds import (
     verify_pds_characters,
     zero_preimage,
 )
-from bentpds.space import prime_space
+from bentpds.space import Space, prime_space
 from bentpds.spectral import dual_bent_certificate
 
 XY = mm_power(3, 1, 1, 1, 1)  # F(x, y) = xy on F_3 x F_3
@@ -269,6 +270,40 @@ def test_verify_characters_non_square_delta_falls_back():
     assert good.delta == 5
     assert verify_pds_characters(sp, D, good)
     assert not verify_pds_characters(sp, D, PdsParams(5, 2, 1, 1))
+
+
+VERIFIER_SPACES = [
+    prime_space(3, 2),
+    prime_space(3, 3),
+    Space([canonical_field(3, 2), canonical_field(3, 1)]),
+    prime_space(3, 4),
+    prime_space(5, 2),
+    Space([canonical_field(7, 2)]),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_verifiers_agree_on_random_symmetric_sets(data):
+    """Pair counting and the character criterion give the same verdict on
+    any symmetric set, PDS or not, and any candidate parameters; candidates
+    built from integer roots r1, r2 reach the character route."""
+    sp = data.draw(st.sampled_from(VERIFIER_SPACES), label="space")
+    reps = sorted({min(x, sp.negate(x)) for x in range(1, sp.size)})
+    chosen = data.draw(st.lists(st.sampled_from(reps), unique=True), label="reps")
+    D = frozenset(chosen) | frozenset(sp.negate(x) for x in chosen)
+    k = len(D)
+    observed = verify_pds_bruteforce(sp, D)
+    if observed is not None:
+        assert verify_pds_characters(sp, D, observed)
+    lam, mu = data.draw(st.one_of(
+        st.tuples(st.integers(0, k), st.integers(0, k)),
+        st.tuples(st.integers(-k, k), st.integers(-k, k)).map(
+            lambda r: (r[0] + r[1] + k + r[0] * r[1], k + r[0] * r[1])),
+    ), label="lambda, mu")
+    candidate = PdsParams(sp.size, k, lam, mu)
+    expected = observed is not None and params_match(candidate, observed)
+    assert verify_pds_characters(sp, D, candidate) == expected
 
 
 def test_params_match_wildcards():

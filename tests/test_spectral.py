@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bentpds.cyclo import automorphism, conj_norm
+from bentpds.cyclo import CyclotomicInt, automorphism, conj_norm, conjugate
 from bentpds.errors import PreconditionF0, SizeGuard, ZeroComponent
 from bentpds.field import canonical_field
 from bentpds.space import Space, prime_space
@@ -23,6 +23,7 @@ from bentpds.spectral import (
     lform_converse_check,
     walsh_full,
     walsh_naive,
+    _conj_products,
 )
 
 F3 = canonical_field(3, 1)
@@ -138,6 +139,17 @@ def test_fast_transform_equals_naive_on_random_tables(data):
     f = PAryFunction(sp, table)
     fast, naive = walsh_full(f), walsh_naive(f)
     assert all(fast[a] == naive[a] for a in range(sp.size))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_conj_products_equal_scalar_norm_products(p):
+    rng = np.random.default_rng(p)
+    rows = rng.integers(-50, 51, size=(40, p - 1))
+    rows[0] = 0
+    got = _conj_products(rows, p)
+    for row, prod in zip(rows, got):
+        a = CyclotomicInt(p, row)
+        assert tuple(prod.tolist()) == (a * conjugate(a)).coeffs
 
 
 def test_fast_transform_equals_naive_at_3_pow_6():

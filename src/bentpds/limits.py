@@ -8,7 +8,9 @@ import os
 
 TABLE_CAP = 3 ** 14          # largest p^m of a field, p^n of a construction
 WALSH_CAP = 3 ** 12          # largest p^n a transform will process
-PAIR_CAP = 65536             # largest |D| the brute-force verifier accepts
+# largest |D| the pair-count verifier accepts; it bounds both of its routes:
+# |D|^2 gathers, or v^2 / 2 multiply-adds with v <= 16 |D|
+PAIR_CAP = 65536
 
 
 def table_cap() -> int:

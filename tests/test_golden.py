@@ -138,6 +138,17 @@ PDS_GOLDEN = [
      "d32f0606e039079c5503705400ecaed9702ca41986084cc29a59fd403daf9f93"),
     ("nonbent 3 4", "--set zero --method characters --expect 81,26,16,10", 1,
      "8b1de4614191e1eb7816fe90737fda57a49037ded92bd0752c1840e882cd112f"),
+    # the pair counter alone, on either side of its 16 |D| >= v route rule:
+    # |D_0| = 160 of 6561 (gather), |D_0| = 800 of 6561 (dense), and two
+    # odd-dimension groups where the high and low digit blocks differ in size
+    ("mm-power --p 3 --m 4 --s 4", "--set zero --method bruteforce", 0,
+     "d52661b7515621904697517411ed0d0c51a2e11e2df937227099599f48f33848"),
+    ("mm-power --p 3 --m 4 --s 2", "--set zero --method bruteforce", 0,
+     "6c9a734caaa5ce4bbbd2e7a9a18df7d75c624afc932e6bb948ab48a87e2d74ca"),
+    ("quad-trace --p 5 --n 5 --s 1", "--set zero --method bruteforce", 1,
+     "0bb8638b2c5d0651fd96cad1f1d490c1089fbb034d156c4879a52802b2fd9311"),
+    ("quad-trace --p 5 --n 3 --s 3", "--set coset --l 4 --beta 1 --method bruteforce", 0,
+     "a026f2df3429889d8368e99540524abe3ee9745819767efbea7d6cb58dbf6bfb"),
 ]
 
 

@@ -1,6 +1,10 @@
+import sys
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bentpds import pds
 from bentpds.constructions import mm_power, quad_trace
 from bentpds.cyclo import CyclotomicInt
 from bentpds.errors import (
@@ -49,6 +53,12 @@ def test_preimage_examples():
     assert whole.members == frozenset(range(9))
     punctured = preimage(XY.function, {0, 1, 2})
     assert punctured.members == frozenset(range(1, 9))
+
+
+def test_preimage_rejects_values_outside_the_codomain():
+    for values in ({99}, {-1}, {0, 3}):
+        with pytest.raises(ValueError):
+            preimage(XY.function, values)
 
 
 def test_char_sum_principal_character_counts():
@@ -198,6 +208,20 @@ def test_params_subset_rejects_oversized_subset():
         params_subset(3, 4, 1, -1, False, 1)
 
 
+def test_params_refuse_exponents_past_the_printable_digits(monkeypatch):
+    # 3^9012 has 4300 decimal digits and 3^9014 has 4301
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+    assert params_subset(3, 9012, 1, 1, True, 1).v == 3 ** 9012
+    with pytest.raises(ValueError):
+        params_subset(3, 9014, 1, 1, True, 1)
+    with pytest.raises(ValueError):
+        params_subset(3, 2_000_000, 1, 1, True, 1)
+    with pytest.raises(ValueError):
+        params_subset(3, 2, 2_000_000, 1, True, 1)
+    with pytest.raises(ValueError):
+        params_coset_union(3, 2_000_000, 1, 2, 1, 0, 1)
+
+
 def test_gaussian_period_closed_form_examples():
     F9 = canonical_field(3, 2)
     assert gaussian_period_semiprimitive(3, 2, 2, 1) == 1
@@ -247,6 +271,44 @@ def test_verify_bruteforce_detects_non_pds():
     assert verify_pds_bruteforce(sp, D) is None
 
 
+# every p^dim <= 7^4, so q2 = 1 at dim = 1 and q1 != q2 at odd dim
+COUNT_SPACES = [prime_space(p, dim) for p in (3, 5, 7) for dim in range(1, 7)
+                if p ** dim <= 7 ** 4]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_dense_counts_equal_gather_counts(data):
+    """Both pair-count routes give the same difference counts on any set,
+    symmetric or not, with or without 0, sparse or dense."""
+    sp = data.draw(st.sampled_from(COUNT_SPACES), label="space")
+    size = data.draw(st.integers(1, sp.size), label="size")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    Dv = np.sort(np.random.default_rng(seed).choice(sp.size, size, replace=False))
+    assert np.array_equal(pds._dense_counts(sp, Dv), pds._gather_counts(sp, Dv))
+
+
+def _refuse(*args):
+    raise AssertionError("the other route was selected")
+
+
+def test_pair_count_route_follows_set_density(monkeypatch):
+    sparse = zero_preimage(mm_power(3, 4, 4, 1, 1).function)  # 16 * 160 < 6561
+    dense = zero_preimage(XY.function)                        # 16 * 4 >= 9
+    with monkeypatch.context() as m:
+        m.setattr(pds, "_dense_counts", _refuse)
+        assert verify_pds_bruteforce(sparse.group, sparse).as_tuple() == (6561, 160, 79, 2)
+    with monkeypatch.context() as m:
+        m.setattr(pds, "_gather_counts", _refuse)
+        assert verify_pds_bruteforce(dense.group, dense).as_tuple() == (9, 4, 1, 2)
+
+
+def test_dense_counts_refuse_inexact_float32():
+    # 3^16 high-digit values: a product entry could pass 2^24
+    with pytest.raises(SizeGuard):
+        pds._dense_counts(prime_space(3, 32), np.array([1, 2]))
+
+
 def test_verify_characters_on_xy_preimages():
     sp = XY.function.domain
     D1 = preimage(XY.function, {1})
@@ -270,6 +332,18 @@ def test_verify_characters_non_square_delta_falls_back():
     assert good.delta == 5
     assert verify_pds_characters(sp, D, good)
     assert not verify_pds_characters(sp, D, PdsParams(5, 2, 1, 1))
+
+
+def test_verify_characters_rejects_non_rational_sums():
+    # chi_u({1, 4}) = zeta^u + zeta^-u is not rational, yet its constant
+    # coefficient in the {1, ..., zeta^3} basis is 0 or -1: exactly r1 and r2
+    # of the wrong candidate (5, 2, 1, 2), whose Delta = 1 is a square
+    sp = prime_space(5, 1)
+    D = frozenset({1, 4})
+    wrong = PdsParams(5, 2, 1, 2)
+    assert wrong.delta == 1
+    assert verify_pds_bruteforce(sp, D).as_tuple() == (5, 2, 0, 1)
+    assert not verify_pds_characters(sp, D, wrong)
 
 
 VERIFIER_SPACES = [

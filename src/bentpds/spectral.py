@@ -18,10 +18,25 @@ value must equal one of the 2p ring elements +-u zeta^j, where u = p^{n/2}
 for even n and u = p^{(n-1)/2} g for odd n (g the quadratic Gauss sum, an
 exact square root of p^* in the ring).  There are no tolerances anywhere.
 For odd n the recorded sign is relative to that Gauss-sum normalisation.
+Matching is key-then-verify: each coefficient row gets one int64 key (a dot
+product with fixed pseudo-random weights, wrapping mod 2^64), a binary
+search among the 2p distinct candidate keys proposes one candidate, and a
+full-row equality confirms it.  A row equal to a candidate has that
+candidate's key, so it is found; any other row fails the equality, so the
+match stays exact whatever the keys collide with.
+
+Certificates use one transform per GF(p)^* orbit of components.  For
+lambda in GF(p)^*, F_{lambda c} = lambda F_c, and
+W_{lambda f}(a) = sigma_lambda(W_f(lambda^{-1} a)) with sigma_lambda the
+automorphism zeta -> zeta^lambda.  It fixes p^{n/2} and sends g to
+eta(lambda) g (eta the quadratic character of GF(p)), so lambda f is bent
+iff f is, (lambda f)^*(a) = lambda f^*(lambda^{-1} a), and its sign is
+eps_f for even n and eta(lambda) eps_f for odd n.
 """
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -276,15 +291,36 @@ class BentClassification:
 
 @lru_cache(maxsize=None)
 def _candidate_map(p: int, n: int):
-    """(coefficient rows, signs, exponents j) of the 2p values +-u zeta^j a
-    bent Walsh value can take."""
+    """The 2p values +-u zeta^j a bent Walsh value can take, for the key
+    lookup of _match_candidates: (weights w, candidate keys in ascending
+    order, and the coefficient rows, signs and exponents j in that order)."""
     if n % 2 == 0:
         u = CyclotomicInt.from_int(p, p ** (n // 2))
     else:
         u = p ** ((n - 1) // 2) * gauss_sum(p)
     signs, js = np.tile([1, -1], p), np.repeat(np.arange(p), 2)
     rows = [(int(sign) * u * CyclotomicInt.zeta_pow(p, j)).coeffs for sign, j in zip(signs, js)]
-    return np.array(rows, dtype=np.int64), signs, js
+    rows = np.array(rows, dtype=np.int64)
+    # weights linear in the coefficient index collide on the odd-n Gauss-sum
+    # rows; numpy.random would cost its import in every process
+    rng = random.Random(p)
+    w = np.array([rng.getrandbits(63) for _ in range(p - 1)], dtype=np.int64)
+    keys = rows @ w
+    order = np.argsort(keys)
+    if np.unique(keys).size != keys.size:
+        raise MatchFailure(f"candidate keys collide for p={p}, n={n}")
+    return w, keys[order], rows[order], signs[order], js[order]
+
+
+def _match_candidates(rows: np.ndarray, p: int, n: int):
+    """Match coefficient rows against the 2p candidates: (matched, signs, js),
+    with signs and js meaningful where matched.  One key per row proposes a
+    candidate and a full-row equality confirms it."""
+    w, keys, cand_rows, cand_signs, cand_js = _candidate_map(p, n)
+    which = np.searchsorted(keys, rows @ w)
+    np.minimum(which, keys.size - 1, out=which)
+    matched = (cand_rows[which] == rows).all(axis=1)
+    return matched, cand_signs[which], cand_js[which]
 
 
 def classify_bent(f: PAryFunction) -> BentClassification:
@@ -297,14 +333,10 @@ def classify_bent(f: PAryFunction) -> BentClassification:
     del norms  # freed before the candidate arrays: it would set the peak
     if not bent:
         return BentClassification(False, False, False, None, None, spectrum)
-    cand_rows, cand_signs, cand_js = _candidate_map(p, n)
-    hits = (spectrum.coeff_rows[:, None, :] == cand_rows[None]).all(axis=2)
-    matched = hits.any(axis=1)
+    matched, signs, dual = _match_candidates(spectrum.coeff_rows, p, n)
     if not matched.all():
         a = int(np.argmin(matched))
         raise MatchFailure(f"bent value at a={a} matches no candidate")
-    which = hits.argmax(axis=1)
-    signs, dual = cand_signs[which], cand_js[which]
     weakly = bool((signs == signs[0]).all())
     eps = int(signs[0]) if weakly else None
     return BentClassification(
@@ -317,9 +349,29 @@ def classify_bent(f: PAryFunction) -> BentClassification:
     )
 
 
+def _scalar_orbits(cod: Field) -> dict[int, tuple[int, int]]:
+    """c -> (r, mu) for every nonzero c in cod, with c = mu r and r the least
+    rank of the orbit {lambda c : lambda in GF(p)^*}; mu = 1 iff c = r, and
+    the representatives come in increasing order.  Ranks below p are the
+    prime subfield, so lambda c is cod.mul(lambda, c)."""
+    ranks = np.arange(cod.size)
+    multiples = [cod.mul(lam, ranks) for lam in range(1, cod.p)]
+    orbit: dict[int, tuple[int, int]] = {}
+    for c in range(1, cod.size):
+        if c not in orbit:
+            for lam, row in enumerate(multiples, start=1):
+                orbit[int(row[c])] = (c, lam)
+    return orbit
+
+
 def is_vectorial_bent(F: VectorialFunction) -> bool:
-    """True iff every nonzero component function is bent."""
-    return all(classify_bent(component(F, c)).is_bent for c in range(1, F.codomain.size))
+    """True iff every nonzero component function is bent.  Bentness is the
+    same on a GF(p)^* orbit of components, so one per orbit is classified."""
+    return all(
+        classify_bent(component(F, c)).is_bent
+        for c, (_, mu) in _scalar_orbits(F.codomain).items()
+        if mu == 1
+    )
 
 
 @dataclass
@@ -332,32 +384,60 @@ class DualBentCertificate:
     epsilons: dict[int, int | None]
 
 
+def _dual_and_sign(F: VectorialFunction, c: int, narrow) -> tuple[np.ndarray, int | None]:
+    """(F_c)^* as a table in the dtype narrow, and eps_c.  Only these leave:
+    the classification holds an N x (p-1) int64 spectrum."""
+    cl = classify_bent(component(F, c))
+    if not cl.is_bent:
+        raise NotBent(f"component {c} is not bent")
+    return cl.dual.table.astype(narrow), cl.epsilon
+
+
 def dual_bent_certificate(
     F: VectorialFunction, Fstar: VectorialFunction
 ) -> DualBentCertificate | None:
-    """Check (F_c)^* = (Fstar)_{sigma(c)} component by component.
+    """Check (F_c)^* = (Fstar)_{sigma(c)} for every nonzero c.
+
+    Components are visited in the order c = 1, ..., q-1.  The least c of each
+    GF(p)^* orbit is classified; any other c = mu r takes its dual and sign
+    from its orbit representative r (see the module docstring):
+    (F_c)^*(a) = mu (F_r)^*(mu^{-1} a), eps_c = eps_r for even n and
+    eta(mu) eps_r for odd n, and None stays None.  Each dual is then looked
+    up among the Fstar component tables by its bytes.
 
     Returns the certificate, or None when Fstar fails to certify F (which
     does not prove F is not dual-bent).  Raises NotBent if some component
-    of F is not bent.
+    of F is not bent; bentness is the same across an orbit, so the first
+    non-bent c met is the least of its orbit.
     """
     if F.domain != Fstar.domain or F.codomain != Fstar.codomain:
         raise ValueError("F and Fstar must share domain and codomain")
-    q = F.codomain.size
+    q, p, n = F.codomain.size, F.p, F.domain.dim
     # held for the whole loop, so in the narrowest dtype that holds [0, p)
-    narrow = np.min_scalar_type(F.p - 1)
-    star_tables = {d: component(Fstar, d).table.astype(narrow) for d in range(1, q)}
+    narrow = np.min_scalar_type(p - 1)
+    star_index: dict[bytes, list[int]] = {}
+    for d in range(1, q):
+        star_index.setdefault(component(Fstar, d).table.astype(narrow).tobytes(), []).append(d)
+    eta = canonical_field(p, 1).quadratic_character
+    reps: dict[int, tuple[np.ndarray, int | None]] = {}
+    orbit = _scalar_orbits(F.codomain)
     sigma: dict[int, int] = {}
     epsilons: dict[int, int | None] = {}
     for c in range(1, q):
-        cl = classify_bent(component(F, c))
-        if not cl.is_bent:
-            raise NotBent(f"component {c} is not bent")
-        matches = [d for d in range(1, q) if np.array_equal(cl.dual.table, star_tables[d])]
+        r, mu = orbit[c]
+        if mu == 1:
+            dual, eps = reps[c] = _dual_and_sign(F, c, narrow)
+        else:
+            dual_r, eps = reps[r]
+            times_mu = (mu * np.arange(p) % p).astype(narrow)
+            dual = times_mu[dual_r[F.domain.scaled(pow(mu, -1, p))]]
+            if n % 2 and eps is not None:
+                eps *= eta(mu)
+        matches = star_index.get(dual.tobytes(), [])
         if len(matches) != 1:
             return None
         sigma[c] = matches[0]
-        epsilons[c] = cl.epsilon
+        epsilons[c] = eps
     if len(set(sigma.values())) != q - 1:
         return None
     return DualBentCertificate(Fstar, sigma, epsilons)

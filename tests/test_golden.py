@@ -1,9 +1,11 @@
 """Golden digests of CLI stdout.
 
 Each GOLDEN row is a `construct` invocation, the sha256 of its stdout, and the
-sha256 of `certify` run on that bundle (None above 3^8 points, where
-certification takes seconds).  The digests pin the byte-exact output: table order, JSON
-layout, and the plain-int types of `sigma`, `epsilons` and `params`.
+sha256 of `certify` run on that bundle (None only for the 3^12 bundle, whose
+certification takes seconds).  The digests pin the byte-exact output: table
+order, JSON layout, and the plain-int types of `sigma`, `epsilons` and
+`params`.  The p = 5 and p = 7 rows include odd n with mixed component signs
+and codomains GF(p^s) with s > 1.
 
 SPECTRAL_GOLDEN and PDS_GOLDEN pin `walsh`, `classify` and `pds-verify` the
 same way, on construct bundles and on an even non-bent function.
@@ -59,8 +61,22 @@ GOLDEN = [
      "527d1be395ced8c11e8e4c0999de644409ad1161dc5c242fa00d5c6094515c1f"),
     ("branched-quad-mm", "--p 3 --n 4 --m 2 --s 2", "dbad44c91f053208676fee155353469cdc017c2a4c9d9c74f8452e61f04f1765",
      "a966b9e1a87fb094049d721c49bf5bad731e8e42cab63cd0bf76e2c9815bef54"),
-    ("quad-trace", "--p 5 --n 6 --s 1", "7455413881404bb812d4c1efa6f259199faeb8a24f03b2fcad554f2179ba83a9", None),
-    ("mm-power", "--p 7 --m 3 --s 1", "de505eb371e3ad1b6b49ceb31de7e5f8984b3684bee26cd45fdb3342fa2fb382", None),
+    ("quad-trace", "--p 5 --n 6 --s 1", "7455413881404bb812d4c1efa6f259199faeb8a24f03b2fcad554f2179ba83a9",
+     "82ff72b2e7489864191a1641f3aa982ace89261494156eb662e03b3acef90e5d"),
+    ("mm-power", "--p 7 --m 3 --s 1", "de505eb371e3ad1b6b49ceb31de7e5f8984b3684bee26cd45fdb3342fa2fb382",
+     "8d316ef1fe422447c94a86006929bb6d163efba37908b263039b1c53131ffc3f"),
+    ("quad-trace", "--p 3 --n 5 --s 1 --a 1", "312bc3d0d45b8a7f3a3ab474b0f8c89d56338e42629f37467de090d0c259b553",
+     "ec475b1ebc0b3ebe290fd806c28e03f4e29858700d87e06fc5e25239b35f93a0"),
+    ("quad-trace", "--p 5 --n 3 --s 1 --a 2", "24dd2d5b6813c64cb1b605721b88d35d0b34f6ba8e24f3a7421fe75faf3f9a66",
+     "513ac70e2486b288aa15d1b999e92445151bb0c30f8009ce9398dfe8076871ff"),
+    ("quad-trace", "--p 5 --n 3 --s 3 --a 2", "ee6713f371557da027e602b0b56f5ed86558bf3c8c9574c86ef5cb743ca1fe59",
+     "31da358073ee8199c268c77911e349436f6e3a576ef415da1dcd0dccc4996ea5"),
+    ("quad-trace", "--p 7 --n 3 --s 1 --a 3", "e89f2d2e9cfb1a52d268bdd84daaa1645cb1a381affc8688fc9497d12616ff5a",
+     "d83bb3b4cd452fa82b8151f921d7353a8265b043042c45b1c45fe733a56bad42"),
+    ("mm-power", "--p 5 --m 2 --s 2", "44e2437e6d1fa62631e4a416d0405e98d574415d73d3a5506d98457ec986541c",
+     "e68e00e612c418a01fa3aff0f9e27cabaedd5d6c0442e94c166a50abdfab600e"),
+    ("diag-quad", "--p 5 --s 1 --m 3 --coeffs 1,2,3", "5138eaa54b733be99c2f5c61492fd6d1949366cd85396869fb558fcde88a1110",
+     "604c1b0a3437e95581dae2f892f12ef64ac909f75c2fdf4e9bd552864f3311df"),
     ("mm-power", "--p 3 --m 6 --s 2", "09e46b0dfda7713d3155e0d5ce55d098c9c23bb1dc91f6fbdccc33734ba38cf7", None),
 ]
 

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bentpds.cyclo import CyclotomicInt, automorphism, conj_norm, conjugate
-from bentpds.errors import PreconditionF0, SizeGuard, ZeroComponent
+from bentpds import spectral
+from bentpds.cyclo import CyclotomicInt, automorphism, conj_norm, conjugate, gauss_sum
+from bentpds.errors import MatchFailure, NotBent, PreconditionF0, SizeGuard, ZeroComponent
 from bentpds.field import canonical_field
 from bentpds.space import Space, prime_space
 from bentpds.spectral import (
+    DualBentCertificate,
     PAryFunction,
     VectorialFunction,
     anf,
@@ -23,7 +25,9 @@ from bentpds.spectral import (
     lform_converse_check,
     walsh_full,
     walsh_naive,
+    _candidate_map,
     _conj_products,
+    _match_candidates,
 )
 
 F3 = canonical_field(3, 1)
@@ -320,3 +324,204 @@ def test_function_serialization_round_trip():
     d = F.to_dict()
     assert d["codomain"] == {"p": 3, "s": 1}
     assert VectorialFunction.from_dict(d) == F
+
+
+# ---------------------------------------------------------------------------
+# the per-component certificate oracle
+# ---------------------------------------------------------------------------
+
+def certificate_per_component(F, Fstar):
+    """Reference for dual_bent_certificate: classify every component and scan
+    every Fstar component for its dual, with no orbit derivation."""
+    q = F.codomain.size
+    star_tables = {d: component(Fstar, d).table for d in range(1, q)}
+    sigma, epsilons = {}, {}
+    for c in range(1, q):
+        cl = classify_bent(component(F, c))
+        if not cl.is_bent:
+            raise NotBent(f"component {c} is not bent")
+        matches = [d for d in range(1, q) if np.array_equal(cl.dual.table, star_tables[d])]
+        if len(matches) != 1:
+            return None
+        sigma[c] = matches[0]
+        epsilons[c] = cl.epsilon
+    if len(set(sigma.values())) != q - 1:
+        return None
+    return DualBentCertificate(Fstar, sigma, epsilons)
+
+
+def _outcome(certify, F, Fstar):
+    """A comparable result: the certificate's items in order, None, or the
+    NotBent message."""
+    try:
+        cert = certify(F, Fstar)
+    except NotBent as exc:
+        return ("NotBent", str(exc))
+    if cert is None:
+        return None
+    assert cert.dual is Fstar
+    return list(cert.sigma.items()), list(cert.epsilons.items())
+
+
+def _oracle_pairs():
+    from bentpds.constructions import (
+        branched_quad_mm, diag_quad, mm_power, mm_qpoly, quad_trace, spread_bent,
+    )
+
+    return [
+        mm_power(3, 2, 2, 1, 3),                       # 3^4, s = 2
+        mm_power(5, 1, 1, 2, 1),                       # 5^2
+        mm_power(5, 2, 2, 1, 1),                       # 5^4, s = 2
+        mm_power(7, 1, 1, 3, 5),                       # 7^2
+        mm_qpoly(3, 2, 2, 1, (1,)),                    # 3^4, s = 2
+        mm_qpoly(5, 2, 1, 2, (0, 1)),                  # 5^4
+        quad_trace(3, 5, 1, 1),                        # odd n, mixed signs
+        quad_trace(3, 4, 2, 1),                        # s = 2
+        quad_trace(5, 2, 1, 1),
+        quad_trace(5, 3, 1, 2),                        # odd n, mixed signs
+        quad_trace(5, 3, 3, 2),                        # odd n, s = 3
+        quad_trace(7, 3, 1, 3),                        # odd n, mixed signs
+        diag_quad(3, 2, 2, (1, 4)),                    # s = 2
+        diag_quad(5, 1, 3, (1, 2, 3)),                 # odd n, mixed signs
+        diag_quad(7, 1, 1, (3,)),                      # n = 1
+        spread_bent(3, 2, 2),
+        spread_bent(5, 1, 1),
+        branched_quad_mm(3, 2, 1, 1, 1, 2, 4, 1, 2),   # not weakly regular
+        branched_quad_mm(5, 1, 1, 1, 1, 2, 1, 1, 1),   # odd n, not weakly regular
+        branched_quad_mm(3, 2, 2, 2, 1, 1, 1, 1, 1),   # s = 2
+    ]
+
+
+@pytest.mark.parametrize("pair", _oracle_pairs(), ids=lambda pair: f"{pair.family} {pair.params}")
+def test_certificate_equals_per_component_oracle(pair):
+    F, Fstar = pair.function, pair.dual
+    derived = _outcome(dual_bent_certificate, F, Fstar)
+    assert derived == _outcome(certificate_per_component, F, Fstar)
+    assert derived is not None and dict(derived[0]) == pair.sigma
+    if pair.epsilons is not None:
+        assert dict(derived[1]) == pair.epsilons
+
+
+def _wrong_duals(F, Fstar, other):
+    """Fstar replaced by another instance's dual, or composed with a
+    permutation that is not x -> lambda x on the domain or the codomain."""
+    rng = np.random.default_rng(F.domain.size)
+    cod, dom = F.codomain, F.domain
+    shuffled = np.concatenate([[0], 1 + rng.permutation(cod.size - 1)])
+    out = [
+        other,
+        VectorialFunction(dom, cod, Fstar.table[rng.permutation(dom.size)]),
+        VectorialFunction(dom, cod, Fstar.table[dom.scaled(2)][dom.neg]),
+        VectorialFunction(dom, cod, shuffled[Fstar.table]),
+    ]
+    if cod.m > 1:
+        # x -> beta x with beta outside GF(p): certifies with another sigma
+        out.append(VectorialFunction(dom, cod, cod.mul(cod.p, Fstar.table)))
+    return out
+
+
+def test_certificate_equals_oracle_on_wrong_duals():
+    from bentpds.constructions import mm_power, quad_trace
+
+    cases = [
+        (mm_power(3, 2, 2, 1, 1), mm_power(3, 2, 2, 1, 3).dual),
+        (mm_power(5, 1, 1, 1, 1), mm_power(5, 1, 1, 2, 1).dual),
+        (quad_trace(5, 3, 1, 2), quad_trace(5, 3, 1, 1).dual),
+        (quad_trace(7, 3, 1, 3), quad_trace(7, 3, 1, 1).dual),
+        (quad_trace(5, 3, 3, 2), quad_trace(5, 3, 3, 1).dual),
+    ]
+    outcomes = []
+    for pair, other in cases:
+        for Fstar in _wrong_duals(pair.function, pair.dual, other):
+            derived = _outcome(dual_bent_certificate, pair.function, Fstar)
+            assert derived == _outcome(certificate_per_component, pair.function, Fstar)
+            outcomes.append(derived)
+    # both kinds of result occur: rejected, and certified with another sigma
+    assert None in outcomes
+    assert any(o is not None and dict(o[0]) != cases[0][0].sigma for o in outcomes)
+
+
+def _bent_then_zero(p=5):
+    """F: GF(p)^2 -> GF(p^2) whose component a + b theta (c = a + b p) is
+    a f for the bent f = xy, so every c < p is bent and c = p is the first
+    component that is not."""
+    cod = canonical_field(p, 2)
+    ranks = np.arange(cod.size)
+    lookup = np.empty((p, p), dtype=np.int64)
+    lookup[cod.trace(1, ranks), cod.trace(1, cod.mul(p, ranks))] = ranks
+    f = xy_function(p)
+    other = np.arange(f.domain.size) % p
+    F = VectorialFunction(f.domain, cod, lookup[f.table, 0])
+    Fstar = VectorialFunction(f.domain, cod, lookup[(-f.table) % p, other])
+    return F, Fstar
+
+
+def test_first_non_bent_component_past_c_1():
+    F, Fstar = _bent_then_zero()
+    expected = ("NotBent", "component 5 is not bent")
+    assert _outcome(certificate_per_component, F, Fstar) == expected
+    assert _outcome(dual_bent_certificate, F, Fstar) == expected
+    assert not is_vectorial_bent(F)
+    zero = VectorialFunction(F.domain, F.codomain, np.zeros(F.domain.size, dtype=np.int64))
+    assert _outcome(dual_bent_certificate, F, zero) is None
+    assert _outcome(certificate_per_component, F, zero) is None
+
+
+# ---------------------------------------------------------------------------
+# the candidate matcher
+# ---------------------------------------------------------------------------
+
+MATCH_CASES = [(3, 1), (3, 2), (3, 3), (3, 12), (5, 2), (5, 3), (7, 1), (7, 4), (11, 3), (13, 2)]
+
+
+def _candidates(p, n):
+    """(rows, signs, js) of +-u zeta^j, built from the definition."""
+    u = CyclotomicInt.from_int(p, p ** (n // 2)) if n % 2 == 0 else p ** (n // 2) * gauss_sum(p)
+    items = [(sign, j) for j in range(p) for sign in (1, -1)]
+    rows = np.array([(sign * u * CyclotomicInt.zeta_pow(p, j)).coeffs for sign, j in items])
+    signs, js = map(np.array, zip(*items))
+    return rows, signs, js
+
+
+@pytest.mark.parametrize("p,n", MATCH_CASES)
+def test_candidate_rows_match_themselves(p, n):
+    rows, signs, js = _candidates(p, n)
+    matched, got_signs, got_js = _match_candidates(rows, p, n)
+    assert matched.all()
+    assert (got_signs == signs).all() and (got_js == js).all()
+
+
+@pytest.mark.parametrize("p,n", MATCH_CASES)
+def test_perturbed_candidate_rows_match_nothing(p, n):
+    rows = _candidates(p, n)[0]
+    steps = np.concatenate([np.eye(p - 1, dtype=np.int64), -np.eye(p - 1, dtype=np.int64)])
+    perturbed = (rows[:, None, :] + steps[None]).reshape(-1, p - 1)
+    matched = _match_candidates(perturbed, p, n)[0]
+    assert not matched.any()
+
+
+def test_candidate_keys_are_checked_distinct(monkeypatch):
+    class Zero:
+        def __init__(self, seed):
+            pass
+
+        def getrandbits(self, k):
+            return 0
+
+    monkeypatch.setattr(spectral.random, "Random", Zero)
+    with pytest.raises(MatchFailure, match="collide"):
+        _candidate_map.__wrapped__(5, 2)
+
+
+def test_classify_names_the_first_unmatched_value(monkeypatch):
+    from bentpds.constructions import quad_trace
+
+    f = quad_trace(5, 3, 1, 2).function.as_p_ary()
+    true = walsh_full(f)
+    norms = _conj_products(true.coeff_rows, 5)
+    rows = true.coeff_rows.copy()
+    rows[[17, 40], 1] += 1
+    monkeypatch.setattr(spectral, "walsh_full", lambda g: spectral.WalshSpectrum(g.domain, rows))
+    monkeypatch.setattr(spectral, "_conj_products", lambda A, p: norms)
+    with pytest.raises(MatchFailure, match=r"a=17 "):
+        classify_bent(f)

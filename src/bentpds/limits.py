@@ -1,10 +1,21 @@
-"""Size guards.
+"""Size guards and the exactness rule of the float BLAS routes.
 
 All tables in this toolkit are explicit, so hard caps keep accidental
 huge inputs from hanging a session.  BENT_SIZE_CAP in the environment
 overrides the field and construction, transform and pair-count guards.
+
+The radix-p transform (one float product per digit pass, its counts at
+most p^n) and the dense pair counter (float32 indicator products, its
+counts at most q2) run on BLAS.  Every entry and partial sum of their
+products is an integer bounded in advance, so exact_float_dtype turns that
+bound into the narrowest float dtype in which it is exact, and refuses a
+bound that no float dtype holds.
 """
 import os
+
+import numpy as np
+
+from .errors import SizeGuard
 
 TABLE_CAP = 3 ** 14          # largest p^m of a field, p^n of a construction
 WALSH_CAP = 3 ** 12          # largest p^n a transform will process
@@ -29,3 +40,14 @@ def exceeds(p: int, n: int, cap: int) -> bool:
     """p^n > cap for p >= 2 and n >= 0, without forming p^n when n alone
     settles it (an outsized exponent would cost the time it guards)."""
     return n > cap.bit_length() or p ** n > cap
+
+
+def exact_float_dtype(bound: int) -> np.dtype:
+    """float32 while bound < 2^24, float64 while bound < 2^53, SizeGuard
+    past that: every integer of magnitude <= bound is exact in the dtype
+    returned, so a sum of counts that bound limits is computed exactly."""
+    if bound < 2 ** 24:
+        return np.dtype(np.float32)
+    if bound < 2 ** 53:
+        return np.dtype(np.float64)
+    raise SizeGuard(f"integers up to {bound} are not exact in float64")

@@ -39,7 +39,7 @@ from .errors import (
     SizeGuard,
 )
 from .field import Field, canonical_field, is_prime
-from .limits import pair_cap
+from .limits import exact_float_dtype, pair_cap
 from .space import Space
 from .spectral import (
     DualBentCertificate,
@@ -452,12 +452,16 @@ def gaussian_period_semiprimitive(p: int, s: int, t: int, a: int) -> CyclotomicI
 # ---------------------------------------------------------------------------
 
 def _candidacy(space: Space, members) -> np.ndarray:
+    """The members as a sorted rank array, once they are checked to be
+    distinct ranks of the group, to avoid 0 and to satisfy -D = D."""
     D = np.sort(np.fromiter(members, dtype=np.int64, count=len(members)))
     if D.size and (D[0] < 0 or D[-1] >= space.size):
         raise ValueError(f"members must be ranks in [0, {space.size})")
+    if (D[1:] == D[:-1]).any():
+        raise ValueError("members must be distinct ranks")
     if D.size and D[0] == 0:
         raise ContainsZero("0 must not belong to a regular PDS candidate")
-    if not np.array_equal(np.unique(space.neg[D]), np.unique(D)):
+    if not np.array_equal(np.sort(space.neg[D]), D):
         raise NotSymmetric("-D = D must hold")
     return D
 
@@ -514,12 +518,14 @@ def _dense_counts(space: Space, Dv: np.ndarray) -> np.ndarray:
 
     The products run in float32.  An entry of S, and every partial sum
     behind it, is an integer in [0, q2] with q2 = p^(dim - h1) high-digit
-    values, so the arithmetic is exact while q2 < 2^24; past that this
-    raises SizeGuard."""
+    values, so the arithmetic is exact while exact_float_dtype(q2) is
+    float32; past that this raises SizeGuard before building anything.
+    float64 would first be needed at q2 = 2^24, that is v >= 2^48 points,
+    whose indicator matrix no memory holds."""
     p, dim = space.p, space.dim
     h1 = (dim + 1) // 2
     q1, q2 = p ** h1, p ** (dim - h1)
-    if q2 >= 2 ** 24:
+    if exact_float_dtype(q2) != np.float32:
         raise SizeGuard(f"{q2} high-digit values are not exact in float32")
     t_lo = _half_sub_table(p, h1)
     t_hi = _half_sub_table(p, dim - h1)
@@ -601,9 +607,7 @@ def verify_pds_characters(space: Space, D, candidate: PdsParams) -> bool:
         return False
     r1 = (candidate.beta + root) // 2
     r2 = (candidate.beta - root) // 2
-    counts = np.zeros((space.p, space.size), dtype=np.int64)
-    counts[0, Dv] = 1
-    T = char_weight_transform(space, counts)
+    T = char_weight_transform(space, Dv, 0)
     A = T.coeff_rows[1:]  # chi_u(D) over u != 0, up to the u -> -u relabeling
     scalar = (A[:, 1:] == 0).all(axis=1)
     allowed = (A[:, 0] == r1) | (A[:, 0] == r2)

@@ -3,15 +3,24 @@ vectorial dual-bent certificates.
 
 The full transform W_f(a) = sum_x zeta^{f(x) - <a,x>} is computed by a
 radix-p fast transform: n rounds of exact p-point DFTs over Z[zeta_p], one
-per GF(p)-coordinate.  Ring arrays in the transform are exponent counts,
-C[j, x] = the coefficient of zeta^j at x, so multiplying by zeta^r shifts
-the exponent axis by r.  The result is reduced to the basis
-{1, zeta, ..., zeta^{p-2}} once, by the CyclotomicInt.from_exponent_counts
-rule, and its rows form WalshSpectrum.coeff_rows.  Transform counts and
-coefficients stay within p^n, but the products of _conj_products (norms and
-Parseval) reach about (p-1)^2 p^{2n}; char_weight_transform refuses spaces
-where that bound reaches 2^63, so int64 accumulation is exact wherever it
-runs.  The naive quadratic sum is kept alongside as a cross-check oracle.
+per GF(p)-coordinate.  Ring arrays in the transform are exponent counts of
+shape (p^n, p), C[x, j] = the coefficient of zeta^j at x, with the exponent
+axis last.  A pass multiplies by zeta^{-u t} (t the digit of x, u that of
+the frequency), which sends exponent j to j - u t: a fixed 0/1 map on the
+p^2 (t, j) pairs.  Digit 0 of x sits next to j, so a pass is one stacked
+BLAS product of C.reshape(1, p^n / p, p^2) with a (p, p^2, p) matrix.  It
+writes u above the remaining digits (Stockham order), so after n passes the
+frequencies are in natural order with no transpose or digit reversal.  The
+products run in floats: every entry and partial sum counts points x, so its
+magnitude is at most p^n, exact in float32 while p^n < 2^24 and in float64
+while p^n < 2^53 (limits.exact_float_dtype).  The result is reduced to the
+basis {1, zeta, ..., zeta^{p-2}} once, by the
+CyclotomicInt.from_exponent_counts rule, and its int64 rows form
+WalshSpectrum.coeff_rows.  Transform coefficients stay within p^n, but the
+products of _conj_products (norms and Parseval) reach about
+(p-1)^2 p^{2n}; char_weight_transform refuses spaces where that bound
+reaches 2^63, so int64 accumulation is exact wherever it runs.  The naive
+quadratic sum is kept alongside as a cross-check oracle.
 
 Bentness and regularity are decided by exact candidate matching: a bent
 value must equal one of the 2p ring elements +-u zeta^j, where u = p^{n/2}
@@ -51,7 +60,7 @@ from .errors import (
     ZeroComponent,
 )
 from .field import Field, canonical_field
-from .limits import walsh_cap
+from .limits import exact_float_dtype, walsh_cap
 from .space import Space, prime_space
 
 
@@ -176,28 +185,33 @@ def flatten_domain(f: PAryFunction) -> PAryFunction:
 # the radix-p transform
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _pass_matrix(p: int, dtype: np.dtype) -> np.ndarray:
+    """A[u, t p + j, j'] = 1 iff j' = j - u t (mod p): the digit pass that
+    takes the count at (digit t, exponent j) to (digit u, exponent j').
+    Shared between calls, so read-only."""
+    u, t, j = np.indices((p, p, p))
+    A = np.zeros((p, p * p, p), dtype=dtype)
+    A[u, t * p + j, (j - u * t) % p] = 1
+    A.setflags(write=False)
+    return A
+
+
 def _digit_transform(C: np.ndarray, p: int, dim: int) -> np.ndarray:
-    """Turn exponent counts C[j, x] (the weight at x is sum_j C[j, x] zeta^j)
-    into the counts of G(u) = sum_x weight(x) zeta^{-sum_k u_k x_k}, one
-    p-point pass per digit.  Multiplying by zeta^r shifts the exponent axis
-    by r.  Two buffers swap roles between passes, C being one of them;
-    returns the one holding the result."""
+    """Turn float exponent counts C[x, j] (the weight at x is
+    sum_j C[x, j] zeta^j) into the counts of
+    G(u) = sum_x weight(x) zeta^{-sum_k u_k x_k}, one product per digit.
+    Each pass contracts digit 0 of x and the exponent against _pass_matrix
+    and writes the new digit u on top, so after dim passes u is in natural
+    order.  Exact while exact_float_dtype(sum |C|) is no wider than C's
+    dtype: no entry or partial sum exceeds sum |C|.  Two buffers swap
+    roles between passes, C being one of them; returns the one holding the
+    result."""
+    A = _pass_matrix(p, C.dtype)
+    rows = C.shape[0] // p
     out = np.empty_like(C)
-    for k in range(dim):
-        stride = p ** k
-        V = C.reshape(p, -1, p, stride)
-        W = out.reshape(V.shape)
-        np.add.reduce(V, axis=2, out=W[:, :, 0])
-        for u in range(1, p):
-            w = W[:, :, u]
-            np.copyto(w, V[:, :, 0])
-            for t in range(1, p):
-                r = -u * t % p
-                v = V[:, :, t]
-                # named views: `w[r:] += ...` would also write the view back
-                hi, lo = w[r:], w[:r]
-                hi += v[: p - r]
-                lo += v[p - r :]
+    for _ in range(dim):
+        np.matmul(C.reshape(1, rows, p * p), A, out=out.reshape(p, rows, p))
         C, out = out, C
     return C
 
@@ -242,24 +256,27 @@ def _conj_products(A: np.ndarray, p: int) -> np.ndarray:
     return prod.T
 
 
-def char_weight_transform(space: Space, counts: np.ndarray) -> WalshSpectrum:
-    """T(a) = sum_x w(x) zeta^{-<a,x>} for per-point ring weights given as
-    exponent counts counts[j, x]; counts is used as scratch."""
-    if space.size > walsh_cap():
-        raise SizeGuard(f"p^n = {space.size} exceeds the transform cap")
-    if (space.p - 1) ** 2 * space.size ** 2 >= 2 ** 63:
-        raise SizeGuard(f"p^n = {space.size}: (p-1)^2 p^(2n) overflows int64 norms")
-    G = _digit_transform(counts, space.p, space.dim)
-    G[:-1] -= G[-1]  # zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2})
-    return WalshSpectrum(space, G[:-1, space.dual].T)
+def char_weight_transform(space: Space, points, exponents) -> WalshSpectrum:
+    """T(a) = sum over x in points of zeta^{e(x) - <a,x>}, where points are
+    distinct ranks and exponents holds e(x) for each of them (or one e for
+    all).  The counts C[x, j] are one-hot, so no count of the transform
+    exceeds p^n; the float dtype is chosen from that bound."""
+    N, p = space.size, space.p
+    if N > walsh_cap():
+        raise SizeGuard(f"p^n = {N} exceeds the transform cap")
+    if (p - 1) ** 2 * N ** 2 >= 2 ** 63:
+        raise SizeGuard(f"p^n = {N}: (p-1)^2 p^(2n) overflows int64 norms")
+    C = np.zeros((N, p), dtype=exact_float_dtype(N))
+    C[points, exponents] = 1
+    G = _digit_transform(C, p, space.dim)
+    del C  # frees the other buffer when the result is not C
+    G[:, :-1] -= G[:, -1:]  # zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2})
+    return WalshSpectrum(space, G[space.dual, :-1].astype(np.int64))
 
 
 def walsh_full(f: PAryFunction) -> WalshSpectrum:
     """Exact W_f by the fast transform."""
-    N = f.domain.size
-    C = np.zeros((f.p, N), dtype=np.int64)
-    C[f.table, np.arange(N)] = 1
-    return char_weight_transform(f.domain, C)
+    return char_weight_transform(f.domain, np.arange(f.domain.size), f.table)
 
 
 def walsh_naive(f: PAryFunction) -> list[CyclotomicInt]:
@@ -409,6 +426,13 @@ def dual_bent_certificate(
     does not prove F is not dual-bent).  Raises NotBent if some component
     of F is not bent; bentness is the same across an orbit, so the first
     non-bent c met is the least of its orbit.
+
+    The final check that sigma is injective cannot fire when every eps_c is
+    set.  A weakly regular f has f^{**}(x) = f(-x), so equal duals
+    (F_{c1})^* = (F_{c2})^* force F_{c1} = F_{c2}; then F_{c1 - c2} = 0,
+    which is not bent, and NotBent was raised first.  The check stays for F
+    with components that are not weakly regular, where that argument does
+    not hold.
     """
     if F.domain != Fstar.domain or F.codomain != Fstar.codomain:
         raise ValueError("F and Fstar must share domain and codomain")

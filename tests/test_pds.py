@@ -264,6 +264,17 @@ def test_verify_bruteforce_rejects_bad_candidates():
         verify_pds_bruteforce(sp, {1, 2}, cap=1)
 
 
+def test_verifiers_reject_repeated_members():
+    # counted with its repeats, the list gave k = 8 for a 4-element set
+    sp = prime_space(3, 2)
+    members = [1, 2, 3, 6]
+    assert verify_pds_bruteforce(sp, members).as_tuple() == (9, 4, 1, 2)
+    with pytest.raises(ValueError):
+        verify_pds_bruteforce(sp, members * 2)
+    with pytest.raises(ValueError):
+        verify_pds_characters(sp, members * 2, PdsParams(9, 4, 1, 2))
+
+
 def test_verify_bruteforce_detects_non_pds():
     # {x, -x, y, -y} with unbalanced differences in F_3^4
     sp = prime_space(3, 4)

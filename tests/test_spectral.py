@@ -8,6 +8,7 @@ from bentpds import spectral
 from bentpds.cyclo import CyclotomicInt, automorphism, conj_norm, conjugate, gauss_sum
 from bentpds.errors import MatchFailure, NotBent, PreconditionF0, SizeGuard, ZeroComponent
 from bentpds.field import canonical_field
+from bentpds.limits import exact_float_dtype
 from bentpds.space import Space, prime_space
 from bentpds.spectral import (
     DualBentCertificate,
@@ -104,6 +105,8 @@ FAST_VS_NAIVE_SPACES = [
     prime_space(7, 2),
     Space([canonical_field(7, 2)]),
     prime_space(5, 3),
+    prime_space(11, 2),
+    prime_space(13, 2),
 ]
 
 
@@ -302,6 +305,28 @@ def test_dual_of_dual_is_negated_argument():
         assert cl2.is_bent
         sp = f.domain
         assert all(cl2.dual(x) == f(sp.negate(x)) for x in range(sp.size))
+
+
+@pytest.mark.parametrize("p, dim", [(3, 6), (7, 3)])
+def test_digit_transform_float64_equals_float32(p, dim):
+    # tier-1 spaces all take float32; the float64 passes must agree with it
+    N = p ** dim
+    table = np.array(_random_table(prime_space(p, dim), 5))
+    slabs = {}
+    for dtype in (np.float32, np.float64):
+        C = np.zeros((N, p), dtype=dtype)
+        C[np.arange(N), table] = 1
+        slabs[dtype] = spectral._digit_transform(C, p, dim)
+        assert slabs[dtype].dtype == dtype
+    assert np.array_equal(slabs[np.float32], slabs[np.float64])
+
+
+def test_exact_float_dtype_boundaries():
+    assert exact_float_dtype(2 ** 24 - 1) == np.float32
+    assert exact_float_dtype(2 ** 24) == np.float64
+    assert exact_float_dtype(2 ** 53 - 1) == np.float64
+    with pytest.raises(SizeGuard):
+        exact_float_dtype(2 ** 53)
 
 
 def test_walsh_size_guard():

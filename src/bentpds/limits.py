@@ -4,10 +4,10 @@ All tables in this toolkit are explicit, so hard caps keep accidental
 huge inputs from hanging a session.  BENT_SIZE_CAP in the environment
 overrides the field and construction, transform and pair-count guards.
 
-The radix-p transform (one float product per digit pass, its counts at
-most p^n) and the dense pair counter (float32 indicator products, its
-counts at most q2) run on BLAS.  Every entry and partial sum of their
-products is an integer bounded in advance, so exact_float_dtype turns that
+The radix-p transform (float counts at most p^n, one BLAS product or p^2
+slice-adds per digit pass) and the dense pair counter (float32 indicator
+products, counts at most q2) sum counts in floats.  Every entry and
+partial sum is an integer bounded in advance, so exact_float_dtype turns that
 bound into the narrowest float dtype in which it is exact, and refuses a
 bound that no float dtype holds.
 """

@@ -7,11 +7,13 @@ per GF(p)-coordinate.  Ring arrays in the transform are exponent counts of
 shape (p^n, p), C[x, j] = the coefficient of zeta^j at x, with the exponent
 axis last.  A pass multiplies by zeta^{-u t} (t the digit of x, u that of
 the frequency), which sends exponent j to j - u t: a fixed 0/1 map on the
-p^2 (t, j) pairs.  Digit 0 of x sits next to j, so a pass is one stacked
-BLAS product of C.reshape(1, p^n / p, p^2) with a (p, p^2, p) matrix.  It
+p^2 (t, j) pairs.  Digit 0 of x sits next to j, so for p <= 13 a pass is
+one stacked BLAS product of C.reshape(1, p^n / p, p^2) with a (p, p^2, p)
+matrix.  Only 1 in p of its p^4 entries is nonzero, so for larger p a pass
+is p^2 slice-adds of shifted exponent rows instead.  Either way the pass
 writes u above the remaining digits (Stockham order), so after n passes the
 frequencies are in natural order with no transpose or digit reversal.  The
-products run in floats: every entry and partial sum counts points x, so its
+counts are floats: every entry and partial sum counts points x, so its
 magnitude is at most p^n, exact in float32 while p^n < 2^24 and in float64
 while p^n < 2^53 (limits.exact_float_dtype).  The result is reduced to the
 basis {1, zeta, ..., zeta^{p-2}} once, by the
@@ -185,7 +187,14 @@ def flatten_domain(f: PAryFunction) -> PAryFunction:
 # the radix-p transform
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+# Largest p whose passes take the dense product.  Its matrix holds p^4
+# entries, only 1 in p of them nonzero, so a pass costs p^3 N multiply-adds
+# against the p^2 N adds of the shifts; BLAS outruns the shifts up to about
+# p = 17, and past that the shifts win by a growing factor.
+DENSE_PASS_MAX_P = 13
+
+
+@lru_cache(maxsize=None)  # one entry per (p <= DENSE_PASS_MAX_P, dtype)
 def _pass_matrix(p: int, dtype: np.dtype) -> np.ndarray:
     """A[u, t p + j, j'] = 1 iff j' = j - u t (mod p): the digit pass that
     takes the count at (digit t, exponent j) to (digit u, exponent j').
@@ -197,21 +206,43 @@ def _pass_matrix(p: int, dtype: np.dtype) -> np.ndarray:
     return A
 
 
+def _dense_pass(C: np.ndarray, out: np.ndarray, p: int) -> None:
+    rows = C.shape[0] // p
+    np.matmul(C.reshape(1, rows, p * p), _pass_matrix(p, C.dtype),
+              out=out.reshape(p, rows, p))
+
+
+def _shift_pass(C: np.ndarray, out: np.ndarray, p: int) -> None:
+    """The same pass as _dense_pass in p^2 adds of N counts: digit t
+    reaches digit u shifted by u t on the exponent axis, read as one slice
+    of the counts of t written twice."""
+    rows = C.shape[0] // p
+    V = C.reshape(rows, p, p)
+    W = out.reshape(p, rows, p)
+    W[:] = V[:, 0]  # t = 0 shifts nothing
+    twice = np.empty((rows, 2 * p), dtype=C.dtype)
+    for t in range(1, p):
+        twice[:, :p] = twice[:, p:] = V[:, t]
+        for u in range(p):
+            r = u * t % p
+            W[u] += twice[:, r : r + p]
+
+
 def _digit_transform(C: np.ndarray, p: int, dim: int) -> np.ndarray:
     """Turn float exponent counts C[x, j] (the weight at x is
     sum_j C[x, j] zeta^j) into the counts of
-    G(u) = sum_x weight(x) zeta^{-sum_k u_k x_k}, one product per digit.
-    Each pass contracts digit 0 of x and the exponent against _pass_matrix
-    and writes the new digit u on top, so after dim passes u is in natural
-    order.  Exact while exact_float_dtype(sum |C|) is no wider than C's
-    dtype: no entry or partial sum exceeds sum |C|.  Two buffers swap
-    roles between passes, C being one of them; returns the one holding the
-    result."""
-    A = _pass_matrix(p, C.dtype)
-    rows = C.shape[0] // p
+    G(u) = sum_x weight(x) zeta^{-sum_k u_k x_k}, one pass per digit.
+    Each pass contracts digit 0 of x and the exponent and writes the new
+    digit u on top, so after dim passes u is in natural order.  A pass is
+    the product with _pass_matrix for p <= DENSE_PASS_MAX_P and the shifts
+    of _shift_pass above it.  Exact while exact_float_dtype(sum |C|) is no
+    wider than C's dtype: no entry or partial sum exceeds sum |C|.  Two
+    buffers swap roles between passes, C being one of them; returns the one
+    holding the result."""
+    digit_pass = _dense_pass if p <= DENSE_PASS_MAX_P else _shift_pass
     out = np.empty_like(C)
     for _ in range(dim):
-        np.matmul(C.reshape(1, rows, p * p), A, out=out.reshape(p, rows, p))
+        digit_pass(C, out, p)
         C, out = out, C
     return C
 

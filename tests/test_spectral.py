@@ -107,6 +107,8 @@ FAST_VS_NAIVE_SPACES = [
     prime_space(5, 3),
     prime_space(11, 2),
     prime_space(13, 2),
+    prime_space(17, 2),
+    prime_space(211, 1),
 ]
 
 
@@ -307,7 +309,7 @@ def test_dual_of_dual_is_negated_argument():
         assert all(cl2.dual(x) == f(sp.negate(x)) for x in range(sp.size))
 
 
-@pytest.mark.parametrize("p, dim", [(3, 6), (7, 3)])
+@pytest.mark.parametrize("p, dim", [(3, 6), (7, 3), (17, 2)])
 def test_digit_transform_float64_equals_float32(p, dim):
     # tier-1 spaces all take float32; the float64 passes must agree with it
     N = p ** dim
@@ -319,6 +321,31 @@ def test_digit_transform_float64_equals_float32(p, dim):
         slabs[dtype] = spectral._digit_transform(C, p, dim)
         assert slabs[dtype].dtype == dtype
     assert np.array_equal(slabs[np.float32], slabs[np.float64])
+
+
+@pytest.mark.parametrize("p, dim", [(3, 5), (7, 3), (13, 2)])
+def test_shift_pass_equals_dense_pass(p, dim):
+    N = p ** dim
+    C = np.zeros((N, p), dtype=np.float32)
+    C[np.arange(N), np.array(_random_table(prime_space(p, dim), 7))] = 1
+    dense, shifted = np.empty_like(C), np.empty_like(C)
+    spectral._dense_pass(C, dense, p)
+    spectral._shift_pass(C, shifted, p)
+    assert np.array_equal(dense, shifted)
+
+
+def test_large_prime_transform_builds_no_dense_matrix():
+    # a (p, p^2, p) matrix at p = 211 would hold about 2e9 entries
+    spectral._pass_matrix.cache_clear()
+    sp = prime_space(211, 2)
+    table = np.array(_random_table(sp, 3))
+    table[0] = 0
+    W = walsh_full(PAryFunction(sp, table))
+    assert spectral._pass_matrix.cache_info().currsize == 0
+    # W(0) = sum_x zeta^f(x), and sum_a W(a) = p^n zeta^f(0) = p^n
+    counts = np.bincount(table, minlength=sp.p).tolist()
+    assert W[0] == CyclotomicInt.from_exponent_counts(sp.p, counts)
+    assert W.coeff_rows.sum(axis=0).tolist() == [sp.size] + [0] * (sp.p - 2)
 
 
 def test_exact_float_dtype_boundaries():

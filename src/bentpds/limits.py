@@ -20,7 +20,9 @@ from .errors import SizeGuard
 TABLE_CAP = 3 ** 14          # largest p^m of a field, p^n of a construction
 WALSH_CAP = 3 ** 12          # largest p^n a transform will process
 # largest |D| the pair-count verifier accepts; it bounds both of its routes:
-# |D|^2 gathers, or v^2 / 2 multiply-adds with v <= 16 |D|
+# |D|^2 gathers, or, with v <= 16 |D|, 1 + (q2 - 1) / |S| indicator products
+# of about v q1 multiply-adds each (q1 q2 = v, S the scalars fixing D up to
+# sign, |S| >= 2), at most about v^2 / 2 multiply-adds
 PAIR_CAP = 65536
 
 

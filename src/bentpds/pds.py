@@ -6,10 +6,12 @@ character criterion).
 
 Difference counting has two exact routes, chosen by density: a sparse set
 (16 |D| < v) gathers one table entry per ordered pair, |D|^2 in all; a dense
-one multiplies float32 indicator matrices, one product per high-digit
-difference, about v^2 / 2 multiply-adds.  Preimage sets of the theorems have
-|D| near |A| p^{n-s}, so most are dense.  Neither route uses a character
-transform.
+one multiplies float32 indicator matrices, one product per orbit of
+high-digit differences under the scalars S that fix D up to sign,
+1 + (q2 - 1) / |S| products of about v q1 multiply-adds each.  Preimage sets
+of the theorems have |D| near |A| p^{n-s}, so most are dense, and those of
+an l-form are unions of GF(p)^*-orbits, so |S| = p - 1.  Neither route uses
+a character transform, and the character route counts no difference.
 
 All parameter formulas are evaluated over exact rationals (the p^{n/2-s}
 factor may carry a negative exponent) and must land on integers;
@@ -26,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclo import CyclotomicInt
+from .cyclo import CyclotomicInt, gauss_sum
 from .errors import (
     ContainsZero,
     FormulaMismatch,
@@ -40,7 +42,7 @@ from .errors import (
 )
 from .field import Field, canonical_field, is_prime
 from .limits import exact_float_dtype, pair_cap
-from .space import Space
+from .space import Space, prime_space
 from .spectral import (
     DualBentCertificate,
     VectorialFunction,
@@ -507,16 +509,41 @@ def _gather_counts(space: Space, Dv: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _scaling(p: int, width: int, lam: int) -> np.ndarray:
+    """x -> lam x on width base-p digits, as a rank array; at width 0 the
+    one rank 0."""
+    return prime_space(p, width).scaled(lam) if width else np.zeros(1, dtype=np.int64)
+
+
+def _orbit_group(p: int, h1: int, h2: int, M: np.ndarray, hi: np.ndarray,
+                 lo: np.ndarray) -> list[int]:
+    """S = {+-1} . {lam in GF(p)^* : lam D = D}, ascending, for D given by
+    its indicator M[hi, lo] and the high and low digit blocks hi, lo of its
+    ranks, h2 and h1 digits wide.
+
+    count(lam g) = count(g) for every lam in S: -1 swaps the pair order,
+    and lam D = D maps the pairs of g onto those of lam g.  Each lam not yet
+    in S costs one O(|D|) test of lam D in D on the indicator, at most
+    p - 3 tests in all and none at p = 3."""
+    S = {1, p - 1}
+    for lam in range(2, p - 1):
+        if lam not in S and M[_scaling(p, h2, lam)[hi], _scaling(p, h1, lam)[lo]].all():
+            S = {s * pow(lam, k, p) % p for s in S for k in range(p - 1)}
+    return sorted(S)
+
+
 def _dense_counts(space: Space, Dv: np.ndarray) -> np.ndarray:
     """The same counts from the indicator matrix M[hi, lo] of D, with a rank
     split into the low and high digit blocks of _gather_counts.  For a
-    high-digit difference gh, S = M^T M[hi - gh] counts the h with (h, l1)
-    and (h - gh, l2) in D, and binning S by the low-digit difference
-    t_lo[l1, l2] gives the row counts[gh, :].  Since count(-g) = count(g),
-    only gh = 0 and one gh of each pair {gh, -gh} are multiplied: about
-    v^2 / 2 multiply-adds, whatever |D| is.
+    high-digit difference gh, P = M^T M[hi - gh] counts the h with (h, l1)
+    and (h - gh, l2) in D, and binning P by the low-digit difference
+    t_lo[l1, l2] gives the row counts[gh, :].  Since count(lam g) = count(g)
+    for lam in the orbit group S of _orbit_group, only the least gh of each
+    S-orbit is multiplied, 1 + (q2 - 1) / |S| products of about v q1
+    multiply-adds each, whatever |D| is; the row of lam gh is the row of gh
+    read through the low-block map y -> y / lam.
 
-    The products run in float32.  An entry of S, and every partial sum
+    The products run in float32.  An entry of P, and every partial sum
     behind it, is an integer in [0, q2] with q2 = p^(dim - h1) high-digit
     values, so the arithmetic is exact while exact_float_dtype(q2) is
     float32; past that this raises SizeGuard before building anything.
@@ -529,17 +556,23 @@ def _dense_counts(space: Space, Dv: np.ndarray) -> np.ndarray:
         raise SizeGuard(f"{q2} high-digit values are not exact in float32")
     t_lo = _half_sub_table(p, h1)
     t_hi = _half_sub_table(p, dim - h1)
+    hi, lo = Dv // q1, Dv % q1
     M = np.zeros((q2, q1), dtype=np.float32)
-    M[Dv // q1, Dv % q1] = 1
+    M[hi, lo] = 1
+    S = _orbit_group(p, h1, dim - h1, M, hi, lo)
+    # the least rank of each S-orbit; 0 is an orbit of its own, listed first
+    orbit_min = ranks = np.arange(q2)
+    for lam in S[1:]:
+        orbit_min = np.minimum(orbit_min, _scaling(p, dim - h1, lam))
+    reps = np.flatnonzero(orbit_min == ranks)
     counts = np.zeros((q2, q1), dtype=np.int64)
-    mirror = np.arange(q2) > t_hi[0]    # rows gh whose row -gh is multiplied
-    for gh in np.flatnonzero(~mirror):
-        S = M.T @ M[t_hi[:, gh]]
-        counts[gh] = np.bincount(t_lo.ravel(), weights=S.ravel(), minlength=q1)
-    counts = counts.ravel()
-    rest = np.flatnonzero(np.repeat(mirror, q1))
-    counts[rest] = counts[space.neg[rest]]
-    return counts
+    for gh in reps:
+        P = M.T @ M[t_hi[:, gh]]
+        counts[gh] = np.bincount(t_lo.ravel(), weights=P.ravel(), minlength=q1)
+    rows = counts[reps[1:]]
+    for lam in S[1:]:
+        counts[_scaling(p, dim - h1, lam)[reps[1:]]] = rows[:, _scaling(p, h1, pow(lam, -1, p))]
+    return counts.ravel()
 
 
 def verify_pds_bruteforce(space: Space, D, cap: int | None = None) -> PdsParams | None:
@@ -550,11 +583,13 @@ def verify_pds_bruteforce(space: Space, D, cap: int | None = None) -> PdsParams 
 
     Both counting routes are exact difference counting and never use a
     character transform.  A sparse set goes through _gather_counts, |D|^2
-    table lookups; a set with 16 |D| >= v goes through _dense_counts, about
-    v^2 / 2 float32 multiply-adds.  The rule sits at the measured crossover:
-    with single-threaded BLAS on a 2-vCPU Xeon VM, on random symmetric sets
-    at 3^8, 3^10, 3^12, 5^6 and 7^6, gathering won at |D| = v / 64 and the
-    product won at |D| = v / 16.  Both routes stay because sparse sets
+    table lookups; a set with 16 |D| >= v goes through _dense_counts,
+    1 + (q2 - 1) / |S| float32 products of about v q1 multiply-adds each
+    (q1 q2 = v; |S| >= 2 scalars fix D up to sign), at most about v^2 / 2
+    multiply-adds.  The rule sits at the measured crossover: with
+    single-threaded BLAS on a 2-vCPU Xeon VM, on random symmetric sets
+    (|S| = 2) at 3^8, 3^10, 3^12, 5^6 and 7^6, gathering won at
+    |D| = v / 64 and the product won at |D| = v / 16.  Both routes stay because sparse sets
     occur: at 3^12 with |D| = v / 256, the size of a D_0 with s = m,
     gathering takes 0.17 s and the product 3.9 s.  The cap bounds both
     routes: the product runs only when v <= 16 |D| <= 16 cap."""
@@ -582,36 +617,54 @@ def verify_pds_bruteforce(space: Space, D, cap: int | None = None) -> PdsParams 
     return PdsParams(v, N, lam, mu)
 
 
+def _ring_sqrt(p: int, delta: int) -> tuple[int, ...] | None:
+    """A square root of delta >= 0 in Z[zeta_p] as a coefficient row, or
+    None when it has none.  Q(sqrt(p*)), p* = +-p = 1 mod 4, is the only
+    quadratic subfield of Q(zeta_p), so a non-square delta has a root there
+    only as d g with delta = p* d^2 and the Gauss sum g, g^2 = p*."""
+    root = math.isqrt(delta)
+    if root * root == delta:
+        return (root,) + (0,) * (p - 2)
+    d2, rem = divmod(delta, p if p % 4 == 1 else -p)
+    d = math.isqrt(d2) if d2 > 0 else 0
+    if rem or d * d != d2:
+        return None
+    return (d * gauss_sum(p)).coeffs
+
+
 def verify_pds_characters(space: Space, D, candidate: PdsParams) -> bool:
     """Character criterion: D (with -D = D, 0 not in D, |D| = k) is a
     (v, k, lambda, mu) PDS iff every nontrivial character sum lies in
     { (beta +- sqrt(Delta)) / 2 }.  All p^n sums come out of one transform
-    of the indicator table.  A non-square Delta makes the integer criterion
-    inapplicable; the check then falls back to difference counting."""
+    of the indicator table and are compared as coefficient rows in
+    Z[zeta_p]: 2 chi(D) = beta +- sqrt(Delta), with sqrt(Delta) an integer
+    or d g for Delta = p* d^2.  Any other Delta, and a negative one (the
+    sums of a symmetric set are real), rejects without a transform.  No
+    difference is counted."""
     members = _members(D)
     Dv = _candidacy(space, members)
     if candidate.v != space.size or candidate.k != Dv.size:
         return False
     if Dv.size == 0:
-        return True
-    delta = candidate.delta
-    if delta < 0:
+        return candidate.mu == 0  # no pair differs by anything; lambda is vacuous
+    p, delta = space.p, candidate.delta
+    root = _ring_sqrt(p, delta) if delta >= 0 else None
+    if root is None:
         return False
-    root = math.isqrt(delta)
-    if root * root != delta:
-        # Delta is not a square: the integer form does not apply, so
-        # decide by difference counting
-        observed = verify_pds_bruteforce(space, members)
-        return observed is not None and params_match(candidate, observed)
-    if (candidate.beta + root) % 2 != 0:
+    # r1, r2 = (beta +- sqrt(Delta)) / 2 as coefficient rows, r1 + r2 = beta
+    twice_r1 = (candidate.beta + root[0],) + root[1:]
+    if any(c % 2 for c in twice_r1):
         return False
-    r1 = (candidate.beta + root) // 2
-    r2 = (candidate.beta - root) // 2
+    r1 = [c // 2 for c in twice_r1]
+    r2 = [candidate.beta - r1[0]] + [-c for c in r1[1:]]
     T = char_weight_transform(space, Dv, 0)
     A = T.coeff_rows[1:]  # chi_u(D) over u != 0, up to the u -> -u relabeling
-    scalar = (A[:, 1:] == 0).all(axis=1)
-    allowed = (A[:, 0] == r1) | (A[:, 0] == r2)
-    return bool((scalar & allowed).all())
+    # column by column: a reduction along the short row axis is ~8x slower
+    is_r1, is_r2 = A[:, 0] == r1[0], A[:, 0] == r2[0]
+    for j in range(1, p - 1):
+        is_r1 &= A[:, j] == r1[j]
+        is_r2 &= A[:, j] == r2[j]
+    return bool((is_r1 | is_r2).all())
 
 
 __all__ = [

@@ -9,8 +9,10 @@ transform relies on.
 The inner product follows the usual convention: plain product on GF(p)
 factors, Tr_1^m(a b) on extension factors, summed mod p.  The whole-space
 maps x -> -x, x -> c x and a -> dual(a) are built once per space as rank
-arrays; the scalar rank methods (split, join, digits, inner_product) stay
-per point for the oracles.
+arrays, by composing a map on each digit (scaling) or on each factor (the
+dual) in O(N), with no division pass over the N ranks; the scalar rank
+methods (split, join, digits, inner_product) stay per point for the
+oracles.
 """
 from __future__ import annotations
 
@@ -81,12 +83,7 @@ class Space:
         p = self.p
         c %= p
         if c not in self._scaled:
-            ranks = np.arange(self.size, dtype=np.int64)
-            perm = np.zeros_like(ranks)
-            for k in range(self.dim):
-                digit = ranks // p ** k % p
-                perm += c * digit % p * p ** k
-            self._scaled[c] = perm
+            self._scaled[c] = _compose([c * np.arange(p, dtype=np.int64) % p] * self.dim)
         return self._scaled[c]
 
     @property
@@ -99,13 +96,11 @@ class Space:
         """dual[a] = the rank u with <a, x> = sum_k u_k x_k (digitwise mod p)
         for all x.  On an extension factor, u packs the digits
         (Tr_1^m(a x^j))_j."""
-        ranks = np.arange(self.size, dtype=np.int64)
-        perm = np.zeros_like(ranks)
-        for f, shift in zip(self.factors, self._shifts):
+        blocks = []
+        for f in self.factors:
             r = np.arange(f.size, dtype=np.int64)
-            block = sum(f.trace(1, f.mul(r, f.p ** j)) * f.p ** j for j in range(f.m))
-            perm += block[ranks // shift % f.size] * shift
-        return perm
+            blocks.append(sum(f.trace(1, f.mul(r, f.p ** j)) * f.p ** j for j in range(f.m)))
+        return _compose(blocks)
 
     def scalar_mul(self, c: int, x: int) -> int:
         return int(self.scaled(c)[x])
@@ -145,6 +140,16 @@ class Space:
     @classmethod
     def from_list(cls, lst) -> "Space":
         return cls([Field.from_dict(d) for d in lst])
+
+
+def _compose(blocks) -> np.ndarray:
+    """The rank map that acts as blocks[i] on the i-th block of digits, least
+    significant first: each block multiplies the table built so far by its
+    size, so the cost is O(N) with no division pass over the N ranks."""
+    perm = np.zeros(1, dtype=np.int64)
+    for block in blocks:
+        perm = (block[:, None] * perm.size + perm).ravel()
+    return perm
 
 
 @lru_cache(maxsize=None)

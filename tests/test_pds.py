@@ -2,7 +2,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bentpds import pds
 from bentpds.constructions import mm_power, quad_trace
@@ -282,8 +282,9 @@ def test_verify_bruteforce_detects_non_pds():
     assert verify_pds_bruteforce(sp, D) is None
 
 
-# every p^dim <= 7^4, so q2 = 1 at dim = 1 and q1 != q2 at odd dim
-COUNT_SPACES = [prime_space(p, dim) for p in (3, 5, 7) for dim in range(1, 7)
+# every p^dim <= 7^4, so q2 = 1 at dim = 1 and q1 != q2 at odd dim; at
+# p = 13 the orbit group S can have order 2, 4, 6 or 12
+COUNT_SPACES = [prime_space(p, dim) for p in (3, 5, 7, 13) for dim in range(1, 7)
                 if p ** dim <= 7 ** 4]
 
 
@@ -291,16 +292,35 @@ COUNT_SPACES = [prime_space(p, dim) for p in (3, 5, 7) for dim in range(1, 7)
 @given(st.data())
 def test_dense_counts_equal_gather_counts(data):
     """Both pair-count routes give the same difference counts on any set,
-    symmetric or not, with or without 0, sparse or dense."""
+    symmetric or not, with or without 0, sparse or dense.  The set is closed
+    under a random subgroup H of GF(p)^*, which need not contain -1, and
+    the dense route's orbit group is exactly {+-1} . {lam : lam D = D}."""
     sp = data.draw(st.sampled_from(COUNT_SPACES), label="space")
+    p, dim = sp.p, sp.dim
+    order = data.draw(st.sampled_from([h for h in range(1, p) if (p - 1) % h == 0]), label="|H|")
     size = data.draw(st.integers(1, sp.size), label="size")
     seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
-    Dv = np.sort(np.random.default_rng(seed).choice(sp.size, size, replace=False))
+    with_zero = data.draw(st.booleans(), label="0 in D")
+    g = pow(canonical_field(p, 1).primitive_element, (p - 1) // order, p)
+    drawn = np.random.default_rng(seed).choice(sp.size, size, replace=False)
+    Dv = np.unique(np.concatenate([sp.scaled(g ** k)[drawn] for k in range(order)]))
+    Dv = np.union1d(Dv, [0]) if with_zero else Dv[Dv != 0]
+    assume(Dv.size)
     assert np.array_equal(pds._dense_counts(sp, Dv), pds._gather_counts(sp, Dv))
+
+    h1 = (dim + 1) // 2
+    q1 = p ** h1
+    M = np.zeros((p ** (dim - h1), q1), dtype=np.float32)
+    M[Dv // q1, Dv % q1] = 1
+    members, mirror = set(Dv.tolist()), set(sp.neg[Dv].tolist())
+    expected = [lam for lam in range(1, p)
+                if set(sp.scaled(lam)[Dv].tolist()) in (members, mirror)]
+    assert pds._orbit_group(p, h1, dim - h1, M, Dv // q1, Dv % q1) == expected
+    assert {g ** k % p for k in range(order)} <= set(expected)
 
 
 def _refuse(*args):
-    raise AssertionError("the other route was selected")
+    raise AssertionError("a route that must not run was called")
 
 
 def test_pair_count_route_follows_set_density(monkeypatch):
@@ -334,15 +354,43 @@ def test_verify_characters_whole_punctured_group():
     assert verify_pds_characters(sp, D, PdsParams(9, 8, 7, 0))
 
 
-def test_verify_characters_non_square_delta_falls_back():
+def test_verify_characters_empty_set():
+    # lambda is vacuous and mu = 0, as the pair counter reports
+    sp = prime_space(3, 2)
+    assert verify_pds_bruteforce(sp, frozenset()) == PdsParams(9, 0, 0, 0)
+    assert verify_pds_characters(sp, frozenset(), PdsParams(9, 0, 5, 0))
+    assert not verify_pds_characters(sp, frozenset(), PdsParams(9, 0, 0, 1))
+
+
+def test_verify_characters_decides_non_square_delta_in_the_ring(monkeypatch):
     # the quadratic residues mod 5 form a genuine (5, 2, 0, 1) PDS whose
-    # character sums are irrational: Delta = 5 forces the brute-force route
+    # character sums are irrational: Delta = 5 = p* 1^2, so sqrt(Delta) is
+    # the Gauss sum g and 2 chi(D) = beta +- g is compared in Z[zeta_5]
     sp = prime_space(5, 1)
     D = frozenset({1, 4})
     good = PdsParams(5, 2, 0, 1)
     assert good.delta == 5
+    # the Paley set: the squares of GF(125), the l = 4 coset preimage of x^2
+    paley = coset_preimage(quad_trace(5, 3, 3, 1).function, 4, 1)
+    big = paley.group
+    paley_params = PdsParams(125, 62, 30, 31)
+    assert paley_params.delta == 5 * 5 ** 2
+    assert verify_pds_bruteforce(big, paley) == paley_params
+    # one pair {x, -x} toggled out and one toggled in: same k, not a PDS
+    x = min(paley.members)
+    y = min(set(range(1, big.size)) - paley.members)
+    swapped = (paley.members - {x, big.negate(x)}) | {y, big.negate(y)}
+    assert verify_pds_bruteforce(big, swapped) is None
+
+    # from here on, no difference may be counted
+    for name in ("verify_pds_bruteforce", "_dense_counts", "_gather_counts"):
+        monkeypatch.setattr(pds, name, _refuse)
     assert verify_pds_characters(sp, D, good)
     assert not verify_pds_characters(sp, D, PdsParams(5, 2, 1, 1))
+    assert not verify_pds_characters(sp, D, PdsParams(5, 2, 0, 0))  # Delta = 8, not p* d^2
+    assert verify_pds_characters(big, paley, paley_params)
+    assert not verify_pds_characters(big, swapped, paley_params)
+    assert not verify_pds_characters(big, paley, PdsParams(125, 62, 31, 30))
 
 
 def test_verify_characters_rejects_non_rational_sums():
@@ -363,16 +411,25 @@ VERIFIER_SPACES = [
     Space([canonical_field(3, 2), canonical_field(3, 1)]),
     prime_space(3, 4),
     prime_space(5, 2),
+    prime_space(5, 3),
     Space([canonical_field(7, 2)]),
+    prime_space(13, 1),
 ]
 
 
-@settings(max_examples=60, deadline=None)
+def _lam_mu(k: int, beta: int, delta: int) -> tuple[int, int]:
+    """(lambda, mu) with lambda - mu = beta and beta^2 + 4 (k - mu) = delta."""
+    mu = k - (delta - beta * beta) // 4
+    return beta + mu, mu
+
+
+@settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_verifiers_agree_on_random_symmetric_sets(data):
     """Pair counting and the character criterion give the same verdict on
     any symmetric set, PDS or not, and any candidate parameters; candidates
-    built from integer roots r1, r2 reach the character route."""
+    built from integer roots r1, r2, or with Delta = p d^2 (p* d^2 at
+    p = 1 mod 4, decided in Z[zeta_p]), reach the character route."""
     sp = data.draw(st.sampled_from(VERIFIER_SPACES), label="space")
     reps = sorted({min(x, sp.negate(x)) for x in range(1, sp.size)})
     chosen = data.draw(st.lists(st.sampled_from(reps), unique=True), label="reps")
@@ -385,6 +442,8 @@ def test_verifiers_agree_on_random_symmetric_sets(data):
         st.tuples(st.integers(0, k), st.integers(0, k)),
         st.tuples(st.integers(-k, k), st.integers(-k, k)).map(
             lambda r: (r[0] + r[1] + k + r[0] * r[1], k + r[0] * r[1])),
+        st.tuples(st.integers(-k, k), st.integers(0, k)).map(
+            lambda r: _lam_mu(k, r[0], sp.p * (2 * r[1] + r[0] % 2) ** 2)),
     ), label="lambda, mu")
     candidate = PdsParams(sp.size, k, lam, mu)
     expected = observed is not None and params_match(candidate, observed)

@@ -8,12 +8,10 @@ from .space import Space, prime_space
 from .spectral import (
     BentClassification,
     DualBentCertificate,
-    PAryFunction,
     LformConverseReport,
     VectorialFunction,
     WalshSpectrum,
     anf,
-    as_vectorial,
     classify_bent,
     component,
     dual_bent_certificate,

@@ -124,11 +124,11 @@ def _ints(csv: str):
         raise UsageError(f"expected a comma-separated integer list, got {csv!r}")
 
 
-def _p_ary(args) -> spectral.PAryFunction:
+def _p_ary(args) -> VectorialFunction:
     F = _load(args.file)["function"]
     if F.s != 1:
         raise UsageError(f"{args.command} operates on p-ary (s = 1) functions")
-    return F.as_p_ary()
+    return F
 
 
 def _cmd_walsh(args) -> tuple[dict, int]:

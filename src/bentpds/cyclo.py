@@ -7,7 +7,7 @@ Coefficients are Python ints, hence arbitrary precision.
 """
 from __future__ import annotations
 
-from .errors import BetaZero, MixedPrime
+from .errors import MixedPrime, ZeroBeta
 
 
 class CyclotomicInt:
@@ -106,7 +106,7 @@ def automorphism(beta: int, a: CyclotomicInt) -> CyclotomicInt:
     """The ring automorphism zeta -> zeta^beta, 1 <= beta <= p-1."""
     p = a.p
     if beta % p == 0:
-        raise BetaZero("beta must be nonzero mod p")
+        raise ZeroBeta("beta must be nonzero mod p")
     beta %= p
     acc = [0] * p
     for i, c in enumerate(a.coeffs):

@@ -36,10 +36,6 @@ class MixedPrime(BentError):
     pass
 
 
-class BetaZero(BentError):
-    pass
-
-
 # spectral --------------------------------------------------------------
 class SizeGuard(BentError):
     pass
@@ -83,10 +79,6 @@ class ZeroCoefficient(BentError):
 
 
 # pds -------------------------------------------------------------------
-class NonDivisor(BentError):
-    pass
-
-
 class NotBijection(BentError):
     pass
 

@@ -1,8 +1,10 @@
 """Size guards and the exactness rule of the float BLAS routes.
 
 All tables in this toolkit are explicit, so hard caps keep accidental
-huge inputs from hanging a session.  BENT_SIZE_CAP in the environment
-overrides the field and construction, transform and pair-count guards.
+huge inputs from hanging a session.  There are two: one on the tables of
+fields and constructions, and a lower one on the points p^n that a
+transform or the pair counter will process.  BENT_SIZE_CAP in the
+environment overrides both.
 
 The radix-p transform (float counts at most p^n, one BLAS product or p^2
 slice-adds per digit pass) and the dense pair counter (float32 indicator
@@ -18,12 +20,11 @@ import numpy as np
 from .errors import SizeGuard
 
 TABLE_CAP = 3 ** 14          # largest p^m of a field, p^n of a construction
-WALSH_CAP = 3 ** 12          # largest p^n a transform will process
-# largest |D| the pair-count verifier accepts; it bounds both of its routes:
-# |D|^2 gathers, or, with v <= 16 |D|, 1 + (q2 - 1) / |S| indicator products
-# of about v q1 multiply-adds each (q1 q2 = v, S the scalars fixing D up to
-# sign, |S| >= 2), at most about v^2 / 2 multiply-adds
-PAIR_CAP = 65536
+# largest p^n a transform or the pair counter will process; pair counting
+# takes |D|^2 < v^2 / 256 gathers, or, with v <= 16 |D|, 1 + (q2 - 1) / |S|
+# indicator products of about v q1 multiply-adds each (q1 q2 = v, S the
+# scalars fixing D up to sign, |S| >= 2), at most about v^2 / 2
+WALSH_CAP = 3 ** 12
 
 
 def table_cap() -> int:
@@ -32,10 +33,6 @@ def table_cap() -> int:
 
 def walsh_cap() -> int:
     return int(os.environ.get("BENT_SIZE_CAP", WALSH_CAP))
-
-
-def pair_cap() -> int:
-    return int(os.environ.get("BENT_SIZE_CAP", PAIR_CAP))
 
 
 def exceeds(p: int, n: int, cap: int) -> bool:

@@ -11,7 +11,9 @@ high-digit differences under the scalars S that fix D up to sign,
 1 + (q2 - 1) / |S| products of about v q1 multiply-adds each.  Preimage sets
 of the theorems have |D| near |A| p^{n-s}, so most are dense, and those of
 an l-form are unions of GF(p)^*-orbits, so |S| = p - 1.  Neither route uses
-a character transform, and the character route counts no difference.
+a character transform, and the character route counts no difference.  The
+transform's point cap (limits.walsh_cap) bounds both routes, so the two
+verifiers accept the same groups.
 
 All parameter formulas are evaluated over exact rationals (the p^{n/2-s}
 factor may carry a negative exponent) and must land on integers;
@@ -33,15 +35,15 @@ from .errors import (
     ContainsZero,
     FormulaMismatch,
     HypothesisViolation,
-    NonDivisor,
     NonIntegralParameter,
+    NotADivisor,
     NotBijection,
     NotSemiprimitive,
     NotSymmetric,
     SizeGuard,
 )
 from .field import Field, canonical_field, is_prime
-from .limits import exact_float_dtype, pair_cap
+from .limits import exact_float_dtype, walsh_cap
 from .space import Space, prime_space
 from .spectral import (
     DualBentCertificate,
@@ -246,7 +248,6 @@ def preimage_sizes(F: VectorialFunction, cert: DualBentCertificate) -> dict[int,
 class SigmaReport:
     is_identity: bool
     coset_stable: bool
-    squares_stable: bool
     coset_permuting: bool
     power_exponent: int | None
     inverse_exponent: int | None
@@ -255,7 +256,9 @@ class SigmaReport:
 def sigma_predicates(codomain: Field, sigma: dict[int, int], l: int) -> SigmaReport:
     """Decide, by exhaustive set comparison, the sigma conditions the
     parameter theorems hypothesise: identity; sigma^{-1}(c) H_l = c H_l for
-    every c; sigma(S) = S; and sigma mapping every coset of H_l onto a coset.
+    every c; and sigma mapping every coset of H_l onto a coset.  At l = 2,
+    H_2 is the squares S, and sigma is a bijection of the nonzero elements,
+    so coset_stable is sigma(S) = S.
 
     When sigma is the power map c -> c^{-t}, the coset-stability test has an
     arithmetic shortcut: gcd(l, p^s - 1) | (1 + r) with t r = 1; both routes
@@ -272,8 +275,6 @@ def sigma_predicates(codomain: Field, sigma: dict[int, int], l: int) -> SigmaRep
     coset_stable = all(
         codomain.mul(inv_sigma[c], codomain.inv(c)) in H for c in range(1, q)
     )
-    S = codomain.squares()
-    squares_stable = frozenset(sigma[c] for c in S) == S
 
     coset_permuting = True
     seen = set()
@@ -301,7 +302,7 @@ def sigma_predicates(codomain: Field, sigma: dict[int, int], l: int) -> SigmaRep
     else:
         power_exponent, r = None, None
     return SigmaReport(
-        is_identity, coset_stable, squares_stable, coset_permuting, power_exponent, r
+        is_identity, coset_stable, coset_permuting, power_exponent, r
     )
 
 
@@ -360,7 +361,7 @@ def params_coset_union(
         raise HypothesisViolation("total dimension must be even")
     ps = p ** s
     if h_size <= 0 or (ps - 1) % h_size != 0:
-        raise NonDivisor(f"h_size {h_size} must divide p^s - 1 = {ps - 1}")
+        raise NotADivisor(f"h_size {h_size} must divide p^s - 1 = {ps - 1}")
     if m0 not in (0, 1):
         raise ValueError("m0 is 0 or 1")
     if not 0 <= m1 <= (ps - 1) // h_size:
@@ -405,7 +406,7 @@ def gaussian_period(p: int, s: int, t: int, a: int) -> CyclotomicInt:
     sub = canonical_field(p, s)
     sub.check_rank(a, "a")
     if t < 1 or (sub.size - 1) % t != 0:
-        raise NonDivisor(f"t = {t} must divide p^s - 1 = {sub.size - 1}")
+        raise NotADivisor(f"t = {t} must divide p^s - 1 = {sub.size - 1}")
     tr1 = sub._trace_table(1)
     counts = [0] * p
     for h in sub.subgroup_coset(t, 1).members:
@@ -575,7 +576,7 @@ def _dense_counts(space: Space, Dv: np.ndarray) -> np.ndarray:
     return counts.ravel()
 
 
-def verify_pds_bruteforce(space: Space, D, cap: int | None = None) -> PdsParams | None:
+def verify_pds_bruteforce(space: Space, D) -> PdsParams | None:
     """Count, for every nonzero g, the ordered pairs (d1, d2) in D^2 with
     d1 - d2 = g.  Returns the parameters when the count is constant on D and
     constant off D, else None.  Degenerate sets report lambda = mu = 0 for
@@ -592,14 +593,14 @@ def verify_pds_bruteforce(space: Space, D, cap: int | None = None) -> PdsParams 
     |D| = v / 64 and the product won at |D| = v / 16.  Both routes stay because sparse sets
     occur: at 3^12 with |D| = v / 256, the size of a D_0 with s = m,
     gathering takes 0.17 s and the product 3.9 s.  The cap bounds both
-    routes: the product runs only when v <= 16 |D| <= 16 cap."""
+    routes: v must be within the transform's point cap, so the two
+    verifiers accept the same groups, at under v^2 / 256 gathers or about
+    v^2 / 2 multiply-adds."""
     members = _members(D)
     Dv = _candidacy(space, members)
-    if cap is None:
-        cap = pair_cap()
-    if Dv.size > cap:
-        raise SizeGuard(f"|D| = {Dv.size} exceeds the pair-count cap {cap}")
     v = space.size
+    if v > walsh_cap():
+        raise SizeGuard(f"p^n = {v} exceeds the point cap")
     if Dv.size == 0:
         return PdsParams(v, 0, 0, 0)
     N = Dv.size

@@ -70,46 +70,10 @@ from .space import Space, prime_space
 # function tables
 # ---------------------------------------------------------------------------
 
-class PAryFunction:
-    """f: V_n -> GF(p), stored as a table indexed by point rank."""
-
-    def __init__(self, domain: Space, table):
-        table = np.asarray(table, dtype=np.int64)
-        if table.shape != (domain.size,):
-            raise ValueError(f"table must have length {domain.size}")
-        if table.size and (table.min() < 0 or table.max() >= domain.p):
-            raise ValueError("table entries must lie in [0, p)")
-        self.domain = domain
-        self.table = table
-
-    @property
-    def p(self) -> int:
-        return self.domain.p
-
-    def __call__(self, x: int) -> int:
-        return int(self.table[x])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PAryFunction)
-            and self.domain == other.domain
-            and np.array_equal(self.table, other.table)
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "space": self.domain.to_list(),
-            "codomain": {"p": self.p, "s": 1},
-            "table": self.table.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PAryFunction":
-        return cls(Space.from_list(d["space"]), d["table"])
-
-
 class VectorialFunction:
-    """F: V_n -> GF(p^s), stored as a table of codomain ranks."""
+    """F: V_n -> GF(p^s), stored as a table of codomain ranks.  A p-ary
+    function (components, duals, l-forms) is the case s = 1, with codomain
+    canonical_field(p, 1)."""
 
     def __init__(self, domain: Space, codomain: Field, table):
         if codomain.p != domain.p:
@@ -158,29 +122,26 @@ class VectorialFunction:
             d["table"],
         )
 
-    def as_p_ary(self) -> PAryFunction:
-        if self.s != 1:
-            raise ValueError("only s = 1 functions convert to p-ary")
-        return PAryFunction(self.domain, self.table)
+
+def _check_p_ary(f: VectorialFunction) -> None:
+    """Walsh spectra, ANF and l-forms are defined for values in GF(p)."""
+    if f.s != 1:
+        raise ValueError(f"a p-ary (s = 1) function is needed, got s = {f.s}")
 
 
-def as_vectorial(f: PAryFunction) -> VectorialFunction:
-    return VectorialFunction(f.domain, canonical_field(f.p, 1), f.table)
-
-
-def component(F: VectorialFunction, c: int) -> PAryFunction:
+def component(F: VectorialFunction, c: int) -> VectorialFunction:
     """F_c(x) = Tr_1^s(c F(x)) for nonzero c in the codomain."""
     if c == 0:
         raise ZeroComponent("component index must be nonzero")
     cod = F.codomain
     comp_map = cod.trace(1, cod.mul(c, np.arange(cod.size)))
-    return PAryFunction(F.domain, comp_map[F.table])
+    return VectorialFunction(F.domain, canonical_field(F.p, 1), comp_map[F.table])
 
 
-def flatten_domain(f: PAryFunction) -> PAryFunction:
+def flatten_domain(f: VectorialFunction) -> VectorialFunction:
     """Reinterpret the domain as GF(p)^n; the digit encoding makes the table
     carry over unchanged."""
-    return PAryFunction(prime_space(f.p, f.domain.dim), f.table)
+    return VectorialFunction(prime_space(f.p, f.domain.dim), f.codomain, f.table)
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +266,15 @@ def char_weight_transform(space: Space, points, exponents) -> WalshSpectrum:
     return WalshSpectrum(space, G[space.dual, :-1].astype(np.int64))
 
 
-def walsh_full(f: PAryFunction) -> WalshSpectrum:
+def walsh_full(f: VectorialFunction) -> WalshSpectrum:
     """Exact W_f by the fast transform."""
+    _check_p_ary(f)
     return char_weight_transform(f.domain, np.arange(f.domain.size), f.table)
 
 
-def walsh_naive(f: PAryFunction) -> list[CyclotomicInt]:
+def walsh_naive(f: VectorialFunction) -> list[CyclotomicInt]:
     """The O(p^{2n}) definition, kept as an independent oracle."""
+    _check_p_ary(f)
     sp, p = f.domain, f.p
     table = f.table
     out = []
@@ -333,7 +296,7 @@ class BentClassification:
     weakly_regular: bool
     regular: bool
     epsilon: int | None
-    dual: PAryFunction | None
+    dual: VectorialFunction | None
     spectrum: WalshSpectrum
 
 
@@ -371,7 +334,7 @@ def _match_candidates(rows: np.ndarray, p: int, n: int):
     return matched, cand_signs[which], cand_js[which]
 
 
-def classify_bent(f: PAryFunction) -> BentClassification:
+def classify_bent(f: VectorialFunction) -> BentClassification:
     """Decide bentness, extract the dual and the weak-regularity sign by
     exact matching of every spectrum value against the 2p candidates."""
     spectrum = walsh_full(f)
@@ -392,7 +355,7 @@ def classify_bent(f: PAryFunction) -> BentClassification:
         weakly,
         weakly and eps == 1,
         eps,
-        PAryFunction(f.domain, dual),
+        VectorialFunction(f.domain, f.codomain, dual),
         spectrum,
     )
 
@@ -518,9 +481,10 @@ def _inverse_vandermonde(p: int) -> list[list[int]]:
     return [row[p:] for row in aug]
 
 
-def anf(f: PAryFunction) -> dict[tuple[int, ...], int]:
+def anf(f: VectorialFunction) -> dict[tuple[int, ...], int]:
     """Coefficients of the unique polynomial with per-variable degree <= p-1
     agreeing with f on GF(p)^n, by iterated univariate interpolation."""
+    _check_p_ary(f)
     sp = f.domain
     if any(fac.m != 1 for fac in sp.factors):
         raise ValueError("anf needs a pure GF(p)^n domain; flatten_domain() first")
@@ -549,8 +513,9 @@ def evaluate_anf(p: int, coeffs: dict[tuple[int, ...], int], digits) -> int:
 # l-forms and the l-form converse check
 # ---------------------------------------------------------------------------
 
-def lform_exponents(f: PAryFunction) -> set[int]:
+def lform_exponents(f: VectorialFunction) -> set[int]:
     """All l in [1, p-1] with f(a x) = a^l f(x) for every scalar a != 0."""
+    _check_p_ary(f)
     sp, p = f.domain, f.p
     table = f.table
     out = set()
@@ -573,7 +538,7 @@ class LformConverseReport:
     counterexample: bool
 
 
-def lform_converse_check(f: PAryFunction) -> LformConverseReport:
+def lform_converse_check(f: VectorialFunction) -> LformConverseReport:
     """Empirical check of the l-form converse: every weakly regular
     vectorial dual-bent f with f(0) = 0 must be an l-form with
     gcd(l-1, p-1) = 1.  A certified instance with no such l would be a
@@ -585,8 +550,7 @@ def lform_converse_check(f: PAryFunction) -> LformConverseReport:
         return LformConverseReport(False, "not bent", set(), None, None, False)
     if not cl.weakly_regular:
         return LformConverseReport(False, "bent but not weakly regular", set(), None, None, False)
-    FV = as_vectorial(f)
-    cert = dual_bent_certificate(FV, as_vectorial(cl.dual))
+    cert = dual_bent_certificate(f, cl.dual)
     if cert is None:
         return LformConverseReport(
             False, "dual does not certify a vectorial dual", set(), None, None, False

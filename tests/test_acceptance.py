@@ -37,7 +37,7 @@ from bentpds.pds import (
 )
 from bentpds.space import Space, prime_space
 from bentpds.spectral import (
-    PAryFunction,
+    VectorialFunction,
     dual_bent_certificate,
     lform_converse_check,
     walsh_full,
@@ -270,19 +270,19 @@ def test_criterion_4_spectral_invariants():
         for sp in small_spaces:
             tables = [[0] * sp.size, [rng.randrange(sp.p) for _ in range(sp.size)]]
             for tab in tables:
-                f = PAryFunction(sp, tab)
+                f = VectorialFunction(sp, canonical_field(sp.p, 1), tab)
                 fast = walsh_full(f)
                 assert fast.parseval_ok()
                 naive = walsh_naive(f)
                 assert all(fast[a] == naive[a] for a in range(sp.size))
 
         bent = [
-            mm_power(3, 1, 1, 1, 1).function.as_p_ary(),
-            mm_power(5, 1, 1, 1, 1).function.as_p_ary(),
-            quad_trace(3, 2, 1, 1).function.as_p_ary(),
-            quad_trace(7, 1, 1, 1).function.as_p_ary(),
-            diag_quad(3, 1, 2, (1, 2)).function.as_p_ary(),
-            spread_bent(3, 2, 1).function.as_p_ary(),
+            mm_power(3, 1, 1, 1, 1).function,
+            mm_power(5, 1, 1, 1, 1).function,
+            quad_trace(3, 2, 1, 1).function,
+            quad_trace(7, 1, 1, 1).function,
+            diag_quad(3, 1, 2, (1, 2)).function,
+            spread_bent(3, 2, 1).function,
         ]
         assert len(bent) >= 5
         for f in bent:
@@ -290,7 +290,7 @@ def test_criterion_4_spectral_invariants():
             base = walsh_full(f)
             assert base.parseval_ok()
             for c in range(1, p):
-                scaled = walsh_full(PAryFunction(sp, (c * f.table) % p))
+                scaled = walsh_full(VectorialFunction(sp, f.codomain, (c * f.table) % p))
                 cinv = pow(c, -1, p)
                 for a in range(sp.size):
                     assert scaled[a] == automorphism(c, base[sp.scalar_mul(cinv, a)])
@@ -346,7 +346,7 @@ def test_criterion_6_lform_converse():
         checked = 0
         for pair in candidates:
             assert pair.function.domain.size <= 7 ** 4
-            rep = lform_converse_check(pair.function.as_p_ary())
+            rep = lform_converse_check(pair.function)
             assert not rep.counterexample, f"counterexample: {pair.family} {pair.params}"
             if rep.applicable:
                 assert rep.passed and math.gcd(rep.valid_exponent - 1, pair.function.p - 1) == 1

@@ -6,8 +6,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bentpds.cli import _bundle_dict, main
 from bentpds.constructions import mm_power
+from bentpds.field import canonical_field
 from bentpds.space import prime_space
-from bentpds.spectral import PAryFunction, as_vectorial
+from bentpds.spectral import VectorialFunction
 
 
 def run(capsys, *argv):
@@ -57,7 +58,7 @@ def test_construct_then_certify_pipeline(tmp_path, capsys):
 
 def test_walsh_of_zero_function(tmp_path, capsys):
     sp = prime_space(3, 2)
-    f = as_vectorial(PAryFunction(sp, [0] * 9))
+    f = VectorialFunction(sp, canonical_field(3, 1), [0] * 9)
     path = tmp_path / "zero.json"
     path.write_text(json.dumps(f.to_dict()))
     code, out = run(capsys, "walsh", "--file", str(path))
@@ -71,7 +72,7 @@ def test_classify_subcommand(tmp_path, capsys):
     sp = prime_space(3, 2)
     table = [(sp.split(r)[0] * sp.split(r)[1]) % 3 for r in range(9)]
     path = tmp_path / "xy.json"
-    path.write_text(json.dumps(as_vectorial(PAryFunction(sp, table)).to_dict()))
+    path.write_text(json.dumps(VectorialFunction(sp, canonical_field(3, 1), table).to_dict()))
     code, out = run(capsys, "classify", "--file", str(path))
     assert code == 0
     d = json.loads(out)

@@ -1,7 +1,7 @@
 import pytest
 
 from bentpds.cyclo import CyclotomicInt, automorphism, conj_norm, conjugate, gauss_sum
-from bentpds.errors import BetaZero, MixedPrime
+from bentpds.errors import MixedPrime, ZeroBeta
 
 
 def z(p, j):
@@ -35,7 +35,7 @@ def test_automorphism_examples():
     assert automorphism(1, a) == a
     assert automorphism(2, z(3, 1)).coeffs == (-1, -1)
     assert automorphism(2, CyclotomicInt(3, (1, 2))).coeffs == (-1, -2)  # 1 + 2 zeta^2
-    with pytest.raises(BetaZero):
+    with pytest.raises(ZeroBeta):
         automorphism(3, a)
 
 

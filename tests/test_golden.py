@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 
 from bentpds.cli import main
+from bentpds.field import canonical_field
 from bentpds.space import prime_space
-from bentpds.spectral import PAryFunction, as_vectorial
+from bentpds.spectral import VectorialFunction
 
 GOLDEN = [
     ("mm-power", "--p 3 --m 1 --s 1 --a 1 --e 1", "678d344a8be2201cf7d7836ede376586470189bbbc8c3ec288dfcdae8faa9a08",
@@ -165,6 +166,10 @@ PDS_GOLDEN = [
      "0bb8638b2c5d0651fd96cad1f1d490c1089fbb034d156c4879a52802b2fd9311"),
     ("quad-trace --p 5 --n 3 --s 3", "--set coset --l 4 --beta 1 --method bruteforce", 0,
      "a026f2df3429889d8368e99540524abe3ee9745819767efbea7d6cb58dbf6bfb"),
+    # D_S at the point cap 3^12, |D| = 235872, by both routes
+    ("mm-power --p 3 --m 6 --s 2",
+     "--set squares --method both --expect 531441,235872,104733,104652", 0,
+     "57615b31e9dcb67fe08bcedcf90cc378c1fde0af4f00d232a34a1c287dd24442"),
 ]
 
 
@@ -174,7 +179,7 @@ def _nonbent(p, n) -> str:
     sp = prime_space(p, n)
     table = (7 * np.minimum(np.arange(sp.size), sp.neg) + 1) % p
     table[0] = 0
-    return json.dumps(as_vectorial(PAryFunction(sp, table)).to_dict())
+    return json.dumps(VectorialFunction(sp, canonical_field(p, 1), table).to_dict())
 
 
 def _source_file(tmp_path, capsys, source) -> str:

@@ -10,8 +10,8 @@ from bentpds.cyclo import CyclotomicInt
 from bentpds.errors import (
     ContainsZero,
     HypothesisViolation,
-    NonDivisor,
     NonIntegralParameter,
+    NotADivisor,
     NotBijection,
     NotSemiprimitive,
     NotSymmetric,
@@ -110,14 +110,14 @@ def test_preimage_sizes_rejects_varying_epsilon():
 def test_sigma_predicates_identity_for_p3():
     F3 = canonical_field(3, 1)
     rep = sigma_predicates(F3, {1: 1, 2: 2}, 2)
-    assert rep.is_identity and rep.coset_stable and rep.squares_stable and rep.coset_permuting
+    assert rep.is_identity and rep.coset_stable and rep.coset_permuting
 
 
 def test_sigma_predicates_inversion_mod7():
     F7 = canonical_field(7, 1)
     inv = {c: F7.inv(c) for c in range(1, 7)}
     rep2 = sigma_predicates(F7, inv, 2)
-    assert rep2.squares_stable and rep2.coset_stable  # gcd(2,6)=2 divides 1+r=2
+    assert rep2.coset_stable  # sigma(S) = S: gcd(2,6)=2 divides 1+r=2
     rep3 = sigma_predicates(F7, inv, 3)
     assert not rep3.coset_stable  # gcd(3,6)=3 does not divide 2
     assert rep3.power_exponent == 1 and rep3.inverse_exponent == 1
@@ -174,7 +174,7 @@ def test_params_coset_union_is_single_coset_block_at_m1_1():
 
 
 def test_params_coset_union_validates():
-    with pytest.raises(NonDivisor):
+    with pytest.raises(NotADivisor):
         params_coset_union(3, 4, 2, 3, 1, 0, 1)  # 3 does not divide 8
     with pytest.raises(ValueError):
         params_coset_union(3, 4, 1, 2, 2, 0, 1)  # only one coset exists
@@ -188,7 +188,7 @@ def test_gaussian_period_brute_force_examples():
     assert gaussian_period(3, 2, 2, min(F9.nonsquares())) == -2
     # trivial subgroup: eta_a = zeta^{Tr(a)}
     assert gaussian_period(3, 2, 8, 1) == CyclotomicInt.zeta_pow(3, 2)
-    with pytest.raises(NonDivisor):
+    with pytest.raises(NotADivisor):
         gaussian_period(3, 2, 3, 1)
 
 
@@ -260,8 +260,6 @@ def test_verify_bruteforce_rejects_bad_candidates():
         verify_pds_bruteforce(sp, {0, 1})
     with pytest.raises(NotSymmetric):
         verify_pds_bruteforce(sp, {sp.join((1, 0))})
-    with pytest.raises(SizeGuard):
-        verify_pds_bruteforce(sp, {1, 2}, cap=1)
 
 
 def test_verifiers_reject_repeated_members():
@@ -332,6 +330,18 @@ def test_pair_count_route_follows_set_density(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(pds, "_gather_counts", _refuse)
         assert verify_pds_bruteforce(dense.group, dense).as_tuple() == (9, 4, 1, 2)
+
+
+def test_both_verifiers_refuse_groups_over_the_point_cap(monkeypatch):
+    # the pair counter is capped on p^n like the transform, not on |D|
+    D = zero_preimage(mm_power(3, 2, 2, 1, 1).function)
+    params = verify_pds_bruteforce(D.group, D)
+    assert params is not None and len(D) < 80
+    monkeypatch.setenv("BENT_SIZE_CAP", "80")
+    with pytest.raises(SizeGuard):
+        verify_pds_bruteforce(D.group, D)
+    with pytest.raises(SizeGuard):
+        verify_pds_characters(D.group, D, params)
 
 
 def test_dense_counts_refuse_inexact_float32():

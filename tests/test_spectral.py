@@ -12,10 +12,8 @@ from bentpds.limits import exact_float_dtype
 from bentpds.space import Space, prime_space
 from bentpds.spectral import (
     DualBentCertificate,
-    PAryFunction,
     VectorialFunction,
     anf,
-    as_vectorial,
     classify_bent,
     component,
     dual_bent_certificate,
@@ -35,18 +33,22 @@ F3 = canonical_field(3, 1)
 F9 = canonical_field(3, 2)
 
 
+def p_ary(sp, table):
+    return VectorialFunction(sp, canonical_field(sp.p, 1), table)
+
+
 def xy_function(p=3):
     sp = prime_space(p, 2)
-    return PAryFunction(sp, [(sp.split(r)[0] * sp.split(r)[1]) % p for r in range(sp.size)])
+    return p_ary(sp, [(sp.split(r)[0] * sp.split(r)[1]) % p for r in range(sp.size)])
 
 
 def quad_on_field(field, a=1, s=1):
     sp = Space([field])
-    return PAryFunction(sp, [field.trace(s, field.mul(a, field.mul(x, x))) for x in range(field.size)])
+    return p_ary(sp, [field.trace(s, field.mul(a, field.mul(x, x))) for x in range(field.size)])
 
 
 def test_walsh_of_zero_function_on_v1():
-    f = PAryFunction(prime_space(3, 1), [0, 0, 0])
+    f = p_ary(prime_space(3, 1), [0, 0, 0])
     spectrum = walsh_full(f)
     assert spectrum[0] == 3
     assert spectrum[1].is_zero() and spectrum[2].is_zero()
@@ -54,7 +56,7 @@ def test_walsh_of_zero_function_on_v1():
 
 @pytest.mark.parametrize("sp", [prime_space(3, 3), Space([F9]), prime_space(5, 2)])
 def test_walsh_of_zero_function_peaks_at_origin(sp):
-    spectrum = walsh_full(PAryFunction(sp, [0] * sp.size))
+    spectrum = walsh_full(p_ary(sp, [0] * sp.size))
     assert spectrum[0] == sp.size
     assert all(spectrum[a].is_zero() for a in range(1, sp.size))
 
@@ -75,12 +77,12 @@ def test_xy_classification():
 
 
 def test_zero_function_is_not_bent():
-    cl = classify_bent(PAryFunction(prime_space(3, 2), [0] * 9))
+    cl = classify_bent(p_ary(prime_space(3, 2), [0] * 9))
     assert not cl.is_bent and cl.dual is None and cl.epsilon is None
 
 
 def test_odd_dimension_bent_matches_gauss_candidates():
-    f = PAryFunction(prime_space(3, 1), [0, 1, 1])  # x^2 mod 3
+    f = p_ary(prime_space(3, 1), [0, 1, 1])  # x^2 mod 3
     cl = classify_bent(f)
     assert cl.is_bent and cl.weakly_regular
     # W(a) = +-g zeta^j exactly; |W|^2 = 3 for every a
@@ -116,7 +118,7 @@ FAST_VS_NAIVE_SPACES = [
 def test_fast_transform_equals_naive(sp):
     tables = [[0] * sp.size, _random_table(sp, 11), _random_table(sp, 23)]
     for tab in tables:
-        f = PAryFunction(sp, tab)
+        f = p_ary(sp, tab)
         fast = walsh_full(f)
         naive = walsh_naive(f)
         for a in range(sp.size):
@@ -145,7 +147,7 @@ def test_fast_transform_equals_naive_on_random_tables(data):
     table = data.draw(
         st.lists(st.integers(0, sp.p - 1), min_size=sp.size, max_size=sp.size), label="table"
     )
-    f = PAryFunction(sp, table)
+    f = p_ary(sp, table)
     fast, naive = walsh_full(f), walsh_naive(f)
     assert all(fast[a] == naive[a] for a in range(sp.size))
 
@@ -168,7 +170,7 @@ def test_fast_transform_equals_naive_at_3_pow_6():
         F27.trace(1, F27.mul(sp.split(r)[0], sp.split(r)[1]))
         for r in range(sp.size)
     ]
-    f = PAryFunction(sp, tab)
+    f = p_ary(sp, tab)
     fast = walsh_full(f)
     naive = walsh_naive(f)
     assert all(fast[a] == naive[a] for a in range(sp.size))
@@ -176,17 +178,26 @@ def test_fast_transform_equals_naive_at_3_pow_6():
 
 def test_component_examples():
     f = xy_function()
-    F = as_vectorial(f)
-    assert component(F, 1) == f
-    assert np.array_equal(component(F, 2).table, (2 * f.table) % 3)
+    assert component(f, 1) == f
+    assert np.array_equal(component(f, 2).table, (2 * f.table) % 3)
     with pytest.raises(ZeroComponent):
-        component(F, 0)
+        component(f, 0)
     # F(x) = x on F_9, s = 2: component 1 is the absolute trace
     sp9 = Space([F9])
     idf = VectorialFunction(sp9, F9, list(range(9)))
     comp = component(idf, 1)
     assert comp(3) == 0  # Tr(x) = 0
     assert comp(1) == 2  # Tr(1) = 2
+
+
+def test_p_ary_routines_refuse_wider_codomains():
+    from bentpds.constructions import mm_power
+
+    F = mm_power(3, 2, 2, 1, 1).function  # s = 2, F(0) = 0
+    for routine in (walsh_full, walsh_naive, classify_bent, anf, lform_exponents,
+                    lform_converse_check):
+        with pytest.raises(ValueError, match="s = 1"):
+            routine(F)
 
 
 def test_is_vectorial_bent():
@@ -208,9 +219,9 @@ def test_certificate_rejects_wrong_dual():
 
 
 def test_anf_examples():
-    assert anf(PAryFunction(prime_space(3, 1), [0, 1, 1])) == {(2,): 1}
+    assert anf(p_ary(prime_space(3, 1), [0, 1, 1])) == {(2,): 1}
     assert anf(xy_function()) == {(1, 1): 1}
-    assert anf(PAryFunction(prime_space(5, 1), [2] * 5)) == {(0,): 2}
+    assert anf(p_ary(prime_space(5, 1), [2] * 5)) == {(0,): 2}
 
 
 def test_anf_needs_prime_space():
@@ -225,7 +236,7 @@ def test_anf_needs_prime_space():
 @pytest.mark.parametrize("p,n,seed", [(3, 3, 5), (3, 4, 6), (5, 2, 7), (7, 2, 8)])
 def test_anf_round_trip(p, n, seed):
     sp = prime_space(p, n)
-    f = PAryFunction(sp, _random_table(sp, seed))
+    f = p_ary(sp, _random_table(sp, seed))
     coeffs = anf(f)
     for x in range(sp.size):
         assert evaluate_anf(p, coeffs, sp.digits(x)) == f(x)
@@ -240,14 +251,14 @@ def test_ternary_symmetric_functions_are_2_forms():
     for x in range(sp.size):
         v = rng.randrange(3)
         table[x] = table[sp.negate(x)] = v
-    assert 2 in lform_exponents(PAryFunction(sp, table))
+    assert 2 in lform_exponents(p_ary(sp, table))
 
 
 def test_lform_examples():
     assert lform_exponents(xy_function()) == {2}
-    assert lform_exponents(PAryFunction(prime_space(3, 2), [0] * 9)) == {1, 2}
-    assert lform_exponents(PAryFunction(prime_space(5, 1), [0, 1, 4, 4, 1])) == {2}
-    zero5 = PAryFunction(prime_space(5, 1), [0] * 5)
+    assert lform_exponents(p_ary(prime_space(3, 2), [0] * 9)) == {1, 2}
+    assert lform_exponents(p_ary(prime_space(5, 1), [0, 1, 4, 4, 1])) == {2}
+    zero5 = p_ary(prime_space(5, 1), [0] * 5)
     assert lform_exponents(zero5) == {1, 2, 3, 4}
 
 
@@ -263,13 +274,13 @@ def test_lform_converse_on_trace_quadratic():
 
 
 def test_lform_converse_not_applicable_for_zero():
-    rep = lform_converse_check(PAryFunction(prime_space(3, 2), [0] * 9))
+    rep = lform_converse_check(p_ary(prime_space(3, 2), [0] * 9))
     assert not rep.applicable and rep.reason == "not bent"
 
 
 def test_lform_converse_requires_f0_zero():
     with pytest.raises(PreconditionF0):
-        lform_converse_check(PAryFunction(prime_space(3, 2), [1] * 9))
+        lform_converse_check(p_ary(prime_space(3, 2), [1] * 9))
 
 
 def _bent_instances():
@@ -279,9 +290,9 @@ def _bent_instances():
         xy_function(),
         quad_on_field(F9),
         quad_on_field(F9, a=4),
-        mm_power(5, 1, 1, 1, 1).function.as_p_ary(),
-        diag_quad(3, 1, 2, (1, 2)).function.as_p_ary(),
-        spread_bent(3, 2, 1).function.as_p_ary(),
+        mm_power(5, 1, 1, 1, 1).function,
+        diag_quad(3, 1, 2, (1, 2)).function,
+        spread_bent(3, 2, 1).function,
         quad_on_field(canonical_field(7, 1)),
     ]
 
@@ -292,7 +303,7 @@ def test_scaling_automorphism_identity():
         sp, p = f.domain, f.p
         base = walsh_full(f)
         for c in range(1, p):
-            scaled = walsh_full(PAryFunction(sp, (c * f.table) % p))
+            scaled = walsh_full(p_ary(sp, (c * f.table) % p))
             cinv = pow(c, -1, p)
             for a in range(sp.size):
                 expected = automorphism(c, base[sp.scalar_mul(cinv, a)])
@@ -340,7 +351,7 @@ def test_large_prime_transform_builds_no_dense_matrix():
     sp = prime_space(211, 2)
     table = np.array(_random_table(sp, 3))
     table[0] = 0
-    W = walsh_full(PAryFunction(sp, table))
+    W = walsh_full(p_ary(sp, table))
     assert spectral._pass_matrix.cache_info().currsize == 0
     # W(0) = sum_x zeta^f(x), and sum_a W(a) = p^n zeta^f(0) = p^n
     counts = np.bincount(table, minlength=sp.p).tolist()
@@ -359,20 +370,20 @@ def test_exact_float_dtype_boundaries():
 def test_walsh_size_guard():
     sp = prime_space(3, 13)
     with pytest.raises(SizeGuard):
-        walsh_full(PAryFunction(sp, np.zeros(sp.size, dtype=np.int64)))
+        walsh_full(p_ary(sp, np.zeros(sp.size, dtype=np.int64)))
 
 
 def test_size_cap_override(monkeypatch):
     monkeypatch.setenv("BENT_SIZE_CAP", "10")
     sp = prime_space(3, 3)
     with pytest.raises(SizeGuard):
-        walsh_full(PAryFunction(sp, [0] * 27))
+        walsh_full(p_ary(sp, [0] * 27))
 
 
 def test_function_serialization_round_trip():
     f = xy_function()
-    assert PAryFunction.from_dict(f.to_dict()) == f
-    F = as_vectorial(quad_on_field(F9))
+    assert VectorialFunction.from_dict(f.to_dict()) == f
+    F = quad_on_field(F9)
     d = F.to_dict()
     assert d["codomain"] == {"p": 3, "s": 1}
     assert VectorialFunction.from_dict(d) == F
@@ -568,7 +579,7 @@ def test_candidate_keys_are_checked_distinct(monkeypatch):
 def test_classify_names_the_first_unmatched_value(monkeypatch):
     from bentpds.constructions import quad_trace
 
-    f = quad_trace(5, 3, 1, 2).function.as_p_ary()
+    f = quad_trace(5, 3, 1, 2).function
     true = walsh_full(f)
     norms = _conj_products(true.coeff_rows, 5)
     rows = true.coeff_rows.copy()

@@ -26,7 +26,6 @@ from .spectral import (
 from .constructions import (
     ConstructedPair,
     QPolynomial,
-    SpreadSystem,
     diag_quad,
     mm_power,
     mm_qpoly,

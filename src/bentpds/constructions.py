@@ -259,40 +259,21 @@ def diag_quad(p: int, s: int, m: int, coeffs) -> ConstructedPair:
 # partial-spread family
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SpreadSystem:
-    """The regular spread of GF(p^m) x GF(p^m): the line {0} x F at index 0,
-    then the lines {(x, ax)} in rank order of a."""
-
-    space: Space
-    lines: list[tuple[int, ...]]
-    perp: list[int]
-
-    def validate(self):
-        seen = set()
-        for i, line in enumerate(self.lines):
-            as_set = set(line)
-            if 0 not in as_set:
-                raise AssertionError("every spread member contains 0")
-            for j in range(i):
-                if set(self.lines[j]) & as_set != {0}:
-                    raise AssertionError("spread members must meet only at 0")
-            seen |= as_set
-        if len(seen) != self.space.size:
-            raise AssertionError("spread must cover the space")
-
-
-def regular_spread(p: int, m: int) -> SpreadSystem:
+def regular_spread(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The regular spread of GF(p^m) x GF(p^m) as (line, perp) rank arrays.
+    Line 0 is {0} x F and line 1 + a is {(x, ax)}, in rank order of a.
+    line[z] is the line through the point z = x + p^m y (line 0 for z = 0,
+    which lies on every line); perp[i] is the orthogonal complement of line
+    i under Tr(z1 x1 + z2 x2)."""
     F = canonical_field(p, m)
     q = F.size
-    dom = Space([F, F])
-    x = np.arange(q)
-    lines = [tuple((q * x).tolist())]
-    lines += [tuple((x + q * F.mul(a, x)).tolist()) for a in range(q)]
-    # orthogonal complement under Tr(z1 x1 + z2 x2): the infinity line and
-    # the a = 0 line swap; {(x, ax)} pairs with {(x, -a^{-1} x)}
-    perp = [1, 0] + (1 + F.neg(F.inv(x[1:]))).tolist()
-    return SpreadSystem(dom, lines, perp)
+    y, x = np.divmod(np.arange(q * q), q)
+    # a = y x^{q-2} = y / x off the line x = 0
+    line = np.where(x == 0, 0, 1 + F.mul(y, F.pow(x, q - 2)))
+    # the infinity line and the a = 0 line swap; {(x, ax)} pairs with
+    # {(x, -a^{-1} x)}
+    perp = np.concatenate(([1, 0], 1 + F.neg(F.inv(np.arange(1, q)))))
+    return line, perp
 
 
 def spread_bent(p: int, m: int, s: int, labeling=None, gamma0: int = 0) -> ConstructedPair:
@@ -306,7 +287,7 @@ def spread_bent(p: int, m: int, s: int, labeling=None, gamma0: int = 0) -> Const
     if s > m:
         raise ValueError("s must not exceed m")
     sub = canonical_field(p, s)
-    system = regular_spread(p, m)
+    line, perp = regular_spread(p, m)
     q = p ** m
     if labeling is None:
         labeling = [r % sub.size for r in range(q)]
@@ -317,14 +298,10 @@ def spread_bent(p: int, m: int, s: int, labeling=None, gamma0: int = 0) -> Const
     per_value = q // sub.size
     if (np.bincount(labeling, minlength=sub.size) != per_value).any():
         raise UnbalancedLabeling(f"labeling must hit every value exactly {per_value} times")
-    dom = system.space
-    # the line through each point: {0} x F for x = 0, else {(x, a x)} with
-    # a = y x^{q-2} = y / x
-    F = dom.factors[0]
-    y, x = np.divmod(np.arange(dom.size), q)
-    line = np.where(x == 0, 0, 1 + F.mul(y, F.pow(x, q - 2)))
+    F = canonical_field(p, m)
+    dom = Space([F, F])
     table = labels[line]
-    dual = labels[np.array(system.perp)[line]]
+    dual = labels[perp[line]]
     dual[0] = labels[0]
     sigma = {c: c for c in range(1, sub.size)}
     eps = {c: 1 for c in range(1, sub.size)}

@@ -211,15 +211,13 @@ class Field:
 
     @lru_cache(maxsize=None)
     def _trace_table(self, k: int) -> np.ndarray:
-        sub, embed, _ = self.subfield(k)
+        _, _, proj = self.subfield(k)
         ranks = np.arange(self.size, dtype=np.int64)
         frob = self.pow(ranks, self.p ** k)  # x -> x^{p^k} as a permutation
         total = conj = ranks
         for _ in range(self.m // k - 1):
             conj = frob[conj]
             total = self.add(total, conj)
-        proj = np.zeros(self.size, dtype=np.int64)
-        proj[embed] = np.arange(sub.size)
         return proj[total]
 
     def quadratic_character(self, a: int) -> int:
@@ -248,8 +246,9 @@ class Field:
     def subfield(self, s: int):
         """Canonical copy of GF(p^s) inside this field, s | m.
 
-        Returns (subfield, embed, project): embed[r] is the image in this
-        field of the canonical GF(p^s) rank r, project the inverse map.
+        Returns (subfield, embed, proj) with read-only int64 rank arrays:
+        embed[r] is the image in this field of the canonical GF(p^s) rank r,
+        and proj the inverse map, -1 at ranks outside the image.
         The image of the canonical generator is the least-rank root of its
         minimal polynomial inside the fixed set of x -> x^{p^s}, which is
         what makes the map a field homomorphism rather than merely a
@@ -259,7 +258,8 @@ class Field:
             raise NotADivisor(f"{s} does not divide {self.m}")
         if s == self.m:
             # a field is its own canonical degree-m subfield copy
-            embed = list(range(self.size))
+            embed = np.arange(self.size, dtype=np.int64)
+            embed.flags.writeable = False
             return self, embed, embed
         sub = canonical_field(self.p, s)
         g = sub.primitive_element
@@ -276,8 +276,9 @@ class Field:
             image_big = self.add(image_big, self.mul(c, self.pow(root, j)))
         embed = np.empty(sub.size, dtype=np.int64)
         embed[image_sub] = image_big
-        embed = embed.tolist()
-        proj = {img: r for r, img in enumerate(embed)}
+        proj = np.full(self.size, -1, dtype=np.int64)
+        proj[embed] = np.arange(sub.size)
+        embed.flags.writeable = proj.flags.writeable = False
         return sub, embed, proj
 
     # -- plumbing -----------------------------------------------------------

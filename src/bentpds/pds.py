@@ -15,10 +15,14 @@ a character transform, and the character route counts no difference.  The
 transform's point cap (limits.walsh_cap) bounds both routes, so the two
 verifiers accept the same groups.
 
-All parameter formulas are evaluated over exact rationals (the p^{n/2-s}
-factor may carry a negative exponent) and must land on integers;
-non-integrality raises instead of rounding, which surfaces hypothesis
-violations loudly.
+The (v, k, lambda, mu) parameters have one closed form, params_subset, in
+|A| and z = [0 in A] for the preimage D_A of a subset A of the codomain.
+A union of m1 cosets of a subgroup H, plus the zero preimage when m0 = 1,
+is the case |A| = m1 |H| + m0, z = m0 (params_coset_union), and the
+preimage sizes are its k at |A| = 1 (preimage_sizes).  The formula is
+evaluated over exact rationals (the p^{n/2-s} factor may carry a negative
+exponent) and must land on integers; non-integrality raises instead of
+rounding, which surfaces hypothesis violations loudly.
 """
 from __future__ import annotations
 
@@ -209,8 +213,9 @@ def char_sum_preimage(
 
 def preimage_sizes(F: VectorialFunction, cert: DualBentCertificate) -> dict[int, int]:
     """Closed-form |D_i| for a certified function with constant component
-    sign: p^{n-s} + eps (p^s - 1) p^{n/2 - s} at i = 0, else
-    p^{n-s} - eps p^{n/2 - s}; asserted against direct counts."""
+    sign eps, asserted against direct counts: the params_subset k at
+    |A| = 1 with 0 in A iff i = 0, plus the zero point at i = 0, that is
+    p^{n-s} + eps (p^s - 1) p^{n/2 - s} at i = 0, else p^{n-s} - eps p^{n/2 - s}."""
     sp, cod = F.domain, F.codomain
     n, s, p = sp.dim, cod.m, F.p
     if n % 2 != 0:
@@ -223,15 +228,12 @@ def preimage_sizes(F: VectorialFunction, cert: DualBentCertificate) -> dict[int,
     if len(eps_values) != 1 or None in eps_values:
         raise HypothesisViolation(f"component signs are not constant: {cert.epsilons}")
     eps = eps_values.pop()
-    half = Fraction(p ** (n // 2), p ** s)
-    base = Fraction(p ** n, p ** s)
+    zero = params_subset(p, n, s, 1, True, eps).k + 1
+    other = params_subset(p, n, s, 1, False, eps).k
     sizes = {}
     counts = np.bincount(F.table, minlength=cod.size)
     for i in range(cod.size):
-        if i == 0:
-            predicted = _as_int(base + eps * (cod.size - 1) * half, "|D_0|")
-        else:
-            predicted = _as_int(base - eps * half, f"|D_{i}|")
+        predicted = zero if i == 0 else other
         if predicted != int(counts[i]):
             raise FormulaMismatch(
                 f"|D_{i}| formula gives {predicted}, direct count {int(counts[i])}"
@@ -327,35 +329,43 @@ def _check_prime_power(p: int, s: int, n: int = 0) -> None:
 def params_subset(
     p: int, n: int, s: int, size_a: int, contains_zero: bool, epsilon: int
 ) -> PdsParams:
-    """The identity-sigma parameter blocks for D_A, split on 0 in A."""
+    """Parameters of D_A = { x != 0 : F(x) in A } for A in GF(p^s), sigma
+    the identity and component sign epsilon.  With |A| = a and z = [0 in A],
+
+        k      = a p^{n-s} + eps p^{n/2-s} (z p^s - a) - z
+        lambda = a^2 p^{n-2s} + eps p^{n/2-s} (p^s + (2z - 3)(a - z) - z) - 2z
+        mu     = a^2 p^{n-2s} + eps p^{n/2-s} ((2z - 1)(a - z) + z)
+
+    The one place that evaluates k, lambda and mu: params_coset_union and
+    preimage_sizes are this block at particular (a, z)."""
     _check_prime_power(p, s, n)
     if n % 2 != 0:
         raise HypothesisViolation("n must be even")
-    if not 0 <= size_a <= p ** s:
-        raise ValueError(f"size_a = {size_a} must lie in [0, p^s = {p ** s}]")
-    v = p ** n
-    half = Fraction(p ** (n // 2), p ** s)       # p^{n/2 - s}
-    base = Fraction(p ** n, p ** s)              # p^{n - s}
-    base2 = Fraction(p ** n, p ** (2 * s))       # p^{n - 2s}
-    A = size_a
-    ps = p ** s
-    if contains_zero:
-        k = A * base + epsilon * (ps - A) * half - 1
-        lam = base2 * A * A + epsilon * (ps - A) * half - 2
-        mu = base2 * A * A + epsilon * A * half
-    else:
-        k = A * base - epsilon * A * half
-        lam = base2 * A * A + epsilon * (ps - 3 * A) * half
-        mu = base2 * A * A - epsilon * A * half
-    return PdsParams(v, _as_int(k, "k"), _as_int(lam, "lambda"), _as_int(mu, "mu"))
+    if epsilon not in (1, -1):
+        raise ValueError(f"epsilon must be 1 or -1, got {epsilon}")
+    a, z, ps = size_a, 1 if contains_zero else 0, p ** s
+    if not z <= a <= ps - 1 + z:
+        raise ValueError(
+            f"size_a = {a} must lie in [{z}, {ps - 1 + z}] when 0 is "
+            f"{'' if z else 'not '}in A (p^s = {ps})"
+        )
+    half = Fraction(p ** (n // 2), ps)       # p^{n/2 - s}
+    base = Fraction(p ** n, ps)              # p^{n - s}
+    base2 = Fraction(p ** n, ps * ps)        # p^{n - 2s}
+    k = a * base + epsilon * half * (z * ps - a) - z
+    lam = base2 * a * a + epsilon * half * (ps + (2 * z - 3) * (a - z) - z) - 2 * z
+    mu = base2 * a * a + epsilon * half * ((2 * z - 1) * (a - z) + z)
+    return PdsParams(p ** n, _as_int(k, "k"), _as_int(lam, "lambda"), _as_int(mu, "mu"))
 
 
 def params_coset_union(
     p: int, n_total: int, s: int, h_size: int, m1: int, m0: int, epsilon: int
 ) -> PdsParams:
     """Parameters of a union of m1 distinct H-cosets preimages (|H| = h_size)
-    and, when m0 = 1, the zero preimage.  m1 = 1, m0 = 0 is the single-coset
-    block shared by the coset-stability and semiprimitive theorems."""
+    and, when m0 = 1, the zero preimage: the params_subset block at
+    |A| = m1 |H| + m0 with 0 in A iff m0 = 1.  m1 = 1, m0 = 0 is the
+    single-coset block shared by the coset-stability and semiprimitive
+    theorems."""
     _check_prime_power(p, s, n_total)
     if n_total % 2 != 0:
         raise HypothesisViolation("total dimension must be even")
@@ -366,15 +376,7 @@ def params_coset_union(
         raise ValueError("m0 is 0 or 1")
     if not 0 <= m1 <= (ps - 1) // h_size:
         raise ValueError("m1 exceeds the number of cosets")
-    v = p ** n_total
-    half = Fraction(p ** (n_total // 2), p ** s)
-    base = Fraction(p ** n_total, p ** s)
-    base2 = Fraction(p ** n_total, p ** (2 * s))
-    size = m1 * h_size + m0
-    k = size * base + epsilon * half * (m0 * ps - size) - m0
-    lam = base2 * size * size + epsilon * half * (ps + (2 * m0 - 3) * m1 * h_size - m0) - 2 * m0
-    mu = base2 * size * size + epsilon * half * ((2 * m0 - 1) * m1 * h_size + m0)
-    return PdsParams(v, _as_int(k, "k"), _as_int(lam, "lambda"), _as_int(mu, "mu"))
+    return params_subset(p, n_total, s, m1 * h_size + m0, m0 == 1, epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +427,12 @@ def gaussian_period_semiprimitive(p: int, s: int, t: int, a: int) -> CyclotomicI
     The shifted coset w^{t/2} H_t does not depend on the primitive element
     w; that independence is asserted against a second primitive element
     rather than assumed."""
+    _check_prime_power(p, s)
+    sub = canonical_field(p, s)
+    sub.check_rank(a, "a")
     info = semiprimitive_check(p, s, t)
     if info is None:
         raise NotSemiprimitive(f"(p, s, t) = ({p}, {s}, {t}) is not semiprimitive")
-    sub = canonical_field(p, s)
     H = sub.subgroup_coset(t, 1).members
     root = p ** (s // 2)
     if info.r % 2 == 1 and ((p ** info.j + 1) // t) % 2 == 1:

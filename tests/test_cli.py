@@ -151,6 +151,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                             "--s", "1", "--labels", "0,0,0,1,1,1,2,2,9")
     assert_one_usage_record("pds-params", "--theorem", "subset", "--p", "3", "--s", "1",
                             "--n", "4", "--size-a", "9", "--eps", "1")
+    assert_one_usage_record("pds-params", "--theorem", "subset", "--p", "3", "--s", "1",
+                            "--n", "4", "--size-a", "0", "--contains-zero", "--eps", "1")
     # ranks outside their field, s = 0, and pds-params outside odd p
     for argv in (
         ["--family", "mm-power", "--p", "3", "--m", "2", "--s", "1", "--a", "99"],

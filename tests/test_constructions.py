@@ -20,6 +20,7 @@ from bentpds.errors import (
     ZeroCoefficient,
 )
 from bentpds.field import canonical_field
+from bentpds.space import Space
 from bentpds.spectral import classify_bent, component, dual_bent_certificate
 
 
@@ -146,15 +147,33 @@ def test_diag_quad_rejects_zero_coefficient():
         diag_quad(3, 1, 2, (1, 0))
 
 
+def _spread_lines(p, m):
+    """The regular spread from its definition, as point sets: {0} x F, then
+    {(x, a x)} for every a in rank order; the point (x, y) has rank x + q y."""
+    F = canonical_field(p, m)
+    q = F.size
+    lines = [{q * y for y in range(q)}]
+    lines += [{x + q * F.mul(a, x) for x in range(q)} for a in range(q)]
+    return lines
+
+
 def test_regular_spread_is_a_spread():
-    for p, m in [(3, 1), (3, 2), (5, 1)]:
-        system = regular_spread(p, m)
-        assert len(system.lines) == p ** m + 1
-        system.validate()
-        # orthogonal complements permute the spread, as an involution
-        perm = system.perp
-        assert sorted(perm) == list(range(len(system.lines)))
-        assert all(perm[perm[i]] == i for i in range(len(perm)))
+    for p, m in [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]:
+        line, perp = regular_spread(p, m)
+        lines = _spread_lines(p, m)
+        assert line.shape == (p ** (2 * m),) and len(perp) == len(lines) == p ** m + 1
+        # the lines cover the space and meet only at 0, and line[] names them
+        assert set().union(*lines) == set(range(line.size))
+        for i, points in enumerate(lines):
+            assert all(line[z] == i for z in points - {0})
+        assert line[0] == 0
+        # orthogonal complements permute the spread, as an involution, and
+        # every point of line i is orthogonal to every point of line perp[i]
+        assert sorted(perp.tolist()) == list(range(len(lines)))
+        assert all(perp[perp[i]] == i for i in range(len(perp)))
+        sp = Space([canonical_field(p, m)] * 2)
+        for i, points in enumerate(lines):
+            assert all(sp.inner_product(a, b) == 0 for a in points for b in lines[perp[i]])
 
 
 def test_spread_labeling_must_balance():
@@ -183,9 +202,8 @@ def test_spread_certifies_with_identity_sigma(p, m, s):
 
 def test_spread_function_is_constant_on_punctured_lines():
     pair = spread_bent(3, 2, 1)
-    system = regular_spread(3, 2)
-    for i, line in enumerate(system.lines):
-        vals = {pair.function(z) for z in line if z != 0}
+    for points in _spread_lines(3, 2):
+        vals = {pair.function(z) for z in points if z != 0}
         assert len(vals) == 1
 
 

@@ -177,8 +177,10 @@ def test_subfield_embedding_is_field_homomorphism():
 
 
 def test_prime_subfield_embeds_as_constants():
-    _, embed, _ = F9.subfield(1)
-    assert embed == [0, 1, 2]
+    _, embed, proj = F9.subfield(1)
+    assert embed.tolist() == [0, 1, 2]
+    assert proj.tolist() == [0, 1, 2] + [-1] * 6
+    assert not embed.flags.writeable and not proj.flags.writeable
 
 
 def test_modulus_selection_deterministic():

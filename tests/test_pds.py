@@ -193,12 +193,16 @@ def test_gaussian_period_brute_force_examples():
 
 
 def test_gaussian_period_rejects_out_of_range_arguments():
-    with pytest.raises(ValueError):
-        gaussian_period(3, 2, 2, 99)  # a must be a rank of GF(9)
-    with pytest.raises(ValueError):
-        gaussian_period(3, 2, 2, -1)
-    with pytest.raises(ValueError):
-        gaussian_period(4, 2, 3, 1)  # p must be an odd prime
+    # the brute-force route and the semiprimitive closed form alike
+    for period in (gaussian_period, gaussian_period_semiprimitive):
+        with pytest.raises(ValueError):
+            period(3, 2, 2, 99)  # a must be a rank of GF(9)
+        with pytest.raises(ValueError):
+            period(3, 2, 2, -1)
+        with pytest.raises(ValueError):
+            period(4, 2, 3, 1)  # p must be an odd prime
+        with pytest.raises(ValueError):
+            period(3, 0, 2, 0)  # s must be >= 1
 
 
 def test_params_subset_rejects_oversized_subset():
@@ -206,6 +210,18 @@ def test_params_subset_rejects_oversized_subset():
         params_subset(3, 4, 1, 9, False, 1)  # |A| = 9 > p^s = 3 would give k = 216 > v = 81
     with pytest.raises(ValueError):
         params_subset(3, 4, 1, -1, False, 1)
+    with pytest.raises(ValueError):
+        params_subset(3, 4, 1, 0, True, 1)  # an empty A cannot contain 0
+    with pytest.raises(ValueError):
+        params_subset(3, 4, 1, 3, False, 1)  # |A| = p^s forces 0 in A
+
+
+def test_params_reject_epsilon_outside_plus_minus_one():
+    for eps in (0, 2, 7, -3):
+        with pytest.raises(ValueError):
+            params_subset(3, 4, 1, 1, False, eps)
+        with pytest.raises(ValueError):
+            params_coset_union(3, 4, 1, 2, 1, 0, eps)
 
 
 def test_params_refuse_exponents_past_the_printable_digits(monkeypatch):

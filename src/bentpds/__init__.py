@@ -25,7 +25,6 @@ from .spectral import (
 )
 from .constructions import (
     ConstructedPair,
-    QPolynomial,
     diag_quad,
     mm_power,
     mm_qpoly,

@@ -8,6 +8,7 @@ inputs to verification, never a substitute for it.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -61,6 +62,27 @@ def _epsilon_sign(p: int, dim: int, minus_one_exp: int, eps_exp: int, eta: int) 
     return 1 if exp_i == 0 else -1
 
 
+def _pair(family: str, dom: Space, sub: Field, table: np.ndarray, dual: np.ndarray,
+          u: int, sign, params: dict) -> ConstructedPair:
+    """The bundle of F and its dual, given as tables over dom with values in
+    sub, claiming sigma(c) = c^{-u} and, unless sign is None (no claim), the
+    component sign sign(c)."""
+    units = range(1, sub.size)
+    return ConstructedPair(
+        family,
+        VectorialFunction(dom, sub, table.ravel()),
+        VectorialFunction(dom, sub, dual.ravel()),
+        {c: sub.pow(c, -u) for c in units},
+        None if sign is None else {c: sign(c) for c in units},
+        params,
+    )
+
+
+def _check_a(F: Field, a: int) -> None:
+    if F.check_rank(a, "a") == 0:
+        raise ZeroArgument("coefficient a must be nonzero")
+
+
 def _mm_block(F: Field, s: int, a: int, perm, perm_inv) -> tuple[np.ndarray, np.ndarray]:
     """Tr_s^m(a x pi(y)) and its dual Tr_s^m(-pi^{-1}(a^{-1} x) y) on
     GF(p^m) x GF(p^m), as (q, q) arrays indexed [y, x]."""
@@ -71,10 +93,42 @@ def _mm_block(F: Field, s: int, a: int, perm, perm_inv) -> tuple[np.ndarray, np.
     return table, dual
 
 
+def _qpoly_tables(F: Field, s: int, coeffs: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """L(y) = sum_i coeffs[i] y^{q^i} over GF(p^m), q = p^s, a GF(p^s)-linear
+    map by construction, and its inverse, as tables over every y."""
+    if F.m % s != 0:
+        raise NotADivisor(f"{s} does not divide {F.m}")
+    for c in coeffs:
+        F.check_rank(c, "q-polynomial coefficient")
+    y = np.arange(F.size)
+    table, power = 0, y
+    for c in coeffs:
+        table = F.add(table, F.mul(c, power))
+        power = F.pow(power, F.p ** s)
+    if np.unique(table).size != F.size:
+        raise NotPermutation("q-polynomial does not permute the field")
+    inv = np.empty_like(table)
+    inv[table] = y
+    return table, inv
+
+
 def _quad_block(F: Field, s: int, c: int) -> np.ndarray:
     """Tr_s^n(c x^2) over every x in GF(p^n)."""
     x = np.arange(F.size)
     return F.trace(s, F.mul(c, F.mul(x, x)))
+
+
+def _quad_dual(F: Field, a: int) -> int:
+    """-(4a)^{-1}, the coefficient of the dual of a x^2."""
+    return F.neg(F.inv(F.mul(4 % F.p, a)))
+
+
+def _quad_sign(F: Field, s: int, a: int, dim: int):
+    """The sign rule c -> (-1)^{n-1} eps^n eta_n(a c) of the components of
+    Tr_s^n(a x^2), n = F.m, inside a function on a dim-dimensional domain."""
+    _, embed, _ = F.subfield(s)
+    n = F.m
+    return lambda c: _epsilon_sign(F.p, dim, n - 1, n, F.quadratic_character(F.mul(a, embed[c])))
 
 
 # ---------------------------------------------------------------------------
@@ -91,61 +145,15 @@ def mm_power(p: int, m: int, s: int, a: int, e: int) -> ConstructedPair:
     F = canonical_field(p, m)
     if m % s != 0:
         raise NotADivisor(f"{s} does not divide {m}")
-    if F.check_rank(a, "a") == 0:
-        raise ZeroArgument("coefficient a must be nonzero")
+    _check_a(F, a)
     q = F.size
     if math.gcd(e, q - 1) != 1:
         raise BadExponent(f"gcd({e}, {q - 1}) != 1")
     u = pow(e, -1, q - 1)
-    sub = canonical_field(p, s)
-    dom = Space([F, F])
     y = np.arange(q)
     table, dual = _mm_block(F, s, a, F.pow(y, e), F.pow(y, u))
-    sigma = {c: sub.pow(c, -u) for c in range(1, sub.size)}
-    eps = {c: 1 for c in range(1, sub.size)}
-    return ConstructedPair(
-        "mm-power",
-        VectorialFunction(dom, sub, table.ravel()),
-        VectorialFunction(dom, sub, dual.ravel()),
-        sigma,
-        eps,
-        {"p": p, "m": m, "s": s, "a": a, "e": e},
-    )
-
-
-@dataclass(frozen=True)
-class QPolynomial:
-    """L(x) = sum_i coeffs[i] x^{q^i} over GF(p^m), q = p^s: a GF(p^s)-linear
-    map by construction."""
-
-    field: Field
-    s: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.field.m % self.s != 0:
-            raise NotADivisor(f"{self.s} does not divide {self.field.m}")
-        for c in self.coeffs:
-            self.field.check_rank(c, "q-polynomial coefficient")
-
-    def evaluate(self, y: int) -> int:
-        F, q = self.field, self.field.p ** self.s
-        acc, power = 0, y
-        for c in self.coeffs:
-            acc = F.add(acc, F.mul(c, power))
-            power = F.pow(power, q)
-        return acc
-
-    def table(self) -> np.ndarray:
-        return self.evaluate(np.arange(self.field.size))
-
-    def inverse_table(self) -> np.ndarray:
-        tab = self.table()
-        if np.unique(tab).size != self.field.size:
-            raise NotPermutation("q-polynomial does not permute the field")
-        inv = np.empty_like(tab)
-        inv[tab] = np.arange(tab.size)
-        return inv
+    return _pair("mm-power", Space([F, F]), canonical_field(p, s), table, dual, u,
+                 lambda c: 1, {"p": p, "m": m, "s": s, "a": a, "e": e})
 
 
 def mm_qpoly(p: int, m: int, s: int, a: int, l_coeffs) -> ConstructedPair:
@@ -155,22 +163,11 @@ def mm_qpoly(p: int, m: int, s: int, a: int, l_coeffs) -> ConstructedPair:
     """
     _check_shape(p, s, m, m)
     F = canonical_field(p, m)
-    if F.check_rank(a, "a") == 0:
-        raise ZeroArgument("coefficient a must be nonzero")
-    L = QPolynomial(F, s, tuple(int(c) for c in l_coeffs))
-    sub = canonical_field(p, s)
-    dom = Space([F, F])
-    table, dual = _mm_block(F, s, a, L.table(), L.inverse_table())
-    sigma = {c: sub.inv(c) for c in range(1, sub.size)}
-    eps = {c: 1 for c in range(1, sub.size)}
-    return ConstructedPair(
-        "mm-qpoly",
-        VectorialFunction(dom, sub, table.ravel()),
-        VectorialFunction(dom, sub, dual.ravel()),
-        sigma,
-        eps,
-        {"p": p, "m": m, "s": s, "a": a, "l_coeffs": list(L.coeffs)},
-    )
+    _check_a(F, a)
+    l_coeffs = [int(c) for c in l_coeffs]
+    table, dual = _mm_block(F, s, a, *_qpoly_tables(F, s, l_coeffs))
+    return _pair("mm-qpoly", Space([F, F]), canonical_field(p, s), table, dual, 1,
+                 lambda c: 1, {"p": p, "m": m, "s": s, "a": a, "l_coeffs": l_coeffs})
 
 
 # ---------------------------------------------------------------------------
@@ -187,26 +184,11 @@ def quad_trace(p: int, n: int, s: int, a: int) -> ConstructedPair:
     F = canonical_field(p, n)
     if n % s != 0:
         raise NotADivisor(f"{s} does not divide {n}")
-    if F.check_rank(a, "a") == 0:
-        raise ZeroArgument("coefficient a must be nonzero")
-    sub = canonical_field(p, s)
-    dom = Space([F])
+    _check_a(F, a)
     table = _quad_block(F, s, a)
-    dual = _quad_block(F, s, F.neg(F.inv(F.mul(4 % p, a))))
-    sigma = {c: sub.inv(c) for c in range(1, sub.size)}
-    _, embed, _ = F.subfield(s)
-    eps = {
-        c: _epsilon_sign(p, n, n - 1, n, F.quadratic_character(F.mul(a, embed[c])))
-        for c in range(1, sub.size)
-    }
-    return ConstructedPair(
-        "quad-trace",
-        VectorialFunction(dom, sub, table),
-        VectorialFunction(dom, sub, dual),
-        sigma,
-        eps,
-        {"p": p, "n": n, "s": s, "a": a},
-    )
+    dual = _quad_block(F, s, _quad_dual(F, a))
+    return _pair("quad-trace", Space([F]), canonical_field(p, s), table, dual, 1,
+                 _quad_sign(F, s, a, n), {"p": p, "n": n, "s": s, "a": a})
 
 
 def diag_quad(p: int, s: int, m: int, coeffs) -> ConstructedPair:
@@ -232,25 +214,13 @@ def diag_quad(p: int, s: int, m: int, coeffs) -> ConstructedPair:
             acc = sub.add(acc, _quad_block(sub, s, ci)[ranks // q ** i % q])
         return acc
 
-    table = assemble(coeffs)
-    dual_coeffs = [sub.neg(sub.inv(sub.mul(4 % p, c))) for c in coeffs]
-    dual = assemble(dual_coeffs)
-    sigma = {c: sub.inv(c) for c in range(1, q)}
-    prod = 1
-    for c in coeffs:
-        prod = sub.mul(prod, c)
-    eps = {
-        c: _epsilon_sign(
+    dual = assemble([_quad_dual(sub, c) for c in coeffs])
+    prod = functools.reduce(sub.mul, coeffs, 1)
+    return _pair(
+        "diag-quad", dom, sub, assemble(coeffs), dual, 1,
+        lambda c: _epsilon_sign(
             p, s * m, (s - 1) * m, s * m, sub.quadratic_character(sub.mul(sub.pow(c, m), prod))
-        )
-        for c in range(1, q)
-    }
-    return ConstructedPair(
-        "diag-quad",
-        VectorialFunction(dom, sub, table),
-        VectorialFunction(dom, sub, dual),
-        sigma,
-        eps,
+        ),
         {"p": p, "s": s, "m": m, "coeffs": coeffs},
     )
 
@@ -299,20 +269,10 @@ def spread_bent(p: int, m: int, s: int, labeling=None, gamma0: int = 0) -> Const
     if (np.bincount(labeling, minlength=sub.size) != per_value).any():
         raise UnbalancedLabeling(f"labeling must hit every value exactly {per_value} times")
     F = canonical_field(p, m)
-    dom = Space([F, F])
-    table = labels[line]
     dual = labels[perp[line]]
     dual[0] = labels[0]
-    sigma = {c: c for c in range(1, sub.size)}
-    eps = {c: 1 for c in range(1, sub.size)}
-    return ConstructedPair(
-        "spread",
-        VectorialFunction(dom, sub, table),
-        VectorialFunction(dom, sub, dual),
-        sigma,
-        eps,
-        {"p": p, "m": m, "s": s, "labeling": labeling, "gamma0": int(gamma0)},
-    )
+    return _pair("spread", Space([F, F]), sub, labels[line], dual, -1, lambda c: 1,
+                 {"p": p, "m": m, "s": s, "labeling": labeling, "gamma0": int(gamma0)})
 
 
 # ---------------------------------------------------------------------------
@@ -354,47 +314,26 @@ def branched_quad_mm(
     if Fm.check_rank(beta, "beta") == 0 or Fm.check_rank(gamma, "gamma") == 0:
         raise ZeroArgument("beta and gamma must be nonzero")
     sub = canonical_field(p, s)
-    qs = sub.size
-    L = QPolynomial(Fm, s, tuple(int(c) for c in l_coeffs))
-    linv = L.inverse_table()
+    l_coeffs = [int(c) for c in l_coeffs]
+    L, linv = _qpoly_tables(Fm, s, l_coeffs)
     # branch index per y2: 0 / 1 / 2 for Tr_s^m(gamma y2^2) zero / square / non-square
     sel = _quad_block(Fm, s, gamma)
     sel = np.where(sel == 0, 0, np.where(np.isin(sel, list(sub.squares())), 1, 2))
     alphas = (alpha1, alpha2, alpha3)
-    dual_alphas = [Fn.neg(Fn.inv(Fn.mul(4 % p, a))) for a in alphas]
     xb = np.stack([_quad_block(Fn, s, a) for a in alphas])
-    xb_star = np.stack([_quad_block(Fn, s, a) for a in dual_alphas])
+    xb_star = np.stack([_quad_block(Fn, s, _quad_dual(Fn, a)) for a in alphas])
     # g[y2, y1] = Tr_s^m(beta y1 L(y2)), gstar[y2, y1] = -Tr_s^m(w y2) with
     # w = L^{-1}(beta^{-1} y1), the point whose branch the dual takes
-    g, gstar = _mm_block(Fm, s, beta, L.table(), linv)
+    g, gstar = _mm_block(Fm, s, beta, L, linv)
     sel_star = sel[linv[Fm.mul(Fm.inv(beta), np.arange(Fm.size))]]
-    dom = Space([Fn, Fm, Fm])
     # point ranks run x fastest, then y1, then y2
     table = sub.add(g[:, :, None], xb[sel][:, None, :])
     dual = sub.add(gstar[:, :, None], xb_star[sel_star][None, :, :])
-
-    sigma = {c: sub.inv(c) for c in range(1, qs)}
-    chars = {Fn.quadratic_character(a) for a in alphas}
-    if len(chars) == 1:
-        _, embed, _ = Fn.subfield(s)
-        eps = {
-            c: _epsilon_sign(
-                p,
-                n + 2 * m,
-                n - 1,
-                n,
-                Fn.quadratic_character(Fn.mul(alpha1, embed[c])),
-            )
-            for c in range(1, qs)
-        }
-    else:
-        eps = None  # mixed branch characters: components are bent but not weakly regular
-    return ConstructedPair(
-        "branched-quad-mm",
-        VectorialFunction(dom, sub, table.ravel()),
-        VectorialFunction(dom, sub, dual.ravel()),
-        sigma,
-        eps,
+    # mixed branch characters: components are bent but not weakly regular
+    uniform = len({Fn.quadratic_character(a) for a in alphas}) == 1
+    return _pair(
+        "branched-quad-mm", Space([Fn, Fm, Fm]), sub, table, dual, 1,
+        _quad_sign(Fn, s, alpha1, n + 2 * m) if uniform else None,
         {
             "p": p,
             "n": n,
@@ -403,6 +342,6 @@ def branched_quad_mm(
             "alphas": list(alphas),
             "beta": beta,
             "gamma": gamma,
-            "l_coeffs": list(L.coeffs),
+            "l_coeffs": l_coeffs,
         },
     )

@@ -102,6 +102,3 @@ class NotSymmetric(BentError):
 class ContainsZero(BentError):
     pass
 
-
-class NonIntegralParameter(BentError):
-    pass

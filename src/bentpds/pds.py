@@ -19,17 +19,15 @@ The (v, k, lambda, mu) parameters have one closed form, params_subset, in
 |A| and z = [0 in A] for the preimage D_A of a subset A of the codomain.
 A union of m1 cosets of a subgroup H, plus the zero preimage when m0 = 1,
 is the case |A| = m1 |H| + m0, z = m0 (params_coset_union), and the
-preimage sizes are its k at |A| = 1 (preimage_sizes).  The formula is
-evaluated over exact rationals (the p^{n/2-s} factor may carry a negative
-exponent) and must land on integers; non-integrality raises instead of
-rounding, which surfaces hypothesis violations loudly.
+preimage sizes are its k at |A| = 1 (preimage_sizes).  A vectorial bent
+function V_n -> GF(p^s) needs n >= 2s, so every power in the formula is an
+integer; n < 2s raises HypothesisViolation.
 """
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -39,7 +37,6 @@ from .errors import (
     ContainsZero,
     FormulaMismatch,
     HypothesisViolation,
-    NonIntegralParameter,
     NotADivisor,
     NotBijection,
     NotSemiprimitive,
@@ -99,12 +96,6 @@ def params_match(candidate: PdsParams, observed: PdsParams) -> bool:
     if candidate.k < candidate.v - 1 and candidate.mu != observed.mu:
         return False
     return True
-
-
-def _as_int(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise NonIntegralParameter(f"{what} = {x} is not an integer")
-    return int(x)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +332,8 @@ def params_subset(
     _check_prime_power(p, s, n)
     if n % 2 != 0:
         raise HypothesisViolation("n must be even")
+    if 2 * s > n:
+        raise HypothesisViolation(f"need n >= 2s, got n = {n}, s = {s}")
     if epsilon not in (1, -1):
         raise ValueError(f"epsilon must be 1 or -1, got {epsilon}")
     a, z, ps = size_a, 1 if contains_zero else 0, p ** s
@@ -349,13 +342,11 @@ def params_subset(
             f"size_a = {a} must lie in [{z}, {ps - 1 + z}] when 0 is "
             f"{'' if z else 'not '}in A (p^s = {ps})"
         )
-    half = Fraction(p ** (n // 2), ps)       # p^{n/2 - s}
-    base = Fraction(p ** n, ps)              # p^{n - s}
-    base2 = Fraction(p ** n, ps * ps)        # p^{n - 2s}
+    half, base, base2 = p ** (n // 2 - s), p ** (n - s), p ** (n - 2 * s)
     k = a * base + epsilon * half * (z * ps - a) - z
     lam = base2 * a * a + epsilon * half * (ps + (2 * z - 3) * (a - z) - z) - 2 * z
     mu = base2 * a * a + epsilon * half * ((2 * z - 1) * (a - z) + z)
-    return PdsParams(p ** n, _as_int(k, "k"), _as_int(lam, "lambda"), _as_int(mu, "mu"))
+    return PdsParams(p ** n, k, lam, mu)
 
 
 def params_coset_union(
@@ -392,6 +383,7 @@ class SemiprimitiveInfo:
 def semiprimitive_check(p: int, s: int, t: int) -> SemiprimitiveInfo | None:
     """Smallest j with t | p^j + 1 (scanned up to s), plus r with s = 2 j r;
     None when the parameters are not semiprimitive."""
+    _check_prime_power(p, s)
     if t < 2:
         return None
     for j in range(1, s + 1):

@@ -134,6 +134,7 @@ def component(F: VectorialFunction, c: int) -> VectorialFunction:
     if c == 0:
         raise ZeroComponent("component index must be nonzero")
     cod = F.codomain
+    cod.check_rank(c, "component index")
     comp_map = cod.trace(1, cod.mul(c, np.arange(cod.size)))
     return VectorialFunction(F.domain, canonical_field(F.p, 1), comp_map[F.table])
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from bentpds.constructions import (
-    QPolynomial,
     diag_quad,
     mm_power,
     mm_qpoly,
@@ -72,13 +71,10 @@ def test_mm_power_certifies(p, m, s, a, e):
     assert_certified(pair)
 
 
-def test_qpolynomial_permutation_check():
-    F9 = canonical_field(3, 2)
-    frob = QPolynomial(F9, 1, (0, 1))  # L(x) = x^3
-    assert sorted(frob.table()) == list(range(9))
-    non_perm = QPolynomial(F9, 1, (1, 1))  # x + x^3 has kernel {0, x, 2x}
+def test_mm_qpoly_rejects_non_permutation():
+    mm_qpoly(3, 2, 1, 1, (0, 1))  # L(x) = x^3 permutes GF(9)
     with pytest.raises(NotPermutation):
-        non_perm.inverse_table()
+        mm_qpoly(3, 2, 1, 1, (1, 1))  # x + x^3 has kernel {0, x, 2x}
 
 
 def test_mm_qpoly_identity_reduces_to_mm_power():
@@ -213,8 +209,11 @@ def _branched_reference(p, n, m, s, alphas, beta, gamma, l_coeffs, point):
     """Independent point evaluator used as an oracle for the table builder."""
     Fn, Fm = canonical_field(p, n), canonical_field(p, m)
     sub = canonical_field(p, s)
-    L = QPolynomial(Fm, s, l_coeffs)
     x, y1, y2 = point
+    # L(y2) = sum_i c_i y2^{q^i}, q = p^s
+    l_y2 = 0
+    for i, c in enumerate(l_coeffs):
+        l_y2 = Fm.add(l_y2, Fm.mul(c, Fm.pow(y2, p ** (s * i))))
     sel = Fm.trace(s, Fm.mul(gamma, Fm.mul(y2, y2)))
     if sel == 0:
         alpha = alphas[0]
@@ -223,7 +222,7 @@ def _branched_reference(p, n, m, s, alphas, beta, gamma, l_coeffs, point):
     else:
         alpha = alphas[2]
     fx = Fn.trace(s, Fn.mul(alpha, Fn.mul(x, x)))
-    gy = Fm.trace(s, Fm.mul(beta, Fm.mul(y1, L.evaluate(y2))))
+    gy = Fm.trace(s, Fm.mul(beta, Fm.mul(y1, l_y2)))
     return sub.add(fx, gy)
 
 

@@ -7,6 +7,7 @@ order, JSON layout, and the plain-int types of `sigma`, `epsilons` and
 `params`.  The p = 5 and p = 7 rows include odd n with mixed component signs
 and codomains GF(p^s) with s > 1.
 
+ERROR_GOLDEN pins the error records of rejected `construct` inputs.
 SPECTRAL_GOLDEN and PDS_GOLDEN pin `walsh`, `classify` and `pds-verify` the
 same way, on construct bundles and on an even non-bent function.
 """
@@ -100,6 +101,107 @@ def test_cli_output_matches_golden_digest(tmp_path, capsys, family, args, constr
         path = tmp_path / "bundle.json"
         path.write_text(bundle)
         assert _digest(capsys, ["certify", "--file", str(path)])[1] == certify_sha
+
+
+# (construct arguments, exit code, sha256 of stdout) for rejected inputs: each
+# family's checks on p, s, divisibility, coefficients, ranks, exponents, L and
+# labels, and the order in which they fire
+ERROR_GOLDEN = [
+    ("mm-power --p 4 --m 2 --s 1", 2,  # characteristic must be an odd prime, got 4
+     "ae6d042da17ff85b723cc390666cb3da03e4c6d0d74fefdb57262bd2857ebd60"),
+    ("mm-power --p 3 --m 2 --s 0", 2,  # extension degrees must be >= 1
+     "0b3b0ef72e1fba85a4356fa5ef0bcc882ad42d5f59e45d6ba3896b5d24b03a5e"),
+    ("mm-power --p 3 --m 3 --s 2", 1,  # 2 does not divide 3
+     "252522fcc461fe705f98a242fbe7023b15ba81711e1c49874aa0e0c87e3540e8"),
+    ("mm-power --p 3 --m 2 --s 1 --a 0", 1,  # coefficient a must be nonzero
+     "1431b9b55cc75ce78c52698fd7262c0fb0d50a80a3c7717ee9104ae00a81a3bc"),
+    ("mm-power --p 3 --m 2 --s 1 --a 9", 2,  # a = 9 must be a rank in [0, 9)
+     "d0c05e10181698c3f43b89d6e2108381a8ced192ffee74d4aaaf6baff7295ae3"),
+    ("mm-power --p 3 --m 2 --s 1 --e 2", 1,  # gcd(2, 8) != 1
+     "04a9a392f5f173a7619d710deba6dafca8532053f3d8749a13b3ea89cc4956e1"),
+    ("mm-qpoly --p 9 --m 2 --s 1 --coeffs 1", 2,  # characteristic must be an odd prime, got 9
+     "c652f77e488f22561c62bad77be5c432417cf60bec6d86cd06638115e3ce5ca3"),
+    ("mm-qpoly --p 3 --m 2 --s 0 --coeffs 1", 2,  # extension degrees must be >= 1
+     "0b3b0ef72e1fba85a4356fa5ef0bcc882ad42d5f59e45d6ba3896b5d24b03a5e"),
+    ("mm-qpoly --p 3 --m 3 --s 2 --coeffs 1", 1,  # 2 does not divide 3
+     "252522fcc461fe705f98a242fbe7023b15ba81711e1c49874aa0e0c87e3540e8"),
+    ("mm-qpoly --p 3 --m 2 --s 1 --a 0 --coeffs 1", 1,  # coefficient a must be nonzero
+     "1431b9b55cc75ce78c52698fd7262c0fb0d50a80a3c7717ee9104ae00a81a3bc"),
+    ("mm-qpoly --p 3 --m 2 --s 1 --a 9 --coeffs 1", 2,  # a = 9 must be a rank in [0, 9)
+     "d0c05e10181698c3f43b89d6e2108381a8ced192ffee74d4aaaf6baff7295ae3"),
+    ("mm-qpoly --p 3 --m 2 --s 1 --coeffs 0,9", 2,  # q-polynomial coefficient = 9 must be a rank in [0, 9)
+     "90fc5b78f4063823d082346806bcb9b49c5f4aa74da27df415e5a51a9ddd5e8e"),
+    ("mm-qpoly --p 3 --m 2 --s 1 --coeffs 1,1", 1,  # q-polynomial does not permute the field
+     "8d0cd83286fbf26aa9652cdc988ed483676a1956894607875100971383e46739"),
+    ("quad-trace --p 1 --n 2 --s 1", 2,  # characteristic must be an odd prime, got 1
+     "fee47da9bc4949a96058e3b8dbeaacf9b8fce6fdcec37f28d950414e82bdb497"),
+    ("quad-trace --p 3 --n 2 --s 0", 2,  # extension degrees must be >= 1
+     "0b3b0ef72e1fba85a4356fa5ef0bcc882ad42d5f59e45d6ba3896b5d24b03a5e"),
+    ("quad-trace --p 3 --n 3 --s 2", 1,  # 2 does not divide 3
+     "252522fcc461fe705f98a242fbe7023b15ba81711e1c49874aa0e0c87e3540e8"),
+    ("quad-trace --p 3 --n 2 --s 1 --a 0", 1,  # coefficient a must be nonzero
+     "1431b9b55cc75ce78c52698fd7262c0fb0d50a80a3c7717ee9104ae00a81a3bc"),
+    ("quad-trace --p 3 --n 2 --s 1 --a -1", 2,  # a = -1 must be a rank in [0, 9)
+     "343ba6b763266e21535240c0c573fecdeb9b427b4b1bd9af95a64f2549ba5367"),
+    ("diag-quad --p 2 --s 1 --m 2 --coeffs 1,1", 2,  # characteristic must be an odd prime, got 2
+     "107ec5dc83c4a2e5ae6e232b2ff44270238a6fa94dea3809c5b6f5d3eab6dbfb"),
+    ("diag-quad --p 3 --s 0 --m 2 --coeffs 1,1", 2,  # extension degrees must be >= 1
+     "0b3b0ef72e1fba85a4356fa5ef0bcc882ad42d5f59e45d6ba3896b5d24b03a5e"),
+    ("diag-quad --p 3 --s 1 --m 2 --coeffs 1,0", 1,  # diagonal coefficients must be nonzero
+     "c56110c617ea48f5348b0fe25ebad7fc90ff725759b8e175ddfddf81a202f5c7"),
+    ("diag-quad --p 3 --s 1 --m 2 --coeffs 1,3", 2,  # coefficient = 3 must be a rank in [0, 3)
+     "d06221841c1045d9b974191e2e968a80eb4fa28c52c1d9ea067bede416484400"),
+    ("diag-quad --p 3 --s 1 --m 2 --coeffs 1,1,1", 2,  # need 2 coefficients
+     "3a3f475512b917ece7a170ab4ebcfe3a2501709c71eebd8094a95485e26bd0f2"),
+    ("spread --p 4 --m 2 --s 1", 2,  # characteristic must be an odd prime, got 4
+     "ae6d042da17ff85b723cc390666cb3da03e4c6d0d74fefdb57262bd2857ebd60"),
+    ("spread --p 3 --m 2 --s 0", 2,  # extension degrees must be >= 1
+     "0b3b0ef72e1fba85a4356fa5ef0bcc882ad42d5f59e45d6ba3896b5d24b03a5e"),
+    ("spread --p 3 --m 1 --s 2", 2,  # s must not exceed m
+     "4a2627c72eb7e554d543fe7cb00dffc32acd94c1dfad3ad3e0f67f0e35445b4e"),
+    ("spread --p 3 --m 2 --s 1 --labels 0,0,0,0,0,0,0,0,0", 1,  # labeling must hit every value exactly 3 times
+     "229736ce3d75c8a8fc0bc997a5e0374f2101c8006d227bb350bfa550c1be5397"),
+    ("spread --p 3 --m 2 --s 1 --labels 0,1,2", 1,  # labeling must assign all 9 lines
+     "122c934973cabe6dff9b5e6c9960a0d53590564b9110ec162cfdc9faa2a6b3c8"),
+    ("spread --p 3 --m 2 --s 1 --labels 0,0,0,1,1,1,2,2,3", 2,  # label = 3 must be a rank in [0, 3)
+     "bf9748ba742aeb66c8ae381daf4bca7ff830f6b257ced38e3adab134fb206806"),
+    ("spread --p 3 --m 2 --s 1 --gamma0 3", 2,  # gamma0 = 3 must be a rank in [0, 3)
+     "5b28eb4879de66449db2d192df1e5dacdf0e14c17c3ba74f195ea9c55fc72878"),
+    ("branched-quad-mm --p 9 --n 2 --m 1 --s 1", 2,  # characteristic must be an odd prime, got 9
+     "c652f77e488f22561c62bad77be5c432417cf60bec6d86cd06638115e3ce5ca3"),
+    ("branched-quad-mm --p 3 --n 2 --m 1 --s 0", 2,  # extension degrees must be >= 1
+     "0b3b0ef72e1fba85a4356fa5ef0bcc882ad42d5f59e45d6ba3896b5d24b03a5e"),
+    ("branched-quad-mm --p 3 --n 2 --m 1 --s 2", 1,  # 2 must divide both 2 and 1
+     "6a3fb74c8ee38c3e1bde4ef05585a55bffec2a6bf477172fb4d306c1743ecfc6"),
+    ("branched-quad-mm --p 3 --n 2 --m 1 --s 1 --alpha2 0", 1,  # alpha2 must be nonzero
+     "c20883a210dffeb41f3215add0e41effd457c30516966d1ac0f2891152d99547"),
+    ("branched-quad-mm --p 3 --n 2 --m 1 --s 1 --alpha3 9", 2,  # alpha3 = 9 must be a rank in [0, 9)
+     "16b87b126f98bc649490964e83380fe3f4705c43f51498541221e0fccb631638"),
+    ("branched-quad-mm --p 3 --n 2 --m 1 --s 1 --beta 0", 1,  # beta and gamma must be nonzero
+     "af04321c2f46948ae33a2ac4795fed813ea205501d15fb47d7d26ecf3da3ed2e"),
+    ("branched-quad-mm --p 3 --n 2 --m 1 --s 1 --gamma 3", 2,  # gamma = 3 must be a rank in [0, 3)
+     "bca3a43c4c8fbe2e9f0f39bb92c9f7c4525c97d73bc71923bcb4c3a933c6c0a5"),
+    ("branched-quad-mm --p 3 --n 2 --m 2 --s 1 --coeffs 1,1", 1,  # q-polynomial does not permute the field
+     "8d0cd83286fbf26aa9652cdc988ed483676a1956894607875100971383e46739"),
+    ("branched-quad-mm --p 3 --n 2 --m 2 --s 1 --coeffs 0,9", 2,  # q-polynomial coefficient = 9 must be a rank in [0, 9)
+     "90fc5b78f4063823d082346806bcb9b49c5f4aa74da27df415e5a51a9ddd5e8e"),
+    ("mm-power --p 3 --m 3 --s 2 --a 0", 1,  # 2 does not divide 3
+     "252522fcc461fe705f98a242fbe7023b15ba81711e1c49874aa0e0c87e3540e8"),
+    ("mm-qpoly --p 3 --m 3 --s 2 --a 0 --coeffs 1", 1,  # coefficient a must be nonzero
+     "1431b9b55cc75ce78c52698fd7262c0fb0d50a80a3c7717ee9104ae00a81a3bc"),
+    ("quad-trace --p 3 --n 3 --s 2 --a 0", 1,  # 2 does not divide 3
+     "252522fcc461fe705f98a242fbe7023b15ba81711e1c49874aa0e0c87e3540e8"),
+    ("diag-quad --p 3 --s 1 --m 3 --coeffs 0,1", 2,  # need 3 coefficients
+     "8cc2bf250d25fd286ab6a42ba811855ad23be5e776ee6a54d2e4cfb524ab94b0"),
+    ("branched-quad-mm --p 3 --n 2 --m 2 --s 1 --beta 0 --coeffs 1,1", 1,  # beta and gamma must be nonzero
+     "af04321c2f46948ae33a2ac4795fed813ea205501d15fb47d7d26ecf3da3ed2e"),
+]
+
+
+@pytest.mark.parametrize("args,code,sha", ERROR_GOLDEN, ids=[row[0] for row in ERROR_GOLDEN])
+def test_construct_error_records_match_golden_digest(capsys, args, code, sha):
+    family, *rest = args.split()
+    assert _digest(capsys, ["construct", "--family", family] + rest, code)[1] == sha
 
 
 # (source, sha256 of `walsh`, sha256 of `classify`).  A source is construct

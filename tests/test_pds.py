@@ -10,7 +10,6 @@ from bentpds.cyclo import CyclotomicInt
 from bentpds.errors import (
     ContainsZero,
     HypothesisViolation,
-    NonIntegralParameter,
     NotADivisor,
     NotBijection,
     NotSemiprimitive,
@@ -147,6 +146,12 @@ def test_semiprimitive_check():
     assert semiprimitive_check(3, 4, 1) is None  # t >= 2 required
 
 
+def test_semiprimitive_check_rejects_bad_p_and_s():
+    for p, s, t in ((4, 2, 5), (9, 2, 5), (1, 2, 2), (3, 0, 2)):
+        with pytest.raises(ValueError):
+            semiprimitive_check(p, s, t)
+
+
 def test_params_subset_examples():
     assert params_subset(3, 2, 1, 1, False, 1).as_tuple() == (9, 2, 1, 0)
     assert params_subset(3, 2, 1, 1, True, 1).as_tuple() == (9, 4, 1, 2)
@@ -160,10 +165,15 @@ def test_params_subset_requires_even_n():
         params_subset(3, 3, 1, 1, False, 1)
 
 
-def test_params_subset_non_integral():
-    # n/2 < s and a subset size that cannot balance the fraction
-    with pytest.raises(NonIntegralParameter):
+def test_params_subset_requires_n_at_least_2s():
+    # no vectorial bent function GF(p)^n -> GF(p^s) has n < 2s
+    with pytest.raises(HypothesisViolation):
         params_subset(3, 2, 2, 1, False, 1)
+    with pytest.raises(HypothesisViolation):
+        params_subset(3, 2, 2, 3, True, -1)  # the formula would give lambda = -3
+    with pytest.raises(HypothesisViolation):
+        params_coset_union(3, 2, 2, 8, 1, 0, 1)
+    assert params_subset(3, 4, 2, 1, False, 1).v == 81
 
 
 def test_params_coset_union_is_single_coset_block_at_m1_1():

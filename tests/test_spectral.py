@@ -190,6 +190,15 @@ def test_component_examples():
     assert comp(1) == 2  # Tr(1) = 2
 
 
+def test_component_rejects_out_of_range_index():
+    from bentpds.constructions import mm_power
+
+    F = mm_power(3, 2, 2, 1, 1).function
+    for c in (-1, 9):
+        with pytest.raises(ValueError):
+            component(F, c)
+
+
 def test_p_ary_routines_refuse_wider_codomains():
     from bentpds.constructions import mm_power
 

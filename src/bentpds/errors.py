@@ -46,10 +46,10 @@ class ZeroComponent(BentError):
 
 
 class MatchFailure(BentError):
-    """A bent spectrum value matched no ±u·ζ^j candidate.
+    """Two of the 2p candidates ±u·ζ^j got the same matching key.
 
-    Mathematically impossible for a true bent function; signals an
-    arithmetic bug in the caller's tables or in this library.
+    The keys come from fixed weights, so this signals a bug in this library;
+    a value that matches no candidate means "not bent" and raises nothing.
     """
 
 

@@ -183,7 +183,7 @@ class Field:
         return _ranks_out(r * (a != 0) if e > 0 else r)
 
     def multiplicative_order(self, a: int) -> int:
-        if a == 0:
+        if self.check_rank(a) == 0:
             raise ZeroArgument("0 has no multiplicative order")
         q1 = self.size - 1
         return q1 // math.gcd(int(self._log[a]), q1)
@@ -204,9 +204,7 @@ class Field:
 
     def trace(self, k: int, a):
         """Tr_k^m(a) = sum of a^{p^{k i}}, returned as a rank of the
-        canonical GF(p^k); requires k | m."""
-        if self.m % k != 0:
-            raise NotADivisor(f"{k} does not divide {self.m}")
+        canonical GF(p^k); requires k | m, which subfield(k) checks."""
         return _ranks_out(self._trace_table(k)[a])
 
     @lru_cache(maxsize=None)
@@ -222,7 +220,7 @@ class Field:
 
     def quadratic_character(self, a: int) -> int:
         """+1 iff a is a nonzero square (a^{(q-1)/2} = 1), -1 otherwise."""
-        if a == 0:
+        if self.check_rank(a) == 0:
             raise ZeroArgument("quadratic character of 0 is undefined")
         return 1 if self._log[a] % 2 == 0 else -1
 
@@ -254,6 +252,8 @@ class Field:
         what makes the map a field homomorphism rather than merely a
         homomorphism of the cyclic groups.
         """
+        if s < 1:
+            raise ValueError(f"subfield degree must be >= 1, got {s}")
         if self.m % s != 0:
             raise NotADivisor(f"{s} does not divide {self.m}")
         if s == self.m:

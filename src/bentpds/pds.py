@@ -50,7 +50,7 @@ from .spectral import (
     DualBentCertificate,
     VectorialFunction,
     WalshSpectrum,
-    char_weight_transform,
+    _char_counts,
     component,
     walsh_full,
 )
@@ -633,11 +633,11 @@ def verify_pds_characters(space: Space, D, candidate: PdsParams) -> bool:
     """Character criterion: D (with -D = D, 0 not in D, |D| = k) is a
     (v, k, lambda, mu) PDS iff every nontrivial character sum lies in
     { (beta +- sqrt(Delta)) / 2 }.  All p^n sums come out of one transform
-    of the indicator table and are compared as coefficient rows in
-    Z[zeta_p]: 2 chi(D) = beta +- sqrt(Delta), with sqrt(Delta) an integer
-    or d g for Delta = p* d^2.  Any other Delta, and a negative one (the
-    sums of a symmetric set are real), rejects without a transform.  No
-    difference is counted."""
+    of the indicator table; its reduced counts, whose rows 1.. are those
+    sums in another order, meet 2 chi(D) = beta +- sqrt(Delta) column by
+    column, with sqrt(Delta) an integer or d g for Delta = p* d^2.  Any
+    other Delta, and a negative one (the sums of a symmetric set are real),
+    rejects without a transform.  No difference is counted."""
     members = _members(D)
     Dv = _candidacy(space, members)
     if candidate.v != space.size or candidate.k != Dv.size:
@@ -654,8 +654,11 @@ def verify_pds_characters(space: Space, D, candidate: PdsParams) -> bool:
         return False
     r1 = [c // 2 for c in twice_r1]
     r2 = [candidate.beta - r1[0]] + [-c for c in r1[1:]]
-    T = char_weight_transform(space, Dv, 0)
-    A = T.coeff_rows[1:]  # chi_u(D) over u != 0, up to the u -> -u relabeling
+    if max(map(abs, r1 + r2)) > Dv.size:  # counts lie in [-k, k]; floats may overflow
+        return False
+    indicator = np.full(space.size, -1, dtype=np.int8)  # -1 leaves x out
+    indicator[Dv] = 0
+    A = _char_counts(space, indicator)[1:]  # chi(D) at every nontrivial character
     # column by column: a reduction along the short row axis is ~8x slower
     is_r1, is_r2 = A[:, 0] == r1[0], A[:, 0] == r2[0]
     for j in range(1, p - 1):

@@ -17,24 +17,29 @@ counts are floats: every entry and partial sum counts points x, so its
 magnitude is at most p^n, exact in float32 while p^n < 2^24 and in float64
 while p^n < 2^53 (limits.exact_float_dtype).  The result is reduced to the
 basis {1, zeta, ..., zeta^{p-2}} once, by the
-CyclotomicInt.from_exponent_counts rule, and its int64 rows form
-WalshSpectrum.coeff_rows.  Transform coefficients stay within p^n, but the
-products of _conj_products (norms and Parseval) reach about
-(p-1)^2 p^{2n}; char_weight_transform refuses spaces where that bound
-reaches 2^63, so int64 accumulation is exact wherever it runs.  The naive
-quadratic sum is kept alongside as a cross-check oracle.
+CyclotomicInt.from_exponent_counts rule, and every decision reads these
+reduced float counts, rows in frequency-digit order: classification here
+and the character verifier of pds.  Only walsh_full gathers them into the
+order of a and casts them to the int64 rows of WalshSpectrum.  The
+transform also refuses spaces where (p-1)^2 p^{2n} reaches 2^63, the bound
+on the norm products a * conj(a) of spectrum rows, so int64 norms formed
+from any WalshSpectrum are exact.  The naive quadratic sum is kept
+alongside as a cross-check oracle.
 
-Bentness and regularity are decided by exact candidate matching: a bent
-value must equal one of the 2p ring elements +-u zeta^j, where u = p^{n/2}
-for even n and u = p^{(n-1)/2} g for odd n (g the quadratic Gauss sum, an
-exact square root of p^* in the ring).  There are no tolerances anywhere.
+Bentness and regularity are decided by exact candidate matching alone.  By
+Kumar, Scholtz and Welch (1985), every Walsh value of a p-ary bent
+function, weakly regular or not, is one of the 2p ring elements
++-u zeta^j, where u = p^{n/2} for even n and u = p^{(n-1)/2} g for odd n
+(g the quadratic Gauss sum, an exact square root of p^* in the ring).
+Each candidate has |u zeta^j|^2 = p^n, so f is bent iff every value
+matches one, and no norm is formed.  There are no tolerances anywhere.
 For odd n the recorded sign is relative to that Gauss-sum normalisation.
-Matching is key-then-verify: each coefficient row gets one int64 key (a dot
-product with fixed pseudo-random weights, wrapping mod 2^64), a binary
-search among the 2p distinct candidate keys proposes one candidate, and a
-full-row equality confirms it.  A row equal to a candidate has that
-candidate's key, so it is found; any other row fails the equality, so the
-match stays exact whatever the keys collide with.
+Matching is key-then-verify, one column of counts at a time: each row gets
+one int64 key (a dot product with fixed pseudo-random weights, wrapping
+mod 2^64), a binary search among the 2p distinct candidate keys proposes
+one candidate, and a column-wise equality confirms it.  A row equal to a
+candidate has that candidate's key, so it is found; any other row fails
+the equality, so the match stays exact whatever the keys collide with.
 
 Certificates use one transform per GF(p)^* orbit of components.  For
 lambda in GF(p)^*, F_{lambda c} = lambda F_c, and
@@ -223,54 +228,34 @@ class WalshSpectrum:
     def __getitem__(self, a: int) -> CyclotomicInt:
         return CyclotomicInt(self.p, self.coeff_rows[a])
 
-    def parseval_ok(self) -> bool:
-        # individual |W(a)|^2 may be irrational; only the sum must equal p^{2n}
-        total = _conj_products(self.coeff_rows, self.p).sum(axis=0).tolist()
-        return total == [self.p ** (2 * self.space.dim)] + [0] * (self.p - 2)
-
     def to_json(self) -> list:
         return [{"p": self.p, "coeffs": row} for row in self.coeff_rows.tolist()]
 
 
-def _conj_products(A: np.ndarray, p: int) -> np.ndarray:
-    """Row-wise a * conj(a) as coefficient rows.  Its exponent counts are the
-    cyclic autocorrelation c[d] = sum_i a_i a_{i-d} of (a_0, ..., a_{p-2}, 0);
-    c[p-d] = c[d], so c[p-1] = c[1] is the count the reduction subtracts."""
-    c = []
-    for d in range((p + 1) // 2):
-        acc = np.zeros(A.shape[0], dtype=np.int64)
-        for i in range(p - 1):
-            if (i - d) % p < p - 1:
-                acc += A[:, i] * A[:, (i - d) % p]
-        c.append(acc)
-    prod = np.empty((p - 1, A.shape[0]), dtype=np.int64)
-    for d in range(p - 1):
-        np.subtract(c[min(d, p - d)], c[1], out=prod[d])
-    return prod.T
-
-
-def char_weight_transform(space: Space, points, exponents) -> WalshSpectrum:
-    """T(a) = sum over x in points of zeta^{e(x) - <a,x>}, where points are
-    distinct ranks and exponents holds e(x) for each of them (or one e for
-    all).  The counts C[x, j] are one-hot, so no count of the transform
-    exceeds p^n; the float dtype is chosen from that bound."""
+def _char_counts(space: Space, e: np.ndarray) -> np.ndarray:
+    """T(u) = sum of zeta^{e[x] - sum_k u_k x_k} over the ranks x with e[x]
+    in [0, p) (any other entry leaves x out), as float (p^n, p) counts: row
+    u holds T(u) in the basis {1, ..., zeta^{p-2}} in its first p - 1
+    columns, so T(a) in the pairing <a, x> is row dual[a].  The counts
+    C[x, j] = [e[x] = j] keep every count within p^n, which sets the dtype."""
     N, p = space.size, space.p
     if N > walsh_cap():
         raise SizeGuard(f"p^n = {N} exceeds the transform cap")
     if (p - 1) ** 2 * N ** 2 >= 2 ** 63:
         raise SizeGuard(f"p^n = {N}: (p-1)^2 p^(2n) overflows int64 norms")
-    C = np.zeros((N, p), dtype=exact_float_dtype(N))
-    C[points, exponents] = 1
+    C = np.empty((N, p), dtype=exact_float_dtype(N))
+    np.equal(e[:, None], np.arange(p), out=C)
     G = _digit_transform(C, p, space.dim)
     del C  # frees the other buffer when the result is not C
     G[:, :-1] -= G[:, -1:]  # zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2})
-    return WalshSpectrum(space, G[space.dual, :-1].astype(np.int64))
+    return G
 
 
 def walsh_full(f: VectorialFunction) -> WalshSpectrum:
     """Exact W_f by the fast transform."""
     _check_p_ary(f)
-    return char_weight_transform(f.domain, np.arange(f.domain.size), f.table)
+    G = _char_counts(f.domain, f.table)
+    return WalshSpectrum(f.domain, G[f.domain.dual, :-1].astype(np.int64))
 
 
 def walsh_naive(f: VectorialFunction) -> list[CyclotomicInt]:
@@ -298,7 +283,6 @@ class BentClassification:
     regular: bool
     epsilon: int | None
     dual: VectorialFunction | None
-    spectrum: WalshSpectrum
 
 
 @lru_cache(maxsize=None)
@@ -325,39 +309,51 @@ def _candidate_map(p: int, n: int):
 
 
 def _match_candidates(rows: np.ndarray, p: int, n: int):
-    """Match coefficient rows against the 2p candidates: (matched, signs, js),
-    with signs and js meaningful where matched.  One key per row proposes a
-    candidate and a full-row equality confirms it."""
-    w, keys, cand_rows, cand_signs, cand_js = _candidate_map(p, n)
-    which = np.searchsorted(keys, rows @ w)
+    """Match rows, whose first p - 1 columns hold ring coefficients as
+    integers in any dtype that holds them exactly, against the 2p
+    candidates: (matched, which), with which indexing the candidate arrays
+    of _candidate_map where matched.  Rows are read a column at a time, so
+    no int64 copy of them and no gather of whole candidate rows is made."""
+    w, keys, cand_rows, _, _ = _candidate_map(p, n)
+    key = np.zeros(rows.shape[0], dtype=np.int64)
+    col = np.empty_like(key)
+    for j in range(p - 1):
+        np.copyto(col, rows[:, j], casting="unsafe")  # exact: integral values
+        col *= w[j]
+        key += col  # wraps mod 2^64, like the candidate keys
+    del col
+    which = np.searchsorted(keys, key)
+    del key
     np.minimum(which, keys.size - 1, out=which)
-    matched = (cand_rows[which] == rows).all(axis=1)
-    return matched, cand_signs[which], cand_js[which]
+    cand_cols = cand_rows.T.astype(rows.dtype)  # exact: |entries| <= 2 p^{n/2}
+    matched = rows[:, 0] == cand_cols[0][which]
+    for j in range(1, p - 1):
+        matched &= rows[:, j] == cand_cols[j][which]
+    return matched, which
 
 
 def classify_bent(f: VectorialFunction) -> BentClassification:
     """Decide bentness, extract the dual and the weak-regularity sign by
-    exact matching of every spectrum value against the 2p candidates."""
-    spectrum = walsh_full(f)
-    p, n = f.p, f.domain.dim
-    norms = _conj_products(spectrum.coeff_rows, p)
-    bent = bool((norms[:, 0] == p ** n).all()) and not norms[:, 1:].any()
-    del norms  # freed before the candidate arrays: it would set the peak
-    if not bent:
-        return BentClassification(False, False, False, None, None, spectrum)
-    matched, signs, dual = _match_candidates(spectrum.coeff_rows, p, n)
+    exact matching of every spectrum value against the 2p candidates: f is
+    bent iff every value matches (see the module docstring)."""
+    _check_p_ary(f)
+    sp, p, n = f.domain, f.p, f.domain.dim
+    matched, which = _match_candidates(_char_counts(sp, f.table), p, n)
     if not matched.all():
-        a = int(np.argmin(matched))
-        raise MatchFailure(f"bent value at a={a} matches no candidate")
+        return BentClassification(False, False, False, None, None)
+    _, _, _, cand_signs, cand_js = _candidate_map(p, n)
+    taken = np.bincount(which, minlength=cand_signs.size) > 0  # candidates that occur
+    signs = cand_signs[taken]
     weakly = bool((signs == signs[0]).all())
     eps = int(signs[0]) if weakly else None
+    # row dual[a] of the counts holds W_f(a)
+    dual = cand_js[which][sp.dual]
     return BentClassification(
         True,
         weakly,
         weakly and eps == 1,
         eps,
         VectorialFunction(f.domain, f.codomain, dual),
-        spectrum,
     )
 
 
@@ -397,8 +393,8 @@ class DualBentCertificate:
 
 
 def _dual_and_sign(F: VectorialFunction, c: int, narrow) -> tuple[np.ndarray, int | None]:
-    """(F_c)^* as a table in the dtype narrow, and eps_c.  Only these leave:
-    the classification holds an N x (p-1) int64 spectrum."""
+    """(F_c)^* as a table in the dtype narrow, and eps_c.  Only these are
+    kept: the classification's int64 dual table is dropped here."""
     cl = classify_bent(component(F, c))
     if not cl.is_bent:
         raise NotBent(f"component {c} is not bent")

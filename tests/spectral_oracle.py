@@ -1,0 +1,70 @@
+"""Test-held oracles for spectral classification.
+
+classify_by_norms is the norms-then-match decision: a function is bent iff
+|W(a)|^2 = p^n for every a, computed as int64 norm products of the
+spectrum rows, and only then is every value matched against the 2p
+candidates +-u zeta^j, built here from their definition and looked up by
+their coefficient tuples.  It shares no code with the library's
+count-domain matcher beyond walsh_full, so the two decisions can be
+compared field by field.
+"""
+import numpy as np
+
+from bentpds.cyclo import CyclotomicInt, gauss_sum
+from bentpds.errors import MatchFailure
+from bentpds.spectral import walsh_full
+
+
+def conj_products(A: np.ndarray, p: int) -> np.ndarray:
+    """Row-wise a * conj(a) as coefficient rows.  Its exponent counts are the
+    cyclic autocorrelation c[d] = sum_i a_i a_{i-d} of (a_0, ..., a_{p-2}, 0);
+    c[p-d] = c[d], so c[p-1] = c[1] is the count the reduction subtracts."""
+    c = []
+    for d in range((p + 1) // 2):
+        acc = np.zeros(A.shape[0], dtype=np.int64)
+        for i in range(p - 1):
+            if (i - d) % p < p - 1:
+                acc += A[:, i] * A[:, (i - d) % p]
+        c.append(acc)
+    prod = np.empty((p - 1, A.shape[0]), dtype=np.int64)
+    for d in range(p - 1):
+        np.subtract(c[min(d, p - d)], c[1], out=prod[d])
+    return prod.T
+
+
+def parseval_ok(spectrum) -> bool:
+    """sum_a |W(a)|^2 = p^{2n}; individual |W(a)|^2 may be irrational."""
+    p = spectrum.p
+    total = conj_products(spectrum.coeff_rows, p).sum(axis=0).tolist()
+    return total == [p ** (2 * spectrum.space.dim)] + [0] * (p - 2)
+
+
+def candidates(p, n):
+    """(rows, signs, js) of +-u zeta^j, built from the definition."""
+    u = CyclotomicInt.from_int(p, p ** (n // 2)) if n % 2 == 0 else p ** (n // 2) * gauss_sum(p)
+    items = [(sign, j) for j in range(p) for sign in (1, -1)]
+    rows = np.array([(sign * u * CyclotomicInt.zeta_pow(p, j)).coeffs for sign, j in items])
+    signs, js = map(np.array, zip(*items))
+    return rows, signs, js
+
+
+def classify_by_norms(f):
+    """(is_bent, weakly_regular, regular, epsilon, dual table or None) by
+    norms first, then matching; a bent value that matches no candidate
+    raises MatchFailure."""
+    spectrum = walsh_full(f)
+    p, n = f.p, f.domain.dim
+    norms = conj_products(spectrum.coeff_rows, p)
+    if not ((norms[:, 0] == p ** n).all() and not norms[:, 1:].any()):
+        return False, False, False, None, None
+    rows, signs, js = candidates(p, n)
+    lookup = {tuple(row): (int(sign), int(j)) for row, sign, j in zip(rows.tolist(), signs, js)}
+    found = []
+    for a, row in enumerate(spectrum.coeff_rows.tolist()):
+        if tuple(row) not in lookup:
+            raise MatchFailure(f"bent value at a={a} matches no candidate")
+        found.append(lookup[tuple(row)])
+    eps_all = {sign for sign, _ in found}
+    weakly = len(eps_all) == 1
+    eps = found[0][0] if weakly else None
+    return True, weakly, weakly and eps == 1, eps, [j for _, j in found]

@@ -73,6 +73,14 @@ def test_trace_requires_divisor():
         F9.trace(3, 1)
 
 
+@pytest.mark.parametrize("k", [0, -1, -2, -4])
+def test_subfield_degree_must_be_positive(k):
+    # -2 and -4 divide 4, so the divisor test alone would let them through
+    for routine in (lambda: F81.trace(k, 1), lambda: F81.subfield(k)):
+        with pytest.raises(ValueError, match=f"must be >= 1, got {k}$"):
+            routine()
+
+
 @pytest.mark.parametrize("field,k", [(F9, 1), (F27, 1), (F81, 1), (F81, 2)])
 def test_trace_is_subfield_linear(field, k):
     sub, embed, proj = field.subfield(k)
@@ -112,6 +120,15 @@ def test_quadratic_character_examples():
     assert canonical_field(5, 1).quadratic_character(4) == 1
     with pytest.raises(ZeroArgument):
         F9.quadratic_character(0)
+
+
+@pytest.mark.parametrize("a", [-1, 81, 200])
+def test_character_and_order_check_the_rank(a):
+    for routine in (F81.quadratic_character, F81.multiplicative_order):
+        with pytest.raises(ValueError, match=r"must be a rank in \[0, 81\)"):
+            routine(a)
+    with pytest.raises(ZeroArgument):
+        F81.multiplicative_order(0)
 
 
 @pytest.mark.parametrize("field", [F3, F9, F27, canonical_field(7, 1)])

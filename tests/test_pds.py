@@ -384,6 +384,13 @@ def test_verify_characters_on_xy_preimages():
     assert not verify_pds_characters(sp, D1, PdsParams(9, 3, 1, 0))
 
 
+def test_verify_characters_rejects_sums_beyond_k_without_a_warning():
+    # beta = 10^40 and Delta = beta^2: r1 = 10^40 overflows every float dtype
+    sp = XY.function.domain
+    D1 = preimage(XY.function, {1})
+    assert not verify_pds_characters(sp, D1, PdsParams(9, 2, 10 ** 40 + 2, 2))
+
+
 def test_verify_characters_whole_punctured_group():
     sp = prime_space(3, 2)
     D = frozenset(range(1, 9))

@@ -1,11 +1,12 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bentpds import spectral
-from bentpds.cyclo import CyclotomicInt, automorphism, conj_norm, conjugate, gauss_sum
+from bentpds.cyclo import CyclotomicInt, automorphism, conj_norm, conjugate
 from bentpds.errors import MatchFailure, NotBent, PreconditionF0, SizeGuard, ZeroComponent
 from bentpds.field import canonical_field
 from bentpds.limits import exact_float_dtype
@@ -25,9 +26,9 @@ from bentpds.spectral import (
     walsh_full,
     walsh_naive,
     _candidate_map,
-    _conj_products,
     _match_candidates,
 )
+from spectral_oracle import candidates, classify_by_norms, conj_products, parseval_ok
 
 F3 = canonical_field(3, 1)
 F9 = canonical_field(3, 2)
@@ -64,7 +65,7 @@ def test_walsh_of_zero_function_peaks_at_origin(sp):
 def test_xy_spectrum_is_flat():
     spectrum = walsh_full(xy_function())
     assert all(conj_norm(spectrum[a]) == 9 for a in range(9))
-    assert spectrum.parseval_ok()
+    assert parseval_ok(spectrum)
 
 
 def test_xy_classification():
@@ -86,7 +87,8 @@ def test_odd_dimension_bent_matches_gauss_candidates():
     cl = classify_bent(f)
     assert cl.is_bent and cl.weakly_regular
     # W(a) = +-g zeta^j exactly; |W|^2 = 3 for every a
-    assert all(conj_norm(cl.spectrum[a]) == 3 for a in range(3))
+    W = walsh_full(f)
+    assert all(conj_norm(W[a]) == 3 for a in range(3))
 
 
 def _random_table(sp, seed):
@@ -123,7 +125,7 @@ def test_fast_transform_equals_naive(sp):
         naive = walsh_naive(f)
         for a in range(sp.size):
             assert fast[a] == naive[a]
-        assert fast.parseval_ok()
+        assert parseval_ok(fast)
 
 
 # mixed prime and extension factors, up to 3^4, 5^2 and 7^2 points
@@ -157,7 +159,7 @@ def test_conj_products_equal_scalar_norm_products(p):
     rng = np.random.default_rng(p)
     rows = rng.integers(-50, 51, size=(40, p - 1))
     rows[0] = 0
-    got = _conj_products(rows, p)
+    got = conj_products(rows, p)
     for row, prod in zip(rows, got):
         a = CyclotomicInt(p, row)
         assert tuple(prod.tolist()) == (a * conjugate(a)).coeffs
@@ -546,30 +548,36 @@ def test_first_non_bent_component_past_c_1():
 MATCH_CASES = [(3, 1), (3, 2), (3, 3), (3, 12), (5, 2), (5, 3), (7, 1), (7, 4), (11, 3), (13, 2)]
 
 
-def _candidates(p, n):
-    """(rows, signs, js) of +-u zeta^j, built from the definition."""
-    u = CyclotomicInt.from_int(p, p ** (n // 2)) if n % 2 == 0 else p ** (n // 2) * gauss_sum(p)
-    items = [(sign, j) for j in range(p) for sign in (1, -1)]
-    rows = np.array([(sign * u * CyclotomicInt.zeta_pow(p, j)).coeffs for sign, j in items])
-    signs, js = map(np.array, zip(*items))
-    return rows, signs, js
-
-
 @pytest.mark.parametrize("p,n", MATCH_CASES)
 def test_candidate_rows_match_themselves(p, n):
-    rows, signs, js = _candidates(p, n)
-    matched, got_signs, got_js = _match_candidates(rows, p, n)
-    assert matched.all()
-    assert (got_signs == signs).all() and (got_js == js).all()
+    rows, signs, js = candidates(p, n)
+    _, _, _, cand_signs, cand_js = _candidate_map(p, n)
+    for dtype in (np.int64, np.float32, np.float64):
+        matched, which = _match_candidates(rows.astype(dtype), p, n)
+        assert matched.all()
+        assert (cand_signs[which] == signs).all() and (cand_js[which] == js).all()
 
 
 @pytest.mark.parametrize("p,n", MATCH_CASES)
 def test_perturbed_candidate_rows_match_nothing(p, n):
-    rows = _candidates(p, n)[0]
+    rows = candidates(p, n)[0]
     steps = np.concatenate([np.eye(p - 1, dtype=np.int64), -np.eye(p - 1, dtype=np.int64)])
     perturbed = (rows[:, None, :] + steps[None]).reshape(-1, p - 1)
-    matched = _match_candidates(perturbed, p, n)[0]
-    assert not matched.any()
+    for dtype in (np.int64, np.float32):
+        matched = _match_candidates(perturbed.astype(dtype), p, n)[0]
+        assert not matched.any()
+
+
+@pytest.mark.parametrize("p,n", MATCH_CASES)
+def test_rows_sharing_a_candidate_key_match_nothing(p, n):
+    # adding w[j] to column i and -w[i] to column j keeps the wrapping key:
+    # only the column check tells these rows from the candidates
+    w = _candidate_map(p, n)[0]
+    rows = candidates(p, n)[0]
+    i, j = p - 3, p - 2
+    rows[:, i] += w[j]
+    rows[:, j] -= w[i]
+    assert not _match_candidates(rows, p, n)[0].any()
 
 
 def test_candidate_keys_are_checked_distinct(monkeypatch):
@@ -585,15 +593,112 @@ def test_candidate_keys_are_checked_distinct(monkeypatch):
         _candidate_map.__wrapped__(5, 2)
 
 
-def test_classify_names_the_first_unmatched_value(monkeypatch):
+def test_perturbed_counts_classify_as_not_bent(monkeypatch):
+    # Kumar-Scholtz-Welch: every value of a bent function is a candidate, so
+    # a value that matches none means "not bent", never a MatchFailure
     from bentpds.constructions import quad_trace
 
-    f = quad_trace(5, 3, 1, 2).function
-    true = walsh_full(f)
-    norms = _conj_products(true.coeff_rows, 5)
-    rows = true.coeff_rows.copy()
-    rows[[17, 40], 1] += 1
-    monkeypatch.setattr(spectral, "walsh_full", lambda g: spectral.WalshSpectrum(g.domain, rows))
-    monkeypatch.setattr(spectral, "_conj_products", lambda A, p: norms)
-    with pytest.raises(MatchFailure, match=r"a=17 "):
-        classify_bent(f)
+    f = component(quad_trace(5, 3, 1, 2).function, 1)
+    assert classify_bent(f).is_bent
+    counts = spectral._char_counts(f.domain, f.table)
+    counts[[17, 40], 1] += 1
+    monkeypatch.setattr(spectral, "_char_counts", lambda *args: counts)
+    cl = classify_bent(f)
+    assert not cl.is_bent and cl.dual is None and cl.epsilon is None
+
+
+# ---------------------------------------------------------------------------
+# count-domain classification against the norms-then-match oracle
+# ---------------------------------------------------------------------------
+
+def _verdict(f):
+    cl = classify_bent(f)
+    dual = None if cl.dual is None else cl.dual.table.tolist()
+    return cl.is_bent, cl.weakly_regular, cl.regular, cl.epsilon, dual
+
+
+def test_classify_equals_norm_oracle_on_every_ternary_function_of_two_variables():
+    # all 3^8 functions GF(3)^2 -> GF(3) with f(0) = 0
+    sp = prime_space(3, 2)
+    tables = np.zeros((3 ** 8, 9), dtype=np.int64)
+    tables[:, 1:] = np.indices((3,) * 8).reshape(8, -1).T
+    bent = weakly = 0
+    for table in tables:
+        f = p_ary(sp, table)
+        verdict = _verdict(f)
+        assert verdict == classify_by_norms(f), table.tolist()
+        bent += verdict[0]
+        weakly += verdict[1]
+    assert 0 < weakly <= bent < len(tables)
+
+
+def _oracle_functions():
+    """Random tables and components of constructions at p = 5 and 7, even
+    and odd n: non-bent, weakly regular of both signs, and bent but not
+    weakly regular."""
+    from bentpds.constructions import branched_quad_mm, diag_quad, mm_power, quad_trace
+
+    out = []
+    for p, n in [(5, 2), (5, 3), (5, 4), (7, 2), (7, 3)]:
+        sp = prime_space(p, n)
+        out += [p_ary(sp, _random_table(sp, seed)) for seed in (1, 2)]
+    pairs = [
+        quad_trace(5, 2, 1, 1), quad_trace(5, 3, 1, 2), quad_trace(7, 3, 1, 3),
+        quad_trace(7, 2, 1, 1), mm_power(5, 1, 1, 2, 1), mm_power(7, 1, 1, 3, 5),
+        diag_quad(5, 1, 3, (1, 2, 3)), diag_quad(7, 1, 1, (3,)),
+        branched_quad_mm(5, 1, 1, 1, 1, 2, 1, 1, 1),     # odd n
+        branched_quad_mm(5, 2, 1, 1, 1, 2, 1, 1, 1),     # even n
+        branched_quad_mm(7, 1, 1, 1, 1, 1, 3, 1, 1),     # odd n
+    ]
+    for pair in pairs:
+        F = pair.function
+        for c in range(1, F.codomain.size):
+            comp = component(F, c)
+            out.append(comp)
+            # and the same function with one value changed
+            out.append(p_ary(comp.domain, np.where(np.arange(comp.domain.size) == 1,
+                                                   (comp.table + 1) % F.p, comp.table)))
+    return out
+
+
+def test_classify_equals_norm_oracle_at_p_5_and_7():
+    verdicts = []
+    for f in _oracle_functions():
+        verdict = _verdict(f)
+        assert verdict == classify_by_norms(f)
+        verdicts.append(verdict)
+    assert any(not v[0] for v in verdicts)
+    assert any(v[1] and v[3] == 1 for v in verdicts)
+    assert any(v[1] and v[3] == -1 for v in verdicts)
+    assert any(v[0] and not v[1] for v in verdicts)
+
+
+# ---------------------------------------------------------------------------
+# memory of one classification
+# ---------------------------------------------------------------------------
+
+# Classification reads the transform's reduced float counts and keys them a
+# column at a time, so nothing it allocates is as large as the transform's
+# two (N, p) float buffers.  Forming an int64 spectrum and its norm
+# products first takes the peak to 2.0-2.3 of them.
+CLASSIFY_PEAK_BOUND = 1.75
+
+
+@pytest.mark.parametrize("p, n", [(3, 10), (5, 6), (7, 6), (3, 9)])
+def test_classify_peak_memory_is_bounded_by_the_transform_buffers(p, n):
+    from bentpds.constructions import quad_trace
+
+    sp = prime_space(p, n)
+    bent = component(quad_trace(p, n, 1, 1).function, 1)
+    for f in (bent, p_ary(sp, _random_table(sp, 4))):
+        classify_bent(f)  # warm: candidates, pass matrix and dual map are cached
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cl = classify_bent(f)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert cl.is_bent == (f is bent)
+        buffers = 2 * sp.size * p * exact_float_dtype(sp.size).itemsize
+        assert peak <= CLASSIFY_PEAK_BOUND * buffers, peak / buffers

@@ -5,12 +5,24 @@ verification into reproducible runs.  All I/O is JSON; identical inputs
 produce byte-identical output.  Exit codes: 0 success, 1 verification
 failure, 2 usage error.  Every run, errors included, writes one JSON record
 to stdout and, with --out, the same record to that file.
+
+Function tables cross the JSON boundary as int64 arrays.  The writer
+renders a table through a byte lookup table with the bytes json.dumps gives
+its list.  The reader parses each "table":[...] body made of canonical
+non-negative integers (digits and commas, no leading zeros) with numpy,
+loads the rest of the text with json, and puts the arrays back at 'table',
+'function.table' and 'dual.table'.  Where the scan cannot show that this
+equals json.load, the whole text goes through json.loads instead: any other
+span, a duplicate or misplaced key, a marker collision, a decode error.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+
+import numpy as np
 
 from . import constructions, pds, spectral
 from .errors import BentError
@@ -25,10 +37,70 @@ class UsageError(Exception):
     pass
 
 
+_TABLE_SPAN = re.compile(r'"table":\[([0-9,]+)\]')
+_TABLE_PATHS = (("table",), ("function", "table"), ("dual", "table"))
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _parse_table(body: str):
+    """The int64 entries of a list body of digits and commas, or None unless
+    each entry is a canonical integer (no leading zero) below 2^63 - 1,
+    where json would give the same Python ints."""
+    n = body.count(",") + 1
+    if body[0] == "," or body[-1] == "," or ",," in body:
+        return None
+    if len(body) == 2 * n - 1:  # one digit per entry, as for codomains up to GF(9)
+        return (np.frombuffer(body[::2].encode(), np.uint8) - 48).astype(np.int64)
+    table = np.fromstring(body, dtype=np.int64, sep=",")  # clamps at 2^63 - 1
+    top = int(table.max())
+    if table.size != n or top == _INT64_MAX:
+        return None
+    # the decimal length of each value, summed: equal to the digit count of
+    # the body exactly when no entry has a leading zero
+    digits = n + sum(int(np.count_nonzero(table >= 10 ** k)) for k in range(1, len(str(top))))
+    return table if digits == len(body) - (n - 1) else None
+
+
+def _scan(text: str):
+    """json.loads(text) with the canonical tables parsed as int64 arrays,
+    or None where that result cannot be shown to equal json's.  Each table
+    becomes a float literal absent from the text, which parse_float turns
+    back into its array; all of them must land on one of _TABLE_PATHS."""
+    held, rest, end = {}, [], 0
+    for span in _TABLE_SPAN.finditer(text):
+        table = _parse_table(span[1])
+        if table is None:
+            continue
+        marker = f"0.{len(held)}e-0"
+        # more tables than paths cannot all land; the cap also bounds the
+        # number of passes over the text that the marker checks make
+        if len(held) == len(_TABLE_PATHS) or marker in text:
+            return None
+        held[marker] = table
+        rest += [text[end:span.start(1) - 1], marker]
+        end = span.end(1) + 1
+    if not held:
+        return None
+    rest.append(text[end:])
+    try:
+        doc = json.loads("".join(rest), parse_float=lambda v: held[v] if v in held else float(v))
+    except json.JSONDecodeError:
+        return None
+    placed = 0
+    for *parents, key in _TABLE_PATHS:
+        node = doc
+        for parent in parents:
+            node = node.get(parent) if isinstance(node, dict) else None
+        placed += isinstance(node, dict) and isinstance(node.get(key), np.ndarray)
+    return doc if placed == len(held) else None
+
+
 def _load_json(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            text = fh.read()
+        doc = _scan(text)
+        return json.loads(text) if doc is None else doc
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read JSON from {path}: {exc}")
 
@@ -42,7 +114,7 @@ def _function(d) -> VectorialFunction:
     cod = d["codomain"]
     if not isinstance(cod, dict) or "p" not in cod or "s" not in cod:
         raise UsageError("codomain must be {'p': int, 's': int}")
-    if not isinstance(d["table"], list):
+    if not isinstance(d["table"], (list, np.ndarray)):
         raise UsageError("table must be a list of integers")
     return VectorialFunction.from_dict(d)
 
@@ -64,12 +136,17 @@ def _load(path) -> dict:
     return out
 
 
+def _function_dict(F: VectorialFunction) -> dict:
+    """F.to_dict() with the table left an array, for _json_line to render."""
+    return {"space": F.domain.to_list(), "codomain": {"p": F.p, "s": F.s}, "table": F.table}
+
+
 def _bundle_dict(pair: constructions.ConstructedPair) -> dict:
     return {
         "family": pair.family,
         "params": pair.params,
-        "function": pair.function.to_dict(),
-        "dual": pair.dual.to_dict(),
+        "function": _function_dict(pair.function),
+        "dual": _function_dict(pair.dual),
         "sigma": {str(c): d for c, d in sorted(pair.sigma.items())},
         "epsilons": None
         if pair.epsilons is None
@@ -143,7 +220,7 @@ def _cmd_classify(args) -> tuple[dict, int]:
         "weakly_regular": cl.weakly_regular,
         "regular": cl.regular,
         "epsilon": cl.epsilon,
-        "dual_table": cl.dual.table.tolist() if cl.dual is not None else None,
+        "dual_table": cl.dual.table if cl.dual is not None else None,
     }, 0
 
 
@@ -399,8 +476,30 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _table_json(table: np.ndarray) -> str:
+    """json.dumps(table.tolist(), separators=(",", ":")) for a nonempty
+    table of non-negative integers, from a NUL-padded byte row "v," per
+    value."""
+    rows = np.array([f"{v}," for v in range(int(table.max()) + 1)], dtype=bytes)
+    cells = rows.view(np.uint8).reshape(rows.size, -1)[table]
+    return "[" + cells[cells != 0].tobytes()[:-1].decode("ascii") + "]"
+
+
 def _json_line(record) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    """The record as one compact JSON line with sorted keys; numpy tables in
+    it are rendered by _table_json."""
+    tables = []
+
+    def hold(obj):
+        if not isinstance(obj, np.ndarray):
+            raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+        tables.append(obj)
+        return f"\0table{len(tables) - 1}"
+
+    text = json.dumps(record, sort_keys=True, separators=(",", ":"), default=hold)
+    for i, table in enumerate(tables):
+        text = text.replace(json.dumps(f"\0table{i}"), _table_json(table), 1)
+    return text + "\n"
 
 
 def main(argv=None) -> int:

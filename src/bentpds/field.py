@@ -209,14 +209,17 @@ class Field:
 
     @lru_cache(maxsize=None)
     def _trace_table(self, k: int) -> np.ndarray:
-        _, _, proj = self.subfield(k)
-        ranks = np.arange(self.size, dtype=np.int64)
-        frob = self.pow(ranks, self.p ** k)  # x -> x^{p^k} as a permutation
-        total = conj = ranks
+        # Tr_k^m is GF(p)-linear, Tr(x) = sum_j x_j Tr(x^j) over the digits
+        # x_j, so the Frobenius sum runs on the m basis elements alone; row j
+        # of T holds the canonical GF(p^k) digits of Tr(x^j)
+        sub, _, proj = self.subfield(k)
+        basis = self._powers  # the ranks of 1, x, ..., x^(m-1)
+        total = conj = basis
         for _ in range(self.m // k - 1):
-            conj = frob[conj]
+            conj = self.pow(conj, self.p ** k)
             total = self.add(total, conj)
-        return proj[total]
+        T = sub._digits[proj[total]].astype(np.int64)
+        return self._digits @ T % self.p @ sub._powers
 
     def quadratic_character(self, a: int) -> int:
         """+1 iff a is a nonzero square (a^{(q-1)/2} = 1), -1 otherwise."""

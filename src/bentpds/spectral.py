@@ -83,14 +83,22 @@ class VectorialFunction:
     def __init__(self, domain: Space, codomain: Field, table):
         if codomain.p != domain.p:
             raise ValueError("domain and codomain characteristics differ")
-        table = np.asarray(table, dtype=np.int64)
-        if table.shape != (domain.size,):
+        arr = np.asarray(table)
+        if arr.shape != (domain.size,):
             raise ValueError(f"table must have length {domain.size}")
-        if table.size and (table.min() < 0 or table.max() >= codomain.size):
+        # numpy turns bool, float and str entries into integers under an
+        # integer dtype, and a list mixing bools with ints into an int
+        # array, so a list is checked by the types of its entries; integers
+        # beyond int64 give a float, object or uint64 array
+        exact = isinstance(table, np.ndarray) or all(
+            issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, table)))
+        if arr.dtype.kind not in "iu" or not exact:
+            raise ValueError("table entries must be int64 integers")
+        if arr.min() < 0 or arr.max() >= codomain.size:
             raise ValueError("table entries must lie in [0, p^s)")
         self.domain = domain
         self.codomain = codomain
-        self.table = table
+        self.table = arr.astype(np.int64, copy=False)
 
     @property
     def p(self) -> int:
@@ -120,6 +128,8 @@ class VectorialFunction:
 
     @classmethod
     def from_dict(cls, d: dict) -> "VectorialFunction":
+        """The inverse of to_dict; 'table' may also be an integer array, as
+        the CLI's table reader gives it."""
         cod = d["codomain"]
         return cls(
             Space.from_list(d["space"]),

@@ -2,9 +2,12 @@ import contextlib
 import io
 import json
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bentpds.cli import _bundle_dict, main
+from bentpds import cli
+from bentpds.cli import _bundle_dict, _json_line, _table_json, main
 from bentpds.constructions import mm_power
 from bentpds.field import canonical_field
 from bentpds.space import prime_space
@@ -140,10 +143,19 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     damaged_p = json.loads(bundle.read_text())
     damaged_p["function"]["space"][0]["p"] = 4
     damaged_sigma = dict(good, sigma={"1": "x", "2": 2})
-    for i, d in enumerate([damaged, damaged_p, damaged_sigma]):
-        path = tmp_path / f"damaged{i}.json"
-        path.write_text(json.dumps(d))
-        assert_one_usage_record("certify", "--file", str(path))
+    # table entries that are not int64 integers, each in place of a 0 entry
+    # (numpy would turn 0.5, false and "0" into 0); written spaced and compact
+    assert good["function"]["table"][1] == 0
+    damaged_entries = []
+    for entry in (10 ** 30, 2 ** 63, 0.5, False, "0", None):
+        d = json.loads(bundle.read_text())
+        d["function"]["table"][1] = entry
+        damaged_entries.append(d)
+    for i, d in enumerate([damaged, damaged_p, damaged_sigma] + damaged_entries):
+        for j, separators in enumerate([None, (",", ":")]):
+            path = tmp_path / f"damaged{i}-{j}.json"
+            path.write_text(json.dumps(d, separators=separators))
+            assert_one_usage_record("certify", "--file", str(path))
     # out-of-range arguments at the library boundary
     assert_one_usage_record("gaussian-period", "--p", "3", "--s", "2", "--t", "2", "--a", "99")
     assert_one_usage_record("gaussian-period", "--p", "4", "--s", "2", "--t", "3", "--a", "1")
@@ -216,6 +228,105 @@ def test_out_file_gets_the_record_on_every_path(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# the table writer and reader
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("top", [0, 1, 8, 9, 10, 99, 100, 6560])
+def test_table_writer_gives_json_dumps_bytes(top):
+    rng = np.random.default_rng(top)
+    for size in (1, 2, 1000):
+        table = rng.integers(0, top + 1, size)
+        assert _table_json(table) == json.dumps(table.tolist(), separators=(",", ":"))
+
+
+BUNDLE_TEXT = _json_line(_bundle_dict(mm_power(3, 1, 1, 1, 1)))
+FUNCTION_TABLE = '"table":[0,0,0,0,1,2,0,2,1]'
+assert FUNCTION_TABLE in BUNDLE_TEXT
+
+
+def _with_function_table(body):
+    return BUNDLE_TEXT.replace(FUNCTION_TABLE, f'"table":[{body}]')
+
+
+def _with_params(prefix):
+    return BUNDLE_TEXT.replace('"params":{', '"params":{' + prefix)
+
+
+READER_CASES = {
+    "compact": BUNDLE_TEXT,
+    "compact, two-digit values": _json_line(_bundle_dict(mm_power(11, 1, 1, 1, 1))),
+    "spaced": json.dumps(json.loads(BUNDLE_TEXT)),
+    "indented": json.dumps(json.loads(BUNDLE_TEXT), indent=1),
+    "function file": json.dumps(json.loads(BUNDLE_TEXT)["function"], separators=(",", ":")),
+    "spaced function file": json.dumps(json.loads(BUNDLE_TEXT)["function"]),
+    "leading zero": _with_function_table("00,0,0,0,1,2,0,2,1"),
+    "late leading zero": _with_function_table("0,0,0,0,1,2,0,2,01"),
+    "minus one": _with_function_table("-1,0,0,0,1,2,0,2,1"),
+    "exponent": _with_function_table("1e0,0,0,0,1,2,0,2,1"),
+    "float": _with_function_table("1.0,0,0,0,1,2,0,2,1"),
+    "19 digits": _with_function_table("1000000000000000000,0,0,0,1,2,0,2,1"),
+    "int64 max": _with_function_table("9223372036854775807,0,0,0,1,2,0,2,1"),
+    "2^63": _with_function_table("9223372036854775808,0,0,0,1,2,0,2,1"),
+    "10^30": _with_function_table("1" + "0" * 30 + ",0,0,0,1,2,0,2,1"),
+    "out of range": _with_function_table("10,0,0,0,1,2,0,2,1"),
+    "empty table": _with_function_table(""),
+    "empty entry": _with_function_table("0,,0,0,1,2,0,2,1"),
+    "leading comma": _with_function_table(",0,0,0,1,2,0,2,1"),
+    "trailing comma": _with_function_table("0,0,0,0,1,2,0,2,1,"),
+    "digit after table": BUNDLE_TEXT.replace(FUNCTION_TABLE, FUNCTION_TABLE + "5"),
+    "duplicate table": BUNDLE_TEXT.replace(
+        FUNCTION_TABLE, FUNCTION_TABLE + ',"table":[0,0,0,0,2,1,0,1,2]'),
+    "duplicate, last spaced": BUNDLE_TEXT.replace(
+        FUNCTION_TABLE, FUNCTION_TABLE + ',"table": [0, 0, 0, 0, 2, 1, 0, 1, 2]'),
+    "duplicate, first spaced": BUNDLE_TEXT.replace(
+        FUNCTION_TABLE, '"table": [0, 0, 0, 0, 2, 1, 0, 1, 2],' + FUNCTION_TABLE),
+    "escaped quote key": BUNDLE_TEXT.replace(FUNCTION_TABLE, r'"x\"table":[0,1,2],' + FUNCTION_TABLE),
+    "escaped quote key only": BUNDLE_TEXT.replace(FUNCTION_TABLE, r'"x\"' + FUNCTION_TABLE[1:]),
+    "unicode escape key": BUNDLE_TEXT.replace(FUNCTION_TABLE, r'"\u0074able"' + FUNCTION_TABLE[7:]),
+    "table in params": _with_params('"table":[0,1,2],'),
+    "table in a string": _with_params(r'"note":"\"table\":[0,1,2]",'),
+    "top-level table": '{"table":[0,1,2],' + BUNDLE_TEXT[1:],
+    "nested bundle": '{"function":' + BUNDLE_TEXT.rstrip() + "}",
+    "four tables": _with_params('"table":[0],"u":{"table":[1]},"v":{"table":[2]},'),
+    "marker collision": _with_params('"x":0.0e-0,'),
+    "second marker collision": _with_params('"x":0.1e-0,'),
+    "float in params": _with_params('"x":0.5,'),
+    "truncated": BUNDLE_TEXT[: len(BUNDLE_TEXT) // 2],
+    "truncated in a table": BUNDLE_TEXT[: BUNDLE_TEXT.index(FUNCTION_TABLE) + 15],
+    "cut before the end": BUNDLE_TEXT.rstrip()[:-1],
+    "top-level list": "[0,1,2]",
+    "top-level string": '"table"',
+    "empty file": "",
+}
+# the cases the scan answers; every other case goes to json.loads whole
+SCANNED = {"compact", "compact, two-digit values", "function file", "minus one", "exponent", "float", "19 digits",
+           "int64 max", "2^63", "10^30", "out of range", "empty table",
+           "duplicate, first spaced", "unicode escape key", "table in a string",
+           "top-level table", "float in params"}
+
+
+def test_table_reader_gives_what_json_gives(tmp_path, capsys, monkeypatch):
+    scan, scanned = cli._scan, set()
+
+    def spy(text):
+        doc = scan(text)
+        if doc is not None:
+            scanned.add(text)
+        return doc
+
+    for name, text in READER_CASES.items():
+        path = tmp_path / "case.json"
+        path.write_text(text)
+        outputs = []
+        for reader in (lambda text: None, spy):
+            monkeypatch.setattr(cli, "_scan", reader)
+            outputs.append([run(capsys, command, "--file", str(path))
+                            for command in ("certify", "classify")])
+        assert outputs[0] == outputs[1], name
+    assert {name for name, text in READER_CASES.items() if text in scanned} == SCANNED
+
+
+# ---------------------------------------------------------------------------
 # contract fuzzing: any argv, any damaged bundle -> exit 0/1/2, one JSON line.
 # -h is never drawn (it prints help and exits); --out has its own test above.
 # ---------------------------------------------------------------------------
@@ -261,8 +372,11 @@ COMMAND_FLAGS = {
     "x": ([], []),
 }
 ALL_FLAGS = sorted({f for req, opt in COMMAND_FLAGS.values() for f in req + opt})
-SCALARS = st.sampled_from([None, True, False, -2, 0, 1, 2, 3, 4, 9, 30, 1.5, "x", [], {}])
-BASE_BUNDLE = json.loads(json.dumps(_bundle_dict(mm_power(3, 1, 1, 1, 1))))
+SCALARS = st.sampled_from([None, True, False, -2, 0, 1, 2, 3, 4, 9, 30, 2 ** 63, 10 ** 30,
+                           1.5, "x", [], {}])
+# json.dumps defaults, and the compact form the CLI writes and scans
+SEPARATORS = st.sampled_from([None, (",", ":")])
+BASE_BUNDLE = json.loads(BUNDLE_TEXT)
 
 
 def _paths(node, prefix=()):
@@ -322,7 +436,8 @@ def test_cli_contract_holds_for_any_input(monkeypatch, tmp_path_factory, data):
             continue
         if flag == "--file":
             path = tmp_path_factory.mktemp("fuzz") / "bundle.json"
-            path.write_text(json.dumps(_mutated_bundle(data)))
+            separators = data.draw(SEPARATORS, label="separators")
+            path.write_text(json.dumps(_mutated_bundle(data), separators=separators))
             argv.append(str(path))
         else:
             argv.append(data.draw(FLAG_VALUES.get(flag, VALUES), label=flag))

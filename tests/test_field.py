@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from bentpds.errors import (
@@ -10,7 +11,7 @@ from bentpds.errors import (
     ZeroArgument,
     ZeroBeta,
 )
-from bentpds.field import Field, canonical_field, smallest_irreducible
+from bentpds.field import Field, canonical_field, is_prime, smallest_irreducible
 
 F3 = canonical_field(3, 1)
 F9 = canonical_field(3, 2)
@@ -112,6 +113,36 @@ def test_trace_table_matches_defining_sum(field):
                 total = field.add(total, conj)
                 conj = field.pow(conj, field.p ** k)
             assert table[a] == proj[total]
+
+
+def frobenius_trace_table(field, k):
+    """Tr_k^m at every rank as the sum of the m/k Frobenius conjugates
+    x^{p^{k i}}: the defining sum, kept as the oracle for the linear map."""
+    _, _, proj = field.subfield(k)
+    ranks = np.arange(field.size, dtype=np.int64)
+    frob = field.pow(ranks, field.p ** k)
+    total = conj = ranks
+    for _ in range(field.m // k - 1):
+        conj = frob[conj]
+        total = field.add(total, conj)
+    return proj[total]
+
+
+# every extension field of order at most 3^8, the prime fields below 3^4
+# (there the trace is the identity), and 3^10
+TRACE_FIELDS = [
+    (p, m) for p in range(3, 3 ** 8) if is_prime(p) for m in range(1, 9)
+    if p ** m <= 3 ** 8 and (m > 1 or p < 3 ** 4)
+] + [(3, 10)]
+
+
+def test_trace_table_is_the_frobenius_sum():
+    for p, m in TRACE_FIELDS:
+        field = canonical_field(p, m)
+        for k in (k for k in range(1, m + 1) if m % k == 0):
+            table = field._trace_table(k)
+            assert table.dtype == np.int64
+            assert np.array_equal(table, frobenius_trace_table(field, k)), (p, m, k)
 
 
 def test_quadratic_character_examples():

@@ -398,6 +398,25 @@ def test_function_serialization_round_trip():
     d = F.to_dict()
     assert d["codomain"] == {"p": 3, "s": 1}
     assert VectorialFunction.from_dict(d) == F
+    d["table"] = F.table  # the CLI reader hands over int64 arrays
+    assert VectorialFunction.from_dict(d) == F
+
+
+def test_table_entries_must_be_int64_integers():
+    sp, table = prime_space(3, 2), [0, 1, 2, 0, 1, 2, 0, 1, 2]
+    for ok in (table, tuple(table), np.array(table, dtype=np.uint8), [np.int64(v) for v in table]):
+        f = p_ary(sp, ok)
+        assert f.table.dtype == np.int64 and f.table.tolist() == table
+    bad = [
+        [0.0] + table[1:], [0.5] + table[1:], [False] + table[1:], ["0"] + table[1:],
+        [None] + table[1:], [10 ** 30] + table[1:], [2 ** 63] + table[1:],
+        [2 ** 64] + table[1:], [-1, 2 ** 63] + table[2:], np.array(table, dtype=float),
+        np.array(table, dtype=bool), np.array(table, dtype=object),
+        np.array(table, dtype=np.uint64) + np.uint64(2 ** 63),
+    ]
+    for entries in bad:
+        with pytest.raises(ValueError, match="table entries must"):
+            p_ary(sp, entries)
 
 
 # ---------------------------------------------------------------------------

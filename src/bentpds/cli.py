@@ -18,6 +18,7 @@ span, a duplicate or misplaced key, a marker collision, a decode error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
@@ -101,7 +102,7 @@ def _load_json(path):
             text = fh.read()
         doc = _scan(text)
         return json.loads(text) if doc is None else doc
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise UsageError(f"cannot read JSON from {path}: {exc}")
 
 
@@ -116,24 +117,29 @@ def _function(d) -> VectorialFunction:
         raise UsageError("codomain must be {'p': int, 's': int}")
     if not isinstance(d["table"], (list, np.ndarray)):
         raise UsageError("table must be a list of integers")
-    return VectorialFunction.from_dict(d)
+    with _malformed():
+        return VectorialFunction.from_dict(d)
+
+
+@contextlib.contextmanager
+def _malformed():
+    """Turns the errors of reading a damaged file into a UsageError."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise UsageError(f"malformed function file: {exc}")
 
 
 def _load(path) -> dict:
-    """A function file, or a construct bundle, validated in full.  Returns
-    the 'function', and for a bundle its 'dual' and its 'sigma' and
-    'epsilons' claims with integer keys and values."""
+    """A construct bundle, or a function file as its 'function', as read.
+    Each part is validated by the command that reads it: only certify
+    reads 'dual', 'sigma' and 'epsilons'."""
     d = _load_json(path)
-    if not (isinstance(d, dict) and "function" in d):
-        d = {"function": d}
-    try:
-        out = {key: _function(d[key]) for key in ("function", "dual") if key in d}
-        out["sigma"] = {int(c): int(v) for c, v in (d.get("sigma") or {}).items()}
-        eps = d.get("epsilons")
-        out["epsilons"] = None if eps is None else {int(c): int(e) for c, e in eps.items()}
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise UsageError(f"malformed function file: {exc}")
-    return out
+    return d if isinstance(d, dict) and "function" in d else {"function": d}
+
+
+def _load_function(path) -> VectorialFunction:
+    return _function(_load(path)["function"])
 
 
 def _function_dict(F: VectorialFunction) -> dict:
@@ -202,7 +208,7 @@ def _ints(csv: str):
 
 
 def _p_ary(args) -> VectorialFunction:
-    F = _load(args.file)["function"]
+    F = _load_function(args.file)
     if F.s != 1:
         raise UsageError(f"{args.command} operates on p-ary (s = 1) functions")
     return F
@@ -226,12 +232,17 @@ def _cmd_classify(args) -> tuple[dict, int]:
 
 def _cmd_certify(args) -> tuple[dict, int]:
     bundle = _load(args.file)
+    F = _function(bundle["function"])
     if "dual" not in bundle:
         raise UsageError("certify needs a construct bundle with 'function' and 'dual'")
-    cert = spectral.dual_bent_certificate(bundle["function"], bundle["dual"])
+    Fstar = _function(bundle["dual"])
+    with _malformed():
+        sigma_claim = {int(c): int(v) for c, v in (bundle.get("sigma") or {}).items()}
+        eps = bundle.get("epsilons")
+        eps_claim = None if eps is None else {int(c): int(e) for c, e in eps.items()}
+    cert = spectral.dual_bent_certificate(F, Fstar)
     if cert is None:
         return {"certified": False}, VERIFY_ERROR
-    sigma_claim, eps_claim = bundle["sigma"], bundle["epsilons"]
     sigma_ok = sigma_claim == cert.sigma if sigma_claim else None
     eps_ok = None if eps_claim is None else all(
         cert.epsilons.get(c) == e for c, e in eps_claim.items())
@@ -263,7 +274,7 @@ def _extract_set(F: VectorialFunction, args) -> pds.PreimageSet:
 
 
 def _cmd_pds_extract(args) -> tuple[dict, int]:
-    F = _load(args.file)["function"]
+    F = _load_function(args.file)
     D = _extract_set(F, args)
     return {
         "group": F.domain.to_list(),
@@ -290,7 +301,7 @@ def _cmd_pds_params(args) -> tuple[dict, int]:
 
 
 def _cmd_pds_verify(args) -> tuple[dict, int]:
-    F = _load(args.file)["function"]
+    F = _load_function(args.file)
     D = _extract_set(F, args)
     expect = None
     if args.expect:

@@ -101,11 +101,11 @@ def _qpoly_tables(F: Field, s: int, coeffs: list[int]) -> tuple[np.ndarray, np.n
     for c in coeffs:
         F.check_rank(c, "q-polynomial coefficient")
     y = np.arange(F.size)
-    table, power = 0, y
+    table, power = np.zeros_like(y), y
     for c in coeffs:
         table = F.add(table, F.mul(c, power))
         power = F.pow(power, F.p ** s)
-    if np.unique(table).size != F.size:
+    if not np.array_equal(np.sort(table), y):
         raise NotPermutation("q-polynomial does not permute the field")
     inv = np.empty_like(table)
     inv[table] = y

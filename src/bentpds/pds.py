@@ -603,15 +603,21 @@ def verify_pds_bruteforce(space: Space, D) -> PdsParams | None:
     counts = _dense_counts(space, Dv) if 16 * N >= v else _gather_counts(space, Dv)
     in_D = np.zeros(v, dtype=bool)
     in_D[Dv] = True
-    lam_vals = np.unique(counts[in_D])
     rest = ~in_D
     rest[0] = False
-    mu_vals = np.unique(counts[rest])
-    if lam_vals.size > 1 or mu_vals.size > 1:
+    lam, mu = _constant(counts[in_D]), _constant(counts[rest])
+    if lam is None or mu is None:
         return None
-    lam = int(lam_vals[0]) if lam_vals.size else 0
-    mu = int(mu_vals[0]) if mu_vals.size else 0
     return PdsParams(v, N, lam, mu)
+
+
+def _constant(values: np.ndarray) -> int | None:
+    """The value every entry holds, 0 for no entries, None when they
+    differ."""
+    if values.size == 0:
+        return 0
+    low, high = int(values.min()), int(values.max())
+    return low if low == high else None
 
 
 def _ring_sqrt(p: int, delta: int) -> tuple[int, ...] | None:

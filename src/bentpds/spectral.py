@@ -4,22 +4,23 @@ vectorial dual-bent certificates.
 The full transform W_f(a) = sum_x zeta^{f(x) - <a,x>} is computed by a
 radix-p fast transform: n rounds of exact p-point DFTs over Z[zeta_p], one
 per GF(p)-coordinate.  Ring arrays in the transform are exponent counts of
-shape (p^n, p), C[x, j] = the coefficient of zeta^j at x, with the exponent
-axis last.  A pass multiplies by zeta^{-u t} (t the digit of x, u that of
-the frequency), which sends exponent j to j - u t: a fixed 0/1 map on the
-p^2 (t, j) pairs.  Digit 0 of x sits next to j, so for p <= 13 a pass is
-one stacked BLAS product of C.reshape(1, p^n / p, p^2) with a (p, p^2, p)
-matrix.  Only 1 in p of its p^4 entries is nonzero, so for larger p a pass
-is p^2 slice-adds of shifted exponent rows instead.  Either way the pass
-writes u above the remaining digits (Stockham order), so after n passes the
-frequencies are in natural order with no transpose or digit reversal.  The
-counts are floats: every entry and partial sum counts points x, so its
-magnitude is at most p^n, exact in float32 while p^n < 2^24 and in float64
-while p^n < 2^53 (limits.exact_float_dtype).  The result is reduced to the
-basis {1, zeta, ..., zeta^{p-2}} once, by the
-CyclotomicInt.from_exponent_counts rule, and every decision reads these
-reduced float counts, rows in frequency-digit order: classification here
-and the character verifier of pds.  Only walsh_full gathers them into the
+shape (p, p^n), C[j, x] = the coefficient of zeta^j at x, exponent-major
+with x's digits most significant first.  A pass multiplies by zeta^{-u t}
+(t the top digit of x left, u that of the frequency), which sends exponent
+j to j - u t: a fixed 0/1 map from the p^2 pairs (j, t) to the pairs
+(u, j').  For p <= DENSE_PASS_MAX_P a pass is one stacked BLAS product of
+that (p^2, p^2) matrix with the counts of every frequency prefix made so
+far; only 1 in p of its p^4 entries is nonzero, so for larger p a pass is
+p^2 slice-adds of shifted exponent rows instead.  u lands above j', so
+after n passes the frequencies are in natural order with no transpose or
+digit reversal.  The last product also reduces to the basis
+{1, zeta, ..., zeta^{p-2}} (the CyclotomicInt.from_exponent_counts rule),
+so the transform ends in (p^n, p - 1) reduced counts.  The counts are
+floats: every count and partial sum has magnitude at most p^n, the signed
+ones of the reduction included, which is exact in float32 while
+p^n < 2^24 and in float64 while p^n < 2^53 (limits.exact_float_dtype).
+Every decision reads these reduced float counts: classification here and
+the character verifier of pds.  Only walsh_full gathers them into the
 order of a and casts them to the int64 rows of WalshSpectrum.  The
 transform also refuses spaces where (p-1)^2 p^{2n} reaches 2^63, the bound
 on the norm products a * conj(a) of spectrum rows, so int64 norms formed
@@ -166,62 +167,89 @@ def flatten_domain(f: VectorialFunction) -> VectorialFunction:
 
 # Largest p whose passes take the dense product.  Its matrix holds p^4
 # entries, only 1 in p of them nonzero, so a pass costs p^3 N multiply-adds
-# against the p^2 N adds of the shifts; BLAS outruns the shifts up to about
-# p = 17, and past that the shifts win by a growing factor.
-DENSE_PASS_MAX_P = 13
+# against the p^2 N adds of the shifts.  With single-threaded BLAS on a
+# 2-vCPU Xeon VM the product, once built, is the faster pass up to p = 43
+# (1.6x at 37^3, 1.2x at 43^3) and the slower one from 53^3; building it
+# costs more than it saves at p^2 points from p = 23, but under 40 ms up to
+# p = 37.  Past 37 the gain is small and the two matrices pass 16 MB.
+DENSE_PASS_MAX_P = 37
 
 
 @lru_cache(maxsize=None)  # one entry per (p <= DENSE_PASS_MAX_P, dtype)
-def _pass_matrix(p: int, dtype: np.dtype) -> np.ndarray:
-    """A[u, t p + j, j'] = 1 iff j' = j - u t (mod p): the digit pass that
-    takes the count at (digit t, exponent j) to (digit u, exponent j').
-    Shared between calls, so read-only."""
-    u, t, j = np.indices((p, p, p))
-    A = np.zeros((p, p * p, p), dtype=dtype)
-    A[u, t * p + j, (j - u * t) % p] = 1
-    A.setflags(write=False)
-    return A
+def _pass_matrices(p: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(B, L).  B[u p + j', j p + t] = 1 iff j' = j - u t (mod p): the digit
+    pass that takes the count at (exponent j, digit t) to (digit u,
+    exponent j').  L is the last pass reduced to the basis
+    {1, ..., zeta^{p-2}} and transposed: column u (p - 1) + j' of L is row
+    u p + j' of B minus row u p + p - 1.  Shared between calls, so
+    read-only."""
+    u, j_out, t = np.indices((p, p, p))
+    B = np.zeros((p * p, p * p), dtype=dtype)
+    B[u * p + j_out, (j_out + u * t) % p * p + t] = 1
+    rows = B.reshape(p, p, p * p)
+    L = np.ascontiguousarray((rows[:, :-1] - rows[:, -1:]).reshape(-1, p * p).T)
+    B.setflags(write=False)
+    L.setflags(write=False)
+    return B, L
 
 
-def _dense_pass(C: np.ndarray, out: np.ndarray, p: int) -> None:
-    rows = C.shape[0] // p
-    np.matmul(C.reshape(1, rows, p * p), _pass_matrix(p, C.dtype),
-              out=out.reshape(p, rows, p))
+def _dense_pass(C: np.ndarray, out: np.ndarray, p: int, b: int) -> None:
+    np.matmul(_pass_matrices(p, C.dtype)[0], C.reshape(b, p * p, -1),
+              out=out.reshape(b, p * p, -1))
 
 
-def _shift_pass(C: np.ndarray, out: np.ndarray, p: int) -> None:
+def _shift_pass(C: np.ndarray, out: np.ndarray, p: int, b: int) -> None:
     """The same pass as _dense_pass in p^2 adds of N counts: digit t
     reaches digit u shifted by u t on the exponent axis, read as one slice
     of the counts of t written twice."""
-    rows = C.shape[0] // p
-    V = C.reshape(rows, p, p)
-    W = out.reshape(p, rows, p)
-    W[:] = V[:, 0]  # t = 0 shifts nothing
-    twice = np.empty((rows, 2 * p), dtype=C.dtype)
+    V = C.reshape(b, p, p, -1)  # block, exponent j, digit t, rest
+    W = out.reshape(b, p, p, -1)  # block, digit u, exponent j', rest
+    W[:] = V[:, None, :, 0]  # t = 0 shifts nothing
+    twice = np.empty((b, 2 * p, V.shape[3]), dtype=C.dtype)
     for t in range(1, p):
-        twice[:, :p] = twice[:, p:] = V[:, t]
+        twice[:, :p] = twice[:, p:] = V[:, :, t]
         for u in range(p):
             r = u * t % p
-            W[u] += twice[:, r : r + p]
+            W[:, u] += twice[:, r : r + p]
 
 
 def _digit_transform(C: np.ndarray, p: int, dim: int) -> np.ndarray:
-    """Turn float exponent counts C[x, j] (the weight at x is
-    sum_j C[x, j] zeta^j) into the counts of
-    G(u) = sum_x weight(x) zeta^{-sum_k u_k x_k}, one pass per digit.
-    Each pass contracts digit 0 of x and the exponent and writes the new
-    digit u on top, so after dim passes u is in natural order.  A pass is
-    the product with _pass_matrix for p <= DENSE_PASS_MAX_P and the shifts
-    of _shift_pass above it.  Exact while exact_float_dtype(sum |C|) is no
-    wider than C's dtype: no entry or partial sum exceeds sum |C|.  Two
-    buffers swap roles between passes, C being one of them; returns the one
-    holding the result."""
-    digit_pass = _dense_pass if p <= DENSE_PASS_MAX_P else _shift_pass
+    """Turn float exponent counts C[j, x] (the weight at x is
+    sum_j C[j, x] zeta^j, x's digits most significant first) into the
+    (p^dim, p - 1) counts of G(u) = sum_x weight(x) zeta^{-sum_k u_k x_k}
+    in the basis {1, ..., zeta^{p-2}}, rows u in natural order.
+
+    Pass k views the counts as (p^k, p^2, R), R = p^{dim-k-1}: a block per
+    frequency prefix made so far, the pairs (j, t) of the exponent and the
+    top digit of x left, and the rest of x.  It maps (j, t) to (u, j'), so
+    u joins the prefix.  Passes are products with B of _pass_matrices for
+    p <= DENSE_PASS_MAX_P and the shifts of _shift_pass above it.  The
+    dense last pass (R = 1) is one 2-D product with L, which writes the
+    reduced counts straight into the spare buffer; after the last shifts
+    the zeta^{p-1} column is subtracted instead.
+
+    C holds non-negative counts, and the transform is exact while
+    exact_float_dtype(C.sum()) is no wider than C's dtype: before the
+    reduction every entry and partial sum is a count of at most C.sum(),
+    and a reduced output adds one such count through the +1 entries of L
+    and subtracts another through its -1 entries, so in any summation
+    order its partial sums lie in [-C.sum(), C.sum()].  Two buffers swap
+    roles between passes, C being one of them; the result is a view of
+    the spare one."""
+    N = C.shape[1]
+    dense = p <= DENSE_PASS_MAX_P
     out = np.empty_like(C)
-    for _ in range(dim):
-        digit_pass(C, out, p)
+    for k in range(dim - 1 if dense else dim):
+        (_dense_pass if dense else _shift_pass)(C, out, p, p ** k)
         C, out = out, C
-    return C
+    G = out.reshape(-1)[: N * (p - 1)].reshape(N, p - 1)
+    if dense:
+        np.matmul(C.reshape(N // p, p * p), _pass_matrices(p, C.dtype)[1],
+                  out=G.reshape(N // p, -1))
+    else:  # zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2})
+        full = C.reshape(N, p)
+        np.subtract(full[:, :-1], full[:, -1:], out=G)
+    return G
 
 
 @dataclass
@@ -244,20 +272,19 @@ class WalshSpectrum:
 
 def _char_counts(space: Space, e: np.ndarray) -> np.ndarray:
     """T(u) = sum of zeta^{e[x] - sum_k u_k x_k} over the ranks x with e[x]
-    in [0, p) (any other entry leaves x out), as float (p^n, p) counts: row
-    u holds T(u) in the basis {1, ..., zeta^{p-2}} in its first p - 1
-    columns, so T(a) in the pairing <a, x> is row dual[a].  The counts
-    C[x, j] = [e[x] = j] keep every count within p^n, which sets the dtype."""
+    in [0, p) (any other entry leaves x out), as float (p^n, p - 1) counts:
+    row u holds T(u) in the basis {1, ..., zeta^{p-2}}, so T(a) in the
+    pairing <a, x> is row dual[a].  The counts C[j, x] = [e[x] = j] keep
+    every count within p^n, which sets the dtype."""
     N, p = space.size, space.p
     if N > walsh_cap():
         raise SizeGuard(f"p^n = {N} exceeds the transform cap")
     if (p - 1) ** 2 * N ** 2 >= 2 ** 63:
         raise SizeGuard(f"p^n = {N}: (p-1)^2 p^(2n) overflows int64 norms")
-    C = np.empty((N, p), dtype=exact_float_dtype(N))
-    np.equal(e[:, None], np.arange(p), out=C)
+    C = np.empty((p, N), dtype=exact_float_dtype(N))
+    np.equal(np.arange(p)[:, None], e, out=C)
     G = _digit_transform(C, p, space.dim)
-    del C  # frees the other buffer when the result is not C
-    G[:, :-1] -= G[:, -1:]  # zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2})
+    del C  # frees the other buffer when the result is not in C
     return G
 
 
@@ -265,7 +292,7 @@ def walsh_full(f: VectorialFunction) -> WalshSpectrum:
     """Exact W_f by the fast transform."""
     _check_p_ary(f)
     G = _char_counts(f.domain, f.table)
-    return WalshSpectrum(f.domain, G[f.domain.dual, :-1].astype(np.int64))
+    return WalshSpectrum(f.domain, G[f.domain.dual].astype(np.int64))
 
 
 def walsh_naive(f: VectorialFunction) -> list[CyclotomicInt]:
@@ -313,14 +340,15 @@ def _candidate_map(p: int, n: int):
     w = np.array([rng.getrandbits(63) for _ in range(p - 1)], dtype=np.int64)
     keys = rows @ w
     order = np.argsort(keys)
-    if np.unique(keys).size != keys.size:
+    keys = keys[order]
+    if (keys[1:] == keys[:-1]).any():
         raise MatchFailure(f"candidate keys collide for p={p}, n={n}")
-    return w, keys[order], rows[order], signs[order], js[order]
+    return w, keys, rows[order], signs[order], js[order]
 
 
 def _match_candidates(rows: np.ndarray, p: int, n: int):
-    """Match rows, whose first p - 1 columns hold ring coefficients as
-    integers in any dtype that holds them exactly, against the 2p
+    """Match rows of p - 1 ring coefficients, integers in any dtype that
+    holds them exactly, against the 2p
     candidates: (matched, which), with which indexing the candidate arrays
     of _candidate_map where matched.  Rows are read a column at a time, so
     no int64 copy of them and no gather of whole candidate rows is made."""

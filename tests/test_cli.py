@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,6 +328,58 @@ def test_table_reader_gives_what_json_gives(tmp_path, capsys, monkeypatch):
                             for command in ("certify", "classify")])
         assert outputs[0] == outputs[1], name
     assert {name for name, text in READER_CASES.items() if text in scanned} == SCANNED
+
+
+def test_deeply_nested_file_gives_one_usage_record(tmp_path, capsys):
+    # json raises RecursionError past Python's recursion limit
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    for argv in (["certify"], ["pds-verify", "--set", "zero"]):
+        code, out = run(capsys, *argv, "--file", str(path))
+        assert code == 2
+        assert len(out.splitlines()) == 1 and json.loads(out)["error"] == "usage"
+
+
+def test_only_certify_reads_the_dual(tmp_path, capsys):
+    bundle = tmp_path / "mm.json"
+    run(capsys, "construct", "--family", "mm-power", "--p", "3", "--m", "2", "--s", "1",
+        "--out", str(bundle))
+    good = json.loads(bundle.read_text())
+    out_of_range = json.loads(bundle.read_text())
+    out_of_range["dual"]["table"][1] = 7
+    no_space = json.loads(bundle.read_text())
+    del no_space["dual"]["space"]
+    for i, damaged in enumerate([out_of_range, no_space, dict(good, dual="x")]):
+        path = tmp_path / f"damaged{i}.json"
+        path.write_text(json.dumps(damaged))
+        for argv in (["pds-verify", "--set", "zero"], ["pds-extract", "--set", "squares"]):
+            assert (run(capsys, *argv, "--file", str(path))
+                    == run(capsys, *argv, "--file", str(bundle)))
+        code, out = run(capsys, "certify", "--file", str(path))
+        assert code == 2
+        assert len(out.splitlines()) == 1 and json.loads(out)["error"] == "usage"
+
+
+def test_pipeline_does_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call, about 15 ms per process
+    script = """
+import sys
+from bentpds.cli import main
+bundle = sys.argv[1]
+codes = [
+    main(["construct", "--family", "mm-qpoly", "--p", "3", "--m", "2", "--s", "1",
+          "--coeffs", "1", "--out", bundle]),
+    main(["certify", "--file", bundle]),
+    main(["pds-verify", "--file", bundle, "--set", "zero", "--method", "both"]),
+]
+assert codes == [0, 0, 0], codes
+assert "numpy.ma" not in sys.modules
+"""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "b.json")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

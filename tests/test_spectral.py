@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -338,8 +339,8 @@ def test_digit_transform_float64_equals_float32(p, dim):
     table = np.array(_random_table(prime_space(p, dim), 5))
     slabs = {}
     for dtype in (np.float32, np.float64):
-        C = np.zeros((N, p), dtype=dtype)
-        C[np.arange(N), table] = 1
+        C = np.zeros((p, N), dtype=dtype)
+        C[table, np.arange(N)] = 1
         slabs[dtype] = spectral._digit_transform(C, p, dim)
         assert slabs[dtype].dtype == dtype
     assert np.array_equal(slabs[np.float32], slabs[np.float64])
@@ -348,26 +349,74 @@ def test_digit_transform_float64_equals_float32(p, dim):
 @pytest.mark.parametrize("p, dim", [(3, 5), (7, 3), (13, 2)])
 def test_shift_pass_equals_dense_pass(p, dim):
     N = p ** dim
-    C = np.zeros((N, p), dtype=np.float32)
-    C[np.arange(N), np.array(_random_table(prime_space(p, dim), 7))] = 1
-    dense, shifted = np.empty_like(C), np.empty_like(C)
-    spectral._dense_pass(C, dense, p)
-    spectral._shift_pass(C, shifted, p)
-    assert np.array_equal(dense, shifted)
+    C = np.zeros((p, N), dtype=np.float32)
+    C[np.array(_random_table(prime_space(p, dim), 7)), np.arange(N)] = 1
+    for k in range(dim):  # every block count a pass meets, the last one included
+        dense, shifted = np.empty_like(C), np.empty_like(C)
+        spectral._dense_pass(C, dense, p, p ** k)
+        spectral._shift_pass(C, shifted, p, p ** k)
+        assert np.array_equal(dense, shifted)
 
 
 def test_large_prime_transform_builds_no_dense_matrix():
-    # a (p, p^2, p) matrix at p = 211 would hold about 2e9 entries
-    spectral._pass_matrix.cache_clear()
+    # a (p^2, p^2) matrix at p = 211 would hold about 2e9 entries
+    spectral._pass_matrices.cache_clear()
     sp = prime_space(211, 2)
     table = np.array(_random_table(sp, 3))
     table[0] = 0
     W = walsh_full(p_ary(sp, table))
-    assert spectral._pass_matrix.cache_info().currsize == 0
+    assert spectral._pass_matrices.cache_info().currsize == 0
     # W(0) = sum_x zeta^f(x), and sum_a W(a) = p^n zeta^f(0) = p^n
     counts = np.bincount(table, minlength=sp.p).tolist()
     assert W[0] == CyclotomicInt.from_exponent_counts(sp.p, counts)
     assert W.coeff_rows.sum(axis=0).tolist() == [sp.size] + [0] * (sp.p - 2)
+
+
+# prime and extension factors; three and five passes at p = 3 and 7
+ORACLE_SPACES = [
+    prime_space(3, 5),
+    Space([F9, F3, F3]),
+    Space([canonical_field(5, 2), canonical_field(5, 1)]),
+    Space([canonical_field(7, 2), canonical_field(7, 1)]),
+    Space([canonical_field(13, 2)]),
+    prime_space(17, 2),
+]
+
+
+@lru_cache(maxsize=None)
+def _inner_products(sp):
+    return np.array([[sp.inner_product(a, x) for x in range(sp.size)] for a in range(sp.size)])
+
+
+def _scalar_char_counts(sp, e):
+    """Row a: the coefficients of sum_x zeta^{e[x] - <a, x>} over the x with
+    e[x] in [0, p), one point a at a time from Space.inner_product, reduced
+    by zeta^{p-1} = -(1 + ... + zeta^{p-2}); no transform code."""
+    p = sp.p
+    kept = (e >= 0) & (e < p)
+    rows = np.empty((sp.size, p - 1), dtype=np.int64)
+    for a, ip in enumerate(_inner_products(sp)):
+        counts = np.bincount((e[kept] - ip[kept]) % p, minlength=p)
+        rows[a] = counts[:-1] - counts[-1]
+    return rows
+
+
+@pytest.mark.parametrize("path", ["dense", "shift"])
+@pytest.mark.parametrize("sp", ORACLE_SPACES, ids=lambda sp: "x".join(str(f.size) for f in sp.factors))
+def test_char_counts_equal_scalar_oracle(sp, path, monkeypatch):
+    # -1 entries leave their point out, as in the character verifier
+    p, N = sp.p, sp.size
+    monkeypatch.setattr(spectral, "DENSE_PASS_MAX_P", p if path == "dense" else p - 1)
+    rng = np.random.default_rng(N)
+    tables = [
+        rng.integers(-1, p, N),  # every value, about 1 in p + 1 points left out
+        np.where(rng.random(N) < 0.3, 0, -1),  # an indicator table
+        np.full(N, -1),  # every point left out
+    ]
+    for e in tables:
+        G = spectral._char_counts(sp, e.astype(np.int8))
+        assert G.shape == (N, p - 1)
+        assert np.array_equal(G[sp.dual], _scalar_char_counts(sp, e))
 
 
 def test_exact_float_dtype_boundaries():

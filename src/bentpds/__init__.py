@@ -38,8 +38,6 @@ from .pds import (
     PreimageSet,
     SemiprimitiveInfo,
     SigmaReport,
-    char_sum_preimage,
-    component_spectra,
     coset_preimage,
     gaussian_period,
     gaussian_period_semiprimitive,

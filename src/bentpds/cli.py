@@ -260,16 +260,15 @@ def _extract_set(F: VectorialFunction, args) -> pds.PreimageSet:
     kind = args.set
     exclude = not args.include_zero
     if kind == "zero":
-        return pds.preimage(F, {0}, exclude, "D_0")
+        return pds.zero_preimage(F, exclude)
     if kind == "squares":
-        return pds.preimage(F, F.codomain.squares(), exclude, "D_S")
+        return pds.squares_preimage(F, exclude)
     if kind == "nonsquares":
-        return pds.preimage(F, F.codomain.nonsquares(), exclude, "D_N")
+        return pds.nonsquares_preimage(F, exclude)
     if kind == "coset":
         if args.l is None or args.beta is None:
             raise UsageError("--set coset needs --l and --beta")
-        cs = F.codomain.subgroup_coset(args.l, args.beta)
-        return pds.preimage(F, cs.members, exclude, f"D_betaH(l={args.l},beta={args.beta})")
+        return pds.coset_preimage(F, args.l, args.beta, exclude)
     raise UsageError(f"unknown set kind {kind}")
 
 
@@ -279,7 +278,7 @@ def _cmd_pds_extract(args) -> tuple[dict, int]:
     return {
         "group": F.domain.to_list(),
         "descriptor": D.descriptor,
-        "members": sorted(D.members),
+        "members": D.ranks.tolist(),
         "size": len(D),
     }, 0
 

@@ -1,8 +1,12 @@
 """Preimage sets of vectorial functions and the partial-difference-set
-machinery built on them: exact character sums, closed-form sizes and
-(v, k, lambda, mu) parameters, Gaussian periods, sigma-condition predicates,
-and two independent verifiers (ordered-pair difference counting and the
-character criterion).
+machinery built on them: closed-form sizes and (v, k, lambda, mu)
+parameters, Gaussian periods, sigma-condition predicates, and two
+independent verifiers (ordered-pair difference counting and the character
+criterion).
+
+A point set is one sorted int64 rank array from preimage to verdict; the
+verifiers take a PreimageSet's ranks as they are.  Conditions on the cosets
+of H_l are read off discrete-log residues mod gcd(l, p^s - 1).
 
 Difference counting has two exact routes, chosen by density: a sparse set
 (16 |D| < v) gathers one table entry per ordered pair, |D|^2 in all; a dense
@@ -46,14 +50,7 @@ from .errors import (
 from .field import Field, canonical_field, is_prime
 from .limits import exact_float_dtype, walsh_cap
 from .space import Space, prime_space
-from .spectral import (
-    DualBentCertificate,
-    VectorialFunction,
-    WalshSpectrum,
-    _char_counts,
-    component,
-    walsh_full,
-)
+from .spectral import DualBentCertificate, VectorialFunction, _char_counts
 
 
 # ---------------------------------------------------------------------------
@@ -102,25 +99,30 @@ def params_match(candidate: PdsParams, observed: PdsParams) -> bool:
 # preimage sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreimageSet:
+    """A point set of a group as one sorted int64 array of distinct ranks."""
+
     group: Space
-    members: frozenset[int]
+    ranks: np.ndarray
     descriptor: str
 
     def __len__(self):
-        return len(self.members)
+        return self.ranks.size
 
-    def __contains__(self, x):
-        return x in self.members
+    @property
+    def members(self) -> frozenset[int]:
+        return frozenset(self.ranks.tolist())
 
     def union(self, other: "PreimageSet") -> "PreimageSet":
         if self.group != other.group:
             raise ValueError("unions need a common group")
+        # a stable sort merges the two sorted runs; a common rank is a pair
+        both = np.sort(np.concatenate([self.ranks, other.ranks]), kind="stable")
+        keep = np.ones(both.size, dtype=bool)
+        keep[1:] = both[1:] != both[:-1]
         return PreimageSet(
-            self.group,
-            self.members | other.members,
-            f"{self.descriptor} | {other.descriptor}",
+            self.group, both[keep], f"{self.descriptor} | {other.descriptor}"
         )
 
 
@@ -128,78 +130,33 @@ def preimage(F: VectorialFunction, values, exclude_zero_point: bool = True,
              descriptor: str | None = None) -> PreimageSet:
     """{ x : F(x) in values }, minus the zero point when requested.  Every
     value must be a rank of the codomain (ValueError otherwise)."""
-    values = set(F.codomain.check_rank(int(v), "value") for v in values)
-    members = set(np.flatnonzero(np.isin(F.table, list(values))).tolist())
-    if exclude_zero_point:
-        members.discard(0)
+    mask = np.zeros(F.codomain.size, dtype=bool)
+    mask[[F.codomain.check_rank(int(v), "value") for v in values]] = True
+    ranks = np.flatnonzero(mask[F.table])
+    if exclude_zero_point and ranks.size and ranks[0] == 0:
+        ranks = ranks[1:]
     if descriptor is None:
-        descriptor = f"A={sorted(values)}" + ("" if exclude_zero_point else " (with 0)")
-    return PreimageSet(F.domain, frozenset(members), descriptor)
+        descriptor = f"A={np.flatnonzero(mask).tolist()}"
+        descriptor += "" if exclude_zero_point else " (with 0)"
+    return PreimageSet(F.domain, ranks, descriptor)
 
 
-def zero_preimage(F: VectorialFunction) -> PreimageSet:
-    return preimage(F, {0}, descriptor="D_0")
+def zero_preimage(F: VectorialFunction, exclude_zero_point: bool = True) -> PreimageSet:
+    return preimage(F, [0], exclude_zero_point, "D_0")
 
 
-def squares_preimage(F: VectorialFunction) -> PreimageSet:
-    return preimage(F, F.codomain.squares(), descriptor="D_S")
+def squares_preimage(F: VectorialFunction, exclude_zero_point: bool = True) -> PreimageSet:
+    return preimage(F, F.codomain.squares(), exclude_zero_point, "D_S")
 
 
-def nonsquares_preimage(F: VectorialFunction) -> PreimageSet:
-    return preimage(F, F.codomain.nonsquares(), descriptor="D_N")
+def nonsquares_preimage(F: VectorialFunction, exclude_zero_point: bool = True) -> PreimageSet:
+    return preimage(F, F.codomain.nonsquares(), exclude_zero_point, "D_N")
 
 
-def coset_preimage(F: VectorialFunction, l: int, beta: int) -> PreimageSet:
+def coset_preimage(F: VectorialFunction, l: int, beta: int,
+                   exclude_zero_point: bool = True) -> PreimageSet:
     cs = F.codomain.subgroup_coset(l, beta)
-    return preimage(F, cs.members, descriptor=f"D_beta_H (l={l}, beta={beta})")
-
-
-# ---------------------------------------------------------------------------
-# exact character sums over preimages
-# ---------------------------------------------------------------------------
-
-def component_spectra(F: VectorialFunction) -> dict[int, WalshSpectrum]:
-    return {c: walsh_full(component(F, c)) for c in range(1, F.codomain.size)}
-
-
-def char_sum_preimage(
-    F: VectorialFunction,
-    u: int,
-    i: int,
-    spectra: dict[int, WalshSpectrum] | None = None,
-) -> CyclotomicInt:
-    """chi_u(D_i) for D_i = { x : F(x) = i } (zero point included), computed
-    directly and through the component-spectrum formula
-
-        chi_u(D_i) = p^{n-s} [u=0] + p^{-s} sum_c W_{F_c}(-u) zeta^{-<c,i>},
-
-    asserting the two agree before returning the value."""
-    sp, p = F.domain, F.p
-    cod = F.codomain
-    direct_counts = [0] * p
-    for x in np.nonzero(F.table == i)[0]:
-        direct_counts[sp.inner_product(u, int(x))] += 1
-    direct = CyclotomicInt.from_exponent_counts(p, direct_counts)
-
-    if spectra is None:
-        spectra = component_spectra(F)
-    tr1 = cod._trace_table(1)
-    minus_u = sp.negate(u)
-    total = CyclotomicInt.zero(p)
-    for c in range(1, cod.size):
-        phase = CyclotomicInt.zeta_pow(p, -tr1[cod.mul(c, i)])
-        total = total + spectra[c][minus_u] * phase
-    if u == 0:
-        # the c = 0 term of the character expansion, before the p^{-s} division
-        total = total + CyclotomicInt.from_int(p, p ** sp.dim)
-    if any(c % cod.size for c in total.coeffs):
-        raise FormulaMismatch("p^{-s} division is not exact")
-    formula = CyclotomicInt(p, [c // cod.size for c in total.coeffs])
-    if formula != direct:
-        raise FormulaMismatch(
-            f"character-sum formula disagrees with the direct sum at u={u}, i={i}"
-        )
-    return direct
+    return preimage(F, cs.members, exclude_zero_point, f"D_betaH(l={l},beta={beta})")
 
 
 def preimage_sizes(F: VectorialFunction, cert: DualBentCertificate) -> dict[int, int]:
@@ -247,50 +204,39 @@ class SigmaReport:
 
 
 def sigma_predicates(codomain: Field, sigma: dict[int, int], l: int) -> SigmaReport:
-    """Decide, by exhaustive set comparison, the sigma conditions the
-    parameter theorems hypothesise: identity; sigma^{-1}(c) H_l = c H_l for
-    every c; and sigma mapping every coset of H_l onto a coset.  At l = 2,
-    H_2 is the squares S, and sigma is a bijection of the nonzero elements,
-    so coset_stable is sigma(S) = S.
+    """Decide the sigma conditions the parameter theorems hypothesise:
+    identity; sigma^{-1}(c) H_l = c H_l for every c (coset-stable: sigma
+    keeps the residue log c mod g, H_l having index g = gcd(l, p^s - 1));
+    and sigma mapping every coset of H_l onto a coset (coset-permuting: the
+    residue of sigma(c) depends only on that of c, as sigma is a bijection).
+    At l = 2, H_2 is the squares S, and coset_stable is sigma(S) = S.
 
     When sigma is the power map c -> c^{-t}, the coset-stability test has an
     arithmetic shortcut: gcd(l, p^s - 1) | (1 + r) with t r = 1; both routes
     are computed and must agree."""
     q = codomain.size
-    keys = set(sigma.keys())
-    vals = set(sigma.values())
-    if keys != set(range(1, q)) or vals != set(range(1, q)):
+    if set(sigma.keys()) != set(range(1, q)) or set(sigma.values()) != set(range(1, q)):
         raise NotBijection("sigma must permute the nonzero codomain elements")
-    inv_sigma = {v: c for c, v in sigma.items()}
+    if l < 1:
+        raise ValueError("exponent must be >= 1")
+    c = np.arange(1, q)
+    image = np.array([sigma[x] for x in range(1, q)], dtype=np.int64)
+    g = math.gcd(l, q - 1)
+    res, image_res = codomain._log[c] % g, codomain._log[image] % g
+    is_identity = bool((image == c).all())
+    coset_stable = bool((image_res == res).all())
+    by_res = np.empty(g, dtype=np.int64)
+    by_res[res] = image_res  # one image residue per residue, if sigma permutes cosets
+    coset_permuting = bool((by_res[res] == image_res).all())
 
-    is_identity = all(sigma[c] == c for c in range(1, q))
-    H = codomain.subgroup_coset(l, 1).members
-    coset_stable = all(
-        codomain.mul(inv_sigma[c], codomain.inv(c)) in H for c in range(1, q)
-    )
-
-    coset_permuting = True
-    seen = set()
-    for beta in range(1, q):
-        if beta in seen:
-            continue
-        coset = frozenset(codomain.mul(beta, h) for h in H)
-        seen |= coset
-        image = frozenset(sigma[x] for x in coset)
-        rep = next(iter(image))
-        if image != frozenset(codomain.mul(rep, h) for h in H):
-            coset_permuting = False
-            break
-
-    w = codomain.primitive_element
-    t_exp = -int(codomain._log[sigma[w]]) % (q - 1)
-    if all(sigma[c] == codomain.pow(c, -t_exp) for c in range(1, q)):
+    t_exp = -int(codomain._log[sigma[codomain.primitive_element]]) % (q - 1)
+    if (image == codomain.pow(c, -t_exp)).all():
         power_exponent = t_exp
         r = pow(t_exp, -1, q - 1)
-        shortcut = (1 + r) % math.gcd(l, q - 1) == 0
+        shortcut = (1 + r) % g == 0
         if shortcut != coset_stable:
             raise FormulaMismatch(
-                "power-map shortcut disagrees with the exhaustive coset check"
+                "power-map shortcut disagrees with the residue coset check"
             )
     else:
         power_exponent, r = None, None
@@ -401,11 +347,9 @@ def gaussian_period(p: int, s: int, t: int, a: int) -> CyclotomicInt:
     sub.check_rank(a, "a")
     if t < 1 or (sub.size - 1) % t != 0:
         raise NotADivisor(f"t = {t} must divide p^s - 1 = {sub.size - 1}")
-    tr1 = sub._trace_table(1)
-    counts = [0] * p
-    for h in sub.subgroup_coset(t, 1).members:
-        counts[tr1[sub.mul(a, h)]] += 1
-    return CyclotomicInt.from_exponent_counts(p, counts)
+    H = sub._exp[::t]  # H_t = { w^{t k} } for the primitive element w
+    counts = np.bincount(sub._trace_table(1)[sub.mul(a, H)], minlength=p)
+    return CyclotomicInt.from_exponent_counts(p, counts.tolist())
 
 
 def gaussian_period_semiprimitive(p: int, s: int, t: int, a: int) -> CyclotomicInt:
@@ -425,24 +369,18 @@ def gaussian_period_semiprimitive(p: int, s: int, t: int, a: int) -> CyclotomicI
     info = semiprimitive_check(p, s, t)
     if info is None:
         raise NotSemiprimitive(f"(p, s, t) = ({p}, {s}, {t}) is not semiprimitive")
-    H = sub.subgroup_coset(t, 1).members
     root = p ** (s // 2)
+    in_coset = lambda e: a != 0 and int(sub._log[a]) % t == e  # a in w^e H_t
     if info.r % 2 == 1 and ((p ** info.j + 1) // t) % 2 == 1:
-        w = sub.primitive_element
-        shifted = frozenset(sub.mul(sub.pow(w, t // 2), h) for h in H)
-        w2 = next(
-            x for x in range(w + 1, sub.size)
-            if sub.multiplicative_order(x) == sub.size - 1
-        )
-        shifted2 = frozenset(sub.mul(sub.pow(w2, t // 2), h) for h in H)
-        if shifted != shifted2:
+        # a second primitive element w2 = w^k gives w2^{t/2} H_t = w^{kt/2} H_t
+        w2 = next(x for x in range(sub.primitive_element + 1, sub.size)
+                  if sub.multiplicative_order(x) == sub.size - 1)
+        if int(sub._log[w2]) * (t // 2) % t != t // 2:
             raise FormulaMismatch("w^{t/2} H_t depends on the primitive element")
-        delta = 1 if a in shifted else 0
-        value = delta * root - (root + 1) // t
+        value = int(in_coset(t // 2)) * root - (root + 1) // t
     else:
-        delta = 1 if a in H else 0
         sign = -1 if info.r % 2 == 0 else 1    # (-1)^{r+1}
-        value = delta * sign * root + ((-1) ** info.r * root - 1) // t
+        value = int(in_coset(0)) * sign * root + ((-1) ** info.r * root - 1) // t
     return CyclotomicInt.from_int(p, value)
 
 
@@ -450,23 +388,25 @@ def gaussian_period_semiprimitive(p: int, s: int, t: int, a: int) -> CyclotomicI
 # verifiers
 # ---------------------------------------------------------------------------
 
-def _candidacy(space: Space, members) -> np.ndarray:
-    """The members as a sorted rank array, once they are checked to be
-    distinct ranks of the group, to avoid 0 and to satisfy -D = D."""
-    D = np.sort(np.fromiter(members, dtype=np.int64, count=len(members)))
-    if D.size and (D[0] < 0 or D[-1] >= space.size):
-        raise ValueError(f"members must be ranks in [0, {space.size})")
-    if (D[1:] == D[:-1]).any():
-        raise ValueError("members must be distinct ranks")
-    if D.size and D[0] == 0:
+def _candidacy(space: Space, D) -> np.ndarray:
+    """D as a sorted rank array, checked to avoid 0 and to satisfy -D = D.
+    A PreimageSet's ranks are taken as they are once its group matches space
+    in p and size; any other iterable must hold distinct ranks of space."""
+    if isinstance(D, PreimageSet):
+        if (D.group.p, D.group.size) != (space.p, space.size):
+            raise ValueError(f"the set's group has {D.group.size} points, not {space.size}")
+        Dv = D.ranks
+    else:
+        Dv = np.sort(np.fromiter(D, dtype=np.int64, count=len(D)))
+        if Dv.size and (Dv[0] < 0 or Dv[-1] >= space.size):
+            raise ValueError(f"members must be ranks in [0, {space.size})")
+        if (Dv[1:] == Dv[:-1]).any():
+            raise ValueError("members must be distinct ranks")
+    if Dv.size and Dv[0] == 0:
         raise ContainsZero("0 must not belong to a regular PDS candidate")
-    if not np.array_equal(np.sort(space.neg[D]), D):
+    if not np.array_equal(np.sort(space.neg[Dv]), Dv):
         raise NotSymmetric("-D = D must hold")
-    return D
-
-
-def _members(D):
-    return D.members if isinstance(D, PreimageSet) else D
+    return Dv
 
 
 @lru_cache(maxsize=None)
@@ -592,8 +532,7 @@ def verify_pds_bruteforce(space: Space, D) -> PdsParams | None:
     routes: v must be within the transform's point cap, so the two
     verifiers accept the same groups, at under v^2 / 256 gathers or about
     v^2 / 2 multiply-adds."""
-    members = _members(D)
-    Dv = _candidacy(space, members)
+    Dv = _candidacy(space, D)
     v = space.size
     if v > walsh_cap():
         raise SizeGuard(f"p^n = {v} exceeds the point cap")
@@ -644,8 +583,7 @@ def verify_pds_characters(space: Space, D, candidate: PdsParams) -> bool:
     column, with sqrt(Delta) an integer or d g for Delta = p* d^2.  Any
     other Delta, and a negative one (the sums of a symmetric set are real),
     rejects without a transform.  No difference is counted."""
-    members = _members(D)
-    Dv = _candidacy(space, members)
+    Dv = _candidacy(space, D)
     if candidate.v != space.size or candidate.k != Dv.size:
         return False
     if Dv.size == 0:
@@ -678,8 +616,6 @@ __all__ = [
     "PreimageSet",
     "SemiprimitiveInfo",
     "SigmaReport",
-    "char_sum_preimage",
-    "component_spectra",
     "coset_preimage",
     "gaussian_period",
     "gaussian_period_semiprimitive",

@@ -1,0 +1,112 @@
+"""Test-held scalar oracles for the preimage-set layer.
+
+char_sum_preimage evaluates chi_u(D_i) point by point and through the
+component-spectrum formula, one component transform per c.
+sigma_predicates_by_sets decides the sigma conditions by comparing the
+cosets of H_l as Python sets.  preimage_ranks lists a preimage point by
+point.  None of them shares code with the library's array routes beyond the
+field and space arithmetic, so each can be compared with its library
+counterpart field by field.
+"""
+import math
+
+import numpy as np
+
+from bentpds.cyclo import CyclotomicInt
+from bentpds.errors import FormulaMismatch, NotBijection
+from bentpds.pds import SigmaReport
+from bentpds.spectral import component, walsh_full
+
+
+def preimage_ranks(F, values, exclude_zero_point=True) -> list[int]:
+    """{ x : F(x) in values } in ascending order, one point at a time."""
+    values = set(values)
+    return [x for x in range(F.domain.size)
+            if int(F.table[x]) in values and not (exclude_zero_point and x == 0)]
+
+
+def component_spectra(F):
+    return {c: walsh_full(component(F, c)) for c in range(1, F.codomain.size)}
+
+
+def char_sum_preimage(F, u: int, i: int, spectra=None) -> CyclotomicInt:
+    """chi_u(D_i) for D_i = { x : F(x) = i } (zero point included), computed
+    directly and through the component-spectrum formula
+
+        chi_u(D_i) = p^{n-s} [u=0] + p^{-s} sum_c W_{F_c}(-u) zeta^{-<c,i>},
+
+    asserting the two agree before returning the value."""
+    sp, p = F.domain, F.p
+    cod = F.codomain
+    direct_counts = [0] * p
+    for x in np.nonzero(F.table == i)[0]:
+        direct_counts[sp.inner_product(u, int(x))] += 1
+    direct = CyclotomicInt.from_exponent_counts(p, direct_counts)
+
+    if spectra is None:
+        spectra = component_spectra(F)
+    tr1 = cod._trace_table(1)
+    minus_u = sp.negate(u)
+    total = CyclotomicInt.zero(p)
+    for c in range(1, cod.size):
+        phase = CyclotomicInt.zeta_pow(p, -tr1[cod.mul(c, i)])
+        total = total + spectra[c][minus_u] * phase
+    if u == 0:
+        # the c = 0 term of the character expansion, before the p^{-s} division
+        total = total + CyclotomicInt.from_int(p, p ** sp.dim)
+    if any(c % cod.size for c in total.coeffs):
+        raise FormulaMismatch("p^{-s} division is not exact")
+    formula = CyclotomicInt(p, [c // cod.size for c in total.coeffs])
+    if formula != direct:
+        raise FormulaMismatch(
+            f"character-sum formula disagrees with the direct sum at u={u}, i={i}"
+        )
+    return direct
+
+
+def sigma_predicates_by_sets(codomain, sigma: dict[int, int], l: int) -> SigmaReport:
+    """The sigma conditions by exhaustive set comparison: identity;
+    sigma^{-1}(c) H_l = c H_l for every c; sigma mapping every coset of H_l
+    onto a coset; and the power-map shortcut, which must agree with the
+    coset-stability test."""
+    q = codomain.size
+    keys = set(sigma.keys())
+    vals = set(sigma.values())
+    if keys != set(range(1, q)) or vals != set(range(1, q)):
+        raise NotBijection("sigma must permute the nonzero codomain elements")
+    inv_sigma = {v: c for c, v in sigma.items()}
+
+    is_identity = all(sigma[c] == c for c in range(1, q))
+    H = codomain.subgroup_coset(l, 1).members
+    coset_stable = all(
+        codomain.mul(inv_sigma[c], codomain.inv(c)) in H for c in range(1, q)
+    )
+
+    coset_permuting = True
+    seen = set()
+    for beta in range(1, q):
+        if beta in seen:
+            continue
+        coset = frozenset(codomain.mul(beta, h) for h in H)
+        seen |= coset
+        image = frozenset(sigma[x] for x in coset)
+        rep = next(iter(image))
+        if image != frozenset(codomain.mul(rep, h) for h in H):
+            coset_permuting = False
+            break
+
+    w = codomain.primitive_element
+    t_exp = -int(codomain._log[sigma[w]]) % (q - 1)
+    if all(sigma[c] == codomain.pow(c, -t_exp) for c in range(1, q)):
+        power_exponent = t_exp
+        r = pow(t_exp, -1, q - 1)
+        shortcut = (1 + r) % math.gcd(l, q - 1) == 0
+        if shortcut != coset_stable:
+            raise FormulaMismatch(
+                "power-map shortcut disagrees with the exhaustive coset check"
+            )
+    else:
+        power_exponent, r = None, None
+    return SigmaReport(
+        is_identity, coset_stable, coset_permuting, power_exponent, r
+    )

@@ -361,10 +361,14 @@ def test_only_certify_reads_the_dual(tmp_path, capsys):
 
 
 def test_pipeline_does_not_import_numpy_ma(tmp_path):
-    # np.unique imports numpy.ma on its first call, about 15 ms per process
+    # np.unique and np.union1d import numpy.ma on their first call, about
+    # 15 ms and 2 MB of peak RSS per process; the library path preimage ->
+    # union -> both verifiers must not call them either
     script = """
 import sys
+from bentpds import pds
 from bentpds.cli import main
+from bentpds.constructions import mm_power
 bundle = sys.argv[1]
 codes = [
     main(["construct", "--family", "mm-qpoly", "--p", "3", "--m", "2", "--s", "1",
@@ -373,6 +377,10 @@ codes = [
     main(["pds-verify", "--file", bundle, "--set", "zero", "--method", "both"]),
 ]
 assert codes == [0, 0, 0], codes
+F = mm_power(3, 2, 2, 1, 1).function
+D = pds.preimage(F, [0]).union(pds.coset_preimage(F, 2, 1))
+observed = pds.verify_pds_bruteforce(F.domain, D)
+assert observed is not None and pds.verify_pds_characters(F.domain, D, observed)
 assert "numpy.ma" not in sys.modules
 """
     src = str(Path(cli.__file__).parents[1])

@@ -10,6 +10,7 @@ and codomains GF(p^s) with s > 1.
 ERROR_GOLDEN pins the error records of rejected `construct` inputs.
 SPECTRAL_GOLDEN and PDS_GOLDEN pin `walsh`, `classify` and `pds-verify` the
 same way, on construct bundles and on an even non-bent function.
+EMPTY_GOLDEN pins `pds-extract` and `pds-verify` on empty preimages.
 """
 import hashlib
 import json
@@ -275,6 +276,23 @@ PDS_GOLDEN = [
 ]
 
 
+# (pds-extract or pds-verify arguments, exit code, sha256 of stdout) on the
+# zero function GF(3)^2 -> GF(3), whose D_S and D_N are empty: no member to
+# list, no pair to count, and no character sum to take
+EMPTY_GOLDEN = [
+    ("pds-extract --set squares", 0,
+     "4f87442015088284f1f4b8dcf339348e105dafcaf89375a016185bb601cf97bf"),
+    ("pds-extract --set nonsquares --include-zero", 0,
+     "0c837a207fa8a09bcf8e60bd7ceb2a5c28b511108aa18e8d21c484fb3763e0b2"),
+    ("pds-verify --set squares --method both", 0,
+     "be0c21dccefb942a9358a8f4c0f97850f77b6fedc70e8b30f610a01ff58e7ad0"),
+    ("pds-verify --set nonsquares --method characters --expect 9,0,0,0", 0,
+     "43ddd2ab75c78104da22f9144eab5d7ec5285b2ad1690722e12edc85bbeda4a7"),
+    ("pds-verify --set squares --method characters --expect 9,0,0,1", 1,
+     "f40e52231bcf15b9c6acab95d8d1ae758256473fee9ee4a86928ca51e1ba5152"),
+]
+
+
 def _nonbent(p, n) -> str:
     """An even function GF(p)^n -> GF(p) that is not bent and whose zero
     preimage is not a PDS: x -> 7 min(x, -x) + 1 on ranks, 0 at x = 0."""
@@ -288,6 +306,10 @@ def _source_file(tmp_path, capsys, source) -> str:
     kind, *rest = source.split()
     if kind == "nonbent":
         text = _nonbent(*map(int, rest))
+    elif kind == "zero":
+        sp = prime_space(*map(int, rest))
+        zero = VectorialFunction(sp, canonical_field(sp.p, 1), np.zeros(sp.size, dtype=np.int64))
+        text = json.dumps(zero.to_dict())
     else:
         text = _digest(capsys, ["construct", "--family", kind] + rest)[0]
     path = tmp_path / "function.json"
@@ -309,3 +331,10 @@ def test_spectral_output_matches_golden_digest(tmp_path, capsys, source, walsh_s
 def test_pds_verify_output_matches_golden_digest(tmp_path, capsys, source, args, code, sha):
     path = _source_file(tmp_path, capsys, source)
     assert _digest(capsys, ["pds-verify", "--file", path] + args.split(), code)[1] == sha
+
+
+@pytest.mark.parametrize("args,code,sha", EMPTY_GOLDEN, ids=[row[0] for row in EMPTY_GOLDEN])
+def test_empty_preimage_output_matches_golden_digest(tmp_path, capsys, args, code, sha):
+    path = _source_file(tmp_path, capsys, "zero 3 2")
+    command, *rest = args.split()
+    assert _digest(capsys, [command, "--file", path] + rest, code)[1] == sha

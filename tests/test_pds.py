@@ -1,3 +1,5 @@
+import itertools
+import math
 import sys
 
 import numpy as np
@@ -8,6 +10,7 @@ from bentpds import pds
 from bentpds.constructions import mm_power, quad_trace
 from bentpds.cyclo import CyclotomicInt
 from bentpds.errors import (
+    BentError,
     ContainsZero,
     HypothesisViolation,
     NotADivisor,
@@ -19,8 +22,6 @@ from bentpds.errors import (
 from bentpds.field import canonical_field
 from bentpds.pds import (
     PdsParams,
-    char_sum_preimage,
-    component_spectra,
     coset_preimage,
     gaussian_period,
     gaussian_period_semiprimitive,
@@ -38,7 +39,13 @@ from bentpds.pds import (
     zero_preimage,
 )
 from bentpds.space import Space, prime_space
-from bentpds.spectral import dual_bent_certificate
+from bentpds.spectral import VectorialFunction, dual_bent_certificate
+from pds_oracle import (
+    char_sum_preimage,
+    component_spectra,
+    preimage_ranks,
+    sigma_predicates_by_sets,
+)
 
 XY = mm_power(3, 1, 1, 1, 1)  # F(x, y) = xy on F_3 x F_3
 
@@ -58,6 +65,45 @@ def test_preimage_rejects_values_outside_the_codomain():
     for values in ({99}, {-1}, {0, 3}):
         with pytest.raises(ValueError):
             preimage(XY.function, values)
+
+
+def _outcome(verifier, *args):
+    """The verifier's verdict, or the type of the exception it raised."""
+    try:
+        return verifier(*args)
+    except (BentError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_preimage_sets_match_the_point_oracle(data):
+    """On a random F, even or not, and random A and B, with and without the
+    zero point: D.ranks is F^{-1}(A) as the per-point oracle lists it,
+    union is set union, and both verifiers give one verdict on a set and on
+    its frozenset of members."""
+    sp = data.draw(st.sampled_from(VERIFIER_SPACES), label="space")
+    s = data.draw(st.sampled_from([1, 2] if sp.p ** 2 <= 49 else [1]), label="s")
+    cod = canonical_field(sp.p, s)
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    table = np.random.default_rng(seed).integers(0, cod.size, sp.size)
+    if data.draw(st.booleans(), label="even"):
+        table = table[np.minimum(np.arange(sp.size), sp.neg)]
+    F = VectorialFunction(sp, cod, table)
+    values = st.lists(st.integers(0, cod.size - 1), max_size=cod.size)
+    A, B = data.draw(values, label="A"), data.draw(values, label="B")
+    exclude = data.draw(st.booleans(), label="exclude the zero point")
+    D, E = preimage(F, A, exclude), preimage(F, B, exclude)
+    assert D.ranks.dtype == np.int64
+    assert D.ranks.tolist() == preimage_ranks(F, A, exclude)
+    union = D.union(E)
+    assert union.ranks.tolist() == sorted(D.members | E.members)
+    for S in (D, union):
+        observed = _outcome(verify_pds_bruteforce, sp, S)
+        assert _outcome(verify_pds_bruteforce, sp, S.members) == observed
+        candidate = observed if isinstance(observed, PdsParams) else PdsParams(sp.size, len(S), 0, 0)
+        assert (_outcome(verify_pds_characters, sp, S, candidate)
+                == _outcome(verify_pds_characters, sp, S.members, candidate))
 
 
 def test_char_sum_principal_character_counts():
@@ -130,9 +176,61 @@ def test_sigma_predicates_non_power_map():
     assert rep.coset_stable  # l = 1: H is the whole group
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_sigma_predicates_match_the_set_oracle_on_every_sigma(p):
+    field = canonical_field(p, 1)
+    for image in itertools.permutations(range(1, p)):
+        sigma = dict(zip(range(1, p), image))
+        for l in range(1, p + 1):
+            assert sigma_predicates(field, sigma, l) == sigma_predicates_by_sets(field, sigma, l)
+
+
+def _coset_block_sigma(field, g, rng):
+    """A random sigma that maps each coset of the index-g subgroup onto the
+    coset a random permutation of the residues mod g names."""
+    q, w = field.size, field.primitive_element
+    target = rng.permutation(g)
+    sigma = {}
+    for r in range(g):
+        coset = [field.pow(w, r + g * k) for k in range((q - 1) // g)]
+        images = [field.pow(w, int(target[r]) + g * k) for k in range((q - 1) // g)]
+        sigma.update(zip(coset, (images[i] for i in rng.permutation(len(images)))))
+    return sigma
+
+
+@pytest.mark.parametrize("p,s", [(3, 2), (5, 2), (3, 3)], ids=["q=9", "q=25", "q=27"])
+def test_sigma_predicates_match_the_set_oracle_on_random_sigma(p, s):
+    """Uniform permutations, power maps c -> c^{-t}, their products with a
+    constant, and coset-block permutations, so that every predicate is
+    seen both true and false."""
+    field = canonical_field(p, s)
+    q = field.size
+    rng = np.random.default_rng(q)
+    units = range(1, q)
+    divisors = [d for d in range(1, q) if (q - 1) % d == 0]
+    ts = [t for t in range(1, q - 1) if math.gcd(t, q - 1) == 1]
+    sigmas = [dict(zip(units, (int(x) for x in rng.permutation(units)))) for _ in range(10)]
+    for t in ts:
+        sigmas.append({c: field.pow(c, -t) for c in units})
+        beta = int(rng.integers(2, q))
+        sigmas.append({c: field.mul(beta, field.pow(c, -t)) for c in units})
+    sigmas += [_coset_block_sigma(field, int(rng.choice(divisors)), rng) for _ in range(10)]
+    seen = set()
+    for sigma in sigmas:
+        for l in divisors + [q, 2 * q - 2, int(rng.integers(1, 3 * q))]:
+            report = sigma_predicates(field, sigma, l)
+            assert report == sigma_predicates_by_sets(field, sigma, l)
+            seen.add((report.is_identity, report.coset_stable, report.coset_permuting,
+                      report.power_exponent is None))
+    for i in range(4):
+        assert {key[i] for key in seen} == {True, False}
+
+
 def test_sigma_predicates_requires_bijection():
     with pytest.raises(NotBijection):
         sigma_predicates(canonical_field(3, 1), {1: 1, 2: 1}, 2)
+    with pytest.raises(ValueError):
+        sigma_predicates(canonical_field(3, 1), {1: 1, 2: 2}, 0)
 
 
 def test_semiprimitive_check():
@@ -297,6 +395,30 @@ def test_verifiers_reject_repeated_members():
         verify_pds_bruteforce(sp, members * 2)
     with pytest.raises(ValueError):
         verify_pds_characters(sp, members * 2, PdsParams(9, 4, 1, 2))
+
+
+@pytest.mark.parametrize("verifier", ["pair counter", "characters"])
+def test_verifiers_reject_a_preimage_set_from_another_group(verifier):
+    # 3^4 ranks would index past the negation table of 3^2, and 3^2 ranks
+    # are no set of 3^4 or 5^2 points
+    big = zero_preimage(mm_power(3, 2, 1, 1, 1).function)
+    small = zero_preimage(XY.function)
+    for D, sp in ((big, XY.function.domain), (small, prime_space(3, 4)),
+                  (small, prime_space(5, 2))):
+        with pytest.raises(ValueError):
+            if verifier == "pair counter":
+                verify_pds_bruteforce(sp, D)
+            else:
+                verify_pds_characters(sp, D, PdsParams(sp.size, len(D), 1, 2))
+    # one group up to the order of its factors: GF(9) against GF(3)^2
+    same = zero_preimage(quad_trace(3, 2, 2, 1).function)
+    assert same.group != XY.function.domain
+    if verifier == "pair counter":
+        assert verify_pds_bruteforce(XY.function.domain, same) == verify_pds_bruteforce(
+            same.group, same)
+    else:
+        params = verify_pds_bruteforce(same.group, same)
+        assert verify_pds_characters(XY.function.domain, same, params)
 
 
 def test_verify_bruteforce_detects_non_pds():

@@ -94,14 +94,16 @@ def test_preimage_sets_match_the_point_oracle(data):
     A, B = data.draw(values, label="A"), data.draw(values, label="B")
     exclude = data.draw(st.booleans(), label="exclude the zero point")
     D, E = preimage(F, A, exclude), preimage(F, B, exclude)
+    oracle_A, oracle_B = preimage_ranks(F, A, exclude), preimage_ranks(F, B, exclude)
     assert D.ranks.dtype == np.int64
-    assert D.ranks.tolist() == preimage_ranks(F, A, exclude)
+    assert D.ranks.tolist() == oracle_A and E.ranks.tolist() == oracle_B
     union = D.union(E)
-    assert union.ranks.tolist() == sorted(D.members | E.members)
+    assert union.ranks.tolist() == sorted(set(oracle_A) | set(oracle_B))
     for S in (D, union):
         observed = _outcome(verify_pds_bruteforce, sp, S)
         assert _outcome(verify_pds_bruteforce, sp, S.members) == observed
-        candidate = observed if isinstance(observed, PdsParams) else PdsParams(sp.size, len(S), 0, 0)
+        candidate = (observed if isinstance(observed, PdsParams)
+                     else PdsParams(sp.size, len(S), 0, 0))
         assert (_outcome(verify_pds_characters, sp, S, candidate)
                 == _outcome(verify_pds_characters, sp, S.members, candidate))
 

@@ -15,17 +15,16 @@ p^2 slice-adds of shifted exponent rows instead.  u lands above j', so
 after n passes the frequencies are in natural order with no transpose or
 digit reversal.  The last product also reduces to the basis
 {1, zeta, ..., zeta^{p-2}} (the CyclotomicInt.from_exponent_counts rule),
-so the transform ends in (p^n, p - 1) reduced counts.  The counts are
-floats: every count and partial sum has magnitude at most p^n, the signed
-ones of the reduction included, which is exact in float32 while
+so the transform ends in (p^n, p - 1) reduced counts.  It runs in place:
+one (p, p^n) buffer and a fixed scratch array hold everything, and the
+reduced counts end up at the front of the buffer (_digit_transform).  The
+counts are floats: every count and partial sum has magnitude at most p^n,
+the signed ones of the reduction included, which is exact in float32 while
 p^n < 2^24 and in float64 while p^n < 2^53 (limits.exact_float_dtype).
 Every decision reads these reduced float counts: classification here and
 the character verifier of pds.  Only walsh_full gathers them into the
-order of a and casts them to the int64 rows of WalshSpectrum.  The
-transform also refuses spaces where (p-1)^2 p^{2n} reaches 2^63, the bound
-on the norm products a * conj(a) of spectrum rows, so int64 norms formed
-from any WalshSpectrum are exact.  The naive quadratic sum is kept
-alongside as a cross-check oracle.
+order of a and casts them to the int64 rows of WalshSpectrum.  The naive
+quadratic sum is kept alongside as a cross-check oracle.
 
 Bentness and regularity are decided by exact candidate matching alone.  By
 Kumar, Scholtz and Welch (1985), every Walsh value of a p-ary bent
@@ -35,12 +34,13 @@ function, weakly regular or not, is one of the 2p ring elements
 Each candidate has |u zeta^j|^2 = p^n, so f is bent iff every value
 matches one, and no norm is formed.  There are no tolerances anywhere.
 For odd n the recorded sign is relative to that Gauss-sum normalisation.
-Matching is key-then-verify, one column of counts at a time: each row gets
-one int64 key (a dot product with fixed pseudo-random weights, wrapping
-mod 2^64), a binary search among the 2p distinct candidate keys proposes
-one candidate, and a column-wise equality confirms it.  A row equal to a
-candidate has that candidate's key, so it is found; any other row fails
-the equality, so the match stays exact whatever the keys collide with.
+Matching is key-then-verify, in fixed-size chunks of rows and one column
+of counts at a time: each row gets one int64 key (a dot product with fixed
+pseudo-random weights, wrapping mod 2^64), a binary search among the 2p
+distinct candidate keys proposes one candidate, and a column-wise equality
+confirms it.  A row equal to a candidate has that candidate's key, so it
+is found; any other row fails the equality, so the match stays exact
+whatever the keys collide with.
 
 Certificates use one transform per GF(p)^* orbit of components.  For
 lambda in GF(p)^*, F_{lambda c} = lambda F_c, and
@@ -48,12 +48,16 @@ W_{lambda f}(a) = sigma_lambda(W_f(lambda^{-1} a)) with sigma_lambda the
 automorphism zeta -> zeta^lambda.  It fixes p^{n/2} and sends g to
 eta(lambda) g (eta the quadratic character of GF(p)), so lambda f is bent
 iff f is, (lambda f)^*(a) = lambda f^*(lambda^{-1} a), and its sign is
-eps_f for even n and eta(lambda) eps_f for odd n.
+eps_f for even n and eta(lambda) eps_f for odd n.  Certification keeps
+component and dual tables in the narrowest dtype that holds [0, p), one
+orbit's at a time, and finds each dual among the components of the
+claimed dual by a CRC-32 key confirmed by exact comparison.
 """
 from __future__ import annotations
 
 import math
 import random
+import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -149,10 +153,19 @@ def component(F: VectorialFunction, c: int) -> VectorialFunction:
     """F_c(x) = Tr_1^s(c F(x)) for nonzero c in the codomain."""
     if c == 0:
         raise ZeroComponent("component index must be nonzero")
+    F.codomain.check_rank(c, "component index")
+    return VectorialFunction(F.domain, canonical_field(F.p, 1), _component_table(F, c, np.int64))
+
+
+def _narrow(p: int) -> np.dtype:
+    """The narrowest dtype holding [0, p): certification's table dtype."""
+    return np.min_scalar_type(p - 1)
+
+
+def _component_table(F: VectorialFunction, c: int, dtype) -> np.ndarray:
+    """The table of F_c, for a nonzero rank c, in dtype."""
     cod = F.codomain
-    cod.check_rank(c, "component index")
-    comp_map = cod.trace(1, cod.mul(c, np.arange(cod.size)))
-    return VectorialFunction(F.domain, canonical_field(F.p, 1), comp_map[F.table])
+    return cod.trace(1, cod.mul(c, np.arange(cod.size))).astype(dtype)[F.table]
 
 
 def flatten_domain(f: VectorialFunction) -> VectorialFunction:
@@ -193,24 +206,40 @@ def _pass_matrices(p: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
     return B, L
 
 
-def _dense_pass(C: np.ndarray, out: np.ndarray, p: int, b: int) -> None:
-    np.matmul(_pass_matrices(p, C.dtype)[0], C.reshape(b, p * p, -1),
-              out=out.reshape(b, p * p, -1))
+def _dense_pass(X: np.ndarray, Y: np.ndarray, p: int) -> None:
+    """One digit pass from X to Y, both (b, p^2, c) views: the product with
+    B of _pass_matrices."""
+    np.matmul(_pass_matrices(p, X.dtype)[0], X, out=Y)
 
 
-def _shift_pass(C: np.ndarray, out: np.ndarray, p: int, b: int) -> None:
-    """The same pass as _dense_pass in p^2 adds of N counts: digit t
-    reaches digit u shifted by u t on the exponent axis, read as one slice
-    of the counts of t written twice."""
-    V = C.reshape(b, p, p, -1)  # block, exponent j, digit t, rest
-    W = out.reshape(b, p, p, -1)  # block, digit u, exponent j', rest
+def _shift_pass(X: np.ndarray, Y: np.ndarray, p: int) -> None:
+    """The same pass as _dense_pass in p^2 adds: digit t reaches digit u
+    shifted by u t on the exponent axis, read as one slice of the counts
+    of t written twice."""
+    b, _, c = X.shape
+    V = X.reshape(b, p, p, c)  # block, exponent j, digit t, rest
+    W = Y.reshape(b, p, p, c)  # block, digit u, exponent j', rest
     W[:] = V[:, None, :, 0]  # t = 0 shifts nothing
-    twice = np.empty((b, 2 * p, V.shape[3]), dtype=C.dtype)
+    twice = np.empty((b, 2 * p, c), dtype=X.dtype)
     for t in range(1, p):
         twice[:, :p] = twice[:, p:] = V[:, :, t]
         for u in range(p):
             r = u * t % p
             W[:, u] += twice[:, r : r + p]
+
+
+# Bytes of the one scratch array of a transform, capped at the size of its
+# counts.  With single-threaded BLAS on a 2-vCPU Xeon VM (2 MiB L2 per
+# core) a float32 transform at 3^12 took 8.6 ms with 256 KiB, 10.5 ms with
+# 512 KiB to 1 MiB and 12.5 ms with a second buffer of its size; 7^6, 5^8
+# and 13^4 moved by under 10% between 128 KiB and 4 MiB.
+SCRATCH_BYTES = 1 << 18
+# A shift pass makes p^2 slice-adds whatever its width, so above
+# DENSE_PASS_MAX_P the scratch holds at least p SHIFT_SLICE entries and
+# each add covers at least SHIFT_SLICE of them.  A transform at 211^2 took
+# 3.0 s with 2^12, 2.3 s with 2^13 and 1.7-1.9 s with 2^14, as it does
+# with a second buffer of its size; 41^3 and 53^3 moved by under 10%.
+SHIFT_SLICE = 1 << 14
 
 
 def _digit_transform(C: np.ndarray, p: int, dim: int) -> np.ndarray:
@@ -222,33 +251,66 @@ def _digit_transform(C: np.ndarray, p: int, dim: int) -> np.ndarray:
     Pass k views the counts as (p^k, p^2, R), R = p^{dim-k-1}: a block per
     frequency prefix made so far, the pairs (j, t) of the exponent and the
     top digit of x left, and the rest of x.  It maps (j, t) to (u, j'), so
-    u joins the prefix.  Passes are products with B of _pass_matrices for
-    p <= DENSE_PASS_MAX_P and the shifts of _shift_pass above it.  The
-    dense last pass (R = 1) is one 2-D product with L, which writes the
-    reduced counts straight into the spare buffer; after the last shifts
-    the zeta^{p-1} column is subtracted instead.
+    u joins the prefix, and it mixes nothing across blocks or across the R
+    columns.  Passes are products with B of _pass_matrices for
+    p <= DENSE_PASS_MAX_P and the shifts of _shift_pass above it.
+
+    Everything happens in C's own memory and one scratch array S: of
+    SCRATCH_BYTES for the products, of p SHIFT_SLICE entries for the
+    shifts, and of at least p^2 entries and at most C's size.  While a
+    prefix block (p^{dim-k+1} entries) is larger than S, pass k goes over C
+    a column chunk at a time, through S and back.  Then the blocks, as many
+    at a time as fit in S, run their remaining passes between their own
+    place in C and S.  The dense last pass (R = 1) is one 2-D product with
+    L, read from S, which writes the blocks' reduced rows to the front of
+    C; after the last shifts, which land in S, the zeta^{p-1} column is
+    subtracted instead.  Block b's p^{dim-k} rows of p - 1 counts end
+    before block b + 1 begins, so they only overwrite blocks already
+    consumed.  The result is a view of C.
 
     C holds non-negative counts, and the transform is exact while
     exact_float_dtype(C.sum()) is no wider than C's dtype: before the
     reduction every entry and partial sum is a count of at most C.sum(),
     and a reduced output adds one such count through the +1 entries of L
     and subtracts another through its -1 entries, so in any summation
-    order its partial sums lie in [-C.sum(), C.sum()].  Two buffers swap
-    roles between passes, C being one of them; the result is a view of
-    the spare one."""
+    order its partial sums lie in [-C.sum(), C.sum()]."""
     N = C.shape[1]
     dense = p <= DENSE_PASS_MAX_P
-    out = np.empty_like(C)
-    for k in range(dim - 1 if dense else dim):
-        (_dense_pass if dense else _shift_pass)(C, out, p, p ** k)
-        C, out = out, C
-    G = out.reshape(-1)[: N * (p - 1)].reshape(N, p - 1)
-    if dense:
-        np.matmul(C.reshape(N // p, p * p), _pass_matrices(p, C.dtype)[1],
-                  out=G.reshape(N // p, -1))
-    else:  # zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2})
-        full = C.reshape(N, p)
-        np.subtract(full[:, :-1], full[:, -1:], out=G)
+    step = _dense_pass if dense else _shift_pass
+    flat = C.reshape(-1)
+    size = max(SCRATCH_BYTES // C.itemsize, p * p) if dense else p * max(SHIFT_SLICE, p)
+    S = np.empty(min(size, p * N), dtype=C.dtype)
+    top = 0
+    while p ** (dim - top + 1) > S.size:
+        V = flat.reshape(p ** top, p * p, -1)
+        width = S.size // (p * p)
+        for b in range(V.shape[0]):
+            for r in range(0, V.shape[2], width):
+                X = V[b : b + 1, :, r : r + width]
+                Y = S[: X.size].reshape(X.shape)
+                step(X, Y, p)
+                X[...] = Y
+        top += 1
+    M, passes = p ** (dim - top), dim - top  # points and passes per block
+    group = S.size // (p * M)  # blocks per step
+    G = flat[: N * (p - 1)].reshape(N, p - 1)
+    for b in range(0, p ** top, group):
+        g = min(group, p ** top - b)
+        src = flat[b * p * M : (b + g) * p * M]
+        dst = S[: src.size]
+        if (passes % 2 == 1) == dense:  # so that the last pass reads S (dense) or writes it
+            dst[:] = src
+            src, dst = dst, src
+        for k in range(passes - 1 if dense else passes):
+            step(src.reshape(g * p ** k, p * p, -1), dst.reshape(g * p ** k, p * p, -1), p)
+            src, dst = dst, src
+        rows = G[b * M : (b + g) * M]
+        if dense:
+            np.matmul(src.reshape(-1, p * p), _pass_matrices(p, C.dtype)[1],
+                      out=rows.reshape(g * M // p, -1))
+        else:  # zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2})
+            full = src.reshape(-1, p)
+            np.subtract(full[:, :-1], full[:, -1:], out=rows)
     return G
 
 
@@ -279,13 +341,9 @@ def _char_counts(space: Space, e: np.ndarray) -> np.ndarray:
     N, p = space.size, space.p
     if N > walsh_cap():
         raise SizeGuard(f"p^n = {N} exceeds the transform cap")
-    if (p - 1) ** 2 * N ** 2 >= 2 ** 63:
-        raise SizeGuard(f"p^n = {N}: (p-1)^2 p^(2n) overflows int64 norms")
     C = np.empty((p, N), dtype=exact_float_dtype(N))
     np.equal(np.arange(p)[:, None], e, out=C)
-    G = _digit_transform(C, p, space.dim)
-    del C  # frees the other buffer when the result is not in C
-    return G
+    return _digit_transform(C, p, space.dim)
 
 
 def walsh_full(f: VectorialFunction) -> WalshSpectrum:
@@ -326,13 +384,15 @@ class BentClassification:
 def _candidate_map(p: int, n: int):
     """The 2p values +-u zeta^j a bent Walsh value can take, for the key
     lookup of _match_candidates: (weights w, candidate keys in ascending
-    order, and the coefficient rows, signs and exponents j in that order)."""
+    order, and the coefficient rows, signs and exponents j in that order,
+    the exponents in the narrow table dtype)."""
     if n % 2 == 0:
         u = CyclotomicInt.from_int(p, p ** (n // 2))
     else:
         u = p ** ((n - 1) // 2) * gauss_sum(p)
-    signs, js = np.tile([1, -1], p), np.repeat(np.arange(p), 2)
-    rows = [(int(sign) * u * CyclotomicInt.zeta_pow(p, j)).coeffs for sign, j in zip(signs, js)]
+    signs, js = np.tile([1, -1], p), np.repeat(np.arange(p, dtype=_narrow(p)), 2)
+    rows = [(sign * u * CyclotomicInt.zeta_pow(p, j)).coeffs
+            for sign, j in zip(signs.tolist(), js.tolist())]
     rows = np.array(rows, dtype=np.int64)
     # weights linear in the coefficient index collide on the odd-n Gauss-sum
     # rows; numpy.random would cost its import in every process
@@ -346,77 +406,103 @@ def _candidate_map(p: int, n: int):
     return w, keys, rows[order], signs[order], js[order]
 
 
+# Rows keyed and confirmed per step of _match_candidates, so its int64
+# work arrays hold this many entries rather than p^n.  Matching a float32
+# 3^12 spectrum took 6.0 ms in steps of 2^12 rows, 5.1 ms in steps of 2^13
+# and 4.6-4.7 ms from 2^14 to 2^16, against 5.1 ms for whole columns.
+MATCH_ROWS = 1 << 13
+
+
 def _match_candidates(rows: np.ndarray, p: int, n: int):
     """Match rows of p - 1 ring coefficients, integers in any dtype that
-    holds them exactly, against the 2p
-    candidates: (matched, which), with which indexing the candidate arrays
-    of _candidate_map where matched.  Rows are read a column at a time, so
-    no int64 copy of them and no gather of whole candidate rows is made."""
+    holds them exactly, against the 2p candidates: (matched, which), a bool
+    per row and, where matched, the row's index into the candidate arrays
+    of _candidate_map, in the narrowest unsigned dtype.  Rows are keyed and
+    confirmed MATCH_ROWS at a time, a column at a time, so no copy of them
+    and no whole-length int64 array is made."""
     w, keys, cand_rows, _, _ = _candidate_map(p, n)
-    key = np.zeros(rows.shape[0], dtype=np.int64)
-    col = np.empty_like(key)
-    for j in range(p - 1):
-        np.copyto(col, rows[:, j], casting="unsafe")  # exact: integral values
-        col *= w[j]
-        key += col  # wraps mod 2^64, like the candidate keys
-    del col
-    which = np.searchsorted(keys, key)
-    del key
-    np.minimum(which, keys.size - 1, out=which)
     cand_cols = cand_rows.T.astype(rows.dtype)  # exact: |entries| <= 2 p^{n/2}
-    matched = rows[:, 0] == cand_cols[0][which]
-    for j in range(1, p - 1):
-        matched &= rows[:, j] == cand_cols[j][which]
+    N = rows.shape[0]
+    matched = np.empty(N, dtype=bool)
+    which = np.empty(N, dtype=np.min_scalar_type(keys.size - 1))
+    key = np.empty(min(N, MATCH_ROWS), dtype=np.int64)
+    col = np.empty_like(key)
+    for start in range(0, N, MATCH_ROWS):
+        block = rows[start : start + MATCH_ROWS]
+        m = block.shape[0]
+        k, c = key[:m], col[:m]
+        k[:] = 0
+        for j in range(p - 1):
+            np.copyto(c, block[:, j], casting="unsafe")  # exact: integral values
+            c *= w[j]
+            k += c  # wraps mod 2^64, like the candidate keys
+        cand = np.searchsorted(keys, k)
+        np.minimum(cand, keys.size - 1, out=cand)
+        ok = matched[start : start + m]
+        np.equal(block[:, 0], cand_cols[0][cand], out=ok)
+        for j in range(1, p - 1):
+            ok &= block[:, j] == cand_cols[j][cand]
+        which[start : start + m] = cand
     return matched, which
 
 
-def classify_bent(f: VectorialFunction) -> BentClassification:
-    """Decide bentness, extract the dual and the weak-regularity sign by
-    exact matching of every spectrum value against the 2p candidates: f is
-    bent iff every value matches (see the module docstring)."""
-    _check_p_ary(f)
-    sp, p, n = f.domain, f.p, f.domain.dim
-    matched, which = _match_candidates(_char_counts(sp, f.table), p, n)
+def _bent_dual(space: Space, table: np.ndarray) -> tuple[np.ndarray, int | None] | None:
+    """Classify the p-ary function with this table (any integer dtype) by
+    exact matching of every spectrum value against the 2p candidates: None
+    if it is not bent, else its dual table in the narrow dtype of
+    _candidate_map and its sign eps, None when it is not weakly regular."""
+    p, n = space.p, space.dim
+    matched, which = _match_candidates(_char_counts(space, table), p, n)
     if not matched.all():
-        return BentClassification(False, False, False, None, None)
+        return None
+    del matched
     _, _, _, cand_signs, cand_js = _candidate_map(p, n)
-    taken = np.bincount(which, minlength=cand_signs.size) > 0  # candidates that occur
+    taken = np.zeros(cand_signs.size, dtype=bool)
+    taken[which] = True  # the candidates that occur
     signs = cand_signs[taken]
-    weakly = bool((signs == signs[0]).all())
-    eps = int(signs[0]) if weakly else None
+    eps = int(signs[0]) if (signs == signs[0]).all() else None
     # row dual[a] of the counts holds W_f(a)
-    dual = cand_js[which][sp.dual]
+    return cand_js[which[space.dual]], eps
+
+
+def classify_bent(f: VectorialFunction) -> BentClassification:
+    """Decide bentness, extract the dual and the weak-regularity sign: f is
+    bent iff every spectrum value matches a candidate (see the module
+    docstring)."""
+    _check_p_ary(f)
+    bent = _bent_dual(f.domain, f.table)
+    if bent is None:
+        return BentClassification(False, False, False, None, None)
+    dual, eps = bent
     return BentClassification(
-        True,
-        weakly,
-        weakly and eps == 1,
-        eps,
-        VectorialFunction(f.domain, f.codomain, dual),
+        True, eps is not None, eps == 1, eps, VectorialFunction(f.domain, f.codomain, dual)
     )
 
 
-def _scalar_orbits(cod: Field) -> dict[int, tuple[int, int]]:
-    """c -> (r, mu) for every nonzero c in cod, with c = mu r and r the least
-    rank of the orbit {lambda c : lambda in GF(p)^*}; mu = 1 iff c = r, and
-    the representatives come in increasing order.  Ranks below p are the
-    prime subfield, so lambda c is cod.mul(lambda, c)."""
+def _scalar_orbits(cod: Field) -> dict[int, list[tuple[int, int]]]:
+    """r -> [(c, mu), ...] for every orbit {lambda r : lambda in GF(p)^*} of
+    nonzero ranks of cod: r is its least rank, and c = mu r runs over the
+    orbit in increasing order, so (r, 1) comes first.  The representatives
+    come in increasing order.  Ranks below p are the prime subfield, so
+    lambda c is cod.mul(lambda, c)."""
     ranks = np.arange(cod.size)
     multiples = [cod.mul(lam, ranks) for lam in range(1, cod.p)]
-    orbit: dict[int, tuple[int, int]] = {}
-    for c in range(1, cod.size):
-        if c not in orbit:
-            for lam, row in enumerate(multiples, start=1):
-                orbit[int(row[c])] = (c, lam)
-    return orbit
+    seen = np.zeros(cod.size, dtype=bool)
+    orbits: dict[int, list[tuple[int, int]]] = {}
+    for r in range(1, cod.size):
+        if not seen[r]:
+            orbits[r] = sorted((int(row[r]), lam) for lam, row in enumerate(multiples, start=1))
+            seen[[c for c, _ in orbits[r]]] = True
+    return orbits
 
 
 def is_vectorial_bent(F: VectorialFunction) -> bool:
     """True iff every nonzero component function is bent.  Bentness is the
     same on a GF(p)^* orbit of components, so one per orbit is classified."""
+    narrow = _narrow(F.p)
     return all(
-        classify_bent(component(F, c)).is_bent
-        for c, (_, mu) in _scalar_orbits(F.codomain).items()
-        if mu == 1
+        _bent_dual(F.domain, _component_table(F, r, narrow)) is not None
+        for r in _scalar_orbits(F.codomain)
     )
 
 
@@ -430,13 +516,22 @@ class DualBentCertificate:
     epsilons: dict[int, int | None]
 
 
-def _dual_and_sign(F: VectorialFunction, c: int, narrow) -> tuple[np.ndarray, int | None]:
-    """(F_c)^* as a table in the dtype narrow, and eps_c.  Only these are
-    kept: the classification's int64 dual table is dropped here."""
-    cl = classify_bent(component(F, c))
-    if not cl.is_bent:
-        raise NotBent(f"component {c} is not bent")
-    return cl.dual.table.astype(narrow), cl.epsilon
+def _scaled_dual(dual: np.ndarray, mu: int, p: int, n: int) -> np.ndarray:
+    """a -> mu dual(mu^{-1} a) on p^n points, for mu in GF(p)^*, in dual's
+    dtype.  mu^{-1} scales each base-p digit of a, so the argument is one
+    np.take per digit axis; the values go through a p-entry table."""
+    digit = pow(mu, -1, p) * np.arange(p) % p
+    out = dual
+    for k in range(n):
+        out = np.take(out.reshape(p ** k, p, -1), digit, axis=1)
+    # a narrow index array is cast in buffered chunks here, not whole
+    return (mu * np.arange(p) % p).astype(dual.dtype)[out.reshape(-1)]
+
+
+def _table_key(table: np.ndarray) -> int:
+    """The Fstar index key of a contiguous table: a CRC-32 of its bytes.
+    Equal tables get equal keys; a hit is confirmed by comparing tables."""
+    return zlib.crc32(table)
 
 
 def dual_bent_certificate(
@@ -444,17 +539,23 @@ def dual_bent_certificate(
 ) -> DualBentCertificate | None:
     """Check (F_c)^* = (Fstar)_{sigma(c)} for every nonzero c.
 
-    Components are visited in the order c = 1, ..., q-1.  The least c of each
-    GF(p)^* orbit is classified; any other c = mu r takes its dual and sign
-    from its orbit representative r (see the module docstring):
-    (F_c)^*(a) = mu (F_r)^*(mu^{-1} a), eps_c = eps_r for even n and
-    eta(mu) eps_r for odd n, and None stays None.  Each dual is then looked
-    up among the Fstar component tables by its bytes.
+    Components are certified a GF(p)^* orbit at a time, representatives in
+    increasing order.  The least c of an orbit, r, is classified; every
+    other c = mu r takes its dual and sign from r (see the module
+    docstring): (F_c)^*(a) = mu (F_r)^*(mu^{-1} a), eps_c = eps_r for even n
+    and eta(mu) eps_r for odd n, and None stays None.  Only one orbit's
+    duals are held at a time, all in the narrowest dtype that holds
+    [0, p).  Each dual is looked up among the Fstar components by the
+    _table_key of its table, and every hit is confirmed against the
+    recomputed Fstar component, so colliding keys cost time but never give
+    another sigma.
 
     Returns the certificate, or None when Fstar fails to certify F (which
     does not prove F is not dual-bent).  Raises NotBent if some component
     of F is not bent; bentness is the same across an orbit, so the first
-    non-bent c met is the least of its orbit.
+    non-bent c is the least of its orbit.  When both occur, the one at the
+    smaller c decides, as if c = 1, ..., q-1 were visited in turn: orbits
+    whose representative lies past a failure are not visited.
 
     The final check that sigma is injective cannot fire when every eps_c is
     set.  A weakly regular f has f^{**}(x) = f(-x), so equal duals
@@ -466,34 +567,43 @@ def dual_bent_certificate(
     if F.domain != Fstar.domain or F.codomain != Fstar.codomain:
         raise ValueError("F and Fstar must share domain and codomain")
     q, p, n = F.codomain.size, F.p, F.domain.dim
-    # held for the whole loop, so in the narrowest dtype that holds [0, p)
-    narrow = np.min_scalar_type(p - 1)
-    star_index: dict[bytes, list[int]] = {}
+    narrow = _narrow(p)
+    star_index: dict[int, list[int]] = {}
     for d in range(1, q):
-        star_index.setdefault(component(Fstar, d).table.astype(narrow).tobytes(), []).append(d)
+        star_index.setdefault(_table_key(_component_table(Fstar, d, narrow)), []).append(d)
     eta = canonical_field(p, 1).quadratic_character
-    reps: dict[int, tuple[np.ndarray, int | None]] = {}
-    orbit = _scalar_orbits(F.codomain)
-    sigma: dict[int, int] = {}
-    epsilons: dict[int, int | None] = {}
-    for c in range(1, q):
-        r, mu = orbit[c]
-        if mu == 1:
-            dual, eps = reps[c] = _dual_and_sign(F, c, narrow)
-        else:
-            dual_r, eps = reps[r]
-            times_mu = (mu * np.arange(p) % p).astype(narrow)
-            dual = times_mu[dual_r[F.domain.scaled(pow(mu, -1, p))]]
-            if n % 2 and eps is not None:
-                eps *= eta(mu)
-        matches = star_index.get(dual.tobytes(), [])
-        if len(matches) != 1:
-            return None
-        sigma[c] = matches[0]
-        epsilons[c] = eps
+    found: dict[int, tuple[int, int | None]] = {}  # c -> (sigma(c), eps_c)
+    failure, not_bent = q, False  # the least c found to fail, and how
+    for r, members in _scalar_orbits(F.codomain).items():
+        if r > failure:
+            break
+        rep = _bent_dual(F.domain, _component_table(F, r, narrow))
+        if rep is None:
+            failure, not_bent = r, True
+            break
+        for c, mu in members:
+            if c > failure:
+                break
+            dual, eps = rep
+            if mu != 1:
+                dual = _scaled_dual(dual, mu, p, n)
+                if n % 2 and eps is not None:
+                    eps *= eta(mu)
+            matches = [d for d in star_index.get(_table_key(dual), [])
+                       if np.array_equal(_component_table(Fstar, d, narrow), dual)]
+            if len(matches) != 1:
+                failure = c
+                break
+            found[c] = matches[0], eps
+        del rep, dual  # the orbit is done
+    if not_bent:
+        raise NotBent(f"component {failure} is not bent")
+    if failure < q:
+        return None
+    sigma = {c: found[c][0] for c in range(1, q)}
     if len(set(sigma.values())) != q - 1:
         return None
-    return DualBentCertificate(Fstar, sigma, epsilons)
+    return DualBentCertificate(Fstar, sigma, {c: found[c][1] for c in range(1, q)})
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,18 @@ compared field by field.
 import numpy as np
 
 from bentpds.cyclo import CyclotomicInt, gauss_sum
-from bentpds.errors import MatchFailure
+from bentpds.errors import MatchFailure, SizeGuard
 from bentpds.spectral import walsh_full
+
+
+def check_int64_norms(spectrum) -> None:
+    """Refuse a spectrum whose norm products may overflow int64.  Every
+    coefficient of a p^n-point spectrum lies in [-p^n, p^n], so an entry of
+    a product, the difference of two sums of p - 1 terms, is at most
+    2 (p - 1) p^{2n} <= (p - 1)^2 p^{2n} in magnitude for p >= 3."""
+    p, N = spectrum.p, spectrum.space.size
+    if (p - 1) ** 2 * N ** 2 >= 2 ** 63:
+        raise SizeGuard(f"p^n = {N}: (p-1)^2 p^(2n) overflows int64 norms")
 
 
 def conj_products(A: np.ndarray, p: int) -> np.ndarray:
@@ -34,6 +44,7 @@ def conj_products(A: np.ndarray, p: int) -> np.ndarray:
 
 def parseval_ok(spectrum) -> bool:
     """sum_a |W(a)|^2 = p^{2n}; individual |W(a)|^2 may be irrational."""
+    check_int64_norms(spectrum)
     p = spectrum.p
     total = conj_products(spectrum.coeff_rows, p).sum(axis=0).tolist()
     return total == [p ** (2 * spectrum.space.dim)] + [0] * (p - 2)
@@ -53,6 +64,7 @@ def classify_by_norms(f):
     norms first, then matching; a bent value that matches no candidate
     raises MatchFailure."""
     spectrum = walsh_full(f)
+    check_int64_norms(spectrum)
     p, n = f.p, f.domain.dim
     norms = conj_products(spectrum.coeff_rows, p)
     if not ((norms[:, 0] == p ** n).all() and not norms[:, 1:].any()):

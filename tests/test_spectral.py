@@ -1,6 +1,11 @@
+import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +169,13 @@ def test_conj_products_equal_scalar_norm_products(p):
     for row, prod in zip(rows, got):
         a = CyclotomicInt(p, row)
         assert tuple(prod.tolist()) == (a * conjugate(a)).coeffs
+
+
+def test_norm_oracle_refuses_spectra_whose_norms_overflow_int64():
+    # 2^2 3^40 >= 2^63 > 2^2 3^38; no rows are needed to be refused
+    with pytest.raises(SizeGuard, match="int64 norms"):
+        parseval_ok(spectral.WalshSpectrum(prime_space(3, 20), np.zeros((0, 2), dtype=np.int64)))
+    assert parseval_ok(walsh_full(xy_function()))
 
 
 def test_fast_transform_equals_naive_at_3_pow_6():
@@ -332,7 +344,8 @@ def test_dual_of_dual_is_negated_argument():
         assert all(cl2.dual(x) == f(sp.negate(x)) for x in range(sp.size))
 
 
-@pytest.mark.parametrize("p, dim", [(3, 6), (7, 3), (17, 2)])
+# 3^11 takes chunked top passes and several blocks in the real scratch
+@pytest.mark.parametrize("p, dim", [(3, 6), (7, 3), (17, 2), (3, 11)])
 def test_digit_transform_float64_equals_float32(p, dim):
     # tier-1 spaces all take float32; the float64 passes must agree with it
     N = p ** dim
@@ -353,8 +366,9 @@ def test_shift_pass_equals_dense_pass(p, dim):
     C[np.array(_random_table(prime_space(p, dim), 7)), np.arange(N)] = 1
     for k in range(dim):  # every block count a pass meets, the last one included
         dense, shifted = np.empty_like(C), np.empty_like(C)
-        spectral._dense_pass(C, dense, p, p ** k)
-        spectral._shift_pass(C, shifted, p, p ** k)
+        X, D, S = (A.reshape(p ** k, p * p, -1) for A in (C, dense, shifted))
+        spectral._dense_pass(X, D, p)
+        spectral._shift_pass(X, S, p)
         assert np.array_equal(dense, shifted)
 
 
@@ -417,6 +431,31 @@ def test_char_counts_equal_scalar_oracle(sp, path, monkeypatch):
         G = spectral._char_counts(sp, e.astype(np.int8))
         assert G.shape == (N, p - 1)
         assert np.array_equal(G[sp.dual], _scalar_char_counts(sp, e))
+
+
+@pytest.mark.parametrize("entries", ["p^2", "2p^2", "2p^3"])
+@pytest.mark.parametrize("path", ["dense", "shift"])
+@pytest.mark.parametrize("sp", ORACLE_SPACES, ids=lambda sp: "x".join(str(f.size) for f in sp.factors))
+def test_char_counts_equal_scalar_oracle_in_a_small_scratch(sp, path, entries, monkeypatch):
+    # a scratch of p^2 entries chunks every pass but the last, one column and
+    # one block at a time; 2p^2 takes two columns and two blocks per step,
+    # each with a remainder, and 2p^3 runs two passes inside each block
+    p, N = sp.p, sp.size
+    size = {"p^2": p * p, "2p^2": 2 * p * p, "2p^3": 2 * p ** 3}[entries]
+    monkeypatch.setattr(spectral, "DENSE_PASS_MAX_P", p if path == "dense" else p - 1)
+    monkeypatch.setattr(spectral, "SCRATCH_BYTES", size * exact_float_dtype(N).itemsize)
+    monkeypatch.setattr(spectral, "SHIFT_SLICE", size // p)
+    step = "_dense_pass" if path == "dense" else "_shift_pass"
+    calls = []
+    real = getattr(spectral, step)
+    monkeypatch.setattr(spectral, step, lambda X, Y, p: calls.append(X.shape) or real(X, Y, p))
+    rng = np.random.default_rng(N + 1)
+    for e in (rng.integers(-1, p, N), np.where(rng.random(N) < 0.3, 0, -1)):
+        calls.clear()
+        G = spectral._char_counts(sp, e.astype(np.int8))
+        assert np.array_equal(G[sp.dual], _scalar_char_counts(sp, e))
+        if entries == "p^2":  # more steps than passes: the buffer went through in chunks
+            assert len(calls) > sp.dim
 
 
 def test_exact_float_dtype_boundaries():
@@ -562,7 +601,8 @@ def _wrong_duals(F, Fstar, other):
     return out
 
 
-def test_certificate_equals_oracle_on_wrong_duals():
+def _wrong_dual_cases():
+    """(pair, F*) with F* a wrong dual of pair.function."""
     from bentpds.constructions import mm_power, quad_trace
 
     cases = [
@@ -572,30 +612,42 @@ def test_certificate_equals_oracle_on_wrong_duals():
         (quad_trace(7, 3, 1, 3), quad_trace(7, 3, 1, 1).dual),
         (quad_trace(5, 3, 3, 2), quad_trace(5, 3, 3, 1).dual),
     ]
+    return [(pair, Fstar) for pair, other in cases
+            for Fstar in _wrong_duals(pair.function, pair.dual, other)]
+
+
+def test_certificate_equals_oracle_on_wrong_duals():
+    cases = _wrong_dual_cases()
     outcomes = []
-    for pair, other in cases:
-        for Fstar in _wrong_duals(pair.function, pair.dual, other):
-            derived = _outcome(dual_bent_certificate, pair.function, Fstar)
-            assert derived == _outcome(certificate_per_component, pair.function, Fstar)
-            outcomes.append(derived)
+    for pair, Fstar in cases:
+        derived = _outcome(dual_bent_certificate, pair.function, Fstar)
+        assert derived == _outcome(certificate_per_component, pair.function, Fstar)
+        outcomes.append(derived)
     # both kinds of result occur: rejected, and certified with another sigma
     assert None in outcomes
     assert any(o is not None and dict(o[0]) != cases[0][0].sigma for o in outcomes)
+
+
+def _two_form_pair(g1, g2, h1, h2, p=3):
+    """F, F*: GF(p)^2 -> GF(p^2) with components F_{a + b p} = a g1 + b g2
+    and F*_{a + b p} = a h1 + b h2, for tables g1, g2, h1, h2 of p-ary
+    functions on GF(p)^2 (rank p is theta, and y -> (Tr y, Tr theta y) is
+    a bijection)."""
+    cod = canonical_field(p, 2)
+    sp = prime_space(p, 2)
+    ranks = np.arange(cod.size)
+    lookup = np.empty((p, p), dtype=np.int64)
+    lookup[cod.trace(1, ranks), cod.trace(1, cod.mul(p, ranks))] = ranks
+    return (VectorialFunction(sp, cod, lookup[np.asarray(g1), np.asarray(g2)]),
+            VectorialFunction(sp, cod, lookup[np.asarray(h1), np.asarray(h2)]))
 
 
 def _bent_then_zero(p=5):
     """F: GF(p)^2 -> GF(p^2) whose component a + b theta (c = a + b p) is
     a f for the bent f = xy, so every c < p is bent and c = p is the first
     component that is not."""
-    cod = canonical_field(p, 2)
-    ranks = np.arange(cod.size)
-    lookup = np.empty((p, p), dtype=np.int64)
-    lookup[cod.trace(1, ranks), cod.trace(1, cod.mul(p, ranks))] = ranks
-    f = xy_function(p)
-    other = np.arange(f.domain.size) % p
-    F = VectorialFunction(f.domain, cod, lookup[f.table, 0])
-    Fstar = VectorialFunction(f.domain, cod, lookup[(-f.table) % p, other])
-    return F, Fstar
+    f = xy_function(p).table
+    return _two_form_pair(f, 0 * f, (-f) % p, np.arange(p * p) % p, p)
 
 
 def test_first_non_bent_component_past_c_1():
@@ -607,6 +659,50 @@ def test_first_non_bent_component_past_c_1():
     zero = VectorialFunction(F.domain, F.codomain, np.zeros(F.domain.size, dtype=np.int64))
     assert _outcome(dual_bent_certificate, F, zero) is None
     assert _outcome(certificate_per_component, F, zero) is None
+
+
+def _not_bent_at_4():
+    """Tables (g1, g2, g1^*, g2^*) on GF(3)^2.  Over GF(9) the orbits are
+    {1, 2}, {3, 6}, {4, 8}, {5, 7}; with g1 = xy and g2 = x^2 + y^2 + x the
+    components 1, 2, 3 and 6 of _two_form_pair are bent, and 4, 5, 7 and 8
+    (a degenerate quadratic part) are not."""
+    sp = prime_space(3, 2)
+    x, y = np.arange(9) % 3, np.arange(9) // 3
+    g1, g2 = x * y % 3, (x * x + y * y + x) % 3
+    return (g1, g2) + tuple(classify_bent(p_ary(sp, g)).dual.table for g in (g1, g2))
+
+
+def test_the_smaller_c_decides_between_not_bent_and_none():
+    g1, g2, d1, d2 = _not_bent_at_4()
+    # F*_3 = g2^*, but g2^* is not even, so (F_6)^* = 2 g2^*(-x) is not F*_6:
+    # the orbit of 3 fails at c = 6, after its representative, yet the
+    # representative 4 < 6 is not bent, and NotBent wins
+    F, Fstar = _two_form_pair(g1, g2, d1, d2)
+    star = [component(Fstar, d).table.tolist() for d in range(1, 9)]
+    assert classify_bent(component(F, 3)).dual.table.tolist() in star
+    assert classify_bent(component(F, 6)).dual.table.tolist() not in star
+    expected = ("NotBent", "component 4 is not bent")
+    assert _outcome(dual_bent_certificate, F, Fstar) == expected
+    assert _outcome(certificate_per_component, F, Fstar) == expected
+    # F*_3 = g2^* + 1 fails at the representative 3 < 4 itself, and None wins
+    F, Fstar = _two_form_pair(g1, g2, d1, (d2 + 1) % 3)
+    assert _outcome(dual_bent_certificate, F, Fstar) is None
+    assert _outcome(certificate_per_component, F, Fstar) is None
+
+
+def test_colliding_keys_change_no_certificate(monkeypatch):
+    # every F* component gets the same key, so each lookup compares the dual
+    # with every component: sigma, signs, None and NotBent stay as they were
+    cases = [(pair.function, pair.dual) for pair in _oracle_pairs()]
+    cases += [(pair.function, Fstar) for pair, Fstar in _wrong_dual_cases()]
+    cases += [_bent_then_zero(), _two_form_pair(*_not_bent_at_4())]
+    expected = [_outcome(dual_bent_certificate, F, Fstar) for F, Fstar in cases]
+    keys = []
+    monkeypatch.setattr(spectral, "_table_key", lambda table: keys.append(0) or 0)
+    assert [_outcome(dual_bent_certificate, F, Fstar) for F, Fstar in cases] == expected
+    assert keys  # the lookups went through the patched key
+    kinds = {o if o is None else o[0] if o[0] == "NotBent" else "certified" for o in expected}
+    assert kinds == {None, "NotBent", "certified"}
 
 
 # ---------------------------------------------------------------------------
@@ -742,14 +838,36 @@ def test_classify_equals_norm_oracle_at_p_5_and_7():
 
 
 # ---------------------------------------------------------------------------
-# memory of one classification
+# memory of classification and certification
 # ---------------------------------------------------------------------------
 
-# Classification reads the transform's reduced float counts and keys them a
-# column at a time, so nothing it allocates is as large as the transform's
-# two (N, p) float buffers.  Forming an int64 spectrum and its norm
-# products first takes the peak to 2.0-2.3 of them.
-CLASSIFY_PEAK_BOUND = 1.75
+# Besides the transform's one (p, N) float buffer, classification holds
+# either the transform's scratch (SCRATCH_BYTES, at most the buffer's size)
+# or the matcher's bool and narrow candidate index per point and its work
+# arrays for MATCH_ROWS rows: three int64 entries, two gathered counts and
+# bool temporaries, under MATCH_ROW_BYTES a row.  With two buffers and
+# N-long int64 keys the peak was 2.0-2.3 buffers.
+CLASSIFY_PEAK_BOUND = 1.0  # transform buffers, on top of the terms above
+MATCH_ROW_BYTES = 40
+
+
+def _peak_bound(sp, per_point):
+    """CLASSIFY_PEAK_BOUND buffers, the scratch, the matcher's work arrays,
+    and per_point bytes for each point."""
+    N, p = sp.size, sp.p
+    buffer = N * p * exact_float_dtype(N).itemsize
+    return (CLASSIFY_PEAK_BOUND * buffer + min(spectral.SCRATCH_BYTES, buffer)
+            + MATCH_ROW_BYTES * min(N, spectral.MATCH_ROWS) + per_point * N)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("p, n", [(3, 10), (5, 6), (7, 6), (3, 9)])
@@ -760,13 +878,51 @@ def test_classify_peak_memory_is_bounded_by_the_transform_buffers(p, n):
     bent = component(quad_trace(p, n, 1, 1).function, 1)
     for f in (bent, p_ary(sp, _random_table(sp, 4))):
         classify_bent(f)  # warm: candidates, pass matrix and dual map are cached
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            cl = classify_bent(f)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        cl, peak = _traced_peak(classify_bent, f)
         assert cl.is_bent == (f is bent)
-        buffers = 2 * sp.size * p * exact_float_dtype(sp.size).itemsize
-        assert peak <= CLASSIFY_PEAK_BOUND * buffers, peak / buffers
+        # the bool and the candidate index of each point
+        assert peak <= _peak_bound(sp, 2), peak / _peak_bound(sp, 2)
+
+
+@pytest.mark.parametrize("args", [(3, 4, 2, 1, 7), (3, 6, 2, 1, 1), (7, 3, 3, 1, 5)],
+                         ids=lambda args: "mm_power{}".format(args))
+def test_certificate_peak_memory_is_bounded_by_one_transform(args):
+    # 3^8 and 3^12 with s = 2, and 7^6 with s = 3: 57 orbits, 49 of them open
+    # together when components are taken in the order c = 1, 2, ...
+    from bentpds.constructions import mm_power
+
+    pair = mm_power(*args)
+    F, sp = pair.function, pair.function.domain
+    classify_bent(component(F, 1))  # warm, as above
+    cert, peak = _traced_peak(dual_bent_certificate, F, pair.dual)
+    assert cert is not None and cert.sigma == pair.sigma
+    # the narrow tables of one orbit: the component, the candidate index and
+    # its permutation, a dual, a derived dual and the two arrays it passes
+    # through, the recomputed Fstar component and its comparison
+    assert peak <= _peak_bound(sp, 8), peak / _peak_bound(sp, 8)
+
+
+def test_certificate_at_7_pow_8_stays_under_700_mb():
+    # 5,764,801 points: the float32 transform buffer alone is 161 MB; two
+    # buffers, int64 keys and the whole-space scaling maps took 1068 MB
+    script = """
+import json, resource
+from bentpds.constructions import mm_power
+from bentpds.spectral import dual_bent_certificate
+pair = mm_power(7, 4, 2, 1, 17)
+cert = dual_bent_certificate(pair.function, pair.dual)
+print(json.dumps({
+    "sigma": cert is not None and cert.sigma == pair.sigma,
+    "eps": sorted(set(cert.epsilons.values())) if cert else None,
+    "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+}))
+"""
+    src = str(Path(spectral.__file__).parents[1])
+    env = dict(os.environ, BENT_SIZE_CAP="6000000",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["sigma"] and out["eps"] == [1]
+    assert out["maxrss_mb"] < 700, out

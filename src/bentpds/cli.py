@@ -6,11 +6,14 @@ produce byte-identical output.  Exit codes: 0 success, 1 verification
 failure, 2 usage error.  Every run, errors included, writes one JSON record
 to stdout and, with --out, the same record to that file.
 
-Function tables cross the JSON boundary as int64 arrays.  The writer
-renders a table through a byte lookup table with the bytes json.dumps gives
-its list.  The reader parses each "table":[...] body made of canonical
-non-negative integers (digits and commas, no leading zeros) with numpy,
-loads the rest of the text with json, and puts the arrays back at 'table',
+Function tables cross the JSON boundary as integer arrays.  The writer
+gives the bytes json.dumps gives a table's list, writing one-digit values
+into every other byte of a row of commas.  The reader finds each
+'"table":[' with str.find and reads the body up to the next ']' with numpy
+when it is made of canonical non-negative integers (digits and commas, no
+empty entry, no leading zero, below 2^63 - 1): a one-digit body as
+digit-comma byte pairs, any other through numpy's text parser.  It loads
+the rest of the text with json and puts the arrays back at 'table',
 'function.table' and 'dual.table'.  Where the scan cannot show that this
 equals json.load, the whole text goes through json.loads instead: any other
 span, a duplicate or misplaced key, a marker collision, a decode error.
@@ -20,7 +23,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import re
 import sys
 
 import numpy as np
@@ -38,20 +40,29 @@ class UsageError(Exception):
     pass
 
 
-_TABLE_SPAN = re.compile(r'"table":\[([0-9,]+)\]')
+_TABLE_KEY = '"table":['
 _TABLE_PATHS = (("table",), ("function", "table"), ("dual", "table"))
 _INT64_MAX = np.iinfo(np.int64).max
+_COMMA = ord(",")
 
 
 def _parse_table(body: str):
-    """The int64 entries of a list body of digits and commas, or None unless
-    each entry is a canonical integer (no leading zero) below 2^63 - 1,
-    where json would give the same Python ints."""
-    n = body.count(",") + 1
-    if body[0] == "," or body[-1] == "," or ",," in body:
+    """The entries of a list body as an integer array, or None unless the
+    body is digits and commas alone, with no empty entry, and each entry is
+    a canonical integer (no leading zero) below 2^63 - 1, where json would
+    give the same Python ints."""
+    raw = (body + ",").encode()  # every entry ends in a comma
+    if len(raw) % 2 == 0:
+        # one digit per entry, as for codomains up to GF(9): each
+        # little-endian byte pair is a digit and a comma, 0x2C30 to 0x2C39
+        table = np.frombuffer(raw, "<u2") - 0x2C30
+        if (table <= 9).all():  # anything else wraps above 9
+            return table
+    raw = np.frombuffer(raw, np.uint8)
+    comma = raw == _COMMA
+    if comma[0] or (comma[1:] & comma[:-1]).any() or not ((raw - 48 <= 9) | comma).all():
         return None
-    if len(body) == 2 * n - 1:  # one digit per entry, as for codomains up to GF(9)
-        return (np.frombuffer(body[::2].encode(), np.uint8) - 48).astype(np.int64)
+    n = int(np.count_nonzero(comma))
     table = np.fromstring(body, dtype=np.int64, sep=",")  # clamps at 2^63 - 1
     top = int(table.max())
     if table.size != n or top == _INT64_MAX:
@@ -59,30 +70,37 @@ def _parse_table(body: str):
     # the decimal length of each value, summed: equal to the digit count of
     # the body exactly when no entry has a leading zero
     digits = n + sum(int(np.count_nonzero(table >= 10 ** k)) for k in range(1, len(str(top))))
-    return table if digits == len(body) - (n - 1) else None
+    return table if digits == raw.size - n else None
 
 
 def _scan(text: str):
-    """json.loads(text) with the canonical tables parsed as int64 arrays,
-    or None where that result cannot be shown to equal json's.  Each table
-    becomes a float literal absent from the text, which parse_float turns
-    back into its array; all of them must land on one of _TABLE_PATHS."""
+    """json.loads(text) with the canonical tables parsed as integer arrays,
+    or None where that result cannot be shown to equal json's.  A table is
+    the body from '"table":[' to the next ']'.  As in a regex search, the
+    next search starts past an accepted table, or one character after a
+    rejected '"table":[', whose span may hold another.  Each table becomes
+    a float literal absent from the text, which parse_float turns back into
+    its array; all of them must land on one of _TABLE_PATHS."""
     held, rest, end = {}, [], 0
-    for span in _TABLE_SPAN.finditer(text):
-        table = _parse_table(span[1])
-        if table is None:
-            continue
-        marker = f"0.{len(held)}e-0"
-        # more tables than paths cannot all land; the cap also bounds the
-        # number of passes over the text that the marker checks make
-        if len(held) == len(_TABLE_PATHS) or marker in text:
-            return None
-        held[marker] = table
-        rest += [text[end:span.start(1) - 1], marker]
-        end = span.end(1) + 1
+    start = text.find(_TABLE_KEY)
+    while start >= 0 and (close := text.find("]", start)) >= 0:
+        body = start + len(_TABLE_KEY)
+        table = _parse_table(text[body:close])
+        if table is not None:
+            if len(held) == len(_TABLE_PATHS):  # they cannot all land
+                return None
+            marker = f"0.{len(held)}e-0"
+            held[marker] = table
+            rest += [text[end:body - 1], marker]
+            end = close + 1
+        start = text.find(_TABLE_KEY, max(start + 1, end))
     if not held:
         return None
     rest.append(text[end:])
+    # a marker has a '.' and no bracket, so it cannot overlap a "[...]" read
+    # as a table: searching the text pieces of rest is searching the text
+    if any(marker in piece for marker in held for piece in rest[::2]):
+        return None
     try:
         doc = json.loads("".join(rest), parse_float=lambda v: held[v] if v in held else float(v))
     except json.JSONDecodeError:
@@ -488,9 +506,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _table_json(table: np.ndarray) -> str:
     """json.dumps(table.tolist(), separators=(",", ":")) for a nonempty
-    table of non-negative integers, from a NUL-padded byte row "v," per
-    value."""
-    rows = np.array([f"{v}," for v in range(int(table.max()) + 1)], dtype=bytes)
+    table of non-negative integers.  Below 10 the digits are written into
+    every other byte of a row of commas; otherwise each value is gathered
+    from a NUL-padded byte row "v," per value."""
+    top = int(table.max())
+    if top < 10:
+        text = np.full(2 * table.size + 1, _COMMA, np.uint8)
+        text[0], text[-1] = ord("["), ord("]")
+        np.add(table, 48, out=text[1::2], casting="unsafe")  # no int64 temporary
+        return str(text.data, "ascii")
+    rows = np.array([f"{v}," for v in range(top + 1)], dtype=bytes)
     cells = rows.view(np.uint8).reshape(rows.size, -1)[table]
     return "[" + cells[cells != 0].tobytes()[:-1].decode("ascii") + "]"
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -220,6 +220,14 @@ class Field:
             total = self.add(total, conj)
         T = sub._digits[proj[total]].astype(np.int64)
         return self._digits @ T % self.p @ sub._powers
+
+    @cached_property
+    def dual_map(self) -> np.ndarray:
+        """dual_map[a] = the rank u with Tr_1^m(a y) = sum_j u_j y_j for all
+        y (digitwise mod p): u packs the digits (Tr_1^m(a x^j))_j.  On GF(p)
+        it is the identity."""
+        r = np.arange(self.size, dtype=np.int64)
+        return sum(self.trace(1, self.mul(r, self.p ** j)) * self.p ** j for j in range(self.m))
 
     def quadratic_character(self, a: int) -> int:
         """+1 iff a is a nonzero square (a^{(q-1)/2} = 1), -1 otherwise."""

@@ -129,7 +129,12 @@ class PreimageSet:
 def preimage(F: VectorialFunction, values, exclude_zero_point: bool = True,
              descriptor: str | None = None) -> PreimageSet:
     """{ x : F(x) in values }, minus the zero point when requested.  Every
-    value must be a rank of the codomain (ValueError otherwise)."""
+    value must be an integer rank of the codomain (ValueError otherwise):
+    int() would take 1.5, True and '1' for 1."""
+    values = list(values)  # read twice
+    bad = [v for v in values if not isinstance(v, (int, np.integer)) or isinstance(v, bool)]
+    if bad:
+        raise ValueError(f"values must be integer ranks, got {bad[0]!r}")
     mask = np.zeros(F.codomain.size, dtype=bool)
     mask[[F.codomain.check_rank(int(v), "value") for v in values]] = True
     ranks = np.flatnonzero(mask[F.table])

@@ -10,9 +10,10 @@ The inner product follows the usual convention: plain product on GF(p)
 factors, Tr_1^m(a b) on extension factors, summed mod p.  The whole-space
 maps x -> -x, x -> c x and a -> dual(a) are built once per space as rank
 arrays, by composing a map on each digit (scaling) or on each factor (the
-dual) in O(N), with no division pass over the N ranks; the scalar rank
-methods (split, join, digits, inner_product) stay per point for the
-oracles.
+dual) in O(N), with no division pass over the N ranks.  gather_dual
+reorders an array by the dual one factor at a time, with no whole-space
+map.  The scalar rank methods (split, join, digits, inner_product) stay per
+point for the oracles.
 """
 from __future__ import annotations
 
@@ -94,13 +95,17 @@ class Space:
     @cached_property
     def dual(self) -> np.ndarray:
         """dual[a] = the rank u with <a, x> = sum_k u_k x_k (digitwise mod p)
-        for all x.  On an extension factor, u packs the digits
-        (Tr_1^m(a x^j))_j."""
-        blocks = []
-        for f in self.factors:
-            r = np.arange(f.size, dtype=np.int64)
-            blocks.append(sum(f.trace(1, f.mul(r, f.p ** j)) * f.p ** j for j in range(f.m)))
-        return _compose(blocks)
+        for all x: Field.dual_map on each factor."""
+        return _compose([f.dual_map for f in self.factors])
+
+    def gather_dual(self, values: np.ndarray) -> np.ndarray:
+        """values[self.dual] for a 1-D array over the space, by one np.take
+        per extension factor, so no whole-space map is built; the dual is
+        the identity on GF(p) factors, where values come back as they are."""
+        for f, shift in zip(self.factors, self._shifts):
+            if f.m > 1:
+                values = np.take(values.reshape(-1, f.size, shift), f.dual_map, axis=1)
+        return values.reshape(-1)
 
     def scalar_mul(self, c: int, x: int) -> int:
         return int(self.scaled(c)[x])

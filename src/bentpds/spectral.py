@@ -462,7 +462,7 @@ def _bent_dual(space: Space, table: np.ndarray) -> tuple[np.ndarray, int | None]
     signs = cand_signs[taken]
     eps = int(signs[0]) if (signs == signs[0]).all() else None
     # row dual[a] of the counts holds W_f(a)
-    return cand_js[which[space.dual]], eps
+    return cand_js[space.gather_dual(which)], eps
 
 
 def classify_bent(f: VectorialFunction) -> BentClassification:

@@ -67,6 +67,14 @@ def test_preimage_rejects_values_outside_the_codomain():
             preimage(XY.function, values)
 
 
+def test_preimage_rejects_values_that_are_not_integers():
+    # each of these used to be coerced by int() and give A=[1]
+    for values in ([1.5], [True], ["1"], [2, 1.0], [np.float64(1)], [np.bool_(True)]):
+        with pytest.raises(ValueError):
+            preimage(XY.function, values)
+    assert preimage(XY.function, [np.int8(1), 2]).descriptor == "A=[1, 2]"
+
+
 def _outcome(verifier, *args):
     """The verifier's verdict, or the type of the exception it raised."""
     try:

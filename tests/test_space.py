@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from bentpds.field import canonical_field
@@ -106,6 +107,7 @@ def test_dual_rank_realizes_inner_product():
         Space([F3, F27]),
         Space([canonical_field(5, 2), canonical_field(5, 1)]),
         Space([canonical_field(7, 1), canonical_field(7, 2)]),
+        prime_space(3, 4),
     ],
 )
 def test_whole_space_permutations(sp):
@@ -117,6 +119,8 @@ def test_whole_space_permutations(sp):
             assert sp.scaled(c)[x] == expected
         assert sp.neg[x] == sum((-d % p) * p ** k for k, d in enumerate(digits))
     assert sorted(sp.dual) == list(range(sp.size))
+    values = np.arange(sp.size)[::-1] % 251  # narrow and not the identity
+    assert np.array_equal(sp.gather_dual(values.astype(np.uint8)), values[sp.dual])
     step = max(1, sp.size // 29)
     for a in range(sp.size):
         du = sp.digits(int(sp.dual[a]))

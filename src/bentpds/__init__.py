@@ -15,13 +15,9 @@ from .spectral import (
     classify_bent,
     component,
     dual_bent_certificate,
-    evaluate_anf,
-    flatten_domain,
-    is_vectorial_bent,
     lform_exponents,
     lform_converse_check,
     walsh_full,
-    walsh_naive,
 )
 from .constructions import (
     ConstructedPair,

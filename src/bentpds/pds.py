@@ -50,7 +50,7 @@ from .errors import (
 from .field import Field, canonical_field, is_prime
 from .limits import exact_float_dtype, walsh_cap
 from .space import Space, prime_space
-from .spectral import DualBentCertificate, VectorialFunction, _char_counts
+from .spectral import DualBentCertificate, VectorialFunction, _char_counts, _integer_entries
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +132,8 @@ def preimage(F: VectorialFunction, values, exclude_zero_point: bool = True,
     value must be an integer rank of the codomain (ValueError otherwise):
     int() would take 1.5, True and '1' for 1."""
     values = list(values)  # read twice
-    bad = [v for v in values if not isinstance(v, (int, np.integer)) or isinstance(v, bool)]
-    if bad:
-        raise ValueError(f"values must be integer ranks, got {bad[0]!r}")
+    if not _integer_entries(values):
+        raise ValueError("values must be integer ranks")
     mask = np.zeros(F.codomain.size, dtype=bool)
     mask[[F.codomain.check_rank(int(v), "value") for v in values]] = True
     ranks = np.flatnonzero(mask[F.table])
@@ -396,12 +395,15 @@ def gaussian_period_semiprimitive(p: int, s: int, t: int, a: int) -> CyclotomicI
 def _candidacy(space: Space, D) -> np.ndarray:
     """D as a sorted rank array, checked to avoid 0 and to satisfy -D = D.
     A PreimageSet's ranks are taken as they are once its group matches space
-    in p and size; any other iterable must hold distinct ranks of space."""
+    in p and size; any other iterable must hold distinct integer ranks of
+    space (see _integer_entries)."""
     if isinstance(D, PreimageSet):
         if (D.group.p, D.group.size) != (space.p, space.size):
             raise ValueError(f"the set's group has {D.group.size} points, not {space.size}")
         Dv = D.ranks
     else:
+        if not _integer_entries(D):
+            raise ValueError("members must be integer ranks")
         Dv = np.sort(np.fromiter(D, dtype=np.int64, count=len(D)))
         if Dv.size and (Dv[0] < 0 or Dv[-1] >= space.size):
             raise ValueError(f"members must be ranks in [0, {space.size})")
@@ -451,10 +453,14 @@ def _gather_counts(space: Space, Dv: np.ndarray) -> np.ndarray:
     return counts
 
 
+@lru_cache(maxsize=None)
 def _scaling(p: int, width: int, lam: int) -> np.ndarray:
     """x -> lam x on width base-p digits, as a rank array; at width 0 the
-    one rank 0."""
-    return prime_space(p, width).scaled(lam) if width else np.zeros(1, dtype=np.int64)
+    one rank 0.  Shared between calls, so read-only."""
+    ranks = np.arange(p ** width)
+    perm = prime_space(p, width).gather_scaled(ranks, lam) if width else ranks
+    perm.setflags(write=False)
+    return perm
 
 
 def _orbit_group(p: int, h1: int, h2: int, M: np.ndarray, hi: np.ndarray,

@@ -23,8 +23,9 @@ the signed ones of the reduction included, which is exact in float32 while
 p^n < 2^24 and in float64 while p^n < 2^53 (limits.exact_float_dtype).
 Every decision reads these reduced float counts: classification here and
 the character verifier of pds.  Only walsh_full gathers them into the
-order of a and casts them to the int64 rows of WalshSpectrum.  The naive
-quadratic sum is kept alongside as a cross-check oracle.
+order of a (Space.gather_dual) and casts them to the int64 rows of
+WalshSpectrum.  The naive quadratic sum, its cross-check oracle, is held by
+the tests.
 
 Bentness and regularity are decided by exact candidate matching alone.  By
 Kumar, Scholtz and Welch (1985), every Walsh value of a p-ary bent
@@ -73,7 +74,7 @@ from .errors import (
 )
 from .field import Field, canonical_field
 from .limits import exact_float_dtype, walsh_cap
-from .space import Space, prime_space
+from .space import Space
 
 
 # ---------------------------------------------------------------------------
@@ -91,13 +92,8 @@ class VectorialFunction:
         arr = np.asarray(table)
         if arr.shape != (domain.size,):
             raise ValueError(f"table must have length {domain.size}")
-        # numpy turns bool, float and str entries into integers under an
-        # integer dtype, and a list mixing bools with ints into an int
-        # array, so a list is checked by the types of its entries; integers
-        # beyond int64 give a float, object or uint64 array
-        exact = isinstance(table, np.ndarray) or all(
-            issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, table)))
-        if arr.dtype.kind not in "iu" or not exact:
+        # integers beyond int64 give a float, object or uint64 array
+        if arr.dtype.kind not in "iu" or not _integer_entries(table):
             raise ValueError("table entries must be int64 integers")
         if arr.min() < 0 or arr.max() >= codomain.size:
             raise ValueError("table entries must lie in [0, p^s)")
@@ -143,6 +139,15 @@ class VectorialFunction:
         )
 
 
+def _integer_entries(values) -> bool:
+    """True iff values is an integer array, or an iterable whose entries are
+    all int or numpy integers and none a bool.  numpy and int() take 1.5,
+    True and '1' for integers, so entries are checked by their types."""
+    if isinstance(values, np.ndarray):
+        return values.dtype.kind in "iu"
+    return all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, values)))
+
+
 def _check_p_ary(f: VectorialFunction) -> None:
     """Walsh spectra, ANF and l-forms are defined for values in GF(p)."""
     if f.s != 1:
@@ -166,12 +171,6 @@ def _component_table(F: VectorialFunction, c: int, dtype) -> np.ndarray:
     """The table of F_c, for a nonzero rank c, in dtype."""
     cod = F.codomain
     return cod.trace(1, cod.mul(c, np.arange(cod.size))).astype(dtype)[F.table]
-
-
-def flatten_domain(f: VectorialFunction) -> VectorialFunction:
-    """Reinterpret the domain as GF(p)^n; the digit encoding makes the table
-    carry over unchanged."""
-    return VectorialFunction(prime_space(f.p, f.domain.dim), f.codomain, f.table)
 
 
 # ---------------------------------------------------------------------------
@@ -350,21 +349,7 @@ def walsh_full(f: VectorialFunction) -> WalshSpectrum:
     """Exact W_f by the fast transform."""
     _check_p_ary(f)
     G = _char_counts(f.domain, f.table)
-    return WalshSpectrum(f.domain, G[f.domain.dual].astype(np.int64))
-
-
-def walsh_naive(f: VectorialFunction) -> list[CyclotomicInt]:
-    """The O(p^{2n}) definition, kept as an independent oracle."""
-    _check_p_ary(f)
-    sp, p = f.domain, f.p
-    table = f.table
-    out = []
-    for a in range(sp.size):
-        counts = [0] * p
-        for x in range(sp.size):
-            counts[(int(table[x]) - sp.inner_product(a, x)) % p] += 1
-        out.append(CyclotomicInt.from_exponent_counts(p, counts))
-    return out
+    return WalshSpectrum(f.domain, f.domain.gather_dual(G).astype(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -496,16 +481,6 @@ def _scalar_orbits(cod: Field) -> dict[int, list[tuple[int, int]]]:
     return orbits
 
 
-def is_vectorial_bent(F: VectorialFunction) -> bool:
-    """True iff every nonzero component function is bent.  Bentness is the
-    same on a GF(p)^* orbit of components, so one per orbit is classified."""
-    narrow = _narrow(F.p)
-    return all(
-        _bent_dual(F.domain, _component_table(F, r, narrow)) is not None
-        for r in _scalar_orbits(F.codomain)
-    )
-
-
 @dataclass
 class DualBentCertificate:
     """Witness that Fstar is a vectorial dual of F: sigma maps each nonzero
@@ -514,18 +489,6 @@ class DualBentCertificate:
     dual: VectorialFunction
     sigma: dict[int, int]
     epsilons: dict[int, int | None]
-
-
-def _scaled_dual(dual: np.ndarray, mu: int, p: int, n: int) -> np.ndarray:
-    """a -> mu dual(mu^{-1} a) on p^n points, for mu in GF(p)^*, in dual's
-    dtype.  mu^{-1} scales each base-p digit of a, so the argument is one
-    np.take per digit axis; the values go through a p-entry table."""
-    digit = pow(mu, -1, p) * np.arange(p) % p
-    out = dual
-    for k in range(n):
-        out = np.take(out.reshape(p ** k, p, -1), digit, axis=1)
-    # a narrow index array is cast in buffered chunks here, not whole
-    return (mu * np.arange(p) % p).astype(dual.dtype)[out.reshape(-1)]
 
 
 def _table_key(table: np.ndarray) -> int:
@@ -586,7 +549,10 @@ def dual_bent_certificate(
                 break
             dual, eps = rep
             if mu != 1:
-                dual = _scaled_dual(dual, mu, p, n)
+                # a -> mu dual(mu^{-1} a); a narrow index array is cast in
+                # buffered chunks here, not whole
+                scaled = F.domain.gather_scaled(dual, pow(mu, -1, p))
+                dual = (mu * np.arange(p) % p).astype(dual.dtype)[scaled]
                 if n % 2 and eps is not None:
                     eps *= eta(mu)
             matches = [d for d in star_index.get(_table_key(dual), [])
@@ -632,7 +598,7 @@ def anf(f: VectorialFunction) -> dict[tuple[int, ...], int]:
     _check_p_ary(f)
     sp = f.domain
     if any(fac.m != 1 for fac in sp.factors):
-        raise ValueError("anf needs a pure GF(p)^n domain; flatten_domain() first")
+        raise ValueError("anf needs a pure GF(p)^n domain; read the table on prime_space(p, n)")
     p, n = f.p, sp.dim
     vinv = np.array(_inverse_vandermonde(p), dtype=np.int64)
     # Fortran order: axis k of the cube is digit k of the rank, i.e. x_k
@@ -643,17 +609,6 @@ def anf(f: VectorialFunction) -> dict[tuple[int, ...], int]:
     return dict(zip(map(tuple, nonzero.tolist()), cube[tuple(nonzero.T)].tolist()))
 
 
-def evaluate_anf(p: int, coeffs: dict[tuple[int, ...], int], digits) -> int:
-    total = 0
-    for exps, c in coeffs.items():
-        term = c
-        for x, e in zip(digits, exps):
-            if e:
-                term = (term * pow(int(x), e, p)) % p
-        total += term
-    return total % p
-
-
 # ---------------------------------------------------------------------------
 # l-forms and the l-form converse check
 # ---------------------------------------------------------------------------
@@ -661,15 +616,11 @@ def evaluate_anf(p: int, coeffs: dict[tuple[int, ...], int], digits) -> int:
 def lform_exponents(f: VectorialFunction) -> set[int]:
     """All l in [1, p-1] with f(a x) = a^l f(x) for every scalar a != 0."""
     _check_p_ary(f)
-    sp, p = f.domain, f.p
-    table = f.table
-    out = set()
-    for l in range(1, p):
-        if all(
-            np.array_equal(table[sp.scaled(a)], (pow(a, l, p) * table) % p)
-            for a in range(2, p)
-        ):
-            out.add(l)
+    sp, p, table = f.domain, f.p, f.table
+    out = set(range(1, p))
+    for a in range(2, p):
+        scaled = sp.gather_scaled(table, a)
+        out = {l for l in out if np.array_equal(scaled, pow(a, l, p) * table % p)}
     return out
 
 

@@ -16,6 +16,7 @@ from bentpds.cyclo import CyclotomicInt
 from bentpds.errors import FormulaMismatch, NotBijection
 from bentpds.pds import SigmaReport
 from bentpds.spectral import component, walsh_full
+from space_oracle import inner_product
 
 
 def preimage_ranks(F, values, exclude_zero_point=True) -> list[int]:
@@ -40,7 +41,7 @@ def char_sum_preimage(F, u: int, i: int, spectra=None) -> CyclotomicInt:
     cod = F.codomain
     direct_counts = [0] * p
     for x in np.nonzero(F.table == i)[0]:
-        direct_counts[sp.inner_product(u, int(x))] += 1
+        direct_counts[inner_product(sp, u, int(x))] += 1
     direct = CyclotomicInt.from_exponent_counts(p, direct_counts)
 
     if spectra is None:

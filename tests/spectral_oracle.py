@@ -7,12 +7,50 @@ candidates +-u zeta^j, built here from their definition and looked up by
 their coefficient tuples.  It shares no code with the library's
 count-domain matcher beyond walsh_full, so the two decisions can be
 compared field by field.
+
+walsh_naive is the O(p^{2n}) definition of the spectrum, one inner product
+of space_oracle at a time, the fast transform's oracle.  flatten_domain and
+evaluate_anf read a table on GF(p)^n and evaluate an ANF, for the ANF
+round trips.
 """
 import numpy as np
 
 from bentpds.cyclo import CyclotomicInt, gauss_sum
 from bentpds.errors import MatchFailure, SizeGuard
-from bentpds.spectral import walsh_full
+from bentpds.space import prime_space
+from bentpds.spectral import VectorialFunction, walsh_full
+from space_oracle import inner_product
+
+
+def walsh_naive(f) -> list[CyclotomicInt]:
+    """W_f(a) = sum_x zeta^{f(x) - <a,x>} for every a, point by point."""
+    if f.s != 1:
+        raise ValueError(f"a p-ary (s = 1) function is needed, got s = {f.s}")
+    sp, p = f.domain, f.p
+    out = []
+    for a in range(sp.size):
+        counts = [0] * p
+        for x in range(sp.size):
+            counts[(int(f.table[x]) - inner_product(sp, a, x)) % p] += 1
+        out.append(CyclotomicInt.from_exponent_counts(p, counts))
+    return out
+
+
+def flatten_domain(f):
+    """Reinterpret the domain as GF(p)^n; the digit encoding makes the table
+    carry over unchanged."""
+    return VectorialFunction(prime_space(f.p, f.domain.dim), f.codomain, f.table)
+
+
+def evaluate_anf(p: int, coeffs: dict[tuple[int, ...], int], digits) -> int:
+    total = 0
+    for exps, c in coeffs.items():
+        term = c
+        for x, e in zip(digits, exps):
+            if e:
+                term = (term * pow(int(x), e, p)) % p
+        total += term
+    return total % p
 
 
 def check_int64_norms(spectrum) -> None:

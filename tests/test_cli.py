@@ -17,6 +17,7 @@ from bentpds.constructions import mm_power
 from bentpds.field import canonical_field
 from bentpds.space import prime_space
 from bentpds.spectral import VectorialFunction
+from space_oracle import split
 
 
 def run(capsys, *argv):
@@ -78,7 +79,7 @@ def test_walsh_of_zero_function(tmp_path, capsys):
 
 def test_classify_subcommand(tmp_path, capsys):
     sp = prime_space(3, 2)
-    table = [(sp.split(r)[0] * sp.split(r)[1]) % 3 for r in range(9)]
+    table = [(split(sp, r)[0] * split(sp, r)[1]) % 3 for r in range(9)]
     path = tmp_path / "xy.json"
     path.write_text(json.dumps(VectorialFunction(sp, canonical_field(3, 1), table).to_dict()))
     code, out = run(capsys, "classify", "--file", str(path))

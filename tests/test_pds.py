@@ -46,6 +46,7 @@ from pds_oracle import (
     preimage_ranks,
     sigma_predicates_by_sets,
 )
+from space_oracle import join
 
 XY = mm_power(3, 1, 1, 1, 1)  # F(x, y) = xy on F_3 x F_3
 
@@ -53,7 +54,7 @@ XY = mm_power(3, 1, 1, 1, 1)  # F(x, y) = xy on F_3 x F_3
 def test_preimage_examples():
     D0 = zero_preimage(XY.function)
     sp = XY.function.domain
-    assert D0.members == {sp.join(t) for t in [(0, 1), (0, 2), (1, 0), (2, 0)]}
+    assert D0.members == {join(sp, t) for t in [(0, 1), (0, 2), (1, 0), (2, 0)]}
     assert len(preimage(XY.function, set())) == 0
     whole = preimage(XY.function, {0, 1, 2}, exclude_zero_point=False)
     assert whole.members == frozenset(range(9))
@@ -393,7 +394,7 @@ def test_verify_bruteforce_rejects_bad_candidates():
     with pytest.raises(ContainsZero):
         verify_pds_bruteforce(sp, {0, 1})
     with pytest.raises(NotSymmetric):
-        verify_pds_bruteforce(sp, {sp.join((1, 0))})
+        verify_pds_bruteforce(sp, {join(sp, (1, 0))})
 
 
 def test_verifiers_reject_repeated_members():
@@ -405,6 +406,20 @@ def test_verifiers_reject_repeated_members():
         verify_pds_bruteforce(sp, members * 2)
     with pytest.raises(ValueError):
         verify_pds_characters(sp, members * 2, PdsParams(9, 4, 1, 2))
+
+
+@pytest.mark.parametrize("verifier", ["pair counter", "characters"])
+@pytest.mark.parametrize("members", [{1.5, 2}, {True, 2}, [1, 2.0], np.array([1.0, 2.0])],
+                         ids=["float", "bool", "float in a list", "float array"])
+def test_verifiers_reject_members_that_are_not_integers(verifier, members):
+    # np.fromiter took 1.5 and True for 1, and both verifiers then verified {1, 2}
+    sp = prime_space(3, 2)
+    with pytest.raises(ValueError, match="integer ranks"):
+        if verifier == "pair counter":
+            verify_pds_bruteforce(sp, members)
+        else:
+            verify_pds_characters(sp, members, PdsParams(9, 2, 1, 0))
+    assert verify_pds_bruteforce(sp, {1, np.int64(2)}).as_tuple() == (9, 2, 1, 0)
 
 
 @pytest.mark.parametrize("verifier", ["pair counter", "characters"])
@@ -459,7 +474,8 @@ def test_dense_counts_equal_gather_counts(data):
     with_zero = data.draw(st.booleans(), label="0 in D")
     g = pow(canonical_field(p, 1).primitive_element, (p - 1) // order, p)
     drawn = np.random.default_rng(seed).choice(sp.size, size, replace=False)
-    Dv = np.unique(np.concatenate([sp.scaled(g ** k)[drawn] for k in range(order)]))
+    ranks = np.arange(sp.size)
+    Dv = np.unique(np.concatenate([sp.gather_scaled(ranks, g ** k)[drawn] for k in range(order)]))
     Dv = np.union1d(Dv, [0]) if with_zero else Dv[Dv != 0]
     assume(Dv.size)
     assert np.array_equal(pds._dense_counts(sp, Dv), pds._gather_counts(sp, Dv))
@@ -470,7 +486,7 @@ def test_dense_counts_equal_gather_counts(data):
     M[Dv // q1, Dv % q1] = 1
     members, mirror = set(Dv.tolist()), set(sp.neg[Dv].tolist())
     expected = [lam for lam in range(1, p)
-                if set(sp.scaled(lam)[Dv].tolist()) in (members, mirror)]
+                if set(sp.gather_scaled(ranks, lam)[Dv].tolist()) in (members, mirror)]
     assert pds._orbit_group(p, h1, dim - h1, M, Dv // q1, Dv % q1) == expected
     assert {g ** k % p for k in range(order)} <= set(expected)
 

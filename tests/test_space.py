@@ -3,6 +3,17 @@ import pytest
 
 from bentpds.field import canonical_field
 from bentpds.space import Space, prime_space
+from space_oracle import (
+    add,
+    digits,
+    dual_rank,
+    from_digits,
+    inner_product,
+    join,
+    negate,
+    scalar_mul,
+    split,
+)
 
 F3 = canonical_field(3, 1)
 F9 = canonical_field(3, 2)
@@ -11,34 +22,35 @@ F27 = canonical_field(3, 3)
 
 def test_inner_product_dot_example():
     sp = prime_space(3, 2)
-    a = sp.join((1, 2))
-    b = sp.join((2, 2))
-    assert sp.inner_product(a, b) == 0  # 1*2 + 2*2 = 6 = 0 mod 3
+    a = join(sp, (1, 2))
+    b = join(sp, (2, 2))
+    assert inner_product(sp, a, b) == 0  # 1*2 + 2*2 = 6 = 0 mod 3
 
 
 def test_inner_product_trace_example():
     sp = Space([F9])
     # <x, x> = Tr(x^2) = Tr(-1) = -2 = 1
-    assert sp.inner_product(3, 3) == 1
+    assert inner_product(sp, 3, 3) == 1
 
 
 def test_inner_product_with_zero():
     for sp in (prime_space(3, 3), Space([F9, F3]), Space([canonical_field(5, 2)])):
         for a in range(0, sp.size, 7):
-            assert sp.inner_product(a, 0) == 0
+            assert inner_product(sp, a, 0) == 0
 
 
 def test_scalar_action():
     sp = prime_space(3, 2)
-    x = sp.join((1, 2))
-    assert sp.scalar_mul(1, x) == x
-    assert sp.scalar_mul(0, x) == 0
-    assert sp.scalar_mul(2, x) == sp.join((2, 1))
+    x = join(sp, (1, 2))
+    ranks = np.arange(sp.size)
+    assert sp.gather_scaled(ranks, 1)[x] == x
+    assert sp.gather_scaled(ranks, 0)[x] == 0
+    assert sp.gather_scaled(ranks, 2)[x] == join(sp, (2, 1))
 
 
 def test_negate():
     sp5 = prime_space(5, 2)
-    assert sp5.negate(sp5.join((1, 3))) == sp5.join((4, 2))
+    assert sp5.negate(join(sp5, (1, 3))) == join(sp5, (4, 2))
     assert sp5.negate(0) == 0
     assert prime_space(3, 1).negate(1) == 2
     for sp in (prime_space(3, 3), Space([F9, F3])):
@@ -49,7 +61,7 @@ def test_negate():
 def test_scalar_action_on_extension_factor_is_coefficientwise():
     sp = Space([F9])
     for x in range(9):
-        assert sp.scalar_mul(2, x) == F9.mul(2, x)
+        assert scalar_mul(sp, 2, x) == F9.mul(2, x)
 
 
 @pytest.mark.parametrize(
@@ -62,13 +74,13 @@ def test_bilinearity(sp):
     for a in pts:
         for b in pts:
             for c in pts:
-                lhs = sp.inner_product(sp.add(a, b), c)
-                rhs = (sp.inner_product(a, c) + sp.inner_product(b, c)) % sp.p
+                lhs = inner_product(sp, add(sp, a, b), c)
+                rhs = (inner_product(sp, a, c) + inner_product(sp, b, c)) % sp.p
                 assert lhs == rhs
     # symmetry
     for a in pts:
         for b in pts:
-            assert sp.inner_product(a, b) == sp.inner_product(b, a)
+            assert inner_product(sp, a, b) == inner_product(sp, b, a)
 
 
 @pytest.mark.parametrize(
@@ -76,28 +88,29 @@ def test_bilinearity(sp):
 )
 def test_non_degenerate(sp):
     for a in range(1, sp.size):
-        assert any(sp.inner_product(a, b) != 0 for b in range(sp.size))
+        assert any(inner_product(sp, a, b) != 0 for b in range(sp.size))
 
 
 def test_rank_round_trips():
     for sp in (Space([F9, F3, F27]), prime_space(3, 10), Space([canonical_field(5, 2), canonical_field(5, 1)])):
         for x in range(sp.size):
-            assert sp.join(sp.split(x)) == x
-            assert sp.from_digits(sp.digits(x)) == x
-        assert sp.split(0) == (0,) * len(sp.factors)
+            assert join(sp, split(sp, x)) == x
+            assert from_digits(sp, digits(sp, x)) == x
+        assert split(sp, 0) == (0,) * len(sp.factors)
 
 
 def test_dual_rank_realizes_inner_product():
     for sp in (Space([F9, F3]), Space([F27]), prime_space(5, 2)):
         # dual map must be a bijection
-        duals = {sp.dual_rank(a) for a in range(sp.size)}
+        dual = sp.gather_dual(np.arange(sp.size))
+        duals = {int(u) for u in dual}
         assert len(duals) == sp.size
         step = max(1, sp.size // 13)
         for a in range(0, sp.size, step):
-            du = sp.digits(sp.dual_rank(a))
+            du = digits(sp, int(dual[a]))
             for x in range(0, sp.size, step):
-                dx = sp.digits(x)
-                assert sp.inner_product(a, x) == sum(u * v for u, v in zip(du, dx)) % sp.p
+                dx = digits(sp, x)
+                assert inner_product(sp, a, x) == sum(u * v for u, v in zip(du, dx)) % sp.p
 
 
 @pytest.mark.parametrize(
@@ -112,21 +125,56 @@ def test_dual_rank_realizes_inner_product():
 )
 def test_whole_space_permutations(sp):
     p = sp.p
+    ranks = np.arange(sp.size)
+    scaled = [sp.gather_scaled(ranks, c) for c in range(p)]
+    dual = sp.gather_dual(ranks)
     for x in range(sp.size):
-        digits = sp.digits(x)
+        ds = digits(sp, x)
         for c in range(p):
-            expected = sum((c * d % p) * p ** k for k, d in enumerate(digits))
-            assert sp.scaled(c)[x] == expected
-        assert sp.neg[x] == sum((-d % p) * p ** k for k, d in enumerate(digits))
-    assert sorted(sp.dual) == list(range(sp.size))
+            expected = sum((c * d % p) * p ** k for k, d in enumerate(ds))
+            assert scaled[c][x] == expected
+        assert sp.neg[x] == sum((-d % p) * p ** k for k, d in enumerate(ds))
+    assert sorted(dual) == list(range(sp.size))
     values = np.arange(sp.size)[::-1] % 251  # narrow and not the identity
-    assert np.array_equal(sp.gather_dual(values.astype(np.uint8)), values[sp.dual])
+    assert np.array_equal(sp.gather_dual(values.astype(np.uint8)), values[dual])
     step = max(1, sp.size // 29)
     for a in range(sp.size):
-        du = sp.digits(int(sp.dual[a]))
+        du = digits(sp, int(dual[a]))
         for x in range(0, sp.size, step):
-            dx = sp.digits(x)
-            assert sp.inner_product(a, x) == sum(u * v for u, v in zip(du, dx)) % p
+            dx = digits(sp, x)
+            assert inner_product(sp, a, x) == sum(u * v for u, v in zip(du, dx)) % p
+
+
+# prime, extension and mixed spaces, with the 5- and 7-ary ones above
+MAP_SPACES = [
+    prime_space(3, 4),
+    Space([F27]),
+    Space([F9, F3]),
+    Space([F3, F27]),
+    Space([canonical_field(5, 2), canonical_field(5, 1)]),
+    Space([canonical_field(7, 1), canonical_field(7, 2)]),
+]
+
+
+@pytest.mark.parametrize("sp", MAP_SPACES, ids=lambda sp: "x".join(str(f.size) for f in sp.factors))
+def test_maps_equal_per_point_oracle(sp):
+    # every map against the digit oracle, on 1-D and (N, p - 1) arrays,
+    # the 1-D one a strided column
+    p, points = sp.p, range(sp.size)
+    values = np.random.default_rng(sp.size).integers(0, 251, (sp.size, p - 1)).astype(np.uint8)
+    assert np.array_equal(sp.neg, [negate(sp, x) for x in points])
+    for c in range(1, p):
+        scaled = [scalar_mul(sp, c, x) for x in points]
+        assert np.array_equal(sp.gather_scaled(values, c), values[scaled])
+        assert np.array_equal(sp.gather_scaled(values[:, 0], c), values[scaled, 0])
+    dual = [dual_rank(sp, a) for a in points]
+    gathered = sp.gather_dual(values)
+    assert gathered.dtype == values.dtype and gathered.shape == values.shape
+    assert np.array_equal(gathered, values[dual])
+    assert np.array_equal(sp.gather_dual(values[:, 0]), values[dual, 0])
+    for gather in (sp.gather_dual, lambda v: sp.gather_scaled(v, 2)):
+        with pytest.raises(ValueError, match="first axis"):
+            gather(values[1:])
 
 
 def test_mixed_characteristics_rejected():

@@ -11,6 +11,8 @@ ERROR_GOLDEN pins the error records of rejected `construct` inputs.
 SPECTRAL_GOLDEN and PDS_GOLDEN pin `walsh`, `classify` and `pds-verify` the
 same way, on construct bundles and on an even non-bent function.
 EMPTY_GOLDEN pins `pds-extract` and `pds-verify` on empty preimages.
+COSET_GOLDEN pins them on coset, square and non-square preimages with s >= 2,
+and GAUSSIAN_GOLDEN pins `gaussian-period` over every a of a field.
 """
 import hashlib
 import json
@@ -81,6 +83,16 @@ GOLDEN = [
     ("diag-quad", "--p 5 --s 1 --m 3 --coeffs 1,2,3", "5138eaa54b733be99c2f5c61492fd6d1949366cd85396869fb558fcde88a1110",
      "604c1b0a3437e95581dae2f892f12ef64ac909f75c2fdf4e9bd552864f3311df"),
     ("mm-power", "--p 3 --m 6 --s 2", "09e46b0dfda7713d3155e0d5ce55d098c9c23bb1dc91f6fbdccc33734ba38cf7", None),
+    # branched-quad-mm with three distinct alphas and selector values 0, square
+    # and non-square
+    ("branched-quad-mm", "--p 3 --n 2 --m 2 --s 1 --alpha1 1 --alpha2 2 --alpha3 4 --gamma 1", "f74fef2e8d7fab79206503dbb1de015163a2c06fcd29e0754bec497b8a4db4c2",
+     "285397c095d51221750735b88b932b04258700e39632d82d3141caadae8cd2c6"),
+    ("branched-quad-mm", "--p 3 --n 2 --m 2 --s 1 --alpha1 2 --alpha2 1 --alpha3 5 --gamma 3", "f4a0bf660d0ff1c1b48290bcab1bc586eb6b5784b63d3f97ad8848283c26d90f",
+     "285397c095d51221750735b88b932b04258700e39632d82d3141caadae8cd2c6"),
+    ("branched-quad-mm", "--p 3 --n 2 --m 4 --s 2 --alpha1 1 --alpha2 2 --alpha3 5 --gamma 7", "ec32e40624e5bf1482b8141544a898a49c8c933ad4ba3a40a6bc37d0d3a106f3",
+     "d95b32fa7d1cfa06b74278199f34d48a457ee1e24d245f74ccdffd30c94ef949"),
+    ("branched-quad-mm", "--p 5 --n 1 --m 2 --s 1 --alpha1 1 --alpha2 2 --alpha3 3 --gamma 6", "af141fce6599f6f76fc7b0d077aab699cda997a04af7478b7134577100049b9f",
+     "a9c6e6fca5765626ca69ee17bd76e97890d30fcdcf7cb6faa17fabe6f38d568d"),
 ]
 
 
@@ -338,3 +350,183 @@ def test_empty_preimage_output_matches_golden_digest(tmp_path, capsys, args, cod
     path = _source_file(tmp_path, capsys, "zero 3 2")
     command, *rest = args.split()
     assert _digest(capsys, [command, "--file", path] + rest, code)[1] == sha
+
+
+# (source, pds-extract or pds-verify arguments, exit code, sha256 of stdout):
+# D_{beta H_l} for several (l, beta) with s >= 2 at p = 3, 5 and 7, D_S and
+# D_N with the zero point, and the error records of l < 1, beta = 0 and beta
+# outside [0, q), beta = 0 being rejected before l
+COSET_GOLDEN = [
+    ("mm-power --p 3 --m 2 --s 2", "pds-extract --set coset --l 1 --beta 1", 0,
+     "4891ea3ee87cb00098b797297cd5f4fd933dc982d230a821c1f0680b7cb509c1"),
+    ("mm-power --p 3 --m 2 --s 2", "pds-verify --set coset --l 1 --beta 1 --method both", 0,
+     "001a5e7e07ed3d1868d2c39db855e8e8018cebcbadaf103bb6ea8ed0bb924d28"),
+    ("mm-power --p 3 --m 2 --s 2", "pds-extract --set coset --l 2 --beta 1", 0,
+     "3df466e68f88b9f67ecadaf6ce58ae95f92dcb45961b82b943b700bd90c44a97"),
+    ("mm-power --p 3 --m 2 --s 2", "pds-verify --set coset --l 2 --beta 1 --method both", 0,
+     "94dbd9b130e658802cd50c2836f49e7f332b3c6b2bde50831540044fa6aa290b"),
+    ("mm-power --p 3 --m 2 --s 2", "pds-extract --set coset --l 2 --beta 2", 0,
+     "9a4991e8bea020a3b06d55afb8f4573c649e977a5243689c370f946a480effc8"),
+    ("mm-power --p 3 --m 2 --s 2", "pds-verify --set coset --l 2 --beta 2 --method both", 0,
+     "3ba75511acd4d3c6fc062ef50c1e5b25830fcccb751aa95fcca564d86734c6cf"),
+    ("mm-power --p 3 --m 2 --s 2", "pds-extract --set coset --l 4 --beta 3", 0,
+     "ef0f7875464f490ce71264e2219ac327d2edb403623cfa0391d3b849094475bd"),
+    ("mm-power --p 3 --m 2 --s 2", "pds-verify --set coset --l 4 --beta 3 --method both", 0,
+     "4753f8c60ed313ffa45ac452063c755e266a6c2f51ae896d4036655d0598adc7"),
+    ("mm-power --p 3 --m 2 --s 2", "pds-extract --set coset --l 8 --beta 5", 0,
+     "d726fc5498991fa42d906d0bcf7abc8c6c7fec86958539181e9f9ee0b5030cb1"),
+    ("mm-power --p 3 --m 2 --s 2", "pds-verify --set coset --l 8 --beta 5 --method both", 1,
+     "a2c8f11f5e24ca862aa7ed57e3590b4c6251df8e1364b0b6a1db59f913f9099d"),
+    ("mm-power --p 3 --m 2 --s 2", "pds-extract --set coset --l 3 --beta 2", 0,
+     "90beee26d5d2412572fa23937c5fb4a75636d8d8677d115c76a4345e8d5aa217"),
+    ("mm-power --p 3 --m 2 --s 2", "pds-verify --set coset --l 3 --beta 2 --method both", 0,
+     "faaf4f2b10429b78dfd5cd4b49274b293db6df95c94b66af905a97bacf3b1193"),
+    ("mm-power --p 3 --m 2 --s 2", "pds-extract --set coset --l 6 --beta 7", 0,
+     "84a581b48893000cc7cf7be21d339c72ce46de8017bc2fa60b268e768eeb2aae"),
+    ("mm-power --p 3 --m 2 --s 2", "pds-verify --set coset --l 6 --beta 7 --method both", 0,
+     "2b040b233ccd497a701eb0de38b1b042030a648b04bf797eeef07ff0be2ade33"),
+    ("mm-power --p 3 --m 2 --s 2", "pds-extract --set nonsquares --include-zero", 0,
+     "5729e5f99a5b0aee581d80ecbeb2cd8f837af8f3e2aa7cf7c39a7fa87dd129d0"),
+    ("mm-power --p 3 --m 2 --s 2", "pds-extract --set squares", 0,
+     "eccbc88d8a9f11f23082b525c0ae19da24be9f54e254906b546e93c68806a611"),
+    ("mm-power --p 5 --m 2 --s 2", "pds-extract --set coset --l 2 --beta 1", 0,
+     "1f73ec240d76d9da8e2802b3d96c3aa2c69464fee80dc8d1be7fc19e6b886020"),
+    ("mm-power --p 5 --m 2 --s 2", "pds-verify --set coset --l 2 --beta 1 --method both", 0,
+     "c03e19fc6ac2affe0baf00898dae97189acedbae2f17520097feb22de4a89a97"),
+    ("mm-power --p 5 --m 2 --s 2", "pds-extract --set coset --l 3 --beta 7", 0,
+     "ca7f09221072b196a99f4e4bf5a06b3deba2180de7db9f64417a3e2a55af882f"),
+    ("mm-power --p 5 --m 2 --s 2", "pds-verify --set coset --l 3 --beta 7 --method both", 0,
+     "dfbe29e941de85652263c6e07962247d55cbfe105a8f7aabb631d855d69dabea"),
+    ("mm-power --p 5 --m 2 --s 2", "pds-extract --set coset --l 4 --beta 2", 0,
+     "dec839cecd5dc0d484372ee596c2eb181666c24b402c9222ba0f7ff0db012c99"),
+    ("mm-power --p 5 --m 2 --s 2", "pds-verify --set coset --l 4 --beta 2 --method both", 1,
+     "bf1d48461e789c8ea8b7db3cbb42de775b3cd0fed41332705b346d6d79fc4f15"),
+    ("mm-power --p 5 --m 2 --s 2", "pds-extract --set coset --l 6 --beta 13", 0,
+     "d5ad9f633d6df6820f29792ff00a9eadb4ccd0c083790b7ba741f84aa3b80bbd"),
+    ("mm-power --p 5 --m 2 --s 2", "pds-verify --set coset --l 6 --beta 13 --method both", 0,
+     "de33434cafa2ff63d85f3d0286bcf6ef39067dad18a0e4204e968d2a5a2cc3d6"),
+    ("mm-power --p 5 --m 2 --s 2", "pds-extract --set coset --l 8 --beta 24", 0,
+     "e812f485e0e9d78ab6e855307850d554176622ff596e685c9af09f74691f19af"),
+    ("mm-power --p 5 --m 2 --s 2", "pds-verify --set coset --l 8 --beta 24 --method both", 1,
+     "fcc089f2cb639b3b52baa892110e48020b90cbb00897c8c13b507f39e52ef75f"),
+    ("mm-power --p 5 --m 2 --s 2", "pds-extract --set coset --l 12 --beta 5", 0,
+     "669e39e63cd2c99abc2dff86327b92d38b398f781e3cb3a49ae6b2a179722735"),
+    ("mm-power --p 5 --m 2 --s 2", "pds-verify --set coset --l 12 --beta 5 --method both", 1,
+     "7d5b6375eea8738bc6364e388c5d939079621c9d7fd1e22edd93110d7e334dd7"),
+    ("mm-power --p 5 --m 2 --s 2", "pds-extract --set nonsquares --include-zero", 0,
+     "5eb7c2d1cb012bee2786d29fb6d28f90124a8f8d53322ff2c1349b038e6cac62"),
+    ("mm-power --p 5 --m 2 --s 2", "pds-extract --set squares", 0,
+     "b99b7d89f0042b5f76bdc07140d4f0b4e5e393c0d30ce928c40ac7b5ec525bc0"),
+    ("mm-power --p 7 --m 2 --s 2", "pds-extract --set coset --l 2 --beta 3", 0,
+     "716d443356553bea07c4e1ac11e64178f570f26bc8a8597570d9e893ad89880c"),
+    ("mm-power --p 7 --m 2 --s 2", "pds-verify --set coset --l 2 --beta 3 --method both", 0,
+     "a5ea6b0587649b3129d62010585a3641052908e912cd8bca33aa034b6956ecf6"),
+    ("mm-power --p 7 --m 2 --s 2", "pds-extract --set coset --l 3 --beta 10", 0,
+     "4bfa4147fc956313098925a0e0ff848d9ca107c17c7c46856bb76113633403ad"),
+    ("mm-power --p 7 --m 2 --s 2", "pds-verify --set coset --l 3 --beta 10 --method both", 1,
+     "8fd4d1dc91a89b0b250d3ef9e83bc3a494610074eb0ca73d6515915bd7c48fa8"),
+    ("mm-power --p 7 --m 2 --s 2", "pds-extract --set coset --l 4 --beta 1", 0,
+     "967aa1a8ef33c152ed2901e6d9136313f0456044eefdd07d3c7dae7ec14def04"),
+    ("mm-power --p 7 --m 2 --s 2", "pds-verify --set coset --l 4 --beta 1 --method both", 0,
+     "cb14a9d3827e9dbd733db103aecf93ecc63d92559fba5f6dcc5c99e5bfe2d193"),
+    ("mm-power --p 7 --m 2 --s 2", "pds-extract --set coset --l 6 --beta 48", 0,
+     "cc41716385ed77ca443f697cb617f735166283611e5d46761808fe8f7be779d4"),
+    ("mm-power --p 7 --m 2 --s 2", "pds-verify --set coset --l 6 --beta 48 --method both", 1,
+     "3a530f9beb3e8f150401b3fb799570058a9832e8536882bebe590889d09dd653"),
+    ("mm-power --p 7 --m 2 --s 2", "pds-extract --set coset --l 16 --beta 20", 0,
+     "54886368deef685a58b69a03f0db86151cd9cfce82723bb95f38b1dd7272b3d4"),
+    ("mm-power --p 7 --m 2 --s 2", "pds-verify --set coset --l 16 --beta 20 --method both", 1,
+     "d1d16b778b89bb209d68e2b56e8e256c464bc0fb64193963959abe9c76ce1b30"),
+    ("mm-power --p 7 --m 2 --s 2", "pds-extract --set coset --l 24 --beta 2", 0,
+     "f6ce566db93936ea45d293a08355706d62d77611f65d477c554cd48de734e198"),
+    ("mm-power --p 7 --m 2 --s 2", "pds-verify --set coset --l 24 --beta 2 --method both", 1,
+     "23577ad7b8d1cc5d3aa9c3b87ab6f38af4f6e588e0d11f52ea9bc0a97df206ce"),
+    ("mm-power --p 7 --m 2 --s 2", "pds-extract --set nonsquares --include-zero", 0,
+     "b46a5ed462b96116ddc7d80909c0a74e806ad020a1c61e4b308ca83904f6d0c0"),
+    ("mm-power --p 7 --m 2 --s 2", "pds-extract --set squares", 0,
+     "1a7f512ae3d5f683e60b8b0595c3cbe80725056b17bd5a14f065dbeac5c40657"),
+    ("mm-power --p 3 --m 4 --s 4", "pds-extract --set coset --l 5 --beta 7", 0,
+     "b5b2d20a110a4d52292ec5cdaf8c86b2d1292a0d439e1e6897a7a005c7558989"),
+    ("mm-power --p 3 --m 4 --s 4", "pds-verify --set coset --l 5 --beta 7 --method both", 0,
+     "60668479f9718f6ae1d3108b22eb7dd49d211e0e2c39b05ceb95490ff6b2d3f2"),
+    ("mm-power --p 3 --m 4 --s 4", "pds-extract --set coset --l 10 --beta 80", 0,
+     "7dd5eb944bce4c0eeaa84cdefdff24f266ebcfb5ba851f0fea0a005d5bb587a6"),
+    ("mm-power --p 3 --m 4 --s 4", "pds-verify --set coset --l 10 --beta 80 --method both", 0,
+     "bd4819ab82a74bf2309055a9f14bb51c4bb95facad53e84c269c805eac074e8e"),
+    ("mm-power --p 3 --m 4 --s 4", "pds-extract --set coset --l 16 --beta 3", 0,
+     "749486e4ba239ea970da0eaa255ba1de582d76475c8ef6d48a50b6bf58952331"),
+    ("mm-power --p 3 --m 4 --s 4", "pds-verify --set coset --l 16 --beta 3 --method both", 1,
+     "4bfc0797039c06c4da3d6835ecf2f84c09533216e0f51b25d47d91334299785a"),
+    ("mm-power --p 3 --m 4 --s 4", "pds-extract --set coset --l 40 --beta 41", 0,
+     "5b2d0a4dc4636f1e3963db632c3ce26e2f6988c95a9a7ea0d55e1b4ff3743b66"),
+    ("mm-power --p 3 --m 4 --s 4", "pds-verify --set coset --l 40 --beta 41 --method both", 1,
+     "7705917b754f1c17bbfcc29cf5466444d5ad717e6bb41191753ba234c56e22f6"),
+    ("mm-power --p 3 --m 4 --s 4", "pds-extract --set nonsquares --include-zero", 0,
+     "69225c2423af52ae4cc84bb8b6fcd73e9f24ca917d190ba94532f068306f5c6c"),
+    ("mm-power --p 3 --m 4 --s 4", "pds-extract --set squares", 0,
+     "b153ce45dc6e17457b663b2f60b464f207dc8e07175ff6c62afe42fa6527d0b8"),
+    ("mm-power --p 3 --m 2 --s 2", "pds-extract --set coset --l 0 --beta 1", 2,
+     "7f31b576fa8a75202be73c6c191dba920ee2fb2ee1a9bf650470b84d73a2aabc"),
+    ("mm-power --p 3 --m 2 --s 2", "pds-verify --set coset --l 0 --beta 1 --method both", 2,
+     "7f31b576fa8a75202be73c6c191dba920ee2fb2ee1a9bf650470b84d73a2aabc"),
+    ("mm-power --p 3 --m 2 --s 2", "pds-extract --set coset --l 1 --beta 0", 1,
+     "4bad9107c0a25cf799cc399ca6fc3620892a1066ab6d2bd7c2d1bb8ce0a09a87"),
+    ("mm-power --p 3 --m 2 --s 2", "pds-verify --set coset --l 1 --beta 0 --method both", 1,
+     "4bad9107c0a25cf799cc399ca6fc3620892a1066ab6d2bd7c2d1bb8ce0a09a87"),
+    ("mm-power --p 3 --m 2 --s 2", "pds-extract --set coset --l 2 --beta 9", 2,
+     "80d51390359a400819d7bdc2fb16b24432a0854552f1f48fbe0da1bd40e6d9d5"),
+    ("mm-power --p 3 --m 2 --s 2", "pds-verify --set coset --l 2 --beta 9 --method both", 2,
+     "80d51390359a400819d7bdc2fb16b24432a0854552f1f48fbe0da1bd40e6d9d5"),
+    ("mm-power --p 3 --m 2 --s 2", "pds-extract --set coset --l 0 --beta 0", 1,
+     "4bad9107c0a25cf799cc399ca6fc3620892a1066ab6d2bd7c2d1bb8ce0a09a87"),
+    ("mm-power --p 3 --m 2 --s 2", "pds-verify --set coset --l 0 --beta 0 --method both", 1,
+     "4bad9107c0a25cf799cc399ca6fc3620892a1066ab6d2bd7c2d1bb8ce0a09a87"),
+    ("mm-power --p 3 --m 2 --s 2", "pds-extract --set coset --l -1 --beta 1", 2,
+     "7f31b576fa8a75202be73c6c191dba920ee2fb2ee1a9bf650470b84d73a2aabc"),
+    ("mm-power --p 3 --m 2 --s 2", "pds-verify --set coset --l -1 --beta 1 --method both", 2,
+     "7f31b576fa8a75202be73c6c191dba920ee2fb2ee1a9bf650470b84d73a2aabc"),
+    ("mm-power --p 3 --m 2 --s 2", "pds-extract --set coset --l 2 --beta -1", 2,
+     "45eff1fea304fa739a87fc518e8c682d5cd52a40e8d61dd1b0e31c7d0230dca6"),
+    ("mm-power --p 3 --m 2 --s 2", "pds-verify --set coset --l 2 --beta -1 --method both", 2,
+     "45eff1fea304fa739a87fc518e8c682d5cd52a40e8d61dd1b0e31c7d0230dca6"),
+]
+
+
+@pytest.mark.parametrize("source,args,code,sha", COSET_GOLDEN,
+                         ids=[f"{row[0]} {row[1]}" for row in COSET_GOLDEN])
+def test_coset_preimage_output_matches_golden_digest(tmp_path, capsys, source, args, code,
+                                                     sha):
+    path = _source_file(tmp_path, capsys, source)
+    command, *rest = args.split()
+    assert _digest(capsys, [command, "--file", path] + rest, code)[1] == sha
+
+
+# ((p, s, t), sha256 of the exit codes and stdout of `gaussian-period` at
+# a = 0, 1, ..., p^s - 1 in turn).  Both semiprimitive branches, cases that
+# are not semiprimitive (t = 1, s odd, t dividing no p^j + 1), and a = 0,
+# where the closed form disagrees and the exit code is 1.
+GAUSSIAN_GOLDEN = [
+    ((3, 2, 2), "088650eec00299f1daee813eac3ad92e29228757b25c57b01171dc1002f277fe"),
+    ((3, 2, 4), "5d5428ca2d385a3f216842b99f8c43dfa01df62faf071dfcf1c1c456baf44f55"),
+    ((5, 2, 3), "d193d46b6746bfd0ac87dfc17253237ef30839fa30ebec27f54132a8e8ceef6f"),
+    ((5, 2, 6), "c39d80a4c7e8d1cf1aaa3dd7ab199188522adb2ca8e621a2552f319619b26568"),
+    ((7, 2, 8), "72440b8dc8e769ddd48ad5a70c5dacead5aa0bdf6f2c17e938c5cfeb38e94798"),
+    ((3, 4, 2), "70c1efb5d4edba9df6a89240f05fc973288cc24923e9336ec41d290eadac078e"),
+    ((3, 4, 5), "f4bf1c3a48094325e9355559e8b95bad8df9008f15303a18e2160c41cd05a047"),
+    ((3, 4, 10), "ae907e35134c8206fa4c1e18b25298da5379dc72a46700a311519b832e09050d"),
+    ((3, 2, 8), "f37dab140d97cf3b1de3dc44f7b431aad77b3d44a93c2fa533c84c5ff211f283"),
+    ((3, 3, 2), "8237b568a09803e002d6387f1a812406e20787920b5667b3a950801b586e5dd0"),
+    ((5, 2, 8), "97ff453f8d642d6f409698444ae66c893b76194c5e7a29d3cf0400860fbab92c"),
+    ((3, 2, 1), "0b6bfe37a9d56aafaaac6a2287cf1669d9f425a496496c4941e8a117bc88b51a"),
+]
+
+
+@pytest.mark.parametrize("pst,sha", GAUSSIAN_GOLDEN, ids=[str(row[0]) for row in GAUSSIAN_GOLDEN])
+def test_gaussian_period_output_matches_golden_digest(capsys, pst, sha):
+    p, s, t = pst
+    outs = []
+    for a in range(p ** s):
+        code = main(["gaussian-period", "--p", str(p), "--s", str(s), "--t", str(t),
+                     "--a", str(a)])
+        outs.append(f"{code} {capsys.readouterr().out}")
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == sha

@@ -317,8 +317,7 @@ def branched_quad_mm(
     l_coeffs = [int(c) for c in l_coeffs]
     L, linv = _qpoly_tables(Fm, s, l_coeffs)
     # branch index per y2: 0 / 1 / 2 for Tr_s^m(gamma y2^2) zero / square / non-square
-    sel = _quad_block(Fm, s, gamma)
-    sel = np.where(sel == 0, 0, np.where(np.isin(sel, list(sub.squares())), 1, 2))
+    sel = 1 + sub.log_residue(_quad_block(Fm, s, gamma), 2)
     alphas = (alpha1, alpha2, alpha3)
     xb = np.stack([_quad_block(Fn, s, a) for a in alphas])
     xb_star = np.stack([_quad_block(Fn, s, _quad_dual(Fn, a)) for a in alphas])

@@ -28,6 +28,22 @@ from .errors import (
 from .limits import exceeds, table_cap
 
 
+def _integer_entries(values) -> bool:
+    """The one integer rule: an integer array, or entries that are int or
+    numpy integers and none a bool.  numpy and int() take 1.5, True and '1'
+    for integers, so entries are checked by their types."""
+    if isinstance(values, np.ndarray):
+        return values.dtype.kind in "iu"
+    return all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, values)))
+
+
+def _check_integer(x, what: str):
+    """x, after checking that it is an integer by _integer_entries' rule."""
+    if not _integer_entries((x,)):
+        raise ValueError(f"{what} = {x!r} must be an integer")
+    return x
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -182,16 +198,24 @@ class Field:
         r = self._exp[self._log[a] * (e % q1) % q1]
         return _ranks_out(r * (a != 0) if e > 0 else r)
 
+    def log_residue(self, a, g: int):
+        """r = log a mod g to the base of the primitive element w, -1 at a = 0,
+        for a positive divisor g of p^m - 1 (ValueError otherwise): a lies in
+        the coset w^r H_g of H_g = { x^g : x != 0 }."""
+        if _check_integer(g, "g") < 1 or (self.size - 1) % g:
+            raise ValueError(f"g = {g} must be a positive divisor of {self.size - 1}")
+        return _ranks_out(np.where(np.asarray(a) == 0, -1, self._log[a] % g))
+
     def multiplicative_order(self, a: int) -> int:
         if self.check_rank(a) == 0:
             raise ZeroArgument("0 has no multiplicative order")
         q1 = self.size - 1
-        return q1 // math.gcd(int(self._log[a]), q1)
+        return q1 // math.gcd(self.log_residue(a, q1), q1)
 
     def check_rank(self, a: int, what: str = "element") -> int:
-        """a, after checking that it is a rank of this field.  For ranks that
-        enter from outside; the arithmetic itself never checks."""
-        if not 0 <= a < self.size:
+        """a, after checking that it is an integer rank of this field.  For
+        ranks that enter from outside; the arithmetic itself never checks."""
+        if not 0 <= _check_integer(a, what) < self.size:
             raise ValueError(f"{what} = {a} must be a rank in [0, {self.size})")
         return a
 
@@ -233,23 +257,19 @@ class Field:
         """+1 iff a is a nonzero square (a^{(q-1)/2} = 1), -1 otherwise."""
         if self.check_rank(a) == 0:
             raise ZeroArgument("quadratic character of 0 is undefined")
-        return 1 if self._log[a] % 2 == 0 else -1
-
-    def squares(self) -> frozenset[int]:
-        return self.subgroup_coset(2, 1).members
+        return 1 - 2 * self.log_residue(a, 2)
 
     def nonsquares(self) -> frozenset[int]:
-        return frozenset(range(1, self.size)) - self.squares()
+        return self.subgroup_coset(2, self.primitive_element).members
 
     def subgroup_coset(self, exponent: int, beta: int) -> "CosetSet":
-        """beta * H_l where H_l = { x^l : x in GF(p^m)^* }."""
+        """beta H_l for H_l = { x^l : x != 0 }, by log residue mod gcd(l, p^m - 1)."""
         if self.check_rank(beta, "beta") == 0:
             raise ZeroBeta("coset representative must be nonzero")
-        if exponent < 1:
+        if _check_integer(exponent, "exponent") < 1:
             raise ValueError("exponent must be >= 1")
-        units = np.arange(1, self.size)
-        members = frozenset(self.mul(beta, self.pow(units, exponent)).tolist())
-        return CosetSet(self, exponent, beta, members)
+        r = self.log_residue(np.arange(self.size), math.gcd(exponent, self.size - 1))
+        return CosetSet(r == r[beta])
 
     @lru_cache(maxsize=None)
     def subfield(self, s: int):
@@ -364,20 +384,15 @@ def _minimal_polynomial(sub: Field, g: int):
     return poly
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CosetSet:
-    """beta * H_l inside a field's multiplicative group."""
+    """beta * H_l inside a field's multiplicative group, as a mask on ranks."""
 
-    field: Field
-    exponent: int
-    beta: int
-    members: frozenset[int]
+    mask: np.ndarray
 
-    def __len__(self):
-        return len(self.members)
-
-    def __contains__(self, a):
-        return a in self.members
+    @property
+    def members(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero(self.mask).tolist())
 
 
 @lru_cache(maxsize=None)

@@ -5,8 +5,8 @@ independent verifiers (ordered-pair difference counting and the character
 criterion).
 
 A point set is one sorted int64 rank array from preimage to verdict; the
-verifiers take a PreimageSet's ranks as they are.  Conditions on the cosets
-of H_l are read off discrete-log residues mod gcd(l, p^s - 1).
+verifiers take a PreimageSet's ranks as they are.  Each coset of a subgroup
+of GF(p^s)^* is decided on Field.log_residue.
 
 Difference counting has two exact routes, chosen by density: a sparse set
 (16 |D| < v) gathers one table entry per ordered pair, |D|^2 in all; a dense
@@ -47,10 +47,10 @@ from .errors import (
     NotSymmetric,
     SizeGuard,
 )
-from .field import Field, canonical_field, is_prime
+from .field import Field, _check_integer, _integer_entries, canonical_field, is_prime
 from .limits import exact_float_dtype, walsh_cap
 from .space import Space, prime_space
-from .spectral import DualBentCertificate, VectorialFunction, _char_counts, _integer_entries
+from .spectral import DualBentCertificate, VectorialFunction, _char_counts
 
 
 # ---------------------------------------------------------------------------
@@ -135,13 +135,18 @@ def preimage(F: VectorialFunction, values, exclude_zero_point: bool = True,
     if not _integer_entries(values):
         raise ValueError("values must be integer ranks")
     mask = np.zeros(F.codomain.size, dtype=bool)
-    mask[[F.codomain.check_rank(int(v), "value") for v in values]] = True
-    ranks = np.flatnonzero(mask[F.table])
-    if exclude_zero_point and ranks.size and ranks[0] == 0:
-        ranks = ranks[1:]
+    mask[[F.codomain.check_rank(v, "value") for v in values]] = True
     if descriptor is None:
         descriptor = f"A={np.flatnonzero(mask).tolist()}"
         descriptor += "" if exclude_zero_point else " (with 0)"
+    return _mask_preimage(F, mask, exclude_zero_point, descriptor)
+
+
+def _mask_preimage(F, mask: np.ndarray, exclude_zero_point: bool, descriptor: str) -> PreimageSet:
+    """{ x : mask[F(x)] } for a boolean mask over the codomain ranks."""
+    ranks = np.flatnonzero(mask[F.table])
+    if exclude_zero_point and ranks.size and ranks[0] == 0:
+        ranks = ranks[1:]
     return PreimageSet(F.domain, ranks, descriptor)
 
 
@@ -150,17 +155,18 @@ def zero_preimage(F: VectorialFunction, exclude_zero_point: bool = True) -> Prei
 
 
 def squares_preimage(F: VectorialFunction, exclude_zero_point: bool = True) -> PreimageSet:
-    return preimage(F, F.codomain.squares(), exclude_zero_point, "D_S")
+    return _mask_preimage(F, F.codomain.subgroup_coset(2, 1).mask, exclude_zero_point, "D_S")
 
 
 def nonsquares_preimage(F: VectorialFunction, exclude_zero_point: bool = True) -> PreimageSet:
-    return preimage(F, F.codomain.nonsquares(), exclude_zero_point, "D_N")
+    mask = F.codomain.subgroup_coset(2, F.codomain.primitive_element).mask  # w H_2
+    return _mask_preimage(F, mask, exclude_zero_point, "D_N")
 
 
 def coset_preimage(F: VectorialFunction, l: int, beta: int,
                    exclude_zero_point: bool = True) -> PreimageSet:
-    cs = F.codomain.subgroup_coset(l, beta)
-    return preimage(F, cs.members, exclude_zero_point, f"D_betaH(l={l},beta={beta})")
+    mask = F.codomain.subgroup_coset(l, beta).mask
+    return _mask_preimage(F, mask, exclude_zero_point, f"D_betaH(l={l},beta={beta})")
 
 
 def preimage_sizes(F: VectorialFunction, cert: DualBentCertificate) -> dict[int, int]:
@@ -203,8 +209,6 @@ class SigmaReport:
     is_identity: bool
     coset_stable: bool
     coset_permuting: bool
-    power_exponent: int | None
-    inverse_exponent: int | None
 
 
 def sigma_predicates(codomain: Field, sigma: dict[int, int], l: int) -> SigmaReport:
@@ -221,32 +225,23 @@ def sigma_predicates(codomain: Field, sigma: dict[int, int], l: int) -> SigmaRep
     q = codomain.size
     if set(sigma.keys()) != set(range(1, q)) or set(sigma.values()) != set(range(1, q)):
         raise NotBijection("sigma must permute the nonzero codomain elements")
-    if l < 1:
+    if _check_integer(l, "exponent") < 1:
         raise ValueError("exponent must be >= 1")
     c = np.arange(1, q)
     image = np.array([sigma[x] for x in range(1, q)], dtype=np.int64)
     g = math.gcd(l, q - 1)
-    res, image_res = codomain._log[c] % g, codomain._log[image] % g
+    res, image_res = codomain.log_residue(c, g), codomain.log_residue(image, g)
     is_identity = bool((image == c).all())
     coset_stable = bool((image_res == res).all())
     by_res = np.empty(g, dtype=np.int64)
     by_res[res] = image_res  # one image residue per residue, if sigma permutes cosets
     coset_permuting = bool((by_res[res] == image_res).all())
 
-    t_exp = -int(codomain._log[sigma[codomain.primitive_element]]) % (q - 1)
+    t_exp = -codomain.log_residue(sigma[codomain.primitive_element], q - 1) % (q - 1)
     if (image == codomain.pow(c, -t_exp)).all():
-        power_exponent = t_exp
-        r = pow(t_exp, -1, q - 1)
-        shortcut = (1 + r) % g == 0
-        if shortcut != coset_stable:
-            raise FormulaMismatch(
-                "power-map shortcut disagrees with the residue coset check"
-            )
-    else:
-        power_exponent, r = None, None
-    return SigmaReport(
-        is_identity, coset_stable, coset_permuting, power_exponent, r
-    )
+        if ((1 + pow(t_exp, -1, q - 1)) % g == 0) != coset_stable:
+            raise FormulaMismatch("power-map shortcut disagrees with the residue coset check")
+    return SigmaReport(is_identity, coset_stable, coset_permuting)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +329,7 @@ def semiprimitive_check(p: int, s: int, t: int) -> SemiprimitiveInfo | None:
     """Smallest j with t | p^j + 1 (scanned up to s), plus r with s = 2 j r;
     None when the parameters are not semiprimitive."""
     _check_prime_power(p, s)
-    if t < 2:
+    if _check_integer(t, "t") < 2:
         return None
     for j in range(1, s + 1):
         if (p ** j + 1) % t == 0:
@@ -349,10 +344,10 @@ def gaussian_period(p: int, s: int, t: int, a: int) -> CyclotomicInt:
     _check_prime_power(p, s)
     sub = canonical_field(p, s)
     sub.check_rank(a, "a")
-    if t < 1 or (sub.size - 1) % t != 0:
+    if _check_integer(t, "t") < 1 or (sub.size - 1) % t != 0:
         raise NotADivisor(f"t = {t} must divide p^s - 1 = {sub.size - 1}")
-    H = sub._exp[::t]  # H_t = { w^{t k} } for the primitive element w
-    counts = np.bincount(sub._trace_table(1)[sub.mul(a, H)], minlength=p)
+    H = np.flatnonzero(sub.log_residue(np.arange(sub.size), t) == 0)
+    counts = np.bincount(sub.trace(1, sub.mul(a, H)), minlength=p)
     return CyclotomicInt.from_exponent_counts(p, counts.tolist())
 
 
@@ -374,17 +369,17 @@ def gaussian_period_semiprimitive(p: int, s: int, t: int, a: int) -> CyclotomicI
     if info is None:
         raise NotSemiprimitive(f"(p, s, t) = ({p}, {s}, {t}) is not semiprimitive")
     root = p ** (s // 2)
-    in_coset = lambda e: a != 0 and int(sub._log[a]) % t == e  # a in w^e H_t
+    res = sub.log_residue(a, t)  # a lies in w^res H_t; -1 at a = 0 matches no coset
     if info.r % 2 == 1 and ((p ** info.j + 1) // t) % 2 == 1:
         # a second primitive element w2 = w^k gives w2^{t/2} H_t = w^{kt/2} H_t
         w2 = next(x for x in range(sub.primitive_element + 1, sub.size)
                   if sub.multiplicative_order(x) == sub.size - 1)
-        if int(sub._log[w2]) * (t // 2) % t != t // 2:
+        if sub.log_residue(w2, t) * (t // 2) % t != t // 2:
             raise FormulaMismatch("w^{t/2} H_t depends on the primitive element")
-        value = int(in_coset(t // 2)) * root - (root + 1) // t
+        value = int(res == t // 2) * root - (root + 1) // t
     else:
         sign = -1 if info.r % 2 == 0 else 1    # (-1)^{r+1}
-        value = int(in_coset(0)) * sign * root + ((-1) ** info.r * root - 1) // t
+        value = int(res == 0) * sign * root + ((-1) ** info.r * root - 1) // t
     return CyclotomicInt.from_int(p, value)
 
 

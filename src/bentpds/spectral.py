@@ -72,7 +72,7 @@ from .errors import (
     SizeGuard,
     ZeroComponent,
 )
-from .field import Field, canonical_field
+from .field import Field, _integer_entries, canonical_field
 from .limits import exact_float_dtype, walsh_cap
 from .space import Space
 
@@ -137,15 +137,6 @@ class VectorialFunction:
             canonical_field(int(cod["p"]), int(cod["s"])),
             d["table"],
         )
-
-
-def _integer_entries(values) -> bool:
-    """True iff values is an integer array, or an iterable whose entries are
-    all int or numpy integers and none a bool.  numpy and int() take 1.5,
-    True and '1' for integers, so entries are checked by their types."""
-    if isinstance(values, np.ndarray):
-        return values.dtype.kind in "iu"
-    return all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, values)))
 
 
 def _check_p_ary(f: VectorialFunction) -> None:
@@ -466,19 +457,16 @@ def classify_bent(f: VectorialFunction) -> BentClassification:
 
 def _scalar_orbits(cod: Field) -> dict[int, list[tuple[int, int]]]:
     """r -> [(c, mu), ...] for every orbit {lambda r : lambda in GF(p)^*} of
-    nonzero ranks of cod: r is its least rank, and c = mu r runs over the
-    orbit in increasing order, so (r, 1) comes first.  The representatives
-    come in increasing order.  Ranks below p are the prime subfield, so
-    lambda c is cod.mul(lambda, c)."""
-    ranks = np.arange(cod.size)
-    multiples = [cod.mul(lam, ranks) for lam in range(1, cod.p)]
-    seen = np.zeros(cod.size, dtype=bool)
-    orbits: dict[int, list[tuple[int, int]]] = {}
-    for r in range(1, cod.size):
-        if not seen[r]:
-            orbits[r] = sorted((int(row[r]), lam) for lam, row in enumerate(multiples, start=1))
-            seen[[c for c, _ in orbits[r]]] = True
-    return orbits
+    nonzero ranks of cod, representatives r in increasing order: r is its
+    least rank, and c = mu r runs over the orbit in increasing order, so
+    (r, 1) comes first.  GF(p)^* is the subgroup of order p - 1, so the
+    orbits are the log residue classes mod (q - 1)/(p - 1)."""
+    q, p = cod.size, cod.p
+    res = cod.log_residue(np.arange(1, q), (q - 1) // (p - 1))
+    rows = (np.argsort(res, kind="stable") + 1).reshape(-1, p - 1)  # ascending per class
+    rows = rows[np.argsort(rows[:, 0])]
+    mus = cod.mul(rows, cod.inv(rows[:, :1]))
+    return {int(row[0]): list(zip(row.tolist(), mu.tolist())) for row, mu in zip(rows, mus)}
 
 
 @dataclass

@@ -3,10 +3,11 @@
 char_sum_preimage evaluates chi_u(D_i) point by point and through the
 component-spectrum formula, one component transform per c.
 sigma_predicates_by_sets decides the sigma conditions by comparing the
-cosets of H_l as Python sets.  preimage_ranks lists a preimage point by
-point.  None of them shares code with the library's array routes beyond the
-field and space arithmetic, so each can be compared with its library
-counterpart field by field.
+cosets of H_l = { x^l : x != 0 } as Python sets, and power_map_exponent
+finds a power map c -> c^{-t} by trying every t.  preimage_ranks lists a
+preimage point by point.  None of them shares code with the library's array
+routes beyond the field and space arithmetic, so each can be compared with
+its library counterpart field by field.
 """
 import math
 
@@ -65,6 +66,14 @@ def char_sum_preimage(F, u: int, i: int, spectra=None) -> CyclotomicInt:
     return direct
 
 
+def power_map_exponent(codomain, sigma: dict[int, int]) -> int | None:
+    """The t in [0, q - 1) with sigma(c) = c^{-t} for every nonzero c, or
+    None when sigma is no such power map."""
+    q = codomain.size
+    return next((t for t in range(q - 1)
+                 if all(sigma[c] == codomain.pow(c, -t) for c in range(1, q))), None)
+
+
 def sigma_predicates_by_sets(codomain, sigma: dict[int, int], l: int) -> SigmaReport:
     """The sigma conditions by exhaustive set comparison: identity;
     sigma^{-1}(c) H_l = c H_l for every c; sigma mapping every coset of H_l
@@ -78,7 +87,7 @@ def sigma_predicates_by_sets(codomain, sigma: dict[int, int], l: int) -> SigmaRe
     inv_sigma = {v: c for c, v in sigma.items()}
 
     is_identity = all(sigma[c] == c for c in range(1, q))
-    H = codomain.subgroup_coset(l, 1).members
+    H = frozenset(codomain.pow(x, l) for x in range(1, q))
     coset_stable = all(
         codomain.mul(inv_sigma[c], codomain.inv(c)) in H for c in range(1, q)
     )
@@ -96,18 +105,12 @@ def sigma_predicates_by_sets(codomain, sigma: dict[int, int], l: int) -> SigmaRe
             coset_permuting = False
             break
 
-    w = codomain.primitive_element
-    t_exp = -int(codomain._log[sigma[w]]) % (q - 1)
-    if all(sigma[c] == codomain.pow(c, -t_exp) for c in range(1, q)):
-        power_exponent = t_exp
+    t_exp = power_map_exponent(codomain, sigma)
+    if t_exp is not None:
         r = pow(t_exp, -1, q - 1)
         shortcut = (1 + r) % math.gcd(l, q - 1) == 0
         if shortcut != coset_stable:
             raise FormulaMismatch(
                 "power-map shortcut disagrees with the exhaustive coset check"
             )
-    else:
-        power_exponent, r = None, None
-    return SigmaReport(
-        is_identity, coset_stable, coset_permuting, power_exponent, r
-    )
+    return SigmaReport(is_identity, coset_stable, coset_permuting)

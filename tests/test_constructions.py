@@ -218,7 +218,7 @@ def _branched_reference(p, n, m, s, alphas, beta, gamma, l_coeffs, point):
     sel = Fm.trace(s, Fm.mul(gamma, Fm.mul(y2, y2)))
     if sel == 0:
         alpha = alphas[0]
-    elif sel in sub.squares():
+    elif sel in {sub.mul(y, y) for y in range(1, sub.size)}:
         alpha = alphas[1]
     else:
         alpha = alphas[2]

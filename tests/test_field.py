@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from bentpds import pds
 from bentpds.errors import (
     InverseOfZero,
     NotADivisor,
@@ -198,7 +199,7 @@ def test_coset_sizes(field):
 
     q1 = field.size - 1
     for l in range(1, q1 + 1):
-        assert len(field.subgroup_coset(l, 1)) == q1 // math.gcd(l, q1)
+        assert len(field.subgroup_coset(l, 1).members) == q1 // math.gcd(l, q1)
 
 
 def test_cosets_partition_multiplicative_group():
@@ -258,3 +259,72 @@ def test_serialization_round_trip():
         d = field.to_dict()
         assert d == {"p": field.p, "m": field.m, "modulus": list(field.modulus)}
         assert Field.from_dict(d) == field
+
+
+def test_log_residue_names_the_coset_and_is_minus_one_at_zero():
+    w = F81.primitive_element
+    for k in range(80):
+        assert F81.log_residue(F81.pow(w, k), 80) == k
+        assert F81.log_residue(F81.pow(w, k), 16) == k % 16
+    assert F81.log_residue(0, 5) == -1 and isinstance(F81.log_residue(3, 5), int)
+    r = F81.log_residue(np.arange(81), 10)
+    assert r.dtype == np.int64 and r[0] == -1
+    assert np.array_equal(r[1:], [F81.log_residue(a, 10) for a in range(1, 81)])
+    for g in (0, -2, 3, 7, 81):
+        with pytest.raises(ValueError, match="must be a positive divisor of 80"):
+            F81.log_residue(1, g)
+    for g in (True, 2.0):
+        with pytest.raises(ValueError, match="must be an integer"):
+            F81.log_residue(1, g)
+
+
+# q = 3^k, 5^2 and 7^2, and primes p = 11 and 13 whose p - 1 has several factors
+COSET_FIELDS = [(3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2), (11, 1), (13, 1)]
+
+
+@pytest.mark.parametrize("p,m", COSET_FIELDS, ids=[f"q={p ** m}" for p, m in COSET_FIELDS])
+def test_coset_masks_match_brute_force_sets(p, m):
+    field = canonical_field(p, m)
+    q1 = field.size - 1
+    units = np.arange(1, field.size)
+    squares = {field.mul(x, x) for x in range(1, field.size)}
+    assert field.nonsquares() == set(range(1, field.size)) - squares
+    for a in range(1, field.size):
+        assert field.quadratic_character(a) == (1 if a in squares else -1)
+    for l in range(1, 2 * q1 + 1):
+        H = field.pow(units, l)  # { x^l : x != 0 }
+        for beta in range(1, field.size):
+            cs = field.subgroup_coset(l, beta)
+            assert cs.members == set(field.mul(beta, H).tolist()), (l, beta)
+            assert cs.mask.dtype == bool
+
+
+# each call took a bool or a float for an integer rank or exponent and let
+# out an IndexError, a TypeError or a numpy ValueError, or answered anyway
+NON_INTEGER_CALLS = {
+    "quadratic_character(1.5)": lambda: F9.quadratic_character(1.5),
+    "multiplicative_order(2.0)": lambda: F9.multiplicative_order(2.0),
+    "subgroup_coset(2, 1.5)": lambda: F9.subgroup_coset(2, 1.5),
+    "subgroup_coset(2.5, 1)": lambda: F9.subgroup_coset(2.5, 1),
+    "subgroup_coset(True, True)": lambda: F9.subgroup_coset(True, True),
+    "subgroup_coset(True, 1)": lambda: F9.subgroup_coset(True, 1),
+    "check_rank(True)": lambda: F9.check_rank(True),
+    "gaussian_period(3, 2, 2, 1.0)": lambda: pds.gaussian_period(3, 2, 2, 1.0),
+    "gaussian_period(3, 2, 2.0, 1)": lambda: pds.gaussian_period(3, 2, 2.0, 1),
+    "gaussian_period_semiprimitive(3, 2, 2.0, 1)":
+        lambda: pds.gaussian_period_semiprimitive(3, 2, 2.0, 1),
+    "semiprimitive_check(3, 2, 2.5)": lambda: pds.semiprimitive_check(3, 2, 2.5),
+    "sigma_predicates(l=2.0)": lambda: pds.sigma_predicates(F3, {1: 1, 2: 2}, 2.0),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGER_CALLS.values(), ids=NON_INTEGER_CALLS.keys())
+def test_non_integer_ranks_and_exponents_raise_value_error(call):
+    with pytest.raises(ValueError, match="must be (a rank|an integer)"):
+        call()
+
+
+def test_numpy_integer_ranks_and_exponents_are_integers():
+    assert F9.check_rank(np.int64(3)) == 3
+    assert F9.subgroup_coset(np.int32(2), np.uint8(1)).members == {1, 2, 3, 6}
+    assert pds.semiprimitive_check(3, 2, np.int64(2)) == pds.semiprimitive_check(3, 2, 2)

@@ -29,6 +29,7 @@ from bentpds.spectral import (
     walsh_full,
     _candidate_map,
     _match_candidates,
+    _scalar_orbits,
 )
 from space_oracle import digits, inner_product, scalar_mul, split
 from spectral_oracle import (
@@ -956,3 +957,22 @@ print(json.dumps({
     out = json.loads(proc.stdout)
     assert out["sigma"] and out["eps"] == [1]
     assert out["maxrss_mb"] < 700, out
+
+
+ORBIT_FIELDS = [(3, 1), (3, 2), (3, 4), (5, 1), (5, 2), (7, 2), (11, 2), (13, 1), (5, 3)]
+
+
+@pytest.mark.parametrize("p,m", ORBIT_FIELDS, ids=[f"q={p ** m}" for p, m in ORBIT_FIELDS])
+def test_scalar_orbits_match_brute_force_sets(p, m):
+    """Every orbit {lambda r : lambda in GF(p)^*}, keyed by its least rank
+    in increasing order, lists (lambda r, lambda) in increasing lambda r."""
+    cod = canonical_field(p, m)
+    expected, seen = {}, set()
+    for r in range(1, cod.size):
+        if r not in seen:
+            expected[r] = sorted((cod.mul(lam, r), lam) for lam in range(1, p))
+            seen.update(c for c, _ in expected[r])
+    orbits = _scalar_orbits(cod)
+    assert list(orbits) == list(expected)
+    assert orbits == expected
+    assert all(type(c) is int and type(mu) is int for row in orbits.values() for c, mu in row)

@@ -165,16 +165,21 @@ def _function_dict(F: VectorialFunction) -> dict:
     return {"space": F.domain.to_list(), "codomain": {"p": F.p, "s": F.s}, "table": F.table}
 
 
+def _claims(sigma: dict, epsilons: dict | None) -> dict:
+    """sigma and epsilons as records hold them: keyed by str(c), c ascending."""
+    return {
+        "sigma": {str(c): d for c, d in sorted(sigma.items())},
+        "epsilons": None if epsilons is None else {str(c): e for c, e in sorted(epsilons.items())},
+    }
+
+
 def _bundle_dict(pair: constructions.ConstructedPair) -> dict:
     return {
         "family": pair.family,
         "params": pair.params,
         "function": _function_dict(pair.function),
         "dual": _function_dict(pair.dual),
-        "sigma": {str(c): d for c, d in sorted(pair.sigma.items())},
-        "epsilons": None
-        if pair.epsilons is None
-        else {str(c): e for c, e in sorted(pair.epsilons.items())},
+        **_claims(pair.sigma, pair.epsilons),
     }
 
 
@@ -182,40 +187,33 @@ def _bundle_dict(pair: constructions.ConstructedPair) -> dict:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _need(args, *names) -> None:
+def _build(entry, args):
+    """entry = (options, builder): builder(args) once args gives each option, in turn."""
+    names, build = entry
     for name in names:
         if getattr(args, name) is None:
             raise UsageError(f"--{name.replace('_', '-')} is required for this invocation")
+    return build(args)
+
+
+# --family -> (options it needs, constructor call); the --family choices
+_FAMILIES = {
+    "mm-power": (("m",), lambda a: constructions.mm_power(a.p, a.m, a.s, a.a, a.e)),
+    "mm-qpoly": (("m", "coeffs"),
+                 lambda a: constructions.mm_qpoly(a.p, a.m, a.s, a.a, _ints(a.coeffs))),
+    "quad-trace": (("n",), lambda a: constructions.quad_trace(a.p, a.n, a.s, a.a)),
+    "diag-quad": (("m", "coeffs"),
+                  lambda a: constructions.diag_quad(a.p, a.s, a.m, _ints(a.coeffs))),
+    "spread": (("m",), lambda a: constructions.spread_bent(
+        a.p, a.m, a.s, _ints(a.labels) if a.labels else None, a.gamma0)),
+    "branched-quad-mm": (("n", "m"), lambda a: constructions.branched_quad_mm(
+        a.p, a.n, a.m, a.s, a.alpha1, a.alpha2, a.alpha3, a.beta, a.gamma,
+        _ints(a.coeffs) if a.coeffs else (1,))),
+}
 
 
 def _cmd_construct(args) -> tuple[dict, int]:
-    fam = args.family
-    if fam == "mm-power":
-        _need(args, "m")
-        pair = constructions.mm_power(args.p, args.m, args.s, args.a, args.e)
-    elif fam == "mm-qpoly":
-        _need(args, "m", "coeffs")
-        pair = constructions.mm_qpoly(args.p, args.m, args.s, args.a, _ints(args.coeffs))
-    elif fam == "quad-trace":
-        _need(args, "n")
-        pair = constructions.quad_trace(args.p, args.n, args.s, args.a)
-    elif fam == "diag-quad":
-        _need(args, "m", "coeffs")
-        pair = constructions.diag_quad(args.p, args.s, args.m, _ints(args.coeffs))
-    elif fam == "spread":
-        _need(args, "m")
-        labeling = _ints(args.labels) if args.labels else None
-        pair = constructions.spread_bent(args.p, args.m, args.s, labeling, args.gamma0)
-    elif fam == "branched-quad-mm":
-        _need(args, "n", "m")
-        pair = constructions.branched_quad_mm(
-            args.p, args.n, args.m, args.s,
-            args.alpha1, args.alpha2, args.alpha3,
-            args.beta, args.gamma, _ints(args.coeffs) if args.coeffs else (1,),
-        )
-    else:
-        raise UsageError(f"unknown family {fam}")
-    return _bundle_dict(pair), 0
+    return _bundle_dict(_build(_FAMILIES[args.family], args)), 0
 
 
 def _ints(csv: str):
@@ -266,28 +264,29 @@ def _cmd_certify(args) -> tuple[dict, int]:
         cert.epsilons.get(c) == e for c, e in eps_claim.items())
     out = {
         "certified": True,
-        "sigma": {str(c): d for c, d in sorted(cert.sigma.items())},
-        "epsilons": {str(c): e for c, e in sorted(cert.epsilons.items())},
+        **_claims(cert.sigma, cert.epsilons),
         "sigma_matches_claim": sigma_ok,
         "epsilon_matches_claim": eps_ok,
     }
     return out, 0 if sigma_ok in (True, None) and eps_ok in (True, None) else VERIFY_ERROR
 
 
+# --set -> its preimage, which a coset takes (l, beta) for; the --set choices
+_SETS = {
+    "zero": pds.zero_preimage,
+    "squares": pds.squares_preimage,
+    "nonsquares": pds.nonsquares_preimage,
+    "coset": pds.coset_preimage,
+}
+
+
 def _extract_set(F: VectorialFunction, args) -> pds.PreimageSet:
-    kind = args.set
-    exclude = not args.include_zero
-    if kind == "zero":
-        return pds.zero_preimage(F, exclude)
-    if kind == "squares":
-        return pds.squares_preimage(F, exclude)
-    if kind == "nonsquares":
-        return pds.nonsquares_preimage(F, exclude)
-    if kind == "coset":
+    coset = ()
+    if args.set == "coset":
         if args.l is None or args.beta is None:
             raise UsageError("--set coset needs --l and --beta")
-        return pds.coset_preimage(F, args.l, args.beta, exclude)
-    raise UsageError(f"unknown set kind {kind}")
+        coset = (args.l, args.beta)
+    return _SETS[args.set](F, *coset, not args.include_zero)
 
 
 def _cmd_pds_extract(args) -> tuple[dict, int]:
@@ -301,20 +300,17 @@ def _cmd_pds_extract(args) -> tuple[dict, int]:
     }, 0
 
 
+# --theorem -> (options it needs, parameter call); the --theorem choices
+_THEOREMS = {
+    "subset": (("n", "size_a"), lambda a: pds.params_subset(
+        a.p, a.n, a.s, a.size_a, a.contains_zero, a.eps)),
+    "coset-union": (("ntotal", "hsize"), lambda a: pds.params_coset_union(
+        a.p, a.ntotal, a.s, a.hsize, a.m1, a.m0, a.eps)),
+}
+
+
 def _cmd_pds_params(args) -> tuple[dict, int]:
-    if args.theorem == "subset":
-        _need(args, "n", "size_a")
-        params = pds.params_subset(
-            args.p, args.n, args.s, args.size_a, args.contains_zero, args.eps
-        )
-    elif args.theorem == "coset-union":
-        _need(args, "ntotal", "hsize")
-        params = pds.params_coset_union(
-            args.p, args.ntotal, args.s, args.hsize, args.m1, args.m0, args.eps
-        )
-    else:
-        raise UsageError(f"unknown theorem {args.theorem}")
-    return params.to_dict(), 0
+    return _build(_THEOREMS[args.theorem], args).to_dict(), 0
 
 
 def _cmd_pds_verify(args) -> tuple[dict, int]:
@@ -418,64 +414,52 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# subcommand -> (handler, help, whether it reads a --file), in help order
+_COMMANDS = {
+    "construct": (_cmd_construct, "emit a construction bundle as JSON", False),
+    "walsh": (_cmd_walsh, "full Walsh spectrum of a p-ary function", True),
+    "classify": (_cmd_classify, "bentness / regularity / dual", True),
+    "certify": (_cmd_certify, "check a bundle's dual and sigma claims", True),
+    "pds-extract": (_cmd_pds_extract, "emit a preimage set", True),
+    "pds-verify": (_cmd_pds_verify, "verify a preimage set as a PDS", True),
+    "pds-params": (_cmd_pds_params, "closed-form (v,k,lambda,mu)", False),
+    "gaussian-period": (_cmd_gaussian_period, "brute-force and closed-form periods", False),
+    "reproduce-examples": (_cmd_reproduce_examples,
+                           "recompute the reference parameter quadruples", False),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """--file comes first on each subcommand that reads one; argparse lists
+    missing options, and help, in the order they are declared."""
     ap = _Parser(prog="bentpds", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
+    cmd = {}
+    for name, (func, text, reads_file) in _COMMANDS.items():
+        cmd[name] = sub.add_parser(name, help=text)
+        cmd[name].set_defaults(func=func)
+        if reads_file:
+            cmd[name].add_argument("--file", required=True)
 
-    c = sub.add_parser("construct", help="emit a construction bundle as JSON")
-    c.add_argument("--family", required=True,
-                   choices=["mm-power", "mm-qpoly", "quad-trace", "diag-quad",
-                            "spread", "branched-quad-mm"])
+    c = cmd["construct"]
+    c.add_argument("--family", required=True, choices=_FAMILIES)
     c.add_argument("--p", type=int, required=True)
     c.add_argument("--m", type=int, default=None)
     c.add_argument("--n", type=int, default=None)
     c.add_argument("--s", type=int, required=True)
-    c.add_argument("--a", type=int, default=1)
-    c.add_argument("--e", type=int, default=1)
-    c.add_argument("--alpha1", type=int, default=1)
-    c.add_argument("--alpha2", type=int, default=1)
-    c.add_argument("--alpha3", type=int, default=1)
-    c.add_argument("--beta", type=int, default=1)
-    c.add_argument("--gamma", type=int, default=1)
+    for name in ("--a", "--e", "--alpha1", "--alpha2", "--alpha3", "--beta", "--gamma"):
+        c.add_argument(name, type=int, default=1)
     c.add_argument("--gamma0", type=int, default=0)
     c.add_argument("--coeffs", default=None, help="comma-separated field ranks")
     c.add_argument("--labels", default=None, help="comma-separated spread labels")
-    c.add_argument("--out", default=None)
-    c.set_defaults(func=_cmd_construct)
 
-    w = sub.add_parser("walsh", help="full Walsh spectrum of a p-ary function")
-    w.add_argument("--file", required=True)
-    w.add_argument("--out", default=None)
-    w.set_defaults(func=_cmd_walsh)
-
-    cl = sub.add_parser("classify", help="bentness / regularity / dual")
-    cl.add_argument("--file", required=True)
-    cl.add_argument("--out", default=None)
-    cl.set_defaults(func=_cmd_classify)
-
-    ce = sub.add_parser("certify", help="check a bundle's dual and sigma claims")
-    ce.add_argument("--file", required=True)
-    ce.add_argument("--out", default=None)
-    ce.set_defaults(func=_cmd_certify)
-
-    px = sub.add_parser("pds-extract", help="emit a preimage set")
-    pv = sub.add_parser("pds-verify", help="verify a preimage set as a PDS")
-    for q in (px, pv):
-        q.add_argument("--file", required=True)
-        q.add_argument("--set", required=True,
-                       choices=["zero", "squares", "nonsquares", "coset"])
+    for q in (cmd["pds-extract"], cmd["pds-verify"]):
+        q.add_argument("--set", required=True, choices=_SETS)
         q.add_argument("--l", type=int, default=None)
         q.add_argument("--beta", type=int, default=None)
         q.add_argument("--include-zero", action="store_true")
-        q.add_argument("--out", default=None)
-    px.set_defaults(func=_cmd_pds_extract)
-    pv.add_argument("--method", default="both",
-                    choices=["both", "bruteforce", "characters"])
-    pv.add_argument("--expect", default=None, help="v,k,lambda,mu")
-    pv.set_defaults(func=_cmd_pds_verify)
-
-    pp = sub.add_parser("pds-params", help="closed-form (v,k,lambda,mu)")
-    pp.add_argument("--theorem", required=True, choices=["subset", "coset-union"])
+    pp = cmd["pds-params"]
+    pp.add_argument("--theorem", required=True, choices=_THEOREMS)
     pp.add_argument("--p", type=int, required=True)
     pp.add_argument("--s", type=int, required=True)
     pp.add_argument("--n", type=int, default=None)
@@ -486,21 +470,16 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--m1", type=int, default=1)
     pp.add_argument("--m0", type=int, default=0)
     pp.add_argument("--eps", type=int, required=True, choices=[1, -1])
-    pp.add_argument("--out", default=None)
-    pp.set_defaults(func=_cmd_pds_params)
 
-    gp = sub.add_parser("gaussian-period", help="brute-force and closed-form periods")
-    gp.add_argument("--p", type=int, required=True)
-    gp.add_argument("--s", type=int, required=True)
-    gp.add_argument("--t", type=int, required=True)
-    gp.add_argument("--a", type=int, required=True)
-    gp.add_argument("--out", default=None)
-    gp.set_defaults(func=_cmd_gaussian_period)
+    gp = cmd["gaussian-period"]
+    for name in ("--p", "--s", "--t", "--a"):
+        gp.add_argument(name, type=int, required=True)
 
-    re = sub.add_parser("reproduce-examples",
-                        help="recompute the reference parameter quadruples")
-    re.add_argument("--out", default=None)
-    re.set_defaults(func=_cmd_reproduce_examples)
+    for q in cmd.values():
+        q.add_argument("--out", default=None)
+    pv = cmd["pds-verify"]  # its own options follow --out in its help
+    pv.add_argument("--method", default="both", choices=["both", "bruteforce", "characters"])
+    pv.add_argument("--expect", default=None, help="v,k,lambda,mu")
     return ap
 
 

@@ -49,7 +49,7 @@ from .errors import (
 )
 from .field import Field, _check_integer, _integer_entries, canonical_field, is_prime
 from .limits import exact_float_dtype, walsh_cap
-from .space import Space, prime_space
+from .space import Space, _compose
 from .spectral import DualBentCertificate, VectorialFunction, _char_counts
 
 
@@ -353,7 +353,8 @@ def gaussian_period(p: int, s: int, t: int, a: int) -> CyclotomicInt:
 
 def gaussian_period_semiprimitive(p: int, s: int, t: int, a: int) -> CyclotomicInt:
     """The closed form in the semiprimitive case: with j minimal and
-    s = 2jr, the period is rational:
+    s = 2jr, the period is rational.  At a = 0 it is |H_t| = (p^s - 1)/t;
+    at a != 0 it is
 
        r, (p^j+1)/t both odd:  [a in w^{t/2} H_t] p^{s/2} - (p^{s/2}+1)/t
        otherwise:              [a in H_t] (-1)^{r+1} p^{s/2}
@@ -368,8 +369,10 @@ def gaussian_period_semiprimitive(p: int, s: int, t: int, a: int) -> CyclotomicI
     info = semiprimitive_check(p, s, t)
     if info is None:
         raise NotSemiprimitive(f"(p, s, t) = ({p}, {s}, {t}) is not semiprimitive")
+    if a == 0:
+        return CyclotomicInt.from_int(p, (sub.size - 1) // t)
     root = p ** (s // 2)
-    res = sub.log_residue(a, t)  # a lies in w^res H_t; -1 at a = 0 matches no coset
+    res = sub.log_residue(a, t)  # a lies in w^res H_t
     if info.r % 2 == 1 and ((p ** info.j + 1) // t) % 2 == 1:
         # a second primitive element w2 = w^k gives w2^{t/2} H_t = w^{kt/2} H_t
         w2 = next(x for x in range(sub.primitive_element + 1, sub.size)
@@ -413,15 +416,10 @@ def _candidacy(space: Space, D) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _half_sub_table(p: int, width: int) -> np.ndarray:
-    """T[x, y] = digitwise (x - y) mod p on width base-p digits, packed."""
-    q = p ** width
-    xs = np.arange(q, dtype=np.int64)
-    digits = np.empty((q, width), dtype=np.int64)
-    for k in range(width):
-        digits[:, k] = (xs // p ** k) % p
-    diff = (digits[:, None, :] - digits[None, :, :]) % p
-    powers = p ** np.arange(width, dtype=np.int64)
-    return (diff * powers).sum(axis=2)
+    """T[x, y] = digitwise (x - y) mod p on width base-p digits, packed;
+    at width 0 the one entry 0."""
+    digit = np.arange(p, dtype=np.int64)
+    return _compose([(digit[:, None] - digit) % p] * width, axes=2)
 
 
 def _gather_counts(space: Space, Dv: np.ndarray) -> np.ndarray:
@@ -434,16 +432,15 @@ def _gather_counts(space: Space, Dv: np.ndarray) -> np.ndarray:
     h1 = (dim + 1) // 2
     q1 = p ** h1
     t_lo = _half_sub_table(p, h1)
-    t_hi = _half_sub_table(p, dim - h1) if dim > h1 else None
+    t_hi = _half_sub_table(p, dim - h1)
     lo = Dv % q1
     hi = Dv // q1
     counts = np.zeros(v, dtype=np.int64)
     N = Dv.size
     block = max(1, min(N, 4_000_000 // N))
     for start in range(0, N, block):
-        ranks = t_lo[lo[start : start + block, None], lo[None, :]]
-        if t_hi is not None:
-            ranks = ranks + q1 * t_hi[hi[start : start + block, None], hi[None, :]]
+        rows = slice(start, start + block)
+        ranks = t_lo[lo[rows, None], lo[None, :]] + q1 * t_hi[hi[rows, None], hi[None, :]]
         counts += np.bincount(ranks.ravel(), minlength=v)
     return counts
 
@@ -452,8 +449,7 @@ def _gather_counts(space: Space, Dv: np.ndarray) -> np.ndarray:
 def _scaling(p: int, width: int, lam: int) -> np.ndarray:
     """x -> lam x on width base-p digits, as a rank array; at width 0 the
     one rank 0.  Shared between calls, so read-only."""
-    ranks = np.arange(p ** width)
-    perm = prime_space(p, width).gather_scaled(ranks, lam) if width else ranks
+    perm = _compose([lam * np.arange(p, dtype=np.int64) % p] * width)
     perm.setflags(write=False)
     return perm
 

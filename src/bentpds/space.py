@@ -99,13 +99,17 @@ class Space:
         return cls([Field.from_dict(d) for d in lst])
 
 
-def _compose(blocks) -> np.ndarray:
+def _compose(blocks, axes: int = 1) -> np.ndarray:
     """The rank map that acts as blocks[i] on the i-th digit, least
     significant first: each digit multiplies the table built so far by p, so
-    the cost is O(N) with no division pass over the N ranks."""
-    perm = np.zeros(1, dtype=np.int64)
+    the cost is O(N) with no division pass over the N ranks.  With axes = 2
+    each block is a (p, p) table of two digits and the map an (N, N) table
+    of two ranks, in O(N^2)."""
+    perm = np.zeros((1,) * axes, dtype=np.int64)
     for block in blocks:
-        perm = (block[:, None] * perm.size + perm).ravel()
+        p, q = block.shape[0], perm.shape[0]
+        perm = block.reshape((p, 1) * axes) * q + perm.reshape((1, q) * axes)
+        perm = perm.reshape((p * q,) * axes)
     return perm
 
 

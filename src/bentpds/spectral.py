@@ -523,15 +523,15 @@ def dual_bent_certificate(
     for d in range(1, q):
         star_index.setdefault(_table_key(_component_table(Fstar, d, narrow)), []).append(d)
     eta = canonical_field(p, 1).quadratic_character
-    found: dict[int, tuple[int, int | None]] = {}  # c -> (sigma(c), eps_c)
-    failure, not_bent = q, False  # the least c found to fail, and how
+    sigma = dict.fromkeys(range(1, q))  # listed by c, filled an orbit at a time
+    epsilons = dict(sigma)
+    failure = q  # the least c whose dual matched no single Fstar component
     for r, members in _scalar_orbits(F.codomain).items():
         if r > failure:
             break
         rep = _bent_dual(F.domain, _component_table(F, r, narrow))
-        if rep is None:
-            failure, not_bent = r, True
-            break
+        if rep is None:  # every c < r is certified, as failure > r
+            raise NotBent(f"component {r} is not bent")
         for c, mu in members:
             if c > failure:
                 break
@@ -548,16 +548,11 @@ def dual_bent_certificate(
             if len(matches) != 1:
                 failure = c
                 break
-            found[c] = matches[0], eps
+            sigma[c], epsilons[c] = matches[0], eps
         del rep, dual  # the orbit is done
-    if not_bent:
-        raise NotBent(f"component {failure} is not bent")
-    if failure < q:
+    if failure < q or len(set(sigma.values())) != q - 1:
         return None
-    sigma = {c: found[c][0] for c in range(1, q)}
-    if len(set(sigma.values())) != q - 1:
-        return None
-    return DualBentCertificate(Fstar, sigma, {c: found[c][1] for c in range(1, q)})
+    return DualBentCertificate(Fstar, sigma, epsilons)
 
 
 # ---------------------------------------------------------------------------

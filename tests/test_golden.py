@@ -7,12 +7,14 @@ order, JSON layout, and the plain-int types of `sigma`, `epsilons` and
 `params`.  The p = 5 and p = 7 rows include odd n with mixed component signs
 and codomains GF(p^s) with s > 1.
 
-ERROR_GOLDEN pins the error records of rejected `construct` inputs.
+ERROR_GOLDEN pins the error records of rejected `construct` inputs, and
+PARSER_GOLDEN those of arguments that the parser or a handler rejects before
+any library call.
 SPECTRAL_GOLDEN and PDS_GOLDEN pin `walsh`, `classify` and `pds-verify` the
 same way, on construct bundles and on an even non-bent function.
 EMPTY_GOLDEN pins `pds-extract` and `pds-verify` on empty preimages.
 COSET_GOLDEN pins them on coset, square and non-square preimages with s >= 2,
-and GAUSSIAN_GOLDEN pins `gaussian-period` over every a of a field.
+and GAUSSIAN_GOLDEN pins `gaussian-period` over every nonzero a of a field.
 """
 import hashlib
 import json
@@ -217,6 +219,55 @@ def test_construct_error_records_match_golden_digest(capsys, args, code, sha):
     assert _digest(capsys, ["construct", "--family", family] + rest, code)[1] == sha
 
 
+# (arguments, sha256 of stdout) for inputs rejected with exit code 2 before
+# any library call: invalid choices, missing and unrecognized options, an
+# ambiguous abbreviation, and the per-family, per-theorem, per-set and
+# per-method requirements the handlers check.  {file} is a function file.
+PARSER_GOLDEN = [
+    ("construct --family nope --p 3 --s 1",
+     "91a464e5cf2bdd1ba8d444119af047d848a096247f747d18f07f8f63e3644143"),
+    ("construct", "cc05f45da96220f57d62853f0df99feb560a20034a0a5a5323508a1a69d13bdc"),
+    ("pds-verify", "5b7fb60803127c1af217f603cbfa746af0a484bbee6021706be71ad5ad3e097e"),
+    ("pds-params", "a7c994eb55736b5723f465e8b872db44aba0eefab1350eed74385965510496d9"),
+    ("construct --family mm-power --p 3 --m 2 --s 1 --bogus 1",
+     "ba75efb593e00ebaf28668b93316d5b87241939757406065507a4f879ee6ccfd"),
+    ("construct --al 1", "6f2320012d89c0bf25601cea17b4f4dd9f5c1328f42a165e9571a60a227486b9"),
+    ("construct --family mm-qpoly --p 3 --s 1",  # --m before --coeffs
+     "58bc2f0f10c5dca98b4ef6aa91c9602192591d5e21aa291899196e99d207adf1"),
+    ("construct --family mm-qpoly --p 3 --m 2 --s 1",
+     "8379c8a4ae16d694db473461447eba67a46b696acd98a8154279a81c19483e54"),
+    ("construct --family branched-quad-mm --p 3 --s 1",  # --n before --m
+     "4924bb2efcf68f4cd5f82d4d96340597af71dac3eb774e228e7731ae265fadda"),
+    ("construct --family branched-quad-mm --p 3 --m 1 --s 1",
+     "4924bb2efcf68f4cd5f82d4d96340597af71dac3eb774e228e7731ae265fadda"),
+    ("pds-extract --file {file} --set coset --beta 1",
+     "d44759a24f219482c20e6ebe364352e7b7fe054148694c0e498bfb841a1d3221"),
+    ("pds-verify --file {file} --set coset --l 2",
+     "d44759a24f219482c20e6ebe364352e7b7fe054148694c0e498bfb841a1d3221"),
+    ("pds-verify --file {file} --set zero --method characters",
+     "fdfafbf3697949cbd3ea37b0b9b9ec4527eab57bd92b2b821075fb623f0504e7"),
+    ("pds-params --theorem subset --p 3 --s 1 --eps 1",
+     "4924bb2efcf68f4cd5f82d4d96340597af71dac3eb774e228e7731ae265fadda"),
+    ("pds-params --theorem coset-union --p 3 --s 1 --eps 1 --ntotal 2",
+     "f9cebb1d657bb78d520c00a76d4c7048094e45d47da1c9654bd6fb542c188672"),
+    ("pds-params --theorem nope --p 3 --s 1 --eps 1",
+     "6d1a6efee5c923bf41b2bba6e504b328e2972ede6b184027c48dd108bbeb33d8"),
+    ("pds-params --theorem subset --p 3 --s 1 --eps 2 --n 2 --size-a 1",
+     "dd9813df823c56524426376ae6565198a6ad7bc75d9ed03354262373953ad590"),
+    ("pds-verify --file {file} --set nope",
+     "a9172484aef1c513efdd800c53206a2dea557e2455180e1a2bafad763f256ad7"),
+    ("pds-verify --file {file} --set zero --method nope",
+     "7afd7dea2ce054317dd9f542fe3d80e200ea600e90c7cb70d9161fd1f65ed317"),
+    ("gaussian-period --p 3 --s 2",
+     "c75b446b676dec3b2b687207cc9836bb0eca2a947cb1e701ba02e77749da238b"),
+    ("reproduce-examples --out",
+     "9693a8827ddb76ab2d199e0ba4bdebc3cf7b9446639e866574040e600ecfc9a9"),
+    ("walsh", "40365f7122d01272e0ca260dbe0ec769c147e8282b59a09c046d8fcb585bbceb"),
+    ("", "a0f529a317611c4f5eb7768ea043c5d56e6ade81a28420fc6d12238077224d07"),
+    ("nope", "ae3633cbfe9c673058fdec406747770709e32bbd09f0e319f636d4ec4968bcec"),
+]
+
+
 # (source, sha256 of `walsh`, sha256 of `classify`).  A source is construct
 # arguments, or "nonbent p n" for _nonbent(p, n).
 SPECTRAL_GOLDEN = [
@@ -350,6 +401,12 @@ def test_empty_preimage_output_matches_golden_digest(tmp_path, capsys, args, cod
     path = _source_file(tmp_path, capsys, "zero 3 2")
     command, *rest = args.split()
     assert _digest(capsys, [command, "--file", path] + rest, code)[1] == sha
+
+
+@pytest.mark.parametrize("args,sha", PARSER_GOLDEN, ids=[row[0] for row in PARSER_GOLDEN])
+def test_parser_error_records_match_golden_digest(tmp_path, capsys, args, sha):
+    path = _source_file(tmp_path, capsys, "zero 3 2")
+    assert _digest(capsys, args.format(file=path).split(), 2)[1] == sha
 
 
 # (source, pds-extract or pds-verify arguments, exit code, sha256 of stdout):
@@ -502,31 +559,56 @@ def test_coset_preimage_output_matches_golden_digest(tmp_path, capsys, source, a
 
 
 # ((p, s, t), sha256 of the exit codes and stdout of `gaussian-period` at
-# a = 0, 1, ..., p^s - 1 in turn).  Both semiprimitive branches, cases that
-# are not semiprimitive (t = 1, s odd, t dividing no p^j + 1), and a = 0,
-# where the closed form disagrees and the exit code is 1.
+# a = 1, ..., p^s - 1 in turn).  Both semiprimitive branches, and cases that
+# are not semiprimitive (t = 1, s odd, t dividing no p^j + 1).
 GAUSSIAN_GOLDEN = [
-    ((3, 2, 2), "088650eec00299f1daee813eac3ad92e29228757b25c57b01171dc1002f277fe"),
-    ((3, 2, 4), "5d5428ca2d385a3f216842b99f8c43dfa01df62faf071dfcf1c1c456baf44f55"),
-    ((5, 2, 3), "d193d46b6746bfd0ac87dfc17253237ef30839fa30ebec27f54132a8e8ceef6f"),
-    ((5, 2, 6), "c39d80a4c7e8d1cf1aaa3dd7ab199188522adb2ca8e621a2552f319619b26568"),
-    ((7, 2, 8), "72440b8dc8e769ddd48ad5a70c5dacead5aa0bdf6f2c17e938c5cfeb38e94798"),
-    ((3, 4, 2), "70c1efb5d4edba9df6a89240f05fc973288cc24923e9336ec41d290eadac078e"),
-    ((3, 4, 5), "f4bf1c3a48094325e9355559e8b95bad8df9008f15303a18e2160c41cd05a047"),
-    ((3, 4, 10), "ae907e35134c8206fa4c1e18b25298da5379dc72a46700a311519b832e09050d"),
-    ((3, 2, 8), "f37dab140d97cf3b1de3dc44f7b431aad77b3d44a93c2fa533c84c5ff211f283"),
-    ((3, 3, 2), "8237b568a09803e002d6387f1a812406e20787920b5667b3a950801b586e5dd0"),
-    ((5, 2, 8), "97ff453f8d642d6f409698444ae66c893b76194c5e7a29d3cf0400860fbab92c"),
-    ((3, 2, 1), "0b6bfe37a9d56aafaaac6a2287cf1669d9f425a496496c4941e8a117bc88b51a"),
+    ((3, 2, 2), "e9b58c599ee9a697454f407f2a781708c88e6c9d3de9a35cf4b990c627113a04"),
+    ((3, 2, 4), "0e2478528c32208b8d1dd99cc797df4a2af6c4e76e33e60d4417a6b4e2094d0f"),
+    ((5, 2, 3), "975e6018c621e1ed06c8be6fd529aa2bdad02ab4657255c1e49d7659805850a4"),
+    ((5, 2, 6), "f772f89409f41a25e978ae95718f477b08c72dda0572ec3aa69aaa125cd8c13a"),
+    ((7, 2, 8), "3ea8e76bfe3e9e61dd0f12bce4debb371bbce9dcaad1a208d2c3bcafe2cf310f"),
+    ((3, 4, 2), "e8ba9f1094166ee89509cc82f2d10dafe30cc7c5b5d1437fb1a5c2bb797c402b"),
+    ((3, 4, 5), "5c55e07401cd6e1eee45035c3889c9810f2477ae89a3e5e263579d823104872e"),
+    ((3, 4, 10), "359502e0242d246ebea3e67b8fca4ea70ac27c4b9ebc11bfb3d34c192fa7ca85"),
+    ((3, 2, 8), "2b521548e2d2f1ca6cf9e940ea930225b9e70754dfc7d59c3e46b2aa22d4bdf1"),
+    ((3, 3, 2), "c5b4c3348b6fef6815ec15bcd29328d0963ccaa725885184620db9c674837451"),
+    ((5, 2, 8), "40925883a9b604ef8c6b510af3c06f6939483e0864b5def806ea4bea51a024de"),
+    ((3, 2, 1), "8d7c69e26f347417f7a13024a7199979e70bd1d08f156a00b1c98f4481b16326"),
 ]
+
+# sha256 of the exit code and stdout of `gaussian-period` at a = 0 for the
+# GAUSSIAN_GOLDEN rows that are not semiprimitive: brute force alone
+GAUSSIAN_ZERO_GOLDEN = {
+    (3, 2, 8): "f49e75b53a8b38ee62ca434ec0d262086a1663168af2cd5099ab3f0b9fa28aec",
+    (3, 3, 2): "9440f5105aa4f2cf70d3c3f2a9a8be57cc8422d861dbf87229363c7a3ae1d084",
+    (5, 2, 8): "5a4c428c2effad5bb811a6e744f270aca697c3289752e8ba7d1a4985a0e49375",
+    (3, 2, 1): "0f07bbc314e85b32526c435882ecb7ea1ae9c5c22a1fbca3e77b2dae4a6f9840",
+}
+
+
+def _gaussian_period(capsys, p, s, t, a) -> str:
+    code = main(["gaussian-period", "--p", str(p), "--s", str(s), "--t", str(t), "--a", str(a)])
+    return f"{code} {capsys.readouterr().out}"
 
 
 @pytest.mark.parametrize("pst,sha", GAUSSIAN_GOLDEN, ids=[str(row[0]) for row in GAUSSIAN_GOLDEN])
 def test_gaussian_period_output_matches_golden_digest(capsys, pst, sha):
     p, s, t = pst
-    outs = []
-    for a in range(p ** s):
-        code = main(["gaussian-period", "--p", str(p), "--s", str(s), "--t", str(t),
-                     "--a", str(a)])
-        outs.append(f"{code} {capsys.readouterr().out}")
-    assert hashlib.sha256("".join(outs).encode()).hexdigest() == sha
+    outs = "".join(_gaussian_period(capsys, p, s, t, a) for a in range(1, p ** s))
+    assert hashlib.sha256(outs.encode()).hexdigest() == sha
+
+
+@pytest.mark.parametrize("pst", [row[0] for row in GAUSSIAN_GOLDEN], ids=str)
+def test_gaussian_period_at_zero_is_the_subgroup_order(capsys, pst):
+    """eta_0 = |H_t| = (p^s - 1) / t: the closed form agrees with brute force
+    in the semiprimitive case, and the other records are as they were."""
+    p, s, t = pst
+    out = _gaussian_period(capsys, p, s, t, 0)
+    if pst in GAUSSIAN_ZERO_GOLDEN:
+        assert hashlib.sha256(out.encode()).hexdigest() == GAUSSIAN_ZERO_GOLDEN[pst]
+        return
+    code, record = out.split(" ", 1)
+    d = json.loads(record)
+    order = [(p ** s - 1) // t] + [0] * (p - 2)
+    assert code == "0" and d["semiprimitive"] and d["match"] is True
+    assert d["bruteforce"]["coeffs"] == d["closed_form"]["coeffs"] == order

@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ from pds_oracle import (
     preimage_ranks,
     sigma_predicates_by_sets,
 )
-from space_oracle import join
+from space_oracle import join, scalar_mul
 
 XY = mm_power(3, 1, 1, 1, 1)  # F(x, y) = xy on F_3 x F_3
 
@@ -375,6 +376,16 @@ def test_gaussian_period_odd_branch():
         assert gaussian_period_semiprimitive(3, 2, 4, a) == gaussian_period(3, 2, 4, a)
 
 
+def test_gaussian_period_at_zero_is_the_subgroup_order():
+    # eta_0 sums zeta^0 over H_t, in both branches of the closed form
+    cases = [(p, s, t) for p, s in ((3, 2), (3, 4), (5, 2), (7, 2)) for t in range(2, p ** s)
+             if semiprimitive_check(p, s, t) is not None]
+    assert len(cases) > 10
+    for p, s, t in cases:
+        order = CyclotomicInt.from_int(p, (p ** s - 1) // t)
+        assert gaussian_period_semiprimitive(p, s, t, 0) == gaussian_period(p, s, t, 0) == order
+
+
 def test_verify_bruteforce_on_xy_preimages():
     sp = XY.function.domain
     D1 = preimage(XY.function, {1})
@@ -490,6 +501,44 @@ def test_dense_counts_equal_gather_counts(data):
                 if set(sp.gather_scaled(ranks, lam)[Dv].tolist()) in (members, mirror)]
     assert pds._orbit_group(p, h1, dim - h1, M, Dv // q1, Dv % q1) == expected
     assert {g ** k % p for k in range(order)} <= set(expected)
+
+
+# (p, width) for the pair counter's digit tables, width 0 included
+DIGIT_TABLE_CASES = [(3, 0), (3, 1), (3, 2), (3, 4), (5, 0), (5, 1), (5, 2), (7, 2), (13, 1)]
+
+
+@pytest.mark.parametrize("p,width", DIGIT_TABLE_CASES)
+def test_digit_tables_equal_a_per_digit_oracle(p, width):
+    """_half_sub_table[x, y] subtracts digit by digit, and _scaling[x]
+    multiplies every digit by lam, both computed here with divmod alone."""
+    q = p ** width
+
+    def digits(x):
+        return [x // p ** k % p for k in range(width)]
+
+    def from_digits(ds):
+        return sum(d * p ** k for k, d in enumerate(ds))
+
+    expected = np.array([[from_digits((a - b) % p for a, b in zip(digits(x), digits(y)))
+                          for y in range(q)] for x in range(q)], dtype=np.int64)
+    table = pds._half_sub_table(p, width)
+    assert table.dtype == np.int64 and np.array_equal(table, expected)
+    for lam in range(1, p):
+        scaled = pds._scaling(p, width, lam)
+        expected = [scalar_mul(prime_space(p, width), lam, x) for x in range(q)] if width else [0]
+        assert scaled.dtype == np.int64 and scaled.tolist() == expected
+
+
+def test_digit_subtraction_table_peaks_near_its_own_size():
+    """Built one digit at a time, the (q, q) table at (3, 6) needs no
+    (q, q, width) temporary: its peak stays within 1.5 times its size."""
+    tracemalloc.start()
+    try:
+        table = pds._half_sub_table.__wrapped__(3, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * table.nbytes, (peak, table.nbytes)
 
 
 def _refuse(*args):

@@ -248,11 +248,13 @@ def sigma_predicates(codomain: Field, sigma: dict[int, int], l: int) -> SigmaRep
 # closed-form parameters
 # ---------------------------------------------------------------------------
 
-def _check_prime_power(p: int, s: int, n: int = 0) -> None:
-    """Reject p^s unless p is an odd prime and s >= 1, and a negative n.
-    Also reject p^s or p^n with more decimal digits than Python will print
-    (sys.get_int_max_str_digits()), decided from the exponent so that an
-    outsized one costs nothing."""
+def _check_prime_power(p: int, s: int, n: int = 0) -> tuple[int, int, int]:
+    """(p, s, n) as Python ints, so that no power of them wraps.  Reject
+    any that is not an integer (_check_integer), p^s unless p is an odd
+    prime and s >= 1, and a negative n.  Also reject p^s or p^n with more
+    decimal digits than Python will print (sys.get_int_max_str_digits()),
+    decided from the exponent so that an outsized one costs nothing."""
+    p, s, n = (int(_check_integer(x, what)) for x, what in ((p, "p"), (s, "s"), (n, "n")))
     if not is_prime(p) or p == 2:
         raise ValueError(f"p must be an odd prime, got {p}")
     if s < 1 or n < 0:
@@ -260,6 +262,7 @@ def _check_prime_power(p: int, s: int, n: int = 0) -> None:
     limit, e = sys.get_int_max_str_digits(), max(s, n)
     if limit and e * math.log10(p) >= limit:
         raise ValueError(f"{p}^{e} has more than {limit} decimal digits")
+    return p, s, n
 
 
 def params_subset(
@@ -274,14 +277,15 @@ def params_subset(
 
     The one place that evaluates k, lambda and mu: params_coset_union and
     preimage_sizes are this block at particular (a, z)."""
-    _check_prime_power(p, s, n)
+    p, s, n = _check_prime_power(p, s, n)
     if n % 2 != 0:
         raise HypothesisViolation("n must be even")
     if 2 * s > n:
         raise HypothesisViolation(f"need n >= 2s, got n = {n}, s = {s}")
-    if epsilon not in (1, -1):
+    if _check_integer(epsilon, "epsilon") not in (1, -1):
         raise ValueError(f"epsilon must be 1 or -1, got {epsilon}")
-    a, z, ps = size_a, 1 if contains_zero else 0, p ** s
+    epsilon, a = int(epsilon), int(_check_integer(size_a, "size_a"))
+    z, ps = 1 if contains_zero else 0, p ** s
     if not z <= a <= ps - 1 + z:
         raise ValueError(
             f"size_a = {a} must lie in [{z}, {ps - 1 + z}] when 0 is "
@@ -302,7 +306,9 @@ def params_coset_union(
     |A| = m1 |H| + m0 with 0 in A iff m0 = 1.  m1 = 1, m0 = 0 is the
     single-coset block shared by the coset-stability and semiprimitive
     theorems."""
-    _check_prime_power(p, s, n_total)
+    p, s, n_total = _check_prime_power(p, s, n_total)
+    h_size, m1, m0 = (int(_check_integer(x, what)) for x, what in
+                      ((h_size, "h_size"), (m1, "m1"), (m0, "m0")))
     if n_total % 2 != 0:
         raise HypothesisViolation("total dimension must be even")
     ps = p ** s
@@ -328,7 +334,7 @@ class SemiprimitiveInfo:
 def semiprimitive_check(p: int, s: int, t: int) -> SemiprimitiveInfo | None:
     """Smallest j with t | p^j + 1 (scanned up to s), plus r with s = 2 j r;
     None when the parameters are not semiprimitive."""
-    _check_prime_power(p, s)
+    p, s, _ = _check_prime_power(p, s)
     if _check_integer(t, "t") < 2:
         return None
     for j in range(1, s + 1):
@@ -341,7 +347,7 @@ def semiprimitive_check(p: int, s: int, t: int) -> SemiprimitiveInfo | None:
 
 def gaussian_period(p: int, s: int, t: int, a: int) -> CyclotomicInt:
     """eta_a = sum over the subgroup H_t of zeta^{Tr_1^s(a x)}, brute force."""
-    _check_prime_power(p, s)
+    p, s, _ = _check_prime_power(p, s)
     sub = canonical_field(p, s)
     sub.check_rank(a, "a")
     if _check_integer(t, "t") < 1 or (sub.size - 1) % t != 0:
@@ -363,7 +369,7 @@ def gaussian_period_semiprimitive(p: int, s: int, t: int, a: int) -> CyclotomicI
     The shifted coset w^{t/2} H_t does not depend on the primitive element
     w; that independence is asserted against a second primitive element
     rather than assumed."""
-    _check_prime_power(p, s)
+    p, s, _ = _check_prime_power(p, s)
     sub = canonical_field(p, s)
     sub.check_rank(a, "a")
     info = semiprimitive_check(p, s, t)

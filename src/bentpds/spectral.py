@@ -13,14 +13,16 @@ that (p^2, p^2) matrix with the counts of every frequency prefix made so
 far; only 1 in p of its p^4 entries is nonzero, so for larger p a pass is
 p^2 slice-adds of shifted exponent rows instead.  u lands above j', so
 after n passes the frequencies are in natural order with no transpose or
-digit reversal.  The last product also reduces to the basis
-{1, zeta, ..., zeta^{p-2}} (the CyclotomicInt.from_exponent_counts rule),
-so the transform ends in (p^n, p - 1) reduced counts.  It runs in place:
-one (p, p^n) buffer and a fixed scratch array hold everything, and the
-reduced counts end up at the front of the buffer (_digit_transform).  The
-counts are floats: every count and partial sum has magnitude at most p^n,
-the signed ones of the reduction included, which is exact in float32 while
-p^n < 2^24 and in float64 while p^n < 2^53 (limits.exact_float_dtype).
+digit reversal.  The last T passes (T = 3 at p = 3, 2 at p = 5, else 1)
+and the reduction to the basis {1, zeta, ..., zeta^{p-2}} (the
+CyclotomicInt.from_exponent_counts rule) are one 2-D product with a
+{-1, 0, 1} matrix, so the transform ends in (p^n, p - 1) reduced counts.
+It runs in place: one (p, p^n) buffer and a fixed scratch array hold
+everything, and the reduced counts end up at the front of the buffer
+(_digit_transform).  The counts are floats: every count and partial sum
+has magnitude at most p^n, the signed ones of the reduction included,
+which is exact in float32 while p^n < 2^24 and in float64 while
+p^n < 2^53 (limits.exact_float_dtype).
 Every decision reads these reduced float counts: classification here and
 the character verifier of pds.  Only walsh_full gathers them into the
 order of a (Space.gather_dual) and casts them to the int64 rows of
@@ -179,27 +181,64 @@ DENSE_PASS_MAX_P = 37
 
 
 @lru_cache(maxsize=None)  # one entry per (p <= DENSE_PASS_MAX_P, dtype)
-def _pass_matrices(p: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
-    """(B, L).  B[u p + j', j p + t] = 1 iff j' = j - u t (mod p): the digit
-    pass that takes the count at (exponent j, digit t) to (digit u,
-    exponent j').  L is the last pass reduced to the basis
-    {1, ..., zeta^{p-2}} and transposed: column u (p - 1) + j' of L is row
-    u p + j' of B minus row u p + p - 1.  Shared between calls, so
-    read-only."""
+def _pass_matrices(p: int, dtype: np.dtype) -> np.ndarray:
+    """B[u p + j', j p + t] = 1 iff j' = j - u t (mod p): the digit pass
+    that takes the count at (exponent j, digit t) to (digit u, exponent
+    j').  Shared between calls, so read-only."""
     u, j_out, t = np.indices((p, p, p))
     B = np.zeros((p * p, p * p), dtype=dtype)
     B[u * p + j_out, (j_out + u * t) % p * p + t] = 1
-    rows = B.reshape(p, p, p * p)
-    L = np.ascontiguousarray((rows[:, :-1] - rows[:, -1:]).reshape(-1, p * p).T)
     B.setflags(write=False)
-    L.setflags(write=False)
-    return B, L
+    return B
 
 
 def _dense_pass(X: np.ndarray, Y: np.ndarray, p: int) -> None:
     """One digit pass from X to Y, both (b, p^2, c) views: the product with
     B of _pass_matrices."""
-    np.matmul(_pass_matrices(p, X.dtype)[0], X, out=Y)
+    np.matmul(_pass_matrices(p, X.dtype), X, out=Y)
+
+
+# Largest p^{T+1} of the tail matrix K_T (_tail_matrix), which folds a
+# block's last T passes and the reduction into one 2-D product.  A stacked
+# pass over few columns (R = p^{dim-k-1}) is many tiny BLAS products; one
+# 2-D product with the larger K_T does the same work faster, until K_T's
+# p^{2T+1} (p - 1) entries outgrow the saving.  With single-threaded BLAS
+# on a 2-vCPU Xeon VM (medians of 15 interleaved runs) a float32 transform
+# took, from T = 1 to the largest T this bound gives:
+#   3^12 15.3 -> 9.3 ms, 3^10 1.11 -> 0.72 ms, 3^8 0.128 -> 0.083 ms (T = 3),
+#   5^8 19.5 -> 16.8 ms, 5^6 0.49 -> 0.38 ms (T = 2);
+# T = 4 at p = 3 (243 entries) was slower than T = 3 at every size, and
+# T = 2 at p = 7 (343) took 7^6 from 7.6 to 9.4 ms.  So T = 1 from p = 7.
+TAIL_ENTRIES = 125
+
+
+def _tail_length(p: int) -> int:
+    """T, the passes a block's tail product folds: the largest T with
+    p^{T+1} <= TAIL_ENTRIES, and at least 1."""
+    T = 1
+    while p ** (T + 2) <= TAIL_ENTRIES:
+        T += 1
+    return T
+
+
+@lru_cache(maxsize=None)  # one entry per (p, T, dtype)
+def _tail_matrix(p: int, T: int, dtype: np.dtype) -> np.ndarray:
+    """K_T, of shape (p^{T+1}, p^T (p - 1)): the last T passes of a block,
+    then the reduction to {1, ..., zeta^{p-2}}.  Row i is the image of the
+    i-th unit vector of a block of counts (exponent j, then the T digits of
+    x left) under T passes with B, with the zeta^{p-1} count subtracted from
+    each frequency's row; so an entry is [j' = j - <u, t>] - [p - 1 = j -
+    <u, t>], in {-1, 0, 1}.  Shared between calls, so read-only."""
+    size = p ** (T + 1)
+    src, dst = np.eye(size, dtype=dtype), np.empty((size, size), dtype=dtype)
+    for k in range(T):
+        shape = (size * p ** k, p * p, -1)
+        _dense_pass(src.reshape(shape), dst.reshape(shape), p)
+        src, dst = dst, src
+    full = src.reshape(size, p ** T, p)
+    K = (full[:, :, :-1] - full[:, :, -1:]).reshape(size, -1)
+    K.setflags(write=False)
+    return K
 
 
 def _shift_pass(X: np.ndarray, Y: np.ndarray, p: int) -> None:
@@ -251,19 +290,23 @@ def _digit_transform(C: np.ndarray, p: int, dim: int) -> np.ndarray:
     prefix block (p^{dim-k+1} entries) is larger than S, pass k goes over C
     a column chunk at a time, through S and back.  Then the blocks, as many
     at a time as fit in S, run their remaining passes between their own
-    place in C and S.  The dense last pass (R = 1) is one 2-D product with
-    L, read from S, which writes the blocks' reduced rows to the front of
-    C; after the last shifts, which land in S, the zeta^{p-1} column is
-    subtracted instead.  Block b's p^{dim-k} rows of p - 1 counts end
-    before block b + 1 begins, so they only overwrite blocks already
-    consumed.  The result is a view of C.
+    place in C and S.  With products, a block's last T passes
+    (_tail_length, at most the passes left in the block) and the reduction
+    are one 2-D product of its rows of p^{T+1} counts with K_T of
+    _tail_matrix: those passes have R < p^T, so stacked they would be many
+    tiny BLAS calls.  The product reads S and writes the blocks' reduced
+    rows to the front of C; after the last shifts, which land in S, the
+    zeta^{p-1} column is subtracted instead.  Block b's p^{dim-k} rows of
+    p - 1 counts end before block b + 1 begins, so they only overwrite
+    blocks already consumed.  The result is a view of C.
 
     C holds non-negative counts, and the transform is exact while
     exact_float_dtype(C.sum()) is no wider than C's dtype: before the
-    reduction every entry and partial sum is a count of at most C.sum(),
-    and a reduced output adds one such count through the +1 entries of L
-    and subtracts another through its -1 entries, so in any summation
-    order its partial sums lie in [-C.sum(), C.sum()]."""
+    reduction every entry and partial sum is a count of at most C.sum().
+    An entry of K_T is in {-1, 0, 1}, so a reduced output adds the counts
+    that its +1 entries select, which make up one unreduced count, and
+    subtracts those of its -1 entries, which make up another; in any
+    summation order its partial sums lie in [-C.sum(), C.sum()]."""
     N = C.shape[1]
     dense = p <= DENSE_PASS_MAX_P
     step = _dense_pass if dense else _shift_pass
@@ -282,22 +325,23 @@ def _digit_transform(C: np.ndarray, p: int, dim: int) -> np.ndarray:
                 X[...] = Y
         top += 1
     M, passes = p ** (dim - top), dim - top  # points and passes per block
+    T = min(_tail_length(p), passes) if dense else 0  # passes the tail product folds
     group = S.size // (p * M)  # blocks per step
     G = flat[: N * (p - 1)].reshape(N, p - 1)
     for b in range(0, p ** top, group):
         g = min(group, p ** top - b)
         src = flat[b * p * M : (b + g) * p * M]
         dst = S[: src.size]
-        if (passes % 2 == 1) == dense:  # so that the last pass reads S (dense) or writes it
+        if (passes - T) % 2 == 0:  # so that the tail product reads S, or the last shift writes it
             dst[:] = src
             src, dst = dst, src
-        for k in range(passes - 1 if dense else passes):
+        for k in range(passes - T):
             step(src.reshape(g * p ** k, p * p, -1), dst.reshape(g * p ** k, p * p, -1), p)
             src, dst = dst, src
         rows = G[b * M : (b + g) * M]
         if dense:
-            np.matmul(src.reshape(-1, p * p), _pass_matrices(p, C.dtype)[1],
-                      out=rows.reshape(g * M // p, -1))
+            np.matmul(src.reshape(-1, p ** (T + 1)), _tail_matrix(p, T, C.dtype),
+                      out=rows.reshape(-1, p ** T * (p - 1)))
         else:  # zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2})
             full = src.reshape(-1, p)
             np.subtract(full[:, :-1], full[:, -1:], out=rows)
@@ -332,7 +376,8 @@ def _char_counts(space: Space, e: np.ndarray) -> np.ndarray:
     if N > walsh_cap():
         raise SizeGuard(f"p^n = {N} exceeds the transform cap")
     C = np.empty((p, N), dtype=exact_float_dtype(N))
-    np.equal(np.arange(p)[:, None], e, out=C)
+    for j in range(p):  # at 3^12 with int8 e: 0.6 ms, one broadcast compare 1.2 ms
+        np.equal(e, j, out=C[j])
     return _digit_transform(C, p, space.dim)
 
 

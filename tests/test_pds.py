@@ -345,6 +345,34 @@ def test_params_reject_epsilon_outside_plus_minus_one():
             params_coset_union(3, 4, 1, 2, 1, 0, eps)
 
 
+@pytest.mark.parametrize("func, args", [
+    (params_subset, (3, 4, 1, 1.5, False, 1)),  # would give k = 36.0
+    (params_subset, (3, 4.0, 1, 1, False, 1)),  # would give float v, k, lambda, mu
+    (params_subset, (3.0, 4, 1, 1, False, 1)),
+    (params_subset, (3, 4, True, 1, False, 1)),
+    (params_subset, (3, 4, 1, 1, False, True)),  # epsilon = True is not 1
+    (params_subset, (3, 4, 1, 1, False, 1.0)),
+    (params_coset_union, (3, 4, 2, 2.0, 1, 0, 1)),  # would give k = 16.0
+    (params_coset_union, (3, 4, 1, 2, 1.0, 0, 1)),
+    (params_coset_union, (3, 4, 1, 2, 1, 0.0, 1)),
+    (params_coset_union, (3, 4.0, 1, 2, 1, 0, 1)),
+    (semiprimitive_check, (3, 1.5, 2)),  # was a TypeError from range()
+    (gaussian_period_semiprimitive, (3, 2.0, 2, 1)),
+], ids=lambda v: v.__name__ if callable(v) else repr(v))
+def test_parameter_block_rejects_arguments_that_are_not_integers(func, args):
+    with pytest.raises(ValueError, match="must be an integer"):
+        func(*args)
+
+
+def test_parameter_block_computes_numpy_integer_arguments_as_python_ints():
+    # a power of numpy int64 arguments would wrap: 3^60 > 2^63
+    got = params_subset(np.int64(3), np.int64(60), np.int64(1), np.int64(1), True, np.int64(1))
+    assert got == params_subset(3, 60, 1, 1, True, 1)
+    assert got.v == 3 ** 60
+    args = (3, 4, 1, 2, 1, 0, 1)
+    assert params_coset_union(*map(np.int64, args)) == params_coset_union(*args)
+
+
 def test_params_refuse_exponents_past_the_printable_digits(monkeypatch):
     # 3^9012 has 4300 decimal digits and 3^9014 has 4301
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)

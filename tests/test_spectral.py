@@ -406,21 +406,28 @@ def test_shift_pass_equals_dense_pass(p, dim):
 def test_large_prime_transform_builds_no_dense_matrix():
     # a (p^2, p^2) matrix at p = 211 would hold about 2e9 entries
     spectral._pass_matrices.cache_clear()
+    spectral._tail_matrix.cache_clear()
     sp = prime_space(211, 2)
     table = np.array(_random_table(sp, 3))
     table[0] = 0
     W = walsh_full(p_ary(sp, table))
     assert spectral._pass_matrices.cache_info().currsize == 0
+    assert spectral._tail_matrix.cache_info().currsize == 0
     # W(0) = sum_x zeta^f(x), and sum_a W(a) = p^n zeta^f(0) = p^n
     counts = np.bincount(table, minlength=sp.p).tolist()
     assert W[0] == CyclotomicInt.from_exponent_counts(sp.p, counts)
     assert W.coeff_rows.sum(axis=0).tolist() == [sp.size] + [0] * (sp.p - 2)
 
 
-# prime and extension factors; three and five passes at p = 3 and 7
+# prime and extension factors.  The dense path folds the last T passes into
+# one tail product: T = 3 at 3^5 and 3^4, after two and one stacked passes;
+# at 3^2 and 3^1 the space's passes cap T at 2 and 1; T = 2 at 5^3, and
+# T = 1 from p = 7
 ORACLE_SPACES = [
     prime_space(3, 5),
     Space([F9, F3, F3]),
+    Space([F9]),
+    prime_space(3, 1),
     Space([canonical_field(5, 2), canonical_field(5, 1)]),
     Space([canonical_field(7, 2), canonical_field(7, 1)]),
     Space([canonical_field(13, 2)]),
@@ -464,13 +471,30 @@ def test_char_counts_equal_scalar_oracle(sp, path, monkeypatch):
         assert np.array_equal(sp.gather_dual(G), _scalar_char_counts(sp, e))
 
 
+def _record_tails(monkeypatch):
+    """The (p, T) of every tail product a transform runs from now on."""
+    tails, real = [], spectral._tail_matrix
+    monkeypatch.setattr(spectral, "_tail_matrix",
+                        lambda p, T, dtype: tails.append((p, T)) or real(p, T, dtype))
+    return tails
+
+
+def test_oracle_spaces_reach_every_tail_length(monkeypatch):
+    tails = _record_tails(monkeypatch)
+    for sp in ORACLE_SPACES:
+        spectral._char_counts(sp, np.zeros(sp.size, dtype=np.int8))
+    assert {(3, 1), (3, 2), (3, 3), (5, 2), (7, 1)} <= set(tails)
+
+
 @pytest.mark.parametrize("entries", ["p^2", "2p^2", "2p^3"])
 @pytest.mark.parametrize("path", ["dense", "shift"])
 @pytest.mark.parametrize("sp", ORACLE_SPACES, ids=lambda sp: "x".join(str(f.size) for f in sp.factors))
 def test_char_counts_equal_scalar_oracle_in_a_small_scratch(sp, path, entries, monkeypatch):
     # a scratch of p^2 entries chunks every pass but the last, one column and
     # one block at a time; 2p^2 takes two columns and two blocks per step,
-    # each with a remainder, and 2p^3 runs two passes inside each block
+    # each with a remainder; 2p^3 leaves two passes inside each block, which
+    # cuts the tail product short at p = 3 (T = 2) and runs one stacked pass
+    # before it from p = 7
     p, N = sp.p, sp.size
     size = {"p^2": p * p, "2p^2": 2 * p * p, "2p^3": 2 * p ** 3}[entries]
     monkeypatch.setattr(spectral, "DENSE_PASS_MAX_P", p if path == "dense" else p - 1)
@@ -480,13 +504,34 @@ def test_char_counts_equal_scalar_oracle_in_a_small_scratch(sp, path, entries, m
     calls = []
     real = getattr(spectral, step)
     monkeypatch.setattr(spectral, step, lambda X, Y, p: calls.append(X.shape) or real(X, Y, p))
+    tails = _record_tails(monkeypatch)
     rng = np.random.default_rng(N + 1)
     for e in (rng.integers(-1, p, N), np.where(rng.random(N) < 0.3, 0, -1)):
         calls.clear()
         G = spectral._char_counts(sp, e.astype(np.int8))
         assert np.array_equal(sp.gather_dual(G), _scalar_char_counts(sp, e))
-        if entries == "p^2":  # more steps than passes: the buffer went through in chunks
+        if entries == "p^2" and sp.dim > 1:
+            # more steps than passes: the buffer went through in chunks
             assert len(calls) > sp.dim
+    # a block holds one pass, or two at 2p^3, and the tail folds no more
+    assert all(T <= (2 if entries == "2p^3" else 1) for _, T in tails)
+
+
+@pytest.mark.parametrize("dim", [8, 10])
+def test_no_stacked_pass_runs_on_fewer_columns_than_the_tail_folds(dim, monkeypatch):
+    # passes over few columns are many tiny BLAS products, so the last three
+    # passes of a block at p = 3 go into the tail product; this holds at
+    # 3^10, where the top pass goes through the scratch in column chunks,
+    # as at 3^8, where it does not
+    p, N = 3, 3 ** dim
+    spectral._tail_matrix(p, 3, np.dtype(exact_float_dtype(N)))  # built through _dense_pass
+    shapes, real = [], spectral._dense_pass
+    monkeypatch.setattr(spectral, "_dense_pass",
+                        lambda X, Y, p: shapes.append(X.shape) or real(X, Y, p))
+    tails = _record_tails(monkeypatch)
+    spectral._char_counts(prime_space(p, dim), np.zeros(N, dtype=np.int8))
+    assert tails and set(tails) == {(p, 3)}
+    assert len(shapes) >= dim - 3 and min(c for _, _, c in shapes) >= p ** 3
 
 
 def test_exact_float_dtype_boundaries():

@@ -7,6 +7,28 @@ first (rank 0 is the additive, rank 1 the multiplicative identity).
 Addition runs digitwise on a table of those coefficients; multiplication
 runs through exp/log tables built from the least-rank primitive element.
 Every operation is table-driven, exact, and elementwise on rank arrays.
+
+How each table is built, and why it is exact:
+
+- The modulus is the lexicographically least monic irreducible, decided
+  by Ben-Or's form of Rabin's test (x^(p^k) - x prime to f for every
+  k <= m/2) in Python integer polynomial arithmetic mod p.
+- The digit table is built a digit at a time in its narrow dtype: the
+  table of j + 1 digits is p copies of the table of j digits.
+- The matrix of y -> c y weights the powers of the companion matrix of
+  the modulus by the digits of c.  Digit rows times such a matrix have
+  entries below p, so every sum is at most m (p - 1)^2; the exp table's
+  doubling (g^(k..2k-1) = g^(0..k-1) g^k) runs them as float BLAS
+  products in the dtype limits.exact_float_dtype gives, and reduces them
+  mod p by an exact floor (_reduce).
+- The least primitive element is found by testing a batch of candidates
+  at once, by one stacked integer square-and-multiply per prime factor f
+  of p^m - 1 (c^k is row 0 of the k-th power of the matrix of c).
+- The root of a subfield's minimal polynomial is looked for only among
+  the p^s ranks of the subfield's copy, read off the exp table: 0 and the
+  powers of w^((p^m - 1)/(p^s - 1)), where every root lies.
+- The trace tables and dual_map are GF(p)-linear maps, so their tables are
+  built from their matrices one input digit at a time, in integers.
 """
 from __future__ import annotations
 
@@ -25,7 +47,12 @@ from .errors import (
     ZeroArgument,
     ZeroBeta,
 )
-from .limits import exceeds, table_cap
+from .limits import exact_float_dtype, exceeds, table_cap
+
+# generator candidates tested per stacked matrix power
+_BATCH = 16
+# rows of the exp table's doubling product reduced at a time
+_CHUNK = 4096
 
 
 def _integer_entries(values) -> bool:
@@ -57,33 +84,50 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# -- polynomial helpers over Z_p (coefficient lists, low degree first) ----
+# -- polynomials over GF(p): coefficient lists, low degree first ---------
 
-def _poly_divmod(num, den, p):
-    num = list(num)
-    dd = len(den) - 1
-    inv_lead = pow(den[-1], p - 2, p)
+def _poly_rem(num, den, p):
+    """num mod den over GF(p), with trailing zeros dropped ([] is 0)."""
+    num, dd = [c % p for c in num], len(den) - 1
+    inv_lead = pow(den[-1], -1, p)
     for i in range(len(num) - 1, dd - 1, -1):
-        c = (num[i] * inv_lead) % p
+        c = num[i] * inv_lead % p
         if c:
             for j in range(dd + 1):
                 num[i - dd + j] = (num[i - dd + j] - c * den[j]) % p
-    while len(num) > 1 and num[-1] == 0:
+    while num and num[-1] == 0:
         num.pop()
-    return num  # remainder only
+    return num
 
 
-def _poly_is_irreducible(coeffs, p) -> bool:
-    # trial division against every monic polynomial of degree <= m/2;
-    # fine at desk scale, and degree-1 factors double as a root check
-    m = len(coeffs) - 1
-    if m == 1:
-        return True
-    for d in range(1, m // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            den = list(tail) + [1]
-            if _poly_divmod(coeffs, den, p) == [0]:
-                return False
+def _poly_mulmod(a, b, f, p):
+    prod = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _poly_rem(prod, f, p)
+
+
+def _is_irreducible(coeffs, p) -> bool:
+    """Ben-Or's form of Rabin's test (Rabin, SIAM J. Comput. 9, 1980): a
+    monic f of degree m is irreducible over GF(p) iff x^(p^k) - x is prime
+    to f for k = 1, ..., m // 2, since x^(p^k) - x is the product of the
+    monic irreducibles of degree dividing k, and a reducible f has a factor
+    of degree at most m / 2.  The commonest factors, of low degree, are
+    found first."""
+    f = list(coeffs)
+    x = frob = _poly_rem([0, 1], f, p)
+    for _ in range(1, (len(f) - 1) // 2 + 1):
+        base, frob, e = frob, [1], p  # frob becomes x^(p^k) mod f
+        while e:
+            if e & 1:
+                frob = _poly_mulmod(frob, base, f, p)
+            base, e = _poly_mulmod(base, base, f, p), e >> 1
+        a, b = f, _poly_rem([u - v for u, v in itertools.zip_longest(frob, x, fillvalue=0)], f, p)
+        while b:
+            a, b = b, _poly_rem(a, b, p)
+        if len(a) > 1:
+            return False
     return True
 
 
@@ -97,9 +141,18 @@ def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
         return (0, 1)
     for msd in itertools.product(range(p), repeat=m):
         coeffs = tuple(reversed(msd)) + (1,)
-        if _poly_is_irreducible(coeffs, p):
+        if _is_irreducible(coeffs, p):
             return coeffs
     raise ReducibleModulus(f"no irreducible polynomial found for p={p}, m={m}")
+
+
+def _monic(modulus, p: int, m: int) -> tuple[int, ...]:
+    """modulus as ints mod p, each coefficient checked by the integer rule;
+    ValueError unless it is monic of degree m."""
+    modulus = tuple(int(_check_integer(c, "modulus coefficient")) % p for c in modulus)
+    if len(modulus) != m + 1 or modulus[-1] != 1:
+        raise ValueError("modulus must be monic of degree m")
+    return modulus
 
 
 class Field:
@@ -108,6 +161,7 @@ class Field:
     arrays; int arguments give int results."""
 
     def __init__(self, p: int, m: int, modulus=None):
+        p, m = int(_check_integer(p, "p")), int(_check_integer(m, "m"))
         if m < 1:
             raise ValueError(f"extension degree must be >= 1, got {m}")
         # the size test comes first, so that outsized input costs no work
@@ -117,57 +171,101 @@ class Field:
             raise ValueError(f"characteristic must be an odd prime, got {p}")
         if modulus is None:
             modulus = smallest_irreducible(p, m)
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != m + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree m")
-        if not _poly_is_irreducible(list(modulus), p):
-            raise ReducibleModulus(f"modulus {modulus} is reducible over GF({p})")
+        else:
+            modulus = _monic(modulus, p, m)
+            if not _is_irreducible(modulus, p):
+                raise ReducibleModulus(f"modulus {modulus} is reducible over GF({p})")
         self.p = p
         self.m = m
         self.modulus = modulus
         self.size = p ** m
         self._powers = p ** np.arange(m, dtype=np.int64)
-        # digits[r] = polynomial-basis coefficients of rank r; the dtype is
-        # the narrowest that holds the sum of two digits
-        ranks = np.arange(self.size, dtype=np.int64)
-        self._digits = (ranks[:, None] // self._powers % p).astype(np.min_scalar_type(2 * p - 2))
-        # exp[i] = g^i for the least-rank g of order p^m - 1; log inverts it.
-        # Row 0 of the matrix of y -> g^k y holds the digits of g^k.
-        q1 = self.size - 1
-        self._generator = next(
-            g for g in range(2, self.size)
-            if all((_mat_pow(self._mul_matrix(g), q1 // f, p)[0] != self._digits[1]).any()
-                   for f in _prime_factors(q1))
-        )
+        # digits[r] = polynomial-basis coefficients of rank r, in the
+        # narrowest dtype that holds the sum of two digits; the table of the
+        # first j + 1 digits is p copies of that of the first j, the copy d
+        # with digit j set to d
+        self._digits = np.zeros((self.size, m), dtype=np.min_scalar_type(2 * p - 2))
+        for j in range(m):
+            block = self._digits[: p ** (j + 1)].reshape(p, p ** j, m)
+            block[1:, :, :j] = block[0, :, :j]
+            block[:, :, j] = np.arange(p)[:, None]
+        self._generator = self._least_primitive()
         self._exp = self._powers_of(self._generator)
         self._log = np.zeros(self.size, dtype=np.int64)
-        self._log[self._exp] = np.arange(q1)
+        self._log[self._exp] = np.arange(self.size - 1)
 
     # -- construction internals ------------------------------------------
 
-    def _mul_matrix(self, c: int) -> np.ndarray:
-        """M with digits(c y) = digits(y) @ M mod p."""
+    def _mul_matrices(self, c) -> np.ndarray:
+        """M[i] with digits(c[i] y) = digits(y) @ M[i] mod p, for a rank or
+        rank array c: the digits of c[i] weight the powers of the matrix of
+        y -> x y.  Floats of the exact dtype of digit-row products."""
         p, m = self.p, self.m
-        shift = np.eye(m, k=1, dtype=np.int64)  # y -> x y, with x^m reduced below
-        shift[-1] = [-c0 % p for c0 in self.modulus[:m]]
-        out, x_pow = np.zeros((m, m), dtype=np.int64), np.eye(m, dtype=np.int64)
-        for d in self._digits[c]:
-            out = (out + int(d) * x_pow) % p
-            x_pow = x_pow @ shift % p
-        return out
+        dtype = exact_float_dtype(4 * m * (p - 1) ** 2)  # see _reduce
+        shift = np.eye(m, k=1, dtype=dtype)  # y -> x y, with x^m reduced below
+        shift[-1] = np.negative(self.modulus[:m]) % p
+        x_pows = [np.eye(m, dtype=dtype)]
+        for _ in range(m - 1):
+            x_pows.append(x_pows[-1] @ shift % p)
+        weights = self._digits[np.atleast_1d(c)].astype(dtype)
+        return (weights @ np.reshape(x_pows, (m, m * m)) % p).reshape(-1, m, m)
+
+    def _least_primitive(self) -> int:
+        """The least rank c of order q - 1, _BATCH candidates at a time:
+        c^((q-1)/f) != 1 for every prime f | q - 1.  Constants have order
+        dividing p - 1, so for m > 1 the search starts at x, rank p."""
+        p, q1 = self.p, self.size - 1
+        exponents = [q1 // f for f in _prime_factors(q1)]
+        for start in range(2 if self.m == 1 else p, self.size, _BATCH):
+            c = np.arange(start, min(start + _BATCH, self.size))
+            square = self._mul_matrices(c).astype(np.int64)
+            one = np.eye(self.m, dtype=square.dtype)[0]
+            rows = np.tile(one, (len(exponents), len(c), 1))  # rows[i] = c^exponents[i]
+            bit = 1
+            while bit <= q1 // 2:
+                for i, e in enumerate(exponents):
+                    if e & bit:
+                        rows[i] = (rows[i][:, None] @ square)[:, 0] % p
+                square, bit = square @ square % p, bit << 1
+            primitive = (rows != one).any(axis=2).all(axis=0)
+            if primitive.any():
+                return int(c[primitive.argmax()])
 
     def _powers_of(self, g: int) -> np.ndarray:
         """Ranks of g^0, ..., g^{q-2} by doubling: the block g^{k..2k-1} is the
-        block g^{0..k-1} times g^k, a linear map on digit rows."""
+        block g^{0..k-1} times g^k, taken _CHUNK rows at a time so that
+        _reduce runs in cache."""
         p, q1 = self.p, self.size - 1
-        digits = np.zeros((q1, self.m), dtype=np.int64)
+        step = self._mul_matrices(g)[0]
+        digits = np.zeros((q1, self.m), dtype=step.dtype)
         digits[0, 0] = 1
-        step, k = self._mul_matrix(g), 1
+        scratch = np.empty((_CHUNK, self.m), dtype=step.dtype)
+        k = 1
         while k < q1:
             n = min(k, q1 - k)
-            digits[k : k + n] = digits[:n] @ step % p
+            for lo in range(0, n, _CHUNK):
+                block = digits[k + lo : k + min(lo + _CHUNK, n)]
+                np.matmul(digits[lo : lo + len(block)], step, out=block)
+                _reduce(block, p, scratch[: len(block)])
             step, k = step @ step % p, k + n
-        return digits @ self._powers
+        # ranks are below q, exact in the dtype that bound gives
+        return (digits @ self._powers.astype(exact_float_dtype(q1))).astype(np.int64)
+
+    def _linear_table(self, A) -> np.ndarray:
+        """Ranks of digits(y) @ A mod p at every rank y, for an integer
+        matrix A with m rows.  Per output digit, rank d p^j + r maps to
+        d A[j] plus the image of r, so the table grows p-fold per input
+        digit, as space._compose's do; its sums, at most m (p - 1), are
+        reduced once."""
+        p, d = self.p, np.arange(self.p)
+        out = np.zeros(self.size, dtype=np.int64)
+        for column in np.asarray(A, dtype=np.int64).T[::-1] % p:  # most significant first
+            t = np.zeros(1, dtype=np.min_scalar_type(self.m * (p - 1)))
+            for a in column:
+                t = ((d * a % p).astype(t.dtype)[:, None] + t).reshape(-1)
+            out *= p
+            out += t % p
+        return out
 
     def _rank(self, digits):
         return _ranks_out(digits @ self._powers)
@@ -231,27 +329,30 @@ class Field:
         canonical GF(p^k); requires k | m, which subfield(k) checks."""
         return _ranks_out(self._trace_table(k)[a])
 
-    @lru_cache(maxsize=None)
-    def _trace_table(self, k: int) -> np.ndarray:
-        # Tr_k^m is GF(p)-linear, Tr(x) = sum_j x_j Tr(x^j) over the digits
-        # x_j, so the Frobenius sum runs on the m basis elements alone; row j
-        # of T holds the canonical GF(p^k) digits of Tr(x^j)
+    def _trace_matrix(self, k: int) -> np.ndarray:
+        """Row j holds the canonical GF(p^k) digits of Tr_k^m(x^j), the
+        Frobenius sum taken on the m basis elements alone."""
         sub, _, proj = self.subfield(k)
-        basis = self._powers  # the ranks of 1, x, ..., x^(m-1)
-        total = conj = basis
+        total = conj = self._powers  # the ranks of 1, x, ..., x^(m-1)
         for _ in range(self.m // k - 1):
             conj = self.pow(conj, self.p ** k)
             total = self.add(total, conj)
-        T = sub._digits[proj[total]].astype(np.int64)
-        return self._digits @ T % self.p @ sub._powers
+        return sub._digits[proj[total]]
+
+    @lru_cache(maxsize=None)
+    def _trace_table(self, k: int) -> np.ndarray:
+        # Tr_k^m is GF(p)-linear, Tr(y) = sum_j y_j Tr(x^j) over the digits y_j
+        return self._linear_table(self._trace_matrix(k))
 
     @cached_property
     def dual_map(self) -> np.ndarray:
         """dual_map[a] = the rank u with Tr_1^m(a y) = sum_j u_j y_j for all
         y (digitwise mod p): u packs the digits (Tr_1^m(a x^j))_j.  On GF(p)
-        it is the identity."""
-        r = np.arange(self.size, dtype=np.int64)
-        return sum(self.trace(1, self.mul(r, self.p ** j)) * self.p ** j for j in range(self.m))
+        it is the identity.  a -> u is GF(p)-linear, with Tr_1^m(x^i x^j)
+        in row i, column j of its matrix."""
+        basis = self._powers
+        products = self._digits[self.mul(basis[:, None], basis)].astype(np.int64)
+        return self._linear_table((products @ self._trace_matrix(1).astype(np.int64))[..., 0])
 
     def quadratic_character(self, a: int) -> int:
         """+1 iff a is a nonzero square (a^{(q-1)/2} = 1), -1 otherwise."""
@@ -294,10 +395,12 @@ class Field:
             return self, embed, embed
         sub = canonical_field(self.p, s)
         g = sub.primitive_element
-        values = 0  # the minimal polynomial at every rank, by Horner
+        # the copy of GF(p^s), where every root of g's minimal polynomial lies
+        copy = np.append(0, self._exp[:: (self.size - 1) // (sub.size - 1)])
+        values = 0  # the minimal polynomial on the copy, by Horner
         for c in reversed(_minimal_polynomial(sub, g)):
-            values = self.add(self.mul(values, np.arange(self.size)), c)
-        root = int(np.flatnonzero(values == 0)[0])
+            values = self.add(self.mul(values, copy), c)
+        root = int(copy[values == 0].min())
         # each subfield element from its coordinates in the power basis {g^j}
         # (prime-field constants have the same rank in both fields)
         image_sub = image_big = 0
@@ -333,7 +436,11 @@ class Field:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Field":
-        return cls(int(d["p"]), int(d["m"]), d["modulus"])
+        """The inverse of to_dict: the cached canonical_field(p, m) when the
+        modulus is its own, so a reader builds each field once per process."""
+        field = canonical_field(d["p"], d["m"])
+        modulus = _monic(d["modulus"], field.p, field.m)
+        return field if modulus == field.modulus else cls(field.p, field.m, modulus)
 
 
 def _prime_factors(n: int):
@@ -349,14 +456,18 @@ def _prime_factors(n: int):
     return out
 
 
-def _mat_pow(mat: np.ndarray, k: int, p: int) -> np.ndarray:
-    out = np.eye(len(mat), dtype=np.int64)
-    while k:
-        if k & 1:
-            out = out @ mat % p
-        mat = mat @ mat % p
-        k >>= 1
-    return out
+def _reduce(v: np.ndarray, p: int, scratch: np.ndarray) -> None:
+    """v mod p in place, for a float array of integers below 2^22 (float32)
+    or 2^51 (float64), the bounds that exact_float_dtype(4 v) keeps to.
+    (v + 1/2) / p lies at least 1/(2p) from an integer, and fl(fl(v + 1/2)
+    fl(1/p)) is within (v + 1/2) / p times 2^-23 (2^-52) of it, which is
+    less, so its floor is the quotient and v - p floor(...) is exact.
+    np.remainder on float32 took about 30 times as long."""
+    np.add(v, 0.5, out=scratch)
+    scratch *= 1 / p
+    np.floor(scratch, out=scratch)
+    scratch *= p
+    v -= scratch
 
 
 def _ranks_out(r):
@@ -395,7 +506,10 @@ class CosetSet:
         return frozenset(np.flatnonzero(self.mask).tolist())
 
 
-@lru_cache(maxsize=None)
 def canonical_field(p: int, m: int) -> Field:
-    """The GF(p^m) with the auto-selected modulus; cached per (p, m)."""
-    return Field(p, m)
+    """The GF(p^m) with the auto-selected modulus; cached per (p, m), which
+    pass the integer rule first, so that 3.0 or True never reach the cache."""
+    return _canonical_field(int(_check_integer(p, "p")), int(_check_integer(m, "m")))
+
+
+_canonical_field = lru_cache(maxsize=None)(Field)

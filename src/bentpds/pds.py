@@ -590,7 +590,11 @@ def verify_pds_characters(space: Space, D, candidate: PdsParams) -> bool:
     sums in another order, meet 2 chi(D) = beta +- sqrt(Delta) column by
     column, with sqrt(Delta) an integer or d g for Delta = p* d^2.  Any
     other Delta, and a negative one (the sums of a symmetric set are real),
-    rejects without a transform.  No difference is counted."""
+    rejects without a transform.  No difference is counted.  v, k, lambda
+    and mu must be integers (_check_integer)."""
+    if any(type(x) is not int for x in candidate.as_tuple()):  # ints skip the ~7 us rebuild
+        candidate = PdsParams(*(int(_check_integer(x, what)) for x, what in
+                                zip(candidate.as_tuple(), ("v", "k", "lambda", "mu"))))
     Dv = _candidacy(space, D)
     if candidate.v != space.size or candidate.k != Dv.size:
         return False

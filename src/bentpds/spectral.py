@@ -136,7 +136,7 @@ class VectorialFunction:
         cod = d["codomain"]
         return cls(
             Space.from_list(d["space"]),
-            canonical_field(int(cod["p"]), int(cod["s"])),
+            canonical_field(cod["p"], cod["s"]),
             d["table"],
         )
 

@@ -456,6 +456,34 @@ def test_only_certify_reads_the_dual(tmp_path, capsys):
         assert len(out.splitlines()) == 1 and json.loads(out)["error"] == "usage"
 
 
+# int() read each of these descriptors as GF(9) or GF(3), and pds-verify
+# exited 0 with "verified":true
+NON_INTEGER_DESCRIPTORS = {
+    "space p 3.5": ("space", "p", 3.5),
+    "space m '2'": ("space", "m", "2"),
+    "space modulus 1.5": ("space", "modulus", [1.5, 0, 1]),
+    "codomain p 3.0": ("codomain", "p", 3.0),
+    "codomain s true": ("codomain", "s", True),
+}
+
+
+@pytest.mark.parametrize("part,key,value", NON_INTEGER_DESCRIPTORS.values(),
+                         ids=NON_INTEGER_DESCRIPTORS.keys())
+def test_non_integer_field_descriptors_exit_2(tmp_path, capsys, part, key, value):
+    bundle = tmp_path / "mm.json"
+    run(capsys, "construct", "--family", "mm-power", "--p", "3", "--m", "2", "--s", "1",
+        "--out", str(bundle))
+    damaged = json.loads(bundle.read_text())
+    target = damaged["function"][part]
+    (target[0] if part == "space" else target)[key] = value
+    bundle.write_text(json.dumps(damaged))
+    code, out = run(capsys, "pds-verify", "--file", str(bundle), "--set", "zero",
+                    "--method", "bruteforce")
+    assert code == 2
+    record = json.loads(out)
+    assert record["error"] == "usage" and "must be an integer" in record["message"]
+
+
 def test_pipeline_does_not_import_numpy_ma(tmp_path):
     # np.unique and np.union1d import numpy.ma on their first call, about
     # 15 ms and 2 MB of peak RSS per process; the library path preimage ->

@@ -328,3 +328,42 @@ def test_numpy_integer_ranks_and_exponents_are_integers():
     assert F9.check_rank(np.int64(3)) == 3
     assert F9.subgroup_coset(np.int32(2), np.uint8(1)).members == {1, 2, 3, 6}
     assert pds.semiprimitive_check(3, 2, np.int64(2)) == pds.semiprimitive_check(3, 2, 2)
+
+
+# int() read each of these as GF(9) modulo x^2 + 1, or let a TypeError out
+NON_INTEGER_FIELDS = {
+    "Field(3, 2, (1, 0, 1.5))": lambda: Field(3, 2, (1, 0, 1.5)),
+    "Field(3, 2, (1, 0, True))": lambda: Field(3, 2, (1, 0, True)),
+    "Field(3.0, 2)": lambda: Field(3.0, 2),
+    "Field(3, True)": lambda: Field(3, True),
+    "canonical_field(3, 2.0)": lambda: canonical_field(3, 2.0),
+    "canonical_field(3, True)": lambda: canonical_field(3, True),
+    "from_dict p 3.5": lambda: Field.from_dict({"p": 3.5, "m": 2, "modulus": [1, 0, 1]}),
+    "from_dict m '2'": lambda: Field.from_dict({"p": 3, "m": "2", "modulus": [1, 0, 1]}),
+    "from_dict modulus 1.5": lambda: Field.from_dict({"p": 3, "m": 2, "modulus": [1.5, 0, 1]}),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGER_FIELDS.values(), ids=NON_INTEGER_FIELDS.keys())
+def test_field_descriptors_follow_the_integer_rule(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+def test_numpy_integer_descriptors_build_the_field():
+    field = Field(np.int64(3), np.int64(2), np.array([1, 0, 1]))
+    assert field == F9 and type(field.p) is int and type(field.m) is int
+    assert canonical_field(np.int32(3), np.uint8(2)) is F9
+    assert Field.from_dict({"p": np.int64(3), "m": np.int64(2), "modulus": [np.int64(1), 0, 1]}) is F9
+
+
+def test_from_dict_builds_each_canonical_field_once():
+    assert Field.from_dict(F81.to_dict()) is F81
+    # a modulus read mod p is the canonical one; another builds its own field
+    assert Field.from_dict({"p": 3, "m": 2, "modulus": [4, -3, 1]}) is F9
+    other = Field.from_dict({"p": 3, "m": 2, "modulus": [2, 2, 1]})
+    assert other.modulus == (2, 2, 1) and other is not Field.from_dict(other.to_dict())
+    with pytest.raises(ReducibleModulus):
+        Field.from_dict({"p": 3, "m": 2, "modulus": [2, 0, 1]})
+    with pytest.raises(ValueError, match="monic of degree m"):
+        Field.from_dict({"p": 3, "m": 2, "modulus": [1, 1]})

@@ -610,6 +610,18 @@ def test_verify_characters_on_xy_preimages():
     assert not verify_pds_characters(sp, D1, PdsParams(9, 3, 1, 0))
 
 
+def test_verify_characters_checks_its_quadruple_by_the_integer_rule():
+    # D_0 of mm_power(3, 2, 1, 1, 1) is an (81, 32, 13, 12) PDS; lambda 13.5
+    # let out a TypeError and v = 81.0 verified True
+    D = preimage(mm_power(3, 2, 1, 1, 1).function, {0})
+    assert verify_pds_characters(D.group, D, PdsParams(81, 32, 13, 12))
+    assert verify_pds_characters(D.group, D, PdsParams(*map(np.int64, (81, 32, 13, 12))))
+    for params, what in [(PdsParams(81, 32, 13.5, 12), "lambda"), (PdsParams(81.0, 32, 13, 12), "v"),
+                         (PdsParams(81, True, 13, 12), "k"), (PdsParams(81, 32, 13, "12"), "mu")]:
+        with pytest.raises(ValueError, match=f"^{what} = .* must be an integer$"):
+            verify_pds_characters(D.group, D, params)
+
+
 def test_verify_characters_rejects_sums_beyond_k_without_a_warning():
     # beta = 10^40 and Delta = beta^2: r1 = 10^40 overflows every float dtype
     sp = XY.function.domain

@@ -2,7 +2,7 @@
 functions over odd-characteristic fields and the partial difference sets
 their preimages form."""
 
-from .cyclo import CyclotomicInt, automorphism, conj_norm, conjugate, gauss_sum
+from .cyclo import CyclotomicInt, gauss_sum
 from .field import CosetSet, Field, canonical_field
 from .space import Space, prime_space
 from .spectral import (
@@ -11,7 +11,6 @@ from .spectral import (
     LformConverseReport,
     VectorialFunction,
     WalshSpectrum,
-    anf,
     classify_bent,
     component,
     dual_bent_certificate,

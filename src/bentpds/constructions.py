@@ -23,7 +23,7 @@ from .errors import (
     ZeroArgument,
     ZeroCoefficient,
 )
-from .field import Field, canonical_field
+from .field import Field, _check_integer, canonical_field
 from .limits import exceeds, table_cap
 from .space import Space
 from .spectral import VectorialFunction
@@ -146,7 +146,7 @@ def mm_power(p: int, m: int, s: int, a: int, e: int) -> ConstructedPair:
     if m % s != 0:
         raise NotADivisor(f"{s} does not divide {m}")
     _check_a(F, a)
-    q = F.size
+    q, e = F.size, int(_check_integer(e, "e"))
     if math.gcd(e, q - 1) != 1:
         raise BadExponent(f"gcd({e}, {q - 1}) != 1")
     u = pow(e, -1, q - 1)
@@ -164,7 +164,7 @@ def mm_qpoly(p: int, m: int, s: int, a: int, l_coeffs) -> ConstructedPair:
     _check_shape(p, s, m, m)
     F = canonical_field(p, m)
     _check_a(F, a)
-    l_coeffs = [int(c) for c in l_coeffs]
+    l_coeffs = [int(_check_integer(c, "q-polynomial coefficient")) for c in l_coeffs]
     table, dual = _mm_block(F, s, a, *_qpoly_tables(F, s, l_coeffs))
     return _pair("mm-qpoly", Space([F, F]), canonical_field(p, s), table, dual, 1,
                  lambda c: 1, {"p": p, "m": m, "s": s, "a": a, "l_coeffs": l_coeffs})
@@ -199,7 +199,7 @@ def diag_quad(p: int, s: int, m: int, coeffs) -> ConstructedPair:
     """
     _check_shape(p, s, s * m)
     sub = canonical_field(p, s)
-    coeffs = [sub.check_rank(int(c), "coefficient") for c in coeffs]
+    coeffs = [int(sub.check_rank(c, "coefficient")) for c in coeffs]
     if len(coeffs) != m:
         raise ValueError(f"need {m} coefficients")
     if any(c == 0 for c in coeffs):
@@ -261,10 +261,11 @@ def spread_bent(p: int, m: int, s: int, labeling=None, gamma0: int = 0) -> Const
     q = p ** m
     if labeling is None:
         labeling = [r % sub.size for r in range(q)]
-    labeling = [sub.check_rank(int(v), "label") for v in labeling]
+    labeling = [int(sub.check_rank(v, "label")) for v in labeling]
     if len(labeling) != q:
         raise UnbalancedLabeling(f"labeling must assign all {q} lines")
-    labels = np.array([sub.check_rank(int(gamma0), "gamma0")] + labeling)
+    gamma0 = int(sub.check_rank(gamma0, "gamma0"))
+    labels = np.array([gamma0] + labeling)
     per_value = q // sub.size
     if (np.bincount(labeling, minlength=sub.size) != per_value).any():
         raise UnbalancedLabeling(f"labeling must hit every value exactly {per_value} times")
@@ -272,7 +273,7 @@ def spread_bent(p: int, m: int, s: int, labeling=None, gamma0: int = 0) -> Const
     dual = labels[perp[line]]
     dual[0] = labels[0]
     return _pair("spread", Space([F, F]), sub, labels[line], dual, -1, lambda c: 1,
-                 {"p": p, "m": m, "s": s, "labeling": labeling, "gamma0": int(gamma0)})
+                 {"p": p, "m": m, "s": s, "labeling": labeling, "gamma0": gamma0})
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +315,7 @@ def branched_quad_mm(
     if Fm.check_rank(beta, "beta") == 0 or Fm.check_rank(gamma, "gamma") == 0:
         raise ZeroArgument("beta and gamma must be nonzero")
     sub = canonical_field(p, s)
-    l_coeffs = [int(c) for c in l_coeffs]
+    l_coeffs = [int(_check_integer(c, "q-polynomial coefficient")) for c in l_coeffs]
     L, linv = _qpoly_tables(Fm, s, l_coeffs)
     # branch index per y2: 0 / 1 / 2 for Tr_s^m(gamma y2^2) zero / square / non-square
     sel = 1 + sub.log_residue(_quad_block(Fm, s, gamma), 2)

@@ -31,11 +31,6 @@ class ReducibleModulus(BentError):
     pass
 
 
-# cyclo -----------------------------------------------------------------
-class MixedPrime(BentError):
-    pass
-
-
 # spectral --------------------------------------------------------------
 class SizeGuard(BentError):
     pass

@@ -33,6 +33,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,9 +84,21 @@ class PdsParams:
         return {"v": self.v, "k": self.k, "lambda": self.lam, "mu": self.mu}
 
 
+def _integer_params(params: PdsParams) -> PdsParams:
+    """params, after checking that v, k, lambda and mu are integers
+    (_check_integer), with Python int fields."""
+    values = params.as_tuple()
+    if all(type(x) is int for x in values):  # ints skip the ~7 us rebuild
+        return params
+    return PdsParams(*(int(_check_integer(x, what)) for x, what in
+                       zip(values, ("v", "k", "lambda", "mu"))))
+
+
 def params_match(candidate: PdsParams, observed: PdsParams) -> bool:
     """Equality with the degenerate conventions: lambda is vacuous for the
-    empty set, mu for the whole punctured group."""
+    empty set, mu for the whole punctured group.  Both quadruples must hold
+    integers (_integer_params)."""
+    candidate, observed = _integer_params(candidate), _integer_params(observed)
     if (candidate.v, candidate.k) != (observed.v, observed.k):
         return False
     if candidate.k > 0 and candidate.lam != observed.lam:
@@ -428,21 +441,43 @@ def _half_sub_table(p: int, width: int) -> np.ndarray:
     return _compose([(digit[:, None] - digit) % p] * width, axes=2)
 
 
-def _gather_counts(space: Space, Dv: np.ndarray) -> np.ndarray:
+class _RankSplit(NamedTuple):
+    """The ranks of D split as r = hi q1 + lo, q1 = p^h1, into h1 low and
+    h2 high base-p digits, with the digitwise subtraction table of each
+    block (_half_sub_table): a difference of two ranks is two lookups."""
+
+    p: int
+    h1: int
+    h2: int
+    hi: np.ndarray
+    lo: np.ndarray
+    t_lo: np.ndarray
+    t_hi: np.ndarray
+
+
+def _rank_split(space: Space, Dv: np.ndarray) -> _RankSplit:
+    """The split of both pair-count routes, h1 = ceil(dim / 2).  The dense
+    route needs every count up to q2 = p^h2 exact in float32, and t_hi has
+    q2^2 entries, so past that this raises SizeGuard before building
+    anything.  float64 would first be needed at q2 = 2^24, that is
+    v >= 2^48 points, whose tables no memory holds."""
+    p, dim = space.p, space.dim
+    h1 = (dim + 1) // 2
+    q1, q2 = p ** h1, p ** (dim - h1)
+    if exact_float_dtype(q2) != np.float32:
+        raise SizeGuard(f"{q2} high-digit values are not exact in float32")
+    hi, lo = np.divmod(Dv, q1)
+    return _RankSplit(p, h1, dim - h1, hi, lo,
+                      _half_sub_table(p, h1), _half_sub_table(p, dim - h1))
+
+
+def _gather_counts(split: _RankSplit) -> np.ndarray:
     """counts[g] = #{(d1, d2) in D^2 : d1 - d2 = g}, one table lookup per
     ordered pair: |D|^2 gathers in blocks of about 4M pairs."""
-    v = space.size
-    p, dim = space.p, space.dim
-    # split each rank into a low and a high digit block so the digitwise
-    # subtraction becomes two table lookups per ordered pair
-    h1 = (dim + 1) // 2
-    q1 = p ** h1
-    t_lo = _half_sub_table(p, h1)
-    t_hi = _half_sub_table(p, dim - h1)
-    lo = Dv % q1
-    hi = Dv // q1
+    p, h1, h2, hi, lo, t_lo, t_hi = split
+    q1, v = p ** h1, p ** (h1 + h2)
     counts = np.zeros(v, dtype=np.int64)
-    N = Dv.size
+    N = lo.size
     block = max(1, min(N, 4_000_000 // N))
     for start in range(0, N, block):
         rows = slice(start, start + block)
@@ -460,16 +495,15 @@ def _scaling(p: int, width: int, lam: int) -> np.ndarray:
     return perm
 
 
-def _orbit_group(p: int, h1: int, h2: int, M: np.ndarray, hi: np.ndarray,
-                 lo: np.ndarray) -> list[int]:
+def _orbit_group(split: _RankSplit, M: np.ndarray) -> list[int]:
     """S = {+-1} . {lam in GF(p)^* : lam D = D}, ascending, for D given by
-    its indicator M[hi, lo] and the high and low digit blocks hi, lo of its
-    ranks, h2 and h1 digits wide.
+    its rank split and its indicator M[hi, lo].
 
     count(lam g) = count(g) for every lam in S: -1 swaps the pair order,
     and lam D = D maps the pairs of g onto those of lam g.  Each lam not yet
     in S costs one O(|D|) test of lam D in D on the indicator, at most
     p - 3 tests in all and none at p = 3."""
+    p, h1, h2, hi, lo, _, _ = split
     S = {1, p - 1}
     for lam in range(2, p - 1):
         if lam not in S and M[_scaling(p, h2, lam)[hi], _scaling(p, h1, lam)[lo]].all():
@@ -477,9 +511,8 @@ def _orbit_group(p: int, h1: int, h2: int, M: np.ndarray, hi: np.ndarray,
     return sorted(S)
 
 
-def _dense_counts(space: Space, Dv: np.ndarray) -> np.ndarray:
-    """The same counts from the indicator matrix M[hi, lo] of D, with a rank
-    split into the low and high digit blocks of _gather_counts.  For a
+def _dense_counts(split: _RankSplit) -> np.ndarray:
+    """The same counts from the indicator matrix M[hi, lo] of D.  For a
     high-digit difference gh, P = M^T M[hi - gh] counts the h with (h, l1)
     and (h - gh, l2) in D, and binning P by the low-digit difference
     t_lo[l1, l2] gives the row counts[gh, :].  Since count(lam g) = count(g)
@@ -489,26 +522,17 @@ def _dense_counts(space: Space, Dv: np.ndarray) -> np.ndarray:
     read through the low-block map y -> y / lam.
 
     The products run in float32.  An entry of P, and every partial sum
-    behind it, is an integer in [0, q2] with q2 = p^(dim - h1) high-digit
-    values, so the arithmetic is exact while exact_float_dtype(q2) is
-    float32; past that this raises SizeGuard before building anything.
-    float64 would first be needed at q2 = 2^24, that is v >= 2^48 points,
-    whose indicator matrix no memory holds."""
-    p, dim = space.p, space.dim
-    h1 = (dim + 1) // 2
-    q1, q2 = p ** h1, p ** (dim - h1)
-    if exact_float_dtype(q2) != np.float32:
-        raise SizeGuard(f"{q2} high-digit values are not exact in float32")
-    t_lo = _half_sub_table(p, h1)
-    t_hi = _half_sub_table(p, dim - h1)
-    hi, lo = Dv // q1, Dv % q1
+    behind it, is an integer in [0, q2] with q2 = p^h2 high-digit values,
+    which _rank_split keeps exact in float32."""
+    p, h1, h2, hi, lo, t_lo, t_hi = split
+    q1, q2 = p ** h1, p ** h2
     M = np.zeros((q2, q1), dtype=np.float32)
     M[hi, lo] = 1
-    S = _orbit_group(p, h1, dim - h1, M, hi, lo)
+    S = _orbit_group(split, M)
     # the least rank of each S-orbit; 0 is an orbit of its own, listed first
     orbit_min = ranks = np.arange(q2)
     for lam in S[1:]:
-        orbit_min = np.minimum(orbit_min, _scaling(p, dim - h1, lam))
+        orbit_min = np.minimum(orbit_min, _scaling(p, h2, lam))
     reps = np.flatnonzero(orbit_min == ranks)
     counts = np.zeros((q2, q1), dtype=np.int64)
     for gh in reps:
@@ -516,7 +540,7 @@ def _dense_counts(space: Space, Dv: np.ndarray) -> np.ndarray:
         counts[gh] = np.bincount(t_lo.ravel(), weights=P.ravel(), minlength=q1)
     rows = counts[reps[1:]]
     for lam in S[1:]:
-        counts[_scaling(p, dim - h1, lam)[reps[1:]]] = rows[:, _scaling(p, h1, pow(lam, -1, p))]
+        counts[_scaling(p, h2, lam)[reps[1:]]] = rows[:, _scaling(p, h1, pow(lam, -1, p))]
     return counts.ravel()
 
 
@@ -527,15 +551,15 @@ def verify_pds_bruteforce(space: Space, D) -> PdsParams | None:
     the vacuous positions.
 
     Both counting routes are exact difference counting and never use a
-    character transform.  A sparse set goes through _gather_counts, |D|^2
-    table lookups; a set with 16 |D| >= v goes through _dense_counts,
-    1 + (q2 - 1) / |S| float32 products of about v q1 multiply-adds each
-    (q1 q2 = v; |S| >= 2 scalars fix D up to sign), at most about v^2 / 2
-    multiply-adds.  The rule sits at the measured crossover: with
-    single-threaded BLAS on a 2-vCPU Xeon VM, on random symmetric sets
-    (|S| = 2) at 3^8, 3^10, 3^12, 5^6 and 7^6, gathering won at
-    |D| = v / 64 and the product won at |D| = v / 16.  Both routes stay because sparse sets
-    occur: at 3^12 with |D| = v / 256, the size of a D_0 with s = m,
+    character transform, and both read one _rank_split of D.  A sparse
+    set goes through _gather_counts, |D|^2 table lookups; a set with
+    16 |D| >= v goes through _dense_counts, 1 + (q2 - 1) / |S| float32
+    products of about v q1 multiply-adds each (q1 q2 = v; |S| >= 2 scalars
+    fix D up to sign), at most about v^2 / 2 multiply-adds.  The rule sits
+    at the measured crossover: with single-threaded BLAS on a 2-vCPU Xeon
+    VM, on random symmetric sets (|S| = 2) at 3^8, 3^10, 3^12, 5^6 and
+    7^6, gathering won at |D| = v / 64 and the product won at
+    |D| = v / 16.  Both routes stay because sparse sets occur: at 3^12 with |D| = v / 256, the size of a D_0 with s = m,
     gathering takes 0.17 s and the product 3.9 s.  The cap bounds both
     routes: v must be within the transform's point cap, so the two
     verifiers accept the same groups, at under v^2 / 256 gathers or about
@@ -547,7 +571,8 @@ def verify_pds_bruteforce(space: Space, D) -> PdsParams | None:
     if Dv.size == 0:
         return PdsParams(v, 0, 0, 0)
     N = Dv.size
-    counts = _dense_counts(space, Dv) if 16 * N >= v else _gather_counts(space, Dv)
+    split = _rank_split(space, Dv)
+    counts = _dense_counts(split) if 16 * N >= v else _gather_counts(split)
     in_D = np.zeros(v, dtype=bool)
     in_D[Dv] = True
     rest = ~in_D
@@ -579,7 +604,7 @@ def _ring_sqrt(p: int, delta: int) -> tuple[int, ...] | None:
     d = math.isqrt(d2) if d2 > 0 else 0
     if rem or d * d != d2:
         return None
-    return (d * gauss_sum(p)).coeffs
+    return tuple(d * c for c in gauss_sum(p).coeffs)
 
 
 def verify_pds_characters(space: Space, D, candidate: PdsParams) -> bool:
@@ -591,10 +616,8 @@ def verify_pds_characters(space: Space, D, candidate: PdsParams) -> bool:
     column, with sqrt(Delta) an integer or d g for Delta = p* d^2.  Any
     other Delta, and a negative one (the sums of a symmetric set are real),
     rejects without a transform.  No difference is counted.  v, k, lambda
-    and mu must be integers (_check_integer)."""
-    if any(type(x) is not int for x in candidate.as_tuple()):  # ints skip the ~7 us rebuild
-        candidate = PdsParams(*(int(_check_integer(x, what)) for x, what in
-                                zip(candidate.as_tuple(), ("v", "k", "lambda", "mu"))))
+    and mu must be integers (_integer_params)."""
+    candidate = _integer_params(candidate)
     Dv = _candidacy(space, D)
     if candidate.v != space.size or candidate.k != Dv.size:
         return False

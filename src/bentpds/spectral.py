@@ -15,8 +15,8 @@ p^2 slice-adds of shifted exponent rows instead.  u lands above j', so
 after n passes the frequencies are in natural order with no transpose or
 digit reversal.  The last T passes (T = 3 at p = 3, 2 at p = 5, else 1)
 and the reduction to the basis {1, zeta, ..., zeta^{p-2}} (the
-CyclotomicInt.from_exponent_counts rule) are one 2-D product with a
-{-1, 0, 1} matrix, so the transform ends in (p^n, p - 1) reduced counts.
+cyclo.reduce_counts rule, applied to the matrix) are one 2-D product with
+a {-1, 0, 1} matrix, so the transform ends in (p^n, p - 1) reduced counts.
 It runs in place: one (p, p^n) buffer and a fixed scratch array hold
 everything, and the reduced counts end up at the front of the buffer
 (_digit_transform).  The counts are floats: every count and partial sum
@@ -66,7 +66,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclo import CyclotomicInt, gauss_sum
+from .cyclo import CyclotomicInt, gauss_sum, reduce_counts
 from .errors import (
     MatchFailure,
     NotBent,
@@ -142,7 +142,7 @@ class VectorialFunction:
 
 
 def _check_p_ary(f: VectorialFunction) -> None:
-    """Walsh spectra, ANF and l-forms are defined for values in GF(p)."""
+    """Walsh spectra and l-forms are defined for values in GF(p)."""
     if f.s != 1:
         raise ValueError(f"a p-ary (s = 1) function is needed, got s = {f.s}")
 
@@ -226,8 +226,8 @@ def _tail_matrix(p: int, T: int, dtype: np.dtype) -> np.ndarray:
     """K_T, of shape (p^{T+1}, p^T (p - 1)): the last T passes of a block,
     then the reduction to {1, ..., zeta^{p-2}}.  Row i is the image of the
     i-th unit vector of a block of counts (exponent j, then the T digits of
-    x left) under T passes with B, with the zeta^{p-1} count subtracted from
-    each frequency's row; so an entry is [j' = j - <u, t>] - [p - 1 = j -
+    x left) under T passes with B, each frequency's row then reduced by
+    reduce_counts; so an entry is [j' = j - <u, t>] - [p - 1 = j -
     <u, t>], in {-1, 0, 1}.  Shared between calls, so read-only."""
     size = p ** (T + 1)
     src, dst = np.eye(size, dtype=dtype), np.empty((size, size), dtype=dtype)
@@ -235,8 +235,7 @@ def _tail_matrix(p: int, T: int, dtype: np.dtype) -> np.ndarray:
         shape = (size * p ** k, p * p, -1)
         _dense_pass(src.reshape(shape), dst.reshape(shape), p)
         src, dst = dst, src
-    full = src.reshape(size, p ** T, p)
-    K = (full[:, :, :-1] - full[:, :, -1:]).reshape(size, -1)
+    K = reduce_counts(src.reshape(size, p ** T, p)).reshape(size, -1)
     K.setflags(write=False)
     return K
 
@@ -295,8 +294,8 @@ def _digit_transform(C: np.ndarray, p: int, dim: int) -> np.ndarray:
     are one 2-D product of its rows of p^{T+1} counts with K_T of
     _tail_matrix: those passes have R < p^T, so stacked they would be many
     tiny BLAS calls.  The product reads S and writes the blocks' reduced
-    rows to the front of C; after the last shifts, which land in S, the
-    zeta^{p-1} column is subtracted instead.  Block b's p^{dim-k} rows of
+    rows to the front of C; after the last shifts, which land in S,
+    reduce_counts writes them there instead.  Block b's p^{dim-k} rows of
     p - 1 counts end before block b + 1 begins, so they only overwrite
     blocks already consumed.  The result is a view of C.
 
@@ -342,9 +341,8 @@ def _digit_transform(C: np.ndarray, p: int, dim: int) -> np.ndarray:
         if dense:
             np.matmul(src.reshape(-1, p ** (T + 1)), _tail_matrix(p, T, C.dtype),
                       out=rows.reshape(-1, p ** T * (p - 1)))
-        else:  # zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2})
-            full = src.reshape(-1, p)
-            np.subtract(full[:, :-1], full[:, -1:], out=rows)
+        else:
+            reduce_counts(src.reshape(-1, p), out=rows)
     return G
 
 
@@ -407,14 +405,12 @@ def _candidate_map(p: int, n: int):
     lookup of _match_candidates: (weights w, candidate keys in ascending
     order, and the coefficient rows, signs and exponents j in that order,
     the exponents in the narrow table dtype)."""
-    if n % 2 == 0:
-        u = CyclotomicInt.from_int(p, p ** (n // 2))
-    else:
-        u = p ** ((n - 1) // 2) * gauss_sum(p)
+    # u = p^{n/2} or p^{(n-1)/2} g as counts, its reduced row with a zero
+    # zeta^{p-1} count; times zeta^j, count i moves to i + j
+    u = CyclotomicInt.from_int(p, 1) if n % 2 == 0 else gauss_sum(p)
+    u_counts = p ** (n // 2) * np.array(u.coeffs + (0,), dtype=np.int64)
     signs, js = np.tile([1, -1], p), np.repeat(np.arange(p, dtype=_narrow(p)), 2)
-    rows = [(sign * u * CyclotomicInt.zeta_pow(p, j)).coeffs
-            for sign, j in zip(signs.tolist(), js.tolist())]
-    rows = np.array(rows, dtype=np.int64)
+    rows = reduce_counts(signs[:, None] * u_counts[(np.arange(p) - js[:, None]) % p])
     # weights linear in the coefficient index collide on the odd-n Gauss-sum
     # rows; numpy.random would cost its import in every process
     rng = random.Random(p)
@@ -598,43 +594,6 @@ def dual_bent_certificate(
     if failure < q or len(set(sigma.values())) != q - 1:
         return None
     return DualBentCertificate(Fstar, sigma, epsilons)
-
-
-# ---------------------------------------------------------------------------
-# algebraic normal form
-# ---------------------------------------------------------------------------
-
-def _inverse_vandermonde(p: int) -> list[list[int]]:
-    v = [[pow(i, j, p) if j else 1 for j in range(p)] for i in range(p)]
-    # Gauss-Jordan over GF(p)
-    aug = [row[:] + [int(i == r) for i in range(p)] for r, row in enumerate(v)]
-    for col in range(p):
-        piv = next(r for r in range(col, p) if aug[r][col] % p)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], p - 2, p)
-        aug[col] = [(x * inv) % p for x in aug[col]]
-        for r in range(p):
-            if r != col and aug[r][col]:
-                fac = aug[r][col]
-                aug[r] = [(x - fac * y) % p for x, y in zip(aug[r], aug[col])]
-    return [row[p:] for row in aug]
-
-
-def anf(f: VectorialFunction) -> dict[tuple[int, ...], int]:
-    """Coefficients of the unique polynomial with per-variable degree <= p-1
-    agreeing with f on GF(p)^n, by iterated univariate interpolation."""
-    _check_p_ary(f)
-    sp = f.domain
-    if any(fac.m != 1 for fac in sp.factors):
-        raise ValueError("anf needs a pure GF(p)^n domain; read the table on prime_space(p, n)")
-    p, n = f.p, sp.dim
-    vinv = np.array(_inverse_vandermonde(p), dtype=np.int64)
-    # Fortran order: axis k of the cube is digit k of the rank, i.e. x_k
-    cube = f.table.reshape((p,) * n, order="F")
-    for axis in range(n):
-        cube = np.moveaxis(np.tensordot(vinv, cube, axes=([1], [axis])), 0, axis) % p
-    nonzero = np.argwhere(cube)
-    return dict(zip(map(tuple, nonzero.tolist()), cube[tuple(nonzero.T)].tolist()))
 
 
 # ---------------------------------------------------------------------------

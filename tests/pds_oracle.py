@@ -13,10 +13,10 @@ import math
 
 import numpy as np
 
-from bentpds.cyclo import CyclotomicInt
 from bentpds.errors import FormulaMismatch, NotBijection
 from bentpds.pds import SigmaReport
 from bentpds.spectral import component, walsh_full
+from ring_oracle import RingInt
 from space_oracle import inner_product
 
 
@@ -31,7 +31,7 @@ def component_spectra(F):
     return {c: walsh_full(component(F, c)) for c in range(1, F.codomain.size)}
 
 
-def char_sum_preimage(F, u: int, i: int, spectra=None) -> CyclotomicInt:
+def char_sum_preimage(F, u: int, i: int, spectra=None) -> RingInt:
     """chi_u(D_i) for D_i = { x : F(x) = i } (zero point included), computed
     directly and through the component-spectrum formula
 
@@ -43,22 +43,22 @@ def char_sum_preimage(F, u: int, i: int, spectra=None) -> CyclotomicInt:
     direct_counts = [0] * p
     for x in np.nonzero(F.table == i)[0]:
         direct_counts[inner_product(sp, u, int(x))] += 1
-    direct = CyclotomicInt.from_exponent_counts(p, direct_counts)
+    direct = RingInt.from_exponent_counts(p, direct_counts)
 
     if spectra is None:
         spectra = component_spectra(F)
     tr1 = cod._trace_table(1)
     minus_u = sp.negate(u)
-    total = CyclotomicInt.zero(p)
+    total = RingInt.zero(p)
     for c in range(1, cod.size):
-        phase = CyclotomicInt.zeta_pow(p, -tr1[cod.mul(c, i)])
+        phase = RingInt.zeta_pow(p, -tr1[cod.mul(c, i)])
         total = total + spectra[c][minus_u] * phase
     if u == 0:
         # the c = 0 term of the character expansion, before the p^{-s} division
-        total = total + CyclotomicInt.from_int(p, p ** sp.dim)
+        total = total + RingInt.from_int(p, p ** sp.dim)
     if any(c % cod.size for c in total.coeffs):
         raise FormulaMismatch("p^{-s} division is not exact")
-    formula = CyclotomicInt(p, [c // cod.size for c in total.coeffs])
+    formula = RingInt(p, [c // cod.size for c in total.coeffs])
     if formula != direct:
         raise FormulaMismatch(
             f"character-sum formula disagrees with the direct sum at u={u}, i={i}"

@@ -18,7 +18,6 @@ from bentpds.constructions import (
     spread_bent,
     branched_quad_mm,
 )
-from bentpds.cyclo import automorphism
 from bentpds.field import canonical_field
 from bentpds.pds import (
     coset_preimage,
@@ -42,6 +41,7 @@ from bentpds.spectral import (
     lform_converse_check,
     walsh_full,
 )
+from ring_oracle import automorphism
 from space_oracle import scalar_mul
 from spectral_oracle import parseval_ok, walsh_naive
 

@@ -318,3 +318,26 @@ def test_constructors_refuse_tables_over_the_cap(monkeypatch):
         spread_bent(3, 3, 1)
     with pytest.raises(SizeGuard):
         branched_quad_mm(3, 2, 2, 1, 1, 1, 1, 1, 1)
+
+
+@pytest.mark.parametrize("build, what", [
+    (lambda: mm_power(3, 2, 1, 1, 1.5), "e"),
+    (lambda: mm_qpoly(3, 2, 1, 1, [1.5]), "q-polynomial coefficient"),
+    (lambda: mm_qpoly(3, 2, 1, 1, [True]), "q-polynomial coefficient"),
+    (lambda: branched_quad_mm(3, 1, 1, 1, 1, 1, 1, 1, 1, [1.0]), "q-polynomial coefficient"),
+    (lambda: diag_quad(3, 1, 2, [1.0, True]), "coefficient"),
+    (lambda: spread_bent(3, 2, 1, [0, 1, 2] * 2 + [0, 1, 2.0]), "label"),
+    (lambda: spread_bent(3, 2, 1, None, 0.9), "gamma0"),
+])
+def test_constructors_take_integer_arguments_only(build, what):
+    # int() made [1], [1, 1] and gamma0 = 0 of 1.5, [1.0, True] and 0.9
+    with pytest.raises(ValueError, match=f"^{what} = .* must be an integer$"):
+        build()
+
+
+def test_constructors_record_numpy_integers_as_ints():
+    pairs = [mm_power(3, 2, 1, 1, np.int64(1)), mm_qpoly(3, 2, 1, 1, [np.int64(1)]),
+             diag_quad(3, 1, 2, [np.int64(1), 2]), spread_bent(3, 2, 1, None, np.int64(1))]
+    for pair in pairs:
+        for value in pair.params.values():
+            assert all(type(x) is int for x in (value if isinstance(value, list) else [value]))

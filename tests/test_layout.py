@@ -8,11 +8,17 @@ lies in.
 Only field.py calls Field( directly, and only space.py Field.from_dict:
 every other module takes its fields from canonical_field, so every field
 descriptor that comes from outside passes the integer rule on one path.
+
+The test oracles (tests/*_oracle.py) take nothing from bentpds.cyclo but
+the CyclotomicInt record: the oracle ring does its own zeta^{p-1}
+rewrite, so it checks the library's reduction instead of reusing it.
 """
+import ast
 import re
 from pathlib import Path
 
 import bentpds
+from bentpds import cyclo
 
 FIELD_PRIVATE = re.compile(r"\.\s*(_log|_exp|_trace_table|_digits|_powers)\b")
 FIELD_CALL = re.compile(r"\bField\s*\(")
@@ -37,3 +43,31 @@ def test_only_field_reads_a_fields_private_tables():
 def test_only_field_builds_a_field_and_only_space_reads_one():
     assert _lines(FIELD_CALL, {"field.py"}) == []
     assert _lines(FROM_DICT, {"field.py", "space.py"}) == []
+
+
+def _cyclo_imports(source: str) -> list[str]:
+    """What source takes from bentpds.cyclo besides CyclotomicInt: names
+    imported from it or through the package, and the module itself."""
+    names = {name for name, value in vars(cyclo).items()
+             if getattr(value, "__module__", None) == cyclo.__name__} | {"cyclo"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "bentpds.cyclo":
+            found += [a.name for a in node.names if a.name != "CyclotomicInt"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "bentpds":
+            found += [a.name for a in node.names if a.name in names - {"CyclotomicInt"}]
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.startswith("bentpds.cyclo")]
+        elif isinstance(node, ast.Attribute) and node.attr == "cyclo":
+            found.append("cyclo")
+    return found
+
+
+def test_oracles_take_only_the_value_record_from_cyclo():
+    oracles = sorted(Path(__file__).parent.glob("*_oracle.py"))
+    assert "ring_oracle.py" in [path.name for path in oracles]
+    assert {path.name: _cyclo_imports(path.read_text()) for path in oracles} == {
+        path.name: [] for path in oracles}
+    bad = ("from bentpds.cyclo import CyclotomicInt, reduce_counts\n"
+           "from bentpds import gauss_sum\nimport bentpds.cyclo\nbentpds.cyclo.gauss_sum(3)\n")
+    assert _cyclo_imports(bad) == ["reduce_counts", "gauss_sum", "bentpds.cyclo", "cyclo"]

@@ -8,7 +8,6 @@ inputs to verification, never a substitute for it.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -123,12 +122,31 @@ def _quad_dual(F: Field, a: int) -> int:
     return F.neg(F.inv(F.mul(4 % F.p, a)))
 
 
-def _quad_sign(F: Field, s: int, a: int, dim: int):
-    """The sign rule c -> (-1)^{n-1} eps^n eta_n(a c) of the components of
-    Tr_s^n(a x^2), n = F.m, inside a function on a dim-dimensional domain."""
+def _quad_sign(F: Field, s: int, coeffs: list[int], dim: int):
+    """The sign rule c -> (-1)^{k(n-1)} eps^{kn} prod_i eta_n(a_i c) of the
+    components of sum_i Tr_s^n(a_i x_i^2) over the k coefficients a_i,
+    n = F.m, inside a function on a dim-dimensional domain."""
     _, embed, _ = F.subfield(s)
-    n = F.m
-    return lambda c: _epsilon_sign(F.p, dim, n - 1, n, F.quadratic_character(F.mul(a, embed[c])))
+    n, k = F.m, len(coeffs)
+    return lambda c: _epsilon_sign(F.p, dim, k * (n - 1), k * n, math.prod(
+        F.quadratic_character(F.mul(a, embed[c])) for a in coeffs))
+
+
+def _quad_form(family: str, F: Field, s: int, coeffs: list[int], params: dict) -> ConstructedPair:
+    """sum_i Tr_s^n(a_i x_i^2) on GF(p^n)^k, n = F.m, and its dual
+    sum_i Tr_s^n(-x_i^2 / (4 a_i)), folded as a direct sum in which factor i
+    sits above factors 0..i-1; sigma(c) = c^{-1}."""
+    sub = canonical_field(F.p, s)
+
+    def fold(cs):
+        acc = _quad_block(F, s, cs[0])
+        for c in cs[1:]:
+            acc = sub.add(_quad_block(F, s, c)[:, None], acc).ravel()
+        return acc
+
+    return _pair(family, Space([F] * len(coeffs)), sub, fold(coeffs),
+                 fold([_quad_dual(F, a) for a in coeffs]), 1,
+                 _quad_sign(F, s, coeffs, len(coeffs) * F.m), params)
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +203,7 @@ def quad_trace(p: int, n: int, s: int, a: int) -> ConstructedPair:
     if n % s != 0:
         raise NotADivisor(f"{s} does not divide {n}")
     _check_a(F, a)
-    table = _quad_block(F, s, a)
-    dual = _quad_block(F, s, _quad_dual(F, a))
-    return _pair("quad-trace", Space([F]), canonical_field(p, s), table, dual, 1,
-                 _quad_sign(F, s, a, n), {"p": p, "n": n, "s": s, "a": a})
+    return _quad_form("quad-trace", F, s, [a], {"p": p, "n": n, "s": s, "a": a})
 
 
 def diag_quad(p: int, s: int, m: int, coeffs) -> ConstructedPair:
@@ -204,25 +219,7 @@ def diag_quad(p: int, s: int, m: int, coeffs) -> ConstructedPair:
         raise ValueError(f"need {m} coefficients")
     if any(c == 0 for c in coeffs):
         raise ZeroCoefficient("diagonal coefficients must be nonzero")
-    q = sub.size
-    dom = Space([sub] * m)
-    ranks = np.arange(dom.size, dtype=np.int64)
-
-    def assemble(cs):
-        acc = 0
-        for i, ci in enumerate(cs):
-            acc = sub.add(acc, _quad_block(sub, s, ci)[ranks // q ** i % q])
-        return acc
-
-    dual = assemble([_quad_dual(sub, c) for c in coeffs])
-    prod = functools.reduce(sub.mul, coeffs, 1)
-    return _pair(
-        "diag-quad", dom, sub, assemble(coeffs), dual, 1,
-        lambda c: _epsilon_sign(
-            p, s * m, (s - 1) * m, s * m, sub.quadratic_character(sub.mul(sub.pow(c, m), prod))
-        ),
-        {"p": p, "s": s, "m": m, "coeffs": coeffs},
-    )
+    return _quad_form("diag-quad", sub, s, coeffs, {"p": p, "s": s, "m": m, "coeffs": coeffs})
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +330,7 @@ def branched_quad_mm(
     uniform = len({Fn.quadratic_character(a) for a in alphas}) == 1
     return _pair(
         "branched-quad-mm", Space([Fn, Fm, Fm]), sub, table, dual, 1,
-        _quad_sign(Fn, s, alpha1, n + 2 * m) if uniform else None,
+        _quad_sign(Fn, s, [alpha1], n + 2 * m) if uniform else None,
         {
             "p": p,
             "n": n,

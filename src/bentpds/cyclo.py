@@ -10,11 +10,14 @@ exactly, as the transform's do.
 
 CyclotomicInt is the record of one reduced value, with Python int (so
 arbitrary-precision) coefficients, as Gaussian periods, Walsh values and
-the CLI give it; it does no ring arithmetic.
+the CLI give it; it does no ring arithmetic.  p and the coefficients pass
+the field's integer rule, so 1.5, True or '7' never become a coefficient.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from .field import _check_integer
 
 
 def reduce_counts(counts, out=None):
@@ -27,7 +30,8 @@ class CyclotomicInt:
     __slots__ = ("p", "coeffs")
 
     def __init__(self, p: int, coeffs):
-        coeffs = tuple(int(c) for c in coeffs)
+        p = int(_check_integer(p, "p"))
+        coeffs = tuple(int(_check_integer(c, "coefficient")) for c in coeffs)
         if len(coeffs) != p - 1:
             raise ValueError(f"need {p - 1} coefficients for p={p}, got {len(coeffs)}")
         self.p = p

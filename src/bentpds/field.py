@@ -24,9 +24,11 @@ How each table is built, and why it is exact:
 - The least primitive element is found by testing a batch of candidates
   at once, by one stacked integer square-and-multiply per prime factor f
   of p^m - 1 (c^k is row 0 of the k-th power of the matrix of c).
-- The root of a subfield's minimal polynomial is looked for only among
-  the p^s ranks of the subfield's copy, read off the exp table: 0 and the
-  powers of w^((p^m - 1)/(p^s - 1)), where every root lies.
+- A subfield GF(p^s) is embedded through the roots of its own modulus,
+  looked for only among the p^s ranks of its copy, read off the exp
+  table: 0 and the powers of w^((p^m - 1)/(p^s - 1)).  The root that sends
+  its generator g to the least rank r gives the map g^i -> r^i, one
+  gather of the exp table.
 - The trace tables and dual_map are GF(p)-linear maps, so their tables are
   built from their matrices one input digit at a time, in integers.
 """
@@ -275,9 +277,6 @@ class Field:
     def add(self, a, b):
         return self._rank((self._digits[a] + self._digits[b]) % self.p)
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def neg(self, a):
         return self._rank((self.p - self._digits[a]) % self.p)
 
@@ -326,8 +325,8 @@ class Field:
 
     def trace(self, k: int, a):
         """Tr_k^m(a) = sum of a^{p^{k i}}, returned as a rank of the
-        canonical GF(p^k); requires k | m, which subfield(k) checks."""
-        return _ranks_out(self._trace_table(k)[a])
+        canonical GF(p^k); requires an integer k | m, which subfield(k) checks."""
+        return _ranks_out(self._trace_table(int(_check_integer(k, "subfield degree")))[a])
 
     def _trace_matrix(self, k: int) -> np.ndarray:
         """Row j holds the canonical GF(p^k) digits of Tr_k^m(x^j), the
@@ -372,18 +371,20 @@ class Field:
         r = self.log_residue(np.arange(self.size), math.gcd(exponent, self.size - 1))
         return CosetSet(r == r[beta])
 
-    @lru_cache(maxsize=None)
     def subfield(self, s: int):
         """Canonical copy of GF(p^s) inside this field, s | m.
 
         Returns (subfield, embed, proj) with read-only int64 rank arrays:
         embed[r] is the image in this field of the canonical GF(p^s) rank r,
         and proj the inverse map, -1 at ranks outside the image.
-        The image of the canonical generator is the least-rank root of its
-        minimal polynomial inside the fixed set of x -> x^{p^s}, which is
-        what makes the map a field homomorphism rather than merely a
-        homomorphism of the cyclic groups.
+        Each root rho of GF(p^s)'s modulus gives one embedding, x -> rho.
+        The images of the canonical generator g under these are exactly the
+        roots of g's minimal polynomial, so g goes to its least-rank root r.
         """
+        return self._subfield(int(_check_integer(s, "subfield degree")))
+
+    @lru_cache(maxsize=None)
+    def _subfield(self, s: int):
         if s < 1:
             raise ValueError(f"subfield degree must be >= 1, got {s}")
         if self.m % s != 0:
@@ -393,23 +394,19 @@ class Field:
             embed = np.arange(self.size, dtype=np.int64)
             embed.flags.writeable = False
             return self, embed, embed
-        sub = canonical_field(self.p, s)
-        g = sub.primitive_element
-        # the copy of GF(p^s), where every root of g's minimal polynomial lies
-        copy = np.append(0, self._exp[:: (self.size - 1) // (sub.size - 1)])
-        values = 0  # the minimal polynomial on the copy, by Horner
-        for c in reversed(_minimal_polynomial(sub, g)):
+        sub, q1 = canonical_field(self.p, s), self.size - 1
+        # the copy of GF(p^s): 0 and the powers of w^((p^m - 1)/(p^s - 1))
+        copy = np.append(0, self._exp[:: q1 // (sub.size - 1)])
+        values = 0  # the modulus on the copy by Horner; GF(p) ranks carry over
+        for c in reversed(sub.modulus):
             values = self.add(self.mul(values, copy), c)
-        root = int(copy[values == 0].min())
-        # each subfield element from its coordinates in the power basis {g^j}
-        # (prime-field constants have the same rank in both fields)
-        image_sub = image_big = 0
-        for j in range(s):
-            c = sub._digits[:, j]
-            image_sub = sub.add(image_sub, sub.mul(c, sub.pow(g, j)))
-            image_big = self.add(image_big, self.mul(c, self.pow(root, j)))
-        embed = np.empty(sub.size, dtype=np.int64)
-        embed[image_sub] = image_big
+        roots = copy[values == 0]
+        images = 0  # sum_j g_j rho^j over the digits g_j of g, at every root
+        for j, c in enumerate(sub._digits[sub.primitive_element].tolist()):
+            images = self.add(images, self.mul(c, self.pow(roots, j)))
+        r = int(images.min())
+        embed = np.zeros(sub.size, dtype=np.int64)
+        embed[sub._exp] = self._exp[self._log[r] * np.arange(sub.size - 1) % q1]
         proj = np.full(self.size, -1, dtype=np.int64)
         proj[embed] = np.arange(sub.size)
         embed.flags.writeable = proj.flags.writeable = False
@@ -473,26 +470,6 @@ def _reduce(v: np.ndarray, p: int, scratch: np.ndarray) -> None:
 def _ranks_out(r):
     """Rank arrays pass through; a single rank comes back as an int."""
     return r if isinstance(r, np.ndarray) and r.ndim else int(r)
-
-
-def _minimal_polynomial(sub: Field, g: int):
-    """Coefficients over GF(p) of prod_i (y - g^{p^i}) computed in `sub`."""
-    conjugates = []
-    x = g
-    while x not in conjugates:
-        conjugates.append(x)
-        x = sub.pow(x, sub.p)
-    poly = [1]  # in sub ranks, low degree first
-    for c in conjugates:
-        nxt = [0] * (len(poly) + 1)
-        for i, coeff in enumerate(poly):
-            nxt[i + 1] = sub.add(nxt[i + 1], coeff)
-            nxt[i] = sub.sub(nxt[i], sub.mul(c, coeff))
-        poly = nxt
-    for coeff in poly:
-        if coeff >= sub.p:
-            raise AssertionError("minimal polynomial has non-prime-field coefficient")
-    return poly
 
 
 @dataclass(frozen=True, eq=False)

@@ -34,10 +34,29 @@ def test_value_record_keeps_python_ints():
     a = CyclotomicInt.from_exponent_counts(5, [big, 0, 1, 2, -big])
     assert a.coeffs == (2 * big, big, big + 1, big + 2)
     assert all(type(c) is int for c in a.coeffs)
+    b = CyclotomicInt(np.int64(3), np.array([4, -5], dtype=np.int64))
+    assert type(b.p) is int and b.coeffs == (4, -5) and all(type(c) is int for c in b.coeffs)
     assert a == RingInt.from_exponent_counts(5, [big, 0, 1, 2, -big])
     assert CyclotomicInt.from_int(5, 7) == 7 and CyclotomicInt.from_int(5, 7) != 8
     with pytest.raises(ValueError, match="need 2 coefficients"):
         CyclotomicInt(3, (1, 2, 3))
+
+
+# int() read these as coefficients [1, 1] and [7, 2], and kept p = 3.0
+NON_INTEGER_RECORDS = {
+    "coeffs (1.5, True)": lambda: CyclotomicInt(3, (1.5, True)),
+    "coeffs ('7', 2)": lambda: CyclotomicInt(3, ("7", 2)),
+    "coeffs (True, 1)": lambda: CyclotomicInt(3, (True, 1)),
+    "coeffs float64 row": lambda: CyclotomicInt(3, np.array([1.0, 2.0])),
+    "p 3.0": lambda: CyclotomicInt(3.0, (1, 2)),
+    "p True": lambda: CyclotomicInt(True, ()),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGER_RECORDS.values(), ids=NON_INTEGER_RECORDS.keys())
+def test_value_record_follows_the_integer_rule(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 211])

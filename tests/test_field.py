@@ -215,7 +215,9 @@ def test_cosets_partition_multiplicative_group():
 
 
 def test_subfield_embedding_is_field_homomorphism():
-    for big, s in [(F81, 2), (F81, 1), (canonical_field(3, 6), 2), (canonical_field(5, 4), 2)]:
+    # the last two moduli are not the canonical ones, as a bundle's may be
+    for big, s in [(F81, 2), (F81, 1), (canonical_field(3, 6), 2), (canonical_field(5, 4), 2),
+                   (Field(3, 4, (2, 1, 2, 2, 1)), 2), (Field(3, 6, (2, 2, 2, 2, 2, 2, 1)), 3)]:
         sub, embed, proj = big.subfield(s)
         assert embed[0] == 0 and embed[1] == 1
         for a in range(sub.size):
@@ -317,6 +319,27 @@ NON_INTEGER_CALLS = {
     "sigma_predicates(l=2.0)": lambda: pds.sigma_predicates(F3, {1: 1, 2: 2}, 2.0),
 }
 
+# subfield(2.0) returned the identity copy and trace(1.0, 5) and
+# trace(True, 5) answered 2, through the cached entries of 2 and 1;
+# trace(2.0, 1) and subfield('2') let a TypeError out
+NON_INTEGER_DEGREES = {
+    "F9.subfield(2.0)": lambda: F9.subfield(2.0),
+    "F81.subfield(True)": lambda: F81.subfield(True),
+    "F81.subfield('2')": lambda: F81.subfield("2"),
+    "F81.trace(1.0, 5)": lambda: F81.trace(1.0, 5),
+    "F81.trace(True, 5)": lambda: F81.trace(True, 5),
+    "F9.trace(2.0, 1)": lambda: F9.trace(2.0, 1),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGER_DEGREES.values(), ids=NON_INTEGER_DEGREES.keys())
+def test_subfield_and_trace_degrees_follow_the_integer_rule(call):
+    # fill the cached entries that a bool or a float would reach
+    F81.trace(1, 5)
+    F9.subfield(2)
+    with pytest.raises(ValueError, match="subfield degree = .* must be an integer"):
+        call()
+
 
 @pytest.mark.parametrize("call", NON_INTEGER_CALLS.values(), ids=NON_INTEGER_CALLS.keys())
 def test_non_integer_ranks_and_exponents_raise_value_error(call):
@@ -328,6 +351,8 @@ def test_numpy_integer_ranks_and_exponents_are_integers():
     assert F9.check_rank(np.int64(3)) == 3
     assert F9.subgroup_coset(np.int32(2), np.uint8(1)).members == {1, 2, 3, 6}
     assert pds.semiprimitive_check(3, 2, np.int64(2)) == pds.semiprimitive_check(3, 2, 2)
+    assert F81.subfield(np.int64(2)) is F81.subfield(2)
+    assert F81.trace(np.uint8(1), 5) == F81.trace(1, 5) == 2
 
 
 # int() read each of these as GF(9) modulo x^2 + 1, or let a TypeError out

@@ -8,6 +8,12 @@ element, and the sha256 of: the digit, exp and log tables; every
 _trace_table(k), k | m ascending; dual_map; and every subfield(s) embedding,
 s | m ascending.  Each array is hashed with its dtype and shape, so a table
 that keeps its values but changes dtype also fails.
+
+NONCANONICAL_GOLDEN pins the subfield embeddings of fields built on other
+moduli, as a bundle's space may be: one sha256 per (p, m) over every
+subfield(s) embedding, s | m ascending, of the first `count` irreducible
+monic moduli in lexicographic order (most significant coefficient first),
+which field_oracle.is_irreducible enumerates.
 """
 import hashlib
 import itertools
@@ -16,7 +22,7 @@ import numpy as np
 import pytest
 
 import field_oracle
-from bentpds.field import _is_irreducible, _reduce, canonical_field, smallest_irreducible
+from bentpds.field import Field, _is_irreducible, _reduce, canonical_field, smallest_irreducible
 from bentpds.limits import exact_float_dtype
 
 FIELD_GOLDEN = {
@@ -167,6 +173,16 @@ FIELD_GOLDEN = {
              "995e8ad6898103e8bca65ffd0c46b72e4ca56583433742e6007b08be2ffb7e01"),
 }
 
+# (p, m): (count, digest); GF(3^4), GF(5^2) and GF(7^2) take every modulus
+NONCANONICAL_GOLDEN = {
+    (3, 4): (18, "67f1d72cbb845b2f21e3f69ac9402e6d21ab569e757468c6c4067005adb0d9fa"),
+    (5, 2): (10, "97767aab490bdab38dcde5eae557658df67f7426a147bcebe925285e0cdbdac6"),
+    (7, 2): (21, "e85389b9bc30bbf591d604c6bf263e51d82f71a9e89c5d4651fd17f86f2e4dc8"),
+    (3, 6): (4, "18277719dd832b7930a452d101503c5d26cc1221698233e7fe6f249f6196ec6a"),
+    (5, 4): (4, "fce6f228694cf6d9924b94018add30baf8e55ac3d0f37924a4462082d70baa3a"),
+    (3, 8): (4, "c983a8c85145a2c9d53ac40dbd828a13b6ec0de4fcc5d061d3b906d0930d685f"),
+}
+
 
 def _digest(*arrays) -> str:
     h = hashlib.sha256()
@@ -190,6 +206,18 @@ def test_field_tables_match_golden_digests(p, m):
         _digest(*(field.subfield(s)[1] for s in divisors)),
     )
     assert got == FIELD_GOLDEN[p, m]
+
+
+@pytest.mark.parametrize("p,m", NONCANONICAL_GOLDEN,
+                         ids=[f"{p}^{m}" for p, m in NONCANONICAL_GOLDEN])
+def test_noncanonical_subfield_embeddings_match_golden_digests(p, m):
+    count, digest = NONCANONICAL_GOLDEN[p, m]
+    moduli = (tuple(reversed(msd)) + (1,) for msd in itertools.product(range(p), repeat=m))
+    fields = [Field(p, m, f) for f in itertools.islice(
+        (f for f in moduli if field_oracle.is_irreducible(f, p)), count)]
+    divisors = [s for s in range(1, m + 1) if m % s == 0]
+    assert len(fields) == count
+    assert _digest(*(field.subfield(s)[1] for field in fields for s in divisors)) == digest
 
 
 @pytest.mark.parametrize("p,m", FIELD_GOLDEN, ids=[f"{p}^{m}" for p, m in FIELD_GOLDEN])

@@ -12,6 +12,9 @@ descriptor that comes from outside passes the integer rule on one path.
 The test oracles (tests/*_oracle.py) take nothing from bentpds.cyclo but
 the CyclotomicInt record: the oracle ring does its own zeta^{p-1}
 rewrite, so it checks the library's reduction instead of reusing it.
+tests/field_oracle.py imports nothing from bentpds, and
+tests/space_oracle.py names no Space map (neg, gather_scaled, gather_dual)
+and no Field.dual_map, so each can be compared with the code it checks.
 """
 import ast
 import re
@@ -71,3 +74,41 @@ def test_oracles_take_only_the_value_record_from_cyclo():
     bad = ("from bentpds.cyclo import CyclotomicInt, reduce_counts\n"
            "from bentpds import gauss_sum\nimport bentpds.cyclo\nbentpds.cyclo.gauss_sum(3)\n")
     assert _cyclo_imports(bad) == ["reduce_counts", "gauss_sum", "bentpds.cyclo", "cyclo"]
+
+
+SPACE_MAPS = {"neg", "gather_scaled", "gather_dual", "dual_map"}
+
+
+def _bentpds_imports(source: str) -> list[str]:
+    """The bentpds modules that source imports, by either import form."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        else:
+            continue
+        found += [name for name in modules if name.split(".")[0] == "bentpds"]
+    return found
+
+
+def _names(source: str, names: set[str]) -> list[str]:
+    """The identifiers, attributes and imported names of source that are in
+    names; the words of docstrings and comments are not read."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        found += [n for n in (getattr(node, "id", None), getattr(node, "attr", None),
+                              getattr(node, "name", None)) if n in names]
+    return found
+
+
+def test_oracles_share_no_code_with_what_they_check():
+    tests = Path(__file__).parent
+    assert _bentpds_imports((tests / "field_oracle.py").read_text()) == []
+    assert _names((tests / "space_oracle.py").read_text(), SPACE_MAPS) == []
+    bad = ('"""neg, gather_dual and dual_map are only named here."""\n'
+           "import bentpds.field\nfrom bentpds import space\nfrom numpy import neg\n"
+           "def f(sp, F):\n    return sp.gather_scaled(2) + F.dual_map[neg]\n")
+    assert _bentpds_imports(bad) == ["bentpds.field", "bentpds"]
+    assert sorted(_names(bad, SPACE_MAPS)) == ["dual_map", "gather_scaled", "neg", "neg"]

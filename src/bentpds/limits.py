@@ -8,7 +8,8 @@ environment overrides both.
 
 The radix-p transform (float counts at most p^n, one BLAS product or p^2
 slice-adds per digit pass) and the dense pair counter (float32 indicator
-products, counts at most q2) sum counts in floats.  Every entry and
+products of weighted counts at most q2 + 1, summed into difference counts
+at most p^n) sum counts in floats.  Every entry and
 partial sum is an integer bounded in advance, so exact_float_dtype turns that
 bound into the narrowest float dtype in which it is exact, and refuses a
 bound that no float dtype holds.
@@ -22,8 +23,9 @@ from .errors import SizeGuard
 TABLE_CAP = 3 ** 14          # largest p^m of a field, p^n of a construction
 # largest p^n a transform or the pair counter will process; pair counting
 # takes |D|^2 < v^2 / 256 gathers, or, with v <= 16 |D|, 1 + (q2 - 1) / |S|
-# indicator products of about v q1 multiply-adds each (q1 q2 = v, S the
-# scalars fixing D up to sign, |S| >= 2), at most about v^2 / 2
+# indicator products of (q2 + 1) / 2 rows, about v q1 / 2 multiply-adds
+# each (q1 q2 = v, S the scalars fixing D up to sign, |S| >= 2), at most
+# about v^2 / 4
 WALSH_CAP = 3 ** 12
 
 

@@ -5,7 +5,8 @@ component-spectrum formula, one component transform per c.
 sigma_predicates_by_sets decides the sigma conditions by comparing the
 cosets of H_l = { x^l : x != 0 } as Python sets, and power_map_exponent
 finds a power map c -> c^{-t} by trying every t.  preimage_ranks lists a
-preimage point by point.  None of them shares code with the library's array
+preimage point by point, and pair_counts counts the ordered pairs of a set
+by difference, subtracting whole digit vectors.  None of them shares code with the library's array
 routes beyond the field and space arithmetic, so each can be compared with
 its library counterpart field by field.
 """
@@ -17,7 +18,7 @@ from bentpds.errors import FormulaMismatch, NotBijection
 from bentpds.pds import SigmaReport
 from bentpds.spectral import component, walsh_full
 from ring_oracle import RingInt
-from space_oracle import inner_product
+from space_oracle import digits, inner_product
 
 
 def preimage_ranks(F, values, exclude_zero_point=True) -> list[int]:
@@ -25,6 +26,19 @@ def preimage_ranks(F, values, exclude_zero_point=True) -> list[int]:
     values = set(values)
     return [x for x in range(F.domain.size)
             if int(F.table[x]) in values and not (exclude_zero_point and x == 0)]
+
+
+def pair_counts(sp, members) -> np.ndarray:
+    """counts[g] = #{(x, y) in D^2 : x - y = g} for every rank g, one x at a
+    time against all of D: the digits of x - y are those of x minus those
+    of y mod p (space_oracle.digits), least significant first."""
+    p = sp.p
+    D = np.array([digits(sp, int(x)) for x in members], dtype=np.int64).reshape(-1, sp.dim)
+    place = p ** np.arange(sp.dim, dtype=np.int64)
+    counts = np.zeros(sp.size, dtype=np.int64)
+    for x in D:
+        counts += np.bincount((x - D) % p @ place, minlength=sp.size)
+    return counts
 
 
 def component_spectra(F):

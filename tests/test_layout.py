@@ -14,7 +14,9 @@ the CyclotomicInt record: the oracle ring does its own zeta^{p-1}
 rewrite, so it checks the library's reduction instead of reusing it.
 tests/field_oracle.py imports nothing from bentpds, and
 tests/space_oracle.py names no Space map (neg, gather_scaled, gather_dual)
-and no Field.dual_map, so each can be compared with the code it checks.
+and no Field.dual_map, and tests/pds_oracle.py names none of the pair
+counter's digit tables (_rank_split, _half_sub_table, _scaling, _pairing),
+so each can be compared with the code it checks.
 """
 import ast
 import re
@@ -77,6 +79,8 @@ def test_oracles_take_only_the_value_record_from_cyclo():
 
 
 SPACE_MAPS = {"neg", "gather_scaled", "gather_dual", "dual_map"}
+PAIR_COUNT_TABLES = {"_rank_split", "_half_sub_table", "_scaling", "_pairing",
+                     "_compose", "_gather_counts", "_dense_counts"}
 
 
 def _bentpds_imports(source: str) -> list[str]:
@@ -107,8 +111,11 @@ def test_oracles_share_no_code_with_what_they_check():
     tests = Path(__file__).parent
     assert _bentpds_imports((tests / "field_oracle.py").read_text()) == []
     assert _names((tests / "space_oracle.py").read_text(), SPACE_MAPS) == []
+    assert _names((tests / "pds_oracle.py").read_text(), PAIR_COUNT_TABLES) == []
     bad = ('"""neg, gather_dual and dual_map are only named here."""\n'
            "import bentpds.field\nfrom bentpds import space\nfrom numpy import neg\n"
            "def f(sp, F):\n    return sp.gather_scaled(2) + F.dual_map[neg]\n")
     assert _bentpds_imports(bad) == ["bentpds.field", "bentpds"]
     assert sorted(_names(bad, SPACE_MAPS)) == ["dual_map", "gather_scaled", "neg", "neg"]
+    bad = "from bentpds.pds import _rank_split\ndef _scaling(sp):\n    return pds._pairing(sp)\n"
+    assert sorted(_names(bad, PAIR_COUNT_TABLES)) == ["_pairing", "_rank_split", "_scaling"]

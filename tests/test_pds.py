@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -43,12 +44,13 @@ from bentpds.spectral import VectorialFunction, dual_bent_certificate
 from pds_oracle import (
     char_sum_preimage,
     component_spectra,
+    pair_counts,
     power_map_exponent,
     preimage_ranks,
     sigma_predicates_by_sets,
 )
 from ring_oracle import RingInt
-from space_oracle import join, scalar_mul
+from space_oracle import add, join, negate, scalar_mul
 
 XY = mm_power(3, 1, 1, 1, 1)  # F(x, y) = xy on F_3 x F_3
 
@@ -494,44 +496,136 @@ def test_verify_bruteforce_detects_non_pds():
 
 
 # every p^dim <= 7^4, so q2 = 1 at dim = 1 and q1 != q2 at odd dim; at
-# p = 13 the orbit group S can have order 2, 4, 6 or 12
+# p = 13 the orbit group S can have order 2, 4, 6 or 12; the last two have
+# extension factors, whose digits are still GF(p)-coordinates
 COUNT_SPACES = [prime_space(p, dim) for p in (3, 5, 7, 13) for dim in range(1, 7)
-                if p ** dim <= 7 ** 4]
+                if p ** dim <= 7 ** 4] + [
+    Space([canonical_field(3, 2), canonical_field(3, 1)]),
+    Space([canonical_field(5, 2), canonical_field(5, 1)]),
+]
+
+
+def _closed_set(sp, order: int, size: int, seed: int) -> np.ndarray:
+    """size random ranks of sp closed under the subgroup of GF(p)^* of the
+    given order, which need not contain -1, as a sorted array."""
+    g = pow(canonical_field(sp.p, 1).primitive_element, (sp.p - 1) // order, sp.p)
+    drawn = np.random.default_rng(seed).choice(sp.size, size, replace=False)
+    ranks = np.arange(sp.size)
+    return np.unique(np.concatenate([sp.gather_scaled(ranks, g ** k)[drawn]
+                                     for k in range(order)]))
+
+
+def _check_orbit_group(sp, Dv: np.ndarray, order: int) -> list[int]:
+    """_orbit_group of Dv, checked to be {+-1} . {lam : lam D = D} and to
+    hold the subgroup of the given order."""
+    p, dim = sp.p, sp.dim
+    split = pds._rank_split(sp, Dv)
+    q1 = p ** split.h1
+    assert (split.h1, split.h2) == ((dim + 1) // 2, dim // 2)
+    assert np.array_equal(split.hi * q1 + split.lo, Dv)
+    M = np.zeros((p ** split.h2, q1), dtype=np.float32)
+    M[Dv // q1, Dv % q1] = 1
+    ranks = np.arange(sp.size)
+    members, mirror = set(Dv.tolist()), set(sp.neg[Dv].tolist())
+    expected = [lam for lam in range(1, p)
+                if set(sp.gather_scaled(ranks, lam)[Dv].tolist()) in (members, mirror)]
+    S = pds._orbit_group(split, M)
+    assert S == expected
+    g = pow(canonical_field(p, 1).primitive_element, (p - 1) // order, p)
+    assert {g ** k % p for k in range(order)} <= set(S)
+    return S
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_dense_counts_equal_gather_counts(data):
-    """Both pair-count routes give the same difference counts on any set,
-    symmetric or not, with or without 0, sparse or dense.  The set is closed
-    under a random subgroup H of GF(p)^*, which need not contain -1, and
-    the dense route's orbit group is exactly {+-1} . {lam : lam D = D}."""
+    """Both pair-count routes give the per-pair oracle's difference counts
+    on D | -D, sparse or dense, with or without 0.  The dense route pairs
+    the pairs of x with those of -y, so it needs -D = D, which every
+    library caller has checked (_candidacy); the gather route needs no
+    symmetry and is also checked on the drawn set itself.  The drawn set is
+    closed under a random subgroup H of GF(p)^*, which need not contain -1,
+    and the dense route's orbit group is exactly {+-1} . {lam : lam D = D}."""
     sp = data.draw(st.sampled_from(COUNT_SPACES), label="space")
-    p, dim = sp.p, sp.dim
+    p = sp.p
     order = data.draw(st.sampled_from([h for h in range(1, p) if (p - 1) % h == 0]), label="|H|")
     size = data.draw(st.integers(1, sp.size), label="size")
     seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
     with_zero = data.draw(st.booleans(), label="0 in D")
-    g = pow(canonical_field(p, 1).primitive_element, (p - 1) // order, p)
-    drawn = np.random.default_rng(seed).choice(sp.size, size, replace=False)
-    ranks = np.arange(sp.size)
-    Dv = np.unique(np.concatenate([sp.gather_scaled(ranks, g ** k)[drawn] for k in range(order)]))
+    Dv = _closed_set(sp, order, size, seed)
     Dv = np.union1d(Dv, [0]) if with_zero else Dv[Dv != 0]
     assume(Dv.size)
-    split = pds._rank_split(sp, Dv)
-    assert np.array_equal(pds._dense_counts(split), pds._gather_counts(split))
+    assert np.array_equal(pds._gather_counts(pds._rank_split(sp, Dv)), pair_counts(sp, Dv))
+    _check_orbit_group(sp, Dv, order)
 
-    h1 = (dim + 1) // 2
-    q1 = p ** h1
-    assert (split.h1, split.h2) == (h1, dim - h1)
-    assert np.array_equal(split.hi * q1 + split.lo, Dv)
-    M = np.zeros((p ** (dim - h1), q1), dtype=np.float32)
-    M[Dv // q1, Dv % q1] = 1
-    members, mirror = set(Dv.tolist()), set(sp.neg[Dv].tolist())
-    expected = [lam for lam in range(1, p)
-                if set(sp.gather_scaled(ranks, lam)[Dv].tolist()) in (members, mirror)]
-    assert pds._orbit_group(split, M) == expected
-    assert {g ** k % p for k in range(order)} <= set(expected)
+    Dv = np.union1d(Dv, sp.neg[Dv])
+    split = pds._rank_split(sp, Dv)
+    expected = pair_counts(sp, Dv)
+    assert np.array_equal(pds._dense_counts(split), expected)
+    assert np.array_equal(pds._gather_counts(split), expected)
+    _check_orbit_group(sp, Dv, order)
+
+
+# (space, |H|, |S|): p = 13 at every orbit group order above 2, at even and
+# odd dimension, q2 = 1, and the GF(9) x GF(3) space
+ROUTE_CASES = [(prime_space(13, 2), 1, 2), (prime_space(13, 2), 4, 4),
+               (prime_space(13, 3), 3, 6), (prime_space(13, 3), 12, 12),
+               (prime_space(13, 1), 4, 4), (prime_space(7, 3), 3, 6),
+               (Space([canonical_field(3, 2), canonical_field(3, 1)]), 1, 2)]
+
+
+@pytest.mark.parametrize("sp,order,s_order", ROUTE_CASES)
+def test_pair_count_routes_equal_the_oracle_at_each_orbit_group(sp, order, s_order):
+    for size, seed in [(sp.size // 20 + 1, 1), (sp.size // 3, 2)]:
+        Dv = _closed_set(sp, order, size, seed)
+        Dv = np.union1d(Dv, sp.neg[Dv])
+        Dv = Dv[Dv != 0]
+        assert len(_check_orbit_group(sp, Dv, order)) == s_order
+        split = pds._rank_split(sp, Dv)
+        expected = pair_counts(sp, Dv)
+        assert np.array_equal(pds._dense_counts(split), expected)
+        assert np.array_equal(pds._gather_counts(split), expected)
+
+
+@pytest.mark.parametrize("p,h1,h2", [(3, 1, 0), (3, 1, 1), (3, 3, 3), (5, 2, 2), (7, 3, 2),
+                                     (13, 1, 1), (13, 2, 2)])
+def test_pairing_tables_pair_each_row_with_its_mirror(p, h1, h2):
+    """Per rep gh, (q2 + 1) / 2 rows hx: first h0, 2 h0 = gh digit by
+    digit, of weight 1, then one of each other pair {h, gh - h}, of
+    weight 2; hy = hx - gh.  h -> gh - h is an involution whose one fixed
+    point is h0.  The row of lam gh is read off that of gh through
+    y -> y / lam.  The tables are cached per (p, h1, h2, S), and none has
+    the q1^2 entries of a (q1, q1) table."""
+    low, high = SimpleNamespace(p=p, dim=h1), SimpleNamespace(p=p, dim=h2)  # for space_oracle
+    q1, q2 = p ** h1, p ** h2
+
+    def minus(a, b):
+        return add(high, a, negate(high, b))
+
+    for S in sorted({tuple(sorted({s * pow(lam, k, p) % p for s in (1, p - 1)
+                                   for k in range(p - 1)})) for lam in range(1, p)}):
+        pds._pairing.cache_clear()
+        tables = pds._pairing(p, h1, h2, S)
+        assert pds._pairing(p, h1, h2, S) is pds._pairing(p, h1, h2, S)
+        assert pds._pairing.cache_info()[:2] == (2, 1)  # hits, misses
+        reps, hx, hy, scaled, unscaled = tables
+        assert reps.tolist() == sorted({min(scalar_mul(high, lam, g) for lam in S)
+                                        for g in range(q2)})
+        assert hx.shape == hy.shape == (reps.size, (q2 + 1) // 2)
+        for gh, (h0, *paired), below in zip(reps.tolist(), hx.tolist(), hy.tolist()):
+            mirror = [minus(gh, h) for h in range(q2)]
+            assert all(mirror[mirror[h]] == h for h in range(q2))
+            assert [h for h in range(q2) if mirror[h] == h] == [h0]
+            assert add(high, h0, h0) == gh
+            assert sorted([h0] + paired + [mirror[h] for h in paired]) == list(range(q2))
+            assert below == [minus(h, gh) for h in [h0] + paired]
+        assert scaled.tolist() == [[scalar_mul(high, lam, gh) for gh in reps[1:].tolist()]
+                                   for lam in S[1:]]
+        assert unscaled.tolist() == [[scalar_mul(low, pow(lam, -1, p), y) for y in range(q1)]
+                                     for lam in S[1:]]
+        for table in tables:
+            assert not table.flags.writeable
+            assert table.size < q1 * q1
 
 
 # (p, width) for the pair counter's digit tables, width 0 included

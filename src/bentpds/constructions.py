@@ -126,7 +126,7 @@ def _quad_sign(F: Field, s: int, coeffs: list[int], dim: int):
     """The sign rule c -> (-1)^{k(n-1)} eps^{kn} prod_i eta_n(a_i c) of the
     components of sum_i Tr_s^n(a_i x_i^2) over the k coefficients a_i,
     n = F.m, inside a function on a dim-dimensional domain."""
-    _, embed, _ = F.subfield(s)
+    _, embed = F.subfield(s)
     n, k = F.m, len(coeffs)
     return lambda c: _epsilon_sign(F.p, dim, k * (n - 1), k * n, math.prod(
         F.quadratic_character(F.mul(a, embed[c])) for a in coeffs))

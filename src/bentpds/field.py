@@ -26,9 +26,9 @@ How each table is built, and why it is exact:
   of p^m - 1 (c^k is row 0 of the k-th power of the matrix of c).
 - A subfield GF(p^s) is embedded through the roots of its own modulus,
   looked for only among the p^s ranks of its copy, read off the exp
-  table: 0 and the powers of w^((p^m - 1)/(p^s - 1)).  The root that sends
-  its generator g to the least rank r gives the map g^i -> r^i, one
-  gather of the exp table.
+  table: 0 and the powers of w^((p^m - 1)/(p^s - 1)).  The least-rank
+  image r of its generator g gives the map g^i -> r^i, which the trace
+  matrix inverts at its m values alone, through the log table.
 - The trace tables and dual_map are GF(p)-linear maps, so their tables are
   built from their matrices one input digit at a time, in integers.
 """
@@ -330,13 +330,19 @@ class Field:
 
     def _trace_matrix(self, k: int) -> np.ndarray:
         """Row j holds the canonical GF(p^k) digits of Tr_k^m(x^j), the
-        Frobenius sum taken on the m basis elements alone."""
-        sub, _, proj = self.subfield(k)
+        Frobenius sum taken on the m basis elements alone.  A nonzero sum is
+        z = r^i, r the image of the generator under subfield(k); every log
+        on the copy is a multiple of d = (p^m - 1) / (p^k - 1), so i is
+        (log z / d) (log r / d)^-1 mod p^k - 1."""
+        sub, embed = self.subfield(k)
         total = conj = self._powers  # the ranks of 1, x, ..., x^(m-1)
         for _ in range(self.m // k - 1):
             conj = self.pow(conj, self.p ** k)
             total = self.add(total, conj)
-        return sub._digits[proj[total]]
+        q1 = sub.size - 1
+        d, r = (self.size - 1) // q1, embed[sub.primitive_element]
+        i = self._log[total] // d * pow(int(self._log[r]) // d, -1, q1) % q1
+        return sub._digits[np.where(total == 0, 0, sub._exp[i])]
 
     @lru_cache(maxsize=None)
     def _trace_table(self, k: int) -> np.ndarray:
@@ -372,15 +378,12 @@ class Field:
         return CosetSet(r == r[beta])
 
     def subfield(self, s: int):
-        """Canonical copy of GF(p^s) inside this field, s | m.
-
-        Returns (subfield, embed, proj) with read-only int64 rank arrays:
-        embed[r] is the image in this field of the canonical GF(p^s) rank r,
-        and proj the inverse map, -1 at ranks outside the image.
-        Each root rho of GF(p^s)'s modulus gives one embedding, x -> rho.
-        The images of the canonical generator g under these are exactly the
-        roots of g's minimal polynomial, so g goes to its least-rank root r.
-        """
+        """Canonical copy of GF(p^s) inside this field, s | m, as (subfield,
+        embed): embed[r] is the image here of the canonical GF(p^s) rank r,
+        a read-only int64 array.  Each root rho of GF(p^s)'s modulus gives
+        one embedding, x -> rho; the images of the canonical generator g
+        under these are exactly the roots of g's minimal polynomial, so g
+        goes to its least-rank root r."""
         return self._subfield(int(_check_integer(s, "subfield degree")))
 
     @lru_cache(maxsize=None)
@@ -393,7 +396,7 @@ class Field:
             # a field is its own canonical degree-m subfield copy
             embed = np.arange(self.size, dtype=np.int64)
             embed.flags.writeable = False
-            return self, embed, embed
+            return self, embed
         sub, q1 = canonical_field(self.p, s), self.size - 1
         # the copy of GF(p^s): 0 and the powers of w^((p^m - 1)/(p^s - 1))
         copy = np.append(0, self._exp[:: q1 // (sub.size - 1)])
@@ -407,10 +410,8 @@ class Field:
         r = int(images.min())
         embed = np.zeros(sub.size, dtype=np.int64)
         embed[sub._exp] = self._exp[self._log[r] * np.arange(sub.size - 1) % q1]
-        proj = np.full(self.size, -1, dtype=np.int64)
-        proj[embed] = np.arange(sub.size)
-        embed.flags.writeable = proj.flags.writeable = False
-        return sub, embed, proj
+        embed.flags.writeable = False
+        return sub, embed
 
     # -- plumbing -----------------------------------------------------------
 

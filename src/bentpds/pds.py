@@ -53,7 +53,7 @@ from .errors import (
 )
 from .field import Field, _check_integer, _integer_entries, canonical_field, is_prime
 from .limits import exact_float_dtype, walsh_cap
-from .space import Space, _compose
+from .space import Space, _compose, _scaling
 from .spectral import SCRATCH_BYTES, DualBentCertificate, VectorialFunction, _char_counts
 
 
@@ -459,14 +459,13 @@ class _RankSplit(NamedTuple):
 
 
 def _rank_split(space: Space, Dv: np.ndarray) -> _RankSplit:
-    """The split of both pair-count routes, h1 = ceil(dim / 2).  The dense
+    """The split of both pair-count routes, h1 = space.low_digits.  The dense
     route needs every product entry, a weighted count up to q2 + 1 with
     q2 = p^h2, exact in float32, and t_hi has q2^2 entries, so past that
     this raises SizeGuard before building anything.  float64 would first be
     needed at q2 = 2^24, that is v >= 2^48 points, whose tables no memory
     holds."""
-    p, dim = space.p, space.dim
-    h1 = (dim + 1) // 2
+    p, dim, h1 = space.p, space.dim, space.low_digits
     q1, q2 = p ** h1, p ** (dim - h1)
     if exact_float_dtype(q2 + 1) != np.float32:
         raise SizeGuard(f"{q2} high-digit values are not exact in float32")
@@ -488,15 +487,6 @@ def _gather_counts(split: _RankSplit) -> np.ndarray:
         ranks = t_lo[lo[rows, None], lo[None, :]] + q1 * t_hi[hi[rows, None], hi[None, :]]
         counts += np.bincount(ranks.ravel(), minlength=v)
     return counts
-
-
-@lru_cache(maxsize=None)
-def _scaling(p: int, width: int, lam: int) -> np.ndarray:
-    """x -> lam x on width base-p digits, as a rank array; at width 0 the
-    one rank 0.  Shared between calls, so read-only."""
-    perm = _compose([lam * np.arange(p, dtype=np.int64) % p] * width)
-    perm.setflags(write=False)
-    return perm
 
 
 def _orbit_group(split: _RankSplit, M: np.ndarray) -> list[int]:

@@ -601,14 +601,13 @@ def dual_bent_certificate(
 # ---------------------------------------------------------------------------
 
 def lform_exponents(f: VectorialFunction) -> set[int]:
-    """All l in [1, p-1] with f(a x) = a^l f(x) for every scalar a != 0."""
+    """All l in [1, p-1] with f(a x) = a^l f(x) for every scalar a != 0.
+    The least primitive root g of GF(p) is tested alone: f(g x) = g^l f(x)
+    for all x gives f(g^k x) = (g^k)^l f(x) for every k."""
     _check_p_ary(f)
-    sp, p, table = f.domain, f.p, f.table
-    out = set(range(1, p))
-    for a in range(2, p):
-        scaled = sp.gather_scaled(table, a)
-        out = {l for l in out if np.array_equal(scaled, pow(a, l, p) * table % p)}
-    return out
+    p, g = f.p, canonical_field(f.p, 1).primitive_element
+    scaled = f.domain.gather_scaled(f.table, g)
+    return {l for l in range(1, p) if np.array_equal(scaled, pow(g, l, p) * f.table % p)}
 
 
 @dataclass

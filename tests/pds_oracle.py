@@ -18,7 +18,7 @@ from bentpds.errors import FormulaMismatch, NotBijection
 from bentpds.pds import SigmaReport
 from bentpds.spectral import component, walsh_full
 from ring_oracle import RingInt
-from space_oracle import digits, inner_product
+from space_oracle import digits, inner_product, negate
 
 
 def preimage_ranks(F, values, exclude_zero_point=True) -> list[int]:
@@ -62,7 +62,7 @@ def char_sum_preimage(F, u: int, i: int, spectra=None) -> RingInt:
     if spectra is None:
         spectra = component_spectra(F)
     tr1 = cod._trace_table(1)
-    minus_u = sp.negate(u)
+    minus_u = negate(sp, u)
     total = RingInt.zero(p)
     for c in range(1, cod.size):
         phase = RingInt.zeta_pow(p, -tr1[cod.mul(c, i)])

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,15 @@ F3 = canonical_field(3, 1)
 F9 = canonical_field(3, 2)
 F27 = canonical_field(3, 3)
 F81 = canonical_field(3, 4)
+
+
+def projection(field, k):
+    """The inverse of subfield(k)'s embedding over the whole field, -1 at
+    ranks outside the copy of GF(p^k)."""
+    sub, embed = field.subfield(k)
+    proj = np.full(field.size, -1, dtype=np.int64)
+    proj[embed] = np.arange(sub.size)
+    return proj
 
 
 def test_prime_field_arithmetic():
@@ -85,7 +95,7 @@ def test_subfield_degree_must_be_positive(k):
 
 @pytest.mark.parametrize("field,k", [(F9, 1), (F27, 1), (F81, 1), (F81, 2)])
 def test_trace_is_subfield_linear(field, k):
-    sub, embed, proj = field.subfield(k)
+    sub, embed = field.subfield(k)
     for a in range(0, field.size, 5):
         for b in range(0, field.size, 7):
             assert sub.add(field.trace(k, a), field.trace(k, b)) == field.trace(
@@ -106,7 +116,7 @@ def test_trace_table_matches_defining_sum(field):
     for k in range(1, field.m + 1):
         if field.m % k:
             continue
-        _, _, proj = field.subfield(k)
+        proj = projection(field, k)
         table = field._trace_table(k)
         for a in range(0, field.size, step):
             total, conj = 0, a
@@ -119,7 +129,7 @@ def test_trace_table_matches_defining_sum(field):
 def frobenius_trace_table(field, k):
     """Tr_k^m at every rank as the sum of the m/k Frobenius conjugates
     x^{p^{k i}}: the defining sum, kept as the oracle for the linear map."""
-    _, _, proj = field.subfield(k)
+    proj = projection(field, k)
     ranks = np.arange(field.size, dtype=np.int64)
     frob = field.pow(ranks, field.p ** k)
     total = conj = ranks
@@ -218,20 +228,34 @@ def test_subfield_embedding_is_field_homomorphism():
     # the last two moduli are not the canonical ones, as a bundle's may be
     for big, s in [(F81, 2), (F81, 1), (canonical_field(3, 6), 2), (canonical_field(5, 4), 2),
                    (Field(3, 4, (2, 1, 2, 2, 1)), 2), (Field(3, 6, (2, 2, 2, 2, 2, 2, 1)), 3)]:
-        sub, embed, proj = big.subfield(s)
+        sub, embed = big.subfield(s)
         assert embed[0] == 0 and embed[1] == 1
+        assert np.unique(embed).size == sub.size
         for a in range(sub.size):
-            assert proj[embed[a]] == a
             for b in range(sub.size):
                 assert embed[sub.add(a, b)] == big.add(embed[a], embed[b])
                 assert embed[sub.mul(a, b)] == big.mul(embed[a], embed[b])
 
 
 def test_prime_subfield_embeds_as_constants():
-    _, embed, proj = F9.subfield(1)
-    assert embed.tolist() == [0, 1, 2]
-    assert proj.tolist() == [0, 1, 2] + [-1] * 6
-    assert not embed.flags.writeable and not proj.flags.writeable
+    sub, embed = F9.subfield(1)
+    assert sub is F3 and embed.tolist() == [0, 1, 2]
+    assert not embed.flags.writeable
+
+
+def test_subfield_keeps_no_whole_field_map():
+    # a whole-field int64 projection kept 8 bytes per element, 4.25 MB here
+    field = Field(3, 12)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        copy = field.subfield(2)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < field.size
+    sub, embed = copy
+    assert sub.size == embed.size == 9
 
 
 def test_modulus_selection_deterministic():

@@ -13,7 +13,9 @@ NONCANONICAL_GOLDEN pins the subfield embeddings of fields built on other
 moduli, as a bundle's space may be: one sha256 per (p, m) over every
 subfield(s) embedding, s | m ascending, of the first `count` irreducible
 monic moduli in lexicographic order (most significant coefficient first),
-which field_oracle.is_irreducible enumerates.
+which field_oracle.is_irreducible enumerates.  NONCANONICAL_TRACE_GOLDEN
+pins, on the same fields, every _trace_table(k), k | m ascending, and
+dual_map, field by field.
 """
 import hashlib
 import itertools
@@ -183,6 +185,16 @@ NONCANONICAL_GOLDEN = {
     (3, 8): (4, "c983a8c85145a2c9d53ac40dbd828a13b6ec0de4fcc5d061d3b906d0930d685f"),
 }
 
+# (p, m): digest of the trace tables and dual maps of NONCANONICAL_GOLDEN's fields
+NONCANONICAL_TRACE_GOLDEN = {
+    (3, 4): "69a3c4e1300eb55fb785019800b329eba0b6c69f3cd02c88d96c86462d6e530f",
+    (5, 2): "798cf4db2e3225c6042bd2f23ebe8da648389d424c240a779d32e239f710dba3",
+    (7, 2): "e7a9819fba12088cfdcd811fedda0a61d376f6c580a7f8bf4c258e667d1a83a6",
+    (3, 6): "c7ab3e1445607c5c06279795dbed468de32113652936aa040687a7db277b46d0",
+    (5, 4): "475ce040033b4da916466f08baeace86fda86cbe23e3db08b25830e8c9e2d72d",
+    (3, 8): "f9c7a15686f57dfc48a23456fd927af94071e1e4c4d66be62fe9cfa0fcff5cc8",
+}
+
 
 def _digest(*arrays) -> str:
     h = hashlib.sha256()
@@ -208,16 +220,31 @@ def test_field_tables_match_golden_digests(p, m):
     assert got == FIELD_GOLDEN[p, m]
 
 
-@pytest.mark.parametrize("p,m", NONCANONICAL_GOLDEN,
-                         ids=[f"{p}^{m}" for p, m in NONCANONICAL_GOLDEN])
-def test_noncanonical_subfield_embeddings_match_golden_digests(p, m):
-    count, digest = NONCANONICAL_GOLDEN[p, m]
+def _noncanonical_fields(p, m):
+    """NONCANONICAL_GOLDEN's fields of order p^m, on their first moduli."""
+    count = NONCANONICAL_GOLDEN[p, m][0]
     moduli = (tuple(reversed(msd)) + (1,) for msd in itertools.product(range(p), repeat=m))
     fields = [Field(p, m, f) for f in itertools.islice(
         (f for f in moduli if field_oracle.is_irreducible(f, p)), count)]
-    divisors = [s for s in range(1, m + 1) if m % s == 0]
     assert len(fields) == count
-    assert _digest(*(field.subfield(s)[1] for field in fields for s in divisors)) == digest
+    return fields
+
+
+@pytest.mark.parametrize("p,m", NONCANONICAL_GOLDEN,
+                         ids=[f"{p}^{m}" for p, m in NONCANONICAL_GOLDEN])
+def test_noncanonical_subfield_embeddings_match_golden_digests(p, m):
+    divisors = [s for s in range(1, m + 1) if m % s == 0]
+    assert _digest(*(field.subfield(s)[1] for field in _noncanonical_fields(p, m)
+                     for s in divisors)) == NONCANONICAL_GOLDEN[p, m][1]
+
+
+@pytest.mark.parametrize("p,m", NONCANONICAL_TRACE_GOLDEN,
+                         ids=[f"{p}^{m}" for p, m in NONCANONICAL_TRACE_GOLDEN])
+def test_noncanonical_trace_tables_match_golden_digests(p, m):
+    divisors = [k for k in range(1, m + 1) if m % k == 0]
+    assert _digest(*(table for field in _noncanonical_fields(p, m) for table in
+                     [field._trace_table(k) for k in divisors] + [field.dual_map])
+                   ) == NONCANONICAL_TRACE_GOLDEN[p, m]
 
 
 @pytest.mark.parametrize("p,m", FIELD_GOLDEN, ids=[f"{p}^{m}" for p, m in FIELD_GOLDEN])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -145,8 +147,12 @@ def test_whole_space_permutations(sp):
             assert inner_product(sp, a, x) == sum(u * v for u, v in zip(du, dx)) % p
 
 
-# prime, extension and mixed spaces, with the 5- and 7-ary ones above
+# prime, extension and mixed spaces, with the 5- and 7-ary ones above;
+# GF(5) has no high digits, 3^5 an odd dimension, and GF(3) x GF(27) is
+# split inside its second factor
 MAP_SPACES = [
+    prime_space(5, 1),
+    prime_space(3, 5),
     prime_space(3, 4),
     Space([F27]),
     Space([F9, F3]),
@@ -175,6 +181,22 @@ def test_maps_equal_per_point_oracle(sp):
     for gather in (sp.gather_dual, lambda v: sp.gather_scaled(v, 2)):
         with pytest.raises(ValueError, match="first axis"):
             gather(values[1:])
+
+
+def test_gather_scaled_builds_no_whole_space_map():
+    # a per-call map of the one factor was a 4.25 MB int64 array here
+    sp = Space([canonical_field(3, 12)])
+    values = (np.arange(sp.size) % 251).astype(np.uint8)
+    expected = values[sp.neg]  # 2 = -1 mod 3
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = sp.gather_scaled(values, 2)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, expected)
+    assert peak < 8 * sp.size
 
 
 def test_mixed_characteristics_rejected():

@@ -270,6 +270,16 @@ def test_lform_examples():
     assert lform_exponents(p_ary(prime_space(5, 1), [0, 1, 4, 4, 1])) == {2}
     zero5 = p_ary(prime_space(5, 1), [0] * 5)
     assert lform_exponents(zero5) == {1, 2, 3, 4}
+    cubic = [(x * x * y + 2 * y ** 3) % 7 for y in range(7) for x in range(7)]
+    assert lform_exponents(p_ary(prime_space(7, 2), cubic)) == {3}
+    no_form = [(x + y * y) % 5 for y in range(5) for x in range(5)]
+    assert lform_exponents(p_ary(prime_space(5, 2), no_form)) == set()
+    # f(a x) = a^2 f(x) for every square a, but f(g x) = 0 != g^l f(x) at
+    # x = (1, 0) for the generator g = 2, so f is no l-form
+    sp, squares = prime_space(13, 2), {x * x % 13 for x in range(1, 13)}
+    f = p_ary(sp, [x * x % 13 if x in squares else 0 for y in range(13) for x in range(13)])
+    assert all(np.array_equal(sp.gather_scaled(f.table, a), a * a * f.table % 13) for a in squares)
+    assert lform_exponents(f) == set()
 
 
 def test_lform_exponents_retain_no_scaling_map():

@@ -30,7 +30,10 @@ How each table is built, and why it is exact:
   image r of its generator g gives the map g^i -> r^i, which the trace
   matrix inverts at its m values alone, through the log table.
 - The trace tables and dual_map are GF(p)-linear maps, so their tables are
-  built from their matrices one input digit at a time, in integers.
+  built from their matrices one input digit at a time, in integers.  A field
+  keeps them (the trace tables in _traces) and its digit and exp/log tables,
+  all read-only, and they die with it; subfield(s) is rebuilt per call, and
+  only canonical_field caches, by (p, m).
 """
 from __future__ import annotations
 
@@ -195,6 +198,9 @@ class Field:
         self._exp = self._powers_of(self._generator)
         self._log = np.zeros(self.size, dtype=np.int64)
         self._log[self._exp] = np.arange(self.size - 1)
+        for table in (self._powers, self._digits, self._exp, self._log):
+            table.setflags(write=False)
+        self._traces = {}  # k -> the table of Tr_k^m, filled by trace
 
     # -- construction internals ------------------------------------------
 
@@ -258,7 +264,7 @@ class Field:
         matrix A with m rows.  Per output digit, rank d p^j + r maps to
         d A[j] plus the image of r, so the table grows p-fold per input
         digit, as space._compose's do; its sums, at most m (p - 1), are
-        reduced once."""
+        reduced once.  Read-only, since both callers keep it."""
         p, d = self.p, np.arange(self.p)
         out = np.zeros(self.size, dtype=np.int64)
         for column in np.asarray(A, dtype=np.int64).T[::-1] % p:  # most significant first
@@ -267,6 +273,7 @@ class Field:
                 t = ((d * a % p).astype(t.dtype)[:, None] + t).reshape(-1)
             out *= p
             out += t % p
+        out.setflags(write=False)
         return out
 
     def _rank(self, digits):
@@ -324,9 +331,12 @@ class Field:
     # -- structure ---------------------------------------------------------
 
     def trace(self, k: int, a):
-        """Tr_k^m(a) = sum of a^{p^{k i}}, returned as a rank of the
-        canonical GF(p^k); requires an integer k | m, which subfield(k) checks."""
-        return _ranks_out(self._trace_table(int(_check_integer(k, "subfield degree")))[a])
+        """Tr_k^m(a) = sum of a^{p^{k i}}, as a rank of the canonical GF(p^k),
+        off this field's table for k; requires an integer k | m (subfield checks)."""
+        k = int(_check_integer(k, "subfield degree"))
+        if k not in self._traces:
+            self._traces[k] = self._linear_table(self._trace_matrix(k))
+        return _ranks_out(self._traces[k][a])
 
     def _trace_matrix(self, k: int) -> np.ndarray:
         """Row j holds the canonical GF(p^k) digits of Tr_k^m(x^j), the
@@ -344,17 +354,12 @@ class Field:
         i = self._log[total] // d * pow(int(self._log[r]) // d, -1, q1) % q1
         return sub._digits[np.where(total == 0, 0, sub._exp[i])]
 
-    @lru_cache(maxsize=None)
-    def _trace_table(self, k: int) -> np.ndarray:
-        # Tr_k^m is GF(p)-linear, Tr(y) = sum_j y_j Tr(x^j) over the digits y_j
-        return self._linear_table(self._trace_matrix(k))
-
     @cached_property
     def dual_map(self) -> np.ndarray:
         """dual_map[a] = the rank u with Tr_1^m(a y) = sum_j u_j y_j for all
         y (digitwise mod p): u packs the digits (Tr_1^m(a x^j))_j.  On GF(p)
         it is the identity.  a -> u is GF(p)-linear, with Tr_1^m(x^i x^j)
-        in row i, column j of its matrix."""
+        in row i, column j of its matrix.  Kept on this field, read-only."""
         basis = self._powers
         products = self._digits[self.mul(basis[:, None], basis)].astype(np.int64)
         return self._linear_table((products @ self._trace_matrix(1).astype(np.int64))[..., 0])
@@ -383,11 +388,8 @@ class Field:
         a read-only int64 array.  Each root rho of GF(p^s)'s modulus gives
         one embedding, x -> rho; the images of the canonical generator g
         under these are exactly the roots of g's minimal polynomial, so g
-        goes to its least-rank root r."""
-        return self._subfield(int(_check_integer(s, "subfield degree")))
-
-    @lru_cache(maxsize=None)
-    def _subfield(self, s: int):
+        goes to its least-rank root r.  Built on each call, cached nowhere."""
+        s = int(_check_integer(s, "subfield degree"))
         if s < 1:
             raise ValueError(f"subfield degree must be >= 1, got {s}")
         if self.m % s != 0:

@@ -439,9 +439,11 @@ def _candidacy(space: Space, D) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _half_sub_table(p: int, width: int) -> np.ndarray:
     """T[x, y] = digitwise (x - y) mod p on width base-p digits, packed;
-    at width 0 the one entry 0."""
+    at width 0 the one entry 0.  Shared between calls, so read-only."""
     digit = np.arange(p, dtype=np.int64)
-    return _compose([(digit[:, None] - digit) % p] * width, axes=2)
+    table = _compose([(digit[:, None] - digit) % p] * width, axes=2)
+    table.setflags(write=False)
+    return table
 
 
 class _RankSplit(NamedTuple):

@@ -13,7 +13,8 @@ factor, through Field.dual_map; gather_scaled (x -> c x, c in GF(p), which
 scales every digit) once per half of the split r = hi p^low_digits + lo,
 through the cached _scaling tables.  Neither builds a whole-space map.
 Only x -> -x is kept as a rank array (neg), composed digit by digit in
-O(N), because the verifiers gather sparse rank arrays through it.
+O(N), because the verifiers gather sparse rank arrays through it; like
+every table shared between calls, it is read-only.
 """
 from __future__ import annotations
 
@@ -48,8 +49,10 @@ class Space:
 
     @cached_property
     def neg(self) -> np.ndarray:
-        """The permutation x -> -x of the whole space, as a rank array."""
-        return _compose([-np.arange(self.p, dtype=np.int64) % self.p] * self.dim)
+        """The permutation x -> -x of the whole space, as a read-only rank array."""
+        perm = _compose([-np.arange(self.p, dtype=np.int64) % self.p] * self.dim)
+        perm.setflags(write=False)
+        return perm
 
     def negate(self, x: int) -> int:
         return int(self.neg[x])

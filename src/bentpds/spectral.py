@@ -404,7 +404,7 @@ def _candidate_map(p: int, n: int):
     """The 2p values +-u zeta^j a bent Walsh value can take, for the key
     lookup of _match_candidates: (weights w, candidate keys in ascending
     order, and the coefficient rows, signs and exponents j in that order,
-    the exponents in the narrow table dtype)."""
+    the exponents in the narrow table dtype), shared, so read-only."""
     # u = p^{n/2} or p^{(n-1)/2} g as counts, its reduced row with a zero
     # zeta^{p-1} count; times zeta^j, count i moves to i + j
     u = CyclotomicInt.from_int(p, 1) if n % 2 == 0 else gauss_sum(p)
@@ -420,7 +420,10 @@ def _candidate_map(p: int, n: int):
     keys = keys[order]
     if (keys[1:] == keys[:-1]).any():
         raise MatchFailure(f"candidate keys collide for p={p}, n={n}")
-    return w, keys, rows[order], signs[order], js[order]
+    tables = w, keys, rows[order], signs[order], js[order]
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 # Rows keyed and confirmed per step of _match_candidates, so its int64

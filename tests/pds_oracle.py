@@ -61,7 +61,7 @@ def char_sum_preimage(F, u: int, i: int, spectra=None) -> RingInt:
 
     if spectra is None:
         spectra = component_spectra(F)
-    tr1 = cod._trace_table(1)
+    tr1 = cod.trace(1, np.arange(cod.size))
     minus_u = negate(sp, u)
     total = RingInt.zero(p)
     for c in range(1, cod.size):

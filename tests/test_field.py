@@ -1,10 +1,12 @@
+import gc
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from bentpds import pds
+from bentpds import pds, spectral
 from bentpds.errors import (
     InverseOfZero,
     NotADivisor,
@@ -14,6 +16,7 @@ from bentpds.errors import (
     ZeroBeta,
 )
 from bentpds.field import Field, canonical_field, is_prime, smallest_irreducible
+from bentpds.space import prime_space
 
 F3 = canonical_field(3, 1)
 F9 = canonical_field(3, 2)
@@ -117,7 +120,7 @@ def test_trace_table_matches_defining_sum(field):
         if field.m % k:
             continue
         proj = projection(field, k)
-        table = field._trace_table(k)
+        table = field.trace(k, np.arange(field.size))
         for a in range(0, field.size, step):
             total, conj = 0, a
             for _ in range(field.m // k):
@@ -151,7 +154,7 @@ def test_trace_table_is_the_frobenius_sum():
     for p, m in TRACE_FIELDS:
         field = canonical_field(p, m)
         for k in (k for k in range(1, m + 1) if m % k == 0):
-            table = field._trace_table(k)
+            table = field.trace(k, np.arange(field.size))
             assert table.dtype == np.int64
             assert np.array_equal(table, frobenius_trace_table(field, k)), (p, m, k)
 
@@ -256,6 +259,67 @@ def test_subfield_keeps_no_whole_field_map():
     assert kept < field.size
     sub, embed = copy
     assert sub.size == embed.size == 9
+
+
+# A field's tables live on it, so a dropped field is freed whatever it read.
+# Each read gets its own modulus (the last three of degree 4 in
+# lexicographic order), so that no equal field read earlier can stand in.
+FIELD_READS = {
+    "trace": (lambda field: field.trace(1, 5), (2, 1, 2, 2, 1)),
+    "subfield": (lambda field: field.subfield(2), (1, 2, 1, 2, 1)),
+    "dual_map": (lambda field: field.dual_map, (2, 1, 1, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("read, modulus", FIELD_READS.values(), ids=FIELD_READS.keys())
+def test_a_field_is_freed_after_its_tables_are_read(read, modulus):
+    assert not hasattr(Field, "_trace_table") and not hasattr(Field, "_subfield")
+    field = Field(3, 4, modulus)
+    assert field != F81
+    read(field)
+    alive = weakref.ref(field)
+    del field
+    gc.collect()
+    assert alive() is None
+
+
+def test_a_bundle_field_leaves_no_tables_behind():
+    # a non-canonical GF(3^12) read from a bundle once kept 18.3 MB of tables
+    # after it was dropped; the canonical fields it reads are cached anyway
+    for s in (1, 2, 12):
+        canonical_field(3, s)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        field = Field.from_dict({"p": 3, "m": 12, "modulus": [1, 0] + [2] * 10 + [1]})
+        assert field != canonical_field(3, 12)
+        field.trace(1, 5)
+        field.subfield(2)
+        del field
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert left < 2 ** 20
+
+
+def test_shared_tables_are_read_only():
+    for k in (1, 2, 4):
+        F81.trace(k, 0)
+    tables = {
+        "_powers": F81._powers, "_digits": F81._digits, "_exp": F81._exp, "_log": F81._log,
+        "dual_map": F81.dual_map, "neg": prime_space(3, 4).neg,
+        "_half_sub_table": pds._half_sub_table(3, 2),
+        **{f"trace {k}": table for k, table in F81._traces.items()},
+        **{f"_candidate_map {i}": table
+           for i, table in enumerate(spectral._candidate_map(3, 4))},
+    }
+    assert len(tables) == 15
+    for name, table in tables.items():
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = table
+        assert not table.flags.writeable, name
 
 
 def test_modulus_selection_deterministic():
@@ -375,7 +439,8 @@ def test_numpy_integer_ranks_and_exponents_are_integers():
     assert F9.check_rank(np.int64(3)) == 3
     assert F9.subgroup_coset(np.int32(2), np.uint8(1)).members == {1, 2, 3, 6}
     assert pds.semiprimitive_check(3, 2, np.int64(2)) == pds.semiprimitive_check(3, 2, 2)
-    assert F81.subfield(np.int64(2)) is F81.subfield(2)
+    (sub, embed), (sub2, embed2) = F81.subfield(np.int64(2)), F81.subfield(2)
+    assert sub is sub2 and np.array_equal(embed, embed2)
     assert F81.trace(np.uint8(1), 5) == F81.trace(1, 5) == 2
 
 

@@ -5,7 +5,7 @@ them.
 FIELD_GOLDEN covers every GF(p^m) with p^m <= 3^12 for p in {3, 5, 7}, and
 GF(11^2), GF(13^2) and GF(37^2).  Each row is the modulus, the primitive
 element, and the sha256 of: the digit, exp and log tables; every
-_trace_table(k), k | m ascending; dual_map; and every subfield(s) embedding,
+trace(k) table, k | m ascending; dual_map; and every subfield(s) embedding,
 s | m ascending.  Each array is hashed with its dtype and shape, so a table
 that keeps its values but changes dtype also fails.
 
@@ -14,7 +14,7 @@ moduli, as a bundle's space may be: one sha256 per (p, m) over every
 subfield(s) embedding, s | m ascending, of the first `count` irreducible
 monic moduli in lexicographic order (most significant coefficient first),
 which field_oracle.is_irreducible enumerates.  NONCANONICAL_TRACE_GOLDEN
-pins, on the same fields, every _trace_table(k), k | m ascending, and
+pins, on the same fields, every trace(k) table, k | m ascending, and
 dual_map, field by field.
 """
 import hashlib
@@ -213,7 +213,7 @@ def test_field_tables_match_golden_digests(p, m):
         field.modulus,
         field.primitive_element,
         _digest(field._digits, field._exp, field._log),
-        _digest(*(field._trace_table(k) for k in divisors)),
+        _digest(*(field.trace(k, np.arange(field.size)) for k in divisors)),
         _digest(field.dual_map),
         _digest(*(field.subfield(s)[1] for s in divisors)),
     )
@@ -243,8 +243,8 @@ def test_noncanonical_subfield_embeddings_match_golden_digests(p, m):
 def test_noncanonical_trace_tables_match_golden_digests(p, m):
     divisors = [k for k in range(1, m + 1) if m % k == 0]
     assert _digest(*(table for field in _noncanonical_fields(p, m) for table in
-                     [field._trace_table(k) for k in divisors] + [field.dual_map])
-                   ) == NONCANONICAL_TRACE_GOLDEN[p, m]
+                     [field.trace(k, np.arange(field.size)) for k in divisors]
+                     + [field.dual_map])) == NONCANONICAL_TRACE_GOLDEN[p, m]
 
 
 @pytest.mark.parametrize("p,m", FIELD_GOLDEN, ids=[f"{p}^{m}" for p, m in FIELD_GOLDEN])

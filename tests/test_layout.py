@@ -5,6 +5,11 @@ public methods (add, mul, pow, trace, log_residue, ...), so one rule decides
 each question, such as which coset of a subgroup of GF(p^s)^* an element
 lies in.
 
+No function defined in a class body is decorated with functools.lru_cache
+or functools.cache: such a cache is keyed by self and holds every instance
+for the life of the process.  A table derived from an object lives on it
+(a cached_property, or a dict such as Field._traces) and dies with it.
+
 Only field.py calls Field( directly, and only space.py Field.from_dict:
 every other module takes its fields from canonical_field, so every field
 descriptor that comes from outside passes the integer rule on one path.
@@ -27,7 +32,7 @@ from pathlib import Path
 import bentpds
 from bentpds import cyclo
 
-FIELD_PRIVATE = re.compile(r"\.\s*(_log|_exp|_trace_table|_digits|_powers)\b")
+FIELD_PRIVATE = re.compile(r"\.\s*(_log|_exp|_traces|_digits|_powers)\b")
 FIELD_CALL = re.compile(r"\bField\s*\(")
 FROM_DICT = re.compile(r"\bField\s*\.\s*from_dict\b")
 
@@ -50,6 +55,36 @@ def test_only_field_reads_a_fields_private_tables():
 def test_only_field_builds_a_field_and_only_space_reads_one():
     assert _lines(FIELD_CALL, {"field.py"}) == []
     assert _lines(FROM_DICT, {"field.py", "space.py"}) == []
+
+
+CLASS_CACHES = {"lru_cache", "cache"}
+
+
+def _cached_methods(source: str) -> list[str]:
+    """The functions defined in a class body of source that are decorated
+    with lru_cache or cache, by name or through functools, called or not."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        for node in cls.body if isinstance(cls, ast.ClassDef) else ():
+            for deco in getattr(node, "decorator_list", ()):
+                deco = deco.func if isinstance(deco, ast.Call) else deco
+                if getattr(deco, "id", getattr(deco, "attr", None)) in CLASS_CACHES:
+                    found.append(node.name)
+    return found
+
+
+def test_no_method_is_cached_on_its_class():
+    package = Path(bentpds.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert {path.name: _cached_methods(path.read_text()) for path in modules} == {
+        path.name: [] for path in modules}
+    bad = ("import functools\nfrom functools import cache, cached_property, lru_cache\n"
+           "@lru_cache(maxsize=None)\ndef table(p):\n    return p\n"
+           "class Field:\n    @functools.lru_cache(maxsize=None)\n    def _trace_table(self, k):\n"
+           "        return k\n    @cache\n    def _subfield(self, s):\n        return s\n"
+           "    @staticmethod\n    @functools.cache\n    def build(p):\n        return p\n"
+           "    @cached_property\n    def dual_map(self):\n        return 0\n")
+    assert _cached_methods(bad) == ["_trace_table", "_subfield", "build"]
 
 
 def _cyclo_imports(source: str) -> list[str]:

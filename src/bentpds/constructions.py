@@ -165,6 +165,8 @@ def mm_power(p: int, m: int, s: int, a: int, e: int) -> ConstructedPair:
         raise NotADivisor(f"{s} does not divide {m}")
     _check_a(F, a)
     q, e = F.size, int(_check_integer(e, "e"))
+    if e < 0:  # gcd(e, q - 1) = 1 holds for e = -1, but 0^e is undefined
+        raise BadExponent(f"e = {e} must be non-negative")
     if math.gcd(e, q - 1) != 1:
         raise BadExponent(f"gcd({e}, {q - 1}) != 1")
     u = pow(e, -1, q - 1)

@@ -53,14 +53,13 @@ eta(lambda) g (eta the quadratic character of GF(p)), so lambda f is bent
 iff f is, (lambda f)^*(a) = lambda f^*(lambda^{-1} a), and its sign is
 eps_f for even n and eta(lambda) eps_f for odd n.  Certification keeps
 component and dual tables in the narrowest dtype that holds [0, p), one
-orbit's at a time, and finds each dual among the components of the
-claimed dual by a CRC-32 key confirmed by exact comparison.
+orbit's at a time, and reads each dual g off Fstar's image: g = Tr(d Fstar)
+exactly when g = h o Fstar for an h with h(y) = Tr(d y) on that image.
 """
 from __future__ import annotations
 
 import math
 import random
-import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -523,12 +522,6 @@ class DualBentCertificate:
     epsilons: dict[int, int | None]
 
 
-def _table_key(table: np.ndarray) -> int:
-    """The Fstar index key of a contiguous table: a CRC-32 of its bytes.
-    Equal tables get equal keys; a hit is confirmed by comparing tables."""
-    return zlib.crc32(table)
-
-
 def dual_bent_certificate(
     F: VectorialFunction, Fstar: VectorialFunction
 ) -> DualBentCertificate | None:
@@ -540,10 +533,10 @@ def dual_bent_certificate(
     docstring): (F_c)^*(a) = mu (F_r)^*(mu^{-1} a), eps_c = eps_r for even n
     and eta(mu) eps_r for odd n, and None stays None.  Only one orbit's
     duals are held at a time, all in the narrowest dtype that holds
-    [0, p).  Each dual is looked up among the Fstar components by the
-    _table_key of its table, and every hit is confirmed against the
-    recomputed Fstar component, so colliding keys cost time but never give
-    another sigma.
+    [0, p).  Each dual g is read off Fstar's value table: g = Fstar_d
+    exactly when g = h o Fstar, with h scattered from g and checked by one
+    gather, and h(y) = Tr(d y) on Fstar's image.  Those rows index every d,
+    and two d with one row have equal Fstar components.
 
     Returns the certificate, or None when Fstar fails to certify F (which
     does not prove F is not dual-bent).  Raises NotBent if some component
@@ -561,16 +554,19 @@ def dual_bent_certificate(
     """
     if F.domain != Fstar.domain or F.codomain != Fstar.codomain:
         raise ValueError("F and Fstar must share domain and codomain")
-    q, p, n = F.codomain.size, F.p, F.domain.dim
-    narrow = _narrow(p)
-    star_index: dict[int, list[int]] = {}
+    cod, p, n = F.codomain, F.p, F.domain.dim
+    q, narrow = cod.size, _narrow(p)
+    image = np.flatnonzero(np.bincount(Fstar.table, minlength=q))
+    star_index: dict[bytes, list[int]] = {}  # Tr(d y) on the image -> [d, ...]
     for d in range(1, q):
-        star_index.setdefault(_table_key(_component_table(Fstar, d, narrow)), []).append(d)
+        row = cod.trace(1, cod.mul(d, image)).astype(narrow)
+        star_index.setdefault(row.tobytes(), []).append(d)
+    h = np.zeros(q, dtype=narrow)  # a dual's value at each y of the image
     eta = canonical_field(p, 1).quadratic_character
     sigma = dict.fromkeys(range(1, q))  # listed by c, filled an orbit at a time
     epsilons = dict(sigma)
     failure = q  # the least c whose dual matched no single Fstar component
-    for r, members in _scalar_orbits(F.codomain).items():
+    for r, members in _scalar_orbits(cod).items():
         if r > failure:
             break
         rep = _bent_dual(F.domain, _component_table(F, r, narrow))
@@ -587,8 +583,9 @@ def dual_bent_certificate(
                 dual = (mu * np.arange(p) % p).astype(dual.dtype)[scaled]
                 if n % 2 and eps is not None:
                     eps *= eta(mu)
-            matches = [d for d in star_index.get(_table_key(dual), [])
-                       if np.array_equal(_component_table(Fstar, d, narrow), dual)]
+            h[Fstar.table] = dual
+            matches = (star_index.get(h[image].tobytes(), [])
+                       if np.array_equal(h[Fstar.table], dual) else [])
             if len(matches) != 1:
                 failure = c
                 break

@@ -61,6 +61,10 @@ def test_mm_power_sigma_exponent():
 def test_mm_power_rejects_bad_exponent():
     with pytest.raises(BadExponent):
         mm_power(3, 2, 1, 1, 2)  # gcd(2, 8) != 1
+    with pytest.raises(BadExponent, match="gcd"):
+        mm_power(3, 2, 1, 1, 0)  # gcd(0, 8) != 1
+    with pytest.raises(BadExponent, match="non-negative"):
+        mm_power(3, 2, 1, 1, -1)  # gcd(-1, 8) = 1, but 0^{-1} is undefined
     with pytest.raises(ZeroArgument):
         mm_power(3, 2, 1, 0, 1)
 

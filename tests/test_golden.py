@@ -134,6 +134,8 @@ ERROR_GOLDEN = [
      "d0c05e10181698c3f43b89d6e2108381a8ced192ffee74d4aaaf6baff7295ae3"),
     ("mm-power --p 3 --m 2 --s 1 --e 2", 1,  # gcd(2, 8) != 1
      "04a9a392f5f173a7619d710deba6dafca8532053f3d8749a13b3ea89cc4956e1"),
+    ("mm-power --p 3 --m 2 --s 1 --e -1", 1,  # e = -1 must be non-negative
+     "aa184de0c8459b84083068b9c1a8d7069041a930b07a859b3a8ae085dab3b0ff"),
     ("mm-qpoly --p 9 --m 2 --s 1 --coeffs 1", 2,  # characteristic must be an odd prime, got 9
      "c652f77e488f22561c62bad77be5c432417cf60bec6d86cd06638115e3ce5ca3"),
     ("mm-qpoly --p 3 --m 2 --s 0 --coeffs 1", 2,  # extension degrees must be >= 1

@@ -642,8 +642,10 @@ def test_certificate_equals_per_component_oracle(pair):
 
 
 def _wrong_duals(F, Fstar, other):
-    """Fstar replaced by another instance's dual, or composed with a
-    permutation that is not x -> lambda x on the domain or the codomain."""
+    """Fstar replaced by another instance's dual, composed with a
+    permutation that is not x -> lambda x on the domain or the codomain,
+    sent into GF(p) by the trace, or with one entry moved to another
+    fibre."""
     rng = np.random.default_rng(F.domain.size)
     cod, dom = F.codomain, F.domain
     shuffled = np.concatenate([[0], 1 + rng.permutation(cod.size - 1)])
@@ -656,6 +658,11 @@ def _wrong_duals(F, Fstar, other):
     if cod.m > 1:
         # x -> beta x with beta outside GF(p): certifies with another sigma
         out.append(VectorialFunction(dom, cod, cod.mul(cod.p, Fstar.table)))
+        # an image that spans no basis: several d share one row of Tr(d y)
+        out.append(VectorialFunction(dom, cod, cod.trace(1, Fstar.table)))
+    moved = Fstar.table.copy()
+    moved[np.flatnonzero(moved != moved[0])[0]] = moved[0]
+    out.append(VectorialFunction(dom, cod, moved))
     return out
 
 
@@ -715,8 +722,12 @@ def test_first_non_bent_component_past_c_1():
     assert _outcome(dual_bent_certificate, F, Fstar) == expected
     assert not vectorial_bent_per_component(F)
     zero = VectorialFunction(F.domain, F.codomain, np.zeros(F.domain.size, dtype=np.int64))
-    assert _outcome(dual_bent_certificate, F, zero) is None
-    assert _outcome(certificate_per_component, F, zero) is None
+    # F* sent into GF(p) by the trace: the dual of F_1 is the component of
+    # several d, which fails at c = 1, before component 5 is reached
+    traced = VectorialFunction(F.domain, F.codomain, F.codomain.trace(1, Fstar.table))
+    for wrong in (zero, traced):
+        assert _outcome(dual_bent_certificate, F, wrong) is None
+        assert _outcome(certificate_per_component, F, wrong) is None
 
 
 def _not_bent_at_4():
@@ -748,19 +759,32 @@ def test_the_smaller_c_decides_between_not_bent_and_none():
     assert _outcome(certificate_per_component, F, Fstar) is None
 
 
-def test_colliding_keys_change_no_certificate(monkeypatch):
-    # every F* component gets the same key, so each lookup compares the dual
-    # with every component: sigma, signs, None and NotBent stay as they were
-    cases = [(pair.function, pair.dual) for pair in _oracle_pairs()]
-    cases += [(pair.function, Fstar) for pair, Fstar in _wrong_dual_cases()]
-    cases += [_bent_then_zero(), _two_form_pair(*_not_bent_at_4())]
-    expected = [_outcome(dual_bent_certificate, F, Fstar) for F, Fstar in cases]
-    keys = []
-    monkeypatch.setattr(spectral, "_table_key", lambda table: keys.append(0) or 0)
-    assert [_outcome(dual_bent_certificate, F, Fstar) for F, Fstar in cases] == expected
-    assert keys  # the lookups went through the patched key
-    kinds = {o if o is None else o[0] if o[0] == "NotBent" else "certified" for o in expected}
-    assert kinds == {None, "NotBent", "certified"}
+def test_certificate_builds_one_component_of_f_per_orbit(monkeypatch):
+    # duals are read off Fstar's value table, so no component of Fstar is built
+    component_table, built = spectral._component_table, []
+
+    def recording(F, c, dtype):
+        built.append((F, c))
+        return component_table(F, c, dtype)
+
+    monkeypatch.setattr(spectral, "_component_table", recording)
+    for pair in _oracle_pairs():
+        F = pair.function
+        built.clear()
+        assert dual_bent_certificate(F, pair.dual).sigma == pair.sigma
+        assert all(G is F for G, _ in built)
+        assert [c for _, c in built] == list(spectral._scalar_orbits(F.codomain))
+
+
+def test_certificate_refuses_mismatched_inputs():
+    from bentpds.constructions import mm_power
+
+    F = mm_power(3, 2, 2, 1, 3).function  # GF(9)^2 -> GF(9)
+    other_domain = VectorialFunction(prime_space(3, 4), F.codomain, F.table)
+    other_codomain = mm_power(3, 2, 1, 1, 3).function  # GF(9)^2 -> GF(3)
+    for Fstar in (other_domain, other_codomain):
+        with pytest.raises(ValueError, match="F and Fstar must share domain and codomain"):
+            dual_bent_certificate(F, Fstar)
 
 
 # ---------------------------------------------------------------------------
@@ -956,7 +980,7 @@ def test_certificate_peak_memory_is_bounded_by_one_transform(args):
     assert cert is not None and cert.sigma == pair.sigma
     # the narrow tables of one orbit: the component, the candidate index and
     # its permutation, a dual, a derived dual and the two arrays it passes
-    # through, the recomputed Fstar component and its comparison
+    # through, the dual gathered back through Fstar's table and its comparison
     assert peak <= _peak_bound(sp, 8), peak / _peak_bound(sp, 8)
 
 

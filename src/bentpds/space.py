@@ -11,7 +11,11 @@ factors, Tr_1^m(a b) on extension factors, summed mod p.  gather_dual
 (a -> the rank u with <a, x> = sum_k u_k x_k) takes once per extension
 factor, through Field.dual_map; gather_scaled (x -> c x, c in GF(p), which
 scales every digit) once per half of the split r = hi p^low_digits + lo,
-through the cached _scaling tables.  Neither builds a whole-space map.
+through the cached _scaling tables; gather_mul (x -> (c_i x_i), one c_i in
+each factor's field, which mixes an extension factor's digits) once per
+factor with c_i != 1, through that factor's table of q_i ranks, built per
+call by Field.mul.  None of them builds a whole-space map beyond what one
+factor spans.
 Only x -> -x is kept as a rank array (neg), composed digit by digit in
 O(N), because the verifiers gather sparse rank arrays through it; like
 every table shared between calls, it is read-only.
@@ -63,6 +67,19 @@ class Space:
         p, low, c = self.p, self.low_digits, int(c) % self.p
         halves = ((low, 1), (self.dim - low, p ** low))
         return self._gather(values, [(_scaling(p, w, c), shift) for w, shift in halves])
+
+    def gather_mul(self, values: np.ndarray, cs) -> np.ndarray:
+        """values[(c_0 x_0, ..., c_k x_k)] at every x, for one rank c_i of
+        each factor's field and an array whose first axis runs over the
+        space: one np.take per factor with c_i != 1, through its table of
+        x -> c_i x.  When every c_i is one c in GF(p), which scales every
+        digit, it is gather_scaled."""
+        cs = [f.check_rank(c, "multiplier") for f, c in zip(self.factors, cs, strict=True)]
+        if len(set(cs)) == 1 and cs[0] < self.p:
+            return self.gather_scaled(values, cs[0])
+        maps = zip(self.factors, cs, self._shifts)
+        return self._gather(values, [(f.mul(c, np.arange(f.size)), shift)
+                                     for f, c, shift in maps if c != 1])
 
     def gather_dual(self, values: np.ndarray) -> np.ndarray:
         """values[dual(a)] at every a, for an array whose first axis runs

@@ -45,16 +45,24 @@ confirms it.  A row equal to a candidate has that candidate's key, so it
 is found; any other row fails the equality, so the match stays exact
 whatever the keys collide with.
 
-Certificates use one transform per GF(p)^* orbit of components.  For
-lambda in GF(p)^*, F_{lambda c} = lambda F_c, and
+Certificates use one transform per orbit of H = <d, GF(p)^*> on the
+components, where F o phi = d F for a scaling phi: x_i -> t_i x_i of the
+domain factors that one exact comparison over F's table confirms
+(_symmetry; d = 1 and H = GF(p)^* when none holds).  For lambda in
+GF(p)^*, F_{lambda c} = lambda F_c, and
 W_{lambda f}(a) = sigma_lambda(W_f(lambda^{-1} a)) with sigma_lambda the
 automorphism zeta -> zeta^lambda.  It fixes p^{n/2} and sends g to
 eta(lambda) g (eta the quadratic character of GF(p)), so lambda f is bent
 iff f is, (lambda f)^*(a) = lambda f^*(lambda^{-1} a), and its sign is
-eps_f for even n and eta(lambda) eps_f for odd n.  Certification keeps
-component and dual tables in the narrowest dtype that holds [0, p), one
-orbit's at a time, and reads each dual g off Fstar's image: g = Tr(d Fstar)
-exactly when g = h o Fstar for an h with h(y) = Tr(d y) on that image.
+eps_f for even n and eta(lambda) eps_f for odd n.  And F_{c d^k} =
+F_c o phi^k, where phi is self-adjoint for the inner product, so
+(f o phi^k)^* = f^* o phi^{-k} with the sign of f.  At mm_power and
+mm_qpoly, phi scales the first factor by the embedded generator of
+GF(p^s), d has order q - 1, and one transform serves every component.
+Certification keeps component and dual tables in the narrowest dtype that
+holds [0, p), one orbit's at a time, and reads each dual g off Fstar's
+image: g = Tr(e Fstar) exactly when g = h o Fstar for an h with
+h(y) = Tr(e y) on that image.
 """
 from __future__ import annotations
 
@@ -498,18 +506,66 @@ def classify_bent(f: VectorialFunction) -> BentClassification:
     )
 
 
-def _scalar_orbits(cod: Field) -> dict[int, list[tuple[int, int]]]:
-    """r -> [(c, mu), ...] for every orbit {lambda r : lambda in GF(p)^*} of
-    nonzero ranks of cod, representatives r in increasing order: r is its
-    least rank, and c = mu r runs over the orbit in increasing order, so
-    (r, 1) comes first.  GF(p)^* is the subgroup of order p - 1, so the
-    orbits are the log residue classes mod (q - 1)/(p - 1)."""
-    q, p = cod.size, cod.p
-    res = cod.log_residue(np.arange(1, q), (q - 1) // (p - 1))
-    rows = (np.argsort(res, kind="stable") + 1).reshape(-1, p - 1)  # ascending per class
+def _scalar_orbits(cod: Field, index: int) -> dict[int, list[tuple[int, int]]]:
+    """r -> [(c, mu), ...] for every orbit {h r : h in H} of nonzero ranks
+    of cod, H the subgroup of GF(q)^* of this index (a divisor of
+    (q - 1)/(p - 1), which gives H = GF(p)^*), so the orbits are the log
+    residue classes mod index; representatives r in increasing order: r is
+    its least rank, and c = mu r runs over the orbit in increasing order,
+    so (r, 1) comes first."""
+    q = cod.size
+    res = cod.log_residue(np.arange(1, q), index)
+    rows = (np.argsort(res, kind="stable") + 1).reshape(index, -1)  # ascending per class
     rows = rows[np.argsort(rows[:, 0])]
     mus = cod.mul(rows, cod.inv(rows[:, :1]))
     return {int(row[0]): list(zip(row.tolist(), mu.tolist())) for row, mu in zip(rows, mus)}
+
+
+def _symmetry(F: VectorialFunction) -> tuple[list[int], int, int]:
+    """(ts, d, index): the scaling phi: x_i -> t_i x_i of the domain with
+    F o phi = d F whose H = <d, GF(p)^*> has the least index
+    gcd((q - 1)/(p - 1), log d) in GF(q)^*.  Each t_i is 1 or iota_i(g),
+    g the generator of GF(p^s) and iota_i its embedding into factor i by
+    Field.subfield(s), on each factor whose degree s divides alone, then
+    on all of them together; the search stops at index 1.  d is read at
+    one x0 with F(x0) != 0, and a candidate holds only if one exact
+    comparison over the whole table confirms it.  With no such phi, or
+    when GF(p)^* is all of GF(q)^* (s = 1, where nothing is searched),
+    it is the identity: every t_i = 1, d = 1, index (q - 1)/(p - 1)."""
+    cod, dom = F.codomain, F.domain
+    q, s, M = cod.size, cod.m, (cod.size - 1) // (cod.p - 1)
+    best = [1] * len(dom.factors), 1, M
+    if M == 1:
+        return best
+    tab = F.table.astype(np.min_scalar_type(q - 1))
+    x0 = int(np.argmax(tab != 0))
+    if tab[x0] == 0:  # F = 0
+        return best
+    gens = {}  # factor -> iota(g)
+    for i, f in enumerate(dom.factors):
+        if f.m % s == 0:
+            sub, embed = f.subfield(s)
+            gens[i] = int(embed[sub.primitive_element])
+    factor_sets = [[i] for i in gens] + ([list(gens)] if len(gens) > 1 else [])
+    for factors in factor_sets:
+        ts = [gens[i] if i in factors else 1 for i in range(len(dom.factors))]
+        moved = dom.gather_mul(tab, ts)  # F(phi x) at every x
+        d = cod.mul(int(moved[x0]), cod.inv(int(tab[x0])))
+        if d == 0:
+            continue
+        index = math.gcd(M, cod.log_residue(d, q - 1))
+        if index < best[2] and np.array_equal(
+                cod.mul(d, np.arange(q)).astype(tab.dtype)[tab], moved):
+            best = ts, d, index
+            if index == 1:
+                break
+    return best
+
+
+def _multipliers(space: Space, ts: list[int], k: int, lam_inv: int) -> list[int]:
+    """The factor multipliers t_i^{-k} lam^{-1} of a -> phi^{-k}(lam^{-1} a),
+    phi the scaling x_i -> t_i x_i of _symmetry."""
+    return [f.mul(f.pow(t, -k), lam_inv) for f, t in zip(space.factors, ts)]
 
 
 @dataclass
@@ -527,16 +583,31 @@ def dual_bent_certificate(
 ) -> DualBentCertificate | None:
     """Check (F_c)^* = (Fstar)_{sigma(c)} for every nonzero c.
 
-    Components are certified a GF(p)^* orbit at a time, representatives in
-    increasing order.  The least c of an orbit, r, is classified; every
-    other c = mu r takes its dual and sign from r (see the module
-    docstring): (F_c)^*(a) = mu (F_r)^*(mu^{-1} a), eps_c = eps_r for even n
-    and eta(mu) eps_r for odd n, and None stays None.  Only one orbit's
-    duals are held at a time, all in the narrowest dtype that holds
-    [0, p).  Each dual g is read off Fstar's value table: g = Fstar_d
-    exactly when g = h o Fstar, with h scattered from g and checked by one
-    gather, and h(y) = Tr(d y) on Fstar's image.  Those rows index every d,
-    and two d with one row have equal Fstar components.
+    Components are certified an orbit of H = <d, GF(p)^*> at a time,
+    representatives in increasing order, where F o phi = d F for the
+    scaling phi: x_i -> t_i x_i of _symmetry (t_i = 1 and d = 1, so
+    H = GF(p)^*, when it finds none).  Then F_{c d^k} = F_c o phi^k, and
+    multiplication inside a factor is self-adjoint for the trace form, so
+    W_{f o phi^k}(a) = W_f(phi^{-k} a): f o phi^k has the dual
+    f^* o phi^{-k} and the sign of f.  The least c of an orbit, r, is
+    classified; every other c = lambda d^k r, lambda in GF(p)^*, takes
+    its dual and sign from r (see the module docstring):
+    (F_c)^*(a) = lambda (F_r)^*(a'), a'_i = lambda^{-1} t_i^{-k} a_i, by
+    one Space.gather_mul, and eps_c = eps_r for even n and
+    eta(lambda) eps_r for odd n; None stays None.  Only one orbit's duals
+    are held at a time, all in the narrowest dtype that holds [0, p).
+
+    Each derived dual g is read off Fstar's value table as a classified
+    one is: g = Fstar_e exactly when g = h o Fstar, with h scattered from
+    g and checked by one gather, and h(y) = Tr(e y) on Fstar's image;
+    those rows index every e, and two e with one row have equal Fstar
+    components.  That alone would accept a derivation that yields the dual
+    of another component (phi^{+k} in place of phi^{-k} does, with a wrong
+    sigma), so each c first checks, apart from how they were found, that
+    c = lambda d^k r with lambda in GF(p)^* and that every multiplier c_i
+    of the gather has c_i t_i^k lambda = 1.  With F o phi = d F checked on
+    the whole table, these make g = (F_c)^*; if one fails, c fails to
+    certify.
 
     Returns the certificate, or None when Fstar fails to certify F (which
     does not prove F is not dual-bent).  Raises NotBent if some component
@@ -554,22 +625,38 @@ def dual_bent_certificate(
     """
     if F.domain != Fstar.domain or F.codomain != Fstar.codomain:
         raise ValueError("F and Fstar must share domain and codomain")
-    cod, p, n = F.codomain, F.p, F.domain.dim
+    return _certificate(F, Fstar, None)
+
+
+def _certificate(
+    F: VectorialFunction, Fstar: VectorialFunction, first
+) -> DualBentCertificate | None:
+    """dual_bent_certificate on F and Fstar of one domain and codomain;
+    first is the (dual, eps) of _bent_dual for F_1 when the caller has
+    classified it, else None."""
+    cod, dom, p, n = F.codomain, F.domain, F.p, F.domain.dim
     q, narrow = cod.size, _narrow(p)
+    ts, d, index = _symmetry(F)
+    # c / r = lambda d^k: k L = log(c / r) mod M for L = log d, M = (q-1)/(p-1)
+    order = (q - 1) // (p - 1) // index
+    inv_log_d = pow(cod.log_residue(d, q - 1) // index, -1, order)
     image = np.flatnonzero(np.bincount(Fstar.table, minlength=q))
-    star_index: dict[bytes, list[int]] = {}  # Tr(d y) on the image -> [d, ...]
-    for d in range(1, q):
-        row = cod.trace(1, cod.mul(d, image)).astype(narrow)
-        star_index.setdefault(row.tobytes(), []).append(d)
+    star_index: dict[bytes, list[int]] = {}  # Tr(e y) on the image -> [e, ...]
+    for e in range(1, q):
+        row = cod.trace(1, cod.mul(e, image)).astype(narrow)
+        star_index.setdefault(row.tobytes(), []).append(e)
     h = np.zeros(q, dtype=narrow)  # a dual's value at each y of the image
     eta = canonical_field(p, 1).quadratic_character
     sigma = dict.fromkeys(range(1, q))  # listed by c, filled an orbit at a time
     epsilons = dict(sigma)
-    failure = q  # the least c whose dual matched no single Fstar component
-    for r, members in _scalar_orbits(cod).items():
+    failure = q  # the least c that failed: a check of its derivation, or no single match
+    for r, members in _scalar_orbits(cod, index).items():
         if r > failure:
             break
-        rep = _bent_dual(F.domain, _component_table(F, r, narrow))
+        if r == 1 and first is not None:
+            rep = first
+        else:
+            rep = _bent_dual(dom, _component_table(F, r, narrow))
         if rep is None:  # every c < r is certified, as failure > r
             raise NotBent(f"component {r} is not bent")
         for c, mu in members:
@@ -577,12 +664,22 @@ def dual_bent_certificate(
                 break
             dual, eps = rep
             if mu != 1:
-                # a -> mu dual(mu^{-1} a); a narrow index array is cast in
-                # buffered chunks here, not whole
-                scaled = F.domain.gather_scaled(dual, pow(mu, -1, p))
-                dual = (mu * np.arange(p) % p).astype(dual.dtype)[scaled]
+                k = cod.log_residue(mu, q - 1) // index * inv_log_d % order
+                lam = cod.mul(mu, cod.pow(d, -k))  # in GF(p)^*, as k L = log mu mod M
+                cs = _multipliers(dom, ts, k, pow(lam, -1, p))
+                # checked apart from how k, lam and cs were found: c = lam d^k r
+                # with lam in GF(p)^*, and every c_i t_i^k lam = 1
+                if not (lam < p and cod.mul(lam, cod.mul(cod.pow(d, k), r)) == c
+                        and all(f.mul(f.mul(ci, f.pow(t, k)), lam) == 1
+                                for f, ci, t in zip(dom.factors, cs, ts))):
+                    failure = c
+                    break
+                dual = dom.gather_mul(dual, cs)
+                if lam != 1:
+                    # a narrow index array is cast in buffered chunks here, not whole
+                    dual = (lam * np.arange(p) % p).astype(dual.dtype)[dual]
                 if n % 2 and eps is not None:
-                    eps *= eta(mu)
+                    eps *= eta(lam)
             h[Fstar.table] = dual
             matches = (star_index.get(h[image].tobytes(), [])
                        if np.array_equal(h[Fstar.table], dual) else [])
@@ -627,12 +724,14 @@ def lform_converse_check(f: VectorialFunction) -> LformConverseReport:
     counterexample and is flagged as one."""
     if int(f.table[0]) != 0:
         raise PreconditionF0("lform_converse_check requires f(0) = 0")
-    cl = classify_bent(f)
-    if not cl.is_bent:
+    _check_p_ary(f)
+    bent = _bent_dual(f.domain, f.table)  # f = f_1, so the certificate reuses it
+    if bent is None:
         return LformConverseReport(False, "not bent", set(), None, None, False)
-    if not cl.weakly_regular:
+    dual, eps = bent
+    if eps is None:
         return LformConverseReport(False, "bent but not weakly regular", set(), None, None, False)
-    cert = dual_bent_certificate(f, cl.dual)
+    cert = _certificate(f, VectorialFunction(f.domain, f.codomain, dual), bent)
     if cert is None:
         return LformConverseReport(
             False, "dual does not certify a vectorial dual", set(), None, None, False

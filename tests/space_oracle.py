@@ -4,9 +4,9 @@ A rank's base-p digits are its GF(p)-coordinates, factor 0 least
 significant, so every point-level operation here works on digits or factor
 parts, one point at a time, from the factor sizes, Field.mul and
 Field.trace alone.  None of them calls a Space map (neg, gather_scaled,
-gather_dual) or Field.dual_map; dual_rank reads the dual's digits off the
-inner products with the basis vectors.  So each library map can be
-compared with them point by point.
+gather_mul, gather_dual) or Field.dual_map; dual_rank reads the dual's
+digits off the inner products with the basis vectors.  So each library map
+can be compared with them point by point.
 """
 
 

@@ -18,12 +18,12 @@ The test oracles (tests/*_oracle.py) take nothing from bentpds.cyclo but
 the CyclotomicInt record: the oracle ring does its own zeta^{p-1}
 rewrite, so it checks the library's reduction instead of reusing it.
 tests/field_oracle.py imports nothing from bentpds, and
-tests/space_oracle.py names no Space map (neg, gather_scaled, gather_dual),
-no Field.dual_map and no _scaling table, and tests/pds_oracle.py names
-none of the pair counter's digit tables (_rank_split, _half_sub_table,
-_scaling, _pairing) and reads no Space map attribute (.neg, .negate,
-.gather_scaled, .gather_dual), so each can be compared with the code it
-checks.
+tests/space_oracle.py names no Space map (neg, gather_scaled, gather_mul,
+gather_dual), no Field.dual_map and no _scaling table, and
+tests/pds_oracle.py names none of the pair counter's digit tables
+(_rank_split, _half_sub_table, _scaling, _pairing) and reads no Space map
+attribute (.neg, .negate, .gather_scaled, .gather_mul, .gather_dual), so
+each can be compared with the code it checks.
 """
 import ast
 import re
@@ -115,8 +115,8 @@ def test_oracles_take_only_the_value_record_from_cyclo():
     assert _cyclo_imports(bad) == ["reduce_counts", "gauss_sum", "bentpds.cyclo", "cyclo"]
 
 
-SPACE_MAPS = {"neg", "gather_scaled", "gather_dual", "dual_map"}
-SPACE_MAP_ATTRIBUTES = {"neg", "negate", "gather_scaled", "gather_dual"}
+SPACE_MAPS = {"neg", "gather_scaled", "gather_mul", "gather_dual", "dual_map"}
+SPACE_MAP_ATTRIBUTES = {"neg", "negate", "gather_scaled", "gather_mul", "gather_dual"}
 PAIR_COUNT_TABLES = {"_rank_split", "_half_sub_table", "_scaling", "_pairing",
                      "_compose", "_gather_counts", "_dense_counts"}
 
@@ -157,14 +157,19 @@ def test_oracles_share_no_code_with_what_they_check():
     assert _names((tests / "space_oracle.py").read_text(), SPACE_MAPS | {"_scaling"}) == []
     assert _names((tests / "pds_oracle.py").read_text(), PAIR_COUNT_TABLES) == []
     assert _attributes((tests / "pds_oracle.py").read_text(), SPACE_MAP_ATTRIBUTES) == []
-    bad = ('"""neg, gather_dual and dual_map are only named here."""\n'
+    bad = ('"""neg, gather_dual, gather_mul and dual_map are only named here."""\n'
            "import bentpds.field\nfrom bentpds import space\nfrom numpy import neg\n"
-           "def f(sp, F):\n    return sp.gather_scaled(2) + F.dual_map[neg]\n")
+           "def f(sp, F):\n"
+           "    return sp.gather_scaled(2) + F.dual_map[neg] + sp.gather_mul(1, [2])\n")
     assert _bentpds_imports(bad) == ["bentpds.field", "bentpds"]
-    assert sorted(_names(bad, SPACE_MAPS)) == ["dual_map", "gather_scaled", "neg", "neg"]
+    assert sorted(_names(bad, SPACE_MAPS)) == [
+        "dual_map", "gather_mul", "gather_scaled", "neg", "neg"]
     bad = "from bentpds.pds import _rank_split\ndef _scaling(sp):\n    return pds._pairing(sp)\n"
     assert sorted(_names(bad, PAIR_COUNT_TABLES)) == ["_pairing", "_rank_split", "_scaling"]
     bad = ("from bentpds.space import _scaling\nfrom space_oracle import negate\n"
-           "def f(sp, u):\n    return sp.negate(u) + sp.neg[negate(sp, u)] + sp.gather_dual(u)\n")
-    assert sorted(_names(bad, SPACE_MAPS | {"_scaling"})) == ["_scaling", "gather_dual", "neg"]
-    assert sorted(_attributes(bad, SPACE_MAP_ATTRIBUTES)) == ["gather_dual", "neg", "negate"]
+           "def f(sp, u):\n    return (sp.negate(u) + sp.neg[negate(sp, u)] + sp.gather_dual(u)\n"
+           "            + sp.gather_mul(u, [2]))\n")
+    assert sorted(_names(bad, SPACE_MAPS | {"_scaling"})) == [
+        "_scaling", "gather_dual", "gather_mul", "neg"]
+    assert sorted(_attributes(bad, SPACE_MAP_ATTRIBUTES)) == [
+        "gather_dual", "gather_mul", "neg", "negate"]

@@ -183,6 +183,49 @@ def test_maps_equal_per_point_oracle(sp):
             gather(values[1:])
 
 
+MUL_SPACES = [
+    prime_space(3, 4),
+    Space([F9, F9]),
+    Space([canonical_field(3, 4), F9, F9]),
+    Space([canonical_field(5, 2), canonical_field(5, 1)]),
+]
+
+
+def _mul_oracle(sp, cs, x):
+    """The rank of (c_i x_i), from the factor parts and Field.mul."""
+    return join(sp, [f.mul(c, part) for f, c, part in zip(sp.factors, cs, split(sp, x))])
+
+
+@pytest.mark.parametrize("sp", MUL_SPACES, ids=lambda sp: "x".join(str(f.size) for f in sp.factors))
+def test_gather_mul_equals_per_point_oracle(sp):
+    # multipliers in GF(p), equal or not, and outside it, on 1-D and
+    # (N, p - 1) payloads; one multiplier of 0 collapses its factor
+    p, points = sp.p, range(sp.size)
+    rng = np.random.default_rng(sp.size)
+    values = rng.integers(0, 251, (sp.size, p - 1)).astype(np.uint8)
+    multipliers = [[c] * len(sp.factors) for c in range(p)]
+    multipliers += [[1 + i % (p - 1) for i in range(len(sp.factors))]]
+    multipliers += [[max(1, f.size - 1 - i) for i, f in enumerate(sp.factors)],
+                    [f.primitive_element for f in sp.factors],
+                    [int(rng.integers(1, f.size)) for f in sp.factors],
+                    [0] + [f.size - 1 for f in sp.factors[1:]]]
+    for cs in multipliers:
+        moved = [_mul_oracle(sp, cs, x) for x in points]
+        gathered = sp.gather_mul(values, cs)
+        assert gathered.dtype == values.dtype and gathered.shape == values.shape
+        assert np.array_equal(gathered, values[moved]), cs
+        assert np.array_equal(sp.gather_mul(values[:, 0], cs), values[moved, 0]), cs
+    for c in range(p):
+        same = [c] * len(sp.factors)
+        assert np.array_equal(sp.gather_mul(values, same), sp.gather_scaled(values, c))
+    with pytest.raises(ValueError, match="first axis"):
+        sp.gather_mul(values[1:], [sp.factors[0].primitive_element] + [1] * (len(sp.factors) - 1))
+    with pytest.raises(ValueError, match="multiplier"):
+        sp.gather_mul(values, [sp.factors[0].size] + [1] * (len(sp.factors) - 1))
+    with pytest.raises(ValueError):
+        sp.gather_mul(values, [1] * (len(sp.factors) + 1))
+
+
 def test_gather_scaled_builds_no_whole_space_map():
     # a per-call map of the one factor was a 4.25 MB int64 array here
     sp = Space([canonical_field(3, 12)])

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -30,7 +31,7 @@ from bentpds.spectral import (
     _scalar_orbits,
 )
 from ring_oracle import RingInt, automorphism, conj_norm, conjugate
-from space_oracle import inner_product, scalar_mul, split
+from space_oracle import inner_product, join, scalar_mul, split
 from spectral_oracle import (
     candidates,
     classify_by_norms,
@@ -308,6 +309,22 @@ def test_lform_converse_on_xy():
 def test_lform_converse_on_trace_quadratic():
     rep = lform_converse_check(quad_on_field(F9))
     assert rep.applicable and rep.passed and rep.valid_exponent == 2
+
+
+def test_lform_converse_runs_one_transform(monkeypatch):
+    from bentpds.constructions import quad_trace
+
+    char_counts, calls = spectral._char_counts, []
+
+    def recording(space, e):
+        calls.append(space.size)
+        return char_counts(space, e)
+
+    f = component(quad_trace(3, 6, 1, 1).function, 1)
+    monkeypatch.setattr(spectral, "_char_counts", recording)
+    rep = lform_converse_check(f)
+    assert rep.reason == "certified" and rep.passed
+    assert calls == [729]
 
 
 def test_lform_converse_not_applicable_for_zero():
@@ -628,6 +645,11 @@ def _oracle_pairs():
         branched_quad_mm(3, 2, 1, 1, 1, 2, 4, 1, 2),   # not weakly regular
         branched_quad_mm(5, 1, 1, 1, 1, 2, 1, 1, 1),   # odd n, not weakly regular
         branched_quad_mm(3, 2, 2, 2, 1, 1, 1, 1, 1),   # s = 2
+        # F o phi = d F with H = <d, GF(p)^*> larger than GF(p)^*
+        mm_power(3, 4, 4, 1, 7),                       # 3^8, q = 81: 40 orbits -> 1
+        quad_trace(3, 8, 4, 1),                        # q = 81: 40 orbits -> 2
+        mm_qpoly(3, 4, 2, 1, (0, 1)),                  # 3^8, s = 2: 4 orbits -> 1
+        quad_trace(3, 5, 5, 2),                        # odd n, q = 243: 121 orbits -> 1
     ]
 
 
@@ -773,7 +795,87 @@ def test_certificate_builds_one_component_of_f_per_orbit(monkeypatch):
         built.clear()
         assert dual_bent_certificate(F, pair.dual).sigma == pair.sigma
         assert all(G is F for G, _ in built)
-        assert [c for _, c in built] == list(spectral._scalar_orbits(F.codomain))
+        # one per orbit of the H found: GF(p)^* itself where no symmetry holds
+        index = spectral._symmetry(F)[2]
+        assert [c for _, c in built] == list(_scalar_orbits(F.codomain, index))
+        if pair.family in ("mm-power", "mm-qpoly"):
+            assert [c for _, c in built] == [1]
+
+
+def _holds(F, ts, d):
+    """F(t_0 x_0, ..., t_k x_k) = d F(x) at every x, point by point."""
+    sp, cod = F.domain, F.codomain
+    return all(
+        F(join(sp, [f.mul(t, xi) for f, t, xi in zip(sp.factors, ts, split(sp, x))]))
+        == cod.mul(d, F(x)) for x in range(sp.size))
+
+
+def test_symmetries_found_hold_and_have_the_least_index():
+    from bentpds.constructions import mm_power, mm_qpoly, quad_trace
+
+    for pair, index in [(mm_power(3, 2, 2, 1, 3), 1), (mm_qpoly(3, 2, 2, 1, (1,)), 1),
+                        (quad_trace(3, 4, 2, 1), 2), (quad_trace(3, 8, 4, 1), 2),
+                        (quad_trace(5, 3, 3, 2), 1), (quad_trace(5, 2, 1, 1), 1)]:
+        F = pair.function
+        ts, d, found = spectral._symmetry(F)
+        assert found == index
+        assert _holds(F, ts, d)
+        q, p = F.codomain.size, F.p
+        assert math.gcd((q - 1) // (p - 1), F.codomain.log_residue(d, q - 1)) == index
+
+
+def test_symmetry_is_refused_where_it_fails():
+    from bentpds.constructions import mm_power, spread_bent
+
+    rng = random.Random(29)
+    checked = refused = 0
+    for p, m, s in [(3, 2, 2), (5, 2, 2), (3, 4, 2)]:
+        for _ in range(3):
+            labels = [r % p ** s for r in range(p ** m)]
+            rng.shuffle(labels)
+            pair = spread_bent(p, m, s, labels)
+            F = pair.function
+            ts, d, index = spectral._symmetry(F)
+            # a symmetry is only kept where it holds at every point
+            assert _holds(F, ts, d)
+            if index == (F.codomain.size - 1) // (p - 1):
+                assert ts == [1, 1] and d == 1
+                refused += 1
+            derived = _outcome(dual_bent_certificate, F, pair.dual)
+            assert derived == _outcome(certificate_per_component, F, pair.dual)
+            checked += 1
+    # an mm_power table with one entry changed keeps no symmetry, and is not
+    # vectorial bent: the certificate gives the oracle's NotBent or None
+    for args in [(3, 2, 2, 1, 3), (3, 2, 2, 2, 1), (5, 1, 1, 2, 1)]:
+        pair = mm_power(*args)
+        q = pair.function.codomain.size
+        for x in (0, 5, pair.function.domain.size - 1):
+            table = pair.function.table.copy()
+            table[x] = (table[x] + 1) % q
+            F = VectorialFunction(pair.function.domain, pair.function.codomain, table)
+            ts, d, index = spectral._symmetry(F)
+            assert index == (q - 1) // (F.p - 1) and d == 1
+            derived = _outcome(dual_bent_certificate, F, pair.dual)
+            assert derived == _outcome(certificate_per_component, F, pair.dual)
+            assert derived is None or derived[0] == "NotBent"
+            checked += 1
+    assert checked == 18 and refused > 0
+
+
+def test_a_wrong_derivation_fails_to_certify(monkeypatch):
+    from bentpds.constructions import mm_power
+
+    # phi^{+k} in place of phi^{-k}: each derived dual is the dual of
+    # another component, which Fstar's table alone would accept
+    def wrong(space, ts, k, lam_inv):
+        return [f.mul(f.pow(t, k), lam_inv) for f, t in zip(space.factors, ts)]
+
+    pairs = [mm_power(3, 4, 2, 1, 7), mm_power(3, 2, 2, 1, 3), mm_power(3, 4, 4, 1, 7)]
+    for pair in pairs:
+        assert dual_bent_certificate(pair.function, pair.dual).sigma == pair.sigma
+    monkeypatch.setattr(spectral, "_multipliers", wrong)
+    for pair in pairs:
+        assert dual_bent_certificate(pair.function, pair.dual) is None
 
 
 def test_certificate_refuses_mismatched_inputs():
@@ -1023,7 +1125,26 @@ def test_scalar_orbits_match_brute_force_sets(p, m):
         if r not in seen:
             expected[r] = sorted((cod.mul(lam, r), lam) for lam in range(1, p))
             seen.update(c for c, _ in expected[r])
-    orbits = _scalar_orbits(cod)
+    orbits = _scalar_orbits(cod, (cod.size - 1) // (p - 1))
     assert list(orbits) == list(expected)
     assert orbits == expected
     assert all(type(c) is int and type(mu) is int for row in orbits.values() for c, mu in row)
+
+
+@pytest.mark.parametrize("p,m", ORBIT_FIELDS, ids=[f"q={p ** m}" for p, m in ORBIT_FIELDS])
+def test_orbits_of_larger_groups_match_brute_force_sets(p, m):
+    """For every index e of a subgroup H = <g^e> that holds GF(p)^*, each
+    orbit {h r : h in H} is keyed by its least rank, in increasing order,
+    and lists (h r, h) in increasing h r."""
+    cod = canonical_field(p, m)
+    q1, g = cod.size - 1, cod.primitive_element
+    for index in [e for e in range(1, q1 // (p - 1) + 1) if q1 // (p - 1) % e == 0]:
+        group = [cod.pow(g, index * j) for j in range(q1 // index)]
+        expected, seen = {}, set()
+        for r in range(1, cod.size):
+            if r not in seen:
+                expected[r] = sorted((cod.mul(h, r), h) for h in group)
+                seen.update(c for c, _ in expected[r])
+        orbits = _scalar_orbits(cod, index)
+        assert list(orbits) == list(expected)
+        assert orbits == expected

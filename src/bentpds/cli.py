@@ -8,20 +8,18 @@ to stdout and, with --out, the same record to that file.
 
 Function tables cross the JSON boundary as integer arrays.  The writer
 gives the bytes json.dumps gives a table's list, writing one-digit values
-into every other byte of a row of commas.  The reader finds each
-'"table":[' with str.find and reads the body up to the next ']' with numpy
-when it is made of canonical non-negative integers (digits and commas, no
-empty entry, no leading zero, below 2^63 - 1): a one-digit body as
-digit-comma byte pairs, any other through numpy's text parser.  It loads
-the rest of the text with json and puts the arrays back at 'table',
-'function.table' and 'dual.table'.  Where the scan cannot show that this
-equals json.load, the whole text goes through json.loads instead: any other
-span, a duplicate or misplaced key, a marker collision, a decode error.
+into every other byte of a row of commas.  The reader is one
+json.JSONDecoder whose parse_array reads the body up to the next ']' with
+numpy when it is made of canonical non-negative integers (digits and
+commas, no empty entry, no leading zero, below 2^63 - 1): a one-digit body
+as digit-comma byte pairs, any other through numpy's text parser.  Any
+other array is read from its '[' by json's own C scanner.  An array stays
+one under the key "table" alone; with every other array a list, the
+reader gives what json.loads gives.
 """
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import sys
@@ -30,6 +28,7 @@ import numpy as np
 
 from . import constructions, pds, spectral
 from .errors import BentError
+from .field import _check_integer
 from .pds import PdsParams
 from .spectral import VectorialFunction
 
@@ -41,8 +40,6 @@ class UsageError(Exception):
     pass
 
 
-_TABLE_KEY = '"table":['
-_TABLE_PATHS = (("table",), ("function", "table"), ("dual", "table"))
 _INT64_MAX = np.iinfo(np.int64).max
 _COMMA = ord(",")
 
@@ -74,53 +71,40 @@ def _parse_table(body: str):
     return table if digits == raw.size - n else None
 
 
-def _scan(text: str):
-    """json.loads(text) with the canonical tables parsed as integer arrays,
-    or None where that result cannot be shown to equal json's.  A table is
-    the body from '"table":[' to the next ']'.  As in a regex search, the
-    next search starts past an accepted table, or one character after a
-    rejected '"table":[', whose span may hold another.  Each table becomes
-    a float literal absent from the text, which parse_float turns back into
-    its array; all of them must land on one of _TABLE_PATHS."""
-    held, rest, end = {}, [], 0
-    start = text.find(_TABLE_KEY)
-    while start >= 0 and (close := text.find("]", start)) >= 0:
-        body = start + len(_TABLE_KEY)
-        table = _parse_table(text[body:close])
-        if table is not None:
-            if len(held) == len(_TABLE_PATHS):  # they cannot all land
-                return None
-            marker = f"0.{len(held)}e-0"
-            held[marker] = table
-            rest += [text[end:body - 1], marker]
-            end = close + 1
-        start = text.find(_TABLE_KEY, max(start + 1, end))
-    if not held:
-        return None
-    rest.append(text[end:])
-    # a marker has a '.' and no bracket, so it cannot overlap a "[...]" read
-    # as a table: searching the text pieces of rest is searching the text
-    if any(marker in piece for marker in held for piece in rest[::2]):
-        return None
-    try:
-        doc = json.loads("".join(rest), parse_float=lambda v: held[v] if v in held else float(v))
-    except json.JSONDecodeError:
-        return None
-    placed = 0
-    for *parents, key in _TABLE_PATHS:
-        node = doc
-        for parent in parents:
-            node = node.get(parent) if isinstance(node, dict) else None
-        placed += isinstance(node, dict) and isinstance(node.get(key), np.ndarray)
-    return doc if placed == len(held) else None
+def _array(s_and_end, scan_once):
+    """parse_array for _READER: the array whose body starts at end, as
+    _parse_table reads it when that body, up to the next ']', is canonical,
+    else as the plain decoder reads it from its '['."""
+    s, end = s_and_end
+    close = s.find("]", end)
+    table = _parse_table(s[end:close]) if close >= 0 else None
+    return (table, close + 1) if table is not None else _PLAIN.scan_once(s, end - 1)
+
+
+def _keep_tables(pairs) -> dict:
+    """object_pairs_hook for _READER: an array stays one under "table"
+    alone; under any other key it is the list json gives."""
+    return {key: value.tolist() if isinstance(value, np.ndarray) and key != "table" else value
+            for key, value in pairs}
+
+
+def _top_level(s, idx):
+    """scan_once for _READER: a top-level array, too, is the list json gives."""
+    value, end = _scan_once(s, idx)
+    return value.tolist() if isinstance(value, np.ndarray) else value, end
+
+
+_PLAIN = json.JSONDecoder()
+_READER = json.JSONDecoder(object_pairs_hook=_keep_tables)
+_READER.parse_array = _array
+_scan_once = json.scanner.py_make_scanner(_READER)  # the C scanner calls no parse_array
+_READER.scan_once = _top_level
 
 
 def _load_json(path):
     try:
         with open(path) as fh:
-            text = fh.read()
-        doc = _scan(text)
-        return json.loads(text) if doc is None else doc
+            return _READER.decode(fh.read())
     except (OSError, json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise UsageError(f"cannot read JSON from {path}: {exc}")
 
@@ -136,15 +120,8 @@ def _function(d) -> VectorialFunction:
         raise UsageError("codomain must be {'p': int, 's': int}")
     if not isinstance(d["table"], (list, np.ndarray)):
         raise UsageError("table must be a list of integers")
-    with _malformed():
-        return VectorialFunction.from_dict(d)
-
-
-@contextlib.contextmanager
-def _malformed():
-    """Turns the errors of reading a damaged file into a UsageError."""
     try:
-        yield
+        return VectorialFunction.from_dict(d)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise UsageError(f"malformed function file: {exc}")
 
@@ -247,22 +224,36 @@ def _cmd_classify(args) -> tuple[dict, int]:
     }, 0
 
 
+def _claim(bundle: dict, key: str) -> dict | None:
+    """The claim under key as {c: value}, or None when it is absent, null
+    or {}.  Keys must be canonical decimal strings, str(int(c)) == c, and
+    values integers by the integer rule."""
+    claim = bundle.get(key)
+    if claim is None or claim == {}:
+        return None
+    if not isinstance(claim, dict):
+        raise UsageError(f"{key} must be a JSON object, got {type(claim).__name__}")
+    try:
+        read = {int(c): _check_integer(v, f"{key}[{c!r}]") for c, v in claim.items()}
+    except ValueError as exc:
+        raise UsageError(f"malformed {key} claim: {exc}")
+    if list(map(str, read)) != list(claim):
+        raise UsageError(f"{key} keys must be canonical decimal integers")
+    return read
+
+
 def _cmd_certify(args) -> tuple[dict, int]:
     bundle = _load(args.file)
     F = _function(bundle["function"])
     if "dual" not in bundle:
         raise UsageError("certify needs a construct bundle with 'function' and 'dual'")
     Fstar = _function(bundle["dual"])
-    with _malformed():
-        sigma_claim = {int(c): int(v) for c, v in (bundle.get("sigma") or {}).items()}
-        eps = bundle.get("epsilons")
-        eps_claim = None if eps is None else {int(c): int(e) for c, e in eps.items()}
+    sigma_claim, eps_claim = _claim(bundle, "sigma"), _claim(bundle, "epsilons")
     cert = spectral.dual_bent_certificate(F, Fstar)
     if cert is None:
         return {"certified": False}, VERIFY_ERROR
-    sigma_ok = sigma_claim == cert.sigma if sigma_claim else None
-    eps_ok = None if eps_claim is None else all(
-        cert.epsilons.get(c) == e for c, e in eps_claim.items())
+    sigma_ok = None if sigma_claim is None else sigma_claim == cert.sigma
+    eps_ok = None if eps_claim is None else eps_claim == cert.epsilons
     out = {
         "certified": True,
         **_claims(cert.sigma, cert.epsilons),

@@ -157,7 +157,14 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         d = json.loads(bundle.read_text())
         d["function"]["table"][1] = entry
         damaged_entries.append(d)
-    for i, d in enumerate([damaged, damaged_p, damaged_sigma] + damaged_entries):
+    # claims that int() read as the true ones: a bool, float or string value,
+    # a key that is not a canonical decimal string
+    assert good["sigma"] == {"1": 1, "2": 2} and good["epsilons"] == {"1": 1, "2": 1}
+    damaged_claims = [dict(good, sigma=claim) for claim in (
+        {"1": True, "2": 2}, {"1": 1.9, "2": 2}, {"1": "1", "2": 2}, {" 01 ": 1, "2": 2})]
+    damaged_claims += [dict(good, epsilons=claim) for claim in (
+        {"1": 1.5, "2": 1}, {"1": True, "2": 1})]
+    for i, d in enumerate([damaged, damaged_p, damaged_sigma] + damaged_entries + damaged_claims):
         for j, separators in enumerate([None, (",", ":")]):
             path = tmp_path / f"damaged{i}-{j}.json"
             path.write_text(json.dumps(d, separators=separators))
@@ -193,6 +200,24 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     # parameters too long for Python's int-to-str conversion
     assert_one_usage_record("pds-params", "--theorem", "subset", "--p", "3", "--s", "1",
                             "--n", "10000", "--size-a", "1", "--eps", "1")
+
+
+@pytest.mark.parametrize("key,field", [("sigma", "sigma_matches_claim"),
+                                       ("epsilons", "epsilon_matches_claim")])
+def test_each_claim_is_absent_or_checked_whole(tmp_path, capsys, key, field):
+    # "epsilons":{} and a partial epsilons claim each reported a match
+    bundle = tmp_path / "mm.json"
+    run(capsys, "construct", "--family", "mm-power", "--p", "3", "--m", "2", "--s", "2",
+        "--e", "3", "--out", str(bundle))
+    good = json.loads(bundle.read_text())
+    partial = dict(list(good[key].items())[:1])
+    absent = {k: v for k, v in good.items() if k != key}
+    for doc, code, match in [(absent, 0, None), (dict(good, **{key: None}), 0, None),
+                             (dict(good, **{key: {}}), 0, None),
+                             (dict(good, **{key: partial}), 1, False), (good, 0, True)]:
+        bundle.write_text(json.dumps(doc))
+        got, out = run(capsys, "certify", "--file", str(bundle))
+        assert (got, json.loads(out)[field]) == (code, match), doc.get(key)
 
 
 def test_domain_errors_exit_1(capsys):
@@ -250,6 +275,10 @@ FUNCTION_TABLE = '"table":[0,0,0,0,1,2,0,2,1]'
 assert FUNCTION_TABLE in BUNDLE_TEXT
 
 
+SPACE = '"space":[{"m":1,"modulus":[0,1],"p":3},{"m":1,"modulus":[0,1],"p":3}]'
+assert SPACE in BUNDLE_TEXT
+
+
 def _with_function_table(body):
     return BUNDLE_TEXT.replace(FUNCTION_TABLE, f'"table":[{body}]')
 
@@ -303,44 +332,50 @@ READER_CASES = {
     "top-level list": "[0,1,2]",
     "top-level string": '"table"',
     "empty file": "",
+    # canonical integer lists under other keys, which stay json's lists
+    "canonical space": BUNDLE_TEXT.replace(SPACE, '"space":[1,2]'),
+    "canonical modulus": BUNDLE_TEXT.replace(SPACE, '"space":{"m":1,"modulus":[0,1],"p":3}'),
+    "canonical sigma": BUNDLE_TEXT.replace('"sigma":{"1":1,"2":2}', '"sigma":[1,2]'),
+    "canonical function": '{"function":[0,0,0,0,1,2,0,2,1]}',
 }
-# the cases the scan answers; every other case goes to json.loads whole
-SCANNED = {"compact", "compact, two-digit values", "function file", "minus one", "exponent", "float", "19 digits",
-           "int64 max", "2^63", "10^30", "out of range", "empty table",
-           "duplicate, first spaced", "unicode escape key", "table in a string",
-           "top-level table", "float in params"}
 
 
-def test_table_reader_gives_what_json_gives(tmp_path, capsys, monkeypatch):
-    scan, scanned = cli._scan, set()
-
-    def spy(text):
-        doc = scan(text)
-        if doc is not None:
-            scanned.add(text)
-        return doc
-
-    for name, text in READER_CASES.items():
-        path = tmp_path / "case.json"
-        path.write_text(text)
-        outputs = []
-        for reader in (lambda text: None, spy):
-            monkeypatch.setattr(cli, "_scan", reader)
-            outputs.append([run(capsys, command, "--file", str(path))
-                            for command in ("certify", "classify")])
-        assert outputs[0] == outputs[1], name
-    assert {name for name, text in READER_CASES.items() if text in scanned} == SCANNED
-
-
-def _plain(node):
-    """node with its arrays as lists, as json.loads would give it."""
+def _plain(node, key=None):
+    """node with its arrays as lists, as json.loads would give it; an array
+    may stand under the key "table" alone."""
     if isinstance(node, np.ndarray):
+        assert key == "table", key
         return node.tolist()
     if isinstance(node, dict):
-        return {key: _plain(value) for key, value in node.items()}
+        return {k: _plain(value, k) for k, value in node.items()}
     if isinstance(node, list):
         return [_plain(value) for value in node]
     return node
+
+
+def _decoded(text):
+    """What the reader makes of text, with its arrays as lists, or the
+    JSONDecodeError it raises; json.dumps tells 1 from 1.0 and True."""
+    try:
+        return json.dumps(_plain(cli._READER.decode(text)))
+    except json.JSONDecodeError as exc:
+        return exc
+
+
+def test_table_reader_gives_what_json_gives(tmp_path, capsys, monkeypatch):
+    for name, text in READER_CASES.items():
+        try:
+            assert _decoded(text) == json.dumps(json.loads(text)), name
+        except json.JSONDecodeError:
+            assert isinstance(_decoded(text), json.JSONDecodeError), name
+        path = tmp_path / "case.json"
+        path.write_text(text)
+        outputs = []
+        for reader in (json.JSONDecoder(), cli._READER):
+            monkeypatch.setattr(cli, "_READER", reader)
+            outputs.append([run(capsys, command, "--file", str(path))
+                            for command in ("certify", "classify")])
+        assert outputs[0] == outputs[1], name
 
 
 CANONICAL = re.compile(r"(0|[1-9][0-9]*)(,(0|[1-9][0-9]*))*")
@@ -353,7 +388,7 @@ BODIES = st.one_of(
 
 @settings(max_examples=400, deadline=None)
 @given(BODIES, BODIES)
-def test_table_scan_gives_none_or_what_json_gives(first, second):
+def test_table_reader_gives_what_json_gives_on_any_body(first, second):
     for body in (first, second):
         table = cli._parse_table(body)
         entries = [int(v) for v in body.split(",")] if CANONICAL.fullmatch(body) else None
@@ -361,69 +396,57 @@ def test_table_scan_gives_none_or_what_json_gives(first, second):
             assert table is None, body
         else:
             assert table is not None and table.tolist() == entries, body
-    text = '{"table":[%s],"function":{"table":[%s]}}' % (first, second)
-    doc = cli._scan(text)
+    text = '{"table":[%s],"function":{"table":[%s]},"space":[%s]}' % (first, second, first)
     try:
         expected = json.loads(text)
     except json.JSONDecodeError:
-        assert doc is None
+        assert isinstance(_decoded(text), json.JSONDecodeError)
         return
-    if doc is not None:
-        assert json.dumps(_plain(doc)) == json.dumps(expected)
-    # with both tables canonical the scan answers, json is not needed
-    assert doc is not None or cli._parse_table(first) is None or cli._parse_table(second) is None
+    assert _decoded(text) == json.dumps(expected)
+    doc = cli._READER.decode(text)
+    assert isinstance(doc["space"], list)
+    # a canonical body is read by _parse_table, any other by json
+    assert isinstance(doc["table"], np.ndarray) == (cli._parse_table(first) is not None)
+    assert isinstance(doc["function"]["table"], np.ndarray) == (cli._parse_table(second) is not None)
 
 
-def test_scan_resumes_one_character_after_a_rejected_body():
-    # the first '"table":[' runs to the ']' of the canonical table nested
-    # in it; that body is rejected and the search resumes one character on,
-    # so the nested table is still read, as a regex search reads it, and
-    # sends the text to json, since it lies on no table path
-    text = '{"table":[-1,{"table":[0,1,2]}],"function":{"table":[1,2]}}'
-    assert cli._scan(text) is None
-    # under another key the nested list stays json's, and the scan answers
-    text = text.replace('{"table":[0', '{"x":[0')
-    assert json.dumps(_plain(cli._scan(text))) == json.dumps(json.loads(text))
-
-
-def test_scan_finds_a_marker_anywhere_outside_the_tables_it_reads():
-    # the function table would become the marker 0.0e-0, which parse_float
-    # would also put in place of the float in the rejected body before it
-    for before in ('{"table":[0.0e-0],', '{"table":[1,0.0e-0],', '{"x":"0.0e-0",'):
-        text = before + '"function":{"table":[1,2]}}'
-        assert cli._scan(text) is None, text
-    text = '{"table":[1,0.1e-0],"function":{"table":[1,2]}}'
-    assert json.dumps(_plain(cli._scan(text))) == json.dumps(json.loads(text))
-
-
-def test_scan_reads_a_two_digit_table_at_scale():
+def test_reader_reads_a_two_digit_table_at_scale():
     table = np.random.default_rng(25).integers(0, 100, 300_000)
     text = _json_line({"function": {"table": table}, "table": table % 25})
-    doc = cli._scan(text)
+    doc = cli._READER.decode(text)
     assert doc["function"]["table"].dtype == np.int64
     assert np.array_equal(doc["function"]["table"], table)
     assert np.array_equal(doc["table"], table % 25)
-    assert json.dumps(_plain(doc)) == json.dumps(json.loads(text))
+    assert _decoded(text) == json.dumps(json.loads(text))
 
 
 @pytest.mark.parametrize("args", [(3, 6, 2, 1, 1), (5, 2, 2, 1, 1)], ids=["3^12", "q=25"])
-def test_bundles_are_read_by_the_scan_not_by_json(tmp_path, monkeypatch, args):
-    # on a 2-vCPU VM json.loads of the whole 3^12 bundle took 70-115 ms,
-    # the scan about 1 ms: a silent fallback would cost a 3^12 call that much
+def test_bundles_are_read_by_parse_table_not_by_json(tmp_path, monkeypatch, args):
+    # on a 2-vCPU VM json.loads of the whole 3^12 bundle took 70-115 ms, the
+    # two tables about 1 ms: a table read by json would cost a 3^12 call that much
     pair = mm_power(*args)
     path = tmp_path / "bundle.json"
     path.write_text(_json_line(_bundle_dict(pair)))
-    text, loads, calls = path.read_text(), json.loads, []
+    parse_table, scan_once, tables, lists = cli._parse_table, cli._PLAIN.scan_once, [], []
 
-    def spy(s, *args, **kwargs):
-        calls.append(s == text)
-        return loads(s, *args, **kwargs)
+    def parse_spy(body):
+        table = parse_table(body)
+        if table is not None:
+            tables.append(table)
+        return table
 
-    monkeypatch.setattr(json, "loads", spy)
+    def scan_spy(s, idx):
+        value, end = scan_once(s, idx)
+        lists.append(value)
+        return value, end
+
+    monkeypatch.setattr(cli, "_parse_table", parse_spy)
+    monkeypatch.setattr(cli._PLAIN, "scan_once", scan_spy)
     bundle = cli._load(str(path))
-    assert calls == [False]  # one json.loads, of the text with the tables taken out
-    assert np.array_equal(bundle["function"]["table"], pair.function.table)
-    assert np.array_equal(bundle["dual"]["table"], pair.dual.table)
+    assert [t.tolist() for t in tables] == [pair.dual.table.tolist(), pair.function.table.tolist()]
+    # json reads the two spaces, and nothing else
+    assert lists == [pair.dual.domain.to_list(), pair.function.domain.to_list()]
+    assert bundle["function"]["table"] is tables[1] and bundle["dual"]["table"] is tables[0]
 
 
 def test_deeply_nested_file_gives_one_usage_record(tmp_path, capsys):

@@ -14,6 +14,9 @@ Only field.py calls Field( directly, and only space.py Field.from_dict:
 every other module takes its fields from canonical_field, so every field
 descriptor that comes from outside passes the integer rule on one path.
 
+cli.py calls neither json.load nor json.loads: every file it reads goes
+through its one decoder, _READER, which reads tables with numpy.
+
 The test oracles (tests/*_oracle.py) take nothing from bentpds.cyclo but
 the CyclotomicInt record: the oracle ring does its own zeta^{p-1}
 rewrite, so it checks the library's reduction instead of reusing it.
@@ -55,6 +58,29 @@ def test_only_field_reads_a_fields_private_tables():
 def test_only_field_builds_a_field_and_only_space_reads_one():
     assert _lines(FIELD_CALL, {"field.py"}) == []
     assert _lines(FROM_DICT, {"field.py", "space.py"}) == []
+
+
+JSON_READS = {"load", "loads"}
+
+
+def _json_reads(source: str) -> list[str]:
+    """The json.load and json.loads that source names, by attribute or by
+    import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            found += [a.name for a in node.names if a.name in JSON_READS]
+        elif (isinstance(node, ast.Attribute) and node.attr in JSON_READS
+              and getattr(node.value, "id", None) == "json"):
+            found.append(f"json.{node.attr}")
+    return found
+
+
+def test_cli_reads_every_file_through_its_decoder():
+    assert _json_reads((Path(bentpds.__file__).parent / "cli.py").read_text()) == []
+    bad = ("import json\nfrom json import dumps, load\n"
+           "def read(fh):\n    return json.loads(fh.read()) or load(fh) or json.dumps(0)\n")
+    assert _json_reads(bad) == ["load", "json.loads"]
 
 
 CLASS_CACHES = {"lru_cache", "cache"}

@@ -12,7 +12,8 @@ products of weighted counts at most q2 + 1, summed into difference counts
 at most p^n) sum counts in floats.  Every entry and
 partial sum is an integer bounded in advance, so exact_float_dtype turns that
 bound into the narrowest float dtype in which it is exact, and refuses a
-bound that no float dtype holds.
+bound that no float dtype holds.  Both size their batches by one scratch
+budget, SCRATCH_BYTES.
 """
 import os
 
@@ -22,11 +23,21 @@ from .errors import SizeGuard
 
 TABLE_CAP = 3 ** 14          # largest p^m of a field, p^n of a construction
 # largest p^n a transform or the pair counter will process; pair counting
-# takes |D|^2 < v^2 / 256 gathers, or, with v <= 16 |D|, 1 + (q2 - 1) / |S|
+# takes |D|^2 < v^2 / 256 gathers, or, with v <= 16 |D|, 1 + (q2 - 1) / n
 # indicator products of (q2 + 1) / 2 rows, about v q1 / 2 multiply-adds
-# each (q1 q2 = v, S the scalars fixing D up to sign, |S| >= 2), at most
-# about v^2 / 4
+# each (q1 q2 = v, n >= 2 the order of the high-half multiplier of a group
+# of per-half multiplications fixing D): at most about v^2 / 4 when only
+# +-1 fix D, and about v q1 for the two products of a set fixed by a
+# primitive high-half multiplier, such as every Maiorana-McFarland and
+# spread preimage on GF(p^m)^2
 WALSH_CAP = 3 ** 12
+# Bytes of the one scratch array of a transform, capped at the size of its
+# counts, and of the products the dense pair counter runs at once.  With
+# single-threaded BLAS on a 2-vCPU Xeon VM (2 MiB L2 per core) a float32
+# transform at 3^12 took 8.6 ms with 256 KiB, 10.5 ms with 512 KiB to 1 MiB
+# and 12.5 ms with a second buffer of its size; 7^6, 5^8 and 13^4 moved by
+# under 10% between 128 KiB and 4 MiB.
+SCRATCH_BYTES = 1 << 18
 
 
 def table_cap() -> int:

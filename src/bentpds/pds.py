@@ -8,19 +8,11 @@ A point set is one sorted int64 rank array from preimage to verdict; the
 verifiers take a PreimageSet's ranks as they are.  Each coset of a subgroup
 of GF(p^s)^* is decided on Field.log_residue.
 
-Difference counting has two exact routes, chosen by density: a sparse set
-(16 |D| < v) gathers one table entry per ordered pair, |D|^2 in all; a dense
-one multiplies float32 indicator matrices, one product per orbit of
-high-digit differences under the scalars S that fix D up to sign,
-1 + (q2 - 1) / |S| products of (q2 + 1) / 2 rows, about v q1 / 2
-multiply-adds each: as -D = D, the pair (x, y) and the pair (-y, -x) have
-the same difference, so of the high-digit rows h and gh - h, which count
-alike, one is multiplied, with weight 2.  Preimage sets of the theorems
-have |D| near |A| p^{n-s}, so most are dense, and those of an l-form are
-unions of GF(p)^*-orbits, so |S| = p - 1.  Neither route uses
-a character transform, and the character route counts no difference.  The
-transform's point cap (limits.walsh_cap) bounds both routes, so the two
-verifiers accept the same groups.
+Difference counting (verify_pds_bruteforce) runs on the exact counts of
+pairs.py, which uses no character transform and no certificate, and the
+character route counts no difference.  The transform's point cap
+(limits.walsh_cap) bounds both routes, so the two verifiers accept the
+same groups.
 
 The (v, k, lambda, mu) parameters have one closed form, params_subset, in
 |A| and z = [0 in A] for the preimage D_A of a subset A of the codomain.
@@ -35,8 +27,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -52,9 +42,10 @@ from .errors import (
     SizeGuard,
 )
 from .field import Field, _check_integer, _integer_entries, canonical_field, is_prime
-from .limits import exact_float_dtype, walsh_cap
-from .space import Space, _compose, _scaling
-from .spectral import SCRATCH_BYTES, DualBentCertificate, VectorialFunction, _char_counts
+from .limits import walsh_cap
+from .pairs import _dense_counts, _gather_counts, _rank_split
+from .space import Space
+from .spectral import DualBentCertificate, VectorialFunction, _char_counts
 
 
 # ---------------------------------------------------------------------------
@@ -436,175 +427,33 @@ def _candidacy(space: Space, D) -> np.ndarray:
     return Dv
 
 
-@lru_cache(maxsize=None)
-def _half_sub_table(p: int, width: int) -> np.ndarray:
-    """T[x, y] = digitwise (x - y) mod p on width base-p digits, packed;
-    at width 0 the one entry 0.  Shared between calls, so read-only."""
-    digit = np.arange(p, dtype=np.int64)
-    table = _compose([(digit[:, None] - digit) % p] * width, axes=2)
-    table.setflags(write=False)
-    return table
-
-
-class _RankSplit(NamedTuple):
-    """The ranks of D split as r = hi q1 + lo, q1 = p^h1, into h1 low and
-    h2 high base-p digits, with the digitwise subtraction table of each
-    block (_half_sub_table): a difference of two ranks is two lookups."""
-
-    p: int
-    h1: int
-    h2: int
-    hi: np.ndarray
-    lo: np.ndarray
-    t_lo: np.ndarray
-    t_hi: np.ndarray
-
-
-def _rank_split(space: Space, Dv: np.ndarray) -> _RankSplit:
-    """The split of both pair-count routes, h1 = space.low_digits.  The dense
-    route needs every product entry, a weighted count up to q2 + 1 with
-    q2 = p^h2, exact in float32, and t_hi has q2^2 entries, so past that
-    this raises SizeGuard before building anything.  float64 would first be
-    needed at q2 = 2^24, that is v >= 2^48 points, whose tables no memory
-    holds."""
-    p, dim, h1 = space.p, space.dim, space.low_digits
-    q1, q2 = p ** h1, p ** (dim - h1)
-    if exact_float_dtype(q2 + 1) != np.float32:
-        raise SizeGuard(f"{q2} high-digit values are not exact in float32")
-    hi, lo = np.divmod(Dv, q1)
-    return _RankSplit(p, h1, dim - h1, hi, lo,
-                      _half_sub_table(p, h1), _half_sub_table(p, dim - h1))
-
-
-def _gather_counts(split: _RankSplit) -> np.ndarray:
-    """counts[g] = #{(d1, d2) in D^2 : d1 - d2 = g}, one table lookup per
-    ordered pair: |D|^2 gathers in blocks of about 4M pairs."""
-    p, h1, h2, hi, lo, t_lo, t_hi = split
-    q1, v = p ** h1, p ** (h1 + h2)
-    counts = np.zeros(v, dtype=np.int64)
-    N = lo.size
-    block = max(1, min(N, 4_000_000 // N))
-    for start in range(0, N, block):
-        rows = slice(start, start + block)
-        ranks = t_lo[lo[rows, None], lo[None, :]] + q1 * t_hi[hi[rows, None], hi[None, :]]
-        counts += np.bincount(ranks.ravel(), minlength=v)
-    return counts
-
-
-def _orbit_group(split: _RankSplit, M: np.ndarray) -> list[int]:
-    """S = {+-1} . {lam in GF(p)^* : lam D = D}, ascending, for D given by
-    its rank split and its indicator M[hi, lo].
-
-    count(lam g) = count(g) for every lam in S: -1 swaps the pair order,
-    and lam D = D maps the pairs of g onto those of lam g.  Each lam not yet
-    in S costs one O(|D|) test of lam D in D on the indicator, at most
-    p - 3 tests in all and none at p = 3."""
-    p, h1, h2, hi, lo, _, _ = split
-    S = {1, p - 1}
-    for lam in range(2, p - 1):
-        if lam not in S and M[_scaling(p, h2, lam)[hi], _scaling(p, h1, lam)[lo]].all():
-            S = {s * pow(lam, k, p) % p for s in S for k in range(p - 1)}
-    return sorted(S)
-
-
-@lru_cache(maxsize=None)
-def _pairing(p: int, h1: int, h2: int, S: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """The static tables of _dense_counts for the split (h1, h2), q2 = p^h2,
-    and the orbit group S.  reps holds the least rank gh of each S-orbit of
-    high-digit differences, 0 first; hx and hy = hx - gh, for each rep, the
-    (q2 + 1) / 2 rows that its product reads; scaled[j] the ranks lam gh
-    and unscaled[j] the low-block map y -> y / lam, lam = S[j + 1], that
-    read the row of lam gh off the row of gh.
-
-    For a symmetric D, (x, y) -> (-y, -x) maps the ordered pairs with
-    difference g onto themselves and the high digit h of x to gh - h, so
-    rows h and gh - h add the same to count(g).  hx holds first h0 = gh / 2
-    digit by digit, the one fixed point as p is odd, of weight 1, then the
-    h < gh - h, one of each other pair, of weight 2.  Shared between calls,
-    so read-only."""
-    q2 = p ** h2
-    t_hi = _half_sub_table(p, h2)
-    orbit_min = ranks = np.arange(q2)
-    for lam in S[1:]:
-        orbit_min = np.minimum(orbit_min, _scaling(p, h2, lam))
-    reps = np.flatnonzero(orbit_min == ranks)
-    h0 = _scaling(p, h2, (p + 1) // 2)[reps]  # (p + 1) / 2 = 1 / 2 mod p
-    pairs = np.nonzero(ranks < t_hi[reps])[1].reshape(reps.size, (q2 - 1) // 2)
-    hx = np.concatenate([h0[:, None], pairs], axis=1)
-    scaled = np.stack([_scaling(p, h2, lam)[reps[1:]] for lam in S[1:]])
-    unscaled = np.stack([_scaling(p, h1, pow(lam, -1, p)) for lam in S[1:]])
-    tables = reps, hx, t_hi[hx, reps[:, None]], scaled, unscaled
-    for table in tables:
-        table.setflags(write=False)
-    return tables
-
-
-def _dense_counts(split: _RankSplit) -> np.ndarray:
-    """The same counts from the indicator matrix M[hi, lo] of D, which must
-    satisfy -D = D.  For a high-digit difference gh, P = (w M[hx])^T M[hy]
-    over the rows hx of _pairing, of weight w, counts the pairs (h, l1),
-    (h - gh, l2) in D, and summing P along the low-digit difference
-    t_lo[l1, l2] gives the row counts[gh, :].  Since count(lam g) =
-    count(g) for lam in the orbit group S of _orbit_group, only the least
-    gh of each S-orbit is multiplied: 1 + (q2 - 1) / |S| products of
-    (q2 + 1) / 2 rows, about v q1 / 2 multiply-adds each, whatever |D| is.
-    The products of several reps share one matmul while P and its gather
-    fit in SCRATCH_BYTES.
-
-    The products run in float32.  An entry of P, and every partial sum
-    behind it, is an integer in [0, q2 + 1], which _rank_split keeps exact.
-    A row sum, and every partial sum behind it, is at most
-    count(g) <= |D| <= v, summed in exact_float_dtype(v)."""
-    p, h1, h2, hi, lo, t_lo, _ = split
-    q1, q2 = p ** h1, p ** h2
-    M = np.zeros((q2, q1), dtype=np.float32)
-    M[hi, lo] = 1
-    S = _orbit_group(split, M)
-    reps, hx, hy, scaled, unscaled = _pairing(p, h1, h2, tuple(S))
-    counts = np.zeros((q2, q1), dtype=np.int64)
-    sum_dtype = exact_float_dtype(q1 * q2)
-    # P.ravel()[along[l1, gl]] = P[l1, l1 - gl], built per call, since a
-    # cached (q1, q1) int64 table per group would stay in memory.  Every
-    # index is in range, so mode="wrap" changes no entry; it skips the
-    # bounds check, which took over half of each take at 3^10.
-    along = t_lo + np.arange(0, q1 * q1, q1)[:, None]
-    batch = max(1, SCRATCH_BYTES // (8 * q1 * q1))  # P and its gather, float32
-    for start in range(0, reps.size, batch):
-        b = slice(start, start + batch)
-        Mx = M[hx[b]]
-        Mx[:, 1:] *= 2  # every row but h0 stands for its mirror as well
-        P = np.matmul(Mx.transpose(0, 2, 1), M[hy[b]])
-        P = P.reshape(-1, q1 * q1).take(along, axis=1, mode="wrap")
-        counts[reps[b]] = P.sum(axis=1, dtype=sum_dtype)
-    rows = counts[reps[1:]]
-    for dest, low in zip(scaled, unscaled):
-        counts[dest] = rows[:, low]
-    return counts.ravel()
-
-
 def verify_pds_bruteforce(space: Space, D) -> PdsParams | None:
     """Count, for every nonzero g, the ordered pairs (d1, d2) in D^2 with
     d1 - d2 = g.  Returns the parameters when the count is constant on D and
     constant off D, else None.  Degenerate sets report lambda = mu = 0 for
     the vacuous positions.
 
-    Both counting routes are exact difference counting and never use a
-    character transform, and both read one _rank_split of D.  A sparse
-    set goes through _gather_counts, |D|^2 table lookups; a set with
-    16 |D| >= v goes through _dense_counts, 1 + (q2 - 1) / |S| float32
-    products of (q2 + 1) / 2 rows, about v q1 / 2 multiply-adds each
-    (q1 q2 = v; |S| >= 2 scalars fix D up to sign), at most about v^2 / 4
-    multiply-adds.  The rule sits where the product won on every group
-    measured: with single-threaded BLAS on a 2-vCPU Xeon VM, on random
-    symmetric sets (|S| = 2) at 3^8, 3^10, 3^12, 5^6 and 7^6, the product
-    won at |D| = v / 16 on each and gathering at v / 64; in between the
-    winner depends on the group (at v / 32 the product won at 3^10, 3^12
-    and 7^6, gathering at 3^8 and 5^6).  Both routes stay because sparse
-    sets occur: at 3^12 with |D| = v / 256, the size of a D_0 with s = m,
-    gathering takes 0.11 s and the product about 1.5 s.  The cap bounds
-    both routes: v must be within the transform's point cap, so the two
-    verifiers accept the same groups, at under v^2 / 256 gathers or about
-    v^2 / 4 multiply-adds."""
+    Both counting routes are exact difference counting (pairs.py) and never
+    use a character transform or a certificate, and both read one
+    _rank_split of D.  A sparse set goes through _gather_counts, |D|^2
+    table lookups; a set with 16 |D| >= v goes through _dense_counts,
+    1 + (q2 - 1) / n float32 products of (q2 + 1) / 2 rows, about v q1 / 2
+    multiply-adds each (q1 q2 = v), where n >= 2 is the order of the
+    high-half multiplier c_hi of the group of D's symmetries that
+    _orbit_group finds: at most about v^2 / 4 multiply-adds when only +-1
+    fix D, and two products when c_hi is primitive, as for every
+    Maiorana-McFarland and spread preimage on GF(p^m)^2.  The rule sits
+    where the product won on every group measured: with single-threaded
+    BLAS on a 2-vCPU Xeon VM, on random symmetric sets (|S| = 2, no larger
+    symmetry) at 3^8, 3^10, 3^12, 5^6 and 7^6, the product won at
+    |D| = v / 16 on each and gathering at v / 64; in between the winner
+    depends on the group (at v / 32 the product won at 3^10, 3^12 and 7^6,
+    gathering at 3^8 and 5^6).  Both routes stay because sparse sets occur:
+    at 3^12 with |D| = v / 256, the size of a D_0 with s = m, gathering
+    takes 0.11 s and the product of a set without symmetry about 1.5 s.
+    The cap bounds both routes: v must be within the transform's point
+    cap, so the two verifiers accept the same groups, at under v^2 / 256
+    gathers or about v^2 / 4 multiply-adds."""
     Dv = _candidacy(space, D)
     v = space.size
     if v > walsh_cap():

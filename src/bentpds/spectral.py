@@ -82,7 +82,7 @@ from .errors import (
     ZeroComponent,
 )
 from .field import Field, _integer_entries, canonical_field
-from .limits import exact_float_dtype, walsh_cap
+from .limits import SCRATCH_BYTES, exact_float_dtype, walsh_cap
 from .space import Space
 
 
@@ -263,12 +263,6 @@ def _shift_pass(X: np.ndarray, Y: np.ndarray, p: int) -> None:
             W[:, u] += twice[:, r : r + p]
 
 
-# Bytes of the one scratch array of a transform, capped at the size of its
-# counts.  With single-threaded BLAS on a 2-vCPU Xeon VM (2 MiB L2 per
-# core) a float32 transform at 3^12 took 8.6 ms with 256 KiB, 10.5 ms with
-# 512 KiB to 1 MiB and 12.5 ms with a second buffer of its size; 7^6, 5^8
-# and 13^4 moved by under 10% between 128 KiB and 4 MiB.
-SCRATCH_BYTES = 1 << 18
 # A shift pass makes p^2 slice-adds whatever its width, so above
 # DENSE_PASS_MAX_P the scratch holds at least p SHIFT_SLICE entries and
 # each add covers at least SHIFT_SLICE of them.  A transform at 211^2 took

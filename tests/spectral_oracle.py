@@ -8,22 +8,57 @@ their coefficient tuples.  It shares no code with the library's
 count-domain matcher beyond walsh_full, so the two decisions can be
 compared field by field.
 
-walsh_naive is the O(p^{2n}) definition of the spectrum, one inner product
-of space_oracle at a time, the fast transform's oracle.  It and the
-candidates build their ring values in the oracle ring of ring_oracle.
+walsh_naive is the O(p^{2n}) definition of the spectrum, the fast
+transform's oracle, as one integer product: <a, x> = sum_k u_k x_k mod p
+over the digits x_k of x and u_k of u = space_oracle.dual_rank(a), so the
+exponents f(x) - <a, x> of every a are a row of (f - U X^T) mod p, counted
+with np.bincount.  walsh_pointwise is the same definition one inner
+product of space_oracle at a time, walsh_naive's own oracle on small
+spaces.  Both, and the candidates, build their ring values in the oracle
+ring of ring_oracle.
 """
 import numpy as np
 
 from bentpds.errors import MatchFailure, SizeGuard
 from bentpds.spectral import walsh_full
 from ring_oracle import RingInt, gauss_sum
-from space_oracle import inner_product
+from space_oracle import digits, dual_rank, inner_product
+
+
+# entries of U X^T formed at a time: about 64 MB of int64
+_NAIVE_BLOCK = 8_000_000
+
+
+def _check_p_ary(f) -> None:
+    if f.s != 1:
+        raise ValueError(f"a p-ary (s = 1) function is needed, got s = {f.s}")
 
 
 def walsh_naive(f) -> list[RingInt]:
+    """W_f(a) = sum_x zeta^{f(x) - <a,x>} for every a: X holds the digits
+    of every x and U those of dual_rank(a) for every a, and each row of
+    E = (f - U X^T) mod p, taken in blocks of rows, is counted with one
+    np.bincount of E + p * row."""
+    _check_p_ary(f)
+    sp, p, N = f.domain, f.p, f.domain.size
+    X = np.array([digits(sp, x) for x in range(N)], dtype=np.int64).reshape(N, sp.dim)
+    U = np.array([digits(sp, dual_rank(sp, a)) for a in range(N)],
+                 dtype=np.int64).reshape(N, sp.dim)
+    values = np.asarray(f.table, dtype=np.int64)
+    out = []
+    block = max(1, _NAIVE_BLOCK // N)
+    for start in range(0, N, block):
+        E = (values - U[start:start + block] @ X.T) % p
+        rows = E.shape[0]
+        E += p * np.arange(rows)[:, None]
+        counts = np.bincount(E.ravel(), minlength=rows * p).reshape(rows, p)
+        out += [RingInt.from_exponent_counts(p, row) for row in counts.tolist()]
+    return out
+
+
+def walsh_pointwise(f) -> list[RingInt]:
     """W_f(a) = sum_x zeta^{f(x) - <a,x>} for every a, point by point."""
-    if f.s != 1:
-        raise ValueError(f"a p-ary (s = 1) function is needed, got s = {f.s}")
+    _check_p_ary(f)
     sp, p = f.domain, f.p
     out = []
     for a in range(sp.size):

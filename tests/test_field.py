@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from bentpds import pds, spectral
+from bentpds import pairs, pds, spectral
 from bentpds.errors import (
     InverseOfZero,
     NotADivisor,
@@ -310,7 +310,7 @@ def test_shared_tables_are_read_only():
     tables = {
         "_powers": F81._powers, "_digits": F81._digits, "_exp": F81._exp, "_log": F81._log,
         "dual_map": F81.dual_map, "neg": prime_space(3, 4).neg,
-        "_half_sub_table": pds._half_sub_table(3, 2),
+        "_half_sub_table": pairs._half_sub_table(3, 2),
         **{f"trace {k}": table for k, table in F81._traces.items()},
         **{f"_candidate_map {i}": table
            for i, table in enumerate(spectral._candidate_map(3, 4))},

@@ -27,6 +27,14 @@ tests/pds_oracle.py names none of the pair counter's digit tables
 (_rank_split, _half_sub_table, _scaling, _pairing) and reads no Space map
 attribute (.neg, .negate, .gather_scaled, .gather_mul, .gather_dual), so
 each can be compared with the code it checks.
+
+The pair-count route (every function of pairs.py: _rank_split,
+_gather_counts, the symmetry search _orbit_group, _least_lift, _lift and
+_fixes, _pairing and its tables, _dense_counts; and verify_pds_bruteforce
+and _candidacy in pds.py) names no transform (_char_counts,
+_digit_transform, walsh_full), no _symmetry of F and no certificate, and
+pairs.py imports nothing from spectral, so difference counting stays a
+route independent of the character criterion and of certification.
 """
 import ast
 import re
@@ -199,3 +207,50 @@ def test_oracles_share_no_code_with_what_they_check():
         "_scaling", "gather_dual", "gather_mul", "neg"]
     assert sorted(_attributes(bad, SPACE_MAP_ATTRIBUTES)) == [
         "gather_dual", "gather_mul", "neg", "negate"]
+
+
+PDS_ROUTE = {"verify_pds_bruteforce", "_candidacy"}
+PAIR_COUNT_ENGINE = {"_rank_split", "_gather_counts", "_orbit_group", "_least_lift", "_lift",
+                     "_fixes", "_orbit_tables", "_pairing", "_dense_counts"}
+TRANSFORM_NAMES = {"_char_counts", "_digit_transform", "walsh_full", "_symmetry"}
+
+
+def _route_reads(source: str, route: set[str] | None = None) -> dict[str, list[str]]:
+    """For each function of source named in route (every function when
+    route is None), the transform names and the names holding
+    "certificate" that its body reads, sorted."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and (route is None or node.name in route):
+            names = {getattr(inner, "id", None) or getattr(inner, "attr", None)
+                     for inner in ast.walk(node)} - {None}
+            found[node.name] = sorted(name for name in names if name in TRANSFORM_NAMES
+                                      or "certificate" in name.lower())
+    return found
+
+
+def _module_imports(source: str) -> list[str]:
+    """The modules that source imports from, relative ones by their name."""
+    return [node.module or "" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)]
+
+
+def test_pair_count_route_uses_no_transform_and_no_certificate():
+    package = Path(bentpds.__file__).parent
+    engine = (package / "pairs.py").read_text()
+    reads = _route_reads(engine)
+    assert PAIR_COUNT_ENGINE <= set(reads)
+    assert reads == {name: [] for name in reads}
+    assert "spectral" not in _module_imports(engine)
+    assert _route_reads((package / "pds.py").read_text(), PDS_ROUTE) == {
+        name: [] for name in PDS_ROUTE}
+    bad = ("from bentpds import spectral\nfrom .spectral import _char_counts\n"
+           "def _dense_counts(split):\n    return spectral._char_counts(split) + walsh_full(1)\n"
+           "def _lift(F, G):\n    cert = spectral.dual_bent_certificate(F, G)\n"
+           "    return _symmetry(F), cert\n"
+           "def elsewhere():\n    return _digit_transform(1)\n")
+    assert _route_reads(bad, {"_dense_counts", "_lift"}) == {
+        "_dense_counts": ["_char_counts", "walsh_full"],
+        "_lift": ["_symmetry", "dual_bent_certificate"]}
+    assert _route_reads(bad)["elsewhere"] == ["_digit_transform"]
+    assert _module_imports(bad) == ["bentpds", "spectral"]

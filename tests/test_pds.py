@@ -1,15 +1,19 @@
 import itertools
+import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bentpds import pds
-from bentpds.constructions import mm_power, quad_trace
+from bentpds import pairs, pds
+from bentpds.constructions import mm_power, quad_trace, spread_bent
 from bentpds.errors import (
     BentError,
     ContainsZero,
@@ -519,7 +523,7 @@ def _check_orbit_group(sp, Dv: np.ndarray, order: int) -> list[int]:
     """_orbit_group of Dv, checked to be {+-1} . {lam : lam D = D} and to
     hold the subgroup of the given order."""
     p, dim = sp.p, sp.dim
-    split = pds._rank_split(sp, Dv)
+    split = pairs._rank_split(sp, Dv)
     q1 = p ** split.h1
     assert (split.h1, split.h2) == ((dim + 1) // 2, dim // 2)
     assert np.array_equal(split.hi * q1 + split.lo, Dv)
@@ -529,7 +533,9 @@ def _check_orbit_group(sp, Dv: np.ndarray, order: int) -> list[int]:
     members, mirror = set(Dv.tolist()), set(sp.neg[Dv].tolist())
     expected = [lam for lam in range(1, p)
                 if set(sp.gather_scaled(ranks, lam)[Dv].tolist()) in (members, mirror)]
-    S = pds._orbit_group(split, M)
+    c_lo, c_hi, n = pairs._orbit_group(split, M)
+    S = sorted({pow(c_hi, j, p) for j in range(n)})
+    assert c_lo == c_hi and len(S) == n
     assert S == expected
     g = pow(canonical_field(p, 1).primitive_element, (p - 1) // order, p)
     assert {g ** k % p for k in range(order)} <= set(S)
@@ -555,14 +561,14 @@ def test_dense_counts_equal_gather_counts(data):
     Dv = _closed_set(sp, order, size, seed)
     Dv = np.union1d(Dv, [0]) if with_zero else Dv[Dv != 0]
     assume(Dv.size)
-    assert np.array_equal(pds._gather_counts(pds._rank_split(sp, Dv)), pair_counts(sp, Dv))
+    assert np.array_equal(pairs._gather_counts(pairs._rank_split(sp, Dv)), pair_counts(sp, Dv))
     _check_orbit_group(sp, Dv, order)
 
     Dv = np.union1d(Dv, sp.neg[Dv])
-    split = pds._rank_split(sp, Dv)
+    split = pairs._rank_split(sp, Dv)
     expected = pair_counts(sp, Dv)
-    assert np.array_equal(pds._dense_counts(split), expected)
-    assert np.array_equal(pds._gather_counts(split), expected)
+    assert np.array_equal(pairs._dense_counts(split), expected)
+    assert np.array_equal(pairs._gather_counts(split), expected)
     _check_orbit_group(sp, Dv, order)
 
 
@@ -581,10 +587,167 @@ def test_pair_count_routes_equal_the_oracle_at_each_orbit_group(sp, order, s_ord
         Dv = np.union1d(Dv, sp.neg[Dv])
         Dv = Dv[Dv != 0]
         assert len(_check_orbit_group(sp, Dv, order)) == s_order
-        split = pds._rank_split(sp, Dv)
+        split = pairs._rank_split(sp, Dv)
         expected = pair_counts(sp, Dv)
-        assert np.array_equal(pds._dense_counts(split), expected)
-        assert np.array_equal(pds._gather_counts(split), expected)
+        assert np.array_equal(pairs._dense_counts(split), expected)
+        assert np.array_equal(pairs._gather_counts(split), expected)
+
+
+def _two_factor(p: int, m: int) -> Space:
+    F = canonical_field(p, m)
+    return Space([F, F])
+
+
+def _mul_set(sp, Dv: np.ndarray, c_lo: int, c_hi: int) -> np.ndarray:
+    """(c_lo, c_hi) D on the two factors of sp, as a sorted array, built from
+    the factors' own multiplication."""
+    lo_f, hi_f = sp.factors
+    hi, lo = np.divmod(Dv, lo_f.size)
+    return np.sort(hi_f.mul(c_hi, hi) * lo_f.size + lo_f.mul(c_lo, lo))
+
+
+def _symmetry_route_counts(sp, Dv: np.ndarray) -> tuple[int, int, int]:
+    """The dense counts of Dv with the search at every q2 and with S alone
+    (no search), the gather route and the per-pair oracle, all equal; the
+    group the search found must fix D as a set.  Returns that group."""
+    split = pairs._rank_split(sp, Dv)
+    q1, q2 = sp.factors[0].size, sp.factors[1].size
+    expected = pair_counts(sp, Dv)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(pairs, "LIFT_MIN_Q2", sp.size + 1)
+        assert np.array_equal(pairs._dense_counts(split), expected)  # S only
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(pairs, "LIFT_MIN_Q2", 1)
+        M = np.zeros((q2, q1), dtype=np.float32)
+        M[Dv // q1, Dv % q1] = 1
+        c_lo, c_hi, n = pairs._orbit_group(split, M)
+        assert np.array_equal(pairs._dense_counts(split), expected)
+    assert np.array_equal(pairs._gather_counts(split), expected)
+    assert c_lo != 0 and np.array_equal(_mul_set(sp, Dv, c_lo, c_hi), Dv)
+    assert pairs._fixes(split, M, [c_lo], c_hi).tolist() == [True]
+    assert sp.factors[1].multiplicative_order(c_hi) == n
+    return c_lo, c_hi, n
+
+
+# (constructor, arguments): mm-power and spread sets at 3^4 to 3^8, 5^4, 7^4
+SYMMETRIC_PAIRS = [(mm_power, (3, 2, 1, 1, 3)), (mm_power, (3, 3, 1, 1, 5)),
+                   (mm_power, (3, 4, 2, 1, 7)), (mm_power, (5, 2, 1, 2, 5)),
+                   (mm_power, (7, 2, 1, 3, 5)), (spread_bent, (3, 2, 1)),
+                   (spread_bent, (3, 3, 1)), (spread_bent, (3, 4, 2)),
+                   (spread_bent, (5, 2, 1)), (spread_bent, (7, 2, 2))]
+
+
+@pytest.mark.parametrize("build,args", SYMMETRIC_PAIRS,
+                         ids=[f"{b.__name__}{a}" for b, a in SYMMETRIC_PAIRS])
+def test_symmetry_route_counts_mm_and_spread_preimages(build, args):
+    """Tr(a x y^e) is fixed by (x, y) -> (mu^{-e} x, mu y) and a spread set
+    by (x, y) -> (mu x, mu y), for every mu: the search finds c_hi of order
+    q2 - 1, so 2 products give every count, and the counts equal the
+    gather route's, the oracle's and those of S alone."""
+    F = build(*args).function
+    sp, q2 = F.domain, F.domain.factors[1].size
+    for D in (zero_preimage(F), coset_preimage(F, 2, 1),
+              preimage(F, [0, F.codomain.primitive_element])):
+        c_lo, c_hi, n = _symmetry_route_counts(sp, D.ranks)
+        assert n == q2 - 1, (D.descriptor, c_lo, c_hi)
+
+
+# two-factor spaces of at most 7^4 points, GF(p) x GF(p) included
+TWO_FACTOR_SPACES = [_two_factor(3, 1), _two_factor(3, 2), _two_factor(3, 3),
+                     _two_factor(5, 1), _two_factor(5, 2), _two_factor(7, 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_symmetry_route_counts_sets_fixed_by_a_drawn_pair(data):
+    """A random set closed under a drawn (c_lo, c_hi) and -1: the image of
+    the group found on the high half holds c_hi, and the counts are right."""
+    sp = data.draw(st.sampled_from(TWO_FACTOR_SPACES), label="space")
+    lo_f, hi_f = sp.factors
+    c_lo = data.draw(st.integers(1, lo_f.size - 1), label="c_lo")
+    c_hi = data.draw(st.integers(1, hi_f.size - 1), label="c_hi")
+    size = data.draw(st.integers(1, sp.size // 4), label="size")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    order = math.lcm(lo_f.multiplicative_order(c_lo), hi_f.multiplicative_order(c_hi))
+    Dv = np.random.default_rng(seed).choice(sp.size, size, replace=False)
+    Dv = np.union1d(Dv, sp.neg[Dv])
+    Dv = np.unique(np.concatenate([_mul_set(sp, Dv, lo_f.pow(c_lo, j), hi_f.pow(c_hi, j))
+                                   for j in range(order)]))
+    Dv = Dv[Dv != 0]
+    assume(Dv.size)
+    assert np.array_equal(_mul_set(sp, Dv, c_lo, c_hi), Dv)
+    _, _, n = _symmetry_route_counts(sp, Dv)
+    assert hi_f.log_residue(c_hi, (hi_f.size - 1) // n) == 0
+
+
+def test_symmetry_route_counts_a_set_with_one_pair_toggled():
+    """Toggling one +-x pair of a mm-power set breaks (mu^{-e}, mu): the
+    16 probe members still pass it, and only the exact check of every
+    member refuses it; the set is counted right without it."""
+    F = mm_power(3, 4, 2, 1, 7).function
+    sp = F.domain
+    D = zero_preimage(F).ranks
+    split = pairs._rank_split(sp, D)
+    M = np.zeros((81, 81), dtype=np.float32)
+    M[D // 81, D % 81] = 1
+    c_lo, c_hi, n = pairs._orbit_group(split, M)
+    assert n == 80 and pairs._fixes(split, M, c_lo, c_hi).all()
+    lo_f, hi_f = sp.factors
+    outside = next(x for x in range(1, sp.size) if x not in set(D.tolist()))
+    for x in [D[1], D[-2], D[D.size // 2 + 1], outside]:
+        toggled = np.setxor1d(D, [x, sp.negate(int(x))])
+        split = pairs._rank_split(sp, toggled)
+        M = np.zeros((81, 81), dtype=np.float32)
+        M[toggled // 81, toggled % 81] = 1
+        probe = np.linspace(0, toggled.size - 1, pairs._PROBES).astype(np.int64)
+        assert M[hi_f.mul(c_hi, split.hi[probe]), lo_f.mul(c_lo, split.lo[probe])].all()
+        assert not pairs._fixes(split, M, c_lo, c_hi).any()
+        assert pairs._lift(split, M, c_hi) is None
+        _symmetry_route_counts(sp, toggled)
+        assert verify_pds_bruteforce(sp, toggled) is None
+
+
+def test_fixes_reads_every_member():
+    """(w, w) fixes D = {(0, y) : y != 0} on GF(9)^2; with one more member
+    of least or greatest rank, which it moves out of the set, it fails on
+    that member alone, and _fixes refuses it.  A symmetric set cannot show
+    this: a member fails with its mirror."""
+    sp = _two_factor(3, 2)
+    w = sp.factors[0].primitive_element
+    D = np.arange(1, 9) * 9
+    for Dv in (D, np.union1d(D, [1]), np.union1d(D, [80])):
+        split = pairs._rank_split(sp, Dv)
+        M = np.zeros((9, 9), dtype=np.float32)
+        M[Dv // 9, Dv % 9] = 1
+        assert pairs._fixes(split, M, w, w).tolist() == [Dv.size == D.size]
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (3, 4), (5, 2)])
+def test_symmetry_route_counts_a_set_on_the_low_zero_axis(p, m):
+    """D = {(0, y) : y in H_2} has no member with a nonzero low digit, so
+    the one candidate lift is 1; every pair differs by (0, *)."""
+    sp = _two_factor(p, m)
+    hi_f = sp.factors[1]
+    squares = np.flatnonzero(hi_f.log_residue(np.arange(hi_f.size), 2) == 0)
+    for ys in (squares, np.arange(1, hi_f.size)):
+        c_lo, c_hi, n = _symmetry_route_counts(sp, ys * hi_f.size)
+        assert c_lo == 1
+
+
+def test_symmetry_route_refuses_c_lo_zero():
+    """D = {(0, y) : y != 0} with +-(1, 1) on GF(9)^2: (0, w) maps D into D,
+    but it is no bijection, and no lift of a power of w fixes D, so the
+    group is S."""
+    sp = _two_factor(3, 2)
+    D = np.union1d(np.arange(1, 9) * 9, [1 + 9, sp.negate(1 + 9)])
+    split = pairs._rank_split(sp, D)
+    M = np.zeros((9, 9), dtype=np.float32)
+    M[D // 9, D % 9] = 1
+    w = sp.factors[1].primitive_element
+    assert M[sp.factors[1].mul(w, split.hi), 0].all()  # (0, w) D lies in D
+    assert pairs._fixes(split, M, [0, 1, w], w).tolist() == [False, False, False]
+    c_lo, c_hi, n = _symmetry_route_counts(sp, D)
+    assert (c_lo, c_hi, n) == (2, 2, 2)
 
 
 @pytest.mark.parametrize("p,h1,h2", [(3, 1, 0), (3, 1, 1), (3, 3, 3), (5, 2, 2), (7, 3, 2),
@@ -593,23 +756,28 @@ def test_pairing_tables_pair_each_row_with_its_mirror(p, h1, h2):
     """Per rep gh, (q2 + 1) / 2 rows hx: first h0, 2 h0 = gh digit by
     digit, of weight 1, then one of each other pair {h, gh - h}, of
     weight 2; hy = hx - gh.  h -> gh - h is an involution whose one fixed
-    point is h0.  The row of lam gh is read off that of gh through
-    y -> y / lam.  The tables are cached per (p, h1, h2, S), and none has
-    the q1^2 entries of a (q1, q1) table."""
+    point is h0.  dest[j] holds lam^j gh for the nonzero reps, j < |S|, and
+    the row of lam gh is read off that of gh through y -> y / lam.  The
+    tables of a scalar group are cached per (p, h1, h2, lam, |S|), and none
+    has the q1^2 entries of a (q1, q1) table."""
     low, high = SimpleNamespace(p=p, dim=h1), SimpleNamespace(p=p, dim=h2)  # for space_oracle
     q1, q2 = p ** h1, p ** h2
 
     def minus(a, b):
         return add(high, a, negate(high, b))
 
-    for S in sorted({tuple(sorted({s * pow(lam, k, p) % p for s in (1, p - 1)
-                                   for k in range(p - 1)})) for lam in range(1, p)}):
-        pds._pairing.cache_clear()
-        tables = pds._pairing(p, h1, h2, S)
-        assert pds._pairing(p, h1, h2, S) is pds._pairing(p, h1, h2, S)
-        assert pds._pairing.cache_info()[:2] == (2, 1)  # hits, misses
-        reps, hx, hy, scaled, unscaled = tables
-        assert reps.tolist() == sorted({min(scalar_mul(high, lam, g) for lam in S)
+    for lam in range(2, p):
+        n = next(k for k in range(1, p) if pow(lam, k, p) == 1)
+        S = {pow(lam, k, p) for k in range(n)}
+        if p - 1 not in S:
+            continue  # every orbit group holds -1
+        pairs._scalar_pairing.cache_clear()
+        tables = pairs._scalar_pairing(p, h1, h2, lam, n)
+        split = SimpleNamespace(p=p, h1=h1, h2=h2, halves=None)
+        assert pairs._pairing(split, lam, lam, n) is tables
+        assert pairs._scalar_pairing.cache_info()[:2] == (1, 1)  # hits, misses
+        reps, hx, hy, dest, down = tables
+        assert reps.tolist() == sorted({min(scalar_mul(high, c, g) for c in S)
                                         for g in range(q2)})
         assert hx.shape == hy.shape == (reps.size, (q2 + 1) // 2)
         for gh, (h0, *paired), below in zip(reps.tolist(), hx.tolist(), hy.tolist()):
@@ -619,10 +787,9 @@ def test_pairing_tables_pair_each_row_with_its_mirror(p, h1, h2):
             assert add(high, h0, h0) == gh
             assert sorted([h0] + paired + [mirror[h] for h in paired]) == list(range(q2))
             assert below == [minus(h, gh) for h in [h0] + paired]
-        assert scaled.tolist() == [[scalar_mul(high, lam, gh) for gh in reps[1:].tolist()]
-                                   for lam in S[1:]]
-        assert unscaled.tolist() == [[scalar_mul(low, pow(lam, -1, p), y) for y in range(q1)]
-                                     for lam in S[1:]]
+        assert dest.tolist() == [[scalar_mul(high, pow(lam, j, p), gh) for gh in reps[1:].tolist()]
+                                 for j in range(n)]
+        assert down.tolist() == [scalar_mul(low, pow(lam, -1, p), y) for y in range(q1)]
         for table in tables:
             assert not table.flags.writeable
             assert table.size < q1 * q1
@@ -646,10 +813,10 @@ def test_digit_tables_equal_a_per_digit_oracle(p, width):
 
     expected = np.array([[from_digits((a - b) % p for a, b in zip(digits(x), digits(y)))
                           for y in range(q)] for x in range(q)], dtype=np.int64)
-    table = pds._half_sub_table(p, width)
+    table = pairs._half_sub_table(p, width)
     assert table.dtype == np.int64 and np.array_equal(table, expected)
     for lam in range(1, p):
-        scaled = pds._scaling(p, width, lam)
+        scaled = pairs._scaling(p, width, lam)
         expected = [scalar_mul(prime_space(p, width), lam, x) for x in range(q)] if width else [0]
         assert scaled.dtype == np.int64 and scaled.tolist() == expected
 
@@ -659,11 +826,45 @@ def test_digit_subtraction_table_peaks_near_its_own_size():
     (q, q, width) temporary: its peak stays within 1.5 times its size."""
     tracemalloc.start()
     try:
-        table = pds._half_sub_table.__wrapped__(3, 6)
+        table = pairs._half_sub_table.__wrapped__(3, 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * table.nbytes, (peak, table.nbytes)
+
+
+def test_pair_count_at_7_pow_8_stays_under_700_mb():
+    """The 7^8 reference row (5764801, 1881600, 614705, 613872) is the
+    coset preimage D_{beta H_3} of mm_power(7, 4, 2, 1, 17).  Pair counting
+    verifies it, and rejects the same coset of the e = 1 function, whose
+    sigma is not coset-stable for l = 3.  Both sets are fixed by
+    (mu^{-e}, mu) for every mu, so c_hi has order 7^4 - 1 and two products
+    of 2401 x 1201 by 1201 x 2401 give every count."""
+    script = """
+import json, resource
+from bentpds import pairs, pds
+from bentpds.constructions import mm_power
+found = []
+orbit_group = pairs._orbit_group
+pairs._orbit_group = lambda split, M: found.append(orbit_group(split, M)) or found[-1]
+out = {}
+for e in (17, 1):
+    D = pds.coset_preimage(mm_power(7, 4, 2, 1, e).function, 3, 1)
+    params = pds.verify_pds_bruteforce(D.group, D)
+    out[e] = [len(D), params and params.as_tuple(), found[-1][2]]
+out["maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps(out))
+"""
+    src = str(Path(pds.__file__).parents[1])
+    env = dict(os.environ, BENT_SIZE_CAP="6000000",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["17"] == [1881600, [5764801, 1881600, 614705, 613872], 2400]
+    assert out["1"] == [1881600, None, 2400]
+    assert out["maxrss_mb"] < 700, out
 
 
 def _refuse(*args):
@@ -697,7 +898,7 @@ def test_rank_split_refuses_inexact_float32():
     # 3^16 high-digit values: a product entry could pass 2^24, and the
     # high-digit subtraction table would hold 3^32 entries
     with pytest.raises(SizeGuard):
-        pds._rank_split(prime_space(3, 32), np.array([1, 2]))
+        pairs._rank_split(prime_space(3, 32), np.array([1, 2]))
 
 
 def test_verify_characters_on_xy_preimages():

@@ -38,6 +38,7 @@ from spectral_oracle import (
     conj_products,
     parseval_ok,
     walsh_naive,
+    walsh_pointwise,
 )
 
 F3 = canonical_field(3, 1)
@@ -138,6 +139,31 @@ def test_fast_transform_equals_naive(sp):
         assert parseval_ok(fast)
 
 
+def _compositions(n: int):
+    """Every ordered tuple of factor degrees that sums to n."""
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest
+
+
+# every space of at most 3^4 points whose factors are canonical fields
+SMALL_SPACES = [Space([canonical_field(p, m) for m in degrees])
+                for p in (3, 5, 7, 11) for n in range(1, 5) if p ** n <= 81
+                for degrees in _compositions(n)]
+
+
+@pytest.mark.parametrize("sp", SMALL_SPACES,
+                         ids=lambda s: "x".join(f"{f.p}^{f.m}" for f in s.factors))
+def test_naive_transform_equals_its_pointwise_oracle(sp):
+    """The one-product walsh_naive against the per-point definition, on a
+    zero, a random and a constant-one table."""
+    for tab in ([0] * sp.size, _random_table(sp, 5), [1] * sp.size):
+        f = p_ary(sp, tab)
+        assert walsh_naive(f) == walsh_pointwise(f)
+
+
 # mixed prime and extension factors, up to 3^4, 5^2 and 7^2 points
 PROPERTY_SPACES = [
     Space([F3, F9]),
@@ -222,7 +248,7 @@ def test_p_ary_routines_refuse_wider_codomains():
     from bentpds.constructions import mm_power
 
     F = mm_power(3, 2, 2, 1, 1).function  # s = 2, F(0) = 0
-    for routine in (walsh_full, walsh_naive, classify_bent, lform_exponents,
+    for routine in (walsh_full, walsh_naive, walsh_pointwise, classify_bent, lform_exponents,
                     lform_converse_check):
         with pytest.raises(ValueError, match="s = 1"):
             routine(F)

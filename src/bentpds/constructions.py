@@ -25,7 +25,7 @@ from .errors import (
 from .field import Field, _check_integer, canonical_field
 from .limits import exceeds, table_cap
 from .space import Space
-from .spectral import VectorialFunction
+from .spectral import VectorialFunction, rank_dtype
 
 
 @dataclass
@@ -83,12 +83,12 @@ def _check_a(F: Field, a: int) -> None:
 
 
 def _mm_block(F: Field, s: int, a: int, perm, perm_inv) -> tuple[np.ndarray, np.ndarray]:
-    """Tr_s^m(a x pi(y)) and its dual Tr_s^m(-pi^{-1}(a^{-1} x) y) on
-    GF(p^m) x GF(p^m), as (q, q) arrays indexed [y, x]."""
-    x = np.arange(F.size)
+    """Tr_s^m(a x pi(y)) and its dual Tr_s^m(-pi^{-1}(a^{-1} x) y) on GF(p^m)^2,
+    as (q, q) arrays [y, x] in rank_dtype(p^s), each cast once its trace is taken."""
+    x, dtype = np.arange(F.size), rank_dtype(F.p ** s)
     y = x[:, None]
-    table = F.trace(s, F.mul(F.mul(a, perm[y]), x))
-    dual = F.trace(s, F.mul(F.neg(perm_inv[F.mul(F.inv(a), x)]), y))
+    table = F.trace(s, F.mul(F.mul(a, perm[y]), x)).astype(dtype)
+    dual = F.trace(s, F.mul(F.neg(perm_inv[F.mul(F.inv(a), x)]), y)).astype(dtype)
     return table, dual
 
 

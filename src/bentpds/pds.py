@@ -151,7 +151,7 @@ def preimage(F: VectorialFunction, values, exclude_zero_point: bool = True,
 
 def _mask_preimage(F, mask: np.ndarray, exclude_zero_point: bool, descriptor: str) -> PreimageSet:
     """{ x : mask[F(x)] } for a boolean mask over the codomain ranks."""
-    ranks = np.flatnonzero(mask[F.table])
+    ranks = np.flatnonzero(np.take(mask, F.table))
     if exclude_zero_point and ranks.size and ranks[0] == 0:
         ranks = ranks[1:]
     return PreimageSet(F.domain, ranks, descriptor)

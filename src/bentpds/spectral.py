@@ -59,10 +59,12 @@ F_c o phi^k, where phi is self-adjoint for the inner product, so
 (f o phi^k)^* = f^* o phi^{-k} with the sign of f.  At mm_power and
 mm_qpoly, phi scales the first factor by the embedded generator of
 GF(p^s), d has order q - 1, and one transform serves every component.
-Certification keeps component and dual tables in the narrowest dtype that
-holds [0, p), one orbit's at a time, and reads each dual g off Fstar's
-image: g = Tr(e Fstar) exactly when g = h o Fstar for an h with
-h(y) = Tr(e y) on that image.
+
+Every function table is stored in rank_dtype(q) = np.min_scalar_type(q - 1)
+of its codomain's size q, uint8 up to q = 256: VectorialFunction casts its
+input once, and no consumer casts a table again.  A Python int does not
+widen such an array (NEP 50), so c * table % p wraps once c (q - 1) > 255;
+arithmetic on a table is a lookup of the map's values through it (_apply).
 """
 from __future__ import annotations
 
@@ -90,8 +92,14 @@ from .space import Space
 # function tables
 # ---------------------------------------------------------------------------
 
+def rank_dtype(q: int) -> np.dtype:
+    """The dtype of every table of ranks below q: np.min_scalar_type(q - 1)."""
+    return np.min_scalar_type(q - 1)
+
+
 class VectorialFunction:
-    """F: V_n -> GF(p^s), stored as a table of codomain ranks.  A p-ary
+    """F: V_n -> GF(p^s), stored as a table of codomain ranks in
+    rank_dtype(p^s), whatever integer dtype it was given in.  A p-ary
     function (components, duals, l-forms) is the case s = 1, with codomain
     canonical_field(p, 1)."""
 
@@ -108,7 +116,7 @@ class VectorialFunction:
             raise ValueError("table entries must lie in [0, p^s)")
         self.domain = domain
         self.codomain = codomain
-        self.table = arr.astype(np.int64, copy=False)
+        self.table = arr.astype(rank_dtype(codomain.size), copy=False)
 
     @property
     def p(self) -> int:
@@ -159,18 +167,19 @@ def component(F: VectorialFunction, c: int) -> VectorialFunction:
     if c == 0:
         raise ZeroComponent("component index must be nonzero")
     F.codomain.check_rank(c, "component index")
-    return VectorialFunction(F.domain, canonical_field(F.p, 1), _component_table(F, c, np.int64))
+    return VectorialFunction(F.domain, canonical_field(F.p, 1), _component_table(F, c))
 
 
-def _narrow(p: int) -> np.dtype:
-    """The narrowest dtype holding [0, p): certification's table dtype."""
-    return np.min_scalar_type(p - 1)
-
-
-def _component_table(F: VectorialFunction, c: int, dtype) -> np.ndarray:
-    """The table of F_c, for a nonzero rank c, in dtype."""
+def _component_table(F: VectorialFunction, c: int) -> np.ndarray:
+    """The table of F_c, for a nonzero rank c."""
     cod = F.codomain
-    return cod.trace(1, cod.mul(c, np.arange(cod.size))).astype(dtype)[F.table]
+    return _apply(cod.trace(1, cod.mul(c, np.arange(cod.size))), F.table, F.p)
+
+
+def _apply(values, table: np.ndarray, q: int) -> np.ndarray:
+    """v o table in rank_dtype(q), for v given by its values, ranks below q:
+    np.take gathers through a narrow table about twice as fast as [] does."""
+    return np.take(np.asarray(values).astype(rank_dtype(q)), table)
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +414,12 @@ def _candidate_map(p: int, n: int):
     """The 2p values +-u zeta^j a bent Walsh value can take, for the key
     lookup of _match_candidates: (weights w, candidate keys in ascending
     order, and the coefficient rows, signs and exponents j in that order,
-    the exponents in the narrow table dtype), shared, so read-only."""
+    the exponents in rank_dtype(p)), shared, so read-only."""
     # u = p^{n/2} or p^{(n-1)/2} g as counts, its reduced row with a zero
     # zeta^{p-1} count; times zeta^j, count i moves to i + j
     u = CyclotomicInt.from_int(p, 1) if n % 2 == 0 else gauss_sum(p)
     u_counts = p ** (n // 2) * np.array(u.coeffs + (0,), dtype=np.int64)
-    signs, js = np.tile([1, -1], p), np.repeat(np.arange(p, dtype=_narrow(p)), 2)
+    signs, js = np.tile([1, -1], p), np.repeat(np.arange(p, dtype=rank_dtype(p)), 2)
     rows = reduce_counts(signs[:, None] * u_counts[(np.arange(p) - js[:, None]) % p])
     # weights linear in the coefficient index collide on the odd-n Gauss-sum
     # rows; numpy.random would cost its import in every process
@@ -468,22 +477,20 @@ def _match_candidates(rows: np.ndarray, p: int, n: int):
 
 
 def _bent_dual(space: Space, table: np.ndarray) -> tuple[np.ndarray, int | None] | None:
-    """Classify the p-ary function with this table (any integer dtype) by
-    exact matching of every spectrum value against the 2p candidates: None
-    if it is not bent, else its dual table in the narrow dtype of
-    _candidate_map and its sign eps, None when it is not weakly regular."""
+    """Classify the p-ary function with this table by exact matching of
+    every spectrum value against the 2p candidates: None if it is not bent,
+    else its dual table and its sign eps, None when it is not weakly
+    regular."""
     p, n = space.p, space.dim
     matched, which = _match_candidates(_char_counts(space, table), p, n)
     if not matched.all():
         return None
     del matched
     _, _, _, cand_signs, cand_js = _candidate_map(p, n)
-    taken = np.zeros(cand_signs.size, dtype=bool)
-    taken[which] = True  # the candidates that occur
-    signs = cand_signs[taken]
+    signs = cand_signs[np.bincount(which, minlength=cand_signs.size) > 0]  # those that occur
     eps = int(signs[0]) if (signs == signs[0]).all() else None
     # row dual[a] of the counts holds W_f(a)
-    return cand_js[space.gather_dual(which)], eps
+    return np.take(cand_js, space.gather_dual(which)), eps
 
 
 def classify_bent(f: VectorialFunction) -> BentClassification:
@@ -531,9 +538,8 @@ def _symmetry(F: VectorialFunction) -> tuple[list[int], int, int]:
     best = [1] * len(dom.factors), 1, M
     if M == 1:
         return best
-    tab = F.table.astype(np.min_scalar_type(q - 1))
-    x0 = int(np.argmax(tab != 0))
-    if tab[x0] == 0:  # F = 0
+    x0 = int(np.argmax(F.table != 0))
+    if F.table[x0] == 0:  # F = 0
         return best
     gens = {}  # factor -> iota(g)
     for i, f in enumerate(dom.factors):
@@ -543,13 +549,12 @@ def _symmetry(F: VectorialFunction) -> tuple[list[int], int, int]:
     factor_sets = [[i] for i in gens] + ([list(gens)] if len(gens) > 1 else [])
     for factors in factor_sets:
         ts = [gens[i] if i in factors else 1 for i in range(len(dom.factors))]
-        moved = dom.gather_mul(tab, ts)  # F(phi x) at every x
-        d = cod.mul(int(moved[x0]), cod.inv(int(tab[x0])))
+        moved = dom.gather_mul(F.table, ts)  # F(phi x) at every x
+        d = cod.mul(int(moved[x0]), cod.inv(int(F.table[x0])))
         if d == 0:
             continue
         index = math.gcd(M, cod.log_residue(d, q - 1))
-        if index < best[2] and np.array_equal(
-                cod.mul(d, np.arange(q)).astype(tab.dtype)[tab], moved):
+        if index < best[2] and np.array_equal(_apply(cod.mul(d, np.arange(q)), F.table, q), moved):
             best = ts, d, index
             if index == 1:
                 break
@@ -577,31 +582,26 @@ def dual_bent_certificate(
 ) -> DualBentCertificate | None:
     """Check (F_c)^* = (Fstar)_{sigma(c)} for every nonzero c.
 
-    Components are certified an orbit of H = <d, GF(p)^*> at a time,
-    representatives in increasing order, where F o phi = d F for the
-    scaling phi: x_i -> t_i x_i of _symmetry (t_i = 1 and d = 1, so
-    H = GF(p)^*, when it finds none).  Then F_{c d^k} = F_c o phi^k, and
-    multiplication inside a factor is self-adjoint for the trace form, so
-    W_{f o phi^k}(a) = W_f(phi^{-k} a): f o phi^k has the dual
-    f^* o phi^{-k} and the sign of f.  The least c of an orbit, r, is
-    classified; every other c = lambda d^k r, lambda in GF(p)^*, takes
-    its dual and sign from r (see the module docstring):
-    (F_c)^*(a) = lambda (F_r)^*(a'), a'_i = lambda^{-1} t_i^{-k} a_i, by
-    one Space.gather_mul, and eps_c = eps_r for even n and
-    eta(lambda) eps_r for odd n; None stays None.  Only one orbit's duals
-    are held at a time, all in the narrowest dtype that holds [0, p).
+    Components are certified an orbit of H = <d, GF(p)^*> at a time (see
+    the module docstring), representatives in increasing order, for the
+    scaling phi: x_i -> t_i x_i of _symmetry with F o phi = d F.  The least
+    c of an orbit, r, is classified; every other c = lambda d^k r, lambda
+    in GF(p)^*, takes its dual and sign from r: (F_c)^*(a) =
+    lambda (F_r)^*(a'), a'_i = lambda^{-1} t_i^{-k} a_i, by one
+    Space.gather_mul, and eps_c = eps_r for even n and eta(lambda) eps_r
+    for odd n; None stays None.  One orbit's duals are held at a time.
 
-    Each derived dual g is read off Fstar's value table as a classified
-    one is: g = Fstar_e exactly when g = h o Fstar, with h scattered from
-    g and checked by one gather, and h(y) = Tr(e y) on Fstar's image;
-    those rows index every e, and two e with one row have equal Fstar
-    components.  That alone would accept a derivation that yields the dual
-    of another component (phi^{+k} in place of phi^{-k} does, with a wrong
-    sigma), so each c first checks, apart from how they were found, that
-    c = lambda d^k r with lambda in GF(p)^* and that every multiplier c_i
-    of the gather has c_i t_i^k lambda = 1.  With F o phi = d F checked on
-    the whole table, these make g = (F_c)^*; if one fails, c fails to
-    certify.
+    Each dual g is read off Fstar's value table: g = Fstar_e exactly when
+    g = h o Fstar and h(y) = Tr(e y) on Fstar's image.  h is read off g at
+    one x per y of the image, found once, g = h o Fstar is checked by one
+    gather over the whole table, and the rows Tr(e y) on the image index
+    every e, two e with one row having equal Fstar components.  That alone
+    would accept a derivation that yields the dual of another component
+    (phi^{+k} in place of phi^{-k} does, with a wrong sigma), so each c
+    first checks, apart from how they were found, that c = lambda d^k r
+    with lambda in GF(p)^* and that every multiplier c_i of the gather has
+    c_i t_i^k lambda = 1.  With F o phi = d F checked on the whole table,
+    these make g = (F_c)^*; if one fails, c fails to certify.
 
     Returns the certificate, or None when Fstar fails to certify F (which
     does not prove F is not dual-bent).  Raises NotBent if some component
@@ -629,17 +629,17 @@ def _certificate(
     first is the (dual, eps) of _bent_dual for F_1 when the caller has
     classified it, else None."""
     cod, dom, p, n = F.codomain, F.domain, F.p, F.domain.dim
-    q, narrow = cod.size, _narrow(p)
+    q = cod.size
     ts, d, index = _symmetry(F)
     # c / r = lambda d^k: k L = log(c / r) mod M for L = log d, M = (q-1)/(p-1)
     order = (q - 1) // (p - 1) // index
     inv_log_d = pow(cod.log_residue(d, q - 1) // index, -1, order)
-    image = np.flatnonzero(np.bincount(Fstar.table, minlength=q))
+    image, at = np.unique(Fstar.table, return_index=True)  # at: one x with Fstar(x) = y per y
     star_index: dict[bytes, list[int]] = {}  # Tr(e y) on the image -> [e, ...]
     for e in range(1, q):
-        row = cod.trace(1, cod.mul(e, image)).astype(narrow)
+        row = cod.trace(1, cod.mul(e, image)).astype(rank_dtype(p))
         star_index.setdefault(row.tobytes(), []).append(e)
-    h = np.zeros(q, dtype=narrow)  # a dual's value at each y of the image
+    h = np.zeros(q, dtype=rank_dtype(p))  # a dual's value at each y of the image
     eta = canonical_field(p, 1).quadratic_character
     sigma = dict.fromkeys(range(1, q))  # listed by c, filled an orbit at a time
     epsilons = dict(sigma)
@@ -650,7 +650,7 @@ def _certificate(
         if r == 1 and first is not None:
             rep = first
         else:
-            rep = _bent_dual(dom, _component_table(F, r, narrow))
+            rep = _bent_dual(dom, _component_table(F, r))
         if rep is None:  # every c < r is certified, as failure > r
             raise NotBent(f"component {r} is not bent")
         for c, mu in members:
@@ -670,13 +670,12 @@ def _certificate(
                     break
                 dual = dom.gather_mul(dual, cs)
                 if lam != 1:
-                    # a narrow index array is cast in buffered chunks here, not whole
-                    dual = (lam * np.arange(p) % p).astype(dual.dtype)[dual]
+                    dual = _apply(lam * np.arange(p) % p, dual, p)
                 if n % 2 and eps is not None:
                     eps *= eta(lam)
-            h[Fstar.table] = dual
+            h[image] = dual[at]  # then dual = h o Fstar, if at all, checked whole
             matches = (star_index.get(h[image].tobytes(), [])
-                       if np.array_equal(h[Fstar.table], dual) else [])
+                       if np.array_equal(np.take(h, Fstar.table), dual) else [])
             if len(matches) != 1:
                 failure = c
                 break
@@ -698,7 +697,8 @@ def lform_exponents(f: VectorialFunction) -> set[int]:
     _check_p_ary(f)
     p, g = f.p, canonical_field(f.p, 1).primitive_element
     scaled = f.domain.gather_scaled(f.table, g)
-    return {l for l in range(1, p) if np.array_equal(scaled, pow(g, l, p) * f.table % p)}
+    return {l for l in range(1, p)
+            if np.array_equal(scaled, _apply(pow(g, l, p) * np.arange(p) % p, f.table, p))}
 
 
 @dataclass

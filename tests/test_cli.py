@@ -26,6 +26,17 @@ def run(capsys, *argv):
     return code, out
 
 
+def test_tables_read_by_the_cli_are_stored_in_their_rank_dtype(capsys, tmp_path):
+    # q = 9 takes the one-digit reader, q = 729 the general one
+    for s, dtype in ((2, np.uint8), (6, np.uint16)):
+        path = tmp_path / f"quad-{s}.json"
+        argv = ["--family", "quad-trace", "--p", "3", "--n", "6", "--s", str(s), "--a", "1"]
+        assert run(capsys, "construct", *argv, "--out", str(path))[0] == 0
+        bundle = cli._load(path)
+        assert cli._function(bundle["function"]).table.dtype == dtype
+        assert cli._function(bundle["dual"]).table.dtype == dtype
+
+
 def test_reproduce_examples_is_deterministic_and_green(capsys):
     code1, out1 = run(capsys, "reproduce-examples")
     code2, out2 = run(capsys, "reproduce-examples")

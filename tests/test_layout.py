@@ -14,6 +14,10 @@ Only field.py calls Field( directly, and only space.py Field.from_dict:
 every other module takes its fields from canonical_field, so every field
 descriptor that comes from outside passes the integer rule on one path.
 
+No line of the package calls .table.astype(: a VectorialFunction stores
+its table in the one dtype of its codomain (spectral.rank_dtype), so a
+consumer that re-casts it makes a second representation of one table.
+
 cli.py calls neither json.load nor json.loads: every file it reads goes
 through its one decoder, _READER, which reads tables with numpy.
 
@@ -66,6 +70,17 @@ def test_only_field_reads_a_fields_private_tables():
 def test_only_field_builds_a_field_and_only_space_reads_one():
     assert _lines(FIELD_CALL, {"field.py"}) == []
     assert _lines(FROM_DICT, {"field.py", "space.py"}) == []
+
+
+TABLE_CAST = re.compile(r"\.table\s*\.\s*astype\s*\(")
+
+
+def test_no_function_table_is_recast():
+    assert _lines(TABLE_CAST, set()) == []
+    bad = ["tab = F.table.astype(np.min_scalar_type(q - 1))", "w = f.table .astype (np.int64)",
+           "t = F.trace(s, y).astype(dtype)", "w = np.asarray(f.table, dtype=np.int64)",
+           "t = f.tables.astype(int)"]
+    assert [line for line in bad if TABLE_CAST.search(line)] == bad[:2]
 
 
 JSON_READS = {"load", "loads"}

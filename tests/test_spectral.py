@@ -305,8 +305,12 @@ def test_lform_examples():
     # x = (1, 0) for the generator g = 2, so f is no l-form
     sp, squares = prime_space(13, 2), {x * x % 13 for x in range(1, 13)}
     f = p_ary(sp, [x * x % 13 if x in squares else 0 for y in range(13) for x in range(13)])
-    assert all(np.array_equal(sp.gather_scaled(f.table, a), a * a * f.table % 13) for a in squares)
+    wide = f.table.astype(np.int64)  # a * a * 12 wraps in the uint8 table
+    assert all(np.array_equal(sp.gather_scaled(f.table, a), a * a * wide % 13) for a in squares)
     assert lform_exponents(f) == set()
+    # x^8 on GF(17) takes 0, 1 and 16; g^l * 16 wraps in uint8 from p = 17 on
+    f = p_ary(prime_space(17, 1), [pow(x, 8, 17) for x in range(17)])
+    assert f.table.dtype == np.uint8 and lform_exponents(f) == {8}
 
 
 def test_lform_exponents_retain_no_scaling_map():
@@ -587,15 +591,42 @@ def test_function_serialization_round_trip():
     d = F.to_dict()
     assert d["codomain"] == {"p": 3, "s": 1}
     assert VectorialFunction.from_dict(d) == F
-    d["table"] = F.table  # the CLI reader hands over int64 arrays
+    d["table"] = F.table  # the CLI reader hands over integer arrays
     assert VectorialFunction.from_dict(d) == F
 
 
+def test_every_function_table_is_stored_in_its_codomains_rank_dtype():
+    from bentpds.constructions import branched_quad_mm, quad_trace
+
+    # q = 5, 9, 25, 125 and 729: uint8 up to q = 256, uint16 above
+    for pair in (_oracle_pairs()[:3] + [quad_trace(5, 3, 3, 2), quad_trace(3, 6, 6, 1),
+                                         branched_quad_mm(3, 2, 2, 2, 1, 1, 1, 1, 1)]):
+        F, Fstar, q, p = pair.function, pair.dual, pair.function.codomain.size, pair.function.p
+        assert F.table.dtype == Fstar.table.dtype == np.min_scalar_type(q - 1)
+        assert VectorialFunction.from_dict(F.to_dict()).table.dtype == F.table.dtype
+        for c in (1, q - 1):
+            comp = component(F, c)
+            assert comp.table.dtype == classify_bent(comp).dual.table.dtype == np.uint8
+        assert dual_bent_certificate(F, Fstar).dual.table.dtype == F.table.dtype
+    assert quad_trace(3, 6, 6, 1).function.table.dtype == np.uint16
+
+
 def test_table_entries_must_be_int64_integers():
-    sp, table = prime_space(3, 2), [0, 1, 2, 0, 1, 2, 0, 1, 2]
-    for ok in (table, tuple(table), np.array(table, dtype=np.uint8), [np.int64(v) for v in table]):
-        f = p_ary(sp, ok)
-        assert f.table.dtype == np.int64 and f.table.tolist() == table
+    # any integer input is stored in min_scalar_type(q - 1) of the codomain
+    sp = prime_space(3, 2)
+    for s, dtype in ((1, np.uint8), (5, np.uint8), (6, np.uint16)):
+        cod = canonical_field(3, s)
+        assert spectral.rank_dtype(cod.size) == dtype
+        small, spread = [0, 1, 2, 0, 1, 2, 0, 1, 2], [k * (cod.size - 1) // 8 for k in range(9)]
+        for table in (small, spread):
+            inputs = [table, tuple(table), [np.int64(v) for v in table]] + [
+                np.array(table, dtype=t) for t in (np.uint8, np.int32, np.int64)
+                if max(table) <= np.iinfo(t).max]
+            assert len(inputs) == (5 if table is spread and s == 6 else 6)
+            for ok in inputs:
+                f = VectorialFunction(sp, cod, ok)
+                assert f.table.dtype == dtype and f.table.tolist() == table
+    table = small
     bad = [
         [0.0] + table[1:], [0.5] + table[1:], [False] + table[1:], ["0"] + table[1:],
         [None] + table[1:], [10 ** 30] + table[1:], [2 ** 63] + table[1:],
@@ -759,7 +790,7 @@ def _bent_then_zero(p=5):
     """F: GF(p)^2 -> GF(p^2) whose component a + b theta (c = a + b p) is
     a f for the bent f = xy, so every c < p is bent and c = p is the first
     component that is not."""
-    f = xy_function(p).table
+    f = xy_function(p).table.astype(np.int64)  # -f wraps in the uint8 table
     return _two_form_pair(f, 0 * f, (-f) % p, np.arange(p * p) % p, p)
 
 
@@ -811,9 +842,9 @@ def test_certificate_builds_one_component_of_f_per_orbit(monkeypatch):
     # duals are read off Fstar's value table, so no component of Fstar is built
     component_table, built = spectral._component_table, []
 
-    def recording(F, c, dtype):
+    def recording(F, c):
         built.append((F, c))
-        return component_table(F, c, dtype)
+        return component_table(F, c)
 
     monkeypatch.setattr(spectral, "_component_table", recording)
     for pair in _oracle_pairs():

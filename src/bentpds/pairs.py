@@ -128,7 +128,9 @@ def _lift(split: _RankSplit, M: np.ndarray, c_hi: int) -> int | None:
     candidate 1.  _PROBES members spread over D filter the candidates, and
     _fixes checks the survivors exactly: the first alone, since it is a
     lift unless a wrong candidate got past the probes, then the rest in
-    blocks whose int64 member lookups fit in SCRATCH_BYTES."""
+    blocks whose int64 member lookups fit in SCRATCH_BYTES.  A refused
+    block's first candidate moves some member out of D, and a lift keeps
+    it in D, so the candidates left are first tested at that member."""
     lo_f, hi_f = split.halves
     hi, lo = split.hi, split.lo
     anchor = int(np.argmax(lo != 0))
@@ -139,14 +141,17 @@ def _lift(split: _RankSplit, M: np.ndarray, c_hi: int) -> int | None:
         candidates = np.ones(1, dtype=np.int64)
     probe = np.arange(_PROBES) * (lo.size - 1) // (_PROBES - 1)
     images = M[hi_f.mul(c_hi, hi[probe]), lo_f.mul(candidates[:, None], lo[probe])]
-    candidates = candidates[images.all(axis=1)]
-    start, rows = 0, 1
-    while start < candidates.size:
-        block = candidates[start:start + rows]
+    candidates, rows = candidates[images.all(axis=1)], 1
+    while candidates.size:
+        block, candidates = candidates[:rows], candidates[rows:]
         fixed = _fixes(split, M, block, c_hi)
         if fixed.any():
             return int(block[fixed.argmax()])
-        start, rows = start + rows, max(1, SCRATCH_BYTES // (8 * lo.size))
+        if candidates.size:  # block[0] moves member j out of D
+            j = int(np.argmin(M[hi_f.mul(c_hi, hi), lo_f.mul(int(block[0]), lo)]))
+            kept = M[hi_f.mul(c_hi, int(hi[j])), lo_f.mul(candidates, int(lo[j]))]
+            candidates = candidates[kept != 0]
+        rows = max(1, SCRATCH_BYTES // (8 * lo.size))
     return None
 
 

@@ -48,17 +48,17 @@ whatever the keys collide with.
 Certificates use one transform per orbit of H = <d, GF(p)^*> on the
 components, where F o phi = d F for a scaling phi: x_i -> t_i x_i of the
 domain factors that one exact comparison over F's table confirms
-(_symmetry; d = 1 and H = GF(p)^* when none holds).  For lambda in
-GF(p)^*, F_{lambda c} = lambda F_c, and
-W_{lambda f}(a) = sigma_lambda(W_f(lambda^{-1} a)) with sigma_lambda the
-automorphism zeta -> zeta^lambda.  It fixes p^{n/2} and sends g to
-eta(lambda) g (eta the quadratic character of GF(p)), so lambda f is bent
-iff f is, (lambda f)^*(a) = lambda f^*(lambda^{-1} a), and its sign is
-eps_f for even n and eta(lambda) eps_f for odd n.  And F_{c d^k} =
-F_c o phi^k, where phi is self-adjoint for the inner product, so
-(f o phi^k)^* = f^* o phi^{-k} with the sign of f.  At mm_power and
-mm_qpoly, phi scales the first factor by the embedded generator of
-GF(p^s), d has order q - 1, and one transform serves every component.
+(_symmetry; d = 1 and H = GF(p)^* when none holds).  Two steps reach an
+orbit from one member.  F_{d c} = F_c o phi, and as phi is self-adjoint for
+the inner product, (F_{d c})^* = (F_c)^* o phi^{-1}, with F_c's sign.  And
+F_{lambda c} = lambda F_c for lambda in GF(p)^*, where W_{lambda f}(a) =
+sigma_lambda(W_f(lambda^{-1} a)) for the automorphism sigma_lambda:
+zeta -> zeta^lambda.  It fixes p^{n/2} and sends g to eta(lambda) g (eta
+the quadratic character of GF(p)), so lambda f is bent iff f is,
+(lambda f)^*(a) = lambda f^*(lambda^{-1} a), and its sign is eps_f for
+even n and eta(lambda) eps_f for odd n.  At mm_power and mm_qpoly, phi
+scales the first factor by the embedded generator of GF(p^s), d has order
+q - 1, and one transform serves every component.
 
 Every function table is stored in rank_dtype(q) = np.min_scalar_type(q - 1)
 of its codomain's size q, uint8 up to q = 256: VectorialFunction casts its
@@ -507,21 +507,6 @@ def classify_bent(f: VectorialFunction) -> BentClassification:
     )
 
 
-def _scalar_orbits(cod: Field, index: int) -> dict[int, list[tuple[int, int]]]:
-    """r -> [(c, mu), ...] for every orbit {h r : h in H} of nonzero ranks
-    of cod, H the subgroup of GF(q)^* of this index (a divisor of
-    (q - 1)/(p - 1), which gives H = GF(p)^*), so the orbits are the log
-    residue classes mod index; representatives r in increasing order: r is
-    its least rank, and c = mu r runs over the orbit in increasing order,
-    so (r, 1) comes first."""
-    q = cod.size
-    res = cod.log_residue(np.arange(1, q), index)
-    rows = (np.argsort(res, kind="stable") + 1).reshape(index, -1)  # ascending per class
-    rows = rows[np.argsort(rows[:, 0])]
-    mus = cod.mul(rows, cod.inv(rows[:, :1]))
-    return {int(row[0]): list(zip(row.tolist(), mu.tolist())) for row, mu in zip(rows, mus)}
-
-
 def _symmetry(F: VectorialFunction) -> tuple[list[int], int, int]:
     """(ts, d, index): the scaling phi: x_i -> t_i x_i of the domain with
     F o phi = d F whose H = <d, GF(p)^*> has the least index
@@ -561,10 +546,11 @@ def _symmetry(F: VectorialFunction) -> tuple[list[int], int, int]:
     return best
 
 
-def _multipliers(space: Space, ts: list[int], k: int, lam_inv: int) -> list[int]:
-    """The factor multipliers t_i^{-k} lam^{-1} of a -> phi^{-k}(lam^{-1} a),
-    phi the scaling x_i -> t_i x_i of _symmetry."""
-    return [f.mul(f.pow(t, -k), lam_inv) for f, t in zip(space.factors, ts)]
+def _steps(space: Space, ts: list[int], p: int) -> tuple[list[int], list[int]]:
+    """The maps of _certificate's steps c -> d c and c -> lam c: t_i^{-1}
+    on each factor, and lam^{-1} mod p at each lam in GF(p)^* (0 at 0)."""
+    inverse = [0] + [pow(lam, -1, p) for lam in range(1, p)]
+    return [f.inv(t) for f, t in zip(space.factors, ts)], inverse
 
 
 @dataclass
@@ -583,25 +569,25 @@ def dual_bent_certificate(
     """Check (F_c)^* = (Fstar)_{sigma(c)} for every nonzero c.
 
     Components are certified an orbit of H = <d, GF(p)^*> at a time (see
-    the module docstring), representatives in increasing order, for the
-    scaling phi: x_i -> t_i x_i of _symmetry with F o phi = d F.  The least
-    c of an orbit, r, is classified; every other c = lambda d^k r, lambda
-    in GF(p)^*, takes its dual and sign from r: (F_c)^*(a) =
-    lambda (F_r)^*(a'), a'_i = lambda^{-1} t_i^{-k} a_i, by one
-    Space.gather_mul, and eps_c = eps_r for even n and eta(lambda) eps_r
-    for odd n; None stays None.  One orbit's duals are held at a time.
+    the module docstring).  Of c = 1, ..., q - 1, each c that no walk has
+    reached is the least of its orbit, r, and is classified.  The walk
+    from r takes the module docstring's two steps, by the maps of _steps:
+    c -> lam c for each lam in GF(p)^* (Space.gather_scaled), and c -> d c
+    (Space.gather_mul) until d c was reached before, that is until d^k is
+    in GF(p)^*.  So every lam d^k r is reached, and no discrete log is
+    taken.  One orbit's duals are held at a time.
 
     Each dual g is read off Fstar's value table: g = Fstar_e exactly when
     g = h o Fstar and h(y) = Tr(e y) on Fstar's image.  h is read off g at
     one x per y of the image, found once, g = h o Fstar is checked by one
     gather over the whole table, and the rows Tr(e y) on the image index
-    every e, two e with one row having equal Fstar components.  That alone
-    would accept a derivation that yields the dual of another component
-    (phi^{+k} in place of phi^{-k} does, with a wrong sigma), so each c
-    first checks, apart from how they were found, that c = lambda d^k r
-    with lambda in GF(p)^* and that every multiplier c_i of the gather has
-    c_i t_i^k lambda = 1.  With F o phi = d F checked on the whole table,
-    these make g = (F_c)^*; if one fails, c fails to certify.
+    every e, two e with one row having equal Fstar components; lam g
+    factors through Fstar as g does, with the row lam h.  That alone would
+    accept a step that yields the dual of another component (phi^{+1} in
+    place of phi^{-1} does), so each step map is checked once against its
+    forward map, apart from how it was found: each multiplier times t_i,
+    or lam mod p, is 1.  With F o phi = d F checked on the whole table,
+    these make g = (F_c)^*; a c reached through a failed step fails.
 
     Returns the certificate, or None when Fstar fails to certify F (which
     does not prove F is not dual-bent).  Raises NotBent if some component
@@ -628,12 +614,10 @@ def _certificate(
     """dual_bent_certificate on F and Fstar of one domain and codomain;
     first is the (dual, eps) of _bent_dual for F_1 when the caller has
     classified it, else None."""
-    cod, dom, p, n = F.codomain, F.domain, F.p, F.domain.dim
-    q = cod.size
-    ts, d, index = _symmetry(F)
-    # c / r = lambda d^k: k L = log(c / r) mod M for L = log d, M = (q-1)/(p-1)
-    order = (q - 1) // (p - 1) // index
-    inv_log_d = pow(cod.log_residue(d, q - 1) // index, -1, order)
+    cod, dom, p, n, q = F.codomain, F.domain, F.p, F.domain.dim, F.codomain.size
+    ts, d, _ = _symmetry(F)
+    back, inverse = _steps(dom, ts, p)
+    back_ok = all(f.mul(b, t) == 1 for f, b, t in zip(dom.factors, back, ts))
     image, at = np.unique(Fstar.table, return_index=True)  # at: one x with Fstar(x) = y per y
     star_index: dict[bytes, list[int]] = {}  # Tr(e y) on the image -> [e, ...]
     for e in range(1, q):
@@ -642,45 +626,36 @@ def _certificate(
     h = np.zeros(q, dtype=rank_dtype(p))  # a dual's value at each y of the image
     eta = canonical_field(p, 1).quadratic_character
     sigma = dict.fromkeys(range(1, q))  # listed by c, filled an orbit at a time
-    epsilons = dict(sigma)
-    failure = q  # the least c that failed: a check of its derivation, or no single match
-    for r, members in _scalar_orbits(cod, index).items():
+    epsilons, seen = dict(sigma), np.zeros(q, dtype=bool)
+    failure = q  # the least c that failed: a step check, or no single match
+    for r in range(1, q):
+        if seen[r]:
+            continue
         if r > failure:
             break
-        if r == 1 and first is not None:
-            rep = first
-        else:
-            rep = _bent_dual(dom, _component_table(F, r))
+        rep = first if r == 1 and first is not None else _bent_dual(dom, _component_table(F, r))
         if rep is None:  # every c < r is certified, as failure > r
             raise NotBent(f"component {r} is not bent")
-        for c, mu in members:
-            if c > failure:
-                break
-            dual, eps = rep
-            if mu != 1:
-                k = cod.log_residue(mu, q - 1) // index * inv_log_d % order
-                lam = cod.mul(mu, cod.pow(d, -k))  # in GF(p)^*, as k L = log mu mod M
-                cs = _multipliers(dom, ts, k, pow(lam, -1, p))
-                # checked apart from how k, lam and cs were found: c = lam d^k r
-                # with lam in GF(p)^*, and every c_i t_i^k lam = 1
-                if not (lam < p and cod.mul(lam, cod.mul(cod.pow(d, k), r)) == c
-                        and all(f.mul(f.mul(ci, f.pow(t, k)), lam) == 1
-                                for f, ci, t in zip(dom.factors, cs, ts))):
-                    failure = c
-                    break
-                dual = dom.gather_mul(dual, cs)
-                if lam != 1:
-                    dual = _apply(lam * np.arange(p) % p, dual, p)
-                if n % 2 and eps is not None:
-                    eps *= eta(lam)
-            h[image] = dual[at]  # then dual = h o Fstar, if at all, checked whole
-            matches = (star_index.get(h[image].tobytes(), [])
-                       if np.array_equal(np.take(h, Fstar.table), dual) else [])
-            if len(matches) != 1:
-                failure = c
-                break
-            sigma[c], epsilons[c] = matches[0], eps
-        del rep, dual  # the orbit is done
+        (dual, eps), c = rep, r  # dual: that of F_c, None past a failed step check
+        while not seen[c]:
+            for lam in range(1, p):
+                lc, matches = cod.mul(lam, c), []
+                seen[lc] = True
+                if lc < failure and dual is not None and inverse[lam] * lam % p == 1:
+                    g = dual if lam == 1 else dom.gather_scaled(dual, inverse[lam])
+                    h[image] = g[at]  # then g = h o Fstar, if at all, checked whole
+                    if np.array_equal(np.take(h, Fstar.table), g):  # and lam g = lam h o Fstar
+                        key = _apply(lam * np.arange(p) % p, h[image], p)
+                        matches = star_index.get(key.tobytes(), [])
+                if len(matches) == 1:
+                    sigma[lc] = matches[0]
+                    epsilons[lc] = eps * eta(lam) if n % 2 and eps is not None else eps
+                elif lc < failure:
+                    failure = lc
+            c = cod.mul(d, c)  # no gather once c is reached: the orbit is done
+            ok = dual is not None and back_ok and not seen[c]
+            dual = dom.gather_mul(dual, back) if ok else None
+        rep = dual = g = None  # free the orbit's duals
     if failure < q or len(set(sigma.values())) != q - 1:
         return None
     return DualBentCertificate(Fstar, sigma, epsilons)

@@ -21,6 +21,10 @@ consumer that re-casts it makes a second representation of one table.
 cli.py calls neither json.load nor json.loads: every file it reads goes
 through its one decoder, _READER, which reads tables with numpy.
 
+spectral._certificate names no log_residue, and spectral.py defines no
+_scalar_orbits or _multipliers: the certificate reaches each member of an
+orbit by walking it, c -> d c and c -> lam c, and takes no discrete log.
+
 The test oracles (tests/*_oracle.py) take nothing from bentpds.cyclo but
 the CyclotomicInt record: the oracle ring does its own zeta^{p-1}
 rewrite, so it checks the library's reduction instead of reusing it.
@@ -104,6 +108,37 @@ def test_cli_reads_every_file_through_its_decoder():
     bad = ("import json\nfrom json import dumps, load\n"
            "def read(fh):\n    return json.loads(fh.read()) or load(fh) or json.dumps(0)\n")
     assert _json_reads(bad) == ["load", "json.loads"]
+
+
+DISCRETE_LOGS = {"log_residue"}
+LOG_DERIVATION = {"_scalar_orbits", "_multipliers"}
+
+
+def _function_source(source: str, name: str) -> str:
+    """The source of the top-level function called name."""
+    tree = ast.parse(source)
+    node = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+    return ast.get_source_segment(source, node)
+
+
+def _defined(source: str, names: set[str]) -> list[str]:
+    """The functions and classes that source defines whose names are in names."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names]
+
+
+def test_certificate_takes_no_discrete_log():
+    source = (Path(bentpds.__file__).parent / "spectral.py").read_text()
+    assert _names(_function_source(source, "_certificate"), DISCRETE_LOGS) == []
+    assert _defined(source, LOG_DERIVATION) == []
+    bad = ('def _scalar_orbits(cod, index):\n    return cod.log_residue(1, index)\n\n'
+           'def _certificate(F, Fstar, first):\n    """Takes no log_residue."""\n'
+           '    k = F.codomain.log_residue(2, 8)\n    return _multipliers(F, k)\n\n'
+           'class _multipliers:\n    pass\n')
+    assert _names(_function_source(bad, "_certificate"), DISCRETE_LOGS) == ["log_residue"]
+    assert _names(_function_source(bad, "_scalar_orbits"), DISCRETE_LOGS) == ["log_residue"]
+    assert _defined(bad, LOG_DERIVATION) == ["_scalar_orbits", "_multipliers"]
 
 
 CLASS_CACHES = {"lru_cache", "cache"}

@@ -28,7 +28,6 @@ from bentpds.spectral import (
     walsh_full,
     _candidate_map,
     _match_candidates,
-    _scalar_orbits,
 )
 from ring_oracle import RingInt, automorphism, conj_norm, conjugate
 from space_oracle import inner_product, join, scalar_mul, split
@@ -219,6 +218,19 @@ def test_fast_transform_equals_naive_at_3_pow_6():
     fast = walsh_full(f)
     naive = walsh_naive(f)
     assert all(fast[a] == naive[a] for a in range(sp.size))
+
+
+# one random table on each of 3^8 and 7^4 points of GF(p) factors and on
+# the extension-factor spaces GF(81)^2 and GF(25)^2
+LARGE_NAIVE_SPACES = [prime_space(3, 8), Space([canonical_field(3, 4)] * 2),
+                      Space([canonical_field(5, 2)] * 2), prime_space(7, 4)]
+
+
+@pytest.mark.parametrize("sp", LARGE_NAIVE_SPACES, ids=["3^8", "GF(81)^2", "GF(25)^2", "7^4"])
+def test_fast_transform_equals_naive_at_larger_sizes(sp):
+    f = p_ary(sp, _random_table(sp, sp.size))
+    naive = walsh_naive(f)
+    assert np.array_equal(walsh_full(f).coeff_rows, [value.coeffs for value in naive])
 
 
 def test_component_examples():
@@ -838,6 +850,22 @@ def test_the_smaller_c_decides_between_not_bent_and_none():
     assert _outcome(certificate_per_component, F, Fstar) is None
 
 
+def _orbit_minima(cod, d):
+    """The least rank of each orbit of <d, GF(p)^*> on the nonzero ranks of
+    cod, in increasing order: each orbit is closed under c -> d c and
+    c -> lam c by brute force."""
+    minima, seen = [], set()
+    for r in range(1, cod.size):
+        if r not in seen:
+            orbit, new = set(), {r}
+            while new:
+                orbit |= new
+                new = {cod.mul(h, c) for c in new for h in [d, *range(1, cod.p)]} - orbit
+            minima.append(r)
+            seen |= orbit
+    return minima
+
+
 def test_certificate_builds_one_component_of_f_per_orbit(monkeypatch):
     # duals are read off Fstar's value table, so no component of Fstar is built
     component_table, built = spectral._component_table, []
@@ -852,9 +880,9 @@ def test_certificate_builds_one_component_of_f_per_orbit(monkeypatch):
         built.clear()
         assert dual_bent_certificate(F, pair.dual).sigma == pair.sigma
         assert all(G is F for G, _ in built)
-        # one per orbit of the H found: GF(p)^* itself where no symmetry holds
-        index = spectral._symmetry(F)[2]
-        assert [c for _, c in built] == list(_scalar_orbits(F.codomain, index))
+        # one per orbit of the H = <d, GF(p)^*> found, its least c, in
+        # increasing order: GF(p)^* itself where no symmetry holds
+        assert [c for _, c in built] == _orbit_minima(F.codomain, spectral._symmetry(F)[1])
         if pair.family in ("mm-power", "mm-qpoly"):
             assert [c for _, c in built] == [1]
 
@@ -922,17 +950,29 @@ def test_symmetry_is_refused_where_it_fails():
 def test_a_wrong_derivation_fails_to_certify(monkeypatch):
     from bentpds.constructions import mm_power
 
-    # phi^{+k} in place of phi^{-k}: each derived dual is the dual of
-    # another component, which Fstar's table alone would accept
-    def wrong(space, ts, k, lam_inv):
-        return [f.mul(f.pow(t, k), lam_inv) for f, t in zip(space.factors, ts)]
+    # a step map that is not the inverse of its forward map: the d-step by
+    # phi^{+1} in place of phi^{-1} makes each derived dual that of another
+    # component, which Fstar's table alone would accept (with a wrong
+    # sigma); the lam-step by lam in place of lam^{-1} differs from it only
+    # where lam^2 != 1, so it needs p > 3.  The certificate's own check of
+    # the step maps refuses both, whatever the duals they give.
+    steps = spectral._steps
 
-    pairs = [mm_power(3, 4, 2, 1, 7), mm_power(3, 2, 2, 1, 3), mm_power(3, 4, 4, 1, 7)]
-    for pair in pairs:
+    def forward_d(space, ts, p):
+        return ts, steps(space, ts, p)[1]
+
+    def forward_lam(space, ts, p):
+        return steps(space, ts, p)[0], list(range(p))
+
+    d_pairs = [mm_power(3, 4, 2, 1, 7), mm_power(3, 2, 2, 1, 3), mm_power(3, 4, 4, 1, 7)]
+    lam_pairs = [mm_power(5, 2, 2, 1, 1)]
+    for pair in d_pairs + lam_pairs:
         assert dual_bent_certificate(pair.function, pair.dual).sigma == pair.sigma
-    monkeypatch.setattr(spectral, "_multipliers", wrong)
-    for pair in pairs:
-        assert dual_bent_certificate(pair.function, pair.dual) is None
+    for mutant, pairs in ((forward_d, d_pairs), (forward_lam, lam_pairs)):
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_steps", mutant)
+            for pair in pairs:
+                assert dual_bent_certificate(pair.function, pair.dual) is None
 
 
 def test_certificate_refuses_mismatched_inputs():
@@ -1169,39 +1209,66 @@ print(json.dumps({
     assert out["maxrss_mb"] < 700, out
 
 
+
 ORBIT_FIELDS = [(3, 1), (3, 2), (3, 4), (5, 1), (5, 2), (7, 2), (11, 2), (13, 1), (5, 3)]
 
 
+def _walk_with_symmetry(monkeypatch, p, m, e):
+    """Certify F(x, y) = x y on GF(p^m)^2 with _certificate walking the orbits
+    of H = <g^e, GF(p)^*>, from the symmetry F(g^e x, y) = g^e F(x, y) in
+    place of the one _symmetry finds (or the identity at e = 0).  Returns
+    the c classified, in order, and the certificate's outcome, which must
+    not depend on the symmetry walked."""
+    from bentpds.constructions import mm_power
+
+    pair = mm_power(p, m, m, 1, 1)
+    F, dom, cod = pair.function, pair.function.domain, pair.function.codomain
+    M = (cod.size - 1) // (p - 1)
+    t = cod.pow(cod.primitive_element, e) if e else 1
+    assert np.array_equal(dom.gather_mul(F.table, [t, 1]), cod.mul(t, F.table))
+    component_table, built = spectral._component_table, []
+
+    def recording(G, c):
+        built.append(c)
+        return component_table(G, c)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(spectral, "_component_table", recording)
+        mp.setattr(spectral, "_symmetry", lambda G: ([t, 1], t, math.gcd(M, e) if e else M))
+        outcome = _outcome(dual_bent_certificate, F, pair.dual)
+    assert outcome is not None and dict(outcome[0]) == pair.sigma
+    assert outcome == _outcome(dual_bent_certificate, F, pair.dual)
+    return built, t
+
+
 @pytest.mark.parametrize("p,m", ORBIT_FIELDS, ids=[f"q={p ** m}" for p, m in ORBIT_FIELDS])
-def test_scalar_orbits_match_brute_force_sets(p, m):
-    """Every orbit {lambda r : lambda in GF(p)^*}, keyed by its least rank
-    in increasing order, lists (lambda r, lambda) in increasing lambda r."""
+def test_scalar_orbits_match_brute_force_sets(monkeypatch, p, m):
+    """With no symmetry, H = GF(p)^*: the walk classifies the least c of
+    each orbit {lam r : lam in GF(p)^*}, in increasing order, once each."""
+    built, _ = _walk_with_symmetry(monkeypatch, p, m, 0)
     cod = canonical_field(p, m)
-    expected, seen = {}, set()
+    expected, seen = [], set()
     for r in range(1, cod.size):
         if r not in seen:
-            expected[r] = sorted((cod.mul(lam, r), lam) for lam in range(1, p))
-            seen.update(c for c, _ in expected[r])
-    orbits = _scalar_orbits(cod, (cod.size - 1) // (p - 1))
-    assert list(orbits) == list(expected)
-    assert orbits == expected
-    assert all(type(c) is int and type(mu) is int for row in orbits.values() for c, mu in row)
+            expected.append(r)
+            seen.update(cod.mul(lam, r) for lam in range(1, p))
+    assert built == expected
 
 
 @pytest.mark.parametrize("p,m", ORBIT_FIELDS, ids=[f"q={p ** m}" for p, m in ORBIT_FIELDS])
-def test_orbits_of_larger_groups_match_brute_force_sets(p, m):
-    """For every index e of a subgroup H = <g^e> that holds GF(p)^*, each
-    orbit {h r : h in H} is keyed by its least rank, in increasing order,
-    and lists (h r, h) in increasing h r."""
+def test_orbits_of_larger_groups_match_brute_force_sets(monkeypatch, p, m):
+    """For every index e of a subgroup H = <g^e> that holds GF(p)^*, walked
+    from d = g^e, the walk classifies the least c of each orbit
+    {h r : h in H}, in increasing order, once each."""
     cod = canonical_field(p, m)
     q1, g = cod.size - 1, cod.primitive_element
     for index in [e for e in range(1, q1 // (p - 1) + 1) if q1 // (p - 1) % e == 0]:
-        group = [cod.pow(g, index * j) for j in range(q1 // index)]
-        expected, seen = {}, set()
+        built, d = _walk_with_symmetry(monkeypatch, p, m, index)
+        assert d == cod.pow(g, index)
+        group = {cod.pow(g, index * j) for j in range(q1 // index)}
+        expected, seen = [], set()
         for r in range(1, cod.size):
             if r not in seen:
-                expected[r] = sorted((cod.mul(h, r), h) for h in group)
-                seen.update(c for c, _ in expected[r])
-        orbits = _scalar_orbits(cod, index)
-        assert list(orbits) == list(expected)
-        assert orbits == expected
+                expected.append(r)
+                seen.update(cod.mul(h, r) for h in group)
+        assert built == expected

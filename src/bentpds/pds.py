@@ -187,7 +187,7 @@ def preimage_sizes(F: VectorialFunction, cert: DualBentCertificate) -> dict[int,
         raise HypothesisViolation("n must be even")
     if int(F.table[0]) != 0:
         raise HypothesisViolation("F(0) must be 0")
-    if not np.array_equal(F.table[sp.neg], F.table):
+    if not np.array_equal(sp.gather_scaled(F.table, p - 1), F.table):
         raise HypothesisViolation("F(-x) = F(x) must hold")
     eps_values = set(cert.epsilons.values())
     if len(eps_values) != 1 or None in eps_values:
@@ -403,11 +403,12 @@ def gaussian_period_semiprimitive(p: int, s: int, t: int, a: int) -> CyclotomicI
 # verifiers
 # ---------------------------------------------------------------------------
 
-def _candidacy(space: Space, D) -> np.ndarray:
-    """D as a sorted rank array, checked to avoid 0 and to satisfy -D = D.
-    A PreimageSet's ranks are taken as they are once its group matches space
-    in p and size; any other iterable must hold distinct integer ranks of
-    space (see _integer_entries)."""
+def _candidacy(space: Space, D) -> tuple[np.ndarray, np.ndarray]:
+    """D as a sorted rank array and as a bool indicator over space, checked
+    to avoid 0 and to satisfy -D = D, by one lookup of the indicator at
+    space.negate of the ranks.  A PreimageSet's ranks are taken as they are
+    once its group matches space in p and size; any other iterable must
+    hold distinct integer ranks of space (see _integer_entries)."""
     if isinstance(D, PreimageSet):
         if (D.group.p, D.group.size) != (space.p, space.size):
             raise ValueError(f"the set's group has {D.group.size} points, not {space.size}")
@@ -422,9 +423,11 @@ def _candidacy(space: Space, D) -> np.ndarray:
             raise ValueError("members must be distinct ranks")
     if Dv.size and Dv[0] == 0:
         raise ContainsZero("0 must not belong to a regular PDS candidate")
-    if not np.array_equal(np.sort(space.neg[Dv]), Dv):
+    in_D = np.zeros(space.size, dtype=bool)
+    in_D[Dv] = True
+    if not in_D[space.negate(Dv)].all():
         raise NotSymmetric("-D = D must hold")
-    return Dv
+    return Dv, in_D
 
 
 def verify_pds_bruteforce(space: Space, D) -> PdsParams | None:
@@ -454,7 +457,7 @@ def verify_pds_bruteforce(space: Space, D) -> PdsParams | None:
     The cap bounds both routes: v must be within the transform's point
     cap, so the two verifiers accept the same groups, at under v^2 / 256
     gathers or about v^2 / 4 multiply-adds."""
-    Dv = _candidacy(space, D)
+    Dv, in_D = _candidacy(space, D)
     v = space.size
     if v > walsh_cap():
         raise SizeGuard(f"p^n = {v} exceeds the point cap")
@@ -463,8 +466,6 @@ def verify_pds_bruteforce(space: Space, D) -> PdsParams | None:
     N = Dv.size
     split = _rank_split(space, Dv)
     counts = _dense_counts(split) if 16 * N >= v else _gather_counts(split)
-    in_D = np.zeros(v, dtype=bool)
-    in_D[Dv] = True
     rest = ~in_D
     rest[0] = False
     lam, mu = _constant(counts[in_D]), _constant(counts[rest])
@@ -508,7 +509,7 @@ def verify_pds_characters(space: Space, D, candidate: PdsParams) -> bool:
     rejects without a transform.  No difference is counted.  v, k, lambda
     and mu must be integers (_integer_params)."""
     candidate = _integer_params(candidate)
-    Dv = _candidacy(space, D)
+    Dv, in_D = _candidacy(space, D)
     if candidate.v != space.size or candidate.k != Dv.size:
         return False
     if Dv.size == 0:
@@ -525,8 +526,7 @@ def verify_pds_characters(space: Space, D, candidate: PdsParams) -> bool:
     r2 = [candidate.beta - r1[0]] + [-c for c in r1[1:]]
     if max(map(abs, r1 + r2)) > Dv.size:  # counts lie in [-k, k]; floats may overflow
         return False
-    indicator = np.full(space.size, -1, dtype=np.int8)  # -1 leaves x out
-    indicator[Dv] = 0
+    indicator = in_D.view(np.int8) - 1  # 0 on D, -1 leaves x out
     A = _char_counts(space, indicator)[1:]  # chi(D) at every nontrivial character
     # column by column: a reduction along the short row axis is ~8x slower
     is_r1, is_r2 = A[:, 0] == r1[0], A[:, 0] == r2[0]

@@ -14,15 +14,14 @@ scales every digit) once per half of the split r = hi p^low_digits + lo,
 through the cached _scaling tables; gather_mul (x -> (c_i x_i), one c_i in
 each factor's field, which mixes an extension factor's digits) once per
 factor with c_i != 1, through that factor's table of q_i ranks, built per
-call by Field.mul.  None of them builds a whole-space map beyond what one
-factor spans.
-Only x -> -x is kept as a rank array (neg), composed digit by digit in
-O(N), because the verifiers gather sparse rank arrays through it; like
-every table shared between calls, it is read-only.
+call by Field.mul.  negate (x -> -x) maps ranks, one or an array, through
+the same two _scaling tables at -1.  None of them builds a whole-space map
+beyond what one factor spans, and a Space keeps no table of its points;
+like every table shared between calls, the _scaling tables are read-only.
 """
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,15 +50,15 @@ class Space:
 
     # -- linear rank maps --------------------------------------------------------
 
-    @cached_property
-    def neg(self) -> np.ndarray:
-        """The permutation x -> -x of the whole space, as a read-only rank array."""
-        perm = _compose([-np.arange(self.p, dtype=np.int64) % self.p] * self.dim)
-        perm.setflags(write=False)
-        return perm
-
-    def negate(self, x: int) -> int:
-        return int(self.neg[x])
+    def negate(self, x):
+        """-x, as an int for one rank and as an int64 array for an array of
+        ranks: -1 scales every digit, so each half of the split
+        r = hi p^low_digits + lo goes through its _scaling table."""
+        p, low, x = self.p, self.low_digits, np.asarray(x)
+        hi = x // p ** low
+        neg = _scaling(p, self.dim - low, p - 1)[hi] * p ** low
+        neg += _scaling(p, low, p - 1)[x - hi * p ** low]
+        return neg if x.ndim else int(neg)
 
     def gather_scaled(self, values: np.ndarray, c: int) -> np.ndarray:
         """values[c x] at every x, c read mod p, for an array whose first
@@ -72,11 +71,9 @@ class Space:
         """values[(c_0 x_0, ..., c_k x_k)] at every x, for one rank c_i of
         each factor's field and an array whose first axis runs over the
         space: one np.take per factor with c_i != 1, through its table of
-        x -> c_i x.  When every c_i is one c in GF(p), which scales every
-        digit, it is gather_scaled."""
+        x -> c_i x.  One c in GF(p) on every factor scales every digit, and
+        gather_scaled takes it in two halves instead."""
         cs = [f.check_rank(c, "multiplier") for f, c in zip(self.factors, cs, strict=True)]
-        if len(set(cs)) == 1 and cs[0] < self.p:
-            return self.gather_scaled(values, cs[0])
         maps = zip(self.factors, cs, self._shifts)
         return self._gather(values, [(f.mul(c, np.arange(f.size)), shift)
                                      for f, c, shift in maps if c != 1])

@@ -2,6 +2,9 @@
 
 char_sum_preimage evaluates chi_u(D_i) point by point and through the
 component-spectrum formula, one component transform per c.
+char_sums_preimages does both for every (u, i) at once: the direct sums
+count the exponents of E = (U X^T) mod p over the digits of every x and of
+every dual_rank(u), and char_sum_preimage is its oracle on small spaces.
 sigma_predicates_by_sets decides the sigma conditions by comparing the
 cosets of H_l = { x^l : x != 0 } as Python sets, and power_map_exponent
 finds a power map c -> c^{-t} by trying every t.  preimage_ranks lists a
@@ -18,7 +21,7 @@ from bentpds.errors import FormulaMismatch, NotBijection
 from bentpds.pds import SigmaReport
 from bentpds.spectral import component, walsh_full
 from ring_oracle import RingInt
-from space_oracle import digits, inner_product, negate
+from space_oracle import digits, dual_rank, inner_product, negate, negate_ranks
 
 
 def preimage_ranks(F, values, exclude_zero_point=True) -> list[int]:
@@ -78,6 +81,45 @@ def char_sum_preimage(F, u: int, i: int, spectra=None) -> RingInt:
             f"character-sum formula disagrees with the direct sum at u={u}, i={i}"
         )
     return direct
+
+
+def char_sums_preimages(F, spectra=None) -> np.ndarray:
+    """chi_u(D_i) at every u and i as (p^n, q, p - 1) coefficient rows,
+    computed directly and through char_sum_preimage's component-spectrum
+    formula, asserting the two agree at every (u, i).  Row u of
+    E = (U X^T) mod p holds <u, x> for every x (X: the digits of x, U:
+    those of dual_rank(u)); for each i one np.bincount counts the row's
+    exponents over the x with F(x) = i."""
+    sp, cod, p = F.domain, F.codomain, F.p
+    N, q = sp.size, cod.size
+    X = np.array([digits(sp, x) for x in range(N)], dtype=np.int64).reshape(N, sp.dim)
+    U = np.array([digits(sp, dual_rank(sp, u)) for u in range(N)],
+                 dtype=np.int64).reshape(N, sp.dim)
+    E = (U @ X.T) % p + p * np.arange(N)[:, None]  # offset so one bincount bins row by row
+    if spectra is None:
+        spectra = component_spectra(F)
+    # W_{F_c}(-u) for c = 1 .. q - 1 as exponent counts, none at zeta^{p-1}
+    minus_u = negate_ranks(sp, np.arange(N))
+    W = np.stack([np.pad(spectra[c].coeff_rows[minus_u], ((0, 0), (0, 1)))
+                  for c in range(1, q)])
+    tr1 = cod.trace(1, np.arange(q))
+    out = np.empty((N, q, p - 1), dtype=np.int64)
+    for i in range(q):
+        direct = np.bincount(E[:, F.table == i].ravel(), minlength=N * p).reshape(N, p)
+        # times zeta^{-Tr(c i)}: the count at exponent j + Tr(c i) moves to j
+        shift = (np.arange(p) + tr1[cod.mul(np.arange(1, q), i)][:, None]) % p
+        total = np.take_along_axis(W, shift[:, None, :], axis=2).sum(axis=0)
+        total[0, 0] += p ** sp.dim  # the c = 0 term at u = 0
+        formula = total[:, :p - 1] - total[:, p - 1:]
+        if (formula % q).any():
+            raise FormulaMismatch("p^{-s} division is not exact")
+        out[:, i] = direct[:, :p - 1] - direct[:, p - 1:]
+        wrong = np.flatnonzero((formula // q != out[:, i]).any(axis=1))
+        if wrong.size:
+            raise FormulaMismatch(
+                f"character-sum formula disagrees with the direct sum at u={wrong[0]}, i={i}"
+            )
+    return out
 
 
 def power_map_exponent(codomain, sigma: dict[int, int]) -> int | None:

@@ -3,11 +3,14 @@
 A rank's base-p digits are its GF(p)-coordinates, factor 0 least
 significant, so every point-level operation here works on digits or factor
 parts, one point at a time, from the factor sizes, Field.mul and
-Field.trace alone.  None of them calls a Space map (neg, gather_scaled,
+Field.trace alone.  None of them calls a Space map (negate, gather_scaled,
 gather_mul, gather_dual) or Field.dual_map; dual_rank reads the dual's
 digits off the inner products with the basis vectors.  So each library map
-can be compared with them point by point.
+can be compared with them point by point.  negate_ranks is negate's digit
+arithmetic on a whole rank array, for arrays too long to walk point by
+point.
 """
+import numpy as np
 
 
 def split(sp, rank: int) -> tuple[int, ...]:
@@ -53,6 +56,14 @@ def scalar_mul(sp, c: int, x: int) -> int:
 
 def negate(sp, x: int) -> int:
     return scalar_mul(sp, -1, x)
+
+
+def negate_ranks(sp, ranks) -> np.ndarray:
+    """-x at every rank x of an integer array: -d mod p at each base-p
+    place, least significant first."""
+    place = sp.p ** np.arange(sp.dim, dtype=np.int64)
+    ds = np.asarray(ranks, dtype=np.int64)[..., None] // place % sp.p
+    return -ds % sp.p @ place
 
 
 def inner_product(sp, a: int, b: int) -> int:

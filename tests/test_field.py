@@ -16,7 +16,7 @@ from bentpds.errors import (
     ZeroBeta,
 )
 from bentpds.field import Field, canonical_field, is_prime, smallest_irreducible
-from bentpds.space import prime_space
+from bentpds.space import _scaling
 
 F3 = canonical_field(3, 1)
 F9 = canonical_field(3, 2)
@@ -309,7 +309,7 @@ def test_shared_tables_are_read_only():
         F81.trace(k, 0)
     tables = {
         "_powers": F81._powers, "_digits": F81._digits, "_exp": F81._exp, "_log": F81._log,
-        "dual_map": F81.dual_map, "neg": prime_space(3, 4).neg,
+        "dual_map": F81.dual_map, "_scaling": _scaling(3, 2, 2),  # what negate reads at 3^4
         "_half_sub_table": pairs._half_sub_table(3, 2),
         **{f"trace {k}": table for k, table in F81._traces.items()},
         **{f"_candidate_map {i}": table

@@ -362,7 +362,7 @@ def _nonbent(p, n) -> str:
     """An even function GF(p)^n -> GF(p) that is not bent and whose zero
     preimage is not a PDS: x -> 7 min(x, -x) + 1 on ranks, 0 at x = 0."""
     sp = prime_space(p, n)
-    table = (7 * np.minimum(np.arange(sp.size), sp.neg) + 1) % p
+    table = (7 * np.minimum(np.arange(sp.size), sp.negate(np.arange(sp.size))) + 1) % p
     table[0] = 0
     return json.dumps(VectorialFunction(sp, canonical_field(p, 1), table).to_dict())
 

@@ -25,15 +25,20 @@ spectral._certificate names no log_residue, and spectral.py defines no
 _scalar_orbits or _multipliers: the certificate reaches each member of an
 orbit by walking it, c -> d c and c -> lam c, and takes no discrete log.
 
+A Space keeps no table of its points: space.py names no cached_property
+and defines no neg, and no module reads a .neg attribute (a call of the
+method Field.neg( is not a read).  x -> -x goes through the _scaling
+tables of the two halves of the rank split, as every GF(p) scaling does.
+
 The test oracles (tests/*_oracle.py) take nothing from bentpds.cyclo but
 the CyclotomicInt record: the oracle ring does its own zeta^{p-1}
 rewrite, so it checks the library's reduction instead of reusing it.
 tests/field_oracle.py imports nothing from bentpds, and
-tests/space_oracle.py names no Space map (neg, gather_scaled, gather_mul,
+tests/space_oracle.py names no Space map (gather_scaled, gather_mul,
 gather_dual), no Field.dual_map and no _scaling table, and
 tests/pds_oracle.py names none of the pair counter's digit tables
 (_rank_split, _half_sub_table, _scaling, _pairing) and reads no Space map
-attribute (.neg, .negate, .gather_scaled, .gather_mul, .gather_dual), so
+attribute (.negate, .gather_scaled, .gather_mul, .gather_dual), so
 each can be compared with the code it checks.
 
 The pair-count route (every function of pairs.py: _rank_split,
@@ -141,6 +146,32 @@ def test_certificate_takes_no_discrete_log():
     assert _defined(bad, LOG_DERIVATION) == ["_scalar_orbits", "_multipliers"]
 
 
+def _attribute_reads(source: str, name: str) -> list[str]:
+    """The reads of a .name attribute in source, as written; an attribute
+    that is called, such as Field.neg(x), is a method call, not a read."""
+    tree = ast.parse(source)
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    return [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == name and id(node) not in called]
+
+
+def test_a_space_keeps_no_table_of_its_points():
+    package = Path(bentpds.__file__).parent
+    space = (package / "space.py").read_text()
+    assert _names(space, {"cached_property"}) == []
+    assert _defined(space, {"neg"}) == []
+    modules = sorted(package.glob("*.py"))
+    assert {path.name: _attribute_reads(path.read_text(), "neg") for path in modules} == {
+        path.name: [] for path in modules}
+    bad = ("import functools\nfrom functools import cached_property, lru_cache\n"
+           "class Space:\n    @functools.cached_property\n    def neg(self):\n        return 0\n"
+           "    def negate(self, x):\n        return self.neg[x]\n"
+           "def even(F, sp, x):\n    return F.neg(x) == sp.neg[x] and F.table[sp.neg]\n")
+    assert _names(bad, {"cached_property"}) == ["cached_property", "cached_property"]
+    assert _defined(bad, {"neg"}) == ["neg"]
+    assert sorted(_attribute_reads(bad, "neg")) == ["self.neg", "sp.neg", "sp.neg"]
+
+
 CLASS_CACHES = {"lru_cache", "cache"}
 
 
@@ -199,8 +230,8 @@ def test_oracles_take_only_the_value_record_from_cyclo():
     assert _cyclo_imports(bad) == ["reduce_counts", "gauss_sum", "bentpds.cyclo", "cyclo"]
 
 
-SPACE_MAPS = {"neg", "gather_scaled", "gather_mul", "gather_dual", "dual_map"}
-SPACE_MAP_ATTRIBUTES = {"neg", "negate", "gather_scaled", "gather_mul", "gather_dual"}
+SPACE_MAPS = {"gather_scaled", "gather_mul", "gather_dual", "dual_map"}
+SPACE_MAP_ATTRIBUTES = {"negate", "gather_scaled", "gather_mul", "gather_dual"}
 PAIR_COUNT_TABLES = {"_rank_split", "_half_sub_table", "_scaling", "_pairing",
                      "_compose", "_gather_counts", "_dense_counts"}
 
@@ -246,17 +277,16 @@ def test_oracles_share_no_code_with_what_they_check():
            "def f(sp, F):\n"
            "    return sp.gather_scaled(2) + F.dual_map[neg] + sp.gather_mul(1, [2])\n")
     assert _bentpds_imports(bad) == ["bentpds.field", "bentpds"]
-    assert sorted(_names(bad, SPACE_MAPS)) == [
-        "dual_map", "gather_mul", "gather_scaled", "neg", "neg"]
+    assert sorted(_names(bad, SPACE_MAPS)) == ["dual_map", "gather_mul", "gather_scaled"]
     bad = "from bentpds.pds import _rank_split\ndef _scaling(sp):\n    return pds._pairing(sp)\n"
     assert sorted(_names(bad, PAIR_COUNT_TABLES)) == ["_pairing", "_rank_split", "_scaling"]
     bad = ("from bentpds.space import _scaling\nfrom space_oracle import negate\n"
-           "def f(sp, u):\n    return (sp.negate(u) + sp.neg[negate(sp, u)] + sp.gather_dual(u)\n"
-           "            + sp.gather_mul(u, [2]))\n")
+           "def f(sp, u):\n    return (sp.negate(u) + sp.gather_scaled(negate(sp, u), 2)\n"
+           "            + sp.gather_dual(u) + sp.gather_mul(u, [2]))\n")
     assert sorted(_names(bad, SPACE_MAPS | {"_scaling"})) == [
-        "_scaling", "gather_dual", "gather_mul", "neg"]
+        "_scaling", "gather_dual", "gather_mul", "gather_scaled"]
     assert sorted(_attributes(bad, SPACE_MAP_ATTRIBUTES)) == [
-        "gather_dual", "gather_mul", "neg", "negate"]
+        "gather_dual", "gather_mul", "gather_scaled", "negate"]
 
 
 PDS_ROUTE = {"verify_pds_bruteforce", "_candidacy"}

@@ -17,6 +17,7 @@ from bentpds.constructions import mm_power, quad_trace, spread_bent
 from bentpds.errors import (
     BentError,
     ContainsZero,
+    FormulaMismatch,
     HypothesisViolation,
     NotADivisor,
     NotBijection,
@@ -27,6 +28,7 @@ from bentpds.errors import (
 from bentpds.field import canonical_field
 from bentpds.pds import (
     PdsParams,
+    PreimageSet,
     coset_preimage,
     gaussian_period,
     gaussian_period_semiprimitive,
@@ -47,6 +49,7 @@ from bentpds.space import Space, prime_space
 from bentpds.spectral import VectorialFunction, dual_bent_certificate
 from pds_oracle import (
     char_sum_preimage,
+    char_sums_preimages,
     component_spectra,
     pair_counts,
     power_map_exponent,
@@ -54,7 +57,7 @@ from pds_oracle import (
     sigma_predicates_by_sets,
 )
 from ring_oracle import RingInt
-from space_oracle import add, join, negate, scalar_mul
+from space_oracle import add, join, negate, negate_ranks, scalar_mul
 
 XY = mm_power(3, 1, 1, 1, 1)  # F(x, y) = xy on F_3 x F_3
 
@@ -105,7 +108,7 @@ def test_preimage_sets_match_the_point_oracle(data):
     seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
     table = np.random.default_rng(seed).integers(0, cod.size, sp.size)
     if data.draw(st.booleans(), label="even"):
-        table = table[np.minimum(np.arange(sp.size), sp.neg)]
+        table = table[np.minimum(np.arange(sp.size), negate_ranks(sp, np.arange(sp.size)))]
     F = VectorialFunction(sp, cod, table)
     values = st.lists(st.integers(0, cod.size - 1), max_size=cod.size)
     A, B = data.draw(values, label="A"), data.draw(values, label="B")
@@ -143,11 +146,30 @@ def test_char_sum_principal_character_counts():
     ids=["xy", "quad-s2", "mm-3^4", "quad-3^4", "mm-3^6"],
 )
 def test_proposition3_formula_exhaustive(pair):
+    # the whole-table form raises FormulaMismatch on disagreement; the
+    # per-point form is its oracle up to 81 points
     F = pair.function
     spectra = component_spectra(F)
-    for u in range(F.domain.size):
-        for i in range(F.codomain.size):
-            char_sum_preimage(F, u, i, spectra)  # raises FormulaMismatch on disagreement
+    sums = char_sums_preimages(F, spectra)
+    assert sums.shape == (F.domain.size, F.codomain.size, F.p - 1)
+    if F.domain.size <= 81:
+        for u in range(F.domain.size):
+            for i in range(F.codomain.size):
+                assert char_sum_preimage(F, u, i, spectra) == RingInt(F.p, sums[u, i].tolist())
+
+
+def test_char_sum_forms_refuse_swapped_spectra():
+    # F_2 = 2 F_1 for xy: with the two spectra swapped, the formula at i
+    # gives chi_u(D_{2i}), which differs from chi_u(D_i) at i != 0
+    F = XY.function
+    spectra = component_spectra(F)
+    swapped = {1: spectra[2], 2: spectra[1]}
+    with pytest.raises(FormulaMismatch):
+        char_sums_preimages(F, swapped)
+    with pytest.raises(FormulaMismatch):
+        for u in range(F.domain.size):
+            for i in range(F.codomain.size):
+                char_sum_preimage(F, u, i, swapped)
 
 
 def test_preimage_sizes_regular():
@@ -443,6 +465,31 @@ def test_verify_bruteforce_rejects_bad_candidates():
         verify_pds_bruteforce(sp, {join(sp, (1, 0))})
 
 
+# a prime space, and two whose rank split falls inside a factor
+REFUSAL_SPACES = [prime_space(5, 3), Space([canonical_field(3, 3)]),
+                  Space([canonical_field(3, 1), canonical_field(3, 2)])]
+
+
+@pytest.mark.parametrize("verifier", ["pair counter", "characters"])
+@pytest.mark.parametrize("sp", REFUSAL_SPACES, ids=lambda sp: "x".join(str(f.size) for f in sp.factors))
+def test_verifiers_refuse_a_set_missing_one_negative(sp, verifier):
+    # each nonzero x alone, and every point but 0 and -x, as a frozenset and
+    # as a PreimageSet; with -x put back, neither is refused
+    def verify(D):
+        if verifier == "pair counter":
+            return verify_pds_bruteforce(sp, D)
+        return verify_pds_characters(sp, D, PdsParams(sp.size, len(D), 0, 0))
+
+    whole = frozenset(range(1, sp.size))
+    for x in range(1, sp.size):
+        for D in ({x}, whole - {negate(sp, x)}):
+            ranks = np.array(sorted(D), dtype=np.int64)
+            for S in (frozenset(D), PreimageSet(sp, ranks, "one negative missing")):
+                with pytest.raises(NotSymmetric):
+                    verify(S)
+            verify(frozenset(D) | {negate(sp, x)})
+
+
 def test_verifiers_reject_repeated_members():
     # counted with its repeats, the list gave k = 8 for a 4-element set
     sp = prime_space(3, 2)
@@ -452,6 +499,11 @@ def test_verifiers_reject_repeated_members():
         verify_pds_bruteforce(sp, members * 2)
     with pytest.raises(ValueError):
         verify_pds_characters(sp, members * 2, PdsParams(9, 4, 1, 2))
+    # a repeat is refused before the zero point is
+    with pytest.raises(ValueError, match="distinct"):
+        verify_pds_bruteforce(sp, [0] + members * 2)
+    with pytest.raises(ValueError, match="distinct"):
+        verify_pds_characters(sp, [0] + members * 2, PdsParams(9, 5, 1, 2))
 
 
 @pytest.mark.parametrize("verifier", ["pair counter", "characters"])
@@ -470,7 +522,7 @@ def test_verifiers_reject_members_that_are_not_integers(verifier, members):
 
 @pytest.mark.parametrize("verifier", ["pair counter", "characters"])
 def test_verifiers_reject_a_preimage_set_from_another_group(verifier):
-    # 3^4 ranks would index past the negation table of 3^2, and 3^2 ranks
+    # 3^4 ranks would index past the indicator of 3^2, and 3^2 ranks
     # are no set of 3^4 or 5^2 points
     big = zero_preimage(mm_power(3, 2, 1, 1, 1).function)
     small = zero_preimage(XY.function)
@@ -530,7 +582,7 @@ def _check_orbit_group(sp, Dv: np.ndarray, order: int) -> list[int]:
     M = np.zeros((p ** split.h2, q1), dtype=np.float32)
     M[Dv // q1, Dv % q1] = 1
     ranks = np.arange(sp.size)
-    members, mirror = set(Dv.tolist()), set(sp.neg[Dv].tolist())
+    members, mirror = set(Dv.tolist()), set(negate_ranks(sp, Dv).tolist())
     expected = [lam for lam in range(1, p)
                 if set(sp.gather_scaled(ranks, lam)[Dv].tolist()) in (members, mirror)]
     c_lo, c_hi, n = pairs._orbit_group(split, M)
@@ -564,7 +616,7 @@ def test_dense_counts_equal_gather_counts(data):
     assert np.array_equal(pairs._gather_counts(pairs._rank_split(sp, Dv)), pair_counts(sp, Dv))
     _check_orbit_group(sp, Dv, order)
 
-    Dv = np.union1d(Dv, sp.neg[Dv])
+    Dv = np.union1d(Dv, negate_ranks(sp, Dv))
     split = pairs._rank_split(sp, Dv)
     expected = pair_counts(sp, Dv)
     assert np.array_equal(pairs._dense_counts(split), expected)
@@ -584,7 +636,7 @@ ROUTE_CASES = [(prime_space(13, 2), 1, 2), (prime_space(13, 2), 4, 4),
 def test_pair_count_routes_equal_the_oracle_at_each_orbit_group(sp, order, s_order):
     for size, seed in [(sp.size // 20 + 1, 1), (sp.size // 3, 2)]:
         Dv = _closed_set(sp, order, size, seed)
-        Dv = np.union1d(Dv, sp.neg[Dv])
+        Dv = np.union1d(Dv, negate_ranks(sp, Dv))
         Dv = Dv[Dv != 0]
         assert len(_check_orbit_group(sp, Dv, order)) == s_order
         split = pairs._rank_split(sp, Dv)
@@ -670,7 +722,7 @@ def test_symmetry_route_counts_sets_fixed_by_a_drawn_pair(data):
     seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
     order = math.lcm(lo_f.multiplicative_order(c_lo), hi_f.multiplicative_order(c_hi))
     Dv = np.random.default_rng(seed).choice(sp.size, size, replace=False)
-    Dv = np.union1d(Dv, sp.neg[Dv])
+    Dv = np.union1d(Dv, negate_ranks(sp, Dv))
     Dv = np.unique(np.concatenate([_mul_set(sp, Dv, lo_f.pow(c_lo, j), hi_f.pow(c_hi, j))
                                    for j in range(order)]))
     Dv = Dv[Dv != 0]

@@ -13,6 +13,7 @@ from space_oracle import (
     inner_product,
     join,
     negate,
+    negate_ranks,
     scalar_mul,
     split,
 )
@@ -58,6 +59,24 @@ def test_negate():
     for sp in (prime_space(3, 3), Space([F9, F3])):
         for x in range(sp.size):
             assert sp.negate(sp.negate(x)) == x
+
+
+# a prime space, and two whose rank split falls inside a factor
+NEGATE_SPACES = [prime_space(5, 3), Space([F27]), Space([F3, F9])]
+
+
+@pytest.mark.parametrize("sp", NEGATE_SPACES, ids=lambda sp: "x".join(str(f.size) for f in sp.factors))
+def test_negate_gives_an_int_for_a_rank_and_an_int64_array_for_ranks(sp):
+    # callers build sets such as {x, sp.negate(x)}, so a rank must give an int
+    expected = [negate(sp, x) for x in range(sp.size)]
+    for kind in (int, np.int64, np.int32):
+        got = [sp.negate(kind(x)) for x in range(sp.size)]
+        assert {type(y) for y in got} == {int} and got == expected
+    for dtype in (np.int64, np.int32):
+        got = sp.negate(np.arange(sp.size, dtype=dtype))
+        assert got.dtype == np.int64 and np.array_equal(got, expected)
+    assert sp.negate(np.array([], dtype=np.int64)).dtype == np.int64
+    assert np.array_equal(negate_ranks(sp, np.arange(sp.size)), expected)  # the array oracle
 
 
 def test_scalar_action_on_extension_factor_is_coefficientwise():
@@ -135,7 +154,7 @@ def test_whole_space_permutations(sp):
         for c in range(p):
             expected = sum((c * d % p) * p ** k for k, d in enumerate(ds))
             assert scaled[c][x] == expected
-        assert sp.neg[x] == sum((-d % p) * p ** k for k, d in enumerate(ds))
+        assert sp.negate(x) == sum((-d % p) * p ** k for k, d in enumerate(ds))
     assert sorted(dual) == list(range(sp.size))
     values = np.arange(sp.size)[::-1] % 251  # narrow and not the identity
     assert np.array_equal(sp.gather_dual(values.astype(np.uint8)), values[dual])
@@ -168,7 +187,7 @@ def test_maps_equal_per_point_oracle(sp):
     # the 1-D one a strided column
     p, points = sp.p, range(sp.size)
     values = np.random.default_rng(sp.size).integers(0, 251, (sp.size, p - 1)).astype(np.uint8)
-    assert np.array_equal(sp.neg, [negate(sp, x) for x in points])
+    assert np.array_equal(sp.negate(np.arange(sp.size)), [negate(sp, x) for x in points])
     for c in range(1, p):
         scaled = [scalar_mul(sp, c, x) for x in points]
         assert np.array_equal(sp.gather_scaled(values, c), values[scaled])
@@ -230,7 +249,7 @@ def test_gather_scaled_builds_no_whole_space_map():
     # a per-call map of the one factor was a 4.25 MB int64 array here
     sp = Space([canonical_field(3, 12)])
     values = (np.arange(sp.size) % 251).astype(np.uint8)
-    expected = values[sp.neg]  # 2 = -1 mod 3
+    expected = values[negate_ranks(sp, np.arange(sp.size))]  # 2 = -1 mod 3
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

@@ -743,7 +743,7 @@ def _wrong_duals(F, Fstar, other):
     out = [
         other,
         VectorialFunction(dom, cod, Fstar.table[rng.permutation(dom.size)]),
-        VectorialFunction(dom, cod, dom.gather_scaled(Fstar.table, 2)[dom.neg]),
+        VectorialFunction(dom, cod, dom.gather_scaled(Fstar.table, -2)),  # F*(-2 x)
         VectorialFunction(dom, cod, shuffled[Fstar.table]),
     ]
     if cod.m > 1:

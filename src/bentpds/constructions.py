@@ -82,13 +82,24 @@ def _check_a(F: Field, a: int) -> None:
         raise ZeroArgument("coefficient a must be nonzero")
 
 
+# Grid entries _mm_block evaluates at a time, so that its int64
+# temporaries hold this many entries rather than q^2: every grid up to
+# q = 1024 is one block.
+MM_BLOCK_ENTRIES = 1 << 20
+
+
 def _mm_block(F: Field, s: int, a: int, perm, perm_inv) -> tuple[np.ndarray, np.ndarray]:
     """Tr_s^m(a x pi(y)) and its dual Tr_s^m(-pi^{-1}(a^{-1} x) y) on GF(p^m)^2,
-    as (q, q) arrays [y, x] in rank_dtype(p^s), each cast once its trace is taken."""
-    x, dtype = np.arange(F.size), rank_dtype(F.p ** s)
-    y = x[:, None]
-    table = F.trace(s, F.mul(F.mul(a, perm[y]), x)).astype(dtype)
-    dual = F.trace(s, F.mul(F.neg(perm_inv[F.mul(F.inv(a), x)]), y)).astype(dtype)
+    as (q, q) arrays [y, x] in rank_dtype(p^s), filled a block of y rows
+    at a time."""
+    x = np.arange(F.size)
+    a_pi, dual_x = F.mul(a, perm), F.neg(perm_inv[F.mul(F.inv(a), x)])
+    table, dual = (np.empty((F.size, F.size), dtype=rank_dtype(F.p ** s)) for _ in range(2))
+    rows = max(1, MM_BLOCK_ENTRIES // F.size)
+    for y in range(0, F.size, rows):
+        ys = x[y : y + rows, None]
+        table[y : y + rows] = F.trace(s, F.mul(a_pi[ys], x))
+        dual[y : y + rows] = F.trace(s, F.mul(dual_x, ys))
     return table, dual
 
 

@@ -1,12 +1,14 @@
 """Values of Z[zeta_p], zeta_p a primitive p-th root of unity.
 
-The library computes on exponent counts: c[j] is the coefficient of zeta^j
-for j = 0..p-1, along the last axis of a numpy array.  reduce_counts is the
-one rewrite to the basis {1, zeta, ..., zeta^{p-2}}: the relation
-1 + zeta + ... + zeta^{p-1} = 0 turns zeta^{p-1} into -(1 + ... + zeta^{p-2}),
-so each reduced coefficient is c[j] - c[p-1], and two elements are equal
-iff their reduced rows are.  Counts may be floats that hold integers
-exactly, as the transform's do.
+Ring values are kept as coefficients in the basis {1, zeta, ..., zeta^{p-2}},
+along the last axis of a numpy array; two elements are equal iff their
+coefficient rows are.  A sum of roots of unity comes as exponent counts,
+c[j] the number of terms zeta^j for j = 0..p-1, and reduce_counts is the one
+rewrite of those into the basis: the relation 1 + zeta + ... + zeta^{p-1} = 0
+turns zeta^{p-1} into -(1 + ... + zeta^{p-2}), so each coefficient is
+c[j] - c[p-1].  Counts may be floats that hold integers exactly.  The
+transform of spectral applies the same rule to its input and its passes,
+and holds no counts between passes.
 
 CyclotomicInt is the record of one reduced value, with Python int (so
 arbitrary-precision) coefficients, as Gaussian periods, Walsh values and

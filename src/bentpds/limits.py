@@ -6,11 +6,12 @@ fields and constructions, and a lower one on the points p^n that a
 transform or the pair counter will process.  BENT_SIZE_CAP in the
 environment overrides both.
 
-The radix-p transform (float counts at most p^n, one BLAS product or p^2
-slice-adds per digit pass) and the dense pair counter (float32 indicator
-products of weighted counts at most q2 + 1, summed into difference counts
-at most p^n) sum counts in floats.  Every entry and
-partial sum is an integer bounded in advance, so exact_float_dtype turns that
+The radix-p transform (float coefficients of at most p^n points, each
+partial sum in [-p^n, p^n], one BLAS product or p^2 slice-adds per digit
+pass) and the dense pair counter (float32 indicator products of weighted
+counts at most q2 + 1, summed into difference counts at most p^n) sum
+integers in floats.  Every entry and partial sum is an integer bounded in
+advance, so exact_float_dtype turns that
 bound into the narrowest float dtype in which it is exact, and refuses a
 bound that no float dtype holds.  Both size their batches by one scratch
 budget, SCRATCH_BYTES.
@@ -32,11 +33,12 @@ TABLE_CAP = 3 ** 14          # largest p^m of a field, p^n of a construction
 # spread preimage on GF(p^m)^2
 WALSH_CAP = 3 ** 12
 # Bytes of the one scratch array of a transform, capped at the size of its
-# counts, and of the products the dense pair counter runs at once.  With
-# single-threaded BLAS on a 2-vCPU Xeon VM (2 MiB L2 per core) a float32
-# transform at 3^12 took 8.6 ms with 256 KiB, 10.5 ms with 512 KiB to 1 MiB
-# and 12.5 ms with a second buffer of its size; 7^6, 5^8 and 13^4 moved by
-# under 10% between 128 KiB and 4 MiB.
+# coefficients, and of the products the dense pair counter runs at once.
+# With single-threaded BLAS on a 2-vCPU Xeon VM (2 MiB L2 per core; minima
+# of 7 runs, best of 5 rounds) a float32 transform at 3^12 took 6.6 ms with
+# 128 KiB, 6.1 ms with 256 KiB, 5.4 ms with 512 KiB, 6.7 ms with 1 MiB and
+# 7.4-9.5 ms with a second buffer of its size; 5^8, 7^6 and 13^4 moved by
+# under 10% between 128 KiB and 1 MiB.
 SCRATCH_BYTES = 1 << 18
 
 

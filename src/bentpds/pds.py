@@ -45,7 +45,7 @@ from .field import Field, _check_integer, _integer_entries, canonical_field, is_
 from .limits import walsh_cap
 from .pairs import _dense_counts, _gather_counts, _rank_split
 from .space import Space
-from .spectral import DualBentCertificate, VectorialFunction, _char_counts
+from .spectral import MATCH_ROWS, DualBentCertificate, VectorialFunction, _char_counts
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +502,7 @@ def verify_pds_characters(space: Space, D, candidate: PdsParams) -> bool:
     """Character criterion: D (with -D = D, 0 not in D, |D| = k) is a
     (v, k, lambda, mu) PDS iff every nontrivial character sum lies in
     { (beta +- sqrt(Delta)) / 2 }.  All p^n sums come out of one transform
-    of the indicator table; its reduced counts, whose rows 1.. are those
+    of the indicator table; its coefficient rows, whose rows 1.. are those
     sums in another order, meet 2 chi(D) = beta +- sqrt(Delta) column by
     column, with sqrt(Delta) an integer or d g for Delta = p* d^2.  Any
     other Delta, and a negative one (the sums of a symmetric set are real),
@@ -524,16 +524,22 @@ def verify_pds_characters(space: Space, D, candidate: PdsParams) -> bool:
         return False
     r1 = [c // 2 for c in twice_r1]
     r2 = [candidate.beta - r1[0]] + [-c for c in r1[1:]]
-    if max(map(abs, r1 + r2)) > Dv.size:  # counts lie in [-k, k]; floats may overflow
+    if max(map(abs, r1 + r2)) > Dv.size:  # coefficients lie in [-k, k]; floats may overflow
         return False
     indicator = in_D.view(np.int8) - 1  # 0 on D, -1 leaves x out
     A = _char_counts(space, indicator)[1:]  # chi(D) at every nontrivial character
-    # column by column: a reduction along the short row axis is ~8x slower
-    is_r1, is_r2 = A[:, 0] == r1[0], A[:, 0] == r2[0]
-    for j in range(1, p - 1):
-        is_r1 &= A[:, j] == r1[j]
-        is_r2 &= A[:, j] == r2[j]
-    return bool((is_r1 | is_r2).all())
+    # MATCH_ROWS rows at a time as a contiguous copy, compared column by
+    # column: on A's strided columns the compares take about 3x as long, and
+    # a reduction along the short row axis about 8x
+    for start in range(0, A.shape[0], MATCH_ROWS):
+        C = np.ascontiguousarray(A[start : start + MATCH_ROWS].T)
+        is_r1, is_r2 = C[0] == r1[0], C[0] == r2[0]
+        for j in range(1, p - 1):
+            is_r1 &= C[j] == r1[j]
+            is_r2 &= C[j] == r2[j]
+        if not (is_r1 | is_r2).all():
+            return False
+    return True
 
 
 __all__ = [

@@ -3,27 +3,27 @@ vectorial dual-bent certificates.
 
 The full transform W_f(a) = sum_x zeta^{f(x) - <a,x>} is computed by a
 radix-p fast transform: n rounds of exact p-point DFTs over Z[zeta_p], one
-per GF(p)-coordinate.  Ring arrays in the transform are exponent counts of
-shape (p, p^n), C[j, x] = the coefficient of zeta^j at x, exponent-major
+per GF(p)-coordinate.  Ring arrays in the transform are coefficients in
+the basis {1, zeta, ..., zeta^{p-2}} from the fill to the output, of shape
+(p - 1, p^n), C[i, x] = the coefficient of zeta^i at x, coefficient-major
 with x's digits most significant first.  A pass multiplies by zeta^{-u t}
-(t the top digit of x left, u that of the frequency), which sends exponent
-j to j - u t: a fixed 0/1 map from the p^2 pairs (j, t) to the pairs
-(u, j').  For p <= DENSE_PASS_MAX_P a pass is one stacked BLAS product of
-that (p^2, p^2) matrix with the counts of every frequency prefix made so
-far; only 1 in p of its p^4 entries is nonzero, so for larger p a pass is
-p^2 slice-adds of shifted exponent rows instead.  u lands above j', so
-after n passes the frequencies are in natural order with no transpose or
-digit reversal.  The last T passes (T = 3 at p = 3, 2 at p = 5, else 1)
-and the reduction to the basis {1, zeta, ..., zeta^{p-2}} (the
-cyclo.reduce_counts rule, applied to the matrix) are one 2-D product with
-a {-1, 0, 1} matrix, so the transform ends in (p^n, p - 1) reduced counts.
-It runs in place: one (p, p^n) buffer and a fixed scratch array hold
-everything, and the reduced counts end up at the front of the buffer
-(_digit_transform).  The counts are floats: every count and partial sum
-has magnitude at most p^n, the signed ones of the reduction included,
-which is exact in float32 while p^n < 2^24 and in float64 while
+(t the top digit of x left, u that of the frequency), a fixed
+{-1, 0, 1} map from the (p - 1) p pairs (i, t) to the pairs (u, i'): the
+coefficient at i goes to i - u t, or, where that is p - 1, by
+zeta^{p-1} = -(1 + ... + zeta^{p-2}) to -1 times every i'.  For
+p <= DENSE_PASS_MAX_P a pass is one stacked BLAS product of that square
+matrix with the coefficients of every frequency prefix made so far; for
+larger p it is p^2 slice-adds of shifted rows, padded with a zero
+zeta^{p-1} row and reduced once per u.  u lands above i', so after n
+passes the frequencies are in natural order with no transpose or digit
+reversal.  The last T passes (T = 3 at p = 3, 2 at p = 5, else 1) are
+one 2-D product with a {-1, 0, 1} matrix.  It runs in place: one
+(p - 1, p^n) buffer and a fixed scratch array hold everything, and the
+output is that buffer as (p^n, p - 1) rows (_digit_transform).  The
+coefficients are floats: every one and every partial sum has magnitude at
+most p^n, which is exact in float32 while p^n < 2^24 and in float64 while
 p^n < 2^53 (limits.exact_float_dtype).
-Every decision reads these reduced float counts: classification here and
+Every decision reads these float coefficients: classification here and
 the character verifier of pds.  Only walsh_full gathers them into the
 order of a (Space.gather_dual) and casts them to the int64 rows of
 WalshSpectrum.  The naive quadratic sum, its cross-check oracle, is held by
@@ -38,12 +38,13 @@ Each candidate has |u zeta^j|^2 = p^n, so f is bent iff every value
 matches one, and no norm is formed.  There are no tolerances anywhere.
 For odd n the recorded sign is relative to that Gauss-sum normalisation.
 Matching is key-then-verify, in fixed-size chunks of rows and one column
-of counts at a time: each row gets one int64 key (a dot product with fixed
-pseudo-random weights, wrapping mod 2^64), a binary search among the 2p
-distinct candidate keys proposes one candidate, and a column-wise equality
-confirms it.  A row equal to a candidate has that candidate's key, so it
-is found; any other row fails the equality, so the match stays exact
-whatever the keys collide with.
+of coefficients at a time: each row gets one int64 key (a dot product with
+fixed pseudo-random weights, wrapping mod 2^64), the key's residue mod M
+looks up one candidate, M the least power of two at which the 2p
+candidate keys differ, and a column-wise equality confirms it.  A row
+equal to a candidate has that candidate's key, so it is found; any other
+row fails the equality, so the match stays exact whatever the keys
+collide with.
 
 Certificates use one transform per orbit of H = <d, GF(p)^*> on the
 components, where F o phi = d F for a scaling phi: x_i -> t_i x_i of the
@@ -186,146 +187,153 @@ def _apply(values, table: np.ndarray, q: int) -> np.ndarray:
 # the radix-p transform
 # ---------------------------------------------------------------------------
 
-# Largest p whose passes take the dense product.  Its matrix holds p^4
-# entries, only 1 in p of them nonzero, so a pass costs p^3 N multiply-adds
-# against the p^2 N adds of the shifts.  With single-threaded BLAS on a
-# 2-vCPU Xeon VM the product, once built, is the faster pass up to p = 43
-# (1.6x at 37^3, 1.2x at 43^3) and the slower one from 53^3; building it
-# costs more than it saves at p^2 points from p = 23, but under 40 ms up to
-# p = 37.  Past 37 the gain is small and the two matrices pass 16 MB.
-DENSE_PASS_MAX_P = 37
+# Largest p whose passes take the dense product.  Its matrix holds
+# (p - 1)^2 p^2 entries, about 2 in p of them nonzero, so a pass costs
+# about p^3 N multiply-adds against the p^2 N adds of the shifts.  With
+# single-threaded BLAS on a 2-vCPU Xeon VM a float32 transform took, with
+# products and with shifts (matrices built, minima of 5 runs), 5 and 8 ms
+# at 13^4, 25 and 34 ms at 11^5, 38 and 31 ms at 17^4, 93 and 63 ms at
+# 19^4, 80 and 28 ms at 31^3 and 252 and 82 ms at 37^3.
+DENSE_PASS_MAX_P = 13
 
 
 @lru_cache(maxsize=None)  # one entry per (p <= DENSE_PASS_MAX_P, dtype)
 def _pass_matrices(p: int, dtype: np.dtype) -> np.ndarray:
-    """B[u p + j', j p + t] = 1 iff j' = j - u t (mod p): the digit pass
-    that takes the count at (exponent j, digit t) to (digit u, exponent
-    j').  Shared between calls, so read-only."""
-    u, j_out, t = np.indices((p, p, p))
-    B = np.zeros((p * p, p * p), dtype=dtype)
-    B[u * p + j_out, (j_out + u * t) % p * p + t] = 1
+    """B[u (p - 1) + i, j p + t] = coefficient i of zeta^{j - u t} in the
+    basis {1, ..., zeta^{p-2}}: the digit pass that takes the coefficient at
+    (j, digit t) to (digit u, coefficient i).  Within the rows of one u, a
+    column holds a single 1, or -1 in each row where j - u t = p - 1.
+    Shared between calls, so read-only."""
+    u, j, t = np.indices((p, p - 1, p))
+    basis = reduce_counts(np.eye(p, dtype=dtype))  # row k: zeta^k
+    B = basis[(j - u * t) % p].transpose(0, 3, 1, 2).reshape(p * (p - 1), -1)
     B.setflags(write=False)
     return B
 
 
 def _dense_pass(X: np.ndarray, Y: np.ndarray, p: int) -> None:
-    """One digit pass from X to Y, both (b, p^2, c) views: the product with
-    B of _pass_matrices."""
+    """One digit pass from X to Y, both (b, (p - 1) p, c) views: the product
+    with B of _pass_matrices."""
     np.matmul(_pass_matrices(p, X.dtype), X, out=Y)
 
 
-# Largest p^{T+1} of the tail matrix K_T (_tail_matrix), which folds a
-# block's last T passes and the reduction into one 2-D product.  A stacked
-# pass over few columns (R = p^{dim-k-1}) is many tiny BLAS products; one
-# 2-D product with the larger K_T does the same work faster, until K_T's
-# p^{2T+1} (p - 1) entries outgrow the saving.  With single-threaded BLAS
-# on a 2-vCPU Xeon VM (medians of 15 interleaved runs) a float32 transform
-# took, from T = 1 to the largest T this bound gives:
-#   3^12 15.3 -> 9.3 ms, 3^10 1.11 -> 0.72 ms, 3^8 0.128 -> 0.083 ms (T = 3),
-#   5^8 19.5 -> 16.8 ms, 5^6 0.49 -> 0.38 ms (T = 2);
-# T = 4 at p = 3 (243 entries) was slower than T = 3 at every size, and
-# T = 2 at p = 7 (343) took 7^6 from 7.6 to 9.4 ms.  So T = 1 from p = 7.
-TAIL_ENTRIES = 125
+# Largest row (p - 1) p^T of the tail matrix K_T (_tail_matrix), which
+# folds a block's last T passes into one 2-D product.  A stacked pass over
+# few columns (R = p^{dim-k-1}) is many tiny BLAS products; one 2-D product
+# with the larger K_T does the same work faster, until K_T's (p - 1)^2
+# p^{2T} entries outgrow the saving.  With single-threaded BLAS on a 2-vCPU
+# Xeon VM (minima of 7 runs, best of 3 rounds) a float32 transform took,
+# at T = 1, 2, 3 and 4:
+#   3^12 9.0, 6.2, 6.1, 7.3 ms; 3^8 0.095, 0.071, 0.067, 0.093 ms;
+#   5^8 12.7, 11.5, 22.2 ms and 5^6 0.37, 0.33, 0.73 ms (T <= 3);
+#   7^6 6.8, 7.7 ms and 7^4 0.12, 0.16 ms (T <= 2).
+# So T = 3 at p = 3 (rows of 54), T = 2 at p = 5 (100), T = 1 from p = 7.
+TAIL_ENTRIES = 100
 
 
 def _tail_length(p: int) -> int:
     """T, the passes a block's tail product folds: the largest T with
-    p^{T+1} <= TAIL_ENTRIES, and at least 1."""
+    (p - 1) p^T <= TAIL_ENTRIES, and at least 1."""
     T = 1
-    while p ** (T + 2) <= TAIL_ENTRIES:
+    while (p - 1) * p ** (T + 1) <= TAIL_ENTRIES:
         T += 1
     return T
 
 
 @lru_cache(maxsize=None)  # one entry per (p, T, dtype)
 def _tail_matrix(p: int, T: int, dtype: np.dtype) -> np.ndarray:
-    """K_T, of shape (p^{T+1}, p^T (p - 1)): the last T passes of a block,
-    then the reduction to {1, ..., zeta^{p-2}}.  Row i is the image of the
-    i-th unit vector of a block of counts (exponent j, then the T digits of
-    x left) under T passes with B, each frequency's row then reduced by
-    reduce_counts; so an entry is [j' = j - <u, t>] - [p - 1 = j -
-    <u, t>], in {-1, 0, 1}.  Shared between calls, so read-only."""
-    size = p ** (T + 1)
+    """K_T, square of side (p - 1) p^T: the last T passes of a block.  Row
+    r is the image of the r-th unit vector of a block (coefficient i, then
+    the T digits of x left) under T passes with B: the coefficients of
+    zeta^{i - <u, t>} at each frequency u, so an entry is in {-1, 0, 1}.
+    Shared between calls, so read-only."""
+    size = (p - 1) * p ** T
     src, dst = np.eye(size, dtype=dtype), np.empty((size, size), dtype=dtype)
     for k in range(T):
-        shape = (size * p ** k, p * p, -1)
+        shape = (size * p ** k, (p - 1) * p, -1)
         _dense_pass(src.reshape(shape), dst.reshape(shape), p)
         src, dst = dst, src
-    K = reduce_counts(src.reshape(size, p ** T, p)).reshape(size, -1)
-    K.setflags(write=False)
-    return K
+    src.setflags(write=False)
+    return src
 
 
 def _shift_pass(X: np.ndarray, Y: np.ndarray, p: int) -> None:
-    """The same pass as _dense_pass in p^2 adds: digit t reaches digit u
-    shifted by u t on the exponent axis, read as one slice of the counts
-    of t written twice."""
+    """The same pass as _dense_pass in p^2 adds.  The coefficients at digit
+    t, padded with a zero row for zeta^{p-1}, reach digit u shifted by u t,
+    read as one slice of the padded rows written twice; then each u's
+    zeta^{p-1} row is subtracted from its others, which reduces it.  The
+    adds run on copies with the block axis inside the row axes, so each
+    reads and writes one contiguous slab however few columns a block has."""
     b, _, c = X.shape
-    V = X.reshape(b, p, p, c)  # block, exponent j, digit t, rest
-    W = Y.reshape(b, p, p, c)  # block, digit u, exponent j', rest
-    W[:] = V[:, None, :, 0]  # t = 0 shifts nothing
-    twice = np.empty((b, 2 * p, c), dtype=X.dtype)
-    for t in range(1, p):
-        twice[:, :p] = twice[:, p:] = V[:, :, t]
+    V = X.reshape(b, p - 1, p, c)  # block, coefficient i, digit t, rest
+    acc = np.zeros((p, p, b, c), dtype=X.dtype)  # digit u, exponent j', block, rest
+    twice = np.zeros((2 * p, b, c), dtype=X.dtype)  # rows p - 1 and 2p - 1 stay 0
+    for t in range(p):
+        twice[: p - 1] = twice[p : 2 * p - 1] = V[:, :, t].transpose(1, 0, 2)
         for u in range(p):
             r = u * t % p
-            W[:, u] += twice[:, r : r + p]
+            acc[u] += twice[r : r + p]
+    np.subtract(acc[:, : p - 1], acc[:, p - 1 :], out=Y.reshape(b, p, p - 1, c).transpose(1, 2, 0, 3))
 
 
 # A shift pass makes p^2 slice-adds whatever its width, so above
 # DENSE_PASS_MAX_P the scratch holds at least p SHIFT_SLICE entries and
-# each add covers at least SHIFT_SLICE of them.  A transform at 211^2 took
-# 3.0 s with 2^12, 2.3 s with 2^13 and 1.7-1.9 s with 2^14, as it does
-# with a second buffer of its size; 41^3 and 53^3 moved by under 10%.
+# each add covers at least SHIFT_SLICE of them.  A float32 transform at
+# 211^2 took 2.2 s with 2^12, 1.6 s with 2^13, 1.3 s with 2^14 and 1.6 s
+# with 2^15, and 53^3 0.64, 0.48, 0.45 and 0.44 s (best of two runs).
 SHIFT_SLICE = 1 << 14
 
 
 def _digit_transform(C: np.ndarray, p: int, dim: int) -> np.ndarray:
-    """Turn float exponent counts C[j, x] (the weight at x is
-    sum_j C[j, x] zeta^j, x's digits most significant first) into the
-    (p^dim, p - 1) counts of G(u) = sum_x weight(x) zeta^{-sum_k u_k x_k}
-    in the basis {1, ..., zeta^{p-2}}, rows u in natural order.
+    """Turn float coefficients C[i, x] (the weight at x is
+    sum_i C[i, x] zeta^i, i < p - 1, x's digits most significant first)
+    into the (p^dim, p - 1) coefficients of G(u) = sum_x weight(x)
+    zeta^{-sum_k u_k x_k}, rows u in natural order.
 
-    Pass k views the counts as (p^k, p^2, R), R = p^{dim-k-1}: a block per
-    frequency prefix made so far, the pairs (j, t) of the exponent and the
-    top digit of x left, and the rest of x.  It maps (j, t) to (u, j'), so
-    u joins the prefix, and it mixes nothing across blocks or across the R
-    columns.  Passes are products with B of _pass_matrices for
-    p <= DENSE_PASS_MAX_P and the shifts of _shift_pass above it.
+    Pass k views the coefficients as (p^k, (p - 1) p, R), R = p^{dim-k-1}:
+    a block per frequency prefix made so far, the pairs (i, t) of the
+    coefficient and the top digit of x left, and the rest of x.  It maps
+    (i, t) to (u, i'), so u joins the prefix, and it mixes nothing across
+    blocks or across the R columns.  Passes are products with B of
+    _pass_matrices for p <= DENSE_PASS_MAX_P and the shifts of _shift_pass
+    above it.
 
     Everything happens in C's own memory and one scratch array S: of
     SCRATCH_BYTES for the products, of p SHIFT_SLICE entries for the
-    shifts, and of at least p^2 entries and at most C's size.  While a
-    prefix block (p^{dim-k+1} entries) is larger than S, pass k goes over C
-    a column chunk at a time, through S and back.  Then the blocks, as many
-    at a time as fit in S, run their remaining passes between their own
-    place in C and S.  With products, a block's last T passes
-    (_tail_length, at most the passes left in the block) and the reduction
-    are one 2-D product of its rows of p^{T+1} counts with K_T of
-    _tail_matrix: those passes have R < p^T, so stacked they would be many
-    tiny BLAS calls.  The product reads S and writes the blocks' reduced
-    rows to the front of C; after the last shifts, which land in S,
-    reduce_counts writes them there instead.  Block b's p^{dim-k} rows of
-    p - 1 counts end before block b + 1 begins, so they only overwrite
-    blocks already consumed.  The result is a view of C.
+    shifts, and of at least (p - 1) p entries and at most C's size.  While
+    a prefix block ((p - 1) p^{dim-k} entries) is larger than S, pass k goes
+    over C a column chunk at a time, through S and back.  Then the blocks,
+    as many at a time as fit in S, run their remaining passes between their
+    own place in C and S, the last step from S back to that place.  With
+    products, the last step is a block's last T passes (_tail_length, at
+    most the passes left in the block) as one 2-D product of its rows of
+    (p - 1) p^T coefficients with K_T of _tail_matrix: those passes have
+    R < p^T, so stacked they would be many tiny BLAS calls.  The result is
+    C's memory as (p^dim, p - 1) rows.
 
-    C holds non-negative counts, and the transform is exact while
-    exact_float_dtype(C.sum()) is no wider than C's dtype: before the
-    reduction every entry and partial sum is a count of at most C.sum().
-    An entry of K_T is in {-1, 0, 1}, so a reduced output adds the counts
-    that its +1 entries select, which make up one unreduced count, and
-    subtracts those of its -1 entries, which make up another; in any
-    summation order its partial sums lie in [-C.sum(), C.sum()]."""
-    N = C.shape[1]
+    Each entry of C is [e = i] - [e = p - 1] for a value zeta^e at x, or 0
+    where x has none, and the transform is exact while exact_float_dtype(m),
+    m the points with a value, is no wider than C's dtype.  After k passes
+    an entry is n_i - n_{p-1}, n_j the number of its p^k points whose term
+    is zeta^j.  An output entry of a pass, or of K_T, takes from each slot
+    t (one digit, or T digits for K_T) at most two input entries, one with
+    each sign: n_a - n_{p-1} and -(n_b - n_{p-1}), a != b, both != p - 1.
+    Within a slot, the positive parts n_a and n_{p-1} count disjoint points,
+    and so do the negative parts n_{p-1} and n_b; so in any summation order
+    every partial sum lies in [-m, m].  The shift pass sums one padded
+    entry per slot, then subtracts two such sums, whose difference is the
+    output entry.
+    partial sum lies in [-m, m]."""
+    N, rows = C.shape[1], (p - 1) * p
     dense = p <= DENSE_PASS_MAX_P
     step = _dense_pass if dense else _shift_pass
     flat = C.reshape(-1)
-    size = max(SCRATCH_BYTES // C.itemsize, p * p) if dense else p * max(SHIFT_SLICE, p)
-    S = np.empty(min(size, p * N), dtype=C.dtype)
+    size = max(SCRATCH_BYTES // C.itemsize, rows) if dense else p * max(SHIFT_SLICE, p)
+    S = np.empty(min(size, flat.size), dtype=C.dtype)
     top = 0
-    while p ** (dim - top + 1) > S.size:
-        V = flat.reshape(p ** top, p * p, -1)
-        width = S.size // (p * p)
+    while (p - 1) * p ** (dim - top) > S.size:
+        V = flat.reshape(p ** top, rows, -1)
+        width = S.size // rows
         for b in range(V.shape[0]):
             for r in range(0, V.shape[2], width):
                 X = V[b : b + 1, :, r : r + width]
@@ -334,26 +342,24 @@ def _digit_transform(C: np.ndarray, p: int, dim: int) -> np.ndarray:
                 X[...] = Y
         top += 1
     M, passes = p ** (dim - top), dim - top  # points and passes per block
-    T = min(_tail_length(p), passes) if dense else 0  # passes the tail product folds
-    group = S.size // (p * M)  # blocks per step
-    G = flat[: N * (p - 1)].reshape(N, p - 1)
+    T = min(_tail_length(p), passes) if dense else 1  # passes of the last step
+    group = S.size // ((p - 1) * M)  # blocks per step
     for b in range(0, p ** top, group):
         g = min(group, p ** top - b)
-        src = flat[b * p * M : (b + g) * p * M]
-        dst = S[: src.size]
-        if (passes - T) % 2 == 0:  # so that the tail product reads S, or the last shift writes it
+        block = flat[b * (p - 1) * M : (b + g) * (p - 1) * M]
+        src, dst = block, S[: block.size]
+        if (passes - T) % 2 == 0:  # so that the last step reads S and writes the block
             dst[:] = src
             src, dst = dst, src
         for k in range(passes - T):
-            step(src.reshape(g * p ** k, p * p, -1), dst.reshape(g * p ** k, p * p, -1), p)
+            step(src.reshape(g * p ** k, rows, -1), dst.reshape(g * p ** k, rows, -1), p)
             src, dst = dst, src
-        rows = G[b * M : (b + g) * M]
         if dense:
-            np.matmul(src.reshape(-1, p ** (T + 1)), _tail_matrix(p, T, C.dtype),
-                      out=rows.reshape(-1, p ** T * (p - 1)))
+            side = (p - 1) * p ** T
+            np.matmul(src.reshape(-1, side), _tail_matrix(p, T, C.dtype), out=block.reshape(-1, side))
         else:
-            reduce_counts(src.reshape(-1, p), out=rows)
-    return G
+            step(src.reshape(g * M // p, rows, -1), block.reshape(g * M // p, rows, -1), p)
+    return flat.reshape(N, p - 1)
 
 
 @dataclass
@@ -376,16 +382,18 @@ class WalshSpectrum:
 
 def _char_counts(space: Space, e: np.ndarray) -> np.ndarray:
     """T(u) = sum of zeta^{e[x] - sum_k u_k x_k} over the ranks x with e[x]
-    in [0, p) (any other entry leaves x out), as float (p^n, p - 1) counts:
-    row u holds T(u) in the basis {1, ..., zeta^{p-2}}, so T(a) in the
-    pairing <a, x> is row dual[a].  The counts C[j, x] = [e[x] = j] keep
-    every count within p^n, which sets the dtype."""
+    in [0, p) (any other entry leaves x out), as float (p^n, p - 1)
+    coefficients: row u holds T(u) in the basis {1, ..., zeta^{p-2}}, so
+    T(a) in the pairing <a, x> is row dual[a].  The fill C[i, x] =
+    [e[x] = i] - [e[x] = p - 1] is the one conversion from values to
+    coefficients; the points, at most p^n, set the dtype."""
     N, p = space.size, space.p
     if N > walsh_cap():
         raise SizeGuard(f"p^n = {N} exceeds the transform cap")
-    C = np.empty((p, N), dtype=exact_float_dtype(N))
-    for j in range(p):  # at 3^12 with int8 e: 0.6 ms, one broadcast compare 1.2 ms
-        np.equal(e, j, out=C[j])
+    C = np.empty((p - 1, N), dtype=exact_float_dtype(N))
+    last = (e == p - 1).view(np.int8)
+    for i in range(p - 1):  # at 3^12 with int8 e: 0.4 ms, with float subtracts 0.6 ms
+        np.subtract((e == i).view(np.int8), last, out=C[i])
     return _digit_transform(C, p, space.dim)
 
 
@@ -412,9 +420,11 @@ class BentClassification:
 @lru_cache(maxsize=None)
 def _candidate_map(p: int, n: int):
     """The 2p values +-u zeta^j a bent Walsh value can take, for the key
-    lookup of _match_candidates: (weights w, candidate keys in ascending
-    order, and the coefficient rows, signs and exponents j in that order,
-    the exponents in rank_dtype(p)), shared, so read-only."""
+    lookup of _match_candidates: (weights w, lookup table lut, and the
+    candidates' coefficient rows, signs and exponents j, the exponents in
+    rank_dtype(p)), shared, so read-only.  lut.size is the least power of
+    two M at which the 2p keys differ mod M, and lut[key mod M] is the index
+    of the candidate with that key."""
     # u = p^{n/2} or p^{(n-1)/2} g as counts, its reduced row with a zero
     # zeta^{p-1} count; times zeta^j, count i moves to i + j
     u = CyclotomicInt.from_int(p, 1) if n % 2 == 0 else gauss_sum(p)
@@ -426,11 +436,14 @@ def _candidate_map(p: int, n: int):
     rng = random.Random(p)
     w = np.array([rng.getrandbits(63) for _ in range(p - 1)], dtype=np.int64)
     keys = rows @ w
-    order = np.argsort(keys)
-    keys = keys[order]
-    if (keys[1:] == keys[:-1]).any():
+    if len(set(keys.tolist())) < keys.size:
         raise MatchFailure(f"candidate keys collide for p={p}, n={n}")
-    tables = w, keys, rows[order], signs[order], js[order]
+    M = 2
+    while len(set((keys & (M - 1)).tolist())) < keys.size:
+        M *= 2
+    lut = np.zeros(M, dtype=np.intp)  # the index dtype of np.take
+    lut[keys & (M - 1)] = np.arange(keys.size)
+    tables = w, lut, rows, signs, js
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -438,40 +451,43 @@ def _candidate_map(p: int, n: int):
 
 # Rows keyed and confirmed per step of _match_candidates, so its int64
 # work arrays hold this many entries rather than p^n.  Matching a float32
-# 3^12 spectrum took 6.0 ms in steps of 2^12 rows, 5.1 ms in steps of 2^13
-# and 4.6-4.7 ms from 2^14 to 2^16, against 5.1 ms for whole columns.
-MATCH_ROWS = 1 << 13
+# 3^12 spectrum (minima of 15 calls, three rounds) took 7.4-7.8 ms in steps
+# of 2^12 rows, 6.4-6.8 ms in steps of 2^13, 5.7-5.9 ms in steps of 2^14,
+# 5.6 ms in steps of 2^15 and 5.9-6.2 ms in steps of 2^16.
+MATCH_ROWS = 1 << 15
 
 
 def _match_candidates(rows: np.ndarray, p: int, n: int):
     """Match rows of p - 1 ring coefficients, integers in any dtype that
     holds them exactly, against the 2p candidates: (matched, which), a bool
     per row and, where matched, the row's index into the candidate arrays
-    of _candidate_map, in the narrowest unsigned dtype.  Rows are keyed and
-    confirmed MATCH_ROWS at a time, a column at a time, so no copy of them
-    and no whole-length int64 array is made."""
-    w, keys, cand_rows, _, _ = _candidate_map(p, n)
+    of _candidate_map, in the narrowest unsigned dtype.  A row's key mod
+    lut.size proposes one candidate through lut, and the row's columns
+    equal to that candidate's confirm it.  Rows are keyed and confirmed
+    MATCH_ROWS at a time, a column at a time, so no copy of them and no
+    whole-length int64 array is made."""
+    w, lut, cand_rows, _, _ = _candidate_map(p, n)
     cand_cols = cand_rows.T.astype(rows.dtype)  # exact: |entries| <= 2 p^{n/2}
     N = rows.shape[0]
     matched = np.empty(N, dtype=bool)
-    which = np.empty(N, dtype=np.min_scalar_type(keys.size - 1))
+    which = np.empty(N, dtype=np.min_scalar_type(cand_rows.shape[0] - 1))
     key = np.empty(min(N, MATCH_ROWS), dtype=np.int64)
-    col = np.empty_like(key)
+    col, got = np.empty_like(key), np.empty(key.size, dtype=rows.dtype)
     for start in range(0, N, MATCH_ROWS):
         block = rows[start : start + MATCH_ROWS]
         m = block.shape[0]
-        k, c = key[:m], col[:m]
+        k, c, g = key[:m], col[:m], got[:m]
         k[:] = 0
         for j in range(p - 1):
             np.copyto(c, block[:, j], casting="unsafe")  # exact: integral values
             c *= w[j]
             k += c  # wraps mod 2^64, like the candidate keys
-        cand = np.searchsorted(keys, k)
-        np.minimum(cand, keys.size - 1, out=cand)
+        k &= lut.size - 1
+        cand = np.take(lut, k, out=c)
         ok = matched[start : start + m]
-        np.equal(block[:, 0], cand_cols[0][cand], out=ok)
+        np.equal(block[:, 0], np.take(cand_cols[0], cand, out=g), out=ok)
         for j in range(1, p - 1):
-            ok &= block[:, j] == cand_cols[j][cand]
+            ok &= block[:, j] == np.take(cand_cols[j], cand, out=g)
         which[start : start + m] = cand
     return matched, which
 
@@ -489,7 +505,7 @@ def _bent_dual(space: Space, table: np.ndarray) -> tuple[np.ndarray, int | None]
     _, _, _, cand_signs, cand_js = _candidate_map(p, n)
     signs = cand_signs[np.bincount(which, minlength=cand_signs.size) > 0]  # those that occur
     eps = int(signs[0]) if (signs == signs[0]).all() else None
-    # row dual[a] of the counts holds W_f(a)
+    # row dual[a] of the coefficients holds W_f(a)
     return np.take(cand_js, space.gather_dual(which)), eps
 
 

@@ -90,6 +90,34 @@ def test_mm_qpoly_identity_reduces_to_mm_power():
     assert np.array_equal(via_qpoly.dual.table, via_power.dual.table)
 
 
+# (build, q): the Maiorana-McFarland grid of each is (q, q)
+MM_GRIDS = [
+    (lambda: mm_power(3, 2, 1, 2, 3), 9),
+    (lambda: mm_power(5, 2, 2, 2, 5), 25),
+    (lambda: mm_power(7, 1, 1, 3, 5), 7),
+    (lambda: mm_qpoly(3, 2, 1, 1, (0, 1)), 9),
+    (lambda: mm_qpoly(5, 2, 1, 2, (0, 1)), 25),
+    (lambda: mm_qpoly(7, 1, 1, 2, (3,)), 7),
+    (lambda: branched_quad_mm(3, 2, 1, 1, 1, 1, 1, 1, 1), 3),
+    (lambda: branched_quad_mm(5, 2, 1, 1, 1, 1, 1, 1, 1), 5),
+    (lambda: branched_quad_mm(7, 1, 1, 1, 1, 1, 1, 1, 1), 7),  # 7^3, the least
+]
+
+
+@pytest.mark.parametrize("build, q", MM_GRIDS)
+def test_mm_grid_in_blocks_of_a_few_rows_equals_one_block(build, q, monkeypatch):
+    from bentpds import constructions
+
+    whole = build()
+    assert constructions.MM_BLOCK_ENTRIES >= q * q  # one block by default
+    for rows in (1, 2):  # two rows leave a short last block at odd q
+        monkeypatch.setattr(constructions, "MM_BLOCK_ENTRIES", rows * q + 1)
+        blocked = build()
+        assert np.array_equal(blocked.function.table, whole.function.table)
+        assert np.array_equal(blocked.dual.table, whole.dual.table)
+        assert blocked.function.table.dtype == whole.function.table.dtype
+
+
 @pytest.mark.parametrize(
     "p,m,s,a,coeffs",
     [(3, 2, 1, 1, (0, 1)), (3, 2, 2, 1, (1,)), (3, 2, 1, 2, (0, 2))],

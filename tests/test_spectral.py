@@ -416,29 +416,42 @@ def test_dual_of_dual_is_negated_argument():
         assert all(cl2.dual(x) == f(sp.negate(x)) for x in range(sp.size))
 
 
+def _reduced_rows(e, p, dtype):
+    """The transform's input for the values zeta^e[x]: C[i, x] =
+    [e[x] = i] - [e[x] = p - 1], so an entry outside [0, p) leaves x out."""
+    e = np.asarray(e)
+    return np.stack([(e == i).astype(dtype) - (e == p - 1) for i in range(p - 1)])
+
+
 # 3^11 takes chunked top passes and several blocks in the real scratch
 @pytest.mark.parametrize("p, dim", [(3, 6), (7, 3), (17, 2), (3, 11)])
 def test_digit_transform_float64_equals_float32(p, dim):
-    # tier-1 spaces all take float32; the float64 passes must agree with it
+    # tier-1 spaces all take float32; the float64 passes must agree with it.
+    # One value at every point takes a coefficient of W(0) to p^n, the bound
+    # of every partial sum: zeta^0 to +p^n, zeta^{p-1} each to -p^n; every
+    # point but one takes it to p^n - 1
     N = p ** dim
-    table = np.array(_random_table(prime_space(p, dim), 5))
-    slabs = {}
-    for dtype in (np.float32, np.float64):
-        C = np.zeros((p, N), dtype=dtype)
-        C[table, np.arange(N)] = 1
-        slabs[dtype] = spectral._digit_transform(C, p, dim)
-        assert slabs[dtype].dtype == dtype
-    assert np.array_equal(slabs[np.float32], slabs[np.float64])
+    one_left_out = np.zeros(N, dtype=np.int64)
+    one_left_out[0] = -1
+    for table in (_random_table(prime_space(p, dim), 5), np.zeros(N, dtype=np.int64),
+                  np.full(N, p - 1), one_left_out):
+        slabs = {}
+        for dtype in (np.float32, np.float64):
+            slabs[dtype] = spectral._digit_transform(_reduced_rows(table, p, dtype), p, dim)
+            assert slabs[dtype].dtype == dtype
+        assert np.array_equal(slabs[np.float32], slabs[np.float64])
+    # every point but x = 0: W(0) = p^n - 1, and W(a) = -1 at every a != 0
+    assert slabs[np.float32][0].tolist() == [N - 1] + [0] * (p - 2)
+    assert (slabs[np.float32][1:, 0] == -1).all()
 
 
 @pytest.mark.parametrize("p, dim", [(3, 5), (7, 3), (13, 2)])
 def test_shift_pass_equals_dense_pass(p, dim):
     N = p ** dim
-    C = np.zeros((p, N), dtype=np.float32)
-    C[np.array(_random_table(prime_space(p, dim), 7)), np.arange(N)] = 1
+    C = _reduced_rows(_random_table(prime_space(p, dim), 7), p, np.float32)
     for k in range(dim):  # every block count a pass meets, the last one included
         dense, shifted = np.empty_like(C), np.empty_like(C)
-        X, D, S = (A.reshape(p ** k, p * p, -1) for A in (C, dense, shifted))
+        X, D, S = (A.reshape(p ** k, (p - 1) * p, -1) for A in (C, dense, shifted))
         spectral._dense_pass(X, D, p)
         spectral._shift_pass(X, S, p)
         assert np.array_equal(dense, shifted)
@@ -527,17 +540,17 @@ def test_oracle_spaces_reach_every_tail_length(monkeypatch):
     assert {(3, 1), (3, 2), (3, 3), (5, 2), (7, 1)} <= set(tails)
 
 
-@pytest.mark.parametrize("entries", ["p^2", "2p^2", "2p^3"])
+@pytest.mark.parametrize("entries", ["(p-1)p", "2(p-1)p", "2(p-1)p^2"])
 @pytest.mark.parametrize("path", ["dense", "shift"])
 @pytest.mark.parametrize("sp", ORACLE_SPACES, ids=lambda sp: "x".join(str(f.size) for f in sp.factors))
 def test_char_counts_equal_scalar_oracle_in_a_small_scratch(sp, path, entries, monkeypatch):
-    # a scratch of p^2 entries chunks every pass but the last, one column and
-    # one block at a time; 2p^2 takes two columns and two blocks per step,
-    # each with a remainder; 2p^3 leaves two passes inside each block, which
-    # cuts the tail product short at p = 3 (T = 2) and runs one stacked pass
-    # before it from p = 7
+    # a scratch of one pass's (p - 1) p rows chunks every pass but the last,
+    # one column and one block at a time; 2 (p - 1) p takes two columns and
+    # two blocks per step, each with a remainder; 2 (p - 1) p^2 leaves two
+    # passes inside each block, which cuts the tail product short at p = 3
+    # (T = 2) and runs one stacked pass before it from p = 7
     p, N = sp.p, sp.size
-    size = {"p^2": p * p, "2p^2": 2 * p * p, "2p^3": 2 * p ** 3}[entries]
+    size = {"(p-1)p": 1, "2(p-1)p": 2, "2(p-1)p^2": 2 * p}[entries] * (p - 1) * p
     monkeypatch.setattr(spectral, "DENSE_PASS_MAX_P", p if path == "dense" else p - 1)
     monkeypatch.setattr(spectral, "SCRATCH_BYTES", size * exact_float_dtype(N).itemsize)
     monkeypatch.setattr(spectral, "SHIFT_SLICE", size // p)
@@ -551,11 +564,11 @@ def test_char_counts_equal_scalar_oracle_in_a_small_scratch(sp, path, entries, m
         calls.clear()
         G = spectral._char_counts(sp, e.astype(np.int8))
         assert np.array_equal(sp.gather_dual(G), _scalar_char_counts(sp, e))
-        if entries == "p^2" and sp.dim > 1:
+        if entries == "(p-1)p" and sp.dim > 1:
             # more steps than passes: the buffer went through in chunks
             assert len(calls) > sp.dim
-    # a block holds one pass, or two at 2p^3, and the tail folds no more
-    assert all(T <= (2 if entries == "2p^3" else 1) for _, T in tails)
+    # a block holds one pass, or two at 2 (p - 1) p^2, and the tail folds no more
+    assert all(T <= (2 if entries == "2(p-1)p^2" else 1) for _, T in tails)
 
 
 @pytest.mark.parametrize("dim", [8, 10])
@@ -1025,6 +1038,22 @@ def test_rows_sharing_a_candidate_key_match_nothing(p, n):
     assert not _match_candidates(rows, p, n)[0].any()
 
 
+@pytest.mark.parametrize("p,n", MATCH_CASES)
+def test_rows_sharing_a_candidate_residue_match_nothing(p, n):
+    # M added to one coefficient moves the key by a multiple of M, the size
+    # of the lookup table: the lookup proposes the candidate itself, and only
+    # the column check tells these rows from it
+    M = _candidate_map(p, n)[1].size
+    rows = candidates(p, n)[0]
+    which = _match_candidates(rows, p, n)[1]
+    for j in range(p - 1):
+        moved = rows.copy()
+        moved[:, j] += M
+        for dtype in (np.int64, np.float32, np.float64):
+            matched, proposed = _match_candidates(moved.astype(dtype), p, n)
+            assert not matched.any() and (proposed == which).all()
+
+
 def test_candidate_keys_are_checked_distinct(monkeypatch):
     class Zero:
         def __init__(self, seed):
@@ -1122,7 +1151,7 @@ def test_classify_equals_norm_oracle_at_p_5_and_7():
 # memory of classification and certification
 # ---------------------------------------------------------------------------
 
-# Besides the transform's one (p, N) float buffer, classification holds
+# Besides the transform's one (p - 1, N) float buffer, classification holds
 # either the transform's scratch (SCRATCH_BYTES, at most the buffer's size)
 # or the matcher's bool and narrow candidate index per point and its work
 # arrays for MATCH_ROWS rows: three int64 entries, two gathered counts and
@@ -1136,7 +1165,7 @@ def _peak_bound(sp, per_point):
     """CLASSIFY_PEAK_BOUND buffers, the scratch, the matcher's work arrays,
     and per_point bytes for each point."""
     N, p = sp.size, sp.p
-    buffer = N * p * exact_float_dtype(N).itemsize
+    buffer = N * (p - 1) * exact_float_dtype(N).itemsize
     return (CLASSIFY_PEAK_BOUND * buffer + min(spectral.SCRATCH_BYTES, buffer)
             + MATCH_ROW_BYTES * min(N, spectral.MATCH_ROWS) + per_point * N)
 

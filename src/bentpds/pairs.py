@@ -14,10 +14,11 @@ v q1 / 2 multiply-adds each (_dense_counts).  As -D = D, the pair (x, y)
 and the pair (-y, -x) have the same difference, so of the high-digit rows
 h and gh - h, which count alike, one is multiplied, with weight 2.
 
-G is found from D alone (_orbit_group).  When the split falls between two
-factor fields, as on GF(p^m)^2, and q2 >= LIFT_MIN_Q2, c_hi is the least
-power w^k of a primitive w of the high field with a lift (c_lo, w^k);
-otherwise G is the scalars S that fix D (c_lo = c_hi in GF(p), n = |S|).
+G is found from D alone (_orbit_group), and handed on as its generator's
+maps y -> c_lo y and y -> c_hi y of the two halves.  When the split falls
+between two factor fields, as on GF(p^m)^2, and q2 >= LIFT_MIN_Q2, c_hi
+is the least power w^k of a primitive w of the high field with a lift
+(c_lo, w^k); otherwise G is the scalars S that fix D (n = |S|).
 Preimage sets of an l-form are unions of GF(p)^*-orbits, so |S| = p - 1;
 those of the Maiorana-McFarland and spread functions on GF(p^m)^2 are
 fixed by (x, y) -> (mu^{-e} x, mu y) or (mu x, mu y) for every mu, so
@@ -107,76 +108,74 @@ LIFT_MIN_Q2 = 64
 _PROBES = 16
 
 
-def _fixes(split: _RankSplit, M: np.ndarray, c_lo, c_hi: int) -> np.ndarray:
-    """phi D = D, for phi(x_lo, x_hi) = (c x_lo, c_hi x_hi) and each c of
-    the rank array c_lo, on the two factor fields of the split: one exact
-    lookup of phi(D) in the indicator M[hi, lo] per c, through the tables
-    of y -> c y and y -> c_hi y.  phi is a bijection only when c and c_hi
-    are nonzero, and then phi D within D is phi D = D; c = 0 can map D
-    into D, so it is refused here."""
-    lo_f, hi_f = split.halves
-    c_lo = np.asarray(c_lo).reshape(-1)
-    maps = lo_f.mul(c_lo[:, None], np.arange(lo_f.size))
-    inside = M[hi_f.mul(c_hi, np.arange(hi_f.size))[split.hi], maps[:, split.lo]].all(axis=1)
-    return inside & (c_lo != 0) & (c_hi != 0)
+def _fixes(split: _RankSplit, M: np.ndarray, lo_maps: np.ndarray, hi_map: np.ndarray):
+    """phi D = D for phi(x_lo, x_hi) = (lo_map[x_lo], hi_map[x_hi]), per
+    lo_map of lo_maps (one map, or one per row), the maps being rank
+    permutations of the two halves: one exact lookup of phi(D) in the
+    indicator M[hi, lo].  phi is a bijection, so phi D within D is
+    phi D = D."""
+    return M[hi_map[split.hi], lo_maps[..., split.lo]].all(axis=-1)
 
 
-def _lift(split: _RankSplit, M: np.ndarray, c_hi: int) -> int | None:
-    """A c_lo with (c_lo, c_hi) D = D, or None.  If (h, l) is in D with
-    l != 0, then (c_lo l, c_hi h) is in D too, so the candidates are x / l
-    for the nonzero x in row c_hi h of M; a D on the axis l = 0 has the one
-    candidate 1.  _PROBES members spread over D filter the candidates, and
-    _fixes checks the survivors exactly: the first alone, since it is a
-    lift unless a wrong candidate got past the probes, then the rest in
-    blocks whose int64 member lookups fit in SCRATCH_BYTES.  A refused
-    block's first candidate moves some member out of D, and a lift keeps
-    it in D, so the candidates left are first tested at that member."""
-    lo_f, hi_f = split.halves
+def _lift(split: _RankSplit, M: np.ndarray, hi_map: np.ndarray):
+    """(y -> c_lo y, hi_map) with (c_lo, c_hi) D = D, or None, for hi_map
+    y -> c_hi y.  If (h, l) is in D with l != 0, then (c_lo l, c_hi h) is
+    in D, so the candidates are x / l for the x != 0 in row c_hi h of M,
+    none 0; a D on the axis l = 0 has the one candidate 1.  _PROBES members
+    spread over D filter them, and _fixes checks the survivors exactly: the
+    first alone, since it is a lift unless a wrong candidate got past the
+    probes, then the rest in blocks whose int64 member lookups fit in
+    SCRATCH_BYTES.  A refused block's first candidate moves some member out
+    of D, and a lift keeps it in D, so the rest are first tested there."""
+    lo_f = split.halves[0]
     hi, lo = split.hi, split.lo
+    moved = hi_map[hi]  # the high digits of (c_lo, c_hi) D
     anchor = int(np.argmax(lo != 0))
     if lo[anchor]:
-        row = np.flatnonzero(M[hi_f.mul(c_hi, int(hi[anchor]))])
+        row = np.flatnonzero(M[moved[anchor]])
         candidates = lo_f.mul(row[row != 0], lo_f.inv(int(lo[anchor])))
     else:
         candidates = np.ones(1, dtype=np.int64)
     probe = np.arange(_PROBES) * (lo.size - 1) // (_PROBES - 1)
-    images = M[hi_f.mul(c_hi, hi[probe]), lo_f.mul(candidates[:, None], lo[probe])]
+    images = M[moved[probe], lo_f.mul(candidates[:, None], lo[probe])]
     candidates, rows = candidates[images.all(axis=1)], 1
     while candidates.size:
         block, candidates = candidates[:rows], candidates[rows:]
-        fixed = _fixes(split, M, block, c_hi)
+        maps = lo_f.mul(block[:, None], np.arange(lo_f.size))
+        fixed = _fixes(split, M, maps, hi_map)
         if fixed.any():
-            return int(block[fixed.argmax()])
+            return maps[fixed.argmax()], hi_map
         if candidates.size:  # block[0] moves member j out of D
-            j = int(np.argmin(M[hi_f.mul(c_hi, hi), lo_f.mul(int(block[0]), lo)]))
-            kept = M[hi_f.mul(c_hi, int(hi[j])), lo_f.mul(candidates, int(lo[j]))]
+            j = int(np.argmin(M[moved, maps[0, lo]]))
+            kept = M[moved[j], lo_f.mul(candidates, int(lo[j]))]
             candidates = candidates[kept != 0]
         rows = max(1, SCRATCH_BYTES // (8 * lo.size))
     return None
 
 
-def _least_lift(K: int, lift, c_top: int) -> tuple[int, int]:
-    """(k, c) for the least divisor k of K with c = lift(k) not None, given
-    that the k which lift are the multiples of the least one and that K
-    lifts to c_top.  k = 1 is tried first; otherwise k starts at K and is
+def _least_lift(K: int, lift, top):
+    """(k, lift(k)) for the least divisor k of K with lift(k) not None,
+    given that the k which lift are the multiples of the least one and that
+    K lifts to top.  k = 1 is tried first; otherwise k starts at K and is
     divided by each prime r of K while k / r lifts, which ends at the least
     k after at most one failed lift per prime.  At K = 1 nothing is tried."""
-    if K > 1 and (c := lift(1)) is not None:
-        return 1, c
-    k, c = K, c_top
+    if K > 1 and (found := lift(1)) is not None:
+        return 1, found
+    k, least = K, top
     for r in _prime_factors(K):
         while k % r == 0 and k > r and (found := lift(k // r)) is not None:
-            k, c = k // r, found
-    return k, c
+            k, least = k // r, found
+    return k, least
 
 
-def _orbit_group(split: _RankSplit, M: np.ndarray) -> tuple[int, int, int]:
-    """(c_lo, c_hi, n): a generator phi(x_lo, x_hi) = (c_lo x_lo, c_hi
-    x_hi) of a group G of per-half multiplications with phi D = D, for a D
-    with -D = D given by its rank split and its indicator M[hi, lo], and
-    the order n of c_hi.  count(phi g) = count(g), as phi maps the pairs of
-    g onto those of phi g, so one row per G-orbit of high digits is
-    multiplied (_pairing).
+def _orbit_group(split: _RankSplit, M: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """(lo_map, hi_map, n): a generator phi(x_lo, x_hi) = (c_lo x_lo, c_hi
+    x_hi) of a group G of per-half multiplications with phi D = D, as its
+    maps y -> c_lo y and y -> c_hi y of the halves, for a D with -D = D
+    given by its rank split and its indicator M[hi, lo], and the order n of
+    c_hi.  count(phi g) = count(g), as phi maps the pairs of g onto those
+    of phi g, so one row per G-orbit of high digits is multiplied
+    (_orbit_tables).
 
     G holds -1, and its image on the high half is cyclic: <w^k0> for a
     primitive w and the least k0 | K = (q - 1) / 2 such that w^k0 lifts to
@@ -188,9 +187,9 @@ def _orbit_group(split: _RankSplit, M: np.ndarray) -> tuple[int, int, int]:
     (x, y) -> (mu^{-e} x, mu y), and every spread set by (x, y) ->
     (mu x, mu y), so k0 = 1 and two products give every count.  Otherwise
     G is S = {+-1} . {lam in GF(p)^* : lam D = D}, scalars that act on
-    every split alike, with w primitive in GF(p), q = p and c_lo = c_hi;
-    lam lifts when lam D or -lam D is D, so S is the same group when
-    -D != D.  That takes a few O(|D|) tests (at most 6 at p = 13), and none
+    every split alike (_scaling), with w primitive in GF(p) and q = p;
+    lam lifts when _fixes finds lam D or -lam D is D, so S is the same
+    group when -D != D: a few O(|D|) tests, at most 6 at p = 13 and none
     at p = 3.
 
     LIFT_MIN_Q2 = 64 is where the search began to pay.  With
@@ -202,31 +201,33 @@ def _orbit_group(split: _RankSplit, M: np.ndarray) -> tuple[int, int, int]:
     1.7 ms at 5^6 (q2 = 125), 57 and 8 ms at 3^10 (q2 = 243).  With one +-x
     pair toggled the search finds nothing and is pure loss: 1.50 and
     2.54 ms at 3^8."""
-    p, h1, h2, hi, lo, _, _, halves = split
-    q2 = p ** h2
-    if halves is not None and q2 >= LIFT_MIN_Q2:
-        high = halves[1]
-        w = high.primitive_element
-        k, c_lo = _least_lift((q2 - 1) // 2, lambda k: _lift(split, M, high.pow(w, k)), p - 1)
-        return c_lo, high.pow(w, k), (q2 - 1) // k
+    p, h1, h2 = split.p, split.h1, split.h2
+    field = split.halves is not None and p ** h2 >= LIFT_MIN_Q2
+    q = p ** h2 if field else p
 
-    def scalar(k):
+    def scaled(c):  # y -> c y on both halves, c in GF(p)
+        return _scaling(p, h1, c), _scaling(p, h2, c)
+
+    def lift(k):  # a generator with the high map y -> w^k y, or None
+        if field:
+            high = split.halves[1]
+            return _lift(split, M, high.mul(high.pow(high.primitive_element, k), np.arange(q)))
         lam = pow(canonical_field(p, 1).primitive_element, k, p)
-        fixed = (M[_scaling(p, h2, c)[hi], _scaling(p, h1, c)[lo]].all() for c in (lam, p - lam))
-        return lam if any(fixed) else None
+        return scaled(lam) if any(_fixes(split, M, *scaled(c)) for c in (lam, p - lam)) else None
 
-    k, lam = _least_lift((p - 1) // 2, scalar, p - 1)
-    return lam, lam, (p - 1) // k
+    k, (lo_map, hi_map) = _least_lift((q - 1) // 2, lift, scaled(p - 1))
+    return lo_map, hi_map, (q - 1) // k
 
 
-def _orbit_tables(p: int, h2: int, hi: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """reps, hx, hy and dest for the cyclic group generated by the high-digit
-    map hi (x -> c_hi x, q2 = p^h2 ranks) of order n, which moves every
-    nonzero digit through an orbit of n.  reps holds the least rank gh of
-    each orbit, 0 first; dest[j] the ranks c_hi^j gh of the nonzero reps,
-    j < n; hx and hy = hx - gh, for each rep, the (q2 + 1) / 2 rows that
-    its product reads.  The orbit minima and dest are built by doubling,
-    from the maps c_hi^(2^t).
+@lru_cache(maxsize=None)
+def _orbit_tables(p: int, h2: int, hi: bytes, n: int) -> tuple[np.ndarray, ...]:
+    """reps, hx, hy and dest for the group of order n generated by the
+    bytes hi of _orbit_group's int64 hi_map (y -> c_hi y, q2 = p^h2 ranks).
+    reps holds the least rank gh of each orbit, 0 first; dest[j] the ranks
+    c_hi^j gh of the nonzero reps, j < n; hx and hy = hx - gh, for each
+    rep, the (q2 + 1) / 2 rows that its product reads.  The orbit minima
+    and dest are built by doubling, from the maps c_hi^(2^t).  Cached for
+    scalar and field groups alike, so read-only.
 
     For a symmetric D, (x, y) -> (-y, -x) maps the ordered pairs with
     difference g onto themselves and the high digit h of x to gh - h, so
@@ -235,7 +236,7 @@ def _orbit_tables(p: int, h2: int, hi: np.ndarray, n: int) -> tuple[np.ndarray, 
     h < gh - h, one of each other pair, of weight 2."""
     q2 = p ** h2
     ranks = np.arange(q2)
-    powers = [hi]
+    powers = [np.frombuffer(hi, dtype=np.int64)]
     while 2 ** len(powers) < n:
         powers.append(powers[-1][powers[-1]])
     orbit_min = ranks
@@ -249,48 +250,24 @@ def _orbit_tables(p: int, h2: int, hi: np.ndarray, n: int) -> tuple[np.ndarray, 
     h0 = _scaling(p, h2, (p + 1) // 2)[reps]  # (p + 1) / 2 = 1 / 2 mod p
     pairs = np.nonzero(ranks < t_hi[reps])[1].reshape(reps.size, (q2 - 1) // 2)
     hx = np.concatenate([h0[:, None], pairs], axis=1)
-    return reps, hx, t_hi[hx, reps[:, None]], dest[:n]
-
-
-@lru_cache(maxsize=None)
-def _scalar_pairing(p: int, h1: int, h2: int, lam: int, n: int) -> tuple[np.ndarray, ...]:
-    """_pairing's tables for the scalar group <(lam, lam)> of order n, whose
-    maps on each half scale every digit (_scaling).  Keyed by small
-    integers and shared between calls, so read-only."""
-    tables = _orbit_tables(p, h2, _scaling(p, h2, lam), n) + (
-        _scaling(p, h1, pow(lam, -1, p)),)
+    tables = reps, hx, t_hi[hx, reps[:, None]], dest[:n]
     for table in tables:
         table.setflags(write=False)
     return tables
 
 
-def _pairing(split: _RankSplit, c_lo: int, c_hi: int, n: int) -> tuple[np.ndarray, ...]:
-    """The tables of _dense_counts for the group <(c_lo, c_hi)> of
-    _orbit_group: _orbit_tables' reps, hx, hy and dest, and the low-digit
-    map y -> y / c_lo, through which the row of c_hi gh is read off the
-    row of gh.  A scalar group (c_lo = c_hi in GF(p)) acts digit by digit
-    on any split, and its tables are cached (_scalar_pairing); a field
-    group's are built from the two factor fields per call."""
-    p, h1, h2 = split.p, split.h1, split.h2
-    if c_lo == c_hi < p:
-        return _scalar_pairing(p, h1, h2, c_hi, n)
-    lo_f, hi_f = split.halves
-    return _orbit_tables(p, h2, hi_f.mul(c_hi, np.arange(hi_f.size)), n) + (
-        lo_f.mul(lo_f.inv(c_lo), np.arange(lo_f.size)),)
-
-
 def _dense_counts(split: _RankSplit) -> np.ndarray:
     """The same counts from the indicator matrix M[hi, lo] of D, which must
     satisfy -D = D.  For a high-digit difference gh, P = (w M[hx])^T M[hy]
-    over the rows hx of _pairing, of weight w, counts the pairs (h, l1),
+    over the rows hx of _orbit_tables, of weight w, counts the pairs (h, l1),
     (h - gh, l2) in D, and summing P along the low-digit difference
     t_lo[l1, l2] gives the row counts[gh, :].  Since count(phi g) =
     count(g) for the generator phi = (c_lo, c_hi) of _orbit_group, only the
     least gh of each orbit is multiplied: 1 + (q2 - 1) / n products of
     (q2 + 1) / 2 rows, about v q1 / 2 multiply-adds each, whatever |D| is.
-    Every other row is read through counts[c_hi^j gh, gl] =
-    counts[gh, c_lo^{-j} gl], by doubling j.  The products of several reps
-    share one matmul while P and its gather fit in SCRATCH_BYTES.
+    Every other row is written as counts[c_hi^j gh, c_lo^j gl] =
+    counts[gh, gl], by doubling j.  The products of several reps share one
+    matmul while P and its gather fit in SCRATCH_BYTES.
 
     The products run in float32.  An entry of P, and every partial sum
     behind it, is an integer in [0, q2 + 1], which _rank_split keeps exact.
@@ -300,8 +277,8 @@ def _dense_counts(split: _RankSplit) -> np.ndarray:
     q1, q2 = p ** h1, p ** h2
     M = np.zeros((q2, q1), dtype=np.float32)
     M[hi, lo] = 1
-    c_lo, c_hi, n = _orbit_group(split, M)
-    reps, hx, hy, dest, down = _pairing(split, c_lo, c_hi, n)
+    lo_map, hi_map, n = _orbit_group(split, M)
+    reps, hx, hy, dest = _orbit_tables(p, h2, hi_map.tobytes(), n)
     counts = np.zeros((q2, q1), dtype=np.int64)
     sum_dtype = exact_float_dtype(q1 * q2)
     # P.ravel()[along[l1, gl]] = P[l1, l1 - gl], built per call, since a
@@ -317,10 +294,11 @@ def _dense_counts(split: _RankSplit) -> np.ndarray:
         P = np.matmul(Mx.transpose(0, 2, 1), M[hy[b]])
         P = P.reshape(-1, q1 * q1).take(along, axis=1, mode="wrap")
         counts[reps[b]] = P.sum(axis=1, dtype=sum_dtype)
-    # rows j + step of dest from rows j, through down^step: y -> y / c_lo^step
-    step = 1
+    # rows j + step of dest from rows j: counts[c_hi^s gh, c_lo^s y] =
+    # counts[gh, y] at s = step, through up = lo_map^step
+    step, up = 1, lo_map
     while step < n:
         src = dest[:min(step, n - step)]
-        counts[dest[step:step + len(src)]] = counts[src[..., None], down]
-        step, down = 2 * step, down[down]
+        counts[dest[step:step + len(src), :, None], up] = counts[src]
+        step, up = 2 * step, up[up]
     return counts.ravel()

@@ -442,9 +442,9 @@ def verify_pds_bruteforce(space: Space, D) -> PdsParams | None:
     table lookups; a set with 16 |D| >= v goes through _dense_counts,
     1 + (q2 - 1) / n float32 products of (q2 + 1) / 2 rows, about v q1 / 2
     multiply-adds each (q1 q2 = v), where n >= 2 is the order of the
-    high-half multiplier c_hi of the group of D's symmetries that
-    _orbit_group finds: at most about v^2 / 4 multiply-adds when only +-1
-    fix D, and two products when c_hi is primitive, as for every
+    group of D's symmetries (c_lo x_lo, c_hi x_hi) that _orbit_group finds
+    and hands on as two half maps: at most about v^2 / 4 multiply-adds when
+    only +-1 fix D, and two products when c_hi is primitive, as for every
     Maiorana-McFarland and spread preimage on GF(p^m)^2.  The rule sits
     where the product won on every group measured: with single-threaded
     BLAS on a 2-vCPU Xeon VM, on random symmetric sets (|S| = 2, no larger

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import Field, canonical_field
+from .field import Field, _integer_entries, canonical_field
 
 
 class Space:
@@ -50,11 +50,21 @@ class Space:
 
     # -- linear rank maps --------------------------------------------------------
 
+    def check_ranks(self, x) -> np.ndarray:
+        """x as an array, one rank or many, each checked to be a rank."""
+        x = np.asarray(x)
+        if not _integer_entries(x):  # 1.5, True, '1' and ints past int64
+            raise ValueError(f"rank = {x} must be an integer")
+        low, high = x.min(initial=0), x.max(initial=0)
+        if low < 0 or high >= self.size:
+            raise ValueError(f"rank = {low or high} must be a rank in [0, {self.size})")
+        return x
+
     def negate(self, x):
         """-x, as an int for one rank and as an int64 array for an array of
         ranks: -1 scales every digit, so each half of the split
         r = hi p^low_digits + lo goes through its _scaling table."""
-        p, low, x = self.p, self.low_digits, np.asarray(x)
+        p, low, x = self.p, self.low_digits, self.check_ranks(x)
         hi = x // p ** low
         neg = _scaling(p, self.dim - low, p - 1)[hi] * p ** low
         neg += _scaling(p, low, p - 1)[x - hi * p ** low]

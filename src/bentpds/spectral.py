@@ -128,7 +128,7 @@ class VectorialFunction:
         return self.codomain.m
 
     def __call__(self, x: int) -> int:
-        return int(self.table[x])
+        return int(self.table[self.domain.check_ranks(x)])
 
     def __eq__(self, other):
         return (
@@ -322,8 +322,7 @@ def _digit_transform(C: np.ndarray, p: int, dim: int) -> np.ndarray:
     and so do the negative parts n_{p-1} and n_b; so in any summation order
     every partial sum lies in [-m, m].  The shift pass sums one padded
     entry per slot, then subtracts two such sums, whose difference is the
-    output entry.
-    partial sum lies in [-m, m]."""
+    output entry."""
     N, rows = C.shape[1], (p - 1) * p
     dense = p <= DENSE_PASS_MAX_P
     step = _dense_pass if dense else _shift_pass
@@ -684,12 +683,18 @@ def _certificate(
 def lform_exponents(f: VectorialFunction) -> set[int]:
     """All l in [1, p-1] with f(a x) = a^l f(x) for every scalar a != 0.
     The least primitive root g of GF(p) is tested alone: f(g x) = g^l f(x)
-    for all x gives f(g^k x) = (g^k)^l f(x) for every k."""
+    for all x gives f(g^k x) = (g^k)^l f(x) for every k.  d = g^l is read
+    at one x0 with f(x0) != 0 (as in _symmetry) and confirmed over the
+    whole table once; every l holds when f = 0."""
     _check_p_ary(f)
     p, g = f.p, canonical_field(f.p, 1).primitive_element
+    x0 = int(np.argmax(f.table != 0))
+    if f.table[x0] == 0:  # f = 0
+        return set(range(1, p))
     scaled = f.domain.gather_scaled(f.table, g)
-    return {l for l in range(1, p)
-            if np.array_equal(scaled, _apply(pow(g, l, p) * np.arange(p) % p, f.table, p))}
+    d = int(scaled[x0]) * pow(int(f.table[x0]), -1, p) % p
+    confirmed = np.array_equal(scaled, _apply(d * np.arange(p) % p, f.table, p))
+    return {l for l in range(1, p) if confirmed and pow(g, l, p) == d}
 
 
 @dataclass

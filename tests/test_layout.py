@@ -24,6 +24,10 @@ through its one decoder, _READER, which reads tables with numpy.
 spectral._certificate names no log_residue, and spectral.py defines no
 _scalar_orbits or _multipliers: the certificate reaches each member of an
 orbit by walking it, c -> d c and c -> lam c, and takes no discrete log.
+Likewise pairs.py defines no _scalar_pairing or _pairing: the pair
+counter's symmetry group reaches its tables as the generator's two half
+maps, whichever search found it, and one builder (_orbit_tables) serves
+both kinds of group.
 
 A Space keeps no table of its points: space.py names no cached_property
 and defines no neg, and no module reads a .neg attribute (a call of the
@@ -43,7 +47,7 @@ each can be compared with the code it checks.
 
 The pair-count route (every function of pairs.py: _rank_split,
 _gather_counts, the symmetry search _orbit_group, _least_lift, _lift and
-_fixes, _pairing and its tables, _dense_counts; and verify_pds_bruteforce
+_fixes, _orbit_tables, _dense_counts; and verify_pds_bruteforce
 and _candidacy in pds.py) names no transform (_char_counts,
 _digit_transform, walsh_full), no _symmetry of F and no certificate, and
 pairs.py imports nothing from spectral, so difference counting stays a
@@ -144,6 +148,18 @@ def test_certificate_takes_no_discrete_log():
     assert _names(_function_source(bad, "_certificate"), DISCRETE_LOGS) == ["log_residue"]
     assert _names(_function_source(bad, "_scalar_orbits"), DISCRETE_LOGS) == ["log_residue"]
     assert _defined(bad, LOG_DERIVATION) == ["_scalar_orbits", "_multipliers"]
+
+
+PAIRING_FORK = {"_scalar_pairing", "_pairing"}
+
+
+def test_pair_counter_tables_have_one_builder():
+    source = (Path(bentpds.__file__).parent / "pairs.py").read_text()
+    assert _defined(source, PAIRING_FORK | {"_orbit_tables"}) == ["_orbit_tables"]
+    bad = ('def _scalar_pairing(p, lam):\n    return _orbit_tables(p, lam)\n\n'
+           'def _pairing(split, c_lo, c_hi):\n    """Not _scalar_pairing."""\n'
+           '    return _scalar_pairing(split.p, c_hi)\n')
+    assert _defined(bad, PAIRING_FORK) == ["_scalar_pairing", "_pairing"]
 
 
 def _attribute_reads(source: str, name: str) -> list[str]:
@@ -291,7 +307,7 @@ def test_oracles_share_no_code_with_what_they_check():
 
 PDS_ROUTE = {"verify_pds_bruteforce", "_candidacy"}
 PAIR_COUNT_ENGINE = {"_rank_split", "_gather_counts", "_orbit_group", "_least_lift", "_lift",
-                     "_fixes", "_orbit_tables", "_pairing", "_dense_counts"}
+                     "_fixes", "_orbit_tables", "_dense_counts"}
 TRANSFORM_NAMES = {"_char_counts", "_digit_transform", "walsh_full", "_symmetry"}
 
 

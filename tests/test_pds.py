@@ -585,7 +585,12 @@ def _check_orbit_group(sp, Dv: np.ndarray, order: int) -> list[int]:
     members, mirror = set(Dv.tolist()), set(negate_ranks(sp, Dv).tolist())
     expected = [lam for lam in range(1, p)
                 if set(sp.gather_scaled(ranks, lam)[Dv].tolist()) in (members, mirror)]
-    c_lo, c_hi, n = pairs._orbit_group(split, M)
+    lo_map, hi_map, n = pairs._orbit_group(split, M)
+    low, high = SimpleNamespace(p=p, dim=split.h1), SimpleNamespace(p=p, dim=split.h2)
+    c_lo = int(lo_map[1])  # the maps send rank 1 to c
+    c_hi = int(hi_map[1]) if split.h2 else c_lo
+    assert lo_map.tolist() == [scalar_mul(low, c_lo, y) for y in range(p ** split.h1)]
+    assert hi_map.tolist() == [scalar_mul(high, c_hi, y) for y in range(p ** split.h2)]
     S = sorted({pow(c_hi, j, p) for j in range(n)})
     assert c_lo == c_hi and len(S) == n
     assert S == expected
@@ -661,9 +666,12 @@ def _mul_set(sp, Dv: np.ndarray, c_lo: int, c_hi: int) -> np.ndarray:
 def _symmetry_route_counts(sp, Dv: np.ndarray) -> tuple[int, int, int]:
     """The dense counts of Dv with the search at every q2 and with S alone
     (no search), the gather route and the per-pair oracle, all equal; the
-    group the search found must fix D as a set.  Returns that group."""
+    group the search found must fix D as a set, and its maps must be the
+    factors' multiplications by c_lo = lo_map[1] and c_hi = hi_map[1].
+    Returns (c_lo, c_hi, n)."""
     split = pairs._rank_split(sp, Dv)
-    q1, q2 = sp.factors[0].size, sp.factors[1].size
+    lo_f, hi_f = sp.factors
+    q1, q2 = lo_f.size, hi_f.size
     expected = pair_counts(sp, Dv)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(pairs, "LIFT_MIN_Q2", sp.size + 1)
@@ -672,12 +680,15 @@ def _symmetry_route_counts(sp, Dv: np.ndarray) -> tuple[int, int, int]:
         m.setattr(pairs, "LIFT_MIN_Q2", 1)
         M = np.zeros((q2, q1), dtype=np.float32)
         M[Dv // q1, Dv % q1] = 1
-        c_lo, c_hi, n = pairs._orbit_group(split, M)
+        lo_map, hi_map, n = pairs._orbit_group(split, M)
         assert np.array_equal(pairs._dense_counts(split), expected)
     assert np.array_equal(pairs._gather_counts(split), expected)
+    c_lo, c_hi = int(lo_map[1]), int(hi_map[1])  # the maps send rank 1 to c
+    assert np.array_equal(lo_map, lo_f.mul(c_lo, np.arange(q1)))
+    assert np.array_equal(hi_map, hi_f.mul(c_hi, np.arange(q2)))
     assert c_lo != 0 and np.array_equal(_mul_set(sp, Dv, c_lo, c_hi), Dv)
-    assert pairs._fixes(split, M, [c_lo], c_hi).tolist() == [True]
-    assert sp.factors[1].multiplicative_order(c_hi) == n
+    assert pairs._fixes(split, M, lo_map[None], hi_map).tolist() == [True]
+    assert hi_f.multiplicative_order(c_hi) == n
     return c_lo, c_hi, n
 
 
@@ -742,9 +753,10 @@ def test_symmetry_route_counts_a_set_with_one_pair_toggled():
     split = pairs._rank_split(sp, D)
     M = np.zeros((81, 81), dtype=np.float32)
     M[D // 81, D % 81] = 1
-    c_lo, c_hi, n = pairs._orbit_group(split, M)
-    assert n == 80 and pairs._fixes(split, M, c_lo, c_hi).all()
+    lo_map, hi_map, n = pairs._orbit_group(split, M)
+    assert n == 80 and pairs._fixes(split, M, lo_map, hi_map)
     lo_f, hi_f = sp.factors
+    c_lo, c_hi = int(lo_map[1]), int(hi_map[1])
     outside = next(x for x in range(1, sp.size) if x not in set(D.tolist()))
     for x in [D[1], D[-2], D[D.size // 2 + 1], outside]:
         toggled = np.setxor1d(D, [x, sp.negate(int(x))])
@@ -753,8 +765,8 @@ def test_symmetry_route_counts_a_set_with_one_pair_toggled():
         M[toggled // 81, toggled % 81] = 1
         probe = np.linspace(0, toggled.size - 1, pairs._PROBES).astype(np.int64)
         assert M[hi_f.mul(c_hi, split.hi[probe]), lo_f.mul(c_lo, split.lo[probe])].all()
-        assert not pairs._fixes(split, M, c_lo, c_hi).any()
-        assert pairs._lift(split, M, c_hi) is None
+        assert not pairs._fixes(split, M, lo_map, hi_map)
+        assert pairs._lift(split, M, hi_map) is None
         _symmetry_route_counts(sp, toggled)
         assert verify_pds_bruteforce(sp, toggled) is None
 
@@ -773,9 +785,9 @@ def test_a_refused_candidate_filters_the_rest():
     split = pairs._rank_split(sp, Dv)
     fixes, checked = pairs._fixes, []
 
-    def recording(split, M, c_lo, c_hi):
-        checked.append(np.size(c_lo))
-        return fixes(split, M, c_lo, c_hi)
+    def recording(split, M, lo_maps, hi_map):
+        checked.append(np.atleast_2d(lo_maps).shape[0])  # candidate maps
+        return fixes(split, M, lo_maps, hi_map)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(pairs, "_fixes", recording)
@@ -790,13 +802,14 @@ def test_fixes_reads_every_member():
     that member alone, and _fixes refuses it.  A symmetric set cannot show
     this: a member fails with its mirror."""
     sp = _two_factor(3, 2)
-    w = sp.factors[0].primitive_element
+    F = sp.factors[0]
+    times_w = F.mul(F.primitive_element, np.arange(9))
     D = np.arange(1, 9) * 9
     for Dv in (D, np.union1d(D, [1]), np.union1d(D, [80])):
         split = pairs._rank_split(sp, Dv)
         M = np.zeros((9, 9), dtype=np.float32)
         M[Dv // 9, Dv % 9] = 1
-        assert pairs._fixes(split, M, w, w).tolist() == [Dv.size == D.size]
+        assert pairs._fixes(split, M, times_w[None], times_w).tolist() == [Dv.size == D.size]
 
 
 @pytest.mark.parametrize("p,m", [(3, 2), (3, 4), (5, 2)])
@@ -812,64 +825,116 @@ def test_symmetry_route_counts_a_set_on_the_low_zero_axis(p, m):
 
 
 def test_symmetry_route_refuses_c_lo_zero():
-    """D = {(0, y) : y != 0} with +-(1, 1) on GF(9)^2: (0, w) maps D into D,
-    but it is no bijection, and no lift of a power of w fixes D, so the
-    group is S."""
+    """D = {(0, y) : y != 0} with +-(1, 1) on GF(9)^2: (0, w^k) maps D into
+    D for every k, so the zero map passes _fixes's lookup, but it is no
+    bijection.  _lift never proposes it: it lifts w^k only where w^k is
+    +-1, and the group is S."""
     sp = _two_factor(3, 2)
+    F = sp.factors[1]
+    w = F.primitive_element
     D = np.union1d(np.arange(1, 9) * 9, [1 + 9, sp.negate(1 + 9)])
     split = pairs._rank_split(sp, D)
     M = np.zeros((9, 9), dtype=np.float32)
     M[D // 9, D % 9] = 1
-    w = sp.factors[1].primitive_element
-    assert M[sp.factors[1].mul(w, split.hi), 0].all()  # (0, w) D lies in D
-    assert pairs._fixes(split, M, [0, 1, w], w).tolist() == [False, False, False]
+    zero = np.zeros(9, dtype=np.int64)
+    for k in range(1, 9):
+        times = F.mul(F.pow(w, k), np.arange(9))
+        assert pairs._fixes(split, M, zero, times)  # (0, w^k) D lies in D
+        lifted = pairs._lift(split, M, times)
+        assert (lifted if lifted is None else int(lifted[0][1])) == {4: 2, 8: 1}.get(k)
+    one_and_w = F.mul(np.array([[1], [w]]), np.arange(9))
+    assert not pairs._fixes(split, M, one_and_w, F.mul(w, np.arange(9))).any()
     c_lo, c_hi, n = _symmetry_route_counts(sp, D)
     assert (c_lo, c_hi, n) == (2, 2, 2)
+
+
+def _check_pairing(p: int, h2: int, hi_map: np.ndarray, n: int, q1: int, times):
+    """_orbit_tables of the group of order n generated by hi_map, with
+    times(j, gh) = c_hi^j gh.  Per rep gh, (q2 + 1) / 2 rows hx: first h0,
+    2 h0 = gh digit by digit, of weight 1, then one of each other pair
+    {h, gh - h}, of weight 2; hy = hx - gh.  h -> gh - h is an involution
+    whose one fixed point is h0.  dest[j] holds c_hi^j gh for the nonzero
+    reps, j < n.  The tables are cached per map, read-only, and none has
+    the q1^2 entries of a (q1, q1) table."""
+    high, q2 = SimpleNamespace(p=p, dim=h2), p ** h2  # for space_oracle
+
+    def minus(a, b):
+        return add(high, a, negate(high, b))
+
+    pairs._orbit_tables.cache_clear()
+    tables = pairs._orbit_tables(p, h2, hi_map.tobytes(), n)
+    assert pairs._orbit_tables(p, h2, hi_map.copy().tobytes(), n) is tables
+    assert pairs._orbit_tables.cache_info()[:2] == (1, 1)  # hits, misses
+    reps, hx, hy, dest = tables
+    assert reps.tolist() == sorted({min(times(j, g) for j in range(n)) for g in range(q2)})
+    assert hx.shape == hy.shape == (reps.size, (q2 + 1) // 2)
+    for gh, (h0, *paired), below in zip(reps.tolist(), hx.tolist(), hy.tolist()):
+        mirror = [minus(gh, h) for h in range(q2)]
+        assert all(mirror[mirror[h]] == h for h in range(q2))
+        assert [h for h in range(q2) if mirror[h] == h] == [h0]
+        assert add(high, h0, h0) == gh
+        assert sorted([h0] + paired + [mirror[h] for h in paired]) == list(range(q2))
+        assert below == [minus(h, gh) for h in [h0] + paired]
+    assert dest.tolist() == [[times(j, gh) for gh in reps[1:].tolist()] for j in range(n)]
+    for table in tables:
+        assert not table.flags.writeable
+        assert table.size < q1 * q1
 
 
 @pytest.mark.parametrize("p,h1,h2", [(3, 1, 0), (3, 1, 1), (3, 3, 3), (5, 2, 2), (7, 3, 2),
                                      (13, 1, 1), (13, 2, 2)])
 def test_pairing_tables_pair_each_row_with_its_mirror(p, h1, h2):
-    """Per rep gh, (q2 + 1) / 2 rows hx: first h0, 2 h0 = gh digit by
-    digit, of weight 1, then one of each other pair {h, gh - h}, of
-    weight 2; hy = hx - gh.  h -> gh - h is an involution whose one fixed
-    point is h0.  dest[j] holds lam^j gh for the nonzero reps, j < |S|, and
-    the row of lam gh is read off that of gh through y -> y / lam.  The
-    tables of a scalar group are cached per (p, h1, h2, lam, |S|), and none
-    has the q1^2 entries of a (q1, q1) table."""
-    low, high = SimpleNamespace(p=p, dim=h1), SimpleNamespace(p=p, dim=h2)  # for space_oracle
-    q1, q2 = p ** h1, p ** h2
-
-    def minus(a, b):
-        return add(high, a, negate(high, b))
-
+    """_check_pairing's tables for each scalar group <lam> that holds -1,
+    whose maps scale every digit (_scaling)."""
+    high = SimpleNamespace(p=p, dim=h2)
     for lam in range(2, p):
         n = next(k for k in range(1, p) if pow(lam, k, p) == 1)
-        S = {pow(lam, k, p) for k in range(n)}
-        if p - 1 not in S:
+        if p - 1 not in {pow(lam, k, p) for k in range(n)}:
             continue  # every orbit group holds -1
-        pairs._scalar_pairing.cache_clear()
-        tables = pairs._scalar_pairing(p, h1, h2, lam, n)
-        split = SimpleNamespace(p=p, h1=h1, h2=h2, halves=None)
-        assert pairs._pairing(split, lam, lam, n) is tables
-        assert pairs._scalar_pairing.cache_info()[:2] == (1, 1)  # hits, misses
-        reps, hx, hy, dest, down = tables
-        assert reps.tolist() == sorted({min(scalar_mul(high, c, g) for c in S)
-                                        for g in range(q2)})
-        assert hx.shape == hy.shape == (reps.size, (q2 + 1) // 2)
-        for gh, (h0, *paired), below in zip(reps.tolist(), hx.tolist(), hy.tolist()):
-            mirror = [minus(gh, h) for h in range(q2)]
-            assert all(mirror[mirror[h]] == h for h in range(q2))
-            assert [h for h in range(q2) if mirror[h] == h] == [h0]
-            assert add(high, h0, h0) == gh
-            assert sorted([h0] + paired + [mirror[h] for h in paired]) == list(range(q2))
-            assert below == [minus(h, gh) for h in [h0] + paired]
-        assert dest.tolist() == [[scalar_mul(high, pow(lam, j, p), gh) for gh in reps[1:].tolist()]
-                                 for j in range(n)]
-        assert down.tolist() == [scalar_mul(low, pow(lam, -1, p), y) for y in range(q1)]
-        for table in tables:
-            assert not table.flags.writeable
-            assert table.size < q1 * q1
+        _check_pairing(p, h2, pairs._scaling(p, h2, lam), n, p ** h1,
+                       lambda j, g: scalar_mul(high, pow(lam, j, p), g))
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (5, 2), (7, 2)])
+def test_pairing_tables_of_a_field_group_pair_each_row_with_its_mirror(p, m):
+    """_check_pairing's tables for each field group <w^k> of GF(p^m),
+    k | (q - 1) / 2 so that it holds -1, whose map is y -> w^k y in the
+    field (Field.mul), as the lift search builds it; dest[j] holds
+    w^(jk) gh by the field's own multiplication."""
+    F = canonical_field(p, m)
+    K = (F.size - 1) // 2
+    for k in (k for k in range(1, K + 1) if K % k == 0):
+        c = F.pow(F.primitive_element, k)
+        _check_pairing(p, m, F.mul(c, np.arange(F.size)), (F.size - 1) // k, F.size,
+                       lambda j, g: F.mul(F.pow(c, j), g))
+
+
+def test_field_search_finding_only_minus_one_gives_the_scalar_tables():
+    """With one +-x pair toggled, no power of w below -1 lifts on a 3^8
+    mm-power D_0 (q2 = 81 >= LIFT_MIN_Q2).  The field search then returns
+    -1 on both halves: the maps of the scalar group {+-1}, and so the same
+    cached tables, and the counts are the oracle's."""
+    F = mm_power(3, 4, 2, 1, 7).function
+    sp = F.domain
+    D = zero_preimage(F).ranks
+    toggled = np.setxor1d(D, [D[-2], sp.negate(int(D[-2]))])
+    split = pairs._rank_split(sp, toggled)
+    M = np.zeros((81, 81), dtype=np.float32)
+    M[toggled // 81, toggled % 81] = 1
+    lift, lifts = pairs._lift, []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(pairs, "_lift", lambda *args: lifts.append(lift(*args)) or lifts[-1])
+        field = pairs._orbit_group(split, M)
+    assert lifts and all(found is None for found in lifts)  # the field search ran, in vain
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(pairs, "LIFT_MIN_Q2", sp.size + 1)
+        scalar = pairs._orbit_group(split, M)
+    assert field[2] == scalar[2] == 2
+    assert np.array_equal(field[0], scalar[0]) and np.array_equal(field[1], scalar[1])
+    assert np.array_equal(field[1], sp.factors[1].mul(2, np.arange(81)))  # -1 in GF(81)
+    tables = pairs._orbit_tables(3, 4, field[1].tobytes(), 2)
+    assert pairs._orbit_tables(3, 4, scalar[1].tobytes(), 2) is tables
+    assert np.array_equal(pairs._dense_counts(split), pair_counts(sp, toggled))
 
 
 # (p, width) for the pair counter's digit tables, width 0 included

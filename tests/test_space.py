@@ -61,6 +61,31 @@ def test_negate():
             assert sp.negate(sp.negate(x)) == x
 
 
+def test_out_of_range_ranks_are_refused():
+    """A rank outside [0, N) is refused with Field.check_rank's wording,
+    alone or in an array, by negate and by a function's value; once -1
+    gave 40 and 81 a bare IndexError on GF(3)^4.  A rank that is no
+    integer by the library's one integer rule is refused as well."""
+    from bentpds.spectral import VectorialFunction
+
+    sp = prime_space(3, 4)
+    F = VectorialFunction(sp, F3, np.arange(sp.size) % 3)
+    for bad in (-1, 81, -81, 10 ** 6):
+        message = rf"rank = {bad} must be a rank in \[0, 81\)"
+        for call in (sp.negate, F):
+            with pytest.raises(ValueError, match=message):
+                call(bad)
+            with pytest.raises(ValueError, match=message):
+                call(np.int64(bad))
+        with pytest.raises(ValueError, match=message):
+            sp.negate(np.array([0, bad, 80]))
+    for bad in (1.5, True, "3", 2 ** 70, np.array([0.0, 1.0])):
+        for call in (sp.negate, F):
+            with pytest.raises(ValueError, match="must be an integer"):
+                call(bad)
+    assert sp.negate(np.array([0, 80])).tolist() == [0, 40] and F(80) == 2
+
+
 # a prime space, and two whose rank split falls inside a factor
 NEGATE_SPACES = [prime_space(5, 3), Space([F27]), Space([F3, F9])]
 

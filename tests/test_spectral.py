@@ -325,6 +325,32 @@ def test_lform_examples():
     assert f.table.dtype == np.uint8 and lform_exponents(f) == {8}
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 17])
+def test_lform_exponents_equal_the_definition(p):
+    """lform_exponents, which confirms one l over the table, equals the
+    definition, p - 1 whole-table comparisons f(g x) = g^l f(x) over the
+    scaling x -> g x of space_oracle, on l-forms, on functions that are
+    none, on f = 0 and on nonzero constants (l = p - 1).  At p = 17,
+    g^l f(x) passes 255 and would wrap in the uint8 table."""
+    sp, g = prime_space(p, 2), canonical_field(p, 1).primitive_element
+    x, y = np.arange(sp.size) % p, np.arange(sp.size) // p
+
+    def power(a, l):
+        return np.array([pow(int(v), l, p) for v in a])
+
+    rng = np.random.default_rng(p)
+    tables = [np.zeros(sp.size, dtype=np.int64), np.full(sp.size, p - 1),
+              rng.integers(0, p, sp.size), (x + y * y) % p]
+    for l in range(1, p):
+        tables += [power(x, l), (power(x, l) + 3 * power(x, p - 1) * power(y, l)) % p,
+                   (power(x, l) + power(y, l % (p - 1) + 1)) % p]
+    scaled = [scalar_mul(sp, g, v) for v in range(sp.size)]
+    for table in tables:
+        expected = {l for l in range(1, p)
+                    if np.array_equal(table[scaled], pow(g, l, p) * table % p)}
+        assert lform_exponents(p_ary(sp, table)) == expected, table
+
+
 def test_lform_exponents_retain_no_scaling_map():
     # each scaling is gathered per factor and dropped; a cache of them held
     # p - 2 whole-space int64 maps, 4.7 MB here and 231 MB at 7^8

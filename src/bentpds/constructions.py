@@ -244,7 +244,9 @@ def regular_spread(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     Line 0 is {0} x F and line 1 + a is {(x, ax)}, in rank order of a.
     line[z] is the line through the point z = x + p^m y (line 0 for z = 0,
     which lies on every line); perp[i] is the orthogonal complement of line
-    i under Tr(z1 x1 + z2 x2)."""
+    i under Tr(z1 x1 + z2 x2).  The p^{2m} points must be within the table
+    cap, checked before anything is built."""
+    _check_shape(p, 1, m, m)  # no codomain: s = 1 passes
     F = canonical_field(p, m)
     q = F.size
     y, x = np.divmod(np.arange(q * q), q)

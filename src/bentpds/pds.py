@@ -407,8 +407,9 @@ def _candidacy(space: Space, D) -> tuple[np.ndarray, np.ndarray]:
     """D as a sorted rank array and as a bool indicator over space, checked
     to avoid 0 and to satisfy -D = D, by one lookup of the indicator at
     space.negate of the ranks.  A PreimageSet's ranks are taken as they are
-    once its group matches space in p and size; any other iterable must
-    hold distinct integer ranks of space (see _integer_entries)."""
+    once its group matches space in p and size and they are strictly
+    increasing ranks of space; any other iterable must hold distinct
+    integer ranks of space (see _integer_entries), and is sorted."""
     if isinstance(D, PreimageSet):
         if (D.group.p, D.group.size) != (space.p, space.size):
             raise ValueError(f"the set's group has {D.group.size} points, not {space.size}")
@@ -417,10 +418,11 @@ def _candidacy(space: Space, D) -> tuple[np.ndarray, np.ndarray]:
         if not _integer_entries(D):
             raise ValueError("members must be integer ranks")
         Dv = np.sort(np.fromiter(D, dtype=np.int64, count=len(D)))
-        if Dv.size and (Dv[0] < 0 or Dv[-1] >= space.size):
-            raise ValueError(f"members must be ranks in [0, {space.size})")
-        if (Dv[1:] == Dv[:-1]).any():
-            raise ValueError("members must be distinct ranks")
+    # sorted iterables fail only on a repeat; a PreimageSet also on a descent
+    if (Dv[1:] <= Dv[:-1]).any():
+        raise ValueError("members must be distinct ranks")
+    if Dv.size and (Dv[0] < 0 or Dv[-1] >= space.size):
+        raise ValueError(f"members must be ranks in [0, {space.size})")
     if Dv.size and Dv[0] == 0:
         raise ContainsZero("0 must not belong to a regular PDS candidate")
     in_D = np.zeros(space.size, dtype=bool)

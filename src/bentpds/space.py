@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import Field, _integer_entries, canonical_field
+from .field import Field, _check_integer, _integer_entries, canonical_field
 
 
 class Space:
@@ -71,9 +71,10 @@ class Space:
         return neg if x.ndim else int(neg)
 
     def gather_scaled(self, values: np.ndarray, c: int) -> np.ndarray:
-        """values[c x] at every x, c read mod p, for an array whose first
-        axis runs over the space: the _scaling table of each half."""
-        p, low, c = self.p, self.low_digits, int(c) % self.p
+        """values[c x] at every x, for an integer c (field._check_integer)
+        read mod p and an array whose first axis runs over the space: the
+        _scaling table of each half."""
+        p, low, c = self.p, self.low_digits, int(_check_integer(c, "multiplier")) % self.p
         halves = ((low, 1), (self.dim - low, p ** low))
         return self._gather(values, [(_scaling(p, w, c), shift) for w, shift in halves])
 

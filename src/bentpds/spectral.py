@@ -17,7 +17,8 @@ larger p it is p^2 slice-adds of shifted rows, padded with a zero
 zeta^{p-1} row and reduced once per u.  u lands above i', so after n
 passes the frequencies are in natural order with no transpose or digit
 reversal.  The last T passes (T = 3 at p = 3, 2 at p = 5, else 1) are
-one 2-D product with a {-1, 0, 1} matrix.  It runs in place: one
+one 2-D product with the {-1, 0, 1} matrix of T digits at once, built by
+the same closed form as a pass's (_digit_matrix).  It runs in place: one
 (p - 1, p^n) buffer and a fixed scratch array hold everything, and the
 output is that buffer as (p^n, p - 1) rows (_digit_transform).  The
 coefficients are floats: every one and every partial sum has magnitude at
@@ -197,33 +198,37 @@ def _apply(values, table: np.ndarray, q: int) -> np.ndarray:
 DENSE_PASS_MAX_P = 13
 
 
-@lru_cache(maxsize=None)  # one entry per (p <= DENSE_PASS_MAX_P, dtype)
-def _pass_matrices(p: int, dtype: np.dtype) -> np.ndarray:
-    """B[u (p - 1) + i, j p + t] = coefficient i of zeta^{j - u t} in the
-    basis {1, ..., zeta^{p-2}}: the digit pass that takes the coefficient at
-    (j, digit t) to (digit u, coefficient i).  Within the rows of one u, a
-    column holds a single 1, or -1 in each row where j - u t = p - 1.
-    Shared between calls, so read-only."""
-    u, j, t = np.indices((p, p - 1, p))
+@lru_cache(maxsize=None)  # one entry per (p, T, dtype)
+def _digit_matrix(p: int, T: int, dtype: np.dtype) -> np.ndarray:
+    """B_T[u (p - 1) + i', i p^T + t] = coefficient i' of zeta^{i - <u, t>}
+    in the basis {1, ..., zeta^{p-2}}, for T-digit vectors u and t, most
+    significant digit first: T digit passes at once, taking the coefficient
+    at (i, digits t) to (digits u, coefficient i').  Within the rows of one
+    u, a column holds a single 1, or -1 in each row where i - <u, t> = p - 1
+    mod p.  C-contiguous (with a Fortran-ordered B_1 the stacked passes made
+    a 3^12 transform about 10% slower), and read-only, as calls share it."""
+    digits = np.indices((p,) * T).reshape(T, -1)  # column t: the digits of t
+    i = np.arange(p - 1)[:, None]
     basis = reduce_counts(np.eye(p, dtype=dtype))  # row k: zeta^k
-    B = basis[(j - u * t) % p].transpose(0, 3, 1, 2).reshape(p * (p - 1), -1)
+    B = basis[(i - (digits.T @ digits)[:, None, :]) % p]  # (u, i, t, i')
+    B = np.ascontiguousarray(B.transpose(0, 3, 1, 2).reshape((p - 1) * p ** T, -1))
     B.setflags(write=False)
     return B
 
 
 def _dense_pass(X: np.ndarray, Y: np.ndarray, p: int) -> None:
     """One digit pass from X to Y, both (b, (p - 1) p, c) views: the product
-    with B of _pass_matrices."""
-    np.matmul(_pass_matrices(p, X.dtype), X, out=Y)
+    with B_1 of _digit_matrix."""
+    np.matmul(_digit_matrix(p, 1, X.dtype), X, out=Y)
 
 
-# Largest row (p - 1) p^T of the tail matrix K_T (_tail_matrix), which
-# folds a block's last T passes into one 2-D product.  A stacked pass over
-# few columns (R = p^{dim-k-1}) is many tiny BLAS products; one 2-D product
-# with the larger K_T does the same work faster, until K_T's (p - 1)^2
-# p^{2T} entries outgrow the saving.  With single-threaded BLAS on a 2-vCPU
-# Xeon VM (minima of 7 runs, best of 3 rounds) a float32 transform took,
-# at T = 1, 2, 3 and 4:
+# Largest row (p - 1) p^T of the tail product, which folds a block's last
+# T passes into one 2-D product with B_T of _digit_matrix.  A stacked pass
+# over few columns (R = p^{dim-k-1}) is many tiny BLAS products; one 2-D
+# product with the larger B_T does the same work faster, until its
+# (p - 1)^2 p^{2T} entries outgrow the saving.  With single-threaded BLAS
+# on a 2-vCPU Xeon VM (minima of 7 runs, best of 3 rounds) a float32
+# transform took, at T = 1, 2, 3 and 4:
 #   3^12 9.0, 6.2, 6.1, 7.3 ms; 3^8 0.095, 0.071, 0.067, 0.093 ms;
 #   5^8 12.7, 11.5, 22.2 ms and 5^6 0.37, 0.33, 0.73 ms (T <= 3);
 #   7^6 6.8, 7.7 ms and 7^4 0.12, 0.16 ms (T <= 2).
@@ -238,23 +243,6 @@ def _tail_length(p: int) -> int:
     while (p - 1) * p ** (T + 1) <= TAIL_ENTRIES:
         T += 1
     return T
-
-
-@lru_cache(maxsize=None)  # one entry per (p, T, dtype)
-def _tail_matrix(p: int, T: int, dtype: np.dtype) -> np.ndarray:
-    """K_T, square of side (p - 1) p^T: the last T passes of a block.  Row
-    r is the image of the r-th unit vector of a block (coefficient i, then
-    the T digits of x left) under T passes with B: the coefficients of
-    zeta^{i - <u, t>} at each frequency u, so an entry is in {-1, 0, 1}.
-    Shared between calls, so read-only."""
-    size = (p - 1) * p ** T
-    src, dst = np.eye(size, dtype=dtype), np.empty((size, size), dtype=dtype)
-    for k in range(T):
-        shape = (size * p ** k, (p - 1) * p, -1)
-        _dense_pass(src.reshape(shape), dst.reshape(shape), p)
-        src, dst = dst, src
-    src.setflags(write=False)
-    return src
 
 
 def _shift_pass(X: np.ndarray, Y: np.ndarray, p: int) -> None:
@@ -294,8 +282,8 @@ def _digit_transform(C: np.ndarray, p: int, dim: int) -> np.ndarray:
     a block per frequency prefix made so far, the pairs (i, t) of the
     coefficient and the top digit of x left, and the rest of x.  It maps
     (i, t) to (u, i'), so u joins the prefix, and it mixes nothing across
-    blocks or across the R columns.  Passes are products with B of
-    _pass_matrices for p <= DENSE_PASS_MAX_P and the shifts of _shift_pass
+    blocks or across the R columns.  Passes are products with B_1 of
+    _digit_matrix for p <= DENSE_PASS_MAX_P and the shifts of _shift_pass
     above it.
 
     Everything happens in C's own memory and one scratch array S: of
@@ -307,16 +295,16 @@ def _digit_transform(C: np.ndarray, p: int, dim: int) -> np.ndarray:
     own place in C and S, the last step from S back to that place.  With
     products, the last step is a block's last T passes (_tail_length, at
     most the passes left in the block) as one 2-D product of its rows of
-    (p - 1) p^T coefficients with K_T of _tail_matrix: those passes have
-    R < p^T, so stacked they would be many tiny BLAS calls.  The result is
-    C's memory as (p^dim, p - 1) rows.
+    (p - 1) p^T coefficients with the transpose of B_T of _digit_matrix:
+    those passes have R < p^T, so stacked they would be many tiny BLAS
+    calls.  The result is C's memory as (p^dim, p - 1) rows.
 
     Each entry of C is [e = i] - [e = p - 1] for a value zeta^e at x, or 0
     where x has none, and the transform is exact while exact_float_dtype(m),
     m the points with a value, is no wider than C's dtype.  After k passes
     an entry is n_i - n_{p-1}, n_j the number of its p^k points whose term
-    is zeta^j.  An output entry of a pass, or of K_T, takes from each slot
-    t (one digit, or T digits for K_T) at most two input entries, one with
+    is zeta^j.  An output entry of a pass, or of B_T, takes from each slot
+    t (one digit, or T digits for B_T) at most two input entries, one with
     each sign: n_a - n_{p-1} and -(n_b - n_{p-1}), a != b, both != p - 1.
     Within a slot, the positive parts n_a and n_{p-1} count disjoint points,
     and so do the negative parts n_{p-1} and n_b; so in any summation order
@@ -355,7 +343,7 @@ def _digit_transform(C: np.ndarray, p: int, dim: int) -> np.ndarray:
             src, dst = dst, src
         if dense:
             side = (p - 1) * p ** T
-            np.matmul(src.reshape(-1, side), _tail_matrix(p, T, C.dtype), out=block.reshape(-1, side))
+            np.matmul(src.reshape(-1, side), _digit_matrix(p, T, C.dtype).T, out=block.reshape(-1, side))
         else:
             step(src.reshape(g * M // p, rows, -1), block.reshape(g * M // p, rows, -1), p)
     return flat.reshape(N, p - 1)

@@ -352,6 +352,14 @@ def test_constructors_refuse_tables_over_the_cap(monkeypatch):
         branched_quad_mm(3, 2, 2, 1, 1, 1, 1, 1, 1)
 
 
+def test_regular_spread_refuses_points_over_the_default_cap(monkeypatch):
+    # it built two int64 arrays of 3^16 entries, though spread_bent(3, 8, 1)
+    # refuses them; the check comes first, so nothing is allocated
+    monkeypatch.delenv("BENT_SIZE_CAP", raising=False)
+    with pytest.raises(SizeGuard):
+        regular_spread(3, 8)
+
+
 @pytest.mark.parametrize("build, what", [
     (lambda: mm_power(3, 2, 1, 1, 1.5), "e"),
     (lambda: mm_qpoly(3, 2, 1, 1, [1.5]), "q-polynomial coefficient"),

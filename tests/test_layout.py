@@ -27,7 +27,11 @@ orbit by walking it, c -> d c and c -> lam c, and takes no discrete log.
 Likewise pairs.py defines no _scalar_pairing or _pairing: the pair
 counter's symmetry group reaches its tables as the generator's two half
 maps, whichever search found it, and one builder (_orbit_tables) serves
-both kinds of group.
+both kinds of group.  And spectral.py has one builder of dense digit-pass
+matrices: it defines _digit_matrix, which names no pass (_dense_pass,
+_shift_pass), and neither _pass_matrices nor _tail_matrix, so the matrix of
+T passes comes from the same closed form as a pass's, not from running
+passes.
 
 A Space keeps no table of its points: space.py names no cached_property
 and defines no neg, and no module reads a .neg attribute (a call of the
@@ -160,6 +164,23 @@ def test_pair_counter_tables_have_one_builder():
            'def _pairing(split, c_lo, c_hi):\n    """Not _scalar_pairing."""\n'
            '    return _scalar_pairing(split.p, c_hi)\n')
     assert _defined(bad, PAIRING_FORK) == ["_scalar_pairing", "_pairing"]
+
+
+DIGIT_MATRIX_FORK = {"_pass_matrices", "_tail_matrix"}
+PASSES = {"_dense_pass", "_shift_pass"}
+
+
+def test_dense_digit_passes_have_one_matrix_builder():
+    source = (Path(bentpds.__file__).parent / "spectral.py").read_text()
+    assert _defined(source, DIGIT_MATRIX_FORK | {"_digit_matrix"}) == ["_digit_matrix"]
+    assert _names(_function_source(source, "_digit_matrix"), PASSES) == []
+    bad = ('def _digit_matrix(p, T, dtype):\n    """Not by _shift_pass."""\n'
+           '    eye = np.eye((p - 1) * p ** T)\n    _dense_pass(eye, eye, p)\n    return eye\n\n'
+           'def _tail_matrix(p, T, dtype):\n    return _digit_matrix(p, T, dtype).T\n\n'
+           'def _pass_matrices(p, dtype):\n    return _digit_matrix(p, 1, dtype)\n')
+    assert _defined(bad, DIGIT_MATRIX_FORK | {"_digit_matrix"}) == [
+        "_digit_matrix", "_tail_matrix", "_pass_matrices"]
+    assert _names(_function_source(bad, "_digit_matrix"), PASSES) == ["_dense_pass"]
 
 
 def _attribute_reads(source: str, name: str) -> list[str]:

@@ -507,6 +507,31 @@ def test_verifiers_reject_repeated_members():
 
 
 @pytest.mark.parametrize("verifier", ["pair counter", "characters"])
+def test_verifiers_reject_a_preimage_set_whose_ranks_are_not_increasing(verifier):
+    # hand-built sets: with two ranks repeated the pair counter took k = 18
+    # with the 16-point set's lambda and mu; reversed with 0 appended, the 0
+    # came last, where no check looked for it
+    D = zero_preimage(mm_power(3, 2, 2, 1, 1).function)
+    params = PdsParams(81, 16, 7, 2)
+    assert verify_pds_bruteforce(D.group, D) == params
+    bad = {
+        "distinct": [np.concatenate([D.ranks, D.ranks[:2]]), np.append(D.ranks[::-1], 0)],
+        r"ranks in \[0, 81\)": [np.append(D.ranks, 81), np.concatenate([[-1], D.ranks])],
+    }
+    for message, sets in bad.items():
+        for ranks in sets:
+            Dbad = PreimageSet(D.group, ranks, "x")
+            with pytest.raises(ValueError, match=message):
+                if verifier == "pair counter":
+                    verify_pds_bruteforce(D.group, Dbad)
+                else:
+                    verify_pds_characters(D.group, Dbad, params)
+    # 0 can then only come first, where it is refused
+    with pytest.raises(ContainsZero):
+        verify_pds_bruteforce(D.group, PreimageSet(D.group, np.append(0, D.ranks), "x"))
+
+
+@pytest.mark.parametrize("verifier", ["pair counter", "characters"])
 @pytest.mark.parametrize("members", [{1.5, 2}, {True, 2}, [1, 2.0], np.array([1.0, 2.0])],
                          ids=["float", "bool", "float in a list", "float array"])
 def test_verifiers_reject_members_that_are_not_integers(verifier, members):

@@ -286,6 +286,19 @@ def test_gather_scaled_builds_no_whole_space_map():
     assert peak < 8 * sp.size
 
 
+def test_gather_scaled_takes_integer_multipliers_only():
+    # int(c) took 1.5 and True for 1 and '2' for 2
+    sp = prime_space(3, 2)
+    values = np.arange(sp.size)
+    for c in (1.5, True, "2"):
+        with pytest.raises(ValueError, match="multiplier"):
+            sp.gather_scaled(values, c)
+    twice = sp.gather_scaled(values, 2)
+    assert np.array_equal(sp.gather_scaled(values, np.int64(2)), twice)
+    assert np.array_equal(sp.gather_scaled(values, -2), sp.gather_scaled(values, 1))
+    assert np.array_equal(twice, [scalar_mul(sp, 2, x) for x in values])
+
+
 def test_mixed_characteristics_rejected():
     with pytest.raises(ValueError):
         Space([F3, canonical_field(5, 1)])

@@ -483,16 +483,54 @@ def test_shift_pass_equals_dense_pass(p, dim):
         assert np.array_equal(dense, shifted)
 
 
+def _digit_matrix_from_digits(p, T):
+    """B_T from the digits of u and t alone: column i p^T + t holds, in the
+    rows u (p - 1) + i' of each u, the coefficients of zeta^e for
+    e = (i - <u, t>) mod p: 1 at i' = e when e < p - 1, and -1 at every i'
+    when e = p - 1."""
+    side = (p - 1) * p ** T
+    B = np.zeros((side, side), dtype=np.int64)
+    vectors = [[r // p ** (T - 1 - k) % p for k in range(T)] for r in range(p ** T)]
+    for u, du in enumerate(vectors):
+        for t, dt in enumerate(vectors):
+            ip = sum(a * b for a, b in zip(du, dt))
+            for i in range(p - 1):
+                e, column = (i - ip) % p, i * p ** T + t
+                if e < p - 1:
+                    B[u * (p - 1) + e, column] = 1
+                else:
+                    B[u * (p - 1) : (u + 1) * (p - 1), column] = -1
+    return B
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17])
+def test_digit_matrix_equals_its_closed_form_from_digits(p):
+    # every T a tail product folds at p; 17 is above DENSE_PASS_MAX_P, where
+    # the scratch-size tests still reach the dense path
+    for T in range(1, spectral._tail_length(p) + 1):
+        expected = _digit_matrix_from_digits(p, T)
+        side = expected.shape[0]
+        for dtype in (np.dtype(np.float32), np.dtype(np.float64)):
+            B = spectral._digit_matrix(p, T, dtype)
+            assert B.dtype == dtype and B.flags.c_contiguous and not B.flags.writeable
+            assert np.array_equal(B, expected)
+            # T stacked passes of B_1 over an identity give its transpose
+            src, dst = np.eye(side, dtype=dtype), np.empty((side, side), dtype=dtype)
+            for k in range(T):
+                shape = (side * p ** k, (p - 1) * p, -1)
+                spectral._dense_pass(src.reshape(shape), dst.reshape(shape), p)
+                src, dst = dst, src
+            assert np.array_equal(src, B.T)
+
+
 def test_large_prime_transform_builds_no_dense_matrix():
     # a (p^2, p^2) matrix at p = 211 would hold about 2e9 entries
-    spectral._pass_matrices.cache_clear()
-    spectral._tail_matrix.cache_clear()
+    spectral._digit_matrix.cache_clear()
     sp = prime_space(211, 2)
     table = np.array(_random_table(sp, 3))
     table[0] = 0
     W = walsh_full(p_ary(sp, table))
-    assert spectral._pass_matrices.cache_info().currsize == 0
-    assert spectral._tail_matrix.cache_info().currsize == 0
+    assert spectral._digit_matrix.cache_info().currsize == 0
     # W(0) = sum_x zeta^f(x), and sum_a W(a) = p^n zeta^f(0) = p^n
     counts = np.bincount(table, minlength=sp.p).tolist()
     assert W[0] == RingInt.from_exponent_counts(sp.p, counts)
@@ -552,10 +590,17 @@ def test_char_counts_equal_scalar_oracle(sp, path, monkeypatch):
 
 
 def _record_tails(monkeypatch):
-    """The (p, T) of every tail product a transform runs from now on."""
-    tails, real = [], spectral._tail_matrix
-    monkeypatch.setattr(spectral, "_tail_matrix",
-                        lambda p, T, dtype: tails.append((p, T)) or real(p, T, dtype))
+    """The (p, T) of every tail product a transform runs from now on: the
+    _digit_matrix calls that _digit_transform makes itself, not those of
+    its passes, which also ask for T = 1."""
+    tails, real = [], spectral._digit_matrix
+
+    def spy(p, T, dtype):
+        if sys._getframe(1).f_code.co_name == "_digit_transform":
+            tails.append((p, T))
+        return real(p, T, dtype)
+
+    monkeypatch.setattr(spectral, "_digit_matrix", spy)
     return tails
 
 
@@ -604,7 +649,6 @@ def test_no_stacked_pass_runs_on_fewer_columns_than_the_tail_folds(dim, monkeypa
     # 3^10, where the top pass goes through the scratch in column chunks,
     # as at 3^8, where it does not
     p, N = 3, 3 ** dim
-    spectral._tail_matrix(p, 3, np.dtype(exact_float_dtype(N)))  # built through _dense_pass
     shapes, real = [], spectral._dense_pass
     monkeypatch.setattr(spectral, "_dense_pass",
                         lambda X, Y, p: shapes.append(X.shape) or real(X, Y, p))

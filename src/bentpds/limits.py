@@ -14,7 +14,8 @@ integers in floats.  Every entry and partial sum is an integer bounded in
 advance, so exact_float_dtype turns that
 bound into the narrowest float dtype in which it is exact, and refuses a
 bound that no float dtype holds.  Both size their batches by one scratch
-budget, SCRATCH_BYTES.
+budget, SCRATCH_BYTES, and so does a lookup through a function table
+(LOOKUP_POINTS points at a time).
 """
 import os
 
@@ -40,6 +41,10 @@ WALSH_CAP = 3 ** 12
 # 7.4-9.5 ms with a second buffer of its size; 5^8, 7^6 and 13^4 moved by
 # under 10% between 128 KiB and 1 MiB.
 SCRATCH_BYTES = 1 << 18
+# Points per chunk of a lookup through a function table: numpy casts a
+# narrow index to intp, 8 bytes a point, so a chunk's copy of it stays
+# within SCRATCH_BYTES, not N intp entries.
+LOOKUP_POINTS = SCRATCH_BYTES // np.dtype(np.intp).itemsize
 
 
 def table_cap() -> int:

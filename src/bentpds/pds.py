@@ -4,9 +4,10 @@ parameters, Gaussian periods, sigma-condition predicates, and two
 independent verifiers (ordered-pair difference counting and the character
 criterion).
 
-A point set is one sorted int64 rank array from preimage to verdict; the
-verifiers take a PreimageSet's ranks as they are.  Each coset of a subgroup
-of GF(p^s)^* is decided on Field.log_residue.
+A point set is one bool indicator over its group from preimage to
+verdict: extraction looks the codomain mask up through F's table, a union
+is an OR, and the verifiers read a PreimageSet's mask as it is.  Each
+coset of a subgroup of GF(p^s)^* is decided on Field.log_residue.
 
 Difference counting (verify_pds_bruteforce) runs on the exact counts of
 pairs.py, which uses no character transform and no certificate, and the
@@ -42,7 +43,7 @@ from .errors import (
     SizeGuard,
 )
 from .field import Field, _check_integer, _integer_entries, canonical_field, is_prime
-from .limits import walsh_cap
+from .limits import LOOKUP_POINTS, walsh_cap
 from .pairs import _dense_counts, _gather_counts, _rank_split
 from .space import Space
 from .spectral import MATCH_ROWS, DualBentCertificate, VectorialFunction, _char_counts
@@ -108,14 +109,21 @@ def params_match(candidate: PdsParams, observed: PdsParams) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class PreimageSet:
-    """A point set of a group as one sorted int64 array of distinct ranks."""
+    """A point set of a group as one read-only bool indicator over its
+    points, mask[x] = [x in D].  Its ranks, members and size are read off
+    the mask, and a union is one OR of two masks."""
 
     group: Space
-    ranks: np.ndarray
+    mask: np.ndarray
     descriptor: str
 
     def __len__(self):
-        return self.ranks.size
+        return int(np.count_nonzero(self.mask))
+
+    @property
+    def ranks(self) -> np.ndarray:
+        """The members as one sorted int64 rank array."""
+        return self.mask.nonzero()[0]
 
     @property
     def members(self) -> frozenset[int]:
@@ -124,13 +132,9 @@ class PreimageSet:
     def union(self, other: "PreimageSet") -> "PreimageSet":
         if self.group != other.group:
             raise ValueError("unions need a common group")
-        # a stable sort merges the two sorted runs; a common rank is a pair
-        both = np.sort(np.concatenate([self.ranks, other.ranks]), kind="stable")
-        keep = np.ones(both.size, dtype=bool)
-        keep[1:] = both[1:] != both[:-1]
-        return PreimageSet(
-            self.group, both[keep], f"{self.descriptor} | {other.descriptor}"
-        )
+        mask = self.mask | other.mask
+        mask.setflags(write=False)
+        return PreimageSet(self.group, mask, f"{self.descriptor} | {other.descriptor}")
 
 
 def preimage(F: VectorialFunction, values, exclude_zero_point: bool = True,
@@ -150,11 +154,19 @@ def preimage(F: VectorialFunction, values, exclude_zero_point: bool = True,
 
 
 def _mask_preimage(F, mask: np.ndarray, exclude_zero_point: bool, descriptor: str) -> PreimageSet:
-    """{ x : mask[F(x)] } for a boolean mask over the codomain ranks."""
-    ranks = np.flatnonzero(np.take(mask, F.table))
-    if exclude_zero_point and ranks.size and ranks[0] == 0:
-        ranks = ranks[1:]
-    return PreimageSet(F.domain, ranks, descriptor)
+    """{ x : mask[F(x)] } for a boolean mask over the codomain ranks, as an
+    indicator over F's domain.  np.take casts a narrow index to intp
+    whole, 8 bytes a point, so the lookup runs LOOKUP_POINTS points at a
+    time; with out given, mode "raise" would buffer the output, and the
+    entries of F's table are codomain ranks, which "clip" leaves alone."""
+    table = F.table
+    in_D = np.empty(table.size, dtype=bool)
+    for start in range(0, table.size, LOOKUP_POINTS):
+        rows = slice(start, start + LOOKUP_POINTS)
+        np.take(mask, table[rows], out=in_D[rows], mode="clip")
+    in_D[0] &= not exclude_zero_point
+    in_D.setflags(write=False)
+    return PreimageSet(F.domain, in_D, descriptor)
 
 
 def zero_preimage(F: VectorialFunction, exclude_zero_point: bool = True) -> PreimageSet:
@@ -403,33 +415,40 @@ def gaussian_period_semiprimitive(p: int, s: int, t: int, a: int) -> CyclotomicI
 # verifiers
 # ---------------------------------------------------------------------------
 
-def _candidacy(space: Space, D) -> tuple[np.ndarray, np.ndarray]:
-    """D as a sorted rank array and as a bool indicator over space, checked
-    to avoid 0 and to satisfy -D = D, by one lookup of the indicator at
-    space.negate of the ranks.  A PreimageSet's ranks are taken as they are
-    once its group matches space in p and size and they are strictly
-    increasing ranks of space; any other iterable must hold distinct
-    integer ranks of space (see _integer_entries), and is sorted."""
+def _candidacy(space: Space, D) -> np.ndarray:
+    """D as a bool indicator over space, checked to avoid 0 and to satisfy
+    -D = D.  A PreimageSet gives its own mask, once its group matches
+    space in p and size and the mask is a bool array of one entry per
+    point; any other iterable must hold distinct integer ranks of space
+    (see _integer_entries), which are scattered into a fresh mask.  -D = D
+    is one comparison of the mask with itself at -x (Space.gather_scaled,
+    through the _scaling table of each half of the rank split), so no
+    member rank is negated."""
     if isinstance(D, PreimageSet):
         if (D.group.p, D.group.size) != (space.p, space.size):
             raise ValueError(f"the set's group has {D.group.size} points, not {space.size}")
-        Dv = D.ranks
+        in_D = D.mask
+        if not (isinstance(in_D, np.ndarray) and in_D.dtype == bool
+                and in_D.shape == (space.size,)):
+            raise ValueError(f"the set's mask must be a bool array of {space.size} entries")
     else:
         if not _integer_entries(D):
             raise ValueError("members must be integer ranks")
-        Dv = np.sort(np.fromiter(D, dtype=np.int64, count=len(D)))
-    # sorted iterables fail only on a repeat; a PreimageSet also on a descent
-    if (Dv[1:] <= Dv[:-1]).any():
-        raise ValueError("members must be distinct ranks")
-    if Dv.size and (Dv[0] < 0 or Dv[-1] >= space.size):
-        raise ValueError(f"members must be ranks in [0, {space.size})")
-    if Dv.size and Dv[0] == 0:
+        try:
+            Dv = np.sort(np.fromiter(D, dtype=np.int64, count=len(D)))
+        except OverflowError:  # a rank past int64, out of range once no rank repeats
+            Dv = np.sort(np.array(list(D), dtype=object))
+        if (Dv[1:] <= Dv[:-1]).any():
+            raise ValueError("members must be distinct ranks")
+        if Dv.size and (Dv[0] < 0 or Dv[-1] >= space.size):
+            raise ValueError(f"members must be ranks in [0, {space.size})")
+        in_D = np.zeros(space.size, dtype=bool)
+        in_D[Dv] = True
+    if in_D[0]:
         raise ContainsZero("0 must not belong to a regular PDS candidate")
-    in_D = np.zeros(space.size, dtype=bool)
-    in_D[Dv] = True
-    if not in_D[space.negate(Dv)].all():
+    if not np.array_equal(space.gather_scaled(in_D, space.p - 1), in_D):
         raise NotSymmetric("-D = D must hold")
-    return Dv, in_D
+    return in_D
 
 
 def verify_pds_bruteforce(space: Space, D) -> PdsParams | None:
@@ -438,12 +457,14 @@ def verify_pds_bruteforce(space: Space, D) -> PdsParams | None:
     constant off D, else None.  Degenerate sets report lambda = mu = 0 for
     the vacuous positions.
 
-    Both counting routes are exact difference counting (pairs.py) and never
-    use a character transform or a certificate, and both read one
-    _rank_split of D.  A sparse set goes through _gather_counts, |D|^2
-    table lookups; a set with 16 |D| >= v goes through _dense_counts,
-    1 + (q2 - 1) / n float32 products of (q2 + 1) / 2 rows, about v q1 / 2
-    multiply-adds each (q1 q2 = v), where n >= 2 is the order of the
+    D is checked, and read, as the bool indicator of _candidacy; its
+    sorted ranks are one nonzero of it.  Both counting routes are exact
+    difference counting (pairs.py) and never use a character transform or
+    a certificate, and both read one _rank_split of those ranks.  A sparse
+    set goes through _gather_counts, |D|^2 table lookups; a set with
+    16 |D| >= v goes through _dense_counts, 1 + (q2 - 1) / n float32
+    products of (q2 + 1) / 2 rows, about v q1 / 2 multiply-adds each
+    (q1 q2 = v), where n >= 2 is the order of the
     group of D's symmetries (c_lo x_lo, c_hi x_hi) that _orbit_group finds
     and hands on as two half maps: at most about v^2 / 4 multiply-adds when
     only +-1 fix D, and two products when c_hi is primitive, as for every
@@ -459,10 +480,11 @@ def verify_pds_bruteforce(space: Space, D) -> PdsParams | None:
     The cap bounds both routes: v must be within the transform's point
     cap, so the two verifiers accept the same groups, at under v^2 / 256
     gathers or about v^2 / 4 multiply-adds."""
-    Dv, in_D = _candidacy(space, D)
+    in_D = _candidacy(space, D)
     v = space.size
     if v > walsh_cap():
         raise SizeGuard(f"p^n = {v} exceeds the point cap")
+    Dv = in_D.nonzero()[0]
     if Dv.size == 0:
         return PdsParams(v, 0, 0, 0)
     N = Dv.size
@@ -504,17 +526,20 @@ def verify_pds_characters(space: Space, D, candidate: PdsParams) -> bool:
     """Character criterion: D (with -D = D, 0 not in D, |D| = k) is a
     (v, k, lambda, mu) PDS iff every nontrivial character sum lies in
     { (beta +- sqrt(Delta)) / 2 }.  All p^n sums come out of one transform
-    of the indicator table; its coefficient rows, whose rows 1.. are those
-    sums in another order, meet 2 chi(D) = beta +- sqrt(Delta) column by
-    column, with sqrt(Delta) an integer or d g for Delta = p* d^2.  Any
+    of the indicator that _candidacy checked (a PreimageSet's own mask),
+    and k is its count of members; the transform's coefficient rows, whose
+    rows 1.. are those sums in another order, meet
+    2 chi(D) = beta +- sqrt(Delta) column by column, with sqrt(Delta) an
+    integer or d g for Delta = p* d^2.  Any
     other Delta, and a negative one (the sums of a symmetric set are real),
     rejects without a transform.  No difference is counted.  v, k, lambda
     and mu must be integers (_integer_params)."""
     candidate = _integer_params(candidate)
-    Dv, in_D = _candidacy(space, D)
-    if candidate.v != space.size or candidate.k != Dv.size:
+    in_D = _candidacy(space, D)
+    k = int(np.count_nonzero(in_D))
+    if candidate.v != space.size or candidate.k != k:
         return False
-    if Dv.size == 0:
+    if k == 0:
         return candidate.mu == 0  # no pair differs by anything; lambda is vacuous
     p, delta = space.p, candidate.delta
     root = _ring_sqrt(p, delta) if delta >= 0 else None
@@ -526,7 +551,7 @@ def verify_pds_characters(space: Space, D, candidate: PdsParams) -> bool:
         return False
     r1 = [c // 2 for c in twice_r1]
     r2 = [candidate.beta - r1[0]] + [-c for c in r1[1:]]
-    if max(map(abs, r1 + r2)) > Dv.size:  # coefficients lie in [-k, k]; floats may overflow
+    if max(map(abs, r1 + r2)) > k:  # coefficients lie in [-k, k]; floats may overflow
         return False
     indicator = in_D.view(np.int8) - 1  # 0 on D, -1 leaves x out
     A = _char_counts(space, indicator)[1:]  # chi(D) at every nontrivial character

@@ -86,7 +86,7 @@ from .errors import (
     ZeroComponent,
 )
 from .field import Field, _integer_entries, canonical_field
-from .limits import SCRATCH_BYTES, exact_float_dtype, walsh_cap
+from .limits import LOOKUP_POINTS, SCRATCH_BYTES, exact_float_dtype, walsh_cap
 from .space import Space
 
 
@@ -582,7 +582,8 @@ def dual_bent_certificate(
 
     Each dual g is read off Fstar's value table: g = Fstar_e exactly when
     g = h o Fstar and h(y) = Tr(e y) on Fstar's image.  h is read off g at
-    one x per y of the image, found once, g = h o Fstar is checked by one
+    one x per y of the image, found once by scattering ranks x into a
+    q-entry array (no sort of the table), g = h o Fstar is checked by one
     gather over the whole table, and the rows Tr(e y) on the image index
     every e, two e with one row having equal Fstar components; lam g
     factors through Fstar as g does, with the row lam h.  That alone would
@@ -621,7 +622,14 @@ def _certificate(
     ts, d, _ = _symmetry(F)
     back, inverse = _steps(dom, ts, p)
     back_ok = all(f.mul(b, t) == 1 for f, b, t in zip(dom.factors, back, ts))
-    image, at = np.unique(Fstar.table, return_index=True)  # at: one x with Fstar(x) = y per y
+    # one x with Fstar(x) = y for each y of the image, scattered a chunk at a
+    # time; any x will do, as each g = h o Fstar is checked over the table
+    at, N = np.full(q, -1, dtype=np.intp), Fstar.table.size
+    for start in range(0, N, LOOKUP_POINTS):
+        stop = min(start + LOOKUP_POINTS, N)
+        at[Fstar.table[start:stop]] = np.arange(start, stop)
+    image = np.flatnonzero(at >= 0)
+    at = at[image]
     star_index: dict[bytes, list[int]] = {}  # Tr(e y) on the image -> [e, ...]
     for e in range(1, q):
         row = cod.trace(1, cod.mul(e, image)).astype(rank_dtype(p))

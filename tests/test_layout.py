@@ -38,6 +38,11 @@ and defines no neg, and no module reads a .neg attribute (a call of the
 method Field.neg( is not a read).  x -> -x goes through the _scaling
 tables of the two halves of the rank split, as every GF(p) scaling does.
 
+A point set has one representation: pds.PreimageSet declares exactly the
+fields group, mask and descriptor, a bool indicator with no rank array
+beside it, and pds._candidacy names no negate, so -D = D is decided by
+one check on that indicator and not again on member ranks.
+
 The test oracles (tests/*_oracle.py) take nothing from bentpds.cyclo but
 the CyclotomicInt record: the oracle ring does its own zeta^{p-1}
 rewrite, so it checks the library's reduction instead of reusing it.
@@ -207,6 +212,28 @@ def test_a_space_keeps_no_table_of_its_points():
     assert _names(bad, {"cached_property"}) == ["cached_property", "cached_property"]
     assert _defined(bad, {"neg"}) == ["neg"]
     assert sorted(_attribute_reads(bad, "neg")) == ["self.neg", "sp.neg", "sp.neg"]
+
+
+def _fields(source: str, name: str) -> list[str]:
+    """The annotated fields that the top-level class called name declares,
+    in order; methods and properties are not fields."""
+    node = next(node for node in ast.parse(source).body
+                if isinstance(node, ast.ClassDef) and node.name == name)
+    return [stmt.target.id for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
+
+
+def test_a_point_set_is_one_indicator_checked_once():
+    source = (Path(bentpds.__file__).parent / "pds.py").read_text()
+    assert _fields(source, "PreimageSet") == ["group", "mask", "descriptor"]
+    assert _names(_function_source(source, "_candidacy"), {"negate"}) == []
+    bad = ('class PreimageSet:\n    """Not a ranks: np.ndarray field."""\n    group: Space\n'
+           '    ranks: np.ndarray\n    mask: np.ndarray\n    descriptor: str\n'
+           '    def __len__(self):\n        return self.ranks.size\n\n'
+           'def _candidacy(space, D):\n    """Calls no negate."""\n    in_D = D.mask\n'
+           '    if not in_D[space.negate(D.ranks)].all():\n        raise NotSymmetric\n'
+           '    return in_D\n')
+    assert _fields(bad, "PreimageSet") == ["group", "ranks", "mask", "descriptor"]
+    assert _names(_function_source(bad, "_candidacy"), {"negate"}) == ["negate"]
 
 
 CLASS_CACHES = {"lru_cache", "cache"}

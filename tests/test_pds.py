@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bentpds import pairs, pds
+from bentpds import pairs, pds, space
 from bentpds.constructions import mm_power, quad_trace, spread_bent
 from bentpds.errors import (
     BentError,
@@ -26,6 +26,7 @@ from bentpds.errors import (
     SizeGuard,
 )
 from bentpds.field import canonical_field
+from bentpds.limits import LOOKUP_POINTS
 from bentpds.pds import (
     PdsParams,
     PreimageSet,
@@ -45,7 +46,7 @@ from bentpds.pds import (
     verify_pds_characters,
     zero_preimage,
 )
-from bentpds.space import Space, prime_space
+from bentpds.space import Space, _scaling, prime_space
 from bentpds.spectral import VectorialFunction, dual_bent_certificate
 from pds_oracle import (
     char_sum_preimage,
@@ -99,9 +100,10 @@ def _outcome(verifier, *args):
 @given(st.data())
 def test_preimage_sets_match_the_point_oracle(data):
     """On a random F, even or not, and random A and B, with and without the
-    zero point: D.ranks is F^{-1}(A) as the per-point oracle lists it,
-    union is set union, and both verifiers give one verdict on a set and on
-    its frozenset of members."""
+    zero point: D is F^{-1}(A) as the per-point oracle lists it, by its
+    read-only mask and by each view of it (ranks, members, len), union is
+    set union, and both verifiers give one verdict on a set and on its
+    frozenset of members."""
     sp = data.draw(st.sampled_from(VERIFIER_SPACES), label="space")
     s = data.draw(st.sampled_from([1, 2] if sp.p ** 2 <= 49 else [1]), label="s")
     cod = canonical_field(sp.p, s)
@@ -115,10 +117,15 @@ def test_preimage_sets_match_the_point_oracle(data):
     exclude = data.draw(st.booleans(), label="exclude the zero point")
     D, E = preimage(F, A, exclude), preimage(F, B, exclude)
     oracle_A, oracle_B = preimage_ranks(F, A, exclude), preimage_ranks(F, B, exclude)
-    assert D.ranks.dtype == np.int64
-    assert D.ranks.tolist() == oracle_A and E.ranks.tolist() == oracle_B
     union = D.union(E)
-    assert union.ranks.tolist() == sorted(set(oracle_A) | set(oracle_B))
+    oracle_union = sorted(set(oracle_A) | set(oracle_B))
+    for S, oracle in ((D, oracle_A), (E, oracle_B), (union, oracle_union)):
+        assert S.mask.dtype == bool and S.mask.shape == (sp.size,)
+        assert not S.mask.flags.writeable
+        assert np.flatnonzero(S.mask).tolist() == oracle
+        assert S.ranks.dtype == np.int64 and S.ranks.tolist() == oracle
+        assert S.members == frozenset(oracle) and len(S) == len(oracle)
+    assert union.descriptor == f"{D.descriptor} | {E.descriptor}"
     for S in (D, union):
         observed = _outcome(verify_pds_bruteforce, sp, S)
         assert _outcome(verify_pds_bruteforce, sp, S.members) == observed
@@ -468,26 +475,80 @@ def test_verify_bruteforce_rejects_bad_candidates():
 # a prime space, and two whose rank split falls inside a factor
 REFUSAL_SPACES = [prime_space(5, 3), Space([canonical_field(3, 3)]),
                   Space([canonical_field(3, 1), canonical_field(3, 2)])]
+SPACE_IDS = lambda sp: "x".join(str(f.size) for f in sp.factors)
 
 
-@pytest.mark.parametrize("verifier", ["pair counter", "characters"])
-@pytest.mark.parametrize("sp", REFUSAL_SPACES, ids=lambda sp: "x".join(str(f.size) for f in sp.factors))
-def test_verifiers_refuse_a_set_missing_one_negative(sp, verifier):
-    # each nonzero x alone, and every point but 0 and -x, as a frozenset and
-    # as a PreimageSet; with -x put back, neither is refused
-    def verify(D):
-        if verifier == "pair counter":
-            return verify_pds_bruteforce(sp, D)
-        return verify_pds_characters(sp, D, PdsParams(sp.size, len(D), 0, 0))
+def _verify(verifier, sp, D):
+    """The pair counter, or the character route at a candidate of D's size."""
+    if verifier == "pair counter":
+        return verify_pds_bruteforce(sp, D)
+    return verify_pds_characters(sp, D, PdsParams(sp.size, len(D), 0, 0))
 
+
+def _as_mask(sp, members, descriptor="hand-built"):
+    """members as a PreimageSet of sp, through its bool indicator."""
+    mask = np.zeros(sp.size, dtype=bool)
+    mask[list(members)] = True
+    return PreimageSet(sp, mask, descriptor)
+
+
+def _missing_negatives_refused(sp, verifier) -> bool:
+    """Whether each nonzero x alone, and every point but 0 and -x, is
+    refused with NotSymmetric as a frozenset and as a PreimageSet, while
+    with -x put back neither is refused."""
     whole = frozenset(range(1, sp.size))
     for x in range(1, sp.size):
         for D in ({x}, whole - {negate(sp, x)}):
-            ranks = np.array(sorted(D), dtype=np.int64)
-            for S in (frozenset(D), PreimageSet(sp, ranks, "one negative missing")):
-                with pytest.raises(NotSymmetric):
-                    verify(S)
-            verify(frozenset(D) | {negate(sp, x)})
+            for S in (frozenset(D), _as_mask(sp, D, "one negative missing")):
+                try:
+                    _verify(verifier, sp, S)
+                except NotSymmetric:
+                    continue
+                return False
+            _verify(verifier, sp, frozenset(D) | {negate(sp, x)})
+    return True
+
+
+@pytest.mark.parametrize("verifier", ["pair counter", "characters"])
+@pytest.mark.parametrize("sp", REFUSAL_SPACES, ids=SPACE_IDS)
+def test_verifiers_refuse_a_set_missing_one_negative(sp, verifier):
+    assert _missing_negatives_refused(sp, verifier)
+
+
+@pytest.mark.parametrize("half", ["low", "high"])
+def test_a_symmetry_check_that_negates_one_half_is_caught(monkeypatch, half):
+    # the mutant's -x (Space.gather_scaled at -1) negates one half of the
+    # split r = hi p^2 + lo and scales the other by 1; every refusal space
+    # has dim 3, two low digits and one high, so a half is known by its width
+    kept = 2 if half == "high" else 1
+
+    def one_half(p, width, lam):
+        return _scaling(p, width, 1 if width == kept else lam)
+
+    assert all((sp.dim, sp.low_digits) == (3, 2) for sp in REFUSAL_SPACES)
+    monkeypatch.setattr(space, "_scaling", one_half)
+    for sp in REFUSAL_SPACES:
+        for verifier in ("pair counter", "characters"):
+            assert not _missing_negatives_refused(sp, verifier)
+
+
+@pytest.mark.parametrize("verifier", ["pair counter", "characters"])
+@pytest.mark.parametrize("sp", REFUSAL_SPACES, ids=SPACE_IDS)
+def test_verifiers_refuse_the_zero_point_and_a_mask_that_is_no_indicator(sp, verifier):
+    # the zero point in either kind of input; a PreimageSet whose mask is
+    # not one bool per point, even when it is otherwise a PDS candidate
+    x = 1
+    D = {x, negate(sp, x)}
+    assert _verify(verifier, sp, _as_mask(sp, D)) == _verify(verifier, sp, frozenset(D))
+    for S in (frozenset(D | {0}), _as_mask(sp, D | {0})):
+        with pytest.raises(ContainsZero):
+            _verify(verifier, sp, S)
+    mask = _as_mask(sp, D).mask
+    bad = [mask.astype(np.int8), mask.astype(np.int64), mask.view(np.uint8),
+           np.append(mask, False), mask[:-1], mask.reshape(sp.p, -1), mask.tolist()]
+    for wrong in bad:
+        with pytest.raises(ValueError, match=f"bool array of {sp.size} entries"):
+            _verify(verifier, sp, PreimageSet(sp, wrong, "x"))
 
 
 def test_verifiers_reject_repeated_members():
@@ -507,28 +568,16 @@ def test_verifiers_reject_repeated_members():
 
 
 @pytest.mark.parametrize("verifier", ["pair counter", "characters"])
-def test_verifiers_reject_a_preimage_set_whose_ranks_are_not_increasing(verifier):
-    # hand-built sets: with two ranks repeated the pair counter took k = 18
-    # with the 16-point set's lambda and mu; reversed with 0 appended, the 0
-    # came last, where no check looked for it
-    D = zero_preimage(mm_power(3, 2, 2, 1, 1).function)
-    params = PdsParams(81, 16, 7, 2)
-    assert verify_pds_bruteforce(D.group, D) == params
-    bad = {
-        "distinct": [np.concatenate([D.ranks, D.ranks[:2]]), np.append(D.ranks[::-1], 0)],
-        r"ranks in \[0, 81\)": [np.append(D.ranks, 81), np.concatenate([[-1], D.ranks])],
-    }
-    for message, sets in bad.items():
-        for ranks in sets:
-            Dbad = PreimageSet(D.group, ranks, "x")
-            with pytest.raises(ValueError, match=message):
-                if verifier == "pair counter":
-                    verify_pds_bruteforce(D.group, Dbad)
-                else:
-                    verify_pds_characters(D.group, Dbad, params)
-    # 0 can then only come first, where it is refused
-    with pytest.raises(ContainsZero):
-        verify_pds_bruteforce(D.group, PreimageSet(D.group, np.append(0, D.ranks), "x"))
+def test_verifiers_refuse_ranks_past_int64(verifier):
+    # np.fromiter let a bare OverflowError out for each of these
+    sp = prime_space(3, 2)
+    for members in ({1, 2, 2 ** 70}, {np.uint64(2 ** 63)}, [2 ** 64], [-(2 ** 70), 1, 2],
+                    np.array([1, 2 ** 63], dtype=np.uint64)):
+        with pytest.raises(ValueError, match=r"ranks in \[0, 9\)"):
+            _verify(verifier, sp, members)
+    # a repeat is still refused before the range fault
+    with pytest.raises(ValueError, match="distinct"):
+        _verify(verifier, sp, [2 ** 64, 1, 2 ** 64])
 
 
 @pytest.mark.parametrize("verifier", ["pair counter", "characters"])
@@ -998,6 +1047,25 @@ def test_digit_subtraction_table_peaks_near_its_own_size():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * table.nbytes, (peak, table.nbytes)
+
+
+def test_extraction_holds_one_mask_plus_one_chunk():
+    """Extracting the coset set of the 3^12 pipeline instance (l = 2, the
+    squares) looks F's uint8 table up LOOKUP_POINTS points at a time: its
+    peak is the N-byte mask plus one chunk's intp index, not the 8 N bytes
+    of a whole-table cast, and the set keeps only the mask."""
+    F = mm_power(3, 6, 2, 1, 5).function
+    N, chunk = F.domain.size, LOOKUP_POINTS * np.dtype(np.intp).itemsize
+    assert F.table.dtype == np.uint8 and N > 2 * LOOKUP_POINTS
+    tracemalloc.start()
+    try:
+        D = coset_preimage(F, 2, 1)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert D.mask.nbytes == N and len(D) == np.count_nonzero(F.codomain.subgroup_coset(2, 1).mask[F.table])
+    assert N <= current < N + (1 << 14), current
+    assert peak < N + chunk + (1 << 16), (peak, N, chunk)
 
 
 def test_pair_count_at_7_pow_8_stays_under_700_mb():

@@ -490,7 +490,7 @@ def _table_json(table: np.ndarray) -> str:
         np.add(table, 48, out=text[1::2], casting="unsafe")  # no int64 temporary
         return str(text.data, "ascii")
     rows = np.array([f"{v}," for v in range(top + 1)], dtype=bytes)
-    cells = rows.view(np.uint8).reshape(rows.size, -1)[table]
+    cells = spectral._apply(rows.view(np.uint8).reshape(rows.size, -1), table)
     return "[" + cells[cells != 0].tobytes()[:-1].decode("ascii") + "]"
 
 

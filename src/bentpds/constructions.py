@@ -23,7 +23,7 @@ from .errors import (
     ZeroCoefficient,
 )
 from .field import Field, _check_integer, canonical_field
-from .limits import exceeds, table_cap
+from .limits import LOOKUP_POINTS, exceeds, table_cap
 from .space import Space
 from .spectral import VectorialFunction, rank_dtype
 
@@ -82,20 +82,14 @@ def _check_a(F: Field, a: int) -> None:
         raise ZeroArgument("coefficient a must be nonzero")
 
 
-# Grid entries _mm_block evaluates at a time, so that its int64
-# temporaries hold this many entries rather than q^2: every grid up to
-# q = 1024 is one block.
-MM_BLOCK_ENTRIES = 1 << 20
-
-
 def _mm_block(F: Field, s: int, a: int, perm, perm_inv) -> tuple[np.ndarray, np.ndarray]:
     """Tr_s^m(a x pi(y)) and its dual Tr_s^m(-pi^{-1}(a^{-1} x) y) on GF(p^m)^2,
-    as (q, q) arrays [y, x] in rank_dtype(p^s), filled a block of y rows
-    at a time."""
+    as (q, q) arrays [y, x] in rank_dtype(p^s), filled about LOOKUP_POINTS
+    entries (whole y rows) at a time, so its int64 temporaries are not q^2."""
     x = np.arange(F.size)
     a_pi, dual_x = F.mul(a, perm), F.neg(perm_inv[F.mul(F.inv(a), x)])
     table, dual = (np.empty((F.size, F.size), dtype=rank_dtype(F.p ** s)) for _ in range(2))
-    rows = max(1, MM_BLOCK_ENTRIES // F.size)
+    rows = max(1, LOOKUP_POINTS // F.size)
     for y in range(0, F.size, rows):
         ys = x[y : y + rows, None]
         table[y : y + rows] = F.trace(s, F.mul(a_pi[ys], x))
@@ -225,6 +219,7 @@ def diag_quad(p: int, s: int, m: int, coeffs) -> ConstructedPair:
     Dual -x_1^2/(4a_1) - ... - x_m^2/(4a_m); sigma(c) = c^{-1}; component
     sign (-1)^{(s-1)m} eps^{sm} eta_s(c^m a_1 ... a_m).
     """
+    m = int(_check_integer(m, "m"))
     _check_shape(p, s, s * m)
     sub = canonical_field(p, s)
     coeffs = [int(sub.check_rank(c, "coefficient")) for c in coeffs]

@@ -52,12 +52,10 @@ from .errors import (
     ZeroArgument,
     ZeroBeta,
 )
-from .limits import exact_float_dtype, exceeds, table_cap
+from .limits import LOOKUP_POINTS, exact_float_dtype, exceeds, table_cap
 
 # generator candidates tested per stacked matrix power
 _BATCH = 16
-# rows of the exp table's doubling product reduced at a time
-_CHUNK = 4096
 
 
 def _integer_entries(values) -> bool:
@@ -241,18 +239,18 @@ class Field:
 
     def _powers_of(self, g: int) -> np.ndarray:
         """Ranks of g^0, ..., g^{q-2} by doubling: the block g^{k..2k-1} is the
-        block g^{0..k-1} times g^k, taken _CHUNK rows at a time so that
-        _reduce runs in cache."""
+        block g^{0..k-1} times g^k, taken LOOKUP_POINTS // m rows at a time
+        so that _reduce runs in cache."""
         p, q1 = self.p, self.size - 1
         step = self._mul_matrices(g)[0]
         digits = np.zeros((q1, self.m), dtype=step.dtype)
         digits[0, 0] = 1
-        scratch = np.empty((_CHUNK, self.m), dtype=step.dtype)
+        scratch = np.empty((LOOKUP_POINTS // self.m, self.m), dtype=step.dtype)
         k = 1
         while k < q1:
             n = min(k, q1 - k)
-            for lo in range(0, n, _CHUNK):
-                block = digits[k + lo : k + min(lo + _CHUNK, n)]
+            for lo in range(0, n, len(scratch)):
+                block = digits[k + lo : k + min(lo + len(scratch), n)]
                 np.matmul(digits[lo : lo + len(block)], step, out=block)
                 _reduce(block, p, scratch[: len(block)])
             step, k = step @ step % p, k + n

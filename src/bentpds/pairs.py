@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import SizeGuard
 from .field import Field, _prime_factors, canonical_field
-from .limits import SCRATCH_BYTES, exact_float_dtype
+from .limits import LOOKUP_POINTS, SCRATCH_BYTES, exact_float_dtype
 from .space import Space, _compose, _scaling
 
 
@@ -87,12 +87,13 @@ def _rank_split(space: Space, Dv: np.ndarray) -> _RankSplit:
 
 def _gather_counts(split: _RankSplit) -> np.ndarray:
     """counts[g] = #{(d1, d2) in D^2 : d1 - d2 = g}, one table lookup per
-    ordered pair: |D|^2 gathers in blocks of about 4M pairs."""
+    ordered pair: |D|^2 gathers in blocks of about max(v, LOOKUP_POINTS)
+    pairs, so that each block's O(v) bincount costs no more than its gathers."""
     p, h1, h2, hi, lo, t_lo, t_hi, _ = split
     q1, v = p ** h1, p ** (h1 + h2)
     counts = np.zeros(v, dtype=np.int64)
     N = lo.size
-    block = max(1, min(N, 4_000_000 // N))
+    block = max(1, max(v, LOOKUP_POINTS) // N)
     for start in range(0, N, block):
         rows = slice(start, start + block)
         ranks = t_lo[lo[rows, None], lo[None, :]] + q1 * t_hi[hi[rows, None], hi[None, :]]

@@ -46,7 +46,7 @@ from .field import Field, _check_integer, _integer_entries, canonical_field, is_
 from .limits import LOOKUP_POINTS, walsh_cap
 from .pairs import _dense_counts, _gather_counts, _rank_split
 from .space import Space
-from .spectral import MATCH_ROWS, DualBentCertificate, VectorialFunction, _char_counts
+from .spectral import DualBentCertificate, VectorialFunction, _apply, _char_counts
 
 
 # ---------------------------------------------------------------------------
@@ -155,15 +155,8 @@ def preimage(F: VectorialFunction, values, exclude_zero_point: bool = True,
 
 def _mask_preimage(F, mask: np.ndarray, exclude_zero_point: bool, descriptor: str) -> PreimageSet:
     """{ x : mask[F(x)] } for a boolean mask over the codomain ranks, as an
-    indicator over F's domain.  np.take casts a narrow index to intp
-    whole, 8 bytes a point, so the lookup runs LOOKUP_POINTS points at a
-    time; with out given, mode "raise" would buffer the output, and the
-    entries of F's table are codomain ranks, which "clip" leaves alone."""
-    table = F.table
-    in_D = np.empty(table.size, dtype=bool)
-    for start in range(0, table.size, LOOKUP_POINTS):
-        rows = slice(start, start + LOOKUP_POINTS)
-        np.take(mask, table[rows], out=in_D[rows], mode="clip")
+    indicator over F's domain, looked up by spectral._apply."""
+    in_D = _apply(mask, F.table)
     in_D[0] &= not exclude_zero_point
     in_D.setflags(write=False)
     return PreimageSet(F.domain, in_D, descriptor)
@@ -242,6 +235,8 @@ def sigma_predicates(codomain: Field, sigma: dict[int, int], l: int) -> SigmaRep
     arithmetic shortcut: gcd(l, p^s - 1) | (1 + r) with t r = 1; both routes
     are computed and must agree."""
     q = codomain.size
+    if not _integer_entries([*sigma.keys(), *sigma.values()]):
+        raise ValueError("sigma keys and values must be integer ranks")
     if set(sigma.keys()) != set(range(1, q)) or set(sigma.values()) != set(range(1, q)):
         raise NotBijection("sigma must permute the nonzero codomain elements")
     if _check_integer(l, "exponent") < 1:
@@ -555,11 +550,11 @@ def verify_pds_characters(space: Space, D, candidate: PdsParams) -> bool:
         return False
     indicator = in_D.view(np.int8) - 1  # 0 on D, -1 leaves x out
     A = _char_counts(space, indicator)[1:]  # chi(D) at every nontrivial character
-    # MATCH_ROWS rows at a time as a contiguous copy, compared column by
+    # LOOKUP_POINTS rows at a time as a contiguous copy, compared column by
     # column: on A's strided columns the compares take about 3x as long, and
     # a reduction along the short row axis about 8x
-    for start in range(0, A.shape[0], MATCH_ROWS):
-        C = np.ascontiguousarray(A[start : start + MATCH_ROWS].T)
+    for start in range(0, A.shape[0], LOOKUP_POINTS):
+        C = np.ascontiguousarray(A[start : start + LOOKUP_POINTS].T)
         is_r1, is_r2 = C[0] == r1[0], C[0] == r2[0]
         for j in range(1, p - 1):
             is_r1 &= C[j] == r1[j]

@@ -66,7 +66,8 @@ Every function table is stored in rank_dtype(q) = np.min_scalar_type(q - 1)
 of its codomain's size q, uint8 up to q = 256: VectorialFunction casts its
 input once, and no consumer casts a table again.  A Python int does not
 widen such an array (NEP 50), so c * table % p wraps once c (q - 1) > 255;
-arithmetic on a table is a lookup of the map's values through it (_apply).
+arithmetic on a table is a lookup of the map's values through it, made
+by one chunked helper, _apply, which never casts a whole table to intp.
 """
 from __future__ import annotations
 
@@ -166,22 +167,27 @@ def _check_p_ary(f: VectorialFunction) -> None:
 
 def component(F: VectorialFunction, c: int) -> VectorialFunction:
     """F_c(x) = Tr_1^s(c F(x)) for nonzero c in the codomain."""
-    if c == 0:
+    if F.codomain.check_rank(c, "component index") == 0:
         raise ZeroComponent("component index must be nonzero")
-    F.codomain.check_rank(c, "component index")
     return VectorialFunction(F.domain, canonical_field(F.p, 1), _component_table(F, c))
 
 
 def _component_table(F: VectorialFunction, c: int) -> np.ndarray:
     """The table of F_c, for a nonzero rank c."""
     cod = F.codomain
-    return _apply(cod.trace(1, cod.mul(c, np.arange(cod.size))), F.table, F.p)
+    return _apply(cod.trace(1, cod.mul(c, np.arange(cod.size))).astype(rank_dtype(F.p)), F.table)
 
 
-def _apply(values, table: np.ndarray, q: int) -> np.ndarray:
-    """v o table in rank_dtype(q), for v given by its values, ranks below q:
-    np.take gathers through a narrow table about twice as fast as [] does."""
-    return np.take(np.asarray(values).astype(rank_dtype(q)), table)
+def _apply(values: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """values[table] in values' dtype, for a 1-D table of valid indices into
+    values' first axis, LOOKUP_POINTS points at a time: np.take, twice as
+    fast as [] through a narrow table, casts the index to intp.  Mode
+    "clip" never fires on valid indices; "raise" would buffer the output."""
+    out = np.empty(table.shape + values.shape[1:], dtype=values.dtype)
+    for start in range(0, table.size, LOOKUP_POINTS):
+        rows = slice(start, start + LOOKUP_POINTS)
+        np.take(values, table[rows], axis=0, out=out[rows], mode="clip")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -436,14 +442,6 @@ def _candidate_map(p: int, n: int):
     return tables
 
 
-# Rows keyed and confirmed per step of _match_candidates, so its int64
-# work arrays hold this many entries rather than p^n.  Matching a float32
-# 3^12 spectrum (minima of 15 calls, three rounds) took 7.4-7.8 ms in steps
-# of 2^12 rows, 6.4-6.8 ms in steps of 2^13, 5.7-5.9 ms in steps of 2^14,
-# 5.6 ms in steps of 2^15 and 5.9-6.2 ms in steps of 2^16.
-MATCH_ROWS = 1 << 15
-
-
 def _match_candidates(rows: np.ndarray, p: int, n: int):
     """Match rows of p - 1 ring coefficients, integers in any dtype that
     holds them exactly, against the 2p candidates: (matched, which), a bool
@@ -451,17 +449,17 @@ def _match_candidates(rows: np.ndarray, p: int, n: int):
     of _candidate_map, in the narrowest unsigned dtype.  A row's key mod
     lut.size proposes one candidate through lut, and the row's columns
     equal to that candidate's confirm it.  Rows are keyed and confirmed
-    MATCH_ROWS at a time, a column at a time, so no copy of them and no
+    LOOKUP_POINTS at a time, a column at a time, so no copy of them and no
     whole-length int64 array is made."""
     w, lut, cand_rows, _, _ = _candidate_map(p, n)
     cand_cols = cand_rows.T.astype(rows.dtype)  # exact: |entries| <= 2 p^{n/2}
     N = rows.shape[0]
     matched = np.empty(N, dtype=bool)
     which = np.empty(N, dtype=np.min_scalar_type(cand_rows.shape[0] - 1))
-    key = np.empty(min(N, MATCH_ROWS), dtype=np.int64)
+    key = np.empty(min(N, LOOKUP_POINTS), dtype=np.int64)
     col, got = np.empty_like(key), np.empty(key.size, dtype=rows.dtype)
-    for start in range(0, N, MATCH_ROWS):
-        block = rows[start : start + MATCH_ROWS]
+    for start in range(0, N, LOOKUP_POINTS):
+        block = rows[start : start + LOOKUP_POINTS]
         m = block.shape[0]
         k, c, g = key[:m], col[:m], got[:m]
         k[:] = 0
@@ -493,7 +491,7 @@ def _bent_dual(space: Space, table: np.ndarray) -> tuple[np.ndarray, int | None]
     signs = cand_signs[np.bincount(which, minlength=cand_signs.size) > 0]  # those that occur
     eps = int(signs[0]) if (signs == signs[0]).all() else None
     # row dual[a] of the coefficients holds W_f(a)
-    return np.take(cand_js, space.gather_dual(which)), eps
+    return _apply(cand_js, space.gather_dual(which)), eps
 
 
 def classify_bent(f: VectorialFunction) -> BentClassification:
@@ -542,7 +540,8 @@ def _symmetry(F: VectorialFunction) -> tuple[list[int], int, int]:
         if d == 0:
             continue
         index = math.gcd(M, cod.log_residue(d, q - 1))
-        if index < best[2] and np.array_equal(_apply(cod.mul(d, np.arange(q)), F.table, q), moved):
+        if index < best[2] and np.array_equal(
+                _apply(cod.mul(d, np.arange(q)).astype(F.table.dtype), F.table), moved):
             best = ts, d, index
             if index == 1:
                 break
@@ -655,8 +654,8 @@ def _certificate(
                 if lc < failure and dual is not None and inverse[lam] * lam % p == 1:
                     g = dual if lam == 1 else dom.gather_scaled(dual, inverse[lam])
                     h[image] = g[at]  # then g = h o Fstar, if at all, checked whole
-                    if np.array_equal(np.take(h, Fstar.table), g):  # and lam g = lam h o Fstar
-                        key = _apply(lam * np.arange(p) % p, h[image], p)
+                    if np.array_equal(_apply(h, Fstar.table), g):  # and lam g = lam h o Fstar
+                        key = _apply((lam * np.arange(p) % p).astype(h.dtype), h[image])
                         matches = star_index.get(key.tobytes(), [])
                 if len(matches) == 1:
                     sigma[lc] = matches[0]
@@ -689,7 +688,8 @@ def lform_exponents(f: VectorialFunction) -> set[int]:
         return set(range(1, p))
     scaled = f.domain.gather_scaled(f.table, g)
     d = int(scaled[x0]) * pow(int(f.table[x0]), -1, p) % p
-    confirmed = np.array_equal(scaled, _apply(d * np.arange(p) % p, f.table, p))
+    times_d = (d * np.arange(p) % p).astype(f.table.dtype)
+    confirmed = np.array_equal(scaled, _apply(times_d, f.table))
     return {l for l in range(1, p) if confirmed and pow(g, l, p) == d}
 
 

@@ -109,9 +109,9 @@ def test_mm_grid_in_blocks_of_a_few_rows_equals_one_block(build, q, monkeypatch)
     from bentpds import constructions
 
     whole = build()
-    assert constructions.MM_BLOCK_ENTRIES >= q * q  # one block by default
+    assert constructions.LOOKUP_POINTS >= q * q  # one block by default
     for rows in (1, 2):  # two rows leave a short last block at odd q
-        monkeypatch.setattr(constructions, "MM_BLOCK_ENTRIES", rows * q + 1)
+        monkeypatch.setattr(constructions, "LOOKUP_POINTS", rows * q + 1)
         blocked = build()
         assert np.array_equal(blocked.function.table, whole.function.table)
         assert np.array_equal(blocked.dual.table, whole.dual.table)
@@ -366,6 +366,8 @@ def test_regular_spread_refuses_points_over_the_default_cap(monkeypatch):
     (lambda: mm_qpoly(3, 2, 1, 1, [True]), "q-polynomial coefficient"),
     (lambda: branched_quad_mm(3, 1, 1, 1, 1, 1, 1, 1, 1, [1.0]), "q-polynomial coefficient"),
     (lambda: diag_quad(3, 1, 2, [1.0, True]), "coefficient"),
+    (lambda: diag_quad(3, 1, True, [1]), "m"),
+    (lambda: diag_quad(3, 1, 2.0, [1, 1]), "m"),
     (lambda: spread_bent(3, 2, 1, [0, 1, 2] * 2 + [0, 1, 2.0]), "label"),
     (lambda: spread_bent(3, 2, 1, None, 0.9), "gamma0"),
 ])
@@ -377,7 +379,7 @@ def test_constructors_take_integer_arguments_only(build, what):
 
 def test_constructors_record_numpy_integers_as_ints():
     pairs = [mm_power(3, 2, 1, 1, np.int64(1)), mm_qpoly(3, 2, 1, 1, [np.int64(1)]),
-             diag_quad(3, 1, 2, [np.int64(1), 2]), spread_bent(3, 2, 1, None, np.int64(1))]
+             diag_quad(3, 1, np.int64(2), [np.int64(1), 2]), spread_bent(3, 2, 1, None, np.int64(1))]
     for pair in pairs:
         for value in pair.params.values():
             assert all(type(x) is int for x in (value if isinstance(value, list) else [value]))

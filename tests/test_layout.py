@@ -18,6 +18,13 @@ No line of the package calls .table.astype(: a VectorialFunction stores
 its table in the one dtype of its codomain (spectral.rank_dtype), so a
 consumer that re-casts it makes a second representation of one table.
 
+Every lookup through a function table goes through spectral._apply, which
+takes LOOKUP_POINTS points at a time: outside its body no np.take and no
+subscript read has an index that reads a .table attribute or a name
+table, so no lookup casts a whole table to intp.  And limits.SCRATCH_BYTES
+is the one working-set budget: no module defines MATCH_ROWS,
+MM_BLOCK_ENTRIES or _CHUNK beside it.
+
 cli.py calls neither json.load nor json.loads: every file it reads goes
 through its one decoder, _READER, which reads tables with numpy.
 
@@ -103,6 +110,62 @@ def test_no_function_table_is_recast():
            "t = F.trace(s, y).astype(dtype)", "w = np.asarray(f.table, dtype=np.int64)",
            "t = f.tables.astype(int)"]
     assert [line for line in bad if TABLE_CAST.search(line)] == bad[:2]
+
+
+def _table_lookups(source: str) -> list[str]:
+    """The np.take calls, array.take calls and subscript reads of source,
+    outside the body of _apply, whose index reads a .table attribute or a
+    name table, as written; a scatter (a subscript that is written) is not
+    a lookup."""
+    tree = ast.parse(source)
+    helper = {id(inner) for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == "_apply"
+              for inner in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in helper:
+            continue
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "take":
+            at = 1 if getattr(node.func.value, "id", None) in ("np", "numpy") else 0  # a.take(i)
+            index = node.args[at : at + 1] + [k.value for k in node.keywords if k.arg == "indices"]
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+            index = [node.slice]
+        else:
+            continue
+        if any(getattr(inner, "attr", None) == "table" or getattr(inner, "id", None) == "table"
+               for i in index for inner in ast.walk(i)):
+            found.append(ast.unparse(node))
+    return found
+
+
+BUDGET_FORKS = {"MATCH_ROWS", "MM_BLOCK_ENTRIES", "_CHUNK"}
+
+
+def _assigned(source: str, names: set[str]) -> list[str]:
+    """The names in names that source assigns, anywhere."""
+    return [target.id for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name) and target.id in names]
+
+
+def test_every_table_lookup_is_the_one_chunked_helper_on_one_budget():
+    modules = sorted(Path(bentpds.__file__).parent.glob("*.py"))
+    sources = {path.name: path.read_text() for path in modules}
+    assert {name: _table_lookups(src) for name, src in sources.items()} == {
+        name: [] for name in sources}
+    assert {name: _assigned(src, BUDGET_FORKS) for name, src in sources.items()} == {
+        name: [] for name in sources}
+    bad = ("MATCH_ROWS = 1 << 15\n_CHUNK: int = 4096\n"
+           "def _apply(values, table):\n    return np.take(values, table[0:8], mode='clip')\n"
+           "def lookups(F, Fstar, h, mask, at, x0, table):\n"
+           "    at[Fstar.table[0:8]] = 1\n    y = F.table[x0] + F.table[0:8].sum()\n"
+           "    np.take(mask, table[0:8], out=y)\n    z = np.take(a=h, indices=Fstar.table)\n"
+           "    return np.take(h, Fstar.table), mask[F.table], values.take(F.table[0:8])\n")
+    assert sorted(_table_lookups(bad)) == sorted([
+        "np.take(mask, table[0:8], out=y)", "np.take(a=h, indices=Fstar.table)",
+        "np.take(h, Fstar.table)", "mask[F.table]", "values.take(F.table[0:8])"])
+    assert _assigned(bad, BUDGET_FORKS) == ["MATCH_ROWS", "_CHUNK"]
 
 
 JSON_READS = {"load", "loads"}

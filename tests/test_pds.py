@@ -224,6 +224,16 @@ def test_sigma_predicates_non_power_map():
     assert rep.coset_stable  # l = 1: H is the whole group
 
 
+@pytest.mark.parametrize("sigma", [
+    {1: 1.0, 2: 2.0}, {1: 2, 2: np.float64(1)}, {True: 1, 2: 2}, {np.float64(1): 2, 2: 1},
+])
+def test_sigma_predicates_take_integer_keys_and_values_only(sigma):
+    # float values escaped as a numpy IndexError, and True or np.float64(1)
+    # passed as the key 1, since the bijection test compares sets
+    with pytest.raises(ValueError, match="^sigma keys and values must be integer ranks$"):
+        sigma_predicates(canonical_field(3, 1), sigma, 2)
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_sigma_predicates_match_the_set_oracle_on_every_sigma(p):
     field = canonical_field(p, 1)

@@ -256,6 +256,34 @@ def test_component_rejects_out_of_range_index():
             component(F, c)
 
 
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.uint16])
+@pytest.mark.parametrize("chunk", [7, spectral.LOOKUP_POINTS])
+def test_apply_looks_up_every_chunk_and_the_short_last_one(dtype, chunk, monkeypatch):
+    """spectral._apply, the one lookup through a function table, equals
+    values[table] in values' dtype when the table ends in a short chunk;
+    the short chunk indexes nonzero values only, so a lookup that skips it
+    leaves entries it never wrote."""
+    rng = np.random.default_rng(chunk)
+    values = rng.integers(0, np.iinfo(np.uint16).max, 256).astype(dtype)
+    values[:128] = rng.integers(1, 256, 128)  # nonzero
+    table = rng.integers(0, 256, 3 * chunk + 5).astype(np.uint8)
+    table[-5:] = rng.integers(0, 128, 5)
+    monkeypatch.setattr(spectral, "LOOKUP_POINTS", chunk)
+    got = spectral._apply(values, table)
+    assert got.dtype == values.dtype and np.array_equal(got, values[table])
+
+
+def test_component_index_passes_the_integer_rule_before_the_zero_test():
+    # 0.0, False and np.float64(0) compared equal to 0 and raised
+    # ZeroComponent, while 1.5 and True met the integer rule
+    F = xy_function()
+    for c in (0.0, False, np.float64(0), 1.5, True):
+        with pytest.raises(ValueError, match="^component index = .* must be an integer$"):
+            component(F, c)
+    with pytest.raises(ZeroComponent):
+        component(F, 0)
+
+
 def test_p_ary_routines_refuse_wider_codomains():
     from bentpds.constructions import mm_power
 
@@ -1224,7 +1252,7 @@ def test_classify_equals_norm_oracle_at_p_5_and_7():
 # Besides the transform's one (p - 1, N) float buffer, classification holds
 # either the transform's scratch (SCRATCH_BYTES, at most the buffer's size)
 # or the matcher's bool and narrow candidate index per point and its work
-# arrays for MATCH_ROWS rows: three int64 entries, two gathered counts and
+# arrays for LOOKUP_POINTS rows: three int64 entries, two gathered counts and
 # bool temporaries, under MATCH_ROW_BYTES a row.  With two buffers and
 # N-long int64 keys the peak was 2.0-2.3 buffers.
 CLASSIFY_PEAK_BOUND = 1.0  # transform buffers, on top of the terms above
@@ -1237,7 +1265,7 @@ def _peak_bound(sp, per_point):
     N, p = sp.size, sp.p
     buffer = N * (p - 1) * exact_float_dtype(N).itemsize
     return (CLASSIFY_PEAK_BOUND * buffer + min(spectral.SCRATCH_BYTES, buffer)
-            + MATCH_ROW_BYTES * min(N, spectral.MATCH_ROWS) + per_point * N)
+            + MATCH_ROW_BYTES * min(N, spectral.LOOKUP_POINTS) + per_point * N)
 
 
 def _traced_peak(fn, *args):
